@@ -20,7 +20,9 @@ use causal_clocks::{ProcessId, VectorClock};
 use causal_core::delivery::Delivered;
 use causal_core::node::{App, CausalNode, CbcastNode, Emitter};
 use causal_core::osend::OccursAfter;
+use causal_core::statemachine::OpClass;
 use causal_simnet::{FaultPlan, Histogram, LatencyModel, NetConfig, SimDuration, Simulation};
+use causal_verify::{check_trace, OracleConfig, Trace};
 
 const OPS: usize = 150;
 const SEED: u64 = 3;
@@ -30,8 +32,9 @@ fn net(drop: f64) -> NetConfig {
         .faults(FaultPlan::new().with_drop_prob(drop))
 }
 
-/// Both arms host the same app: no declared dependencies at all. The
-/// unified [`App`] runs unchanged over the graph and vector-clock engines.
+/// Both arms host the same app: no declared dependencies at all, so its
+/// operations commute. The unified [`App`] runs unchanged over the graph
+/// and vector-clock engines.
 #[derive(Debug, Default)]
 struct Independent {
     delivered: u64,
@@ -42,11 +45,16 @@ impl App for Independent {
     fn on_deliver(&mut self, _env: Delivered<'_, u64>, _out: &mut Emitter<u64>) {
         self.delivered += 1;
     }
+    fn classify(&self, _op: &u64) -> OpClass {
+        OpClass::Commutative
+    }
 }
 
 fn run_graph(n: usize, drop: f64) -> (f64, u64, usize) {
     let nodes: Vec<CausalNode<Independent>> = (0..n)
-        .map(|i| CausalNode::new(ProcessId::new(i as u32), n, Independent::default()))
+        .map(|i| {
+            CausalNode::new(ProcessId::new(i as u32), n, Independent::default()).with_tracing()
+        })
         .collect();
     let mut sim = Simulation::new(nodes, net(drop), SEED);
     let mut deadline = sim.now();
@@ -63,8 +71,10 @@ fn run_graph(n: usize, drop: f64) -> (f64, u64, usize) {
     for i in 0..n {
         lat.merge(&sim.node(ProcessId::new(i as u32)).stats().delivery_latency);
     }
+    let trace = Trace::from_stacks(sim.nodes());
+    check_trace(&trace, &OracleConfig::default()).expect("graph engine delivers causally");
     // Declared ordered pairs: zero — count them from the graph.
-    let g = sim.node(ProcessId::new(0)).graph();
+    let g = trace.members()[0].graph().expect("R(M) rebuilds");
     let total_pairs = g.len() * (g.len() - 1) / 2;
     let ordered_pairs = total_pairs - g.concurrent_pairs();
     (

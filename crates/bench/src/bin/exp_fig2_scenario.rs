@@ -8,11 +8,11 @@
 
 use causal_bench::Table;
 use causal_clocks::{MsgId, ProcessId};
-use causal_core::check;
 use causal_core::node::CausalNode;
 use causal_core::osend::OccursAfter;
 use causal_replica::counter::{CounterOp, CounterReplica};
 use causal_simnet::{LatencyModel, NetConfig, Simulation};
+use causal_verify::{check_trace, OracleConfig, Trace};
 
 fn main() {
     println!("E1 / Figure 2 — causal broadcast scenario: mk -> ||{{m'i, m'j}}\n");
@@ -23,7 +23,7 @@ fn main() {
 
     for seed in 0..6u64 {
         let nodes: Vec<CausalNode<CounterReplica>> = (0..3)
-            .map(|i| CausalNode::new(p(i), 3, CounterReplica::new()))
+            .map(|i| CausalNode::new(p(i), 3, CounterReplica::new()).with_tracing())
             .collect();
         let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(100, 8000));
         let mut sim = Simulation::new(nodes, cfg, seed);
@@ -74,14 +74,16 @@ fn main() {
                 order.join(" -> "),
                 agreed.to_string(),
             ]);
-            // The graph is identical at every member and flags mi || mj.
-            assert!(node.graph().is_concurrent(mi, mj));
             assert_eq!(agreed, 13);
         }
 
-        let logs: Vec<Vec<MsgId>> = (0..3).map(|i| sim.node(p(i)).log().to_vec()).collect();
-        let graph = sim.node(p(0)).graph().clone();
-        check::logs_linearize_graph(&graph, &logs).expect("all logs linearize R(M)");
+        // Every log linearizes R(M), which every member rebuilds
+        // identically and which flags mi || mj.
+        let trace = Trace::from_stacks(sim.nodes());
+        check_trace(&trace, &OracleConfig::default()).expect("all logs linearize R(M)");
+        for member in trace.members() {
+            assert!(member.graph().expect("R(M) rebuilds").is_concurrent(mi, mj));
+        }
     }
 
     table.print();

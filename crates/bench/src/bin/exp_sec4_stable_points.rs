@@ -19,8 +19,9 @@
 
 use causal_bench::table::fmt_ms;
 use causal_bench::Table;
-use causal_clocks::ProcessId;
-use causal_core::node::CausalNode;
+use causal_clocks::{MsgId, ProcessId};
+use causal_core::node::{CausalNode, WireMsg};
+use causal_core::osend::OccursAfter;
 use causal_core::statemachine::OpClass;
 use causal_replica::counter::{CounterOp, CounterReplica};
 use causal_replica::frontend::FrontEndManager;
@@ -34,11 +35,57 @@ fn latency() -> LatencyModel {
     LatencyModel::uniform_micros(200, 1200)
 }
 
+/// A counter member that stamps the simulated time at which its replica
+/// answers each read (the read's delivery there).
+struct ReadClock {
+    node: CausalNode<CounterReplica>,
+    answered_at: Vec<SimTime>,
+}
+
+impl ReadClock {
+    fn stamp(&mut self, now: SimTime) {
+        let answered = self.node.app().read_answers().len();
+        self.answered_at.resize(answered, now);
+    }
+
+    fn osend(
+        &mut self,
+        ctx: &mut Context<'_, WireMsg<CounterReplica>>,
+        op: CounterOp,
+        after: OccursAfter,
+    ) -> Option<MsgId> {
+        let id = self.node.osend(ctx, op, after);
+        self.stamp(ctx.now());
+        id
+    }
+}
+
+impl Actor for ReadClock {
+    type Msg = WireMsg<CounterReplica>;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
+        self.node.on_start(ctx);
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: ProcessId, msg: Self::Msg) {
+        self.node.on_message(ctx, from, msg);
+        self.stamp(ctx.now());
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, Self::Msg>, tag: u64) {
+        self.node.on_timer(ctx, tag);
+        self.stamp(ctx.now());
+    }
+}
+
 /// Arm A: reads at stable points through the §6.1 protocol. Returns
 /// (mean read completion µs, extra agreement msgs per read).
 fn run_stable_points(n: usize, update_interval: SimDuration) -> (f64, f64) {
-    let nodes: Vec<CausalNode<CounterReplica>> = (0..n)
-        .map(|i| CausalNode::new(ProcessId::new(i as u32), n, CounterReplica::new()))
+    let nodes: Vec<ReadClock> = (0..n)
+        .map(|i| ReadClock {
+            node: CausalNode::new(ProcessId::new(i as u32), n, CounterReplica::new()),
+            answered_at: Vec::new(),
+        })
         .collect();
     let mut sim = Simulation::new(nodes, NetConfig::with_latency(latency()), SEED);
     let mut fe = FrontEndManager::new();
@@ -50,8 +97,8 @@ fn run_stable_points(n: usize, update_interval: SimDuration) -> (f64, f64) {
             let submitter = ProcessId::new(((cycle * UPDATES_PER_CYCLE + k) % n) as u32);
             let after = fe.ordering_for(OpClass::Commutative);
             let id = sim
-                .poke(submitter, move |node, ctx| {
-                    node.osend(ctx, CounterOp::Inc(1), after)
+                .poke(submitter, move |m, ctx| {
+                    m.osend(ctx, CounterOp::Inc(1), after)
                 })
                 .unwrap();
             fe.record(id, OpClass::Commutative);
@@ -62,8 +109,8 @@ fn run_stable_points(n: usize, update_interval: SimDuration) -> (f64, f64) {
         let after = fe.ordering_for(OpClass::NonCommutative);
         let submitted_at = sim.now();
         let id = sim
-            .poke(ProcessId::new(0), move |node, ctx| {
-                node.osend(ctx, CounterOp::Read, after)
+            .poke(ProcessId::new(0), move |m, ctx| {
+                m.osend(ctx, CounterOp::Read, after)
             })
             .unwrap();
         fe.record(id, OpClass::NonCommutative);
@@ -78,23 +125,14 @@ fn run_stable_points(n: usize, update_interval: SimDuration) -> (f64, f64) {
         let mut latest = SimTime::ZERO;
         let mut answers = Vec::new();
         for i in 0..n {
-            let node = sim.node(ProcessId::new(i as u32));
-            let t = node
-                .stats()
-                .delivery_times
+            let member = sim.node(ProcessId::new(i as u32));
+            let reads = member.node.app().read_answers();
+            let pos = reads
                 .iter()
-                .find(|(m, _)| m == id)
-                .expect("read delivered everywhere")
-                .1;
-            latest = latest.max(t);
-            let ans = node
-                .app()
-                .read_answers()
-                .iter()
-                .find(|(m, _)| m == id)
-                .expect("read answered")
-                .1;
-            answers.push(ans);
+                .position(|(m, _)| m == id)
+                .expect("read answered everywhere");
+            latest = latest.max(member.answered_at[pos]);
+            answers.push(reads[pos].1);
         }
         assert!(answers.windows(2).all(|w| w[0] == w[1]), "answers disagree");
         total += latest.saturating_since(*submitted_at).as_micros() as f64;

@@ -12,10 +12,10 @@
 use causal_bench::table::fmt_ms;
 use causal_bench::Table;
 use causal_clocks::ProcessId;
-use causal_core::check;
 use causal_core::node::CausalNode;
 use causal_replica::cardgame::CardPlayer;
 use causal_simnet::{LatencyModel, NetConfig, Simulation};
+use causal_verify::{check_trace, OracleConfig, Trace};
 
 const ROUNDS: u64 = 5;
 const SEED: u64 = 17;
@@ -24,7 +24,7 @@ fn run(n: usize, d: usize) -> (usize, f64, bool) {
     let nodes: Vec<CausalNode<CardPlayer>> = (0..n)
         .map(|i| {
             let id = ProcessId::new(i as u32);
-            CausalNode::new(id, n, CardPlayer::new(id, n, d, ROUNDS))
+            CausalNode::new(id, n, CardPlayer::new(id, n, d, ROUNDS)).with_tracing()
         })
         .collect();
     let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(300, 1500));
@@ -32,12 +32,10 @@ fn run(n: usize, d: usize) -> (usize, f64, bool) {
     let end = sim.run_to_quiescence();
 
     let complete = (0..n).all(|i| sim.node(ProcessId::new(i as u32)).app().game_complete());
-    let logs: Vec<_> = (0..n)
-        .map(|i| sim.node(ProcessId::new(i as u32)).log_entries().to_vec())
-        .collect();
-    let consistent = complete && check::stable_points_consistent(&logs).is_ok();
-    let pairs = sim.node(ProcessId::new(0)).graph().concurrent_pairs();
-    (pairs, end.as_micros() as f64, consistent)
+    let trace = Trace::from_stacks(sim.nodes());
+    let consistent = complete && check_trace(&trace, &OracleConfig::default()).is_ok();
+    let graph = trace.members()[0].graph().expect("R(M) rebuilds");
+    (graph.concurrent_pairs(), end.as_micros() as f64, consistent)
 }
 
 fn main() {

@@ -9,6 +9,7 @@ use causal_replica::baseline::{SequencedNode, WeakOrderNode, WeakOrdering};
 use causal_replica::counter::{CounterOp, CounterReplica};
 use causal_replica::frontend::FrontEndManager;
 use causal_simnet::{FaultPlan, Histogram, LatencyModel, NetConfig, SimDuration, Simulation};
+use causal_verify::{check_trace, OracleConfig, Trace};
 
 /// Configuration of one commutative-mix run (§6.1).
 #[derive(Debug, Clone)]
@@ -85,7 +86,7 @@ pub fn run_causal_mix(config: &MixConfig) -> MixStats {
     let n = config.n_replicas;
     let workload = MixWorkload::generate(config.cycles, config.f_bar, false, config.seed);
     let nodes: Vec<CausalNode<CounterReplica>> = (0..n)
-        .map(|i| CausalNode::new(ProcessId::new(i as u32), n, CounterReplica::new()))
+        .map(|i| CausalNode::new(ProcessId::new(i as u32), n, CounterReplica::new()).with_tracing())
         .collect();
     let cfg = NetConfig::with_latency(config.latency)
         .faults(FaultPlan::new().with_drop_prob(config.drop_prob));
@@ -115,9 +116,7 @@ pub fn run_causal_mix(config: &MixConfig) -> MixStats {
     let duration = sim.run_to_quiescence();
 
     // Validate the paper's agreement claims before reporting numbers.
-    let logs: Vec<_> = (0..n)
-        .map(|i| sim.node(ProcessId::new(i as u32)).log_entries().to_vec())
-        .collect();
+    let trace = Trace::from_stacks(sim.nodes());
     let values: Vec<i64> = (0..n)
         .map(|i| sim.node(ProcessId::new(i as u32)).app().value())
         .collect();
@@ -129,9 +128,10 @@ pub fn run_causal_mix(config: &MixConfig) -> MixStats {
                 .to_vec()
         })
         .collect();
-    let consistent = check::stable_points_consistent(&logs).is_ok()
+    let consistent = check_trace(&trace, &OracleConfig::default()).is_ok()
         && check::replicas_agree(&values)
         && check::replicas_agree(&reads);
+    let graph = trace.members()[0].graph().unwrap_or_default();
 
     let mut latency = merged_latency((0..n).map(|i| {
         sim.node(ProcessId::new(i as u32))
@@ -147,8 +147,8 @@ pub fn run_causal_mix(config: &MixConfig) -> MixStats {
         duration_us: duration.as_micros(),
         throughput_ops_per_s: workload.ops().len() as f64 / duration.as_secs_f64().max(1e-9),
         msgs_sent: sim.metrics().sent,
-        stable_points: sim.node(ProcessId::new(0)).stats().stable_points,
-        concurrent_pairs: sim.node(ProcessId::new(0)).graph().concurrent_pairs(),
+        stable_points: sim.node(ProcessId::new(0)).stable_points().len() as u64,
+        concurrent_pairs: graph.concurrent_pairs(),
         consistent,
     }
 }

@@ -3,9 +3,8 @@
 //! harnesses.
 
 use crate::graph::MsgGraph;
-use crate::osend::GraphEnvelope;
 use crate::stable::{LogEntry, StablePointDetector};
-use crate::statemachine::{Operation, Replica};
+use crate::statemachine::Operation;
 use causal_clocks::{MsgId, VectorClock};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -193,43 +192,6 @@ pub fn stable_points_consistent(logs: &[Vec<LogEntry>]) -> Result<(), Violation>
     Ok(())
 }
 
-/// Replays each log through a fresh [`Replica`] and checks that all
-/// replicas have identical state at every stable point they share —
-/// the paper's central agreement-without-protocol property.
-pub fn agreement_at_stable_points<S, O>(
-    initial: &S,
-    logs: &[Vec<GraphEnvelope<O>>],
-) -> Result<(), Violation>
-where
-    S: Clone + PartialEq,
-    O: Operation<S>,
-{
-    let replicas: Vec<Replica<S, O>> = logs
-        .iter()
-        .map(|log| {
-            let mut r = Replica::new(initial.clone());
-            for env in log {
-                r.on_deliver(env);
-            }
-            r
-        })
-        .collect();
-    let min_points = replicas
-        .iter()
-        .map(Replica::stable_count)
-        .min()
-        .unwrap_or(0);
-    for ordinal in 0..min_points {
-        let reference = replicas[0].stable_state(ordinal).expect("within min");
-        for (b, r) in replicas.iter().enumerate().skip(1) {
-            if r.stable_state(ordinal).expect("within min") != reference {
-                return Err(Violation::StablePointMismatch { a: 0, b, ordinal });
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Validates an application's commutativity declarations against its
 /// actual semantics: for every pair of operations in `sample` that
 /// [`commutes_with`](Operation::commutes_with) claims commute, applying
@@ -294,7 +256,6 @@ pub fn vt_logs_respect_causality(logs: &[Vec<(MsgId, VectorClock)>]) -> Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::osend::{OSender, OccursAfter};
     use causal_clocks::ProcessId;
 
     fn id(p: u32, s: u64) -> MsgId {
@@ -416,45 +377,6 @@ mod tests {
         fn is_commutative(&self) -> bool {
             matches!(self, MixOp::Add(_))
         }
-    }
-
-    #[test]
-    fn agreement_at_stable_points_holds_for_commutative_interleavings() {
-        let mut tx0 = OSender::new(ProcessId::new(0));
-        let mut tx1 = OSender::new(ProcessId::new(1));
-        let mut tx2 = OSender::new(ProcessId::new(2));
-        let nc0 = tx0.osend(MixOp::Sync, OccursAfter::none());
-        let c1 = tx1.osend(MixOp::Add(1), OccursAfter::message(nc0.id));
-        let c2 = tx2.osend(MixOp::Add(2), OccursAfter::message(nc0.id));
-        let nc1 = tx0.osend(MixOp::Sync, OccursAfter::all([c1.id, c2.id]));
-        let logs = vec![
-            vec![nc0.clone(), c1.clone(), c2.clone(), nc1.clone()],
-            vec![nc0.clone(), c2.clone(), c1.clone(), nc1.clone()],
-        ];
-        assert!(agreement_at_stable_points(&0i64, &logs).is_ok());
-    }
-
-    #[test]
-    fn agreement_violation_detected_for_lost_update() {
-        // Second replica never applies c1: states diverge at the closing
-        // stable point.
-        let mut tx0 = OSender::new(ProcessId::new(0));
-        let mut tx1 = OSender::new(ProcessId::new(1));
-        let nc0 = tx0.osend(MixOp::Sync, OccursAfter::none());
-        let c1 = tx1.osend(MixOp::Add(5), OccursAfter::message(nc0.id));
-        let nc1 = tx0.osend(MixOp::Sync, OccursAfter::message(c1.id));
-        // Forge a log where nc1's deps are honored structurally but c1's
-        // payload was dropped (models a buggy transport).
-        let forged_nc1 = GraphEnvelope {
-            id: nc1.id,
-            deps: vec![nc0.id],
-            payload: MixOp::Sync,
-        };
-        let logs = vec![
-            vec![nc0.clone(), c1.clone(), nc1.clone()],
-            vec![nc0.clone(), forged_nc1],
-        ];
-        assert!(agreement_at_stable_points(&0i64, &logs).is_err());
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! dependencies only.
 
 use super::{Delivered, DeliveryEngine};
-use crate::graph::MsgGraph;
 use crate::osend::{GraphEnvelope, OSender, OccursAfter};
 use causal_clocks::{MsgId, ProcessId, VectorClock};
 use std::collections::{HashMap, HashSet};
@@ -16,9 +15,9 @@ use std::collections::{HashMap, HashSet};
 /// (§3.3). Duplicates are absorbed, out-of-order arrivals are buffered,
 /// and deliveries cascade (one arrival can release a chain of waiters).
 ///
-/// The engine also maintains the delivered prefix of the dependency graph
-/// `R(M)` ([`graph`](GraphDelivery::graph)), which stable-point detection
-/// and the validators consume.
+/// The engine keeps no copy of the dependency graph `R(M)`: the released
+/// envelopes carry it, and a tracing stack rebuilds it from its
+/// [`MemberTrace`](crate::trace::MemberTrace::graph).
 ///
 /// Cascading releases are driven by per-message missing-dependency
 /// counters: each delivery decrements the counters of its registered
@@ -50,7 +49,6 @@ use std::collections::{HashMap, HashSet};
 pub struct GraphDelivery<P> {
     delivered: HashSet<MsgId>,
     log: Vec<MsgId>,
-    graph: MsgGraph,
     /// Buffered envelopes keyed by id.
     pending: HashMap<MsgId, GraphEnvelope<P>>,
     /// Reverse index: an undelivered dependency -> messages waiting on it.
@@ -64,9 +62,6 @@ pub struct GraphDelivery<P> {
     /// Per-origin compaction threshold: ids with `seq <= threshold` are
     /// known delivered-and-stable even though their entries were pruned.
     compacted: Option<VectorClock>,
-    /// Whether to maintain the delivered [`MsgGraph`] (analysis aid;
-    /// disable for long-running compacted deployments).
-    track_graph: bool,
     /// Sending endpoint, present when the engine was built for a member
     /// (see [`DeliveryEngine::for_member`]). Receive-only engines
     /// (validators, tests) have none.
@@ -79,25 +74,14 @@ impl<P> GraphDelivery<P> {
         GraphDelivery {
             delivered: HashSet::new(),
             log: Vec::new(),
-            graph: MsgGraph::new(),
             pending: HashMap::new(),
             waiters: HashMap::new(),
             missing: HashMap::new(),
             seen: HashSet::new(),
             duplicates: 0,
             compacted: None,
-            track_graph: true,
             sender: None,
         }
-    }
-
-    /// Disables maintenance of the delivered [`MsgGraph`] — an analysis
-    /// aid that grows with the run and cannot be compacted (nodes may be
-    /// referenced by later dependencies). Long-running deployments that
-    /// use [`compact`](Self::compact) should disable it.
-    pub fn without_graph(mut self) -> Self {
-        self.track_graph = false;
-        self
     }
 
     /// `true` if `id` falls inside the compacted (stable) prefix.
@@ -180,11 +164,6 @@ impl<P> GraphDelivery<P> {
     fn deliver(&mut self, env: GraphEnvelope<P>) -> GraphEnvelope<P> {
         self.delivered.insert(env.id);
         self.log.push(env.id);
-        if self.track_graph {
-            self.graph
-                .add(env.id, &env.deps)
-                .expect("dependencies delivered before dependents");
-        }
         // Count the delivery against every waiter registered on this id
         // now (registrations are only consumed later, when the cascade
         // reaches this message), so a waiter's counter always reflects the
@@ -237,11 +216,6 @@ impl<P> GraphDelivery<P> {
     /// The delivery log: message ids in the order they were released.
     pub fn log(&self) -> &[MsgId] {
         &self.log
-    }
-
-    /// The delivered prefix of the dependency graph `R(M)`.
-    pub fn graph(&self) -> &MsgGraph {
-        &self.graph
     }
 
     /// Number of messages delivered.
@@ -315,10 +289,6 @@ impl<P: Clone> DeliveryEngine for GraphDelivery<P> {
 
     fn duplicates(&self) -> u64 {
         GraphDelivery::duplicates(self)
-    }
-
-    fn enable_gc_mode(&mut self) {
-        self.track_graph = false;
     }
 
     fn compact(&mut self, stable: &VectorClock) {
@@ -427,11 +397,9 @@ mod tests {
         rx2.on_receive(b.clone());
         rx2.on_receive(a.clone());
         // Different orders at different members — allowed for concurrent
-        // messages; the graphs agree nonetheless.
+        // messages.
         assert_eq!(rx1.log(), &[a.id, b.id]);
         assert_eq!(rx2.log(), &[b.id, a.id]);
-        assert!(rx1.graph().is_concurrent(a.id, b.id));
-        assert!(rx2.graph().is_concurrent(a.id, b.id));
     }
 
     #[test]
@@ -453,19 +421,6 @@ mod tests {
         assert_eq!(rx.delivered_len(), 4);
         // d delivered exactly once despite two waiter registrations.
         assert_eq!(rx.log().iter().filter(|&&m| m == d.id).count(), 1);
-    }
-
-    #[test]
-    fn graph_matches_delivered_prefix() {
-        let mut tx = senders(2);
-        let a = tx[0].osend('a', OccursAfter::none());
-        let b = tx[1].osend('b', OccursAfter::message(a.id));
-        let mut rx = GraphDelivery::new();
-        rx.on_receive(a.clone());
-        assert_eq!(rx.graph().len(), 1);
-        rx.on_receive(b.clone());
-        assert_eq!(rx.graph().len(), 2);
-        assert!(rx.graph().causally_precedes(a.id, b.id));
     }
 
     #[test]
@@ -519,16 +474,6 @@ mod tests {
         rx.compact(&VectorClock::from_entries([2]));
         rx.compact(&VectorClock::from_entries([1])); // older info: no-op
         assert_eq!(rx.retained_len(), 0);
-    }
-
-    #[test]
-    fn without_graph_skips_graph_maintenance() {
-        let mut tx = senders(1);
-        let mut rx = GraphDelivery::new().without_graph();
-        let a = tx[0].osend('a', OccursAfter::none());
-        rx.on_receive(a);
-        assert_eq!(rx.graph().len(), 0);
-        assert_eq!(rx.delivered_len(), 1);
     }
 
     #[test]

@@ -185,8 +185,11 @@ pub trait DeliveryEngine {
     /// Duplicate receptions absorbed so far.
     fn duplicates(&self) -> u64;
 
-    /// Switches off unbounded analysis records (e.g. the retained
-    /// dependency graph) for long-running GC deployments. Default: no-op.
+    /// Hook for engines that keep records stability GC should switch off.
+    /// No engine keeps one: the per-node delivery record is the stack's
+    /// opt-in [`MemberTrace`](crate::trace::MemberTrace), and `with_gc`
+    /// does not call this. It stays a no-op for drivers that configure an
+    /// engine the way a GC stack would (perfbench's layer replay).
     fn enable_gc_mode(&mut self) {}
 
     /// Forgets per-message state for the globally stable prefix. Engines

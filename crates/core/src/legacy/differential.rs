@@ -205,7 +205,9 @@ fn run_stack_causal(s: &Schedule, gc: bool) -> Outcome {
                     .collect()
             })
             .collect(),
-        delivered: (0..s.n).map(|i| sim.node(p(i)).stats().delivered).collect(),
+        delivered: (0..s.n)
+            .map(|i| sim.node(p(i)).log().len() as u64)
+            .collect(),
         pending: (0..s.n).map(|i| sim.node(p(i)).pending_len()).collect(),
     }
 }
@@ -289,7 +291,9 @@ fn run_stack_cbcast(s: &Schedule) -> Outcome {
                     .collect()
             })
             .collect(),
-        delivered: (0..s.n).map(|i| sim.node(p(i)).stats().delivered).collect(),
+        delivered: (0..s.n)
+            .map(|i| sim.node(p(i)).log().len() as u64)
+            .collect(),
         pending: (0..s.n).map(|i| sim.node(p(i)).pending_len()).collect(),
     }
 }

@@ -199,9 +199,8 @@ impl<A: CausalApp> CausalNode<A> {
     /// times) once the prefix is known delivered everywhere.
     ///
     /// GC mode is for long-running deployments: it also disables the
-    /// unbounded analysis records (the [`MsgGraph`](crate::graph::MsgGraph),
-    /// [`log_entries`](Self::log_entries), per-message delivery times),
-    /// which cannot be compacted.
+    /// unbounded analysis records ([`log_entries`](Self::log_entries),
+    /// per-message delivery times), which cannot be compacted.
     ///
     /// # Panics
     ///
@@ -211,7 +210,6 @@ impl<A: CausalApp> CausalNode<A> {
         self.stability = Some(StabilityTracker::new(self.me, n));
         self.report_every = report_every;
         self.record_analysis = false;
-        self.delivery = GraphDelivery::new().without_graph();
         self
     }
 
@@ -265,11 +263,6 @@ impl<A: CausalApp> CausalNode<A> {
     /// stable-point validators consume.
     pub fn log_entries(&self) -> &[LogEntry] {
         &self.log_entries
-    }
-
-    /// The delivered prefix of the dependency graph.
-    pub fn graph(&self) -> &crate::graph::MsgGraph {
-        self.delivery.graph()
     }
 
     /// Stable points detected so far.
@@ -794,7 +787,10 @@ mod tests {
             sim.poke(p(i), |n, ctx| n.osend(ctx, 1, OccursAfter::message(root)));
         }
         sim.run_to_quiescence();
-        let graph = sim.node(p(0)).graph().clone();
+        let mut graph = crate::graph::MsgGraph::new();
+        for e in sim.node(p(0)).log_entries() {
+            graph.add(e.id, &e.deps).unwrap();
+        }
         let logs: Vec<Vec<MsgId>> = (0..4).map(|i| sim.node(p(i)).log().to_vec()).collect();
         assert!(crate::check::logs_linearize_graph(&graph, &logs).is_ok());
         for log in &logs {

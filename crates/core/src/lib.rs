@@ -35,6 +35,7 @@
 //! ```
 //! use causal_clocks::ProcessId;
 //! use causal_core::delivery::GraphDelivery;
+//! use causal_core::graph::MsgGraph;
 //! use causal_core::osend::{OSender, OccursAfter};
 //!
 //! let (pi, pj, pk) = (ProcessId::new(0), ProcessId::new(1), ProcessId::new(2));
@@ -52,7 +53,13 @@
 //! let delivered = rx.on_receive(mk.clone());
 //! assert_eq!(delivered.len(), 2); // mk unblocks m'j
 //! assert!(!rx.on_receive(mi.clone()).is_empty());
-//! assert!(rx.graph().is_concurrent(mi.id, mj.id));
+//!
+//! // The delivered envelopes carry R(M): m'i and m'j stay concurrent.
+//! let mut graph = MsgGraph::new();
+//! for env in [&mk, &mj, &mi] {
+//!     graph.add(env.id, &env.deps).unwrap();
+//! }
+//! assert!(graph.is_concurrent(mi.id, mj.id));
 //! ```
 
 #![forbid(unsafe_code)]

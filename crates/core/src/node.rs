@@ -86,7 +86,7 @@ mod tests {
         sim.run_to_quiescence();
         for i in 0..3 {
             assert_eq!(sim.node(p(i)).app().value, 5);
-            assert_eq!(sim.node(p(i)).stats().delivered, 1);
+            assert_eq!(sim.node(p(i)).log().len(), 1);
         }
     }
 
@@ -178,7 +178,6 @@ mod tests {
         sim.run_to_quiescence();
         for i in 0..3 {
             let node = sim.node(p(i));
-            assert_eq!(node.stats().stable_points, 2, "member {i}");
             let points: Vec<MsgId> = node.stable_points().iter().map(|sp| sp.msg).collect();
             assert_eq!(points, vec![nc0, sim.node(p(0)).log()[3]]);
             assert_eq!(node.app().value, 103);
@@ -188,7 +187,8 @@ mod tests {
     #[test]
     fn logs_are_linearizations_of_a_common_graph() {
         let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(10, 4000));
-        let mut sim = Simulation::new(group(4), cfg, 17);
+        let nodes = group(4).into_iter().map(|n| n.with_tracing()).collect();
+        let mut sim = Simulation::new(nodes, cfg, 17);
         let root = sim
             .poke(p(0), |n, ctx| n.osend(ctx, 1, OccursAfter::none()))
             .unwrap();
@@ -197,7 +197,7 @@ mod tests {
             sim.poke(p(i), |n, ctx| n.osend(ctx, 1, OccursAfter::message(root)));
         }
         sim.run_to_quiescence();
-        let graph = sim.node(p(0)).graph().clone();
+        let graph = sim.node(p(0)).trace().unwrap().graph().unwrap();
         let logs: Vec<Vec<MsgId>> = (0..4).map(|i| sim.node(p(i)).log().to_vec()).collect();
         assert!(crate::check::logs_linearize_graph(&graph, &logs).is_ok());
         for log in &logs {
@@ -294,6 +294,45 @@ mod tests {
     }
 
     #[test]
+    fn gc_mode_traces_rebuild_the_common_graph() {
+        // Stability GC compacts the engines, never the trace: every member
+        // still rebuilds all of R(M) from what it recorded.
+        let n = 3;
+        let nodes: Vec<CausalNode<Sum>> = (0..n)
+            .map(|i| {
+                CausalNode::new(p(i as u32), n, Sum::default())
+                    .with_gc(n, 3)
+                    .with_tracing()
+            })
+            .collect();
+        let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(100, 2000))
+            .faults(FaultPlan::new().with_drop_prob(0.2));
+        let mut sim = Simulation::new(nodes, cfg, 11);
+        let mut prev: Option<MsgId> = None;
+        for k in 0..30u32 {
+            // Every other op extends a chain; the rest stay concurrent.
+            let after = match prev {
+                Some(m) if k % 2 == 1 => OccursAfter::message(m),
+                _ => OccursAfter::none(),
+            };
+            prev = sim.poke(p(k % n as u32), move |node, ctx| node.osend(ctx, 1, after));
+            let deadline = sim.now() + causal_simnet::SimDuration::from_millis(1);
+            sim.run_until(deadline);
+        }
+        sim.run_to_quiescence();
+        assert!(sim.metrics().dropped > 0);
+        let reference = sim.node(p(0)).trace().unwrap().graph().unwrap();
+        assert_eq!(reference.len(), 30);
+        for i in 0..n {
+            let node = sim.node(p(i as u32));
+            let graph = node.trace().unwrap().graph().unwrap();
+            assert_eq!(node.log().len(), 30, "member {i}");
+            assert!(node.log().iter().all(|&m| graph.contains(m)), "member {i}");
+            assert_eq!(graph, reference, "member {i}");
+        }
+    }
+
+    #[test]
     fn cbcast_node_group_converges_under_loss() {
         let nodes: Vec<CbcastNode<VtSum>> = (0..3)
             .map(|i| CbcastNode::new(p(i), 3, VtSum::default()))
@@ -312,7 +351,7 @@ mod tests {
             assert_eq!(sim.node(p(i)).pending_len(), 0);
             assert_eq!(sim.node(p(i)).log().len(), 9);
             // The vector-clock engine never closes stable points.
-            assert_eq!(sim.node(p(i)).stats().stable_points, 0);
+            assert!(sim.node(p(i)).stable_points().is_empty());
         }
     }
 }

@@ -45,7 +45,7 @@ use crate::delivery::{
 use crate::osend::{GraphEnvelope, OccursAfter};
 use crate::rbcast::{HasMsgId, RbMsg, ReliableBroadcast};
 use crate::stability::StabilityTracker;
-use crate::stable::{LogEntry, StablePoint, StablePointDetector};
+use crate::stable::{StablePoint, StablePointDetector};
 use crate::statemachine::OpClass;
 use crate::trace::{MemberTrace, TraceEvent};
 use causal_clocks::{MsgId, ProcessId, VectorClock};
@@ -194,18 +194,15 @@ pub trait App {
     }
 }
 
-/// Per-node statistics collected by the stack.
+/// Per-node statistics collected by the stack. Counts live elsewhere:
+/// deliveries in [`ProtocolStack::log`], stable points in
+/// [`ProtocolStack::stable_points`], and the per-delivery record in the
+/// [`MemberTrace`] of a stack built [`with_tracing`](ProtocolStack::with_tracing).
 #[derive(Debug, Clone, Default)]
 pub struct NodeStats {
-    /// Operations released to the application.
-    pub delivered: u64,
-    /// Stable points detected (always 0 for vector-clock engines).
-    pub stable_points: u64,
     /// End-to-end latency (send to application delivery, including causal
     /// buffering) of every delivered operation.
     pub delivery_latency: Histogram,
-    /// Delivery instants per message, for offline analysis.
-    pub delivery_times: Vec<(MsgId, SimTime)>,
 }
 
 /// Default retransmission period for the reliability layer.
@@ -292,12 +289,10 @@ pub struct ProtocolStack<D: DeliveryEngine, A: App<Op = D::Op>> {
     rtx_armed: bool,
     sent_times: HashMap<MsgId, SimTime>,
     last_sent: Option<MsgId>,
-    log_entries: Vec<LogEntry>,
     stats: NodeStats,
     stability: Option<StabilityTracker>,
     report_every: u64,
     deliveries_since_report: u64,
-    record_analysis: bool,
     membership: Option<MembershipState<D>>,
     tracer: Option<MemberTrace>,
     crashed: bool,
@@ -307,7 +302,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> fmt::Debug for ProtocolStack<D, A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ProtocolStack")
             .field("me", &self.me)
-            .field("delivered", &self.stats.delivered)
+            .field("delivered", &self.engine.log().len())
             .field("pending", &self.engine.pending_len())
             .field("membership", &self.membership.is_some())
             .finish_non_exhaustive()
@@ -340,12 +335,10 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
             rtx_armed: false,
             sent_times: HashMap::new(),
             last_sent: None,
-            log_entries: Vec::new(),
             stats: NodeStats::default(),
             stability: None,
             report_every: 0,
             deliveries_since_report: 0,
-            record_analysis: true,
             membership: None,
             tracer: None,
             crashed: false,
@@ -382,10 +375,10 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
     /// prunes per-message state (delivery engine, reliability layer, send
     /// times) once the prefix is known delivered everywhere.
     ///
-    /// GC mode is for long-running deployments: it also disables the
-    /// unbounded analysis records (the engine's dependency graph where it
-    /// keeps one, [`log_entries`](Self::log_entries), per-message delivery
-    /// times), which cannot be compacted.
+    /// This is stability GC only: it changes nothing the stack records. The
+    /// per-node delivery record is the opt-in [`MemberTrace`]
+    /// ([`with_tracing`](Self::with_tracing)), which a long-running
+    /// deployment simply leaves off.
     ///
     /// # Panics
     ///
@@ -394,8 +387,6 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         assert!(report_every > 0, "report period must be positive");
         self.stability = Some(StabilityTracker::new(self.me, n));
         self.report_every = report_every;
-        self.record_analysis = false;
-        self.engine.enable_gc_mode();
         self
     }
 
@@ -404,7 +395,9 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
     /// delivery, stable point, view installation, and crash to a private
     /// [`MemberTrace`], which a verification harness collects after the
     /// run. Purely local (no extra messages), so it works unchanged under
-    /// any runtime.
+    /// any runtime. The trace is the stack's one per-node delivery record:
+    /// dependency sets, stable-point snapshots and the rebuilt `R(M)`
+    /// ([`MemberTrace::graph`]) are read from it.
     pub fn with_tracing(mut self) -> Self {
         self.tracer = Some(MemberTrace::new(self.me));
         self
@@ -456,30 +449,9 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         &self.stats
     }
 
-    /// Exclusive access to the statistics (for percentile queries).
-    pub fn stats_mut(&mut self) -> &mut NodeStats {
-        &mut self.stats
-    }
-
     /// The member's delivery log.
     pub fn log(&self) -> &[MsgId] {
         self.engine.log()
-    }
-
-    /// The delivery log paired with each message's direct dependencies —
-    /// the form [`check::causal_order_respected`](crate::check::causal_order_respected)
-    /// consumes. Empty under engines without explicit dependencies.
-    pub fn log_with_deps(&self) -> Vec<(MsgId, Vec<MsgId>)> {
-        self.log_entries
-            .iter()
-            .map(|e| (e.id, e.deps.clone()))
-            .collect()
-    }
-
-    /// The delivery log as classified [`LogEntry`]s — the form the
-    /// stable-point validators consume.
-    pub fn log_entries(&self) -> &[LogEntry] {
-        &self.log_entries
     }
 
     /// Stable points detected so far.
@@ -630,10 +602,6 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         let mut queue: VecDeque<D::Envelope> = released.into();
         while let Some(env) = queue.pop_front() {
             let id = env.msg_id();
-            self.stats.delivered += 1;
-            if self.record_analysis {
-                self.stats.delivery_times.push((id, ctx.now()));
-            }
             let sent_at = self.sent_times.get(&id).copied();
             if let Some(sent_at) = sent_at {
                 self.stats
@@ -650,13 +618,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
             let delivered = D::view(&env);
             let candidate = self.app.classify(delivered.payload) == OpClass::NonCommutative;
             let sp = match delivered.deps {
-                Some(deps) => {
-                    if self.record_analysis {
-                        self.log_entries
-                            .push(LogEntry::new(id, deps.to_vec(), candidate));
-                    }
-                    self.detector.on_deliver(id, deps, candidate)
-                }
+                Some(deps) => self.detector.on_deliver(id, deps, candidate),
                 // Without explicit dependencies (vector-clock engines) the
                 // paper's §4 detection rule has nothing to work with.
                 None => None,
@@ -676,7 +638,6 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
             let mut out = Emitter::new();
             self.app.on_deliver(D::view(&env), &mut out);
             if let Some(sp) = sp {
-                self.stats.stable_points += 1;
                 if let Some(t) = &mut self.tracer {
                     // The state *after* processing the closing sync
                     // message is the paper's stable-point state.
@@ -913,21 +874,14 @@ impl<A: App> ProtocolStack<GraphDelivery<A::Op>, A> {
             rtx_armed: false,
             sent_times: HashMap::new(),
             last_sent: None,
-            log_entries: Vec::new(),
             stats: NodeStats::default(),
             stability: None,
             report_every: 0,
             deliveries_since_report: 0,
-            record_analysis: true,
             membership: Some(mem),
             tracer: None,
             crashed: false,
         }
-    }
-
-    /// The delivered prefix of the dependency graph.
-    pub fn graph(&self) -> &crate::graph::MsgGraph {
-        self.engine.graph()
     }
 }
 

@@ -12,7 +12,12 @@
 //! checks the paper's invariants (delivery order consistent with `R(M)`,
 //! no duplicate or lost delivery, stable-point agreement, view agreement)
 //! across the group.
+//!
+//! The trace is the stack's only per-node delivery record: the delivery
+//! log with its dependency sets, the stable points, and the dependency
+//! graph `R(M)` ([`MemberTrace::graph`]) are all read from it.
 
+use crate::graph::{GraphError, MsgGraph};
 use causal_clocks::{MsgId, ProcessId, VectorClock};
 use causal_membership::GroupView;
 
@@ -134,6 +139,32 @@ impl MemberTrace {
             _ => None,
         })
     }
+
+    /// Rebuilds the delivered prefix of the dependency graph `R(M)` from
+    /// the recorded deliveries, as any member can (§4: `R(M)` is
+    /// reproducible information). Deliveries without a declared dependency
+    /// set (vector-clock and PC engines) contribute nothing.
+    ///
+    /// # Errors
+    ///
+    /// The first [`GraphError`] hit: a delivery named a dependency not
+    /// delivered before it, or a message was delivered twice. A trace of a
+    /// causally ordered member that starts mid-run (a suffix taken with
+    /// `take_trace`) fails the same way.
+    pub fn graph(&self) -> Result<MsgGraph, GraphError> {
+        let mut graph = MsgGraph::new();
+        for e in &self.events {
+            if let TraceEvent::Deliver {
+                id,
+                deps: Some(deps),
+                ..
+            } = e
+            {
+                graph.add(*id, deps)?;
+            }
+        }
+        Ok(graph)
+    }
 }
 
 #[cfg(test)]
@@ -171,5 +202,52 @@ mod tests {
         assert!(!t.crashed());
         t.record(TraceEvent::Crashed);
         assert!(t.crashed());
+    }
+
+    fn deliver(id: MsgId, deps: Option<Vec<MsgId>>) -> TraceEvent {
+        TraceEvent::Deliver {
+            id,
+            deps,
+            vt: None,
+            sync_candidate: false,
+        }
+    }
+
+    #[test]
+    fn graph_rebuilds_declared_relation() {
+        // Figure 2: m_k -> ||{m'_i, m'_j}, delivered m'_j first.
+        let (mk, mi, mj) = (id(2, 1), id(0, 1), id(1, 1));
+        let mut t = MemberTrace::new(ProcessId::new(0));
+        t.record(TraceEvent::Send { id: mi });
+        t.record(deliver(mk, Some(vec![])));
+        t.record(deliver(mj, Some(vec![mk])));
+        t.record(deliver(mi, Some(vec![mk])));
+        let g = t.graph().unwrap();
+        assert_eq!(g.len(), 3);
+        assert!(g.causally_precedes(mk, mi));
+        assert!(g.is_concurrent(mi, mj));
+        assert_eq!(g.insertion_order(), &[mk, mj, mi]);
+    }
+
+    #[test]
+    fn graph_of_dependency_free_deliveries_is_empty() {
+        let mut t = MemberTrace::new(ProcessId::new(0));
+        t.record(deliver(id(0, 1), None));
+        t.record(deliver(id(1, 1), None));
+        assert!(t.graph().unwrap().is_empty());
+    }
+
+    #[test]
+    fn graph_of_suffix_trace_is_an_error() {
+        // The dependency was delivered before this trace began.
+        let mut t = MemberTrace::new(ProcessId::new(0));
+        t.record(deliver(id(0, 2), Some(vec![id(0, 1)])));
+        assert_eq!(
+            t.graph(),
+            Err(GraphError::MissingDependency {
+                node: id(0, 2),
+                dep: id(0, 1)
+            })
+        );
     }
 }

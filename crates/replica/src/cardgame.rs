@@ -173,7 +173,10 @@ mod tests {
 
     fn run_game(n: usize, d: usize, rounds: u64, seed: u64) -> Simulation<CausalNode<CardPlayer>> {
         let nodes: Vec<CausalNode<CardPlayer>> = (0..n)
-            .map(|i| CausalNode::new(p(i as u32), n, CardPlayer::new(p(i as u32), n, d, rounds)))
+            .map(|i| {
+                CausalNode::new(p(i as u32), n, CardPlayer::new(p(i as u32), n, d, rounds))
+                    .with_tracing()
+            })
             .collect();
         let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(100, 2000));
         let mut sim = Simulation::new(nodes, cfg, seed);
@@ -204,7 +207,7 @@ mod tests {
         let sim = run_game(4, 1, 2, 3);
         // d=1: cards of a round form a chain; only cross-round pairs could
         // be concurrent, and round boundaries order those too.
-        let graph = sim.node(p(0)).graph();
+        let graph = sim.node(p(0)).trace().unwrap().graph().unwrap();
         assert_eq!(graph.concurrent_pairs(), 0);
     }
 
@@ -213,7 +216,7 @@ mod tests {
         let sim = run_game(5, 4, 2, 4);
         // d=4: players 1..=4 all wait only for player 0: they are mutually
         // concurrent within each round -> C(4,2)=6 pairs per round.
-        let graph = sim.node(p(0)).graph();
+        let graph = sim.node(p(0)).trace().unwrap().graph().unwrap();
         assert_eq!(graph.concurrent_pairs(), 12);
     }
 
@@ -233,7 +236,7 @@ mod tests {
         for i in 0..4 {
             // Rounds 0,1,2 opened by player 0 => 3 stable points at every
             // member.
-            assert_eq!(sim.node(p(i)).stats().stable_points, 3, "player {i}");
+            assert_eq!(sim.node(p(i)).stable_points().len(), 3, "player {i}");
         }
     }
 

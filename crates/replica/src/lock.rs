@@ -288,7 +288,7 @@ mod tests {
         let sim = run(3, 2, 13, 0.0);
         for i in 0..3 {
             // 3 TFRs per cycle × 2 cycles = 6 stable points.
-            assert_eq!(sim.node(p(i)).stats().stable_points, 6, "member {i}");
+            assert_eq!(sim.node(p(i)).stable_points().len(), 6, "member {i}");
         }
     }
 }

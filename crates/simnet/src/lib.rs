@@ -69,5 +69,5 @@ pub use metrics::{Histogram, Metrics};
 pub use runner::{ActorRunner, RunnerStats, Transport};
 pub use sim::{NetConfig, Simulation};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEvent};
+pub use trace::{NetEvent, NetTrace};
 pub use wheel::QueueConfig;

@@ -1,4 +1,5 @@
-//! Run metrics: message counters and latency histograms.
+//! Run metrics: the simulator's message counters, and the latency
+//! histogram the protocol layers record into.
 
 use crate::SimDuration;
 
@@ -98,12 +99,14 @@ impl Histogram {
     }
 }
 
-/// Counters and latency distributions for one simulation run.
+/// Counters for one simulation run.
 ///
 /// Transport-level numbers: `delivered` counts network deliveries to actor
 /// callbacks, not application-level (causal) deliveries, which the protocol
-/// layers track themselves.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// layers track themselves. Per-message records (send and delivery times,
+/// hence one-way latency) live in the [`NetTrace`](crate::NetTrace) of a
+/// simulation with tracing enabled.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Messages submitted to the network (including loopback).
     pub sent: u64,
@@ -120,8 +123,6 @@ pub struct Metrics {
     /// this identically — in the bucketed core it equals the message
     /// arena's peak occupancy, i.e. its storage footprint in slots.
     pub peak_in_flight: u64,
-    /// One-way network latency of each delivered message.
-    pub net_latency: Histogram,
 }
 
 impl Metrics {

@@ -17,7 +17,7 @@
 //! draw order is a compatibility break that the differential tests catch.
 
 use crate::actor::{Actor, Command, Context};
-use crate::{Metrics, NetConfig, SimDuration, SimTime, Trace, TraceEvent};
+use crate::{Metrics, NetConfig, NetEvent, NetTrace, SimDuration, SimTime};
 use causal_clocks::ProcessId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -105,7 +105,7 @@ pub struct Simulation<A: Actor> {
     rng: StdRng,
     config: NetConfig,
     metrics: Metrics,
-    trace: Option<Trace>,
+    trace: Option<NetTrace>,
     events_processed: u64,
     in_flight: u64,
 }
@@ -144,12 +144,12 @@ impl<A: Actor> Simulation<A> {
     /// Enables transport-event tracing (disabled by default).
     pub fn enable_trace(&mut self) {
         if self.trace.is_none() {
-            self.trace = Some(Trace::new());
+            self.trace = Some(NetTrace::new());
         }
     }
 
     /// The recorded trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
+    pub fn trace(&self) -> Option<&NetTrace> {
         self.trace.as_ref()
     }
 
@@ -196,11 +196,6 @@ impl<A: Actor> Simulation<A> {
         &self.metrics
     }
 
-    /// Exclusive access to the metrics (for percentile queries).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
-    }
-
     /// Total events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
@@ -241,11 +236,8 @@ impl<A: Actor> Simulation<A> {
             } => {
                 self.in_flight -= 1;
                 self.metrics.delivered += 1;
-                self.metrics
-                    .net_latency
-                    .record(self.now.saturating_since(sent_at));
                 if let Some(trace) = &mut self.trace {
-                    trace.push(TraceEvent::Delivered {
+                    trace.push(NetEvent::Delivered {
                         at: self.now,
                         from,
                         to,
@@ -260,7 +252,7 @@ impl<A: Actor> Simulation<A> {
             EventKind::Timer { node, tag } => {
                 self.metrics.timers_fired += 1;
                 if let Some(trace) = &mut self.trace {
-                    trace.push(TraceEvent::TimerFired {
+                    trace.push(NetEvent::TimerFired {
                         at: self.now,
                         node,
                         tag,
@@ -358,7 +350,7 @@ impl<A: Actor> Simulation<A> {
             return;
         }
         if let Some(trace) = &mut self.trace {
-            trace.push(TraceEvent::Sent {
+            trace.push(NetEvent::Sent {
                 at: self.now,
                 from,
                 to,
@@ -372,7 +364,7 @@ impl<A: Actor> Simulation<A> {
         if dropped {
             self.metrics.dropped += 1;
             if let Some(trace) = &mut self.trace {
-                trace.push(TraceEvent::Dropped {
+                trace.push(NetEvent::Dropped {
                     at: self.now,
                     from,
                     to,

@@ -12,8 +12,8 @@ use crate::event::{EventKind, Scheduled};
 use crate::fault::PartitionSchedule;
 use crate::wheel::CalendarQueue;
 use crate::{
-    FaultPlan, LatencyModel, Metrics, Partition, QueueConfig, SimDuration, SimTime, Trace,
-    TraceEvent,
+    FaultPlan, LatencyModel, Metrics, NetEvent, NetTrace, Partition, QueueConfig, SimDuration,
+    SimTime,
 };
 use causal_clocks::ProcessId;
 use rand::rngs::StdRng;
@@ -135,7 +135,7 @@ pub struct Simulation<A: Actor> {
     config: NetConfig,
     partitions: PartitionSchedule,
     metrics: Metrics,
-    trace: Option<Trace>,
+    trace: Option<NetTrace>,
     events_processed: u64,
     scratch: Vec<Command<A::Msg>>,
 }
@@ -192,12 +192,12 @@ impl<A: Actor> Simulation<A> {
     /// with run length).
     pub fn enable_trace(&mut self) {
         if self.trace.is_none() {
-            self.trace = Some(Trace::new());
+            self.trace = Some(NetTrace::new());
         }
     }
 
     /// The recorded trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
+    pub fn trace(&self) -> Option<&NetTrace> {
         self.trace.as_ref()
     }
 
@@ -244,11 +244,6 @@ impl<A: Actor> Simulation<A> {
     /// Run metrics accumulated so far.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Exclusive access to the metrics (for percentile queries).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
     }
 
     /// Total events processed so far.
@@ -385,11 +380,8 @@ impl<A: Actor> Simulation<A> {
             } => {
                 let msg = self.arena.reclaim(msg);
                 self.metrics.delivered += 1;
-                self.metrics
-                    .net_latency
-                    .record(self.now.saturating_since(sent_at));
                 if let Some(trace) = &mut self.trace {
-                    trace.push(TraceEvent::Delivered {
+                    trace.push(NetEvent::Delivered {
                         at: self.now,
                         from,
                         to,
@@ -401,7 +393,7 @@ impl<A: Actor> Simulation<A> {
             EventKind::Timer { node, tag } => {
                 self.metrics.timers_fired += 1;
                 if let Some(trace) = &mut self.trace {
-                    trace.push(TraceEvent::TimerFired {
+                    trace.push(NetEvent::TimerFired {
                         at: self.now,
                         node,
                         tag,
@@ -489,7 +481,7 @@ impl<A: Actor> Simulation<A> {
             return;
         }
         if let Some(trace) = &mut self.trace {
-            trace.push(TraceEvent::Sent {
+            trace.push(NetEvent::Sent {
                 at: self.now,
                 from,
                 to,
@@ -503,7 +495,7 @@ impl<A: Actor> Simulation<A> {
         if dropped {
             self.metrics.dropped += 1;
             if let Some(trace) = &mut self.trace {
-                trace.push(TraceEvent::Dropped {
+                trace.push(NetEvent::Dropped {
                     at: self.now,
                     from,
                     to,
@@ -580,12 +572,22 @@ mod tests {
     fn constant_latency_is_exact() {
         let cfg = NetConfig::with_latency(LatencyModel::constant_micros(777));
         let mut sim = Simulation::new(counters(2, 1), cfg, 1);
+        sim.enable_trace();
         sim.run_to_quiescence();
         assert_eq!(sim.now(), SimTime::from_micros(777));
-        assert_eq!(
-            sim.metrics_mut().net_latency.percentile(1.0).as_micros(),
-            777
-        );
+        let latencies: Vec<u64> = sim
+            .trace()
+            .unwrap()
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                NetEvent::Delivered { at, sent_at, .. } => {
+                    Some(at.saturating_since(*sent_at).as_micros())
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(latencies, vec![777]);
     }
 
     #[test]
@@ -605,7 +607,7 @@ mod tests {
             .events()
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::Delivered { to, at, .. } => Some((*to, at.as_micros())),
+                NetEvent::Delivered { to, at, .. } => Some((*to, at.as_micros())),
                 _ => None,
             })
             .collect();

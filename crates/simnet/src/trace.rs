@@ -1,11 +1,12 @@
-//! Optional event tracing for debugging protocol runs.
+//! Optional transport-event tracing: the simulator's one per-message
+//! network record (the protocol layers keep their own per-member trace).
 
 use crate::SimTime;
 use causal_clocks::ProcessId;
 
 /// One transport-level occurrence in a simulation run.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEvent {
+pub enum NetEvent {
     /// A message was submitted to the network.
     Sent {
         /// Time of transmission.
@@ -46,47 +47,49 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
+impl NetEvent {
     /// The time the event occurred.
     pub fn at(&self) -> SimTime {
         match self {
-            TraceEvent::Sent { at, .. }
-            | TraceEvent::Delivered { at, .. }
-            | TraceEvent::Dropped { at, .. }
-            | TraceEvent::TimerFired { at, .. } => *at,
+            NetEvent::Sent { at, .. }
+            | NetEvent::Delivered { at, .. }
+            | NetEvent::Dropped { at, .. }
+            | NetEvent::TimerFired { at, .. } => *at,
         }
     }
 }
 
 /// A chronological record of transport events, filled in when tracing is
-/// enabled on the simulation.
+/// enabled on the simulation. One-way network latency is `at − sent_at`
+/// of each [`NetEvent::Delivered`]; [`Metrics`](crate::Metrics) only
+/// counts.
 ///
 /// # Examples
 ///
 /// ```
-/// use causal_simnet::Trace;
+/// use causal_simnet::NetTrace;
 ///
-/// let trace = Trace::new();
+/// let trace = NetTrace::new();
 /// assert!(trace.events().is_empty());
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct Trace {
-    events: Vec<TraceEvent>,
+pub struct NetTrace {
+    events: Vec<NetEvent>,
 }
 
-impl Trace {
+impl NetTrace {
     /// Creates an empty trace.
     pub fn new() -> Self {
-        Trace::default()
+        NetTrace::default()
     }
 
     /// Appends an event.
-    pub fn push(&mut self, event: TraceEvent) {
+    pub fn push(&mut self, event: NetEvent) {
         self.events.push(event);
     }
 
     /// All recorded events in occurrence order.
-    pub fn events(&self) -> &[TraceEvent] {
+    pub fn events(&self) -> &[NetEvent] {
         &self.events
     }
 
@@ -101,12 +104,12 @@ impl Trace {
     }
 
     /// Events involving `node` (as sender, receiver, or timer owner).
-    pub fn for_node(&self, node: ProcessId) -> impl Iterator<Item = &TraceEvent> {
+    pub fn for_node(&self, node: ProcessId) -> impl Iterator<Item = &NetEvent> {
         self.events.iter().filter(move |e| match e {
-            TraceEvent::Sent { from, to, .. }
-            | TraceEvent::Delivered { from, to, .. }
-            | TraceEvent::Dropped { from, to, .. } => *from == node || *to == node,
-            TraceEvent::TimerFired { node: n, .. } => *n == node,
+            NetEvent::Sent { from, to, .. }
+            | NetEvent::Delivered { from, to, .. }
+            | NetEvent::Dropped { from, to, .. } => *from == node || *to == node,
+            NetEvent::TimerFired { node: n, .. } => *n == node,
         })
     }
 
@@ -122,10 +125,10 @@ impl Trace {
     ///
     /// ```
     /// use causal_clocks::ProcessId;
-    /// use causal_simnet::{SimTime, Trace, TraceEvent};
+    /// use causal_simnet::{SimTime, NetTrace, NetEvent};
     ///
-    /// let mut t = Trace::new();
-    /// t.push(TraceEvent::Delivered {
+    /// let mut t = NetTrace::new();
+    /// t.push(NetEvent::Delivered {
     ///     at: SimTime::from_micros(70),
     ///     from: ProcessId::new(0),
     ///     to: ProcessId::new(1),
@@ -140,7 +143,7 @@ impl Trace {
         out.push_str(&format!("{:>10}  {}\n", "time", header.join("")));
         for event in &self.events {
             let (at, cols, note) = match *event {
-                TraceEvent::Delivered {
+                NetEvent::Delivered {
                     at,
                     from,
                     to,
@@ -152,14 +155,14 @@ impl Trace {
                     }
                     (at, cols, format!("{from} -> {to} (sent {sent_at})"))
                 }
-                TraceEvent::Dropped { at, from, to } => {
+                NetEvent::Dropped { at, from, to } => {
                     let mut cols = vec!["  .  "; n];
                     if to.as_usize() < n {
                         cols[to.as_usize()] = "  x  ";
                     }
                     (at, cols, format!("{from} -> {to} LOST"))
                 }
-                TraceEvent::Sent { .. } | TraceEvent::TimerFired { .. } => continue,
+                NetEvent::Sent { .. } | NetEvent::TimerFired { .. } => continue,
             };
             out.push_str(&format!(
                 "{:>10}  {}  {}\n",
@@ -182,13 +185,13 @@ mod tests {
 
     #[test]
     fn push_and_query() {
-        let mut t = Trace::new();
-        t.push(TraceEvent::Sent {
+        let mut t = NetTrace::new();
+        t.push(NetEvent::Sent {
             at: SimTime::from_micros(1),
             from: p(0),
             to: p(1),
         });
-        t.push(TraceEvent::TimerFired {
+        t.push(NetEvent::TimerFired {
             at: SimTime::from_micros(2),
             node: p(2),
             tag: 7,
@@ -199,19 +202,19 @@ mod tests {
 
     #[test]
     fn render_ascii_shows_deliveries_and_drops() {
-        let mut t = Trace::new();
-        t.push(TraceEvent::Delivered {
+        let mut t = NetTrace::new();
+        t.push(NetEvent::Delivered {
             at: SimTime::from_micros(50),
             from: p(0),
             to: p(2),
             sent_at: SimTime::from_micros(10),
         });
-        t.push(TraceEvent::Dropped {
+        t.push(NetEvent::Dropped {
             at: SimTime::from_micros(60),
             from: p(1),
             to: p(0),
         });
-        t.push(TraceEvent::TimerFired {
+        t.push(NetEvent::TimerFired {
             at: SimTime::from_micros(70),
             node: p(0),
             tag: 1,
@@ -227,13 +230,13 @@ mod tests {
 
     #[test]
     fn for_node_filters() {
-        let mut t = Trace::new();
-        t.push(TraceEvent::Sent {
+        let mut t = NetTrace::new();
+        t.push(NetEvent::Sent {
             at: SimTime::ZERO,
             from: p(0),
             to: p(1),
         });
-        t.push(TraceEvent::Dropped {
+        t.push(NetEvent::Dropped {
             at: SimTime::ZERO,
             from: p(2),
             to: p(3),

@@ -4,8 +4,8 @@
 
 use causal_clocks::ProcessId;
 use causal_simnet::{
-    reference, Actor, Context, FaultPlan, LatencyModel, NetConfig, Partition, QueueConfig,
-    SimDuration, SimTime, Simulation, Trace,
+    reference, Actor, Context, FaultPlan, LatencyModel, NetConfig, NetTrace, Partition,
+    QueueConfig, SimDuration, SimTime, Simulation,
 };
 use proptest::prelude::*;
 
@@ -35,7 +35,7 @@ impl Actor for Chatty {
     }
 }
 
-fn run(n: usize, rounds: u32, seed: u64, cfg: NetConfig) -> (Trace, Vec<u64>, u64, u64) {
+fn run(n: usize, rounds: u32, seed: u64, cfg: NetConfig) -> (NetTrace, Vec<u64>, u64, u64) {
     let nodes: Vec<Chatty> = (0..n)
         .map(|_| Chatty {
             rounds,

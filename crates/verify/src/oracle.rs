@@ -3,9 +3,10 @@
 //!
 //! This module is the single entry point for convergence checking. The
 //! primitive per-log validators live in [`causal_core::check`] (re-exported
-//! here unchanged, so existing callers keep working); [`check_trace`]
-//! lifts them to whole-group [`Trace`]s and adds the checks that need the
-//! reliability-layer receipt events and per-member stable-point records:
+//! here); [`check_trace`] lifts them to whole-group [`Trace`]s and adds the
+//! checks that need the reliability-layer receipt events and per-member
+//! stable-point records, including the §4 state agreement, which it checks
+//! on the snapshots members recorded rather than on replayed logs:
 //!
 //! | Invariant | Paper | Checker |
 //! |---|---|---|
@@ -28,9 +29,8 @@ use std::collections::HashSet;
 use std::fmt;
 
 pub use causal_core::check::{
-    self, agreement_at_stable_points, causal_order_respected, commutativity_declarations_sound,
-    logs_linearize_graph, replicas_agree, stable_points_consistent, vt_logs_respect_causality,
-    Violation,
+    self, causal_order_respected, commutativity_declarations_sound, logs_linearize_graph,
+    replicas_agree, stable_points_consistent, vt_logs_respect_causality, Violation,
 };
 
 /// What [`check_trace`] should assume about the run.
@@ -521,9 +521,10 @@ impl std::error::Error for WindowViolation {}
 /// factorial set (adjacent transpositions generate the symmetric group,
 /// so a non-commutative pair is still caught).
 ///
-/// This complements [`agreement_at_stable_points`]: that check compares
-/// the orders members *happened* to use; this one quantifies over orders
-/// no member used.
+/// This complements [`check_trace`]'s per-stable-point snapshot
+/// comparison: that check compares the states reached in the orders
+/// members *happened* to use; this one quantifies over orders no member
+/// used.
 pub fn commutative_windows_equivalent<S, O>(
     initial: &S,
     log: &[GraphEnvelope<O>],

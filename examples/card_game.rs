@@ -13,6 +13,7 @@ use causal_broadcast::clocks::ProcessId;
 use causal_broadcast::core::node::CausalNode;
 use causal_broadcast::replica::cardgame::CardPlayer;
 use causal_broadcast::simnet::{LatencyModel, NetConfig, Simulation};
+use causal_verify::{check_trace, OracleConfig, Trace};
 
 fn main() {
     let p = ProcessId::new;
@@ -28,6 +29,7 @@ fn main() {
                 players,
                 CardPlayer::new(id, players, dependency_distance, rounds),
             )
+            .with_tracing()
         })
         .collect();
     let net = NetConfig::with_latency(LatencyModel::uniform_micros(300, 1800));
@@ -56,7 +58,12 @@ fn main() {
         let table: Vec<_> = sim.node(p(i as u32)).app().table().collect();
         assert_eq!(table, reference, "player {i} saw a different table");
     }
-    let concurrency = sim.node(p(0)).graph().concurrent_pairs();
+    // The recorded run satisfies every invariant of the paper, and any
+    // player can rebuild R(M) from its own trace.
+    let trace = Trace::from_stacks(sim.nodes());
+    check_trace(&trace, &OracleConfig::default()).expect("oracle violation");
+    let graph = trace.members()[0].graph().expect("R(M) rebuilds");
+    let concurrency = graph.concurrent_pairs();
     println!(
         "\nall tables identical; game finished at {end}; \
          {concurrency} concurrent card pairs were left unordered by the \

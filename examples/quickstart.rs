@@ -69,7 +69,7 @@ fn main() {
             "replica p{i}: delivery order {:?}, read answered {answer}, \
              stable points {}",
             node.log().iter().map(|m| m.to_string()).collect::<Vec<_>>(),
-            node.stats().stable_points,
+            node.stable_points().len(),
         );
         assert_eq!(answer, 104);
     }

@@ -3,12 +3,14 @@
 
 use causal_broadcast::clocks::{MsgId, ProcessId};
 use causal_broadcast::core::check;
+use causal_broadcast::core::graph::MsgGraph;
 use causal_broadcast::core::node::CausalNode;
 use causal_broadcast::core::osend::OccursAfter;
 use causal_broadcast::core::statemachine::OpClass;
 use causal_broadcast::replica::counter::{CounterOp, CounterReplica};
 use causal_broadcast::replica::frontend::FrontEndManager;
 use causal_broadcast::simnet::{LatencyModel, NetConfig, SimDuration, Simulation};
+use causal_verify::{check_trace, OracleConfig, OracleReport, Trace};
 
 fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
@@ -16,8 +18,19 @@ fn p(i: u32) -> ProcessId {
 
 fn group(n: usize) -> Vec<CausalNode<CounterReplica>> {
     (0..n)
-        .map(|i| CausalNode::new(p(i as u32), n, CounterReplica::new()))
+        .map(|i| CausalNode::new(p(i as u32), n, CounterReplica::new()).with_tracing())
         .collect()
+}
+
+/// Runs the trace oracle over the whole group, panicking on a violation.
+fn oracle(sim: &Simulation<CausalNode<CounterReplica>>) -> OracleReport {
+    check_trace(&Trace::from_stacks(sim.nodes()), &OracleConfig::default())
+        .unwrap_or_else(|v| panic!("oracle violation: {v}"))
+}
+
+/// Member `i`'s dependency graph, rebuilt from its trace.
+fn member_graph(sim: &Simulation<CausalNode<CounterReplica>>, i: u32) -> MsgGraph {
+    sim.node(p(i)).trace().unwrap().graph().unwrap()
 }
 
 /// Drives `cycles` §6.1 processing cycles through a group, pacing
@@ -82,10 +95,8 @@ fn every_member_delivers_everything() {
 fn all_logs_respect_declared_causality() {
     for seed in 0..10 {
         let sim = run_cycles(3, 4, 6, seed);
-        for i in 0..3 {
-            let log = sim.node(p(i)).log_with_deps();
-            check::causal_order_respected(&log, i as usize).unwrap();
-        }
+        // The oracle checks each member's log against its declared deps.
+        assert_eq!(oracle(&sim).dep_logs, 3);
     }
 }
 
@@ -93,12 +104,12 @@ fn all_logs_respect_declared_causality() {
 fn all_logs_linearize_one_common_graph() {
     for seed in 0..10 {
         let sim = run_cycles(4, 3, 8, seed);
-        let graph = sim.node(p(0)).graph().clone();
+        let graph = member_graph(&sim, 0);
         let logs: Vec<Vec<MsgId>> = (0..4).map(|i| sim.node(p(i)).log().to_vec()).collect();
         check::logs_linearize_graph(&graph, &logs).unwrap();
         // Graphs are identical at all members (stable information).
         for i in 1..4 {
-            assert_eq!(sim.node(p(i)).graph(), &graph);
+            assert_eq!(member_graph(&sim, i), graph);
         }
     }
 }
@@ -107,13 +118,11 @@ fn all_logs_linearize_one_common_graph() {
 fn stable_points_reproducible_at_every_member() {
     for seed in 0..10 {
         let sim = run_cycles(5, 5, 4, seed);
-        let logs: Vec<_> = (0..5)
-            .map(|i| sim.node(p(i)).log_entries().to_vec())
-            .collect();
-        check::stable_points_consistent(&logs).unwrap();
+        // Same stable points and activity contents at every member.
+        oracle(&sim);
         // Every nc is a stable point: 5 cycles => 5 points.
         for i in 0..5 {
-            assert_eq!(sim.node(p(i)).stats().stable_points, 5, "member {i}");
+            assert_eq!(sim.node(p(i)).stable_points().len(), 5, "member {i}");
         }
     }
 }
@@ -146,7 +155,7 @@ fn final_values_converge() {
 #[test]
 fn interior_concurrency_exists_but_is_fenced() {
     let sim = run_cycles(3, 3, 6, 3);
-    let graph = sim.node(p(0)).graph();
+    let graph = member_graph(&sim, 0);
     // Commutative runs leave concurrent pairs...
     assert!(graph.concurrent_pairs() > 0);
     // ...but every nc message is a global synchronization point.
@@ -157,7 +166,7 @@ fn interior_concurrency_exists_but_is_fenced() {
 #[test]
 fn zero_f_bar_reduces_to_strict_total_order() {
     let sim = run_cycles(3, 8, 0, 4);
-    let graph = sim.node(p(0)).graph();
+    let graph = member_graph(&sim, 0);
     assert_eq!(graph.concurrent_pairs(), 0);
     // Chain: every message is a sync point.
     assert_eq!(graph.sync_points().len(), 8);

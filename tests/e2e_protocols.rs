@@ -2,7 +2,6 @@
 //! game, document, name service) across seeds, group sizes, and faults.
 
 use causal_broadcast::clocks::ProcessId;
-use causal_broadcast::core::check;
 use causal_broadcast::core::node::CausalNode;
 use causal_broadcast::core::osend::OccursAfter;
 use causal_broadcast::replica::cardgame::CardPlayer;
@@ -10,6 +9,7 @@ use causal_broadcast::replica::document::{DocOp, DocumentReplica};
 use causal_broadcast::replica::lock::LockMember;
 use causal_broadcast::replica::registry::{QryContext, RegistryOp, RegistryReplica};
 use causal_broadcast::simnet::{FaultPlan, LatencyModel, NetConfig, SimDuration, Simulation};
+use causal_verify::{check_trace, OracleConfig, Trace};
 
 fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
@@ -69,7 +69,7 @@ fn card_game_convergence_over_distances() {
 fn document_revisions_agree_under_loss() {
     let n = 4;
     let nodes: Vec<CausalNode<DocumentReplica>> = (0..n)
-        .map(|i| CausalNode::new(p(i as u32), n, DocumentReplica::new()))
+        .map(|i| CausalNode::new(p(i as u32), n, DocumentReplica::new()).with_tracing())
         .collect();
     let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(200, 2000))
         .faults(FaultPlan::new().with_drop_prob(0.3));
@@ -113,10 +113,7 @@ fn document_revisions_agree_under_loss() {
     }
     // Each revision: the edit itself and the commit are stable points.
     assert_eq!(reference.len(), 8);
-    let logs: Vec<_> = (0..n)
-        .map(|i| sim.node(p(i as u32)).log_entries().to_vec())
-        .collect();
-    check::stable_points_consistent(&logs).unwrap();
+    check_trace(&Trace::from_stacks(sim.nodes()), &OracleConfig::default()).unwrap();
 }
 
 #[test]

@@ -9,6 +9,7 @@ use causal_broadcast::core::statemachine::OpClass;
 use causal_broadcast::replica::counter::{CounterOp, CounterReplica};
 use causal_broadcast::replica::frontend::FrontEndManager;
 use causal_broadcast::simnet::{FaultPlan, LatencyModel, NetConfig, SimDuration, Simulation};
+use causal_verify::{check_trace, OracleConfig, Trace};
 use proptest::prelude::*;
 
 fn p(i: u32) -> ProcessId {
@@ -45,7 +46,7 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
 
 fn run_scenario(s: &Scenario) -> Simulation<CausalNode<CounterReplica>> {
     let nodes: Vec<CausalNode<CounterReplica>> = (0..s.n)
-        .map(|i| CausalNode::new(p(i as u32), s.n, CounterReplica::new()))
+        .map(|i| CausalNode::new(p(i as u32), s.n, CounterReplica::new()).with_tracing())
         .collect();
     let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(100, 3000))
         .faults(FaultPlan::new().with_drop_prob(s.drop_prob));
@@ -103,11 +104,9 @@ proptest! {
     #[test]
     fn causality_respected_under_any_faults(s in arb_scenario()) {
         let sim = run_scenario(&s);
-        let graph = sim.node(p(0)).graph().clone();
-        for i in 0..s.n {
-            let log = sim.node(p(i as u32)).log_with_deps();
-            prop_assert!(check::causal_order_respected(&log, i).is_ok());
-        }
+        let report = check_trace(&Trace::from_stacks(sim.nodes()), &OracleConfig::default());
+        prop_assert_eq!(report.map(|r| r.dep_logs), Ok(s.n));
+        let graph = sim.node(p(0)).trace().unwrap().graph().unwrap();
         let logs: Vec<Vec<MsgId>> = (0..s.n)
             .map(|i| sim.node(p(i as u32)).log().to_vec())
             .collect();
@@ -120,10 +119,8 @@ proptest! {
     #[test]
     fn agreement_without_protocol(s in arb_scenario()) {
         let sim = run_scenario(&s);
-        let logs: Vec<_> = (0..s.n)
-            .map(|i| sim.node(p(i as u32)).log_entries().to_vec())
-            .collect();
-        prop_assert!(check::stable_points_consistent(&logs).is_ok());
+        let trace = Trace::from_stacks(sim.nodes());
+        prop_assert!(check_trace(&trace, &OracleConfig::default()).is_ok());
 
         let values: Vec<i64> = (0..s.n).map(|i| sim.node(p(i as u32)).app().value()).collect();
         prop_assert!(check::replicas_agree(&values));
@@ -135,10 +132,7 @@ proptest! {
 
         // Every nc message closed a stable point at every member.
         for i in 0..s.n {
-            prop_assert_eq!(
-                sim.node(p(i as u32)).stats().stable_points as usize,
-                s.cycles.len()
-            );
+            prop_assert_eq!(sim.node(p(i as u32)).stable_points().len(), s.cycles.len());
         }
     }
 }

@@ -136,15 +136,7 @@ fn run_scenario(seed: u64) -> u64 {
 
     for (i, (node, _)) in done.iter().enumerate() {
         assert_eq!(node.app().inner.applied(), TOTAL_OPS, "replica {i}");
-        check::causal_order_respected(&node.log_with_deps(), i)
-            .unwrap_or_else(|v| panic!("replica {i}: {v}"));
     }
-
-    // Every log is a linearization of the dependency graph the first
-    // member assembled.
-    let graph = done[0].0.graph();
-    let logs: Vec<Vec<_>> = done.iter().map(|(n, _)| n.log().to_vec()).collect();
-    check::logs_linearize_graph(graph, &logs).unwrap_or_else(|v| panic!("{v}"));
 
     // The full trace oracle over the real-network execution: exactly-once
     // delivery, dependency order, and delivered-set agreement must hold on
