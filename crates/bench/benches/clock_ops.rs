@@ -47,20 +47,21 @@ fn bench_vector_clock(c: &mut Criterion) {
 
 fn bench_matrix_clock(c: &mut Criterion) {
     let mut group = c.benchmark_group("matrix_clock");
-    for width in [4usize, 16] {
-        let mut m = MatrixClock::new(width);
-        for i in 0..width {
-            let mut row = VectorClock::new(width);
-            for j in 0..width {
-                row.set(ProcessId::new(j as u32), (i * j) as u64);
-            }
-            m.update_row(ProcessId::new(i as u32), &row);
-        }
+    for width in [4usize, 16, 64] {
+        // Rows raise one column in turn, as members' prefixes advance: every
+        // `width`-th raise lifts the column's last minimal row and rescans.
         group.bench_with_input(
-            BenchmarkId::new("stable_prefix", width),
+            BenchmarkId::new("raise_round_robin", width),
             &width,
             |bench, _| {
-                bench.iter(|| black_box(m.stable_prefix()));
+                let mut m = MatrixClock::new(width);
+                let n = width as u64;
+                let mut k = 0u64;
+                bench.iter(|| {
+                    let row = ProcessId::new((k % n) as u32);
+                    k += 1;
+                    black_box(m.raise(row, ProcessId::new(0), k.div_ceil(n)))
+                });
             },
         );
     }

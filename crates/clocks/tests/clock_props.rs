@@ -101,7 +101,40 @@ proptest! {
         }
         let stable = m.stable_prefix();
         for i in 0..WIDTH {
-            prop_assert!(m.row(ProcessId::new(i as u32)).dominates(&stable));
+            let row = VectorClock::from_entries(m.row(ProcessId::new(i as u32)).iter().copied());
+            prop_assert!(row.dominates(stable));
+        }
+    }
+
+    /// The maintained column minima equal a fresh recomputation after
+    /// every step of an interleaving of row merges and single-entry
+    /// raises, and each step reports a rise exactly when they changed.
+    #[test]
+    fn matrix_maintained_minimum_matches_recomputed(
+        steps in proptest::collection::vec(
+            (0u32..WIDTH as u32, prop_oneof![
+                arb_clock().prop_map(Ok),
+                (0u32..WIDTH as u32, 0u64..20).prop_map(Err),
+            ]),
+            1..40,
+        )
+    ) {
+        let mut m = MatrixClock::new(WIDTH);
+        for (row, step) in steps {
+            let row = ProcessId::new(row);
+            let before = m.stable_prefix().clone();
+            let rose = match step {
+                Ok(report) => m.update_row(row, &report),
+                Err((of, value)) => m.raise(row, ProcessId::new(of), value),
+            };
+            let recomputed = VectorClock::from_entries((0..WIDTH).map(|j| {
+                (0..WIDTH)
+                    .map(|i| m.row(ProcessId::new(i as u32))[j])
+                    .min()
+                    .unwrap_or(0)
+            }));
+            prop_assert_eq!(m.stable_prefix(), &recomputed);
+            prop_assert_eq!(rose, recomputed != before);
         }
     }
 

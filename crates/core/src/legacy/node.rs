@@ -378,8 +378,8 @@ impl<A: CausalApp> CausalNode<A> {
         if stable.total_events() == 0 {
             return;
         }
-        self.delivery.compact(&stable);
-        self.rb.compact(&stable);
+        self.delivery.compact(stable);
+        self.rb.compact(stable);
         self.sent_times
             .retain(|id, _| id.seq() > stable.get(id.origin()));
     }

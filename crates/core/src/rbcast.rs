@@ -9,7 +9,7 @@
 //! acknowledged it, retransmitting on a timer; receivers acknowledge every
 //! copy and absorb duplicates.
 
-use causal_clocks::{MsgId, ProcessId};
+use causal_clocks::{MsgId, ProcessId, VectorClock};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Envelope types that carry a unique message identity (implemented by
@@ -73,6 +73,9 @@ pub struct ReliableBroadcast<E> {
     /// Order of initiation, for deterministic retransmission order.
     outgoing_order: Vec<MsgId>,
     seen: HashSet<MsgId>,
+    /// Per-origin compaction floor: ids with `seq <= floor` were pruned
+    /// from `seen` and are absorbed as duplicates.
+    floor: Option<VectorClock>,
     retransmissions: u64,
     duplicates: u64,
 }
@@ -100,6 +103,7 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
             outgoing: HashMap::new(),
             outgoing_order: Vec::new(),
             seen: HashSet::new(),
+            floor: None,
             retransmissions: 0,
             duplicates: 0,
         }
@@ -134,6 +138,7 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
             outgoing: HashMap::new(),
             outgoing_order: Vec::new(),
             seen: HashSet::new(),
+            floor: None,
             retransmissions: 0,
             duplicates: 0,
         }
@@ -227,16 +232,28 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
 
     /// Handles incoming data. Returns the envelope if it is fresh (to be
     /// handed to the delivery engine) plus the acknowledgement to send
-    /// back; duplicates still produce an acknowledgement.
+    /// back; duplicates still produce an acknowledgement. Ids at or below
+    /// the [`compact`](Self::compact) floor are duplicates: a late copy
+    /// whose ack was lost is not re-admitted.
     pub fn on_data(&mut self, from: ProcessId, env: E) -> (Option<E>, Vec<(ProcessId, RbMsg<E>)>) {
         let id = env.msg_id();
         let ack = vec![(from, RbMsg::Ack(id))];
-        if self.seen.insert(id) {
+        if !self.below_floor(id) && self.seen.insert(id) {
             (Some(env), ack)
         } else {
             self.duplicates += 1;
             (None, ack)
         }
+    }
+
+    /// `true` if `id` lies inside the compacted prefix. The lookup is
+    /// checked: ids of members admitted after the floor was taken fall
+    /// outside its width.
+    fn below_floor(&self, id: MsgId) -> bool {
+        self.floor
+            .as_ref()
+            .and_then(|floor| floor.as_ref().get(id.origin().as_usize()))
+            .is_some_and(|&stable| id.seq() <= stable)
     }
 
     /// Handles an acknowledgement from a peer.
@@ -305,11 +322,17 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
 
     /// Forgets duplicate-suppression entries for the globally stable
     /// prefix (see [`StabilityTracker`](crate::stability::StabilityTracker)):
-    /// a stable message can never be retransmitted to us again, so its
-    /// `seen` entry is dead weight. Unacknowledged outgoing copies are
-    /// never pruned — they are precisely the unstable messages.
-    pub fn compact(&mut self, stable: &causal_clocks::VectorClock) {
-        self.seen.retain(|id| id.seq() > stable.get(id.origin()));
+    /// the prefix becomes a floor below which [`on_data`](Self::on_data)
+    /// absorbs late copies (a retransmission whose ack was lost) without
+    /// a per-id entry, so those `seen` entries are dead weight.
+    /// Unacknowledged outgoing copies are never pruned — they are
+    /// precisely the unstable messages.
+    pub fn compact(&mut self, stable: &VectorClock) {
+        let floor = self
+            .floor
+            .get_or_insert_with(|| VectorClock::new(stable.width()));
+        floor.merge(stable);
+        self.seen.retain(|id| id.seq() > floor.get(id.origin()));
     }
 
     /// Retained duplicate-suppression entries (what [`compact`](Self::compact)
@@ -377,6 +400,35 @@ mod tests {
         assert_eq!(fresh, None);
         assert_eq!(acks.len(), 1); // re-ack so the sender can stop
         assert_eq!(rb.duplicate_count(), 1);
+    }
+
+    #[test]
+    fn late_copy_below_the_compaction_floor_is_a_duplicate() {
+        let mut tx = OSender::new(p(0));
+        let e1 = env(&mut tx, 1);
+        let e2 = env(&mut tx, 2);
+        let mut rb = ReliableBroadcast::new(p(1), 3);
+        rb.on_data(p(0), e1.clone());
+        rb.compact(&VectorClock::from_entries([1, 0, 0]));
+        assert_eq!(rb.retained_len(), 0);
+        // The sender never saw our ack and retransmits.
+        let (fresh, acks) = rb.on_data(p(0), e1.clone());
+        assert_eq!(fresh, None);
+        assert_eq!(acks, vec![(p(0), RbMsg::Ack(e1.id))]);
+        assert_eq!(rb.duplicate_count(), 1);
+        assert_eq!(rb.retained_len(), 0);
+        // Above the floor, data is still fresh.
+        assert_eq!(rb.on_data(p(0), e2.clone()).0, Some(e2));
+    }
+
+    #[test]
+    fn ids_outside_the_floor_width_are_fresh() {
+        // A member admitted after compaction has no floor entry.
+        let mut rb: ReliableBroadcast<GraphEnvelope<u8>> = ReliableBroadcast::new(p(0), 2);
+        rb.compact(&VectorClock::from_entries([1, 1]));
+        let mut joiner = OSender::new(p(5));
+        let e = env(&mut joiner, 1);
+        assert_eq!(rb.on_data(p(5), e.clone()).0, Some(e));
     }
 
     #[test]

@@ -14,6 +14,12 @@
 //! and may be compacted
 //! ([`GraphDelivery::compact`](crate::delivery::GraphDelivery::compact),
 //! [`ReliableBroadcast::compact`](crate::rbcast::ReliableBroadcast::compact)).
+//!
+//! The minimum is maintained, not recomputed: the tracker raises single
+//! matrix entries as its prefix and its peers' reports advance, and
+//! remembers whether any column minimum rose, so a host compacts only
+//! when there is something new to prune
+//! ([`take_advance`](StabilityTracker::take_advance)).
 
 use causal_clocks::{MatrixClock, MsgId, ProcessId, VectorClock};
 use std::collections::BTreeSet;
@@ -39,20 +45,27 @@ impl ContiguousPrefix {
     }
 
     /// Records a delivery and extends the prefix as far as it now reaches.
+    /// Returns the origin's new prefix end if the prefix advanced.
     ///
     /// # Panics
     ///
     /// Panics if the message's origin is outside the group.
-    pub fn on_deliver(&mut self, id: MsgId) {
+    pub fn on_deliver(&mut self, id: MsgId) -> Option<u64> {
         let o = id.origin().as_usize();
         let seq = id.seq();
         if seq < self.next[o] {
-            return; // already inside the prefix (duplicate)
+            return None; // already inside the prefix (duplicate)
         }
-        self.parked[o].insert(seq);
+        if seq > self.next[o] {
+            self.parked[o].insert(seq);
+            return None;
+        }
+        // In order: extend, then drain whatever the gap was holding.
+        self.next[o] += 1;
         while self.parked[o].remove(&self.next[o]) {
             self.next[o] += 1;
         }
+        Some(self.next[o] - 1)
     }
 
     /// The prefix as a vector clock: entry `j` = highest seq such that
@@ -88,6 +101,8 @@ pub struct StabilityTracker {
     me: ProcessId,
     prefix: ContiguousPrefix,
     matrix: MatrixClock,
+    /// A column minimum rose since the last [`take_advance`](Self::take_advance).
+    advanced: bool,
 }
 
 impl StabilityTracker {
@@ -102,14 +117,16 @@ impl StabilityTracker {
             me,
             prefix: ContiguousPrefix::new(n),
             matrix: MatrixClock::new(n),
+            advanced: false,
         }
     }
 
-    /// Records a local delivery.
+    /// Records a local delivery: raises this member's matrix entry for the
+    /// origin only if its contiguous prefix advanced.
     pub fn on_deliver(&mut self, id: MsgId) {
-        self.prefix.on_deliver(id);
-        let clock = self.prefix.as_clock();
-        self.matrix.update_row(self.me, &clock);
+        if let Some(end) = self.prefix.on_deliver(id) {
+            self.advanced |= self.matrix.raise(self.me, id.origin(), end);
+        }
     }
 
     /// The local delivered-prefix clock — what this member gossips.
@@ -117,15 +134,22 @@ impl StabilityTracker {
         self.prefix.as_clock()
     }
 
-    /// Merges a peer's gossiped prefix.
+    /// Merges a peer's gossiped prefix, entry by entry.
     pub fn on_report(&mut self, from: ProcessId, report: &VectorClock) {
-        self.matrix.update_row(from, report);
+        self.advanced |= self.matrix.update_row(from, report);
     }
 
     /// The globally stable prefix: per origin, the highest seq delivered
     /// at *every* member (as far as this member knows).
-    pub fn stable(&self) -> VectorClock {
+    pub fn stable(&self) -> &VectorClock {
         self.matrix.stable_prefix()
+    }
+
+    /// The stable prefix if it rose since the last call, else `None`.
+    /// Compaction against an unchanged prefix has nothing new to prune,
+    /// so hosts compact only on `Some`.
+    pub fn take_advance(&mut self) -> Option<&VectorClock> {
+        std::mem::take(&mut self.advanced).then(|| self.matrix.stable_prefix())
     }
 }
 
@@ -180,6 +204,52 @@ mod tests {
         // p2 is the laggard: only the first two of p1's messages are
         // stable everywhere.
         assert_eq!(t.stable().get(ProcessId::new(1)), 2);
+    }
+
+    #[test]
+    fn on_deliver_reports_prefix_advances() {
+        let mut p = ContiguousPrefix::new(1);
+        assert_eq!(p.on_deliver(id(0, 2)), None); // parked beyond the gap
+        assert_eq!(p.on_deliver(id(0, 1)), Some(2)); // fills it
+        assert_eq!(p.on_deliver(id(0, 1)), None); // duplicate
+        assert_eq!(p.on_deliver(id(0, 3)), Some(3));
+    }
+
+    #[test]
+    fn report_below_the_minimum_sets_no_advance() {
+        let mut t = StabilityTracker::new(ProcessId::new(0), 3);
+        // p1 and p2 still sit at the minimum of column 0.
+        t.on_deliver(id(0, 1));
+        assert_eq!(t.take_advance(), None);
+        // p1 rises, but p2 still holds the minimum at 0.
+        t.on_report(ProcessId::new(1), &VectorClock::from_entries([1, 0, 0]));
+        assert_eq!(t.take_advance(), None);
+        assert_eq!(t.stable().as_ref(), &[0, 0, 0]);
+    }
+
+    #[test]
+    fn report_lifting_the_last_minimal_row_sets_advance() {
+        let mut t = StabilityTracker::new(ProcessId::new(0), 3);
+        t.on_deliver(id(0, 1));
+        t.on_deliver(id(0, 2));
+        t.on_report(ProcessId::new(1), &VectorClock::from_entries([2, 0, 0]));
+        assert_eq!(t.take_advance(), None);
+        // p2 was the last row at 0 in column 0; its report lifts it to 1.
+        t.on_report(ProcessId::new(2), &VectorClock::from_entries([1, 0, 0]));
+        assert_eq!(t.take_advance().map(AsRef::as_ref), Some(&[1, 0, 0][..]));
+        // Taken: the flag is clear until the next rise.
+        assert_eq!(t.take_advance(), None);
+    }
+
+    #[test]
+    fn own_delivery_lifting_the_minimum_sets_advance() {
+        let mut t = StabilityTracker::new(ProcessId::new(0), 2);
+        t.on_report(ProcessId::new(1), &VectorClock::from_entries([0, 3]));
+        assert_eq!(t.take_advance(), None);
+        t.on_deliver(id(1, 2)); // parked: the prefix does not move
+        assert_eq!(t.take_advance(), None);
+        t.on_deliver(id(1, 1));
+        assert_eq!(t.take_advance().map(|s| s.get(ProcessId::new(1))), Some(2));
     }
 
     #[test]

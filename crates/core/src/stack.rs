@@ -664,8 +664,8 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         self.maybe_gossip_and_compact(ctx);
     }
 
-    /// Gossips the delivered-prefix clock when due and compacts against
-    /// the latest stable prefix.
+    /// Gossips the delivered-prefix clock when due and compacts if the
+    /// stable prefix advanced.
     fn maybe_gossip_and_compact(&mut self, ctx: &mut Context<'_, StackWire<D::Envelope>>) {
         let Some(stability) = &mut self.stability else {
             return;
@@ -678,16 +678,20 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         self.compact_now();
     }
 
+    /// Compacts engine, reliability layer and send times against the
+    /// stable prefix, only when it rose since the last compaction: every
+    /// layer absorbs ids inside an already compacted prefix as duplicates,
+    /// so an unchanged prefix leaves nothing new to prune.
     fn compact_now(&mut self) {
-        let Some(stability) = &self.stability else {
+        let Some(stable) = self
+            .stability
+            .as_mut()
+            .and_then(StabilityTracker::take_advance)
+        else {
             return;
         };
-        let stable = stability.stable();
-        if stable.total_events() == 0 {
-            return;
-        }
-        self.engine.compact(&stable);
-        self.rb.compact(&stable);
+        self.engine.compact(stable);
+        self.rb.compact(stable);
         self.sent_times
             .retain(|id, _| id.seq() > stable.get(id.origin()));
     }

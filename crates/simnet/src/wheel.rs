@@ -132,6 +132,13 @@ impl CalendarQueue {
         self.overflow.len()
     }
 
+    /// Event slots allocated across the ring buckets and the `current`
+    /// day (what the wheel retains between days).
+    #[cfg(test)]
+    pub(crate) fn wheel_capacity(&self) -> usize {
+        self.buckets.iter().map(Vec::capacity).sum::<usize>() + self.current.capacity()
+    }
+
     fn day_of(&self, at: SimTime) -> u64 {
         at.as_micros() >> self.shift
     }
@@ -188,7 +195,9 @@ impl CalendarQueue {
             if self.cur_head < self.current.len() || self.inc_head < self.incoming.len() {
                 return true;
             }
-            // Day exhausted: recycle the scratch vectors (capacity kept).
+            // Day exhausted: reset the scratch vectors. `incoming` keeps
+            // its capacity; `current` keeps it only until the next bucket
+            // replaces it.
             self.current.clear();
             self.cur_head = 0;
             self.incoming.clear();
@@ -208,7 +217,11 @@ impl CalendarQueue {
                     self.migrate_overflow();
                     let slot = (self.cursor_day & self.mask) as usize;
                     if !self.buckets[slot].is_empty() {
-                        std::mem::swap(&mut self.buckets[slot], &mut self.current);
+                        // Take, not swap: a swap would park the drained
+                        // day's capacity in this bucket until the ring
+                        // comes round, so every visited bucket would keep
+                        // the busiest day's allocation.
+                        self.current = std::mem::take(&mut self.buckets[slot]);
                         self.current.sort_unstable();
                         self.wheel_len -= self.current.len();
                         break;
@@ -382,6 +395,31 @@ mod tests {
                 assert_eq!(a.key(), b.key(), "seed {seed}");
             }
             assert!(heap.pop().is_none(), "seed {seed}");
+        }
+    }
+
+    /// One burst per day, each drained before the next: the ring must not
+    /// keep a burst's worth of capacity in every bucket the cursor passed.
+    #[test]
+    fn bucket_capacity_follows_events_in_flight() {
+        const BURST: u64 = 1_000;
+        let mut q = CalendarQueue::new(QueueConfig {
+            bucket_micros_log2: 4, // 16 µs days
+            buckets: 64,
+        });
+        let mut seq = 0;
+        for day in 1..=300u64 {
+            for i in 0..BURST {
+                q.push(ev(day * 16 + i % 16, seq));
+                seq += 1;
+            }
+            let live = q.len();
+            assert!(
+                q.wheel_capacity() <= 4 * live,
+                "day {day}: {} slots retained for {live} live events",
+                q.wheel_capacity()
+            );
+            while q.pop().is_some() {}
         }
     }
 

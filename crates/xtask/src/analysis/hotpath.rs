@@ -4,8 +4,9 @@
 //! schedules they happen to run (`RunnerStats.scratch_grows`,
 //! `frame_copies == 0`); this pass proves it for *every* path: a
 //! declared **hot-root set** — the reactor shard loop and its flush /
-//! receive legs, the three delivery engines' drain paths, and the
-//! simulator's batched event loop — is closed over the call graph, and
+//! receive legs, the three delivery engines' drain paths, the
+//! simulator's batched event loop, and the stability tracker's
+//! per-delivery and per-report updates — is closed over the call graph, and
 //! every statement reachable (CFG-wise) inside that cone is scanned for
 //! heap-allocating expressions.
 //!
@@ -45,7 +46,8 @@ pub struct HotRoot {
 }
 
 /// The flood-path roots: reactor shard loop + flush/receive legs, the
-/// engines' drain paths, and the simulator's batched event loop.
+/// engines' drain paths, the simulator's batched event loop, and the
+/// stability tracker's `on_deliver`/`on_report`.
 pub const HOT_ROOTS: &[HotRoot] = &[
     HotRoot {
         path: "crates/net/src/reactor.rs",
@@ -81,6 +83,16 @@ pub const HOT_ROOTS: &[HotRoot] = &[
         path: "crates/simnet/src/sim.rs",
         owner: Some("Simulation"),
         name: "run_events",
+    },
+    HotRoot {
+        path: "crates/core/src/stability.rs",
+        owner: Some("StabilityTracker"),
+        name: "on_deliver",
+    },
+    HotRoot {
+        path: "crates/core/src/stability.rs",
+        owner: Some("StabilityTracker"),
+        name: "on_report",
     },
 ];
 
