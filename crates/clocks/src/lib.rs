@@ -13,6 +13,8 @@
 //! - [`MatrixClock`]: matrix clocks used for message-stability detection
 //!   (everyone-knows-that-everyone-received), which enables garbage
 //!   collection of delivery buffers.
+//! - [`IdWindow`]: per-message state keyed by [`MsgId`], laid out as one
+//!   window per origin whose floor retires a prefix at a time.
 //!
 //! # Examples
 //!
@@ -40,9 +42,11 @@ mod lamport;
 mod matrix;
 mod ordering;
 mod vector;
+mod window;
 
 pub use ids::{GroupId, MsgId, ProcessId};
 pub use lamport::LamportClock;
 pub use matrix::MatrixClock;
 pub use ordering::CausalOrdering;
 pub use vector::{DeliveryCheck, VectorClock};
+pub use window::IdWindow;

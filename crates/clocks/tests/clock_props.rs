@@ -1,12 +1,53 @@
 //! Property-based tests for the logical-clock laws.
 
-use causal_clocks::{CausalOrdering, LamportClock, MatrixClock, ProcessId, VectorClock};
+use causal_clocks::{
+    CausalOrdering, IdWindow, LamportClock, MatrixClock, MsgId, ProcessId, VectorClock,
+};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const WIDTH: usize = 4;
 
 fn arb_clock() -> impl Strategy<Value = VectorClock> {
     proptest::collection::vec(0u64..20, WIDTH).prop_map(VectorClock::from_entries)
+}
+
+/// One step against an [`IdWindow`] and its model.
+#[derive(Debug, Clone)]
+enum WindowOp {
+    Insert(MsgId, u32),
+    GetOrInsert(MsgId, u32),
+    Remove(MsgId),
+    Advance(ProcessId),
+    Compact(VectorClock),
+}
+
+/// Origins 0..3 have dense lanes; 5000 and `u32::MAX` are far lanes.
+fn arb_origin() -> impl Strategy<Value = ProcessId> {
+    prop_oneof![
+        (0u32..3).prop_map(ProcessId::new),
+        Just(ProcessId::new(5000)),
+        Just(ProcessId::new(u32::MAX)),
+    ]
+}
+
+/// Sequence numbers around the lane reach, plus a few at the top of the
+/// range, where a corrupt frame lands.
+fn arb_seq() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..40, 0u64..400, (0u64..3).prop_map(|k| u64::MAX - k)]
+}
+
+fn arb_window_op() -> impl Strategy<Value = WindowOp> {
+    let id = || (arb_origin(), arb_seq()).prop_map(|(o, s)| MsgId::new(o, s));
+    prop_oneof![
+        (id(), 0u32..100).prop_map(|(id, v)| WindowOp::Insert(id, v)),
+        (id(), 0u32..100).prop_map(|(id, v)| WindowOp::Insert(id, v)),
+        (id(), 0u32..100).prop_map(|(id, v)| WindowOp::GetOrInsert(id, v)),
+        id().prop_map(WindowOp::Remove),
+        arb_origin().prop_map(WindowOp::Advance),
+        proptest::collection::vec(prop_oneof![0u64..300, Just(u64::MAX)], 0..4)
+            .prop_map(|floors| WindowOp::Compact(VectorClock::from_entries(floors))),
+    ]
 }
 
 proptest! {
@@ -152,5 +193,75 @@ proptest! {
         let sender = ProcessId::new(sender);
         let prefix = m.stable_prefix();
         prop_assert_eq!(m.is_stable(sender, seq), prefix.get(sender) >= seq);
+    }
+
+    /// An IdWindow agrees with a `BTreeMap` plus per-origin floors after
+    /// every step of a random insert/remove/advance/compact sequence:
+    /// values, membership, retired-ness, length, floors and (origin, seq)
+    /// iteration order.
+    #[test]
+    fn id_window_matches_btreemap_model(
+        ops in proptest::collection::vec(arb_window_op(), 1..120)
+    ) {
+        let mut window = IdWindow::new();
+        let mut model: BTreeMap<MsgId, u32> = BTreeMap::new();
+        let mut floors: BTreeMap<ProcessId, u64> = BTreeMap::new();
+        let mut touched: Vec<MsgId> = Vec::new();
+        for op in ops {
+            match op {
+                WindowOp::Insert(id, v) => {
+                    touched.push(id);
+                    let expected = if id.seq() <= floors.get(&id.origin()).copied().unwrap_or(0) {
+                        Some(v)
+                    } else {
+                        model.insert(id, v)
+                    };
+                    prop_assert_eq!(window.insert(id, v), expected);
+                }
+                WindowOp::GetOrInsert(id, v) => {
+                    touched.push(id);
+                    let expected = if id.seq() <= floors.get(&id.origin()).copied().unwrap_or(0) {
+                        None
+                    } else {
+                        Some(*model.entry(id).or_insert(v))
+                    };
+                    prop_assert_eq!(window.get_or_insert_with(id, || v).copied(), expected);
+                }
+                WindowOp::Remove(id) => {
+                    prop_assert_eq!(window.remove(id), model.remove(&id));
+                }
+                WindowOp::Advance(origin) => {
+                    let floor = floors.entry(origin).or_insert(0);
+                    *floor = floor.saturating_add(1);
+                    let floor = *floor;
+                    model.retain(|id, _| id.origin() != origin || id.seq() > floor);
+                    prop_assert_eq!(window.advance(origin), floor);
+                }
+                WindowOp::Compact(stable) => {
+                    for (origin, s) in stable.iter() {
+                        let floor = floors.entry(origin).or_insert(0);
+                        *floor = (*floor).max(s);
+                    }
+                    model.retain(|id, _| id.seq() > floors.get(&id.origin()).copied().unwrap_or(0));
+                    window.compact(&stable);
+                }
+            }
+            prop_assert_eq!(window.len(), model.len());
+            prop_assert_eq!(window.is_empty(), model.is_empty());
+            let listed: Vec<(MsgId, u32)> = window.iter().map(|(id, &v)| (id, v)).collect();
+            let expected: Vec<(MsgId, u32)> = model.iter().map(|(&id, &v)| (id, v)).collect();
+            prop_assert_eq!(listed, expected);
+            for &id in &touched {
+                let floor = floors.get(&id.origin()).copied().unwrap_or(0);
+                prop_assert_eq!(window.get(id), model.get(&id));
+                prop_assert_eq!(window.contains(id), model.contains_key(&id));
+                prop_assert_eq!(window.is_retired(id), id.seq() <= floor);
+                prop_assert_eq!(window.floor(id.origin()), floor);
+            }
+            let raised: Vec<(ProcessId, u64)> = window.floors().filter(|&(_, f)| f > 0).collect();
+            let expected: Vec<(ProcessId, u64)> =
+                floors.iter().map(|(&o, &f)| (o, f)).filter(|&(_, f)| f > 0).collect();
+            prop_assert_eq!(raised, expected);
+        }
     }
 }

@@ -3,8 +3,7 @@
 
 use super::{Delivered, DeliveryEngine};
 use crate::osend::{GraphEnvelope, OSender, OccursAfter};
-use causal_clocks::{MsgId, ProcessId, VectorClock};
-use std::collections::{HashMap, HashSet};
+use causal_clocks::{IdWindow, MsgId, ProcessId, VectorClock};
 
 /// Per-member delivery engine for [`GraphEnvelope`]s.
 ///
@@ -47,84 +46,94 @@ use std::collections::{HashMap, HashSet};
 /// ```
 #[derive(Debug, Clone)]
 pub struct GraphDelivery<P> {
-    delivered: HashSet<MsgId>,
+    /// Per-message state. Each origin's floor is its compacted prefix:
+    /// ids at or below it are known delivered-and-stable though their
+    /// slots were dropped.
+    slots: IdWindow<Slot<P>>,
     log: Vec<MsgId>,
-    /// Buffered envelopes keyed by id.
-    pending: HashMap<MsgId, GraphEnvelope<P>>,
-    /// Reverse index: an undelivered dependency -> messages waiting on it.
-    waiters: HashMap<MsgId, Vec<MsgId>>,
-    /// Outstanding waiter registrations per pending message; a message is
-    /// released when its count reaches zero.
-    missing: HashMap<MsgId, usize>,
-    /// Ids ever accepted (delivered or pending) for duplicate absorption.
-    seen: HashSet<MsgId>,
+    /// Slots holding a received message (buffered or delivered).
+    accepted: usize,
+    /// Slots holding a buffered message.
+    pending: usize,
     duplicates: u64,
-    /// Per-origin compaction threshold: ids with `seq <= threshold` are
-    /// known delivered-and-stable even though their entries were pruned.
-    compacted: Option<VectorClock>,
     /// Sending endpoint, present when the engine was built for a member
     /// (see [`DeliveryEngine::for_member`]). Receive-only engines
     /// (validators, tests) have none.
     sender: Option<OSender>,
 }
 
+/// What the engine knows about one message id.
+#[derive(Debug, Clone)]
+struct Slot<P> {
+    /// Messages waiting on this one, in registration order. A delivery
+    /// counts against them at once; the cascade drains the list when it
+    /// reaches this message.
+    waiters: Vec<MsgId>,
+    state: State<P>,
+}
+
+#[derive(Debug, Clone)]
+enum State<P> {
+    /// Named as a dependency, not received yet.
+    Awaited,
+    /// Received, with `missing` dependencies still undelivered.
+    Pending {
+        env: GraphEnvelope<P>,
+        missing: usize,
+    },
+    Delivered,
+}
+
+impl<P> Default for Slot<P> {
+    fn default() -> Self {
+        Slot {
+            waiters: Vec::new(),
+            state: State::Awaited,
+        }
+    }
+}
+
 impl<P> GraphDelivery<P> {
     /// Creates a receive-only engine with nothing delivered.
     pub fn new() -> Self {
         GraphDelivery {
-            delivered: HashSet::new(),
+            slots: IdWindow::new(),
             log: Vec::new(),
-            pending: HashMap::new(),
-            waiters: HashMap::new(),
-            missing: HashMap::new(),
-            seen: HashSet::new(),
+            accepted: 0,
+            pending: 0,
             duplicates: 0,
-            compacted: None,
             sender: None,
         }
     }
 
-    /// `true` if `id` falls inside the compacted (stable) prefix.
-    fn is_compacted(&self, id: MsgId) -> bool {
-        self.compacted
-            .as_ref()
-            .is_some_and(|c| id.seq() <= c.get(id.origin()))
-    }
-
     fn is_satisfied(&self, dep: MsgId) -> bool {
-        self.delivered.contains(&dep) || self.is_compacted(dep)
+        match self.slots.get(dep) {
+            Some(slot) => matches!(slot.state, State::Delivered),
+            None => self.slots.is_retired(dep),
+        }
     }
 
     /// Forgets per-message state for the globally **stable** prefix: ids
-    /// with `seq <= stable[origin]` are dropped from the seen/delivered
-    /// sets, and future references to them (duplicates, dependencies) are
-    /// resolved against the threshold instead.
+    /// with `seq <= stable[origin]` are dropped, and future references to
+    /// them (duplicates, dependencies) are resolved against the raised
+    /// floor instead. Only the slots that just became stable are touched.
     ///
     /// Soundness requires `stable` to really be a stable prefix (delivered
     /// at every member — see
     /// [`StabilityTracker`](crate::stability::StabilityTracker)): only
-    /// then can no *pending* message be waiting on an id inside it at any
-    /// member.
+    /// then are all of its ids delivered here, with no *pending* message
+    /// at any member waiting on one of them.
     pub fn compact(&mut self, stable: &VectorClock) {
-        let threshold = match &mut self.compacted {
-            Some(existing) => {
-                existing.merge(stable);
-                existing.clone()
-            }
-            None => {
-                self.compacted = Some(stable.clone());
-                stable.clone()
-            }
-        };
-        self.delivered
-            .retain(|id| id.seq() > threshold.get(id.origin()));
-        self.seen.retain(|id| id.seq() > threshold.get(id.origin()));
+        let before = self.slots.len();
+        self.slots.compact(stable);
+        self.accepted -= before - self.slots.len();
     }
 
     /// Retained per-message bookkeeping entries (the quantity compaction
-    /// bounds): delivered + seen + pending.
+    /// bounds): delivered + seen + pending, where the seen set holds
+    /// every accepted message, so each accepted message counts twice.
     pub fn retained_len(&self) -> usize {
-        self.delivered.len() + self.seen.len() + self.pending.len()
+        2 * self.accepted
     }
 
     /// Accepts an envelope from the transport; returns the envelopes
@@ -141,10 +150,15 @@ impl<P> GraphDelivery<P> {
     /// dependencies are counted in place instead of collected, and
     /// cascades extend `released` directly.
     pub fn on_receive_into(&mut self, env: GraphEnvelope<P>, released: &mut Vec<GraphEnvelope<P>>) {
-        if self.is_compacted(env.id) || !self.seen.insert(env.id) {
+        let fresh = match self.slots.get(env.id) {
+            Some(slot) => matches!(slot.state, State::Awaited),
+            None => !self.slots.is_retired(env.id),
+        };
+        if !fresh {
             self.duplicates += 1;
             return;
         }
+        self.accepted += 1;
         let missing = env.deps.iter().filter(|&&d| !self.is_satisfied(d)).count();
         if missing == 0 {
             let delivered = self.deliver(env);
@@ -153,30 +167,51 @@ impl<P> GraphDelivery<P> {
         } else {
             for &d in &env.deps {
                 if !self.is_satisfied(d) {
-                    self.waiters.entry(d).or_default().push(env.id);
+                    self.slots
+                        .get_or_insert_with(d, Slot::default)
+                        .expect("an unsatisfied dependency lies above the floor")
+                        .waiters
+                        .push(env.id);
                 }
             }
-            self.missing.insert(env.id, missing);
-            self.pending.insert(env.id, env);
+            self.pending += 1;
+            let slot = self
+                .slots
+                .get_or_insert_with(env.id, Slot::default)
+                .expect("a fresh id lies above the floor");
+            slot.state = State::Pending { env, missing };
         }
     }
 
     fn deliver(&mut self, env: GraphEnvelope<P>) -> GraphEnvelope<P> {
-        self.delivered.insert(env.id);
-        self.log.push(env.id);
+        let id = env.id;
+        let slot = self
+            .slots
+            .get_or_insert_with(id, Slot::default)
+            .expect("a delivered id lies above the floor");
+        slot.state = State::Delivered;
         // Count the delivery against every waiter registered on this id
         // now (registrations are only consumed later, when the cascade
         // reaches this message), so a waiter's counter always reflects the
         // full delivered set — exactly what the reference engine's re-check
         // against `delivered` sees.
-        if let Some(waiters) = self.waiters.remove(&env.id) {
+        let waiters = std::mem::take(&mut slot.waiters);
+        if !waiters.is_empty() {
             for &w in &waiters {
-                if let Some(cnt) = self.missing.get_mut(&w) {
-                    *cnt -= 1;
+                if let Some(Slot {
+                    state: State::Pending { missing, .. },
+                    ..
+                }) = self.slots.get_mut(w)
+                {
+                    *missing -= 1;
                 }
             }
-            self.waiters.insert(env.id, waiters);
+            self.slots
+                .get_mut(id)
+                .expect("the slot was just marked delivered")
+                .waiters = waiters;
         }
+        self.log.push(id);
         env
     }
 
@@ -192,25 +227,39 @@ impl<P> GraphDelivery<P> {
         let mut i = released.len() - 1;
         while i < released.len() {
             let just = released[i].id;
-            if let Some(waiters) = self.waiters.remove(&just) {
-                for w in waiters {
-                    if self.missing.get(&w) == Some(&0) {
-                        self.missing.remove(&w);
-                        let env = self
-                            .pending
-                            .remove(&w)
-                            .expect("pending entry exists while deps are missing");
-                        released.push(self.deliver(env));
-                    }
+            let waiters = self
+                .slots
+                .get_mut(just)
+                .map(|slot| std::mem::take(&mut slot.waiters))
+                .unwrap_or_default();
+            for w in waiters {
+                let Some(slot) = self.slots.get_mut(w) else {
+                    continue;
+                };
+                if let State::Pending { missing: 0, .. } = slot.state {
+                    let State::Pending { env, .. } =
+                        std::mem::replace(&mut slot.state, State::Delivered)
+                    else {
+                        unreachable!("matched as pending above");
+                    };
+                    self.pending -= 1;
+                    released.push(self.deliver(env));
                 }
             }
             i += 1;
         }
     }
 
-    /// `true` if `id` has been delivered to the application.
+    /// `true` if `id` has been delivered to the application and not yet
+    /// compacted.
     pub fn is_delivered(&self, id: MsgId) -> bool {
-        self.delivered.contains(&id)
+        matches!(
+            self.slots.get(id),
+            Some(Slot {
+                state: State::Delivered,
+                ..
+            })
+        )
     }
 
     /// The delivery log: message ids in the order they were released.
@@ -225,17 +274,27 @@ impl<P> GraphDelivery<P> {
 
     /// Number of messages buffered awaiting dependencies.
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.pending
     }
 
-    /// Ids currently buffered awaiting dependencies.
+    /// Ids currently buffered awaiting dependencies, in (origin, seq)
+    /// order.
     pub fn pending_ids(&self) -> impl Iterator<Item = MsgId> + '_ {
-        self.pending.keys().copied()
+        self.slots
+            .iter()
+            .filter(|(_, slot)| matches!(slot.state, State::Pending { .. }))
+            .map(|(id, _)| id)
     }
 
     /// Duplicate receptions absorbed so far.
     pub fn duplicates(&self) -> u64 {
         self.duplicates
+    }
+
+    /// Slots allocated for per-message state, empty or not.
+    #[cfg(test)]
+    fn slot_capacity(&self) -> usize {
+        self.slots.slot_capacity()
     }
 }
 
@@ -484,5 +543,99 @@ mod tests {
         let mut rx = GraphDelivery::new();
         rx.on_receive(b.clone());
         assert_eq!(rx.pending_ids().collect::<Vec<_>>(), vec![b.id]);
+    }
+
+    #[test]
+    fn origins_outside_the_compacted_width_get_set_verdicts() {
+        // After a compaction sized to one origin, ids of an origin beyond
+        // its width (a joiner, or a corrupt frame) are delivered, absorbed
+        // as duplicates and buffered exactly as without compaction.
+        let mut tx = senders(1);
+        let mut rx = GraphDelivery::new();
+        rx.on_receive(tx[0].osend(0u8, OccursAfter::none()));
+        rx.compact(&VectorClock::from_entries([1]));
+        let mut far = OSender::new(ProcessId::new(u32::MAX));
+        let a = far.osend(1u8, OccursAfter::none());
+        let b = far.osend(2u8, OccursAfter::message(a.id));
+        let c = far.osend(3u8, OccursAfter::message(b.id));
+        let mut out = Vec::new();
+        rx.on_receive_into(a.clone(), &mut out);
+        assert_eq!(out.len(), 1);
+        rx.on_receive_into(a, &mut out);
+        assert_eq!(rx.duplicates(), 1);
+        rx.on_receive_into(c.clone(), &mut out);
+        assert_eq!(rx.pending_ids().collect::<Vec<_>>(), vec![c.id]);
+        rx.compact(&VectorClock::from_entries([1]));
+        rx.on_receive_into(b, &mut out);
+        assert_eq!(out.iter().map(|e| e.payload).collect::<Vec<_>>(), [1, 2, 3]);
+        assert_eq!(rx.retained_len(), 6);
+    }
+
+    #[test]
+    fn far_sequence_numbers_allocate_no_slots_for_the_gap() {
+        let mut tx = senders(1);
+        let mut rx = GraphDelivery::new();
+        let a = tx[0].osend(0u8, OccursAfter::none());
+        rx.on_receive(a.clone());
+        let far = MsgId::new(ProcessId::new(0), u64::MAX - 1);
+        // As a dependency: the waiter buffers behind an id nobody sent.
+        let waiter = tx[0].osend(1u8, OccursAfter::all([a.id, far]));
+        assert!(rx.on_receive(waiter).is_empty());
+        // As the id itself.
+        let stray = GraphEnvelope {
+            id: far,
+            deps: vec![],
+            payload: 2u8,
+        };
+        assert_eq!(rx.on_receive(stray.clone()).len(), 2);
+        assert!(rx.on_receive(stray).is_empty());
+        assert_eq!(rx.duplicates(), 1);
+        assert!(rx.slot_capacity() < 64, "{}", rx.slot_capacity());
+    }
+
+    #[test]
+    fn non_gc_memory_follows_the_live_entries_under_bounded_reorder() {
+        // 100,000 messages from four origins, each depending on its
+        // origin's previous one, arrive shuffled within blocks of 32: the
+        // window holds every delivered id (nothing is compacted), but no
+        // arrival ahead of its predecessor allocates slots beyond the
+        // reorder window.
+        const ORIGINS: u32 = 4;
+        const PER_ORIGIN: u64 = 25_000;
+        const BLOCK: usize = 32;
+        let mut stream: Vec<GraphEnvelope<u64>> = Vec::new();
+        for seq in 1..=PER_ORIGIN {
+            for o in 0..ORIGINS {
+                let id = MsgId::new(ProcessId::new(o), seq);
+                let deps = if seq > 1 {
+                    vec![MsgId::new(ProcessId::new(o), seq - 1)]
+                } else {
+                    vec![]
+                };
+                stream.push(GraphEnvelope {
+                    id,
+                    deps,
+                    payload: seq,
+                });
+            }
+        }
+        // Deterministic in-block shuffle (reversal plus rotation).
+        for (k, block) in stream.chunks_mut(BLOCK).enumerate() {
+            block.reverse();
+            block.rotate_left(k % BLOCK.min(block.len()));
+        }
+        let mut rx = GraphDelivery::new();
+        let mut out = Vec::new();
+        for env in stream {
+            rx.on_receive_into(env, &mut out);
+            let live = rx.slots.len();
+            assert!(
+                rx.slot_capacity() <= 2 * (live + BLOCK) + 16 * ORIGINS as usize,
+                "capacity {} for {live} live entries",
+                rx.slot_capacity()
+            );
+        }
+        assert_eq!(out.len(), (ORIGINS as u64 * PER_ORIGIN) as usize);
+        assert_eq!(rx.pending_len(), 0);
     }
 }

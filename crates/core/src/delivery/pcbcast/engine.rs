@@ -51,7 +51,7 @@ use crate::delivery::{Delivered, DeliveryEngine, LinkDelivery, LinkSend};
 use crate::osend::OccursAfter;
 use crate::rbcast::HasMsgId;
 use crate::stack::Timed;
-use causal_clocks::{MsgId, ProcessId};
+use causal_clocks::{IdWindow, MsgId, ProcessId};
 use std::collections::BTreeMap;
 
 /// The constant-size PC-broadcast envelope: message identity and
@@ -93,12 +93,10 @@ pub struct PcEngine<P> {
     /// One entry per overlay neighbor (plus lazily-created entries for
     /// peers whose frames arrive before our view installs).
     links: BTreeMap<ProcessId, Link<Timed<PcEnvelope<P>>>>,
-    /// Highest contiguously delivered sequence per origin.
-    watermark: BTreeMap<ProcessId, u64>,
-    /// Messages received ahead of their per-origin predecessor.
-    gate: BTreeMap<ProcessId, BTreeMap<u64, Parked<P>>>,
-    /// Entries currently parked in `gate`.
-    gated: usize,
+    /// The per-origin gate: each origin's floor is its watermark (the
+    /// highest contiguously delivered sequence), and the entries are the
+    /// messages received ahead of their per-origin predecessor.
+    gate: IdWindow<Parked<P>>,
     /// Delivery log (message ids in delivery order).
     log: Vec<MsgId>,
     duplicates: u64,
@@ -126,9 +124,7 @@ impl<P: Clone> PcEngine<P> {
             me,
             fanout,
             links,
-            watermark: BTreeMap::new(),
-            gate: BTreeMap::new(),
-            gated: 0,
+            gate: IdWindow::new(),
             log: Vec::new(),
             duplicates: 0,
             next_token: 0,
@@ -162,8 +158,14 @@ impl<P: Clone> PcEngine<P> {
         self.links.values().map(Link::retransmit_count).sum()
     }
 
+    /// Slots the gate has allocated, empty or not.
+    #[cfg(test)]
+    fn slot_capacity(&self) -> usize {
+        self.gate.slot_capacity()
+    }
+
     fn note_buffered(&mut self) {
-        let buffered = self.gated + self.links.values().map(Link::buffered).sum::<usize>();
+        let buffered = self.gate.len() + self.links.values().map(Link::buffered).sum::<usize>();
         self.peak_buffered = self.peak_buffered.max(buffered);
     }
 
@@ -178,7 +180,7 @@ impl<P: Clone> PcEngine<P> {
         out: &mut LinkDelivery<PcEnvelope<P>>,
     ) {
         let id = timed.env.id;
-        self.watermark.insert(id.origin(), id.seq());
+        self.gate.advance(id.origin());
         self.log.push(id);
         if forward {
             for (&peer, link) in self.links.iter_mut() {
@@ -211,35 +213,30 @@ impl<P: Clone> PcEngine<P> {
         out: &mut LinkDelivery<PcEnvelope<P>>,
     ) -> bool {
         let id = timed.env.id;
-        let (origin, seq) = (id.origin(), id.seq());
-        let wm = self.watermark.get(&origin).copied().unwrap_or(0);
-        let parked = self.gate.get(&origin).is_some_and(|g| g.contains_key(&seq));
-        if seq <= wm || parked {
+        let origin = id.origin();
+        if self.gate.is_retired(id) || self.gate.contains(id) {
             self.duplicates += 1;
             out.receipts.push((id, timed.sent_at, false));
             return false;
         }
         out.receipts.push((id, timed.sent_at, true));
-        if seq == wm + 1 {
+        if id.seq() == self.gate.floor(origin) + 1 {
             self.deliver(timed, from, forward, batch, out);
-            loop {
-                let next = self.watermark.get(&origin).copied().unwrap_or(0) + 1;
-                let Some(p) = self.gate.get_mut(&origin).and_then(|g| g.remove(&next)) else {
-                    break;
-                };
-                self.gated -= 1;
+            while let Some(p) = self
+                .gate
+                .remove(MsgId::new(origin, self.gate.floor(origin) + 1))
+            {
                 self.deliver(p.timed, p.from, p.forward, batch, out);
             }
         } else {
-            self.gate.entry(origin).or_default().insert(
-                seq,
+            self.gate.insert(
+                id,
                 Parked {
                     timed,
                     from,
                     forward,
                 },
             );
-            self.gated += 1;
         }
         true
     }
@@ -292,12 +289,10 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
     fn send(&mut self, op: P, _after: OccursAfter) -> (PcEnvelope<P>, Vec<PcEnvelope<P>>) {
         // PC-broadcast infers ordering from delivery history, like the
         // vector engine: anything delivered locally precedes this send.
-        let seq = self.watermark.get(&self.me).copied().unwrap_or(0) + 1;
         let env = PcEnvelope {
-            id: MsgId::new(self.me, seq),
+            id: MsgId::new(self.me, self.gate.advance(self.me)),
             payload: op,
         };
-        self.watermark.insert(self.me, seq);
         self.log.push(env.id);
         (env.clone(), vec![env])
     }
@@ -337,7 +332,7 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
     }
 
     fn pending_len(&self) -> usize {
-        self.gated + self.links.values().map(Link::buffered).sum::<usize>()
+        self.gate.len() + self.links.values().map(Link::buffered).sum::<usize>()
     }
 
     fn duplicates(&self) -> u64 {
@@ -404,7 +399,7 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
                 }
                 LinkBody::Ping { token } => {
                     let delivered: Vec<(ProcessId, u64)> =
-                        self.watermark.iter().map(|(&o, &w)| (o, w)).collect();
+                        self.gate.floors().filter(|&(_, w)| w > 0).collect();
                     let link = self.links.entry(from).or_default();
                     let frame = link.push(LinkBody::Pong { token, delivered });
                     out.sends.push((from, frame));
@@ -694,5 +689,36 @@ mod tests {
         let sends = e.on_members(&[p(0), p(2)]);
         assert!(sends.is_empty(), "surviving link stays safe: {sends:?}");
         assert_eq!(e.safe_links(), 1);
+    }
+
+    #[test]
+    fn far_sequence_number_on_a_link_allocates_no_gate_slots_for_the_gap() {
+        // A frame whose message id lies near the top of the sequence
+        // space parks in the gate without allocating the gap below it.
+        let mut e: PcEngine<&'static str> = PcEngine::for_member(p(1), 3);
+        let stray = PcEnvelope {
+            id: MsgId::new(p(0), u64::MAX - 1),
+            payload: "stray",
+        };
+        let frame = LinkFrame {
+            seq: 1,
+            body: LinkBody::Msg(timed(stray)),
+        };
+        let out = e.on_link_frame(p(0), frame, &[]);
+        assert_eq!(out.receipts.len(), 1);
+        assert!(out.released.is_empty());
+        assert_eq!(e.pending_len(), 1);
+        assert!(e.slot_capacity() < 64, "{}", e.slot_capacity());
+        // The origin's real stream still delivers in order around it.
+        let first = PcEnvelope {
+            id: MsgId::new(p(0), 1),
+            payload: "first",
+        };
+        let frame = LinkFrame {
+            seq: 2,
+            body: LinkBody::Msg(timed(first.clone())),
+        };
+        assert_eq!(e.on_link_frame(p(0), frame, &[]).released, vec![first]);
+        assert_eq!(e.pending_len(), 1);
     }
 }

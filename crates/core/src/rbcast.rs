@@ -9,8 +9,8 @@
 //! acknowledged it, retransmitting on a timer; receivers acknowledge every
 //! copy and absorb duplicates.
 
-use causal_clocks::{MsgId, ProcessId, VectorClock};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use causal_clocks::{IdWindow, MsgId, ProcessId, VectorClock};
+use std::collections::BTreeSet;
 
 /// Envelope types that carry a unique message identity (implemented by
 /// both the graph and vector-clock envelopes).
@@ -69,13 +69,13 @@ pub enum RbMsg<E> {
 pub struct ReliableBroadcast<E> {
     me: ProcessId,
     peers: BTreeSet<ProcessId>,
-    outgoing: HashMap<MsgId, Outgoing<E>>,
-    /// Order of initiation, for deterministic retransmission order.
+    outgoing: IdWindow<Outgoing<E>>,
+    /// Order of initiation, for deterministic retransmission order
+    /// (joiner replay makes it differ from `outgoing`'s id order).
     outgoing_order: Vec<MsgId>,
-    seen: HashSet<MsgId>,
-    /// Per-origin compaction floor: ids with `seq <= floor` were pruned
-    /// from `seen` and are absorbed as duplicates.
-    floor: Option<VectorClock>,
+    /// Ids accepted so far. Its floors are the compacted prefix: ids at
+    /// or below them were pruned and are absorbed as duplicates.
+    seen: IdWindow<()>,
     retransmissions: u64,
     duplicates: u64,
 }
@@ -100,10 +100,9 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
                 .map(ProcessId::new)
                 .filter(|&p| p != me)
                 .collect(),
-            outgoing: HashMap::new(),
+            outgoing: IdWindow::new(),
             outgoing_order: Vec::new(),
-            seen: HashSet::new(),
-            floor: None,
+            seen: IdWindow::new(),
             retransmissions: 0,
             duplicates: 0,
         }
@@ -135,10 +134,9 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
         ReliableBroadcast {
             me,
             peers: peers.into_iter().filter(|&p| p != me).collect(),
-            outgoing: HashMap::new(),
+            outgoing: IdWindow::new(),
             outgoing_order: Vec::new(),
-            seen: HashSet::new(),
-            floor: None,
+            seen: IdWindow::new(),
             retransmissions: 0,
             duplicates: 0,
         }
@@ -154,7 +152,7 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
             return Vec::new();
         }
         let mut sends = Vec::new();
-        for id in &self.outgoing_order {
+        for &id in &self.outgoing_order {
             let out = self.outgoing.get_mut(id).expect("ordered ids exist");
             if out.unacked.insert(peer) {
                 sends.push((peer, RbMsg::Data(out.env.clone())));
@@ -168,14 +166,15 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
     /// dropped; fully acknowledged messages are retired.
     pub fn remove_peer(&mut self, peer: ProcessId) {
         self.peers.remove(&peer);
-        self.outgoing.retain(|id, out| {
+        let outgoing = &mut self.outgoing;
+        self.outgoing_order.retain(|&id| {
+            let out = outgoing.get_mut(id).expect("ordered ids exist");
             out.unacked.remove(&peer);
-            if out.unacked.is_empty() {
-                self.outgoing_order.retain(|m| m != id);
-                false
-            } else {
-                true
+            let retired = out.unacked.is_empty();
+            if retired {
+                outgoing.remove(id);
             }
+            !retired
         });
     }
 
@@ -192,7 +191,7 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
         let mut sends = Vec::new();
         for env in envs {
             let id = env.msg_id();
-            if self.outgoing.contains_key(&id) {
+            if self.outgoing.contains(id) {
                 continue;
             }
             let mut unacked = BTreeSet::new();
@@ -219,7 +218,7 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
     /// empty target list means no peers.
     pub fn broadcast_grouped(&mut self, env: E) -> (Vec<ProcessId>, RbMsg<E>) {
         let id = env.msg_id();
-        self.seen.insert(id);
+        self.seen.insert(id, ());
         let unacked = self.peers.clone();
         let targets: Vec<ProcessId> = unacked.iter().copied().collect();
         let msg = RbMsg::Data(env.clone());
@@ -238,7 +237,7 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
     pub fn on_data(&mut self, from: ProcessId, env: E) -> (Option<E>, Vec<(ProcessId, RbMsg<E>)>) {
         let id = env.msg_id();
         let ack = vec![(from, RbMsg::Ack(id))];
-        if !self.below_floor(id) && self.seen.insert(id) {
+        if self.seen.insert(id, ()).is_none() {
             (Some(env), ack)
         } else {
             self.duplicates += 1;
@@ -246,22 +245,12 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
         }
     }
 
-    /// `true` if `id` lies inside the compacted prefix. The lookup is
-    /// checked: ids of members admitted after the floor was taken fall
-    /// outside its width.
-    fn below_floor(&self, id: MsgId) -> bool {
-        self.floor
-            .as_ref()
-            .and_then(|floor| floor.as_ref().get(id.origin().as_usize()))
-            .is_some_and(|&stable| id.seq() <= stable)
-    }
-
     /// Handles an acknowledgement from a peer.
     pub fn on_ack(&mut self, from: ProcessId, id: MsgId) {
-        if let Some(out) = self.outgoing.get_mut(&id) {
+        if let Some(out) = self.outgoing.get_mut(id) {
             out.unacked.remove(&from);
             if out.unacked.is_empty() {
-                self.outgoing.remove(&id);
+                self.outgoing.remove(id);
                 self.outgoing_order.retain(|&m| m != id);
             }
         }
@@ -281,8 +270,8 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
     /// acknowledgement (ascending) and the single copy they all get.
     pub fn retransmissions_grouped(&mut self) -> Vec<(Vec<ProcessId>, RbMsg<E>)> {
         let mut out = Vec::new();
-        for id in &self.outgoing_order {
-            let outgoing = &self.outgoing[id];
+        for &id in &self.outgoing_order {
+            let outgoing = self.outgoing.get(id).expect("ordered ids exist");
             let targets: Vec<ProcessId> = outgoing.unacked.iter().copied().collect();
             self.retransmissions += targets.len() as u64;
             out.push((targets, RbMsg::Data(outgoing.env.clone())));
@@ -298,7 +287,7 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
 
     /// Total outstanding (message, peer) acknowledgements.
     pub fn pending_acks(&self) -> usize {
-        self.outgoing.values().map(|o| o.unacked.len()).sum()
+        self.outgoing.iter().map(|(_, o)| o.unacked.len()).sum()
     }
 
     /// Retransmitted copies so far.
@@ -312,12 +301,12 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
     }
 
     /// Every message id this layer has accepted (own broadcasts plus
-    /// fresh receipts), in no particular order — the reliable-broadcast
+    /// fresh receipts), in (origin, seq) order — the reliable-broadcast
     /// contract's delivered set, which verification harnesses compare
     /// against what the delivery engine actually released. Compaction
     /// prunes the stable prefix, so use it on uncompacted runs.
     pub fn seen_ids(&self) -> impl Iterator<Item = MsgId> + '_ {
-        self.seen.iter().copied()
+        self.seen.iter().map(|(id, ())| id)
     }
 
     /// Forgets duplicate-suppression entries for the globally stable
@@ -326,19 +315,23 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
     /// absorbs late copies (a retransmission whose ack was lost) without
     /// a per-id entry, so those `seen` entries are dead weight.
     /// Unacknowledged outgoing copies are never pruned — they are
-    /// precisely the unstable messages.
+    /// precisely the unstable messages. Costs one step per origin plus
+    /// one per pruned entry; origins outside `stable`'s width (members
+    /// admitted later) keep their entries.
     pub fn compact(&mut self, stable: &VectorClock) {
-        let floor = self
-            .floor
-            .get_or_insert_with(|| VectorClock::new(stable.width()));
-        floor.merge(stable);
-        self.seen.retain(|id| id.seq() > floor.get(id.origin()));
+        self.seen.compact(stable);
     }
 
     /// Retained duplicate-suppression entries (what [`compact`](Self::compact)
     /// bounds).
     pub fn retained_len(&self) -> usize {
         self.seen.len()
+    }
+
+    /// Slots allocated for per-message state, empty or not.
+    #[cfg(test)]
+    fn slot_capacity(&self) -> usize {
+        self.seen.slot_capacity() + self.outgoing.slot_capacity()
     }
 }
 
@@ -423,12 +416,37 @@ mod tests {
 
     #[test]
     fn ids_outside_the_floor_width_are_fresh() {
-        // A member admitted after compaction has no floor entry.
+        // A member admitted after compaction has no floor entry; neither
+        // does a corrupt frame's origin. Their ids get the verdicts a
+        // plain set gives, across further compactions.
+        for origin in [p(5), p(u32::MAX)] {
+            let mut rb: ReliableBroadcast<GraphEnvelope<u8>> = ReliableBroadcast::new(p(0), 2);
+            rb.compact(&VectorClock::from_entries([1, 1]));
+            let mut joiner = OSender::new(origin);
+            let e = env(&mut joiner, 1);
+            assert_eq!(rb.on_data(origin, e.clone()).0, Some(e.clone()));
+            assert_eq!(rb.on_data(origin, e.clone()).0, None);
+            rb.compact(&VectorClock::from_entries([2, 2]));
+            assert_eq!(rb.on_data(origin, e).0, None);
+            assert_eq!(rb.retained_len(), 1);
+            assert_eq!(rb.duplicate_count(), 2);
+        }
+    }
+
+    #[test]
+    fn far_sequence_numbers_allocate_no_slots_for_the_gap() {
         let mut rb: ReliableBroadcast<GraphEnvelope<u8>> = ReliableBroadcast::new(p(0), 2);
-        rb.compact(&VectorClock::from_entries([1, 1]));
-        let mut joiner = OSender::new(p(5));
-        let e = env(&mut joiner, 1);
-        assert_eq!(rb.on_data(p(5), e.clone()).0, Some(e));
+        for seq in [1, 2, u64::MAX - 1] {
+            let e = GraphEnvelope {
+                id: MsgId::new(p(1), seq),
+                deps: vec![],
+                payload: 0,
+            };
+            assert!(rb.on_data(p(1), e.clone()).0.is_some());
+            assert!(rb.on_data(p(1), e).0.is_none());
+        }
+        assert_eq!(rb.retained_len(), 3);
+        assert!(rb.slot_capacity() < 64, "{}", rb.slot_capacity());
     }
 
     #[test]

@@ -21,8 +21,7 @@
 //! when there is something new to prune
 //! ([`take_advance`](StabilityTracker::take_advance)).
 
-use causal_clocks::{MatrixClock, MsgId, ProcessId, VectorClock};
-use std::collections::BTreeSet;
+use causal_clocks::{IdWindow, MatrixClock, MsgId, ProcessId, VectorClock};
 
 /// Tracks, per origin, the longest *contiguous* prefix of sequence
 /// numbers delivered locally (graph delivery may release a sender's
@@ -30,8 +29,11 @@ use std::collections::BTreeSet;
 /// parked until the gap fills).
 #[derive(Debug, Clone)]
 pub struct ContiguousPrefix {
-    next: Vec<u64>,
-    parked: Vec<BTreeSet<u64>>,
+    /// Group size: the width of [`as_clock`](Self::as_clock).
+    width: usize,
+    /// Floor per origin = prefix end; entries = deliveries parked beyond
+    /// the gap.
+    parked: IdWindow<()>,
 }
 
 impl ContiguousPrefix {
@@ -39,44 +41,41 @@ impl ContiguousPrefix {
     /// sequence numbers start at 1).
     pub fn new(n: usize) -> Self {
         ContiguousPrefix {
-            next: vec![1; n],
-            parked: vec![BTreeSet::new(); n],
+            width: n,
+            parked: IdWindow::new(),
         }
     }
 
     /// Records a delivery and extends the prefix as far as it now reaches.
     /// Returns the origin's new prefix end if the prefix advanced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the message's origin is outside the group.
     pub fn on_deliver(&mut self, id: MsgId) -> Option<u64> {
-        let o = id.origin().as_usize();
-        let seq = id.seq();
-        if seq < self.next[o] {
+        let origin = id.origin();
+        let end = self.parked.floor(origin);
+        if id.seq() <= end {
             return None; // already inside the prefix (duplicate)
         }
-        if seq > self.next[o] {
-            self.parked[o].insert(seq);
+        if id.seq() > end + 1 {
+            self.parked.insert(id, ());
             return None;
         }
         // In order: extend, then drain whatever the gap was holding.
-        self.next[o] += 1;
-        while self.parked[o].remove(&self.next[o]) {
-            self.next[o] += 1;
+        let mut end = self.parked.advance(origin);
+        while !self.parked.is_empty() && self.parked.remove(MsgId::new(origin, end + 1)).is_some() {
+            end = self.parked.advance(origin);
         }
-        Some(self.next[o] - 1)
+        Some(end)
     }
 
-    /// The prefix as a vector clock: entry `j` = highest seq such that
-    /// every message from `j` up to it has been delivered here.
+    /// The prefix as a vector clock over the group: entry `j` = highest
+    /// seq such that every message from `j` up to it has been delivered
+    /// here.
     pub fn as_clock(&self) -> VectorClock {
-        VectorClock::from_entries(self.next.iter().map(|&n| n - 1))
+        VectorClock::from_entries(ProcessId::all(self.width).map(|o| self.parked.floor(o)))
     }
 
     /// Deliveries parked beyond a gap (diagnostic).
     pub fn parked_len(&self) -> usize {
-        self.parked.iter().map(BTreeSet::len).sum()
+        self.parked.len()
     }
 }
 
@@ -123,7 +122,15 @@ impl StabilityTracker {
 
     /// Records a local delivery: raises this member's matrix entry for the
     /// origin only if its contiguous prefix advanced.
+    ///
+    /// Deliveries from origins outside the group the tracker was built
+    /// for (a member admitted by a later view) are ignored: such a member
+    /// never becomes stable here, so its per-message state is not
+    /// compacted until the tracker is resized at view installation.
     pub fn on_deliver(&mut self, id: MsgId) {
+        if id.origin().as_usize() >= self.matrix.width() {
+            return;
+        }
         if let Some(end) = self.prefix.on_deliver(id) {
             self.advanced |= self.matrix.raise(self.me, id.origin(), end);
         }
@@ -250,6 +257,18 @@ mod tests {
         assert_eq!(t.take_advance(), None);
         t.on_deliver(id(1, 1));
         assert_eq!(t.take_advance().map(|s| s.get(ProcessId::new(1))), Some(2));
+    }
+
+    #[test]
+    fn deliveries_from_outside_the_group_are_ignored() {
+        // A member admitted after the tracker was sized: its messages never
+        // become stable here, and recording them must not index past the
+        // matrix.
+        let mut t = StabilityTracker::new(ProcessId::new(0), 2);
+        t.on_deliver(id(2, 1));
+        t.on_deliver(id(u32::MAX, 1));
+        t.on_deliver(id(1, 1));
+        assert_eq!(t.local_report().as_ref(), &[0, 1]);
     }
 
     #[test]

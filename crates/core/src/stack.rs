@@ -48,12 +48,12 @@ use crate::stability::StabilityTracker;
 use crate::stable::{StablePoint, StablePointDetector};
 use crate::statemachine::OpClass;
 use crate::trace::{MemberTrace, TraceEvent};
-use causal_clocks::{MsgId, ProcessId, VectorClock};
+use causal_clocks::{IdWindow, MsgId, ProcessId, VectorClock};
 use causal_membership::{
     FlushStatus, GroupView, HeartbeatDetector, ManagerAction, ViewId, ViewManager,
 };
 use causal_simnet::{Actor, Context, Histogram, SimDuration, SimTime};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
 /// Wire messages of a [`ProtocolStack`] group: reliability-layer traffic,
@@ -287,7 +287,8 @@ pub struct ProtocolStack<D: DeliveryEngine, A: App<Op = D::Op>> {
     rb: ReliableBroadcast<Timed<D::Envelope>>,
     retransmit_every: SimDuration,
     rtx_armed: bool,
-    sent_times: HashMap<MsgId, SimTime>,
+    /// Send time per message still on record; GC raises its floors.
+    sent_times: IdWindow<SimTime>,
     last_sent: Option<MsgId>,
     stats: NodeStats,
     stability: Option<StabilityTracker>,
@@ -333,7 +334,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
             },
             retransmit_every: DEFAULT_RETRANSMIT,
             rtx_armed: false,
-            sent_times: HashMap::new(),
+            sent_times: IdWindow::new(),
             last_sent: None,
             stats: NodeStats::default(),
             stability: None,
@@ -602,7 +603,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         let mut queue: VecDeque<D::Envelope> = released.into();
         while let Some(env) = queue.pop_front() {
             let id = env.msg_id();
-            let sent_at = self.sent_times.get(&id).copied();
+            let sent_at = self.sent_times.get(id).copied();
             if let Some(sent_at) = sent_at {
                 self.stats
                     .delivery_latency
@@ -692,8 +693,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         };
         self.engine.compact(stable);
         self.rb.compact(stable);
-        self.sent_times
-            .retain(|id, _| id.seq() > stable.get(id.origin()));
+        self.sent_times.compact(stable);
     }
 
     fn perform(
@@ -876,7 +876,7 @@ impl<A: App> ProtocolStack<GraphDelivery<A::Op>, A> {
             rb: ReliableBroadcast::with_peers(me, []),
             retransmit_every: config.retransmit_every,
             rtx_armed: false,
-            sent_times: HashMap::new(),
+            sent_times: IdWindow::new(),
             last_sent: None,
             stats: NodeStats::default(),
             stability: None,
@@ -943,8 +943,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> Actor for ProtocolStack<D, A> {
                 let mut released = Vec::new();
                 if let Some(timed) = fresh {
                     self.sent_times
-                        .entry(timed.msg_id())
-                        .or_insert(timed.sent_at);
+                        .get_or_insert_with(timed.msg_id(), || timed.sent_at);
                     let out = self.engine.on_replay(timed);
                     engine_fresh = out.receipts.first().is_some_and(|r| r.2);
                     for (to, frame) in out.sends {
@@ -1026,7 +1025,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> Actor for ProtocolStack<D, A> {
                 let out = self.engine.on_link_frame(from, frame, history);
                 for (id, sent_at, fresh) in out.receipts {
                     if fresh {
-                        self.sent_times.entry(id).or_insert(sent_at);
+                        self.sent_times.get_or_insert_with(id, || sent_at);
                     }
                     if let Some(t) = &mut self.tracer {
                         t.record(TraceEvent::Receive { id, fresh });

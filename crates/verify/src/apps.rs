@@ -5,7 +5,10 @@
 //! non-commutative operations — otherwise the §4 snapshot-agreement check
 //! has no teeth. [`SumApp`] provides exactly that.
 
+use crate::explorer::ScriptStep;
+use causal_clocks::{MsgId, ProcessId};
 use causal_core::delivery::Delivered;
+use causal_core::osend::OccursAfter;
 use causal_core::stack::{App, Emitter};
 use causal_core::statemachine::{OpClass, Operation};
 
@@ -72,6 +75,38 @@ impl App for SumApp {
     fn snapshot(&self) -> Option<Vec<u8>> {
         Some(self.value.to_le_bytes().to_vec())
     }
+}
+
+/// The §6.1 causal-activity shape over a 3-node group: nc → { c ∥ c } →
+/// nc, the workload the `explore` binary sweeps for every engine. Node
+/// ids are deterministic (node `i`'s `k`-th broadcast is `i#k`), so later
+/// steps can name earlier messages before any delivery happens.
+pub fn sec61_script() -> Vec<ScriptStep<CounterOp>> {
+    let m1 = MsgId::new(ProcessId::new(0), 1);
+    let m2 = MsgId::new(ProcessId::new(1), 1);
+    let m3 = MsgId::new(ProcessId::new(2), 1);
+    vec![
+        ScriptStep {
+            node: 0,
+            op: CounterOp::Mark(1),
+            after: OccursAfter::none(),
+        },
+        ScriptStep {
+            node: 1,
+            op: CounterOp::Add(10),
+            after: OccursAfter::message(m1),
+        },
+        ScriptStep {
+            node: 2,
+            op: CounterOp::Add(100),
+            after: OccursAfter::message(m1),
+        },
+        ScriptStep {
+            node: 0,
+            op: CounterOp::Mark(2),
+            after: OccursAfter::all([m2, m3]),
+        },
+    ]
 }
 
 #[cfg(test)]

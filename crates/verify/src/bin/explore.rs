@@ -14,45 +14,12 @@
 //! invariant (the minimized counterexample trace is printed so it can be
 //! committed under `regressions/`).
 
-use causal_clocks::{MsgId, ProcessId};
 use causal_core::delivery::reference::{FlatCbcastEngine, ScanGraphDelivery};
 use causal_core::delivery::{CbcastEngine, DeliveryEngine, GraphDelivery, PcEngine};
-use causal_core::osend::OccursAfter;
 use causal_core::stack::ProtocolStack;
-use causal_verify::apps::{CounterOp, SumApp};
-use causal_verify::explorer::{explore_stacks, Limits, ScriptStep};
+use causal_verify::apps::{sec61_script, CounterOp, SumApp};
+use causal_verify::explorer::{explore_stacks, Limits};
 use std::process::ExitCode;
-
-/// The §6.1 causal-activity shape: nc → { c ∥ c } → nc. Node ids are
-/// deterministic (node `i`'s `k`-th broadcast is `i#k`), so later steps
-/// can name earlier messages before any delivery happens.
-fn scenario() -> Vec<ScriptStep<CounterOp>> {
-    let m1 = MsgId::new(ProcessId::new(0), 1);
-    let m2 = MsgId::new(ProcessId::new(1), 1);
-    let m3 = MsgId::new(ProcessId::new(2), 1);
-    vec![
-        ScriptStep {
-            node: 0,
-            op: CounterOp::Mark(1),
-            after: OccursAfter::none(),
-        },
-        ScriptStep {
-            node: 1,
-            op: CounterOp::Add(10),
-            after: OccursAfter::message(m1),
-        },
-        ScriptStep {
-            node: 2,
-            op: CounterOp::Add(100),
-            after: OccursAfter::message(m1),
-        },
-        ScriptStep {
-            node: 0,
-            op: CounterOp::Mark(2),
-            after: OccursAfter::all([m2, m3]),
-        },
-    ]
-}
 
 fn explore_engine<D>(name: &str) -> bool
 where
@@ -61,7 +28,7 @@ where
     let result = explore_stacks(
         3,
         |me, n| ProtocolStack::<D, SumApp>::new(me, n, SumApp::new()),
-        scenario(),
+        sec61_script(),
         Limits::default(),
     );
     let s = result.stats;

@@ -3,8 +3,8 @@
 //!
 //! The [`parser`] gives us functions; this module adds the *state*: for
 //! every `struct` in the workspace, each named field is classified as a
-//! growable std collection ([`FieldKind::Container`]), a
-//! `std::sync::atomic` cell ([`FieldKind::Atomic`]), or
+//! growable collection ([`FieldKind::Container`]: a std collection or an
+//! `IdWindow`), a `std::sync::atomic` cell ([`FieldKind::Atomic`]), or
 //! [`FieldKind::Other`] — looking through wrappers such as
 //! `Mutex<VecDeque<_>>`, `Arc<AtomicBool>`, or `Vec<Option<_>>` (the
 //! first container/atomic name in the type wins, which for these shapes
@@ -40,7 +40,9 @@ use crate::analysis::lexer::{Lexed, TokKind};
 use crate::analysis::{parser, Workspace};
 use std::collections::BTreeMap;
 
-/// Std collection type names that can grow without bound.
+/// Collection type names that can grow without bound: the std
+/// collections, plus `causal_clocks::IdWindow`, the per-origin map the
+/// delivery path keeps its per-message state in.
 pub const CONTAINERS: &[&str] = &[
     "Vec",
     "VecDeque",
@@ -50,6 +52,7 @@ pub const CONTAINERS: &[&str] = &[
     "BTreeSet",
     "BinaryHeap",
     "String",
+    "IdWindow",
 ];
 
 /// `std::sync::atomic` cell type names.
@@ -101,6 +104,9 @@ pub const SHRINK_METHODS: &[&str] = &[
     "pop_last",
     "retain",
     "take",
+    // `IdWindow`'s floor raises, which retire entries.
+    "advance",
+    "compact",
 ];
 
 /// The atomic access methods (used to recognize bare-identifier
@@ -128,7 +134,7 @@ pub const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "Seq
 /// How a field's type participates in protocol state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FieldKind {
-    /// A growable std collection; the payload is the collection name.
+    /// A growable collection; the payload is the collection name.
     Container(&'static str),
     /// A `std::sync::atomic` cell; the payload is the type name.
     Atomic(&'static str),

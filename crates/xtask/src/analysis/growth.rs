@@ -8,8 +8,9 @@
 //! net layer's per-link/per-shard tables) and requires every growable
 //! collection field in them to have a **shrink site** (`remove`,
 //! `clear`, `drain`, `truncate`, `split_off`, `pop*`, `retain`,
-//! `take`, …) that is *reachable from a declared stability / ack / GC
-//! / teardown root* ([`GC_ROOTS`]), closed over the call graph.
+//! `take`, an `IdWindow`'s `advance` / `compact`, …) that is
+//! *reachable from a declared stability / ack / GC / teardown root*
+//! ([`GC_ROOTS`]), closed over the call graph.
 //!
 //! Three finding shapes, most severe first:
 //!

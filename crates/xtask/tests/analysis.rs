@@ -312,6 +312,27 @@ fn bounded_growth_fixture_fails_the_gate() {
 }
 
 #[test]
+fn bounded_growth_sees_id_window_fields() {
+    let ws = fixture_ws(&[(
+        "crates/core/src/rbcast.rs",
+        include_str!("fixtures/growth_window.rs"),
+    )]);
+    let findings = analysis::analyze_raw(&ws);
+    let growth: Vec<_> = findings
+        .iter()
+        .filter(|f| f.rule == "bounded-growth")
+        .collect();
+    // Only `seen` is flagged: `outgoing` is retired by `on_ack`, a root.
+    assert_eq!(growth.len(), 1, "{findings:?}");
+    assert!(growth[0].snippet.contains("seen"), "{:?}", growth[0]);
+    assert!(
+        growth[0].detail.contains("(IdWindow<…>) never shrinks"),
+        "{}",
+        growth[0].detail
+    );
+}
+
+#[test]
 fn atomic_ordering_fixture_fails_the_gate() {
     let ws = fixture_ws(&[(
         "crates/net/src/conn.rs",

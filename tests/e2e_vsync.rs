@@ -258,6 +258,47 @@ fn join_then_crash_sequence() {
 }
 
 #[test]
+fn gc_members_admit_a_joiner_outside_their_stability_width() {
+    // Stability GC is sized to the initial group of three; the joiner p3
+    // lies outside it. Its messages are deduplicated, delivered and left
+    // uncompacted everywhere, while the incumbents keep compacting each
+    // other's.
+    let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(100, 900));
+    let mut nodes: Vec<VsyncNode<Sum>> = (0..3)
+        .map(|i| {
+            vsync_node(p(i), 3, Sum::default(), VsyncConfig::default())
+                .with_gc(3, 2)
+                .with_tracing()
+        })
+        .collect();
+    nodes.push(
+        VsyncNode::joining(p(3), p(2), Sum::default(), VsyncConfig::default()).with_tracing(),
+    );
+    let mut sim = Simulation::new(nodes, cfg, 77);
+    for k in 0..6u32 {
+        sim.poke(p(k % 3), |node, ctx| {
+            node.osend(ctx, 1, OccursAfter::none());
+        });
+    }
+    sim.run_until(SimTime::from_millis(40));
+    assert!(!sim.node(p(3)).is_joining());
+    assert_eq!(sim.node(p(0)).view().len(), 4);
+    sim.poke(p(3), |node, ctx| {
+        node.osend(ctx, 1, OccursAfter::none());
+    });
+    for k in 0..6u32 {
+        sim.poke(p(k % 3), |node, ctx| {
+            node.osend(ctx, 1, OccursAfter::none());
+        });
+    }
+    sim.run_until(SimTime::from_millis(100));
+    for i in 0..4u32 {
+        assert_eq!(sim.node(p(i)).app().value, 13, "member {i}");
+    }
+    assert_oracle_clean(&sim, 4, "gc join");
+}
+
+#[test]
 fn joiner_sees_messages_in_causal_order() {
     // The replayed history plus live traffic must respect the declared
     // chain at the joiner too.
