@@ -52,6 +52,7 @@ use crate::osend::OccursAfter;
 use crate::rbcast::HasMsgId;
 use crate::stack::Timed;
 use causal_clocks::{IdWindow, MsgId, ProcessId};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// The constant-size PC-broadcast envelope: message identity and
@@ -83,6 +84,24 @@ struct Parked<P> {
     forward: bool,
 }
 
+/// The peers a link frame may open a link from.
+#[derive(Debug, Clone)]
+enum MemberSet {
+    /// No view installed yet: the initial group `0..n`.
+    Initial(usize),
+    /// The members of the last installed view.
+    Installed(Vec<ProcessId>),
+}
+
+impl MemberSet {
+    fn contains(&self, p: ProcessId) -> bool {
+        match self {
+            MemberSet::Initial(n) => p.as_usize() < *n,
+            MemberSet::Installed(members) => members.contains(&p),
+        }
+    }
+}
+
 /// The PC-broadcast [`DeliveryEngine`]: overlay links, FIFO streams, and
 /// a per-origin watermark gate. See the [module docs](self) for the
 /// algorithm and its safety argument.
@@ -91,8 +110,10 @@ pub struct PcEngine<P> {
     me: ProcessId,
     fanout: usize,
     /// One entry per overlay neighbor (plus lazily-created entries for
-    /// peers whose frames arrive before our view installs).
+    /// members whose frames arrive before our view installs).
     links: BTreeMap<ProcessId, Link<Timed<PcEnvelope<P>>>>,
+    /// Who may open a link by sending a frame.
+    members: MemberSet,
     /// The per-origin gate: each origin's floor is its watermark (the
     /// highest contiguously delivered sequence), and the entries are the
     /// messages received ahead of their per-origin predecessor.
@@ -124,6 +145,7 @@ impl<P: Clone> PcEngine<P> {
             me,
             fanout,
             links,
+            members: MemberSet::Initial(n),
             gate: IdWindow::new(),
             log: Vec::new(),
             duplicates: 0,
@@ -346,6 +368,7 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
         // connected — tearing one down would discard its prefix
         // property for nothing).
         self.links.retain(|p, _| members.contains(p));
+        self.members = MemberSet::Installed(members.to_vec());
         let mut sends = Vec::new();
         for nbr in neighbors(self.me, members, self.fanout) {
             let link = self.links.entry(nbr).or_default();
@@ -377,10 +400,18 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
         frame: LinkFrame<Timed<PcEnvelope<P>>>,
         history: &[Timed<PcEnvelope<P>>],
     ) -> LinkDelivery<PcEnvelope<P>> {
-        // Lazily materialize link state for a peer whose frames beat our
+        // Lazily materialize link state for a member whose frames beat our
         // own view installation; our outbound ping goes out when
-        // `on_members` runs.
-        let ingress = self.links.entry(from).or_default().on_frame(frame);
+        // `on_members` runs. A frame from outside the installed member set
+        // (a removed member's late retransmission, or a stranger) opens
+        // nothing and is neither delivered nor acknowledged: a peer that
+        // later becomes a member retransmits it after our view admits it.
+        let link = match self.links.entry(from) {
+            Entry::Occupied(link) => link.into_mut(),
+            Entry::Vacant(slot) if self.members.contains(from) => slot.insert(Link::default()),
+            Entry::Vacant(_) => return LinkDelivery::default(),
+        };
+        let ingress = link.on_frame(frame);
         let mut out = LinkDelivery::default();
         if let Some(cum) = ingress.ack {
             out.sends.push((
@@ -689,6 +720,46 @@ mod tests {
         let sends = e.on_members(&[p(0), p(2)]);
         assert!(sends.is_empty(), "surviving link stays safe: {sends:?}");
         assert_eq!(e.safe_links(), 1);
+    }
+
+    #[test]
+    fn frames_from_outside_the_member_set_open_no_link_and_deliver_nothing() {
+        fn msg_frame(origin: ProcessId, link_seq: u64) -> TestFrame {
+            LinkFrame {
+                seq: link_seq,
+                body: LinkBody::Msg(timed(PcEnvelope {
+                    id: MsgId::new(origin, 1),
+                    payload: "late",
+                })),
+            }
+        }
+        fn assert_ignored(e: &PcEngine<&'static str>, out: &LinkDelivery<PcEnvelope<&str>>) {
+            assert!(out.sends.is_empty(), "{:?}", out.sends);
+            assert!(out.released.is_empty());
+            assert!(out.receipts.is_empty());
+            assert!(e.log().is_empty());
+            assert_eq!(e.pending_len(), 0);
+        }
+
+        // A removed member's late frame.
+        let mut e: PcEngine<&'static str> = PcEngine::for_member(p(0), 3);
+        e.on_members(&[p(0), p(2)]);
+        let out = e.on_link_frame(p(1), msg_frame(p(1), 7), &[]);
+        assert_ignored(&e, &out);
+        assert!(!e.links.contains_key(&p(1)));
+
+        // A stranger's frame, before any view installs.
+        let stranger = ProcessId::new(u32::MAX);
+        let mut e: PcEngine<&'static str> = PcEngine::for_member(p(0), 3);
+        let out = e.on_link_frame(stranger, msg_frame(stranger, 1), &[]);
+        assert_ignored(&e, &out);
+        assert!(!e.links.contains_key(&stranger));
+
+        // Once a view admits it, its retransmission gets through.
+        e.on_members(&[p(0), p(1), p(2), stranger]);
+        let out = e.on_link_frame(stranger, msg_frame(stranger, 1), &[]);
+        assert_eq!(out.released.len(), 1);
+        assert_eq!(e.log(), &[MsgId::new(stranger, 1)]);
     }
 
     #[test]

@@ -14,9 +14,12 @@
 //! fresh-link handshake) — so the handshake is ordered and retransmitted
 //! exactly like data, which is what makes the quarantine protocol's
 //! "first frame on a fresh link is the ping" invariant meaningful.
-//! [`LinkBody::Ack`] is unsequenced bookkeeping (`seq` 0): it is
-//! regenerated on every reception, so losing one costs a retransmission,
-//! never correctness.
+//! [`LinkBody::Ack`] is unsequenced bookkeeping (`seq` 0) and carries
+//! only news: a receiver acknowledges when a frame advances its in-order
+//! point, and re-acknowledges a retransmitted copy of the frame at that
+//! point, which every retransmission burst carries until the sender
+//! learns the point. Losing an ack therefore costs one retransmission
+//! burst, never correctness (see [`LinkIngress::ack`]).
 
 use causal_clocks::ProcessId;
 use std::collections::{BTreeMap, VecDeque};
@@ -104,9 +107,19 @@ impl<T> Default for Link<T> {
 pub struct LinkIngress<T> {
     /// Stream bodies released in FIFO order.
     pub released: Vec<LinkBody<T>>,
-    /// Cumulative acknowledgement to send back, if the frame was a
-    /// stream frame (duplicates are re-acknowledged so the sender stops
-    /// retransmitting).
+    /// Cumulative acknowledgement to send back, only when it is news:
+    /// the frame advanced the in-order point, or it duplicates the frame
+    /// at that point (a retransmission, so the ack that reported the
+    /// point may have been lost). Frames parked in reassembly and other
+    /// duplicates would only repeat a point already sent on this link,
+    /// and stay unanswered.
+    ///
+    /// Liveness: the sender reads only the cumulative point, and every
+    /// retransmission burst resends everything above the last point it
+    /// learned. A burst after a lost ack therefore carries the frame at
+    /// the receiver's point, whose re-ack repairs the loss; a lost data
+    /// frame is unacknowledged under any rule and is resent at the same
+    /// tick.
     pub ack: Option<u64>,
 }
 
@@ -132,7 +145,8 @@ impl<T: Clone> Link<T> {
 
     /// Processes one inbound frame: acknowledgements trim the outbound
     /// retention window; stream frames are released in FIFO order,
-    /// buffering ahead-of-sequence arrivals and absorbing duplicates.
+    /// buffering ahead-of-sequence arrivals and absorbing duplicates, and
+    /// are acknowledged only when that is news ([`LinkIngress::ack`]).
     pub fn on_frame(&mut self, frame: LinkFrame<T>) -> LinkIngress<T> {
         let mut out = LinkIngress {
             released: Vec::new(),
@@ -143,8 +157,13 @@ impl<T: Clone> Link<T> {
             return out;
         }
         if frame.seq < self.next_in {
-            // Already released: a retransmission raced the ack.
+            // Already released: a retransmission raced the ack. Only the
+            // frame at the cumulative point is re-acknowledged; the sender
+            // resends it in every burst until it learns that point.
             self.duplicates += 1;
+            if frame.seq == self.next_in - 1 {
+                out.ack = Some(frame.seq);
+            }
         } else if frame.seq == self.next_in {
             self.next_in += 1;
             out.released.push(frame.body);
@@ -152,10 +171,10 @@ impl<T: Clone> Link<T> {
                 self.next_in += 1;
                 out.released.push(body);
             }
+            out.ack = Some(self.next_in - 1);
         } else if self.reassembly.insert(frame.seq, frame.body).is_some() {
             self.duplicates += 1;
         }
-        out.ack = Some(self.next_in - 1);
         out
     }
 
@@ -247,6 +266,57 @@ mod tests {
         assert!(again.released.is_empty());
         assert_eq!(again.ack, Some(1), "duplicate still re-acknowledged");
         assert_eq!(rx.duplicate_count(), 1);
+    }
+
+    #[test]
+    fn parked_frames_are_not_acked_until_the_point_advances() {
+        let mut tx = Link::new_safe();
+        let mut rx: Link<&str> = Link::new_safe();
+        let f1 = msg(&mut tx, "a");
+        let f2 = msg(&mut tx, "b");
+        let f3 = msg(&mut tx, "c");
+        let acks = [f3, f2, f1].map(|f| rx.on_frame(f).ack);
+        assert_eq!(acks, [None, None, Some(3)]);
+    }
+
+    #[test]
+    fn only_the_duplicate_at_the_cumulative_point_is_reacked() {
+        let mut tx = Link::new_safe();
+        let mut rx: Link<&str> = Link::new_safe();
+        let frames: Vec<_> = ["a", "b", "c", "d", "e"]
+            .into_iter()
+            .map(|s| msg(&mut tx, s))
+            .collect();
+        for f in &frames[..3] {
+            assert!(rx.on_frame(f.clone()).ack.is_some());
+        }
+        assert_eq!(rx.on_frame(frames[4].clone()).ack, None, "5 parks");
+        assert_eq!(rx.on_frame(frames[2].clone()).ack, Some(3));
+        assert_eq!(rx.on_frame(frames[1].clone()).ack, None);
+        assert_eq!(rx.on_frame(frames[4].clone()).ack, None);
+        assert_eq!(rx.duplicate_count(), 3);
+        assert_eq!(rx.buffered(), 1);
+    }
+
+    #[test]
+    fn one_retransmission_burst_repairs_every_lost_ack() {
+        let mut tx = Link::new_safe();
+        let mut rx: Link<&str> = Link::new_safe();
+        let frames: Vec<_> = (0..10).map(|_| msg(&mut tx, "m")).collect();
+        // Out of order, and every ack the receiver returns is lost.
+        for i in [3, 0, 9, 1, 2, 8, 4, 6, 5, 7] {
+            rx.on_frame(frames[i].clone());
+        }
+        assert_eq!(rx.buffered(), 0);
+        assert!(tx.has_pending());
+        let acks: Vec<u64> = tx
+            .retransmissions()
+            .into_iter()
+            .filter_map(|f| rx.on_frame(f).ack)
+            .collect();
+        assert_eq!(acks, vec![10], "only frame 10 is re-acked");
+        tx.on_ack(acks[0]);
+        assert!(!tx.has_pending());
     }
 
     #[test]

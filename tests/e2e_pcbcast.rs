@@ -5,14 +5,15 @@
 //! traces and replays them through the `causal-verify` oracle.
 
 use causal_broadcast::clocks::ProcessId;
+use causal_broadcast::core::delivery::pcbcast::LinkBody;
 use causal_broadcast::core::delivery::{Delivered, DeliveryEngine};
 use causal_broadcast::core::node::{App, Emitter, PcNode};
 use causal_broadcast::core::osend::OccursAfter;
-use causal_broadcast::core::stack::{ProtocolStack, VsyncConfig};
+use causal_broadcast::core::stack::{ProtocolStack, StackWire, VsyncConfig};
 use causal_broadcast::core::statemachine::OpClass;
 use causal_broadcast::membership::GroupView;
 use causal_broadcast::simnet::{
-    FaultPlan, LatencyModel, NetConfig, SimDuration, SimTime, Simulation,
+    Actor, Context, FaultPlan, LatencyModel, NetConfig, SimDuration, SimTime, Simulation,
 };
 use causal_verify::{check_trace, OracleConfig, OracleReport, Trace};
 
@@ -61,11 +62,18 @@ where
     D: DeliveryEngine,
     A: App<Op = D::Op>,
 {
-    let trace = Trace::new(
-        (0..n)
-            .filter_map(|i| sim.node(p(i as u32)).trace().cloned())
-            .collect(),
-    );
+    assert_stacks_oracle_clean((0..n).map(|i| sim.node(p(i as u32))), tag)
+}
+
+fn assert_stacks_oracle_clean<'a, D, A>(
+    stacks: impl Iterator<Item = &'a ProtocolStack<D, A>>,
+    tag: &str,
+) -> OracleReport
+where
+    D: DeliveryEngine + 'a,
+    A: App<Op = D::Op> + 'a,
+{
+    let trace = Trace::new(stacks.filter_map(|s| s.trace().cloned()).collect());
     match check_trace(&trace, &OracleConfig::default()) {
         Ok(report) => report,
         Err(v) => panic!("oracle violation ({tag}): {v}"),
@@ -93,6 +101,80 @@ fn static_tree_converges_under_loss_dup_and_reorder() {
         assert!(sim.metrics().dropped > 0, "fault injection must trigger");
         let report = assert_oracle_clean(&sim, 9, &format!("seed {seed}"));
         assert_eq!(report.deliveries, 9 * 30, "seed {seed}");
+    }
+}
+
+/// A member that counts the overlay link frames it receives.
+struct LinkCounter {
+    node: PcNode<Sum>,
+    acks: u64,
+    stream: u64,
+}
+
+impl Actor for LinkCounter {
+    type Msg = <PcNode<Sum> as Actor>::Msg;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
+        self.node.on_start(ctx);
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: ProcessId, msg: Self::Msg) {
+        if let StackWire::Link(frame) = &msg {
+            match frame.body {
+                LinkBody::Ack { .. } => self.acks += 1,
+                _ => self.stream += 1,
+            }
+        }
+        self.node.on_message(ctx, from, msg);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, Self::Msg>, tag: u64) {
+        self.node.on_timer(ctx, tag);
+    }
+}
+
+#[test]
+fn links_acknowledge_only_a_fraction_of_stream_frames() {
+    // The PC benchmark's network shape, at 16 members: a receiver acks
+    // only frames that advance its in-order point (or re-acks the frame
+    // at that point), so reordering and loss no longer draw one ack per
+    // stream frame.
+    let n = 16;
+    for seed in 0..3 {
+        let nodes = static_group(n)
+            .into_iter()
+            .map(|node| LinkCounter {
+                node,
+                acks: 0,
+                stream: 0,
+            })
+            .collect();
+        let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(50, 500))
+            .faults(FaultPlan::new().with_drop_prob(0.01));
+        let mut sim = Simulation::new(nodes, cfg, seed);
+        for k in 0..400u32 {
+            sim.poke(p(k % n as u32), |member, ctx| {
+                member.node.osend(ctx, 1, OccursAfter::none());
+            });
+            let deadline = sim.now() + SimDuration::from_micros(20);
+            sim.run_until(deadline);
+        }
+        sim.run_to_quiescence();
+        for (i, member) in sim.nodes().iter().enumerate() {
+            assert_eq!(member.node.app().value, 400, "seed {seed} member {i}");
+            assert_eq!(member.node.pending_len(), 0, "seed {seed} member {i}");
+        }
+        let report = assert_stacks_oracle_clean(
+            sim.nodes().iter().map(|member| &member.node),
+            &format!("ack volume seed {seed}"),
+        );
+        assert_eq!(report.deliveries, n * 400, "seed {seed}");
+        let acks: u64 = sim.nodes().iter().map(|member| member.acks).sum();
+        let stream: u64 = sim.nodes().iter().map(|member| member.stream).sum();
+        assert!(
+            acks * 4 <= stream,
+            "seed {seed}: {acks} acks for {stream} stream frames"
+        );
     }
 }
 
