@@ -42,6 +42,7 @@ use crate::stack::Timed;
 use causal_clocks::{MsgId, ProcessId, VectorClock};
 use causal_simnet::SimTime;
 use pcbcast::link::LinkFrame;
+use pcbcast::overlay::TreePosition;
 
 /// Engine-agnostic view of one delivered message, handed to the unified
 /// [`App`](crate::stack::App) trait.
@@ -251,5 +252,15 @@ pub trait DeliveryEngine {
     /// Whether any link frame still awaits acknowledgement.
     fn link_has_pending(&self) -> bool {
         false
+    }
+
+    /// This member's parent and children in the engine's overlay tree,
+    /// derived with the engine's own fanout. A routed stack without
+    /// membership runs its stability convergecast over these edges
+    /// ([`StabilityTracker::over_tree`](crate::stability::StabilityTracker::over_tree)),
+    /// so the stability tree is the dissemination tree. `None` (the
+    /// default) leaves the stack on full-mesh stability gossip.
+    fn overlay_tree(&self) -> Option<TreePosition> {
+        None
     }
 }

@@ -46,7 +46,7 @@
 //! ids at or below the origin watermark are duplicates.
 
 use super::link::{Link, LinkBody, LinkFrame};
-use super::overlay::{neighbors, DEFAULT_FANOUT};
+use super::overlay::{tree_position, TreePosition, DEFAULT_FANOUT};
 use crate::delivery::{Delivered, DeliveryEngine, LinkDelivery, LinkSend};
 use crate::osend::OccursAfter;
 use crate::rbcast::HasMsgId;
@@ -109,6 +109,9 @@ impl MemberSet {
 pub struct PcEngine<P> {
     me: ProcessId,
     fanout: usize,
+    /// This member's place in the overlay tree over `members`; `None`
+    /// once a view has removed it.
+    tree: Option<TreePosition>,
     /// One entry per overlay neighbor (plus lazily-created entries for
     /// members whose frames arrive before our view installs).
     links: BTreeMap<ProcessId, Link<Timed<PcEnvelope<P>>>>,
@@ -137,13 +140,16 @@ impl<P: Clone> PcEngine<P> {
     pub fn with_fanout(me: ProcessId, n: usize, fanout: usize) -> Self {
         assert!(me.as_usize() < n, "member id outside group");
         let members: Vec<ProcessId> = (0..n as u32).map(ProcessId::new).collect();
-        let links = neighbors(me, &members, fanout)
-            .into_iter()
+        let tree = tree_position(me, &members, fanout);
+        let links = tree
+            .iter()
+            .flat_map(TreePosition::neighbors)
             .map(|p| (p, Link::new_safe()))
             .collect();
         PcEngine {
             me,
             fanout,
+            tree,
             links,
             members: MemberSet::Initial(n),
             gate: IdWindow::new(),
@@ -369,8 +375,9 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
         // property for nothing).
         self.links.retain(|p, _| members.contains(p));
         self.members = MemberSet::Installed(members.to_vec());
+        self.tree = tree_position(self.me, members, self.fanout);
         let mut sends = Vec::new();
-        for nbr in neighbors(self.me, members, self.fanout) {
+        for nbr in self.tree.iter().flat_map(TreePosition::neighbors) {
             let link = self.links.entry(nbr).or_default();
             if !link.safe && link.pending_ping.is_none() {
                 self.next_token += 1;
@@ -458,6 +465,10 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
 
     fn link_has_pending(&self) -> bool {
         self.links.values().any(Link::has_pending)
+    }
+
+    fn overlay_tree(&self) -> Option<TreePosition> {
+        self.tree.clone()
     }
 }
 

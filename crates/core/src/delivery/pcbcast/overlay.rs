@@ -27,31 +27,47 @@ use causal_clocks::ProcessId;
 /// n = 10,000).
 pub const DEFAULT_FANOUT: usize = 4;
 
-/// The k-ary-tree overlay neighbors of `me` within `members`.
+/// A member's place in the k-ary tree: the edges `neighbors` returns,
+/// split by direction. The stability convergecast
+/// ([`StabilityTracker::over_tree`](crate::stability::StabilityTracker::over_tree))
+/// runs over the same edges as dissemination.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TreePosition {
+    /// The member one level up; `None` at the root.
+    pub parent: Option<ProcessId>,
+    /// The members one level down, at most `fanout` of them.
+    pub children: Vec<ProcessId>,
+}
+
+/// `me`'s parent and children in the k-ary tree over `members`.
 ///
 /// `members` need not be sorted or deduplicated; ranks are taken over
 /// the sorted unique ids so every member computes the same edge set from
-/// the same view. Returns an empty set when `me` is not a member (a
-/// removed member has no overlay links).
-pub fn neighbors(me: ProcessId, members: &[ProcessId], fanout: usize) -> Vec<ProcessId> {
+/// the same view. Returns `None` when `me` is not a member.
+pub fn tree_position(me: ProcessId, members: &[ProcessId], fanout: usize) -> Option<TreePosition> {
     let k = fanout.max(1);
     let mut sorted: Vec<ProcessId> = members.to_vec();
     sorted.sort_unstable();
     sorted.dedup();
-    let Ok(rank) = sorted.binary_search(&me) else {
-        return Vec::new();
-    };
-    let mut out = Vec::with_capacity(k + 1);
-    if rank > 0 {
-        out.push(sorted[(rank - 1) / k]);
+    let rank = sorted.binary_search(&me).ok()?;
+    let parent = (rank > 0).then(|| sorted[(rank - 1) / k]);
+    let first_child = (k * rank + 1).min(sorted.len());
+    let children = sorted[first_child..].iter().take(k).copied().collect();
+    Some(TreePosition { parent, children })
+}
+
+impl TreePosition {
+    /// The overlay neighbors: the parent, then the children.
+    pub fn neighbors(&self) -> impl Iterator<Item = ProcessId> + '_ {
+        self.parent.into_iter().chain(self.children.iter().copied())
     }
-    for c in 1..=k {
-        match sorted.get(k * rank + c) {
-            Some(&child) => out.push(child),
-            None => break,
-        }
-    }
-    out
+}
+
+/// The k-ary-tree overlay neighbors of `me` within `members`: its
+/// parent, then its children ([`tree_position`]). Returns an empty set
+/// when `me` is not a member (a removed member has no overlay links).
+pub fn neighbors(me: ProcessId, members: &[ProcessId], fanout: usize) -> Vec<ProcessId> {
+    tree_position(me, members, fanout).map_or_else(Vec::new, |tree| tree.neighbors().collect())
 }
 
 #[cfg(test)]
@@ -112,6 +128,21 @@ mod tests {
     #[test]
     fn non_member_has_no_links() {
         assert!(neighbors(p(7), &group(3), 4).is_empty());
+    }
+
+    #[test]
+    fn tree_position_splits_neighbors_by_direction() {
+        let g = group(7);
+        let root = tree_position(p(0), &g, 2).unwrap();
+        assert_eq!(root.parent, None);
+        assert_eq!(root.children, vec![p(1), p(2)]);
+        let inner = tree_position(p(2), &g, 2).unwrap();
+        assert_eq!(inner.parent, Some(p(0)));
+        assert_eq!(inner.children, vec![p(5), p(6)]);
+        let leaf = tree_position(p(6), &g, 2).unwrap();
+        assert_eq!(leaf.parent, Some(p(2)));
+        assert!(leaf.children.is_empty());
+        assert_eq!(tree_position(p(7), &g, 2), None);
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crate::delivery::{
 };
 use crate::osend::{GraphEnvelope, OccursAfter};
 use crate::rbcast::{HasMsgId, RbMsg, ReliableBroadcast};
-use crate::stability::StabilityTracker;
+use crate::stability::{ReportTo, StabilityTracker};
 use crate::stable::{StablePoint, StablePointDetector};
 use crate::statemachine::OpClass;
 use crate::trace::{MemberTrace, TraceEvent};
@@ -372,9 +372,15 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
     }
 
     /// Enables stability-based garbage collection: every `report_every`
-    /// deliveries this member gossips its delivered-prefix clock, and
+    /// deliveries this member reports its delivered-prefix clock, and
     /// prunes per-message state (delivery engine, reliability layer, send
     /// times) once the prefix is known delivered everywhere.
+    ///
+    /// A routed stack without membership has no full-mesh channel, so it
+    /// reports over its engine's overlay tree
+    /// ([`StabilityTracker::over_tree`]): to its parent, with stable
+    /// vectors flowing back down. Every other stack gossips to all
+    /// members ([`StabilityTracker::new`]).
     ///
     /// This is stability GC only: it changes nothing the stack records. The
     /// per-node delivery record is the opt-in [`MemberTrace`]
@@ -386,7 +392,15 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
     /// Panics if `report_every` is zero.
     pub fn with_gc(mut self, n: usize, report_every: u64) -> Self {
         assert!(report_every > 0, "report period must be positive");
-        self.stability = Some(StabilityTracker::new(self.me, n));
+        let tree = if D::ROUTED && self.membership.is_none() {
+            self.engine.overlay_tree()
+        } else {
+            None
+        };
+        self.stability = Some(match tree {
+            Some(tree) => StabilityTracker::over_tree(self.me, n, tree.parent, tree.children),
+            None => StabilityTracker::new(self.me, n),
+        });
         self.report_every = report_every;
         self
     }
@@ -662,21 +676,36 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
                 }
             }
         }
-        self.maybe_gossip_and_compact(ctx);
+        self.maybe_report_and_compact(ctx);
     }
 
-    /// Gossips the delivered-prefix clock when due and compacts if the
+    /// Reports the delivered-prefix clock when due and compacts if the
     /// stable prefix advanced.
-    fn maybe_gossip_and_compact(&mut self, ctx: &mut Context<'_, StackWire<D::Envelope>>) {
+    fn maybe_report_and_compact(&mut self, ctx: &mut Context<'_, StackWire<D::Envelope>>) {
         let Some(stability) = &mut self.stability else {
             return;
         };
         if self.deliveries_since_report >= self.report_every {
             self.deliveries_since_report = 0;
-            let report = stability.local_report();
-            ctx.broadcast(StackWire::StabilityReport(report));
+            stability.on_cadence();
+            self.send_reports(ctx);
         }
         self.compact_now();
+    }
+
+    /// Sends every stability report the tracker has queued.
+    fn send_reports(&mut self, ctx: &mut Context<'_, StackWire<D::Envelope>>) {
+        let Some(stability) = &mut self.stability else {
+            return;
+        };
+        while let Some((to, report)) = stability.take_report() {
+            let msg = StackWire::StabilityReport(report);
+            match to {
+                ReportTo::Everyone => ctx.broadcast(msg),
+                ReportTo::Members(&[one]) => ctx.send(one, msg),
+                ReportTo::Members(members) => ctx.multicast(members.to_vec(), msg),
+            }
+        }
     }
 
     /// Compacts engine, reliability layer and send times against the
@@ -762,11 +791,16 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         {
             let mem = self.membership.as_mut().expect("membership enabled");
             let rb = &mut self.rb;
-            // Stop waiting for acknowledgements from removed members.
+            // Stop waiting for acknowledgements from removed members, and
+            // take them out of the stable minimum: their last reports
+            // would otherwise hold it down for good.
             let removed: Vec<ProcessId> = rb.peers().filter(|p| !view.contains(*p)).collect();
             for dead in removed {
                 rb.remove_peer(dead);
                 mem.fd.forget(dead);
+                if let Some(stability) = &mut self.stability {
+                    stability.remove_member(dead);
+                }
             }
             // Admit new members: target future broadcasts at them, extend
             // the in-flight unacknowledged sets, and replay the delivered
@@ -964,6 +998,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> Actor for ProtocolStack<D, A> {
             StackWire::StabilityReport(report) => {
                 if let Some(stability) = &mut self.stability {
                     stability.on_report(from, &report);
+                    self.send_reports(ctx);
                     self.compact_now();
                 }
             }

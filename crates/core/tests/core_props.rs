@@ -3,6 +3,7 @@
 
 use causal_clocks::{MsgId, ProcessId, VectorClock};
 use causal_core::check;
+use causal_core::delivery::pcbcast::overlay::tree_position;
 use causal_core::delivery::pcbcast::{LinkBody, LinkFrame};
 use causal_core::delivery::reference::{FlatCbcastEngine, ScanGraphDelivery};
 use causal_core::delivery::{
@@ -10,6 +11,7 @@ use causal_core::delivery::{
 };
 use causal_core::graph::MsgGraph;
 use causal_core::osend::{GraphEnvelope, OccursAfter};
+use causal_core::stability::{ReportTo, StabilityTracker};
 use causal_core::stable::{LogEntry, StablePointDetector};
 use causal_core::stack::{StackWire, Timed};
 use causal_core::statemachine::{is_transition_preserving, Operation};
@@ -741,5 +743,147 @@ proptest! {
         let buf = msg.to_wire();
         let decoded = <StackWire<PcEnvelope<u64>>>::from_wire(&buf).expect("round-trip");
         prop_assert_eq!(decoded, msg);
+    }
+}
+
+/// n convergecast trackers over the k-ary tree of a static group, and
+/// the reports in flight between them.
+struct TreeGroup {
+    trackers: Vec<StabilityTracker>,
+    /// `(from, to, report)`, in send order.
+    in_flight: Vec<(ProcessId, ProcessId, VectorClock)>,
+}
+
+impl TreeGroup {
+    fn new(n: usize, fanout: usize) -> Self {
+        let group: Vec<ProcessId> = ProcessId::all(n).collect();
+        let trackers = group
+            .iter()
+            .map(|&me| {
+                let tree = tree_position(me, &group, fanout).expect("a member");
+                StabilityTracker::over_tree(me, n, tree.parent, tree.children)
+            })
+            .collect();
+        TreeGroup {
+            trackers,
+            in_flight: Vec::new(),
+        }
+    }
+
+    /// Moves member `m`'s queued reports onto the network.
+    fn send(&mut self, m: usize) {
+        let from = ProcessId::new(m as u32);
+        while let Some((to, report)) = self.trackers[m].take_report() {
+            let ReportTo::Members(members) = to else {
+                panic!("a tree member reported to everyone");
+            };
+            for &to in members {
+                self.in_flight.push((from, to, report.clone()));
+            }
+        }
+    }
+
+    fn cadence(&mut self, m: usize) {
+        self.trackers[m].on_cadence();
+        self.send(m);
+    }
+
+    /// Delivers (or with `lose`, drops) the in-flight report at `k`.
+    fn receive(&mut self, k: usize, lose: bool) {
+        let (from, to, report) = self.in_flight.remove(k);
+        assert_eq!(report.width(), self.trackers.len(), "reports are n wide");
+        if !lose {
+            self.trackers[to.as_usize()].on_report(from, &report);
+            self.send(to.as_usize());
+        }
+    }
+
+    /// Asserts that no stable vector exceeds any member's prefix and
+    /// that none fell below `last`, then records them in `last`.
+    fn check(&self, last: &mut [Vec<u64>]) {
+        let prefixes: Vec<VectorClock> = self
+            .trackers
+            .iter()
+            .map(StabilityTracker::local_report)
+            .collect();
+        for (m, t) in self.trackers.iter().enumerate() {
+            let stable = t.stable().as_ref();
+            if stable.is_empty() {
+                assert!(last[m].is_empty(), "member {m}'s vector vanished");
+                continue;
+            }
+            for prefix in &prefixes {
+                let above = stable.iter().zip(prefix.as_ref()).any(|(s, p)| s > p);
+                assert!(
+                    !above,
+                    "member {m} holds {stable:?} above a prefix {prefix}"
+                );
+            }
+            let fell = stable
+                .iter()
+                .zip(&last[m])
+                .any(|(now, before)| now < before);
+            assert!(!fell, "member {m}'s stable vector fell below {:?}", last[m]);
+            last[m] = stable.to_vec();
+        }
+    }
+
+    /// Delivers every report in flight, and every report that causes.
+    fn drain(&mut self) {
+        while !self.in_flight.is_empty() {
+            self.receive(0, false);
+        }
+    }
+}
+
+proptest! {
+    /// Stability by convergecast over a static tree, under random
+    /// delivery, report and loss schedules: no member's stable vector
+    /// ever exceeds any member's contiguous prefix, no stable vector ever
+    /// falls, and once every member has delivered everything, one
+    /// lossless report round — children before parents — makes every
+    /// stable vector the common prefix.
+    #[test]
+    fn tree_stability_is_safe_monotone_and_converges(
+        n in 1usize..20,
+        fanout in 1usize..5,
+        msgs in 1usize..48,
+        steps in proptest::collection::vec((0u8..4, 0usize..1000, 0usize..1000), 0..400),
+    ) {
+        // Message i comes from origin i % n with a dense per-origin seq.
+        let msg = |i: usize| MsgId::new(ProcessId::new((i % n) as u32), (i / n) as u64 + 1);
+        let mut g = TreeGroup::new(n, fanout);
+        let mut last: Vec<Vec<u64>> = vec![Vec::new(); n];
+        for &(kind, a, b) in &steps {
+            match kind {
+                0 => g.trackers[a % n].on_deliver(msg(b % msgs)),
+                1 => g.cadence(a % n),
+                _ if g.in_flight.is_empty() => continue,
+                k => {
+                    let at = a % g.in_flight.len();
+                    g.receive(at, k == 3);
+                }
+            }
+            g.check(&mut last);
+        }
+        // Everyone delivers everything; the leftovers land.
+        for t in &mut g.trackers {
+            for i in 0..msgs {
+                t.on_deliver(msg(i));
+            }
+        }
+        g.drain();
+        g.check(&mut last);
+        // One report round: ranks follow ids, so descending ids put every
+        // child before its parent.
+        for m in (0..n).rev() {
+            g.cadence(m);
+            g.drain();
+            g.check(&mut last);
+        }
+        let common = g.trackers[0].local_report();
+        for (m, t) in g.trackers.iter().enumerate() {
+            prop_assert_eq!(t.stable(), &common, "member {}", m);
+        }
     }
 }

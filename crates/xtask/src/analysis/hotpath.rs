@@ -47,7 +47,7 @@ pub struct HotRoot {
 
 /// The flood-path roots: reactor shard loop + flush/receive legs, the
 /// engines' drain paths, the simulator's batched event loop, and the
-/// stability tracker's `on_deliver`/`on_report`.
+/// stability tracker's `on_deliver`/`on_report` (mesh and tree).
 pub const HOT_ROOTS: &[HotRoot] = &[
     HotRoot {
         path: "crates/net/src/reactor.rs",
@@ -92,6 +92,14 @@ pub const HOT_ROOTS: &[HotRoot] = &[
     HotRoot {
         path: "crates/core/src/stability.rs",
         owner: Some("StabilityTracker"),
+        name: "on_report",
+    },
+    // The tree tracker's per-report update. `StabilityTracker` reaches it
+    // through a non-`self` receiver, which the call graph leaves
+    // unresolved, so it is declared on its own.
+    HotRoot {
+        path: "crates/core/src/stability.rs",
+        owner: Some("Convergecast"),
         name: "on_report",
     },
 ];

@@ -104,11 +104,24 @@ fn static_tree_converges_under_loss_dup_and_reorder() {
     }
 }
 
-/// A member that counts the overlay link frames it receives.
+/// A member that counts the overlay link frames and stability reports
+/// it receives.
 struct LinkCounter {
     node: PcNode<Sum>,
     acks: u64,
     stream: u64,
+    reports: u64,
+}
+
+impl LinkCounter {
+    fn new(node: PcNode<Sum>) -> Self {
+        LinkCounter {
+            node,
+            acks: 0,
+            stream: 0,
+            reports: 0,
+        }
+    }
 }
 
 impl Actor for LinkCounter {
@@ -119,11 +132,13 @@ impl Actor for LinkCounter {
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: ProcessId, msg: Self::Msg) {
-        if let StackWire::Link(frame) = &msg {
-            match frame.body {
+        match &msg {
+            StackWire::Link(frame) => match frame.body {
                 LinkBody::Ack { .. } => self.acks += 1,
                 _ => self.stream += 1,
-            }
+            },
+            StackWire::StabilityReport(_) => self.reports += 1,
+            _ => {}
         }
         self.node.on_message(ctx, from, msg);
     }
@@ -141,14 +156,7 @@ fn links_acknowledge_only_a_fraction_of_stream_frames() {
     // stream frame.
     let n = 16;
     for seed in 0..3 {
-        let nodes = static_group(n)
-            .into_iter()
-            .map(|node| LinkCounter {
-                node,
-                acks: 0,
-                stream: 0,
-            })
-            .collect();
+        let nodes = static_group(n).into_iter().map(LinkCounter::new).collect();
         let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(50, 500))
             .faults(FaultPlan::new().with_drop_prob(0.01));
         let mut sim = Simulation::new(nodes, cfg, seed);
@@ -175,6 +183,83 @@ fn links_acknowledge_only_a_fraction_of_stream_frames() {
             acks * 4 <= stream,
             "seed {seed}: {acks} acks for {stream} stream frames"
         );
+    }
+}
+
+/// Per-message state a member of a static GC group may hold at any
+/// time, during a stream or after it drained. A member holds what it
+/// does not yet know to be stable: what the tree is still disseminating
+/// (the stream puts 50 ops per millisecond in flight), deliveries since
+/// each member's last report, and what the convergecast is still
+/// carrying up and down the tree. Over seeds 0–9 at 4,000 ops the peak
+/// measured 608–782 at n = 16 and 969–1,202 at n = 64, where full-mesh
+/// gossip measured 593–751 and 933–1,242.
+const TREE_GC_RETAINED_BOUND: usize = 1_300;
+
+/// Streams 2,000 ops, 20 µs apart, into a static PC group of `n` with
+/// stability GC on the PC benchmark's network shape, and checks that
+/// the group converges cleanly within [`TREE_GC_RETAINED_BOUND`].
+/// Returns the inbound stability reports per op.
+fn tree_gc_stream(n: usize, report_every: u64, seed: u64) -> f64 {
+    let ops = 2_000u32;
+    let nodes = (0..n)
+        .map(|i| {
+            let node = PcNode::new(p(i as u32), n, Sum::default())
+                .with_gc(n, report_every)
+                .with_tracing();
+            LinkCounter::new(node)
+        })
+        .collect();
+    let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(50, 500))
+        .faults(FaultPlan::new().with_drop_prob(0.01));
+    let mut sim = Simulation::new(nodes, cfg, seed);
+    let tag = format!("n={n} seed {seed}");
+    for k in 0..ops {
+        sim.poke(p(k % n as u32), |member, ctx| {
+            member.node.osend(ctx, 1, OccursAfter::none());
+        });
+        let deadline = sim.now() + SimDuration::from_micros(20);
+        sim.run_until(deadline);
+        for (i, member) in sim.nodes().iter().enumerate() {
+            let retained = member.node.retained_state();
+            assert!(
+                retained <= TREE_GC_RETAINED_BOUND,
+                "{tag} member {i}: {retained} retained at op {k}"
+            );
+        }
+    }
+    sim.run_to_quiescence();
+    for (i, member) in sim.nodes().iter().enumerate() {
+        assert_eq!(member.node.app().value, i64::from(ops), "{tag} member {i}");
+        assert_eq!(member.node.pending_len(), 0, "{tag} member {i}");
+        let retained = member.node.retained_state();
+        assert!(
+            retained <= TREE_GC_RETAINED_BOUND,
+            "{tag} member {i}: {retained} retained after the drain"
+        );
+    }
+    let report = assert_stacks_oracle_clean(sim.nodes().iter().map(|m| &m.node), &tag);
+    assert_eq!(report.deliveries, n * ops as usize, "{tag}");
+    let reports: u64 = sim.nodes().iter().map(|m| m.reports).sum();
+    reports as f64 / f64::from(ops)
+}
+
+#[test]
+fn tree_stability_bounds_state_at_16_members() {
+    for seed in 0..3 {
+        tree_gc_stream(16, 8, seed);
+    }
+}
+
+#[test]
+fn tree_stability_reports_reach_only_neighbours_at_64_members() {
+    // A static routed stack has no full-mesh channel, so `with_gc`
+    // reports over the overlay tree: up to the parent, stable vectors
+    // back down. Full-mesh gossip costs every member n − 1 inbound
+    // reports per report period, about 40 per op here.
+    for seed in 0..3 {
+        let per_op = tree_gc_stream(64, 64, seed);
+        assert!(per_op <= 3.0, "seed {seed}: {per_op:.2} reports per op");
     }
 }
 

@@ -7,7 +7,7 @@
 
 use causal_broadcast::clocks::ProcessId;
 use causal_broadcast::core::delivery::{Delivered, DeliveryEngine};
-use causal_broadcast::core::node::{App, Emitter};
+use causal_broadcast::core::node::{App, Emitter, PcNode};
 use causal_broadcast::core::osend::OccursAfter;
 use causal_broadcast::core::stack::ProtocolStack;
 use causal_broadcast::core::statemachine::OpClass;
@@ -296,6 +296,84 @@ fn gc_members_admit_a_joiner_outside_their_stability_width() {
         assert_eq!(sim.node(p(i)).app().value, 13, "member {i}");
     }
     assert_oracle_clean(&sim, 4, "gc join");
+}
+
+/// Per-message state a survivor of a crashed `with_gc(n, 2)` group may
+/// retain once a lossless stream has drained: what the members delivered
+/// after their last report, under one report period (2) per member of
+/// the larger group (8). Measured: 0 (graph) and at most 2 (PC); without
+/// the removed member leaving the minimum, the whole stream.
+const CRASH_GC_RETAINED_BOUND: usize = 16;
+
+/// Streams `ops` operations round-robin from `survivors` after `dead`
+/// crashed and the view without it installed, then checks that every
+/// survivor's stability GC kept up: the removed member's last report
+/// must not hold the stable minimum down for good.
+fn stream_after_crash<D>(nodes: Vec<ProtocolStack<D, Sum>>, dead: ProcessId, ops: u32, tag: &str)
+where
+    D: DeliveryEngine<Op = i64>,
+{
+    let n = nodes.len();
+    let survivors: Vec<ProcessId> = (0..n as u32).map(p).filter(|&m| m != dead).collect();
+    let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(100, 900));
+    let mut sim = Simulation::new(nodes, cfg, 3);
+    for k in 0..200u32 {
+        sim.poke(p(k % n as u32), |node, ctx| {
+            node.osend(ctx, 1, OccursAfter::none());
+        });
+        let deadline = sim.now() + SimDuration::from_micros(50);
+        sim.run_until(deadline);
+    }
+    sim.node_mut(dead).crash();
+    let deadline = sim.now() + SimDuration::from_millis(40);
+    sim.run_until(deadline);
+    let expected = GroupView::initial(n).without(dead);
+    for &m in &survivors {
+        assert_eq!(sim.node(m).view(), &expected, "{tag}: {m}'s view");
+    }
+    for k in 0..ops {
+        let from = survivors[k as usize % survivors.len()];
+        sim.poke(from, |node, ctx| {
+            node.osend(ctx, 1, OccursAfter::none());
+        });
+        let deadline = sim.now() + SimDuration::from_micros(50);
+        sim.run_until(deadline);
+    }
+    let deadline = sim.now() + SimDuration::from_millis(100);
+    sim.run_until(deadline);
+    for &m in &survivors {
+        let node = sim.node(m);
+        assert_eq!(node.app().value, 200 + i64::from(ops), "{tag}: {m}");
+        let retained = node.retained_state();
+        assert!(
+            retained <= CRASH_GC_RETAINED_BOUND,
+            "{tag}: {m} retains {retained} after the stream"
+        );
+    }
+    assert_oracle_clean(&sim, n, tag);
+}
+
+#[test]
+fn stability_gc_keeps_compacting_after_a_crash() {
+    // The graph engine over full-mesh rbcast, and PC with membership: both
+    // gossip stability over the full mesh, where a crashed member's
+    // matrix row would otherwise keep its last report forever.
+    let graph = (0..4)
+        .map(|i| {
+            vsync_node(p(i), 4, Sum::default(), VsyncConfig::default())
+                .with_gc(4, 2)
+                .with_tracing()
+        })
+        .collect();
+    stream_after_crash(graph, p(3), 2_000, "graph");
+    let pc = (0..8)
+        .map(|i| {
+            PcNode::with_membership(p(i), 8, Sum::default(), VsyncConfig::default())
+                .with_gc(8, 2)
+                .with_tracing()
+        })
+        .collect();
+    stream_after_crash(pc, p(7), 1_000, "pc");
 }
 
 #[test]
