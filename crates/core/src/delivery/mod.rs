@@ -72,16 +72,6 @@ impl<'a, Op> Delivered<'a, Op> {
             payload: &env.payload,
         }
     }
-
-    /// Views a vector-clock envelope as a delivered message (no explicit
-    /// dependency set).
-    pub fn from_vt(env: &'a VtEnvelope<Op>) -> Self {
-        Delivered {
-            id: env.id,
-            deps: None,
-            payload: &env.payload,
-        }
-    }
 }
 
 /// A destination-addressed overlay link frame a routed engine wants

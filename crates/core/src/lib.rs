@@ -21,11 +21,14 @@
 //! | `ASend` total ordering over concurrent sets (§5.2, Fig. 4) | [`total`] |
 //! | Stable points & causal activities (§4) | [`stable`] |
 //! | State transitions `F : M × S → S`, commutativity (§3.2, §5.1) | [`statemachine`] |
-//! | Consistency validation across replicas | [`check`] |
 //! | Reliable broadcast over a lossy network | [`rbcast`] |
 //! | The composed Figure-4 stack around a pluggable engine | [`stack`] |
 //! | Engine aliases over the stack ([`node::CausalNode`], [`node::CbcastNode`]) | [`node`] |
 //! | View-synchronous membership over the stack ([`vsync::VsyncNode`]) | [`vsync`] |
+//!
+//! The consistency validators and the trace oracle that check these
+//! claims over recorded executions live in the `causal-verify` crate
+//! (`causal_verify::check`, `causal_verify::check_trace`).
 //!
 //! # Examples
 //!
@@ -65,12 +68,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod check;
 pub mod delivery;
 pub mod graph;
-#[cfg(test)]
-#[allow(dead_code)]
-mod legacy;
 pub mod node;
 pub mod osend;
 pub mod rbcast;

@@ -57,8 +57,9 @@ pub enum RbMsg<E> {
 /// let env = tx.osend("op", OccursAfter::none());
 ///
 /// let mut rb = ReliableBroadcast::new(ProcessId::new(0), 3);
-/// let sends = rb.broadcast(env.clone());
-/// assert_eq!(sends.len(), 2);                    // to p1 and p2
+/// let (targets, msg) = rb.broadcast_grouped(env.clone());
+/// assert_eq!(targets, [ProcessId::new(1), ProcessId::new(2)]);
+/// assert_eq!(msg, RbMsg::Data(env.clone()));     // one copy for both
 /// assert_eq!(rb.pending_acks(), 2);
 ///
 /// rb.on_ack(ProcessId::new(1), env.id);
@@ -178,44 +179,46 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
         });
     }
 
-    /// Reliably replays stored envelopes (own or others') to one peer —
-    /// the log-replay state transfer to a joining member. Each envelope
-    /// is tracked as outgoing with the peer as sole unacknowledged target,
-    /// so the normal retransmission machinery covers losses. Envelopes
-    /// already in flight (e.g. via [`extend_unacked`](Self::extend_unacked))
-    /// are skipped.
-    pub fn replay_to<I>(&mut self, peer: ProcessId, envs: I) -> Vec<(ProcessId, RbMsg<E>)>
-    where
-        I: IntoIterator<Item = E>,
-    {
-        let mut sends = Vec::new();
-        for env in envs {
-            let id = env.msg_id();
-            if self.outgoing.contains(id) {
-                continue;
+    /// Reliably relays a stored envelope (own or others') to `peers`: the
+    /// log-replay state transfer to a joining member, and the flush
+    /// re-broadcast of a removed member's messages to the survivors. The
+    /// envelope is tracked as outgoing with `peers` as unacknowledged
+    /// targets, so the normal retransmission machinery covers losses.
+    /// Peers an in-flight copy already targets (e.g. via
+    /// [`extend_unacked`](Self::extend_unacked)) are skipped. Returns the
+    /// multicast to the newly targeted peers, if there are any.
+    pub fn relay(&mut self, peers: &[ProcessId], env: E) -> Option<(Vec<ProcessId>, RbMsg<E>)> {
+        let id = env.msg_id();
+        let targets: Vec<ProcessId> = match self.outgoing.get_mut(id) {
+            Some(out) => peers
+                .iter()
+                .copied()
+                .filter(|&p| out.unacked.insert(p))
+                .collect(),
+            None if peers.is_empty() => Vec::new(),
+            None => {
+                let unacked = peers.iter().copied().collect();
+                self.outgoing.insert(
+                    id,
+                    Outgoing {
+                        env: env.clone(),
+                        unacked,
+                    },
+                );
+                self.outgoing_order.push(id);
+                peers.to_vec()
             }
-            let mut unacked = BTreeSet::new();
-            unacked.insert(peer);
-            sends.push((peer, RbMsg::Data(env.clone())));
-            self.outgoing.insert(id, Outgoing { env, unacked });
-            self.outgoing_order.push(id);
-        }
-        sends
+        };
+        (!targets.is_empty()).then(|| (targets, RbMsg::Data(env)))
     }
 
-    /// Registers a locally originated envelope and returns the initial
-    /// transmissions to every other member. The caller delivers the
-    /// envelope to its *own* stack directly (self-delivery is reliable).
-    pub fn broadcast(&mut self, env: E) -> Vec<(ProcessId, RbMsg<E>)> {
-        let (targets, msg) = self.broadcast_grouped(env);
-        targets.into_iter().map(|p| (p, msg.clone())).collect()
-    }
-
-    /// [`broadcast`](Self::broadcast) as a single multicast: the target
-    /// list (ascending) and *one* message for all of them. The initial
+    /// Registers a locally originated envelope and returns its initial
+    /// transmission as a single multicast: the target list (every other
+    /// member, ascending) and *one* message for all of them. The initial
     /// copies are identical per peer, so a transport can encode the
     /// message once for the whole group (see `Context::multicast`). An
-    /// empty target list means no peers.
+    /// empty target list means no peers. The caller delivers the
+    /// envelope to its *own* stack directly (self-delivery is reliable).
     pub fn broadcast_grouped(&mut self, env: E) -> (Vec<ProcessId>, RbMsg<E>) {
         let id = env.msg_id();
         self.seen.insert(id, ());
@@ -256,18 +259,10 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
         }
     }
 
-    /// Returns retransmissions for every copy still unacknowledged, in
-    /// initiation order. Call from a periodic timer.
-    pub fn retransmissions(&mut self) -> Vec<(ProcessId, RbMsg<E>)> {
-        self.retransmissions_grouped()
-            .into_iter()
-            .flat_map(|(targets, msg)| targets.into_iter().map(move |p| (p, msg.clone())))
-            .collect()
-    }
-
-    /// [`retransmissions`](Self::retransmissions) as one multicast per
-    /// in-flight message (initiation order): the peers still owing an
-    /// acknowledgement (ascending) and the single copy they all get.
+    /// Returns a retransmission for every message still unacknowledged,
+    /// as one multicast per in-flight message (initiation order): the
+    /// peers still owing an acknowledgement (ascending) and the single
+    /// copy they all get. Call from a periodic timer.
     pub fn retransmissions_grouped(&mut self) -> Vec<(Vec<ProcessId>, RbMsg<E>)> {
         let mut out = Vec::new();
         for &id in &self.outgoing_order {
@@ -352,9 +347,10 @@ mod tests {
     fn broadcast_targets_all_peers() {
         let mut tx = OSender::new(p(0));
         let mut rb = ReliableBroadcast::new(p(0), 4);
-        let sends = rb.broadcast(env(&mut tx, 1));
-        let targets: Vec<_> = sends.iter().map(|(to, _)| *to).collect();
+        let e = env(&mut tx, 1);
+        let (targets, msg) = rb.broadcast_grouped(e.clone());
         assert_eq!(targets, vec![p(1), p(2), p(3)]);
+        assert_eq!(msg, RbMsg::Data(e));
         assert_eq!(rb.pending_acks(), 3);
         assert!(rb.has_pending());
     }
@@ -364,7 +360,7 @@ mod tests {
         let mut tx = OSender::new(p(0));
         let mut rb = ReliableBroadcast::new(p(0), 3);
         let e = env(&mut tx, 1);
-        rb.broadcast(e.clone());
+        rb.broadcast_grouped(e.clone());
         rb.on_ack(p(1), e.id);
         assert_eq!(rb.pending_acks(), 1);
         rb.on_ack(p(2), e.id);
@@ -455,15 +451,18 @@ mod tests {
         let mut rb = ReliableBroadcast::new(p(0), 3);
         let e1 = env(&mut tx, 1);
         let e2 = env(&mut tx, 2);
-        rb.broadcast(e1.clone());
-        rb.broadcast(e2.clone());
+        rb.broadcast_grouped(e1.clone());
+        rb.broadcast_grouped(e2.clone());
         rb.on_ack(p(1), e1.id);
-        let rtx = rb.retransmissions();
-        // e1 still owed to p2; e2 owed to both.
-        assert_eq!(rtx.len(), 3);
+        // e1 still owed to p2; e2 owed to both. Initiation order.
+        assert_eq!(
+            rb.retransmissions_grouped(),
+            vec![
+                (vec![p(2)], RbMsg::Data(e1)),
+                (vec![p(1), p(2)], RbMsg::Data(e2)),
+            ]
+        );
         assert_eq!(rb.retransmission_count(), 3);
-        let to_p1: Vec<_> = rtx.iter().filter(|(to, _)| *to == p(1)).collect();
-        assert_eq!(to_p1.len(), 1); // only e2
     }
 
     #[test]
@@ -471,7 +470,7 @@ mod tests {
         let mut tx = OSender::new(p(0));
         let mut rb = ReliableBroadcast::new(p(0), 3);
         let e = env(&mut tx, 1);
-        rb.broadcast(e.clone());
+        rb.broadcast_grouped(e.clone());
         assert_eq!(rb.pending_acks(), 2);
         rb.remove_peer(p(2));
         assert_eq!(rb.pending_acks(), 1);
@@ -480,21 +479,17 @@ mod tests {
         rb.on_ack(p(1), e.id);
         assert!(!rb.has_pending());
         // New broadcasts no longer target the removed peer.
-        let sends = rb.broadcast(env(&mut tx, 2));
-        assert_eq!(sends.len(), 1);
-        assert_eq!(sends[0].0, p(1));
+        assert_eq!(rb.broadcast_grouped(env(&mut tx, 2)).0, vec![p(1)]);
     }
 
     #[test]
     fn with_peers_and_add_peer() {
         let mut tx = OSender::new(p(5));
         let mut rb = ReliableBroadcast::with_peers(p(5), []);
-        assert!(rb.broadcast(env(&mut tx, 1)).is_empty());
+        assert!(rb.broadcast_grouped(env(&mut tx, 1)).0.is_empty());
         rb.add_peer(p(0));
         rb.add_peer(p(5)); // self: ignored
-        let sends = rb.broadcast(env(&mut tx, 2));
-        assert_eq!(sends.len(), 1);
-        assert_eq!(sends[0].0, p(0));
+        assert_eq!(rb.broadcast_grouped(env(&mut tx, 2)).0, vec![p(0)]);
     }
 
     #[test]
@@ -503,8 +498,8 @@ mod tests {
         let mut rb = ReliableBroadcast::new(p(0), 2);
         let e1 = env(&mut tx, 1);
         let e2 = env(&mut tx, 2);
-        rb.broadcast(e1.clone());
-        rb.broadcast(e2.clone());
+        rb.broadcast_grouped(e1.clone());
+        rb.broadcast_grouped(e2.clone());
         rb.on_ack(p(1), e1.id); // e1 fully acked: retired
         rb.add_peer(p(2));
         let sends = rb.extend_unacked(p(2));
@@ -517,21 +512,44 @@ mod tests {
     }
 
     #[test]
+    fn relayed_copies_are_resent_until_every_target_acks() {
+        // p1 relays a message of a removed member p0 to survivors p2, p3.
+        let mut tx = OSender::new(p(0));
+        let e = env(&mut tx, 1);
+        let mut rb = ReliableBroadcast::new(p(1), 4);
+        rb.on_data(p(0), e.clone());
+        let relayed = rb.relay(&[p(2), p(3)], e.clone());
+        assert_eq!(relayed, Some((vec![p(2), p(3)], RbMsg::Data(e.clone()))));
+        // Targets it already owes are skipped; new ones are added.
+        assert_eq!(rb.relay(&[p(3)], e.clone()), None);
+        rb.on_ack(p(2), e.id);
+        assert_eq!(
+            rb.retransmissions_grouped(),
+            vec![(vec![p(3)], RbMsg::Data(e.clone()))]
+        );
+        rb.on_ack(p(3), e.id);
+        assert!(!rb.has_pending());
+        // Nobody to relay to: nothing is tracked.
+        assert_eq!(rb.relay(&[], e), None);
+        assert!(!rb.has_pending());
+    }
+
+    #[test]
     fn remove_last_outstanding_peer_retires_message() {
         let mut tx = OSender::new(p(0));
         let mut rb = ReliableBroadcast::new(p(0), 2);
-        rb.broadcast(env(&mut tx, 1));
+        rb.broadcast_grouped(env(&mut tx, 1));
         assert!(rb.has_pending());
         rb.remove_peer(p(1));
         assert!(!rb.has_pending());
-        assert!(rb.retransmissions().is_empty());
+        assert!(rb.retransmissions_grouped().is_empty());
     }
 
     #[test]
     fn single_member_group_has_no_sends() {
         let mut tx = OSender::new(p(0));
         let mut rb = ReliableBroadcast::new(p(0), 1);
-        assert!(rb.broadcast(env(&mut tx, 1)).is_empty());
+        assert!(rb.broadcast_grouped(env(&mut tx, 1)).0.is_empty());
         assert!(!rb.has_pending());
     }
 
@@ -541,7 +559,7 @@ mod tests {
         let mut tx = OSender::new(p(0));
         let e = env(&mut tx, 1);
         let mut rb = ReliableBroadcast::new(p(0), 2);
-        rb.broadcast(e.clone());
+        rb.broadcast_grouped(e.clone());
         let (fresh, _) = rb.on_data(p(1), e);
         assert_eq!(fresh, None);
     }

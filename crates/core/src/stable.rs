@@ -28,7 +28,7 @@
 //! member iff it holds at every member, so all members flag the same
 //! points. If the application mis-specifies its relation (a message left
 //! concurrent with a declared sync message), members may disagree; the
-//! [`check`](crate::check) validators detect such mis-specifications.
+//! `causal_verify::check` validators detect such mis-specifications.
 
 use causal_clocks::MsgId;
 use std::collections::BTreeSet;
@@ -45,7 +45,7 @@ pub struct StablePoint {
 }
 
 /// One entry of a delivery log as consumed by [`activities_from_log`] and
-/// the [`check`](crate::check) validators: the message, its direct
+/// the `causal_verify::check` validators: the message, its direct
 /// dependencies, and whether it is a synchronization candidate
 /// (non-commutative).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -524,11 +524,6 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         }
     }
 
-    /// `true` if this member has been crashed.
-    pub fn is_crashed(&self) -> bool {
-        self.crashed
-    }
-
     /// Broadcasts `op` ordered after `after`; returns the assigned id.
     ///
     /// Call inside [`Simulation::poke`](causal_simnet::Simulation::poke)
@@ -733,10 +728,11 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         for action in actions {
             match action {
                 ManagerAction::BeginFlush { view } => {
-                    // Virtual-synchrony flush: push the messages we have
-                    // delivered from members being removed out to every
+                    // Virtual-synchrony flush: relay the messages we have
+                    // delivered from members being removed to every
                     // survivor (duplicates are absorbed), so nobody misses
-                    // a message only some survivors saw.
+                    // a message only some survivors saw. The reliability
+                    // layer resends a lost copy until it is acknowledged.
                     let me = self.me;
                     let mem = self.membership.as_ref().expect("membership enabled");
                     let removed: Vec<ProcessId> = mem
@@ -755,12 +751,12 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
                         .collect();
                     for timed in &mem.store {
                         if removed.contains(&timed.msg_id().origin()) {
-                            ctx.multicast(
-                                survivors.clone(),
-                                StackWire::Rb(RbMsg::Data(timed.clone())),
-                            );
+                            if let Some((to, msg)) = self.rb.relay(&survivors, timed.clone()) {
+                                ctx.multicast(to, StackWire::Rb(msg));
+                            }
                         }
                     }
+                    self.arm_retransmit(ctx);
                     let done = self
                         .membership
                         .as_mut()
@@ -818,8 +814,10 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
                 for (to, msg) in rb.extend_unacked(new) {
                     ctx.send(to, StackWire::Rb(msg));
                 }
-                for (to, msg) in rb.replay_to(new, mem.store.iter().cloned()) {
-                    ctx.send(to, StackWire::Rb(msg));
+                for timed in mem.store.iter().cloned() {
+                    if let Some((_, msg)) = rb.relay(&[new], timed) {
+                        ctx.send(new, StackWire::Rb(msg));
+                    }
                 }
                 if !self.rtx_armed && rb.has_pending() {
                     ctx.set_timer(self.retransmit_every, TIMER_RETRANSMIT);

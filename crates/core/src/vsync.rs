@@ -11,9 +11,10 @@
 //! - members heartbeat; the view coordinator suspects silent members and
 //!   proposes the shrunken view;
 //! - on a proposal every survivor **flushes**: it re-broadcasts the
-//!   messages it has delivered from the removed members (so any message
-//!   *some* survivor saw reaches *all* survivors), pauses new sends, and
-//!   acknowledges;
+//!   messages it has delivered from the removed members over the
+//!   reliability layer, which resends each copy until it is acknowledged
+//!   (so any message *some* survivor saw reaches *all* survivors), pauses
+//!   new sends, and acknowledges;
 //! - the coordinator installs the new view once all survivors are
 //!   flushed; the reliability layer stops waiting for the dead member's
 //!   acknowledgements, and paused sends drain.
@@ -36,8 +37,7 @@
 //! group runs unchanged over the simulator **and** the `causal-net` TCP
 //! transport (see `tests/tcp_vsync.rs` at the workspace root).
 
-use crate::osend::GraphEnvelope;
-use crate::stack::{App, StackWire};
+use crate::stack::App;
 
 pub use crate::stack::VsyncConfig;
 
@@ -51,9 +51,6 @@ pub use crate::stack::VsyncConfig;
 /// node with [`run_until`](causal_simnet::Simulation::run_until) rather
 /// than `run_to_quiescence`.
 pub type VsyncNode<A> = crate::stack::CausalNode<A>;
-
-/// Wire messages of a virtually synchronous group.
-pub type VsyncWire<Op> = StackWire<GraphEnvelope<Op>>;
 
 /// Convenience constructor mirroring the stack's builder: member `me` of
 /// an initial group of `n` hosting `app` under `config`.

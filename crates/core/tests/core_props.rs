@@ -2,7 +2,6 @@
 //! invariants.
 
 use causal_clocks::{MsgId, ProcessId, VectorClock};
-use causal_core::check;
 use causal_core::delivery::pcbcast::overlay::tree_position;
 use causal_core::delivery::pcbcast::{LinkBody, LinkFrame};
 use causal_core::delivery::reference::{FlatCbcastEngine, ScanGraphDelivery};
@@ -18,6 +17,7 @@ use causal_core::statemachine::{is_transition_preserving, Operation};
 use causal_core::total::{DeterministicMerge, RoundMsg};
 use causal_core::wire::{self, WireEncode};
 use causal_simnet::SimTime;
+use causal_verify::check;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 

@@ -12,8 +12,7 @@
 //! file — knowledge expressed through
 //! [`Operation::commutes_with`]
 //! (re-exported from [`causal_core::statemachine`])
-//! and validated by
-//! [`check::commutativity_declarations_sound`](causal_core::check::commutativity_declarations_sound).
+//! and validated by `causal_verify::check::commutativity_declarations_sound`.
 
 use causal_clocks::MsgId;
 use causal_core::delivery::Delivered;
@@ -196,11 +195,11 @@ pub fn append_tag_for(id: MsgId) -> u64 {
 mod tests {
     use super::*;
     use causal_clocks::ProcessId;
-    use causal_core::check::commutativity_declarations_sound;
     use causal_core::node::CausalNode;
     use causal_core::osend::OccursAfter;
     use causal_core::statemachine::is_transition_preserving;
     use causal_simnet::{LatencyModel, NetConfig, Simulation};
+    use causal_verify::check::commutativity_declarations_sound;
 
     fn write(path: &str, content: &str) -> FileOp {
         FileOp::Write {

@@ -123,8 +123,8 @@ impl FrontEndManager {
 mod tests {
     use super::*;
     use causal_clocks::ProcessId;
-    use causal_core::check;
     use causal_core::stable::StablePointDetector;
+    use causal_verify::check;
 
     fn manager_and_sender() -> (FrontEndManager, OSender) {
         (FrontEndManager::new(), OSender::new(ProcessId::new(0)))

@@ -12,8 +12,9 @@
 //!    [`MemberTrace`](causal_core::trace::MemberTrace) under every runtime
 //!    (simnet, threaded, TCP). [`trace::Trace`] assembles the group's
 //!    traces and [`oracle::check_trace`] verifies the paper's invariants
-//!    in polynomial time, in the spirit of Bouajjani et al.'s *On
-//!    Verifying Causal Consistency*: a single execution is checked
+//!    in polynomial time, building on the per-log validators in
+//!    [`check`], in the spirit of Bouajjani et al.'s *On Verifying
+//!    Causal Consistency*: a single execution is checked
 //!    against the causal-consistency definition, with the replica's
 //!    sequential specification (Mostéfaoui/Perrin/Raynal) supplying the
 //!    state-agreement obligations.
@@ -33,10 +34,12 @@
 #![warn(missing_docs)]
 
 pub mod apps;
+pub mod check;
 pub mod explorer;
 pub mod oracle;
 pub mod trace;
 
+pub use check::Violation;
 pub use explorer::{explore_stacks, Explorer, Limits, MsgClass, PorStats, ScriptStep};
-pub use oracle::{check_trace, OracleConfig, OracleReport, OracleViolation, Violation};
+pub use oracle::{check_trace, OracleConfig, OracleReport, OracleViolation};
 pub use trace::Trace;

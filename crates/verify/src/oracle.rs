@@ -2,22 +2,25 @@
 //! one recorded execution.
 //!
 //! This module is the single entry point for convergence checking. The
-//! primitive per-log validators live in [`causal_core::check`] (re-exported
-//! here); [`check_trace`] lifts them to whole-group [`Trace`]s and adds the
+//! primitive per-log validators live in [`check`](crate::check);
+//! [`check_trace`] lifts them to whole-group [`Trace`]s and adds the
 //! checks that need the reliability-layer receipt events and per-member
 //! stable-point records, including the §4 state agreement, which it checks
 //! on the snapshots members recorded rather than on replayed logs:
 //!
 //! | Invariant | Paper | Checker |
 //! |---|---|---|
-//! | Delivery order respects declared `R(M)` | §3.1–3.3 | [`check::causal_order_respected`] per member |
-//! | Delivery order respects vector time | §3.2 (CBCAST arm) | [`check::vt_logs_respect_causality`] |
+//! | Delivery order respects declared `R(M)` | §3.1–3.3 | [`check::causal_order_respected`](crate::check::causal_order_respected) per member |
+//! | Delivery order respects vector time | §3.2 (CBCAST arm) | [`check::vt_logs_respect_causality`](crate::check::vt_logs_respect_causality) |
 //! | Exactly-once delivery | §3.3 (reliable broadcast) | duplicate / lost checks on receive+deliver events |
-//! | Same stable-point sequence & activity sets | §4 | [`check::stable_points_consistent`] |
+//! | Same stable-point sequence & activity sets | §4 | [`check::stable_points_consistent`](crate::check::stable_points_consistent) |
 //! | Same state bytes at each stable point | §4 | snapshot comparison across members |
 //! | Commutative-window order independence | §5.1 | [`commutative_windows_equivalent`] |
 //! | View agreement under virtual synchrony | §6.3 | installed-view prefix comparison |
 
+use crate::check::{
+    causal_order_respected, stable_points_consistent, vt_logs_respect_causality, Violation,
+};
 use crate::trace::Trace;
 use causal_clocks::{MsgId, VectorClock};
 use causal_core::osend::GraphEnvelope;
@@ -27,11 +30,6 @@ use causal_core::trace::TraceEvent;
 use causal_membership::GroupView;
 use std::collections::HashSet;
 use std::fmt;
-
-pub use causal_core::check::{
-    self, causal_order_respected, commutativity_declarations_sound, logs_linearize_graph,
-    replicas_agree, stable_points_consistent, vt_logs_respect_causality, Violation,
-};
 
 /// What [`check_trace`] should assume about the run.
 #[derive(Debug, Clone, Copy)]

@@ -8,8 +8,8 @@ use causal_core::delivery::{Delivered, DeliveryEngine};
 use causal_core::osend::{GraphEnvelope, OSender, OccursAfter};
 use causal_core::stack::ProtocolStack;
 use causal_verify::apps::{CounterOp, SumApp};
+use causal_verify::check::Violation;
 use causal_verify::explorer::{explore_stacks, Limits, ScriptStep};
-use causal_verify::oracle::Violation;
 use causal_verify::OracleViolation;
 use std::collections::HashSet;
 

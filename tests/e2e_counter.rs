@@ -2,7 +2,6 @@
 //! with every paper claim machine-checked per run.
 
 use causal_broadcast::clocks::{MsgId, ProcessId};
-use causal_broadcast::core::check;
 use causal_broadcast::core::graph::MsgGraph;
 use causal_broadcast::core::node::CausalNode;
 use causal_broadcast::core::osend::OccursAfter;
@@ -10,7 +9,7 @@ use causal_broadcast::core::statemachine::OpClass;
 use causal_broadcast::replica::counter::{CounterOp, CounterReplica};
 use causal_broadcast::replica::frontend::FrontEndManager;
 use causal_broadcast::simnet::{LatencyModel, NetConfig, SimDuration, Simulation};
-use causal_verify::{check_trace, OracleConfig, OracleReport, Trace};
+use causal_verify::{check, check_trace, OracleConfig, OracleReport, Trace};
 
 fn p(i: u32) -> ProcessId {
     ProcessId::new(i)

@@ -6,7 +6,6 @@
 //! not just on end-state values.
 
 use causal_broadcast::clocks::ProcessId;
-use causal_broadcast::core::check;
 use causal_broadcast::core::delivery::DeliveryEngine;
 use causal_broadcast::core::node::CausalNode;
 use causal_broadcast::core::osend::OccursAfter;
@@ -15,7 +14,7 @@ use causal_broadcast::replica::counter::{CounterOp, CounterReplica};
 use causal_broadcast::simnet::{
     FaultPlan, LatencyModel, NetConfig, Partition, SimDuration, SimTime, Simulation,
 };
-use causal_verify::{check_trace, OracleConfig, OracleReport, Trace};
+use causal_verify::{check, check_trace, OracleConfig, OracleReport, Trace};
 
 fn p(i: u32) -> ProcessId {
     ProcessId::new(i)

@@ -1,19 +1,39 @@
-//! Cross-crate property tests: randomized §6.1 workloads, fault plans,
-//! and network seeds through the full stack, with the paper's claims as
-//! the properties.
+//! Cross-crate property tests: randomized §6.1 workloads, fault plans
+//! (loss and duplication), stability GC on or off, and network seeds
+//! through the full stack over the graph and vector-clock engines, plus
+//! member crashes under virtually synchronous membership. The paper's
+//! claims are the properties, and the trace oracle checks every case.
+//!
+//! The cases come from a fixed per-test seed. `PROPTEST_SEED=<u64>`
+//! draws a different set, which is how a failure seen under another seed
+//! is reproduced.
 
 use causal_broadcast::clocks::{MsgId, ProcessId};
-use causal_broadcast::core::check;
-use causal_broadcast::core::node::CausalNode;
+use causal_broadcast::core::delivery::{CbcastEngine, DeliveryEngine, GraphDelivery};
+use causal_broadcast::core::osend::OccursAfter;
+use causal_broadcast::core::stack::ProtocolStack;
 use causal_broadcast::core::statemachine::OpClass;
+use causal_broadcast::core::vsync::{vsync_node, VsyncConfig, VsyncNode};
+use causal_broadcast::membership::GroupView;
 use causal_broadcast::replica::counter::{CounterOp, CounterReplica};
 use causal_broadcast::replica::frontend::FrontEndManager;
-use causal_broadcast::simnet::{FaultPlan, LatencyModel, NetConfig, SimDuration, Simulation};
-use causal_verify::{check_trace, OracleConfig, Trace};
+use causal_broadcast::simnet::{
+    FaultPlan, LatencyModel, NetConfig, SimDuration, SimTime, Simulation,
+};
+use causal_verify::{check, check_trace, OracleConfig, OracleReport, Trace};
 use proptest::prelude::*;
 
-fn p(i: u32) -> ProcessId {
-    ProcessId::new(i)
+fn p(i: usize) -> ProcessId {
+    ProcessId::new(i as u32)
+}
+
+/// A lossy, duplicating network with the given fault percentages.
+fn faulty_net(lo_us: u64, hi_us: u64, drop_pct: u8, dup_pct: u8) -> NetConfig {
+    NetConfig::with_latency(LatencyModel::uniform_micros(lo_us, hi_us)).faults(
+        FaultPlan::new()
+            .with_drop_prob(f64::from(drop_pct) / 100.0)
+            .with_dup_prob(f64::from(dup_pct) / 100.0),
+    )
 }
 
 /// A randomized workload description for one run.
@@ -23,8 +43,18 @@ struct Scenario {
     /// Cycle descriptions: number of commutative ops in each cycle.
     cycles: Vec<usize>,
     seed: u64,
-    drop_prob: f64,
+    drop_pct: u8,
+    dup_pct: u8,
+    /// Every member runs stability GC (`with_gc(n, 4)`).
+    gc: bool,
     interval_us: u64,
+}
+
+impl Scenario {
+    /// Operations submitted: each cycle's sync op plus its commutative ops.
+    fn ops(&self) -> usize {
+        self.cycles.iter().map(|w| w + 1).sum()
+    }
 }
 
 fn arb_scenario() -> impl Strategy<Value = Scenario> {
@@ -32,26 +62,49 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
         2usize..6,
         proptest::collection::vec(0usize..8, 1..5),
         any::<u64>(),
-        prop_oneof![Just(0.0), Just(0.15), Just(0.35)],
+        0u8..=40,
+        0u8..=10,
+        any::<bool>(),
         100u64..1500,
     )
-        .prop_map(|(n, cycles, seed, drop_prob, interval_us)| Scenario {
-            n,
-            cycles,
-            seed,
-            drop_prob,
-            interval_us,
-        })
+        .prop_map(
+            |(n, cycles, seed, drop_pct, dup_pct, gc, interval_us)| Scenario {
+                n,
+                cycles,
+                seed,
+                drop_pct,
+                dup_pct,
+                gc,
+                interval_us,
+            },
+        )
 }
 
-fn run_scenario(s: &Scenario) -> Simulation<CausalNode<CounterReplica>> {
-    let nodes: Vec<CausalNode<CounterReplica>> = (0..s.n)
-        .map(|i| CausalNode::new(p(i as u32), s.n, CounterReplica::new()).with_tracing())
+/// One oracle-checked run of a [`Scenario`].
+struct Run<D: DeliveryEngine<Op = CounterOp>> {
+    sim: Simulation<ProtocolStack<D, CounterReplica>>,
+    /// The non-commutative (sync) ops' ids, in send order.
+    sync_ids: Vec<MsgId>,
+    report: OracleReport,
+}
+
+/// Drives the §6.1 front-end cycles of `s` through stacks over engine
+/// `D` to quiescence. Panics unless the trace oracle accepts the run and
+/// every member delivered every op with nothing left buffered.
+fn run_scenario<D: DeliveryEngine<Op = CounterOp>>(s: &Scenario) -> Run<D> {
+    let nodes: Vec<ProtocolStack<D, CounterReplica>> = (0..s.n)
+        .map(|i| {
+            let node = ProtocolStack::new(p(i), s.n, CounterReplica::new()).with_tracing();
+            if s.gc {
+                node.with_gc(s.n, 4)
+            } else {
+                node
+            }
+        })
         .collect();
-    let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(100, 3000))
-        .faults(FaultPlan::new().with_drop_prob(s.drop_prob));
-    let mut sim = Simulation::new(nodes, cfg, s.seed);
+    let mut sim = Simulation::new(nodes, faulty_net(100, 3000, s.drop_pct, s.dup_pct), s.seed);
     let mut fe = FrontEndManager::new();
+    let mut sync_ids = Vec::new();
     let mut submitter = 0usize;
     for (cycle, &width) in s.cycles.iter().enumerate() {
         let after = fe.ordering_for(OpClass::NonCommutative);
@@ -61,17 +114,18 @@ fn run_scenario(s: &Scenario) -> Simulation<CausalNode<CounterReplica>> {
             CounterOp::Read
         };
         let id = sim
-            .poke(p((submitter % s.n) as u32), move |node, ctx| {
+            .poke(p(submitter % s.n), move |node, ctx| {
                 node.osend(ctx, nc, after)
             })
             .unwrap();
         fe.record(id, OpClass::NonCommutative);
+        sync_ids.push(id);
         submitter += 1;
         for k in 0..width {
             let after = fe.ordering_for(OpClass::Commutative);
             let op = CounterOp::Inc(k as i64 + 1);
             let id = sim
-                .poke(p((submitter % s.n) as u32), move |node, ctx| {
+                .poke(p(submitter % s.n), move |node, ctx| {
                     node.osend(ctx, op, after)
                 })
                 .unwrap();
@@ -82,7 +136,35 @@ fn run_scenario(s: &Scenario) -> Simulation<CausalNode<CounterReplica>> {
         }
     }
     sim.run_to_quiescence();
-    sim
+    let report = check_trace(&Trace::from_stacks(sim.nodes()), &OracleConfig::default())
+        .unwrap_or_else(|v| panic!("oracle violation: {v}\n{s:?}"));
+    for i in 0..s.n {
+        let node = sim.node(p(i));
+        assert_eq!(node.log().len(), s.ops(), "member {i}: {s:?}");
+        assert_eq!(node.pending_len(), 0, "member {i}: {s:?}");
+    }
+    Run {
+        sim,
+        sync_ids,
+        report,
+    }
+}
+
+/// [`run_scenario`] over the graph engine, which must also close one
+/// stable point per sync op, at that op, at every member.
+fn run_graph(s: &Scenario) -> Run<GraphDelivery<CounterOp>> {
+    let run = run_scenario::<GraphDelivery<CounterOp>>(s);
+    for i in 0..s.n {
+        let points: Vec<MsgId> = run
+            .sim
+            .node(p(i))
+            .stable_points()
+            .iter()
+            .map(|sp| sp.msg)
+            .collect();
+        assert_eq!(points, run.sync_ids, "member {i}: {s:?}");
+    }
+    run
 }
 
 proptest! {
@@ -91,24 +173,19 @@ proptest! {
     /// Everything is delivered everywhere, exactly once.
     #[test]
     fn delivery_is_exactly_once_everywhere(s in arb_scenario()) {
-        let sim = run_scenario(&s);
-        let total: usize = s.cycles.iter().map(|w| w + 1).sum();
-        for i in 0..s.n {
-            prop_assert_eq!(sim.node(p(i as u32)).log().len(), total);
-            prop_assert_eq!(sim.node(p(i as u32)).pending_len(), 0);
-        }
+        let run = run_graph(&s);
+        prop_assert_eq!(run.report.deliveries, s.n * s.ops());
     }
 
     /// Delivery logs respect the declared causal order and linearize one
     /// common graph.
     #[test]
     fn causality_respected_under_any_faults(s in arb_scenario()) {
-        let sim = run_scenario(&s);
-        let report = check_trace(&Trace::from_stacks(sim.nodes()), &OracleConfig::default());
-        prop_assert_eq!(report.map(|r| r.dep_logs), Ok(s.n));
-        let graph = sim.node(p(0)).trace().unwrap().graph().unwrap();
+        let run = run_graph(&s);
+        prop_assert_eq!(run.report.dep_logs, s.n);
+        let graph = run.sim.node(p(0)).trace().unwrap().graph().unwrap();
         let logs: Vec<Vec<MsgId>> = (0..s.n)
-            .map(|i| sim.node(p(i as u32)).log().to_vec())
+            .map(|i| run.sim.node(p(i)).log().to_vec())
             .collect();
         prop_assert!(check::logs_linearize_graph(&graph, &logs).is_ok());
     }
@@ -118,21 +195,130 @@ proptest! {
     /// and the final state.
     #[test]
     fn agreement_without_protocol(s in arb_scenario()) {
-        let sim = run_scenario(&s);
-        let trace = Trace::from_stacks(sim.nodes());
-        prop_assert!(check_trace(&trace, &OracleConfig::default()).is_ok());
-
-        let values: Vec<i64> = (0..s.n).map(|i| sim.node(p(i as u32)).app().value()).collect();
+        let run = run_graph(&s);
+        let values: Vec<i64> = (0..s.n).map(|i| run.sim.node(p(i)).app().value()).collect();
         prop_assert!(check::replicas_agree(&values));
 
         let reads: Vec<_> = (0..s.n)
-            .map(|i| sim.node(p(i as u32)).app().read_answers().to_vec())
+            .map(|i| run.sim.node(p(i)).app().read_answers().to_vec())
             .collect();
         prop_assert!(check::replicas_agree(&reads));
+    }
 
-        // Every nc message closed a stable point at every member.
+    /// The vector-clock (CBCAST) engine runs the same schedules: every
+    /// log respects vector time, and without explicit dependencies no
+    /// member closes a stable point.
+    #[test]
+    fn vector_engine_runs_the_same_schedules(s in arb_scenario()) {
+        let run = run_scenario::<CbcastEngine<CounterOp>>(&s);
+        prop_assert_eq!(run.report.vt_logs, s.n);
         for i in 0..s.n {
-            prop_assert_eq!(sim.node(p(i as u32)).stable_points().len(), s.cycles.len());
+            prop_assert!(run.sim.node(p(i)).stable_points().is_empty());
         }
+    }
+}
+
+/// A virtually synchronous group whose member `victim` crashes just
+/// before op `crash_at`. Ops are unconstrained increments; from the
+/// crash on, the victim's ops go to the next member.
+#[derive(Debug, Clone)]
+struct CrashScenario {
+    n: usize,
+    seed: u64,
+    drop_pct: u8,
+    dup_pct: u8,
+    victim: usize,
+    crash_at: usize,
+    /// (sender, increment, gap after it in µs)
+    ops: Vec<(usize, i64, u64)>,
+}
+
+fn arb_crash_scenario() -> impl Strategy<Value = CrashScenario> {
+    (3usize..=5, 1usize..=12).prop_flat_map(|(n, len)| {
+        (
+            any::<u64>(),
+            0u8..=15,
+            0u8..=10,
+            0..n,
+            0..len,
+            proptest::collection::vec((0..n, 1i64..=9, 0u64..2500), len),
+        )
+            .prop_map(move |(seed, drop_pct, dup_pct, victim, crash_at, ops)| {
+                CrashScenario {
+                    n,
+                    seed,
+                    drop_pct,
+                    dup_pct,
+                    victim,
+                    crash_at,
+                    ops,
+                }
+            })
+    })
+}
+
+fn run_crash(s: &CrashScenario) -> Simulation<VsyncNode<CounterReplica>> {
+    let nodes = (0..s.n)
+        .map(|i| {
+            vsync_node(p(i), s.n, CounterReplica::new(), VsyncConfig::default()).with_tracing()
+        })
+        .collect();
+    let mut sim = Simulation::new(nodes, faulty_net(10, 2000, s.drop_pct, s.dup_pct), s.seed);
+    for (k, &(sender, inc, gap)) in s.ops.iter().enumerate() {
+        if k == s.crash_at {
+            sim.node_mut(p(s.victim)).crash();
+        }
+        let sender = if k >= s.crash_at && sender == s.victim {
+            (sender + 1) % s.n
+        } else {
+            sender
+        };
+        sim.poke(p(sender), move |node, ctx| {
+            node.osend(ctx, CounterOp::Inc(inc), OccursAfter::none());
+        });
+        let deadline = sim.now() + SimDuration::from_micros(400 + gap);
+        sim.run_until(deadline);
+    }
+    sim.run_until(SimTime::from_millis(150));
+    sim
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A member crash at any op, under loss and duplication: the oracle
+    /// accepts the whole group's trace (the crashed member's correct
+    /// prefix included), the survivors install the view without the
+    /// victim, and they agree on the value, which counts every increment
+    /// a survivor sent.
+    #[test]
+    fn survivors_agree_through_a_crash_at_any_op(s in arb_crash_scenario()) {
+        let sim = run_crash(&s);
+        let report = check_trace(&Trace::from_stacks(sim.nodes()), &OracleConfig::default())
+            .unwrap_or_else(|v| panic!("oracle violation: {v}\n{s:?}"));
+        prop_assert!(report.views_compared > 0, "{:?}", s);
+
+        let expected = GroupView::initial(s.n).without(p(s.victim));
+        let survivors: Vec<usize> = (0..s.n).filter(|&i| i != s.victim).collect();
+        for &i in &survivors {
+            prop_assert_eq!(sim.node(p(i)).view(), &expected, "member {}: {:?}", i, s);
+        }
+        let values: Vec<i64> = survivors.iter().map(|&i| sim.node(p(i)).app().value()).collect();
+        prop_assert!(check::replicas_agree(&values), "{:?}: {:?}", values, s);
+
+        let survivor_sent: i64 = s
+            .ops
+            .iter()
+            .enumerate()
+            .filter(|&(k, &(sender, _, _))| k >= s.crash_at || sender != s.victim)
+            .map(|(_, op)| op.1)
+            .sum();
+        let all_sent: i64 = s.ops.iter().map(|op| op.1).sum();
+        prop_assert!(
+            (survivor_sent..=all_sent).contains(&values[0]),
+            "{:?}: {:?}",
+            values,
+            s
+        );
     }
 }

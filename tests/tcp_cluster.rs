@@ -4,14 +4,13 @@
 //! tests use.
 
 use causal_broadcast::clocks::ProcessId;
-use causal_broadcast::core::check;
 use causal_broadcast::core::delivery::Delivered;
 use causal_broadcast::core::node::{App, CausalNode, Emitter};
 use causal_broadcast::core::osend::OccursAfter;
 use causal_broadcast::core::statemachine::OpClass;
 use causal_broadcast::net::{LoopbackCluster, TcpConfig};
 use causal_broadcast::replica::counter::{CounterOp, CounterReplica};
-use causal_verify::{check_trace, OracleConfig, Trace};
+use causal_verify::{check, check_trace, OracleConfig, Trace};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
