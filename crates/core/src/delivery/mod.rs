@@ -120,7 +120,7 @@ pub trait DeliveryEngine {
     /// ([`PcEngine`]) instead of full-mesh reliable broadcast. The stack
     /// branches on this: routed broadcasts go out as link frames via
     /// [`route_broadcast`](Self::route_broadcast), inbound link frames
-    /// through [`on_link_frame`](Self::on_link_frame), and membership
+    /// through [`on_link_frame_into`](Self::on_link_frame_into), and membership
     /// changes through [`on_members`](Self::on_members).
     const ROUTED: bool = false;
 
@@ -212,11 +212,26 @@ pub trait DeliveryEngine {
     /// which quarantine flushing draws from; static stacks pass `&[]`.
     fn on_link_frame(
         &mut self,
+        from: ProcessId,
+        frame: LinkFrame<Timed<Self::Envelope>>,
+        history: &[Timed<Self::Envelope>],
+    ) -> LinkDelivery<Self::Envelope> {
+        let mut out = LinkDelivery::default();
+        self.on_link_frame_into(from, frame, history, &mut out);
+        out
+    }
+
+    /// Like [`on_link_frame`](Self::on_link_frame), appending to `out`
+    /// instead of returning a fresh [`LinkDelivery`]. This is the
+    /// flood-path entry point: the stack drains one retained `out` per
+    /// frame, so steady-state link traffic allocates no vectors.
+    fn on_link_frame_into(
+        &mut self,
         _from: ProcessId,
         _frame: LinkFrame<Timed<Self::Envelope>>,
         _history: &[Timed<Self::Envelope>],
-    ) -> LinkDelivery<Self::Envelope> {
-        LinkDelivery::default()
+        _out: &mut LinkDelivery<Self::Envelope>,
+    ) {
     }
 
     /// Handles an envelope arriving through the reliable-broadcast

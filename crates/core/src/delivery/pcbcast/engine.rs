@@ -29,7 +29,7 @@
 //! costs O(members) **per churn event**, never per message — the same
 //! asymmetry virtual synchrony already accepts for view installation.
 //!
-//! The retained history handed to [`DeliveryEngine::on_link_frame`] is
+//! The retained history handed to [`DeliveryEngine::on_link_frame_into`] is
 //! the membership layer's flush/replay store, so quarantine costs no
 //! extra copies; static groups (no membership) never open a fresh link
 //! and never need it.
@@ -124,6 +124,14 @@ pub struct PcEngine<P> {
     /// Delivery log (message ids in delivery order).
     log: Vec<MsgId>,
     duplicates: u64,
+    /// The bodies one inbound frame's link released, empty between
+    /// frames. Kept, like `batch`, so that steady-state frames allocate
+    /// nothing.
+    released: Vec<LinkBody<Timed<PcEnvelope<P>>>>,
+    /// What one inbound frame delivered before a pong, for that pong's
+    /// flush, empty between frames. Filled only while a handshake is
+    /// outstanding (see `deliver`).
+    batch: Vec<Timed<PcEnvelope<P>>>,
     /// Ping tokens issued so far.
     next_token: u64,
     /// High-water mark of messages buffered around churn: gate entries,
@@ -155,6 +163,8 @@ impl<P: Clone> PcEngine<P> {
             gate: IdWindow::new(),
             log: Vec::new(),
             duplicates: 0,
+            released: Vec::new(),
+            batch: Vec::new(),
             next_token: 0,
             peak_buffered: 0,
         }
@@ -269,6 +279,16 @@ impl<P: Clone> PcEngine<P> {
         true
     }
 
+    /// Answers a ping on the link to `from` with this member's
+    /// per-origin delivered watermarks. Runs once per link a view change
+    /// opens, never per data frame.
+    fn on_ping(&mut self, from: ProcessId, token: u64, out: &mut LinkDelivery<PcEnvelope<P>>) {
+        let delivered: Vec<(ProcessId, u64)> = self.gate.floors().filter(|&(_, w)| w > 0).collect();
+        let link = self.links.entry(from).or_default();
+        let frame = link.push(LinkBody::Pong { token, delivered });
+        out.sends.push((from, frame));
+    }
+
     /// Handles a pong closing the fresh-link handshake on the link to
     /// `from`: flushes retained delivered history the responder's
     /// watermarks do not cover (in delivery order), then marks the link
@@ -290,11 +310,16 @@ impl<P: Clone> PcEngine<P> {
         }
         link.pending_ping = None;
         link.safe = true;
-        let peer_wm: BTreeMap<ProcessId, u64> = delivered.into_iter().collect();
+        // Sorted by origin; an origin the pong omits is at watermark 0.
+        let peer_wm = |origin| {
+            delivered
+                .binary_search_by_key(&origin, |&(p, _)| p)
+                .map_or(0, |i| delivered[i].1)
+        };
         let mut flushed = 0usize;
         for timed in history.iter().chain(batch.iter()) {
             let id = timed.msg_id();
-            if id.seq() > peer_wm.get(&id.origin()).copied().unwrap_or(0) {
+            if id.seq() > peer_wm(id.origin()) {
                 let frame = link.push(LinkBody::Msg(timed.clone()));
                 out.sends.push((from, frame));
                 flushed += 1;
@@ -401,12 +426,13 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
         sends
     }
 
-    fn on_link_frame(
+    fn on_link_frame_into(
         &mut self,
         from: ProcessId,
         frame: LinkFrame<Timed<PcEnvelope<P>>>,
         history: &[Timed<PcEnvelope<P>>],
-    ) -> LinkDelivery<PcEnvelope<P>> {
+        out: &mut LinkDelivery<PcEnvelope<P>>,
+    ) {
         // Lazily materialize link state for a member whose frames beat our
         // own view installation; our outbound ping goes out when
         // `on_members` runs. A frame from outside the installed member set
@@ -416,11 +442,10 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
         let link = match self.links.entry(from) {
             Entry::Occupied(link) => link.into_mut(),
             Entry::Vacant(slot) if self.members.contains(from) => slot.insert(Link::default()),
-            Entry::Vacant(_) => return LinkDelivery::default(),
+            Entry::Vacant(_) => return,
         };
-        let ingress = link.on_frame(frame);
-        let mut out = LinkDelivery::default();
-        if let Some(cum) = ingress.ack {
+        let mut released = std::mem::take(&mut self.released);
+        if let Some(cum) = link.on_frame(frame, &mut released) {
             out.sends.push((
                 from,
                 LinkFrame {
@@ -429,28 +454,24 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
                 },
             ));
         }
-        let mut batch = Vec::new();
-        for body in ingress.released {
+        let mut batch = std::mem::take(&mut self.batch);
+        for body in released.drain(..) {
             match body {
                 LinkBody::Msg(timed) => {
-                    self.ingest(timed, Some(from), true, &mut batch, &mut out);
+                    self.ingest(timed, Some(from), true, &mut batch, out);
                 }
-                LinkBody::Ping { token } => {
-                    let delivered: Vec<(ProcessId, u64)> =
-                        self.gate.floors().filter(|&(_, w)| w > 0).collect();
-                    let link = self.links.entry(from).or_default();
-                    let frame = link.push(LinkBody::Pong { token, delivered });
-                    out.sends.push((from, frame));
-                }
+                LinkBody::Ping { token } => self.on_ping(from, token, out),
                 LinkBody::Pong { token, delivered } => {
-                    self.on_pong(from, token, delivered, history, &batch, &mut out);
+                    self.on_pong(from, token, delivered, history, &batch, out);
                 }
                 // Acks are consumed inside `Link::on_frame`.
                 LinkBody::Ack { .. } => {}
             }
         }
+        batch.clear();
+        self.batch = batch;
+        self.released = released;
         self.note_buffered();
-        out
     }
 
     fn link_retransmissions(&mut self) -> Vec<LinkSend<PcEnvelope<P>>> {

@@ -9,6 +9,18 @@
 //! sequence, and senders retain unacknowledged frames for timer-driven
 //! retransmission against cumulative acknowledgements.
 //!
+//! The reassembly buffer is a one-lane [`IdWindow`] keyed by link
+//! sequence number. The lane's floor is the in-order point: every frame
+//! at or below it has been released, so a frame there is a duplicate,
+//! and the frame just above it releases at once. Frames further ahead
+//! park in the lane's deque, indexed by `seq − base`, and releasing them
+//! raises the floor one slot at a time; nothing on this path hashes,
+//! walks a tree or allocates once the deque has grown to the link's
+//! reordering depth. A frame far ahead of the stream (a corrupt or
+//! stray sequence number such as `u64::MAX − 1`) goes to the window's
+//! sparse overflow map, as a far message id does in the engine's gate,
+//! so it costs one entry and never blocks or reorders the stream.
+//!
 //! Three frame kinds ride the sequenced stream — [`LinkBody::Msg`]
 //! (application data), [`LinkBody::Ping`] and [`LinkBody::Pong`] (the
 //! fresh-link handshake) — so the handshake is ordered and retransmitted
@@ -19,10 +31,19 @@
 //! point, and re-acknowledges a retransmitted copy of the frame at that
 //! point, which every retransmission burst carries until the sender
 //! learns the point. Losing an ack therefore costs one retransmission
-//! burst, never correctness (see [`LinkIngress::ack`]).
+//! burst, never correctness (see [`Link::on_frame`]).
 
-use causal_clocks::ProcessId;
-use std::collections::{BTreeMap, VecDeque};
+use causal_clocks::{IdWindow, MsgId, ProcessId};
+use std::collections::VecDeque;
+
+/// The one lane of a link's reassembly window. Its ids are link
+/// sequence numbers; the origin carries no meaning.
+const STREAM: ProcessId = ProcessId::new(0);
+
+/// The reassembly window's key for link sequence number `seq`.
+const fn at(seq: u64) -> MsgId {
+    MsgId::new(STREAM, seq)
+}
 
 /// One frame on a directed overlay link.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,10 +98,10 @@ pub struct Link<T> {
     next_out: u64,
     /// Sent but not yet cumulatively acknowledged, in sequence order.
     unacked: VecDeque<(u64, LinkBody<T>)>,
-    /// Next inbound sequence number to release.
-    next_in: u64,
-    /// Out-of-order inbound frames awaiting their predecessors.
-    reassembly: BTreeMap<u64, LinkBody<T>>,
+    /// Inbound frames awaiting their predecessors, in the lane
+    /// [`STREAM`]. The lane's floor is the in-order point: the highest
+    /// sequence number released so far.
+    reassembly: IdWindow<LinkBody<T>>,
     /// Stream frames retransmitted so far.
     retransmits: u64,
     /// Duplicate stream frames absorbed so far.
@@ -94,33 +115,11 @@ impl<T> Default for Link<T> {
             pending_ping: None,
             next_out: 1,
             unacked: VecDeque::new(),
-            next_in: 1,
-            reassembly: BTreeMap::new(),
+            reassembly: IdWindow::new(),
             retransmits: 0,
             duplicates: 0,
         }
     }
-}
-
-/// Result of feeding one inbound frame to [`Link::on_frame`].
-#[derive(Debug, Default)]
-pub struct LinkIngress<T> {
-    /// Stream bodies released in FIFO order.
-    pub released: Vec<LinkBody<T>>,
-    /// Cumulative acknowledgement to send back, only when it is news:
-    /// the frame advanced the in-order point, or it duplicates the frame
-    /// at that point (a retransmission, so the ack that reported the
-    /// point may have been lost). Frames parked in reassembly and other
-    /// duplicates would only repeat a point already sent on this link,
-    /// and stay unanswered.
-    ///
-    /// Liveness: the sender reads only the cumulative point, and every
-    /// retransmission burst resends everything above the last point it
-    /// learned. A burst after a lost ack therefore carries the frame at
-    /// the receiver's point, whose re-ack repairs the loss; a lost data
-    /// frame is unacknowledged under any rule and is resent at the same
-    /// tick.
-    pub ack: Option<u64>,
 }
 
 impl<T: Clone> Link<T> {
@@ -145,41 +144,65 @@ impl<T: Clone> Link<T> {
 
     /// Processes one inbound frame: acknowledgements trim the outbound
     /// retention window; stream frames are released in FIFO order,
-    /// buffering ahead-of-sequence arrivals and absorbing duplicates, and
-    /// are acknowledged only when that is news ([`LinkIngress::ack`]).
-    pub fn on_frame(&mut self, frame: LinkFrame<T>) -> LinkIngress<T> {
-        let mut out = LinkIngress {
-            released: Vec::new(),
-            ack: None,
-        };
+    /// buffering ahead-of-sequence arrivals and absorbing duplicates.
+    /// Released bodies are appended to `released`, so a caller that
+    /// reuses one buffer allocates nothing per frame.
+    ///
+    /// Returns the cumulative acknowledgement to send back, only when it
+    /// is news: the frame advanced the in-order point, or it duplicates
+    /// the frame at that point (a retransmission, so the ack that
+    /// reported the point may have been lost). Frames parked in
+    /// reassembly and other duplicates would only repeat a point already
+    /// sent on this link, and stay unanswered.
+    ///
+    /// Liveness: the sender reads only the cumulative point, and every
+    /// retransmission burst resends everything above the last point it
+    /// learned. A burst after a lost ack therefore carries the frame at
+    /// the receiver's point, whose re-ack repairs the loss; a lost data
+    /// frame is unacknowledged under any rule and is resent at the same
+    /// tick.
+    pub fn on_frame(
+        &mut self,
+        frame: LinkFrame<T>,
+        released: &mut Vec<LinkBody<T>>,
+    ) -> Option<u64> {
         if let LinkBody::Ack { cum } = frame.body {
             self.on_ack(cum);
-            return out;
+            return None;
         }
-        if frame.seq < self.next_in {
+        let point = self.in_order_point();
+        if frame.seq <= point {
             // Already released: a retransmission raced the ack. Only the
             // frame at the cumulative point is re-acknowledged; the sender
             // resends it in every burst until it learns that point.
             self.duplicates += 1;
-            if frame.seq == self.next_in - 1 {
-                out.ack = Some(frame.seq);
-            }
-        } else if frame.seq == self.next_in {
-            self.next_in += 1;
-            out.released.push(frame.body);
-            while let Some(body) = self.reassembly.remove(&self.next_in) {
-                self.next_in += 1;
-                out.released.push(body);
-            }
-            out.ack = Some(self.next_in - 1);
-        } else if self.reassembly.insert(frame.seq, frame.body).is_some() {
-            self.duplicates += 1;
+            return (frame.seq == point).then_some(point);
         }
-        out
+        if frame.seq - point > 1 {
+            if self.reassembly.insert(at(frame.seq), frame.body).is_some() {
+                self.duplicates += 1;
+            }
+            return None;
+        }
+        released.push(frame.body);
+        loop {
+            let point = self.reassembly.advance(STREAM);
+            match self.reassembly.remove(at(point.saturating_add(1))) {
+                Some(body) => released.push(body),
+                None => return Some(point),
+            }
+        }
     }
 
-    /// Trims frames the peer has acknowledged receiving.
+    /// Trims frames the peer has acknowledged receiving. An ack at or
+    /// above the next sequence number to send acknowledges frames never
+    /// sent on this link (corrupt bytes, or a peer answering an earlier
+    /// incarnation of the link) and is ignored: trimming on it would drop
+    /// frames the peer never received, and nothing would resend them.
     pub fn on_ack(&mut self, cum: u64) {
+        if cum >= self.next_out {
+            return;
+        }
         while self.unacked.front().is_some_and(|(s, _)| *s <= cum) {
             self.unacked.pop_front();
         }
@@ -207,6 +230,12 @@ impl<T: Clone> Link<T> {
         self.reassembly.len()
     }
 
+    /// The highest inbound sequence number released so far: every frame
+    /// at or below it has been delivered in order.
+    pub fn in_order_point(&self) -> u64 {
+        self.reassembly.floor(STREAM)
+    }
+
     /// Stream frames retransmitted so far.
     pub fn retransmit_count(&self) -> u64 {
         self.retransmits
@@ -226,13 +255,24 @@ mod tests {
         link.push(LinkBody::Msg(s))
     }
 
+    /// Feeds `frame` to `rx`: the bodies it released and the ack it
+    /// returned.
+    fn feed(
+        rx: &mut Link<&'static str>,
+        frame: LinkFrame<&'static str>,
+    ) -> (Vec<LinkBody<&'static str>>, Option<u64>) {
+        let mut released = Vec::new();
+        let ack = rx.on_frame(frame, &mut released);
+        (released, ack)
+    }
+
     #[test]
     fn in_order_stream_releases_immediately() {
         let mut tx = Link::new_safe();
         let mut rx: Link<&str> = Link::new_safe();
         for s in ["a", "b", "c"] {
-            let out = rx.on_frame(msg(&mut tx, s));
-            assert_eq!(out.released, vec![LinkBody::Msg(s)]);
+            let (released, _) = feed(&mut rx, msg(&mut tx, s));
+            assert_eq!(released, vec![LinkBody::Msg(s)]);
         }
         assert_eq!(rx.buffered(), 0);
     }
@@ -244,15 +284,16 @@ mod tests {
         let f1 = msg(&mut tx, "a");
         let f2 = msg(&mut tx, "b");
         let f3 = msg(&mut tx, "c");
-        assert!(rx.on_frame(f3).released.is_empty());
-        assert!(rx.on_frame(f2).released.is_empty());
+        assert!(feed(&mut rx, f3).0.is_empty());
+        assert!(feed(&mut rx, f2).0.is_empty());
         assert_eq!(rx.buffered(), 2);
-        let out = rx.on_frame(f1);
+        let (released, ack) = feed(&mut rx, f1);
         assert_eq!(
-            out.released,
+            released,
             vec![LinkBody::Msg("a"), LinkBody::Msg("b"), LinkBody::Msg("c")]
         );
-        assert_eq!(out.ack, Some(3));
+        assert_eq!(ack, Some(3));
+        assert_eq!(rx.in_order_point(), 3);
         assert_eq!(rx.buffered(), 0);
     }
 
@@ -261,10 +302,10 @@ mod tests {
         let mut tx = Link::new_safe();
         let mut rx: Link<&str> = Link::new_safe();
         let f1 = msg(&mut tx, "a");
-        assert_eq!(rx.on_frame(f1.clone()).released.len(), 1);
-        let again = rx.on_frame(f1);
-        assert!(again.released.is_empty());
-        assert_eq!(again.ack, Some(1), "duplicate still re-acknowledged");
+        assert_eq!(feed(&mut rx, f1.clone()).0.len(), 1);
+        let (released, ack) = feed(&mut rx, f1);
+        assert!(released.is_empty());
+        assert_eq!(ack, Some(1), "duplicate still re-acknowledged");
         assert_eq!(rx.duplicate_count(), 1);
     }
 
@@ -275,7 +316,7 @@ mod tests {
         let f1 = msg(&mut tx, "a");
         let f2 = msg(&mut tx, "b");
         let f3 = msg(&mut tx, "c");
-        let acks = [f3, f2, f1].map(|f| rx.on_frame(f).ack);
+        let acks = [f3, f2, f1].map(|f| feed(&mut rx, f).1);
         assert_eq!(acks, [None, None, Some(3)]);
     }
 
@@ -288,12 +329,12 @@ mod tests {
             .map(|s| msg(&mut tx, s))
             .collect();
         for f in &frames[..3] {
-            assert!(rx.on_frame(f.clone()).ack.is_some());
+            assert!(feed(&mut rx, f.clone()).1.is_some());
         }
-        assert_eq!(rx.on_frame(frames[4].clone()).ack, None, "5 parks");
-        assert_eq!(rx.on_frame(frames[2].clone()).ack, Some(3));
-        assert_eq!(rx.on_frame(frames[1].clone()).ack, None);
-        assert_eq!(rx.on_frame(frames[4].clone()).ack, None);
+        assert_eq!(feed(&mut rx, frames[4].clone()).1, None, "5 parks");
+        assert_eq!(feed(&mut rx, frames[2].clone()).1, Some(3));
+        assert_eq!(feed(&mut rx, frames[1].clone()).1, None);
+        assert_eq!(feed(&mut rx, frames[4].clone()).1, None);
         assert_eq!(rx.duplicate_count(), 3);
         assert_eq!(rx.buffered(), 1);
     }
@@ -305,14 +346,14 @@ mod tests {
         let frames: Vec<_> = (0..10).map(|_| msg(&mut tx, "m")).collect();
         // Out of order, and every ack the receiver returns is lost.
         for i in [3, 0, 9, 1, 2, 8, 4, 6, 5, 7] {
-            rx.on_frame(frames[i].clone());
+            feed(&mut rx, frames[i].clone());
         }
         assert_eq!(rx.buffered(), 0);
         assert!(tx.has_pending());
         let acks: Vec<u64> = tx
             .retransmissions()
             .into_iter()
-            .filter_map(|f| rx.on_frame(f).ack)
+            .filter_map(|f| feed(&mut rx, f).1)
             .collect();
         assert_eq!(acks, vec![10], "only frame 10 is re-acked");
         tx.on_ack(acks[0]);
@@ -341,12 +382,12 @@ mod tests {
         let mut rx: Link<&str> = Link::new_safe();
         let _lost = msg(&mut tx, "a");
         let f2 = msg(&mut tx, "b");
-        assert!(rx.on_frame(f2).released.is_empty());
+        assert!(feed(&mut rx, f2).0.is_empty());
         // The retransmitted tail includes the lost frame; duplicates of
         // the buffered one are absorbed.
         let mut released = Vec::new();
         for f in tx.retransmissions() {
-            released.extend(rx.on_frame(f).released);
+            rx.on_frame(f, &mut released);
         }
         assert_eq!(released, vec![LinkBody::Msg("a"), LinkBody::Msg("b")]);
     }
@@ -354,11 +395,32 @@ mod tests {
     #[test]
     fn ack_frames_are_unsequenced() {
         let mut rx: Link<&str> = Link::new_safe();
-        let out = rx.on_frame(LinkFrame {
+        let (released, ack) = feed(
+            &mut rx,
+            LinkFrame {
+                seq: 0,
+                body: LinkBody::Ack { cum: 0 },
+            },
+        );
+        assert!(released.is_empty());
+        assert!(ack.is_none());
+    }
+
+    #[test]
+    fn an_ack_above_everything_sent_trims_nothing() {
+        let mut tx = Link::new_safe();
+        for s in ["a", "b", "c"] {
+            msg(&mut tx, s);
+        }
+        let ack = LinkFrame {
             seq: 0,
-            body: LinkBody::Ack { cum: 0 },
-        });
-        assert!(out.released.is_empty());
-        assert!(out.ack.is_none());
+            body: LinkBody::Ack { cum: 10 },
+        };
+        assert_eq!(feed(&mut tx, ack), (Vec::new(), None));
+        let seqs: Vec<u64> = tx.retransmissions().iter().map(|f| f.seq).collect();
+        assert_eq!(seqs, vec![1, 2, 3], "frames the peer never received stay");
+        // An ack of the last frame sent still trims everything.
+        tx.on_ack(3);
+        assert!(!tx.has_pending());
     }
 }

@@ -40,7 +40,7 @@
 
 use crate::delivery::pcbcast::LinkFrame;
 use crate::delivery::{
-    CbcastEngine, Delivered, DeliveryEngine, GraphDelivery, PcEngine, VtEnvelope,
+    CbcastEngine, Delivered, DeliveryEngine, GraphDelivery, LinkDelivery, PcEngine, VtEnvelope,
 };
 use crate::osend::{GraphEnvelope, OccursAfter};
 use crate::rbcast::{HasMsgId, RbMsg, ReliableBroadcast};
@@ -297,6 +297,10 @@ pub struct ProtocolStack<D: DeliveryEngine, A: App<Op = D::Op>> {
     membership: Option<MembershipState<D>>,
     tracer: Option<MemberTrace>,
     crashed: bool,
+    /// What the engine made of one inbound link frame, drained before the
+    /// frame's handling returns and kept so that steady-state link
+    /// traffic allocates no vectors.
+    link_out: LinkDelivery<D::Envelope>,
 }
 
 impl<D: DeliveryEngine, A: App<Op = D::Op>> fmt::Debug for ProtocolStack<D, A> {
@@ -343,6 +347,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
             membership: None,
             tracer: None,
             crashed: false,
+            link_out: LinkDelivery::default(),
         }
     }
 
@@ -607,10 +612,12 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
     fn process_released(
         &mut self,
         ctx: &mut Context<'_, StackWire<D::Envelope>>,
-        released: Vec<D::Envelope>,
+        released: impl IntoIterator<Item = D::Envelope>,
     ) {
-        let mut queue: VecDeque<D::Envelope> = released.into();
-        while let Some(env) = queue.pop_front() {
+        // `released` in order, then what the app's own sends release.
+        let mut released = released.into_iter().fuse();
+        let mut emitted = VecDeque::new();
+        while let Some(env) = released.next().or_else(|| emitted.pop_front()) {
             let id = env.msg_id();
             let sent_at = self.sent_times.get(id).copied();
             if let Some(sent_at) = sent_at {
@@ -667,7 +674,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
                         .expect("flushing implies membership");
                     mem.outbox.push_back((op, after));
                 } else {
-                    queue.extend(self.transmit(ctx, op, after));
+                    emitted.extend(self.transmit(ctx, op, after));
                 }
             }
         }
@@ -917,6 +924,7 @@ impl<A: App> ProtocolStack<GraphDelivery<A::Op>, A> {
             membership: Some(mem),
             tracer: None,
             crashed: false,
+            link_out: LinkDelivery::default(),
         }
     }
 }
@@ -1055,8 +1063,10 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> Actor for ProtocolStack<D, A> {
                     Some(mem) => mem.store.as_slice(),
                     None => &[],
                 };
-                let out = self.engine.on_link_frame(from, frame, history);
-                for (id, sent_at, fresh) in out.receipts {
+                let mut out = std::mem::take(&mut self.link_out);
+                self.engine
+                    .on_link_frame_into(from, frame, history, &mut out);
+                for (id, sent_at, fresh) in out.receipts.drain(..) {
                     if fresh {
                         self.sent_times.get_or_insert_with(id, || sent_at);
                     }
@@ -1064,11 +1074,12 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> Actor for ProtocolStack<D, A> {
                         t.record(TraceEvent::Receive { id, fresh });
                     }
                 }
-                for (to, f) in out.sends {
+                for (to, f) in out.sends.drain(..) {
                     ctx.send(to, StackWire::Link(f));
                 }
                 self.arm_retransmit(ctx);
-                self.process_released(ctx, out.released);
+                self.process_released(ctx, out.released.drain(..));
+                self.link_out = out;
             }
         }
     }

@@ -3,7 +3,7 @@
 
 use causal_clocks::{MsgId, ProcessId, VectorClock};
 use causal_core::delivery::pcbcast::overlay::tree_position;
-use causal_core::delivery::pcbcast::{LinkBody, LinkFrame};
+use causal_core::delivery::pcbcast::{Link, LinkBody, LinkFrame};
 use causal_core::delivery::reference::{FlatCbcastEngine, ScanGraphDelivery};
 use causal_core::delivery::{
     CbcastEngine, DeliveryEngine, GraphDelivery, LinkSend, PcEngine, PcEnvelope, VtEnvelope,
@@ -19,7 +19,7 @@ use causal_core::wire::{self, WireEncode};
 use causal_simnet::SimTime;
 use causal_verify::check;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A randomly generated message universe: message `i` (0-based) originates
 /// at process `i % n_procs` and depends on a random subset of messages
@@ -743,6 +743,151 @@ proptest! {
         let buf = msg.to_wire();
         let decoded = <StackWire<PcEnvelope<u64>>>::from_wire(&buf).expect("round-trip");
         prop_assert_eq!(decoded, msg);
+    }
+}
+
+/// A sender link, a receiver link, and the frames between them: data
+/// frames on their way to the receiver and acks on their way back, each
+/// in no particular order.
+struct LinkPair {
+    tx: Link<u64>,
+    rx: Link<u64>,
+    data: Vec<LinkFrame<u64>>,
+    acks: Vec<u64>,
+    /// Every body the receiver released, in release order.
+    released: Vec<LinkBody<u64>>,
+    /// The last ack the receiver returned.
+    last_ack: u64,
+    /// Model: every sequence number the receiver was fed, and the
+    /// longest prefix `1..=prefix` among them.
+    seen: BTreeSet<u64>,
+    prefix: u64,
+}
+
+impl LinkPair {
+    fn new() -> Self {
+        LinkPair {
+            tx: Link::new_safe(),
+            rx: Link::new_safe(),
+            data: Vec::new(),
+            acks: Vec::new(),
+            released: Vec::new(),
+            last_ack: 0,
+            seen: BTreeSet::new(),
+            prefix: 0,
+        }
+    }
+
+    /// Feeds `frame` to the receiver and checks what it did against the
+    /// model: its in-order point is the longest prefix it was fed, it
+    /// released exactly that far, it buffers exactly what it was fed
+    /// above the point, and its ack, if any, neither falls nor passes
+    /// the point.
+    fn receive(&mut self, frame: LinkFrame<u64>) {
+        self.seen.insert(frame.seq);
+        while self.seen.contains(&(self.prefix + 1)) {
+            self.prefix += 1;
+        }
+        let ack = self.rx.on_frame(frame, &mut self.released);
+        let point = self.rx.in_order_point();
+        assert_eq!(point, self.prefix);
+        assert_eq!(self.released.len() as u64, point);
+        assert_eq!(self.rx.buffered(), self.seen.range(point + 1..).count());
+        if let Some(cum) = ack {
+            assert!(cum >= self.last_ack, "ack fell: {cum} < {}", self.last_ack);
+            assert!(cum <= point, "ack {cum} passes the point {point}");
+            self.last_ack = cum;
+            self.acks.push(cum);
+        }
+    }
+
+    fn ack_sender(&mut self, cum: u64) {
+        let mut none = Vec::new();
+        let ack = LinkFrame {
+            seq: 0,
+            body: LinkBody::Ack { cum },
+        };
+        assert_eq!(self.tx.on_frame(ack, &mut none), None);
+        assert!(none.is_empty());
+    }
+
+    /// Delivers everything in flight in send order, then repairs losses
+    /// by retransmission bursts until the sender holds nothing unacked.
+    fn quiesce(&mut self) {
+        for _round in 0..8 {
+            for frame in std::mem::take(&mut self.data) {
+                self.receive(frame);
+            }
+            for cum in std::mem::take(&mut self.acks) {
+                self.ack_sender(cum);
+            }
+            if !self.tx.has_pending() {
+                return;
+            }
+            self.data = self.tx.retransmissions();
+        }
+        panic!("the link failed to quiesce");
+    }
+}
+
+proptest! {
+    /// Link reassembly under random schedules: frames arrive in any
+    /// order, duplicated or dropped, acks are lost or reordered, and now
+    /// and then a stray frame lands at a far sequence number. Every body
+    /// is released exactly once and in sequence order, acks never fall
+    /// or pass the receiver's in-order point, the strays neither block
+    /// nor reorder the stream, and once retransmission bursts have
+    /// repaired the drops only the strays stay buffered.
+    #[test]
+    fn link_reassembly_releases_each_body_once_in_order(
+        frames in 1u64..=300,
+        script in proptest::collection::vec((0usize..10_000, 0u8..16), 0..1200),
+    ) {
+        let mut pair = LinkPair::new();
+        let mut pushed = 0u64;
+        let mut strays = BTreeSet::new();
+        for &(pick, kind) in &script {
+            match kind {
+                0..=4 if pushed < frames => {
+                    pushed += 1;
+                    pair.data.push(pair.tx.push(LinkBody::Msg(pushed)));
+                }
+                5..=8 if !pair.data.is_empty() => {
+                    let frame = pair.data.swap_remove(pick % pair.data.len());
+                    pair.receive(frame);
+                }
+                9 if !pair.data.is_empty() => {
+                    let frame = pair.data[pick % pair.data.len()].clone();
+                    pair.receive(frame);
+                }
+                10 if !pair.data.is_empty() => {
+                    pair.data.swap_remove(pick % pair.data.len());
+                }
+                11 if !pair.acks.is_empty() => {
+                    let cum = pair.acks.swap_remove(pick % pair.acks.len());
+                    if pick % 4 != 0 {
+                        pair.ack_sender(cum);
+                    }
+                }
+                12 => pair.data.extend(pair.tx.retransmissions()),
+                13 => {
+                    let seq = u64::MAX - 1 - (pick % 3) as u64;
+                    strays.insert(seq);
+                    pair.receive(LinkFrame { seq, body: LinkBody::Msg(0) });
+                }
+                _ => {}
+            }
+        }
+        while pushed < frames {
+            pushed += 1;
+            pair.data.push(pair.tx.push(LinkBody::Msg(pushed)));
+        }
+        pair.quiesce();
+        let expected: Vec<LinkBody<u64>> = (1..=frames).map(LinkBody::Msg).collect();
+        prop_assert_eq!(&pair.released, &expected);
+        prop_assert_eq!(pair.rx.in_order_point(), frames);
+        prop_assert_eq!(pair.rx.buffered(), strays.len());
+        prop_assert_eq!(pair.last_ack, frames);
     }
 }
 

@@ -117,6 +117,11 @@ pub const GC_ROOTS: &[HotRoot] = &[
         name: "on_members",
     },
     HotRoot {
+        path: "crates/core/src/delivery/pcbcast/engine.rs",
+        owner: Some("PcEngine"),
+        name: "on_link_frame_into",
+    },
+    HotRoot {
         path: "crates/core/src/delivery/pcbcast/link.rs",
         owner: Some("Link"),
         name: "on_ack",

@@ -4,11 +4,11 @@
 //! schedules they happen to run (`RunnerStats.scratch_grows`,
 //! `frame_copies == 0`); this pass proves it for *every* path: a
 //! declared **hot-root set** — the reactor shard loop and its flush /
-//! receive legs, the three delivery engines' drain paths, the
-//! simulator's batched event loop, and the stability tracker's
-//! per-delivery and per-report updates — is closed over the call graph, and
-//! every statement reachable (CFG-wise) inside that cone is scanned for
-//! heap-allocating expressions.
+//! receive legs, the three delivery engines' drain paths and the PC
+//! engine's link frame entry, the simulator's batched event loop, and
+//! the stability tracker's per-delivery and per-report updates — is
+//! closed over the call graph, and every statement reachable (CFG-wise)
+//! inside that cone is scanned for heap-allocating expressions.
 //!
 //! Flagged shapes: collection constructors (`Vec::new`,
 //! `X::with_capacity`, `VecDeque::new`, …), `Box::new` / `Arc::new` /
@@ -46,8 +46,9 @@ pub struct HotRoot {
 }
 
 /// The flood-path roots: reactor shard loop + flush/receive legs, the
-/// engines' drain paths, the simulator's batched event loop, and the
-/// stability tracker's `on_deliver`/`on_report` (mesh and tree).
+/// engines' drain paths, PC link frame ingress, the simulator's batched
+/// event loop, and the stability tracker's `on_deliver`/`on_report`
+/// (mesh and tree).
 pub const HOT_ROOTS: &[HotRoot] = &[
     HotRoot {
         path: "crates/net/src/reactor.rs",
@@ -77,7 +78,20 @@ pub const HOT_ROOTS: &[HotRoot] = &[
     HotRoot {
         path: "crates/core/src/delivery/pcbcast/engine.rs",
         owner: Some("PcEngine"),
+        name: "on_link_frame_into",
+    },
+    HotRoot {
+        path: "crates/core/src/delivery/pcbcast/engine.rs",
+        owner: Some("PcEngine"),
         name: "ingest",
+    },
+    // The link's frame ingress. The engine reaches it as
+    // `link.on_frame(..)` on a local receiver, which the call graph
+    // leaves unresolved, so it is declared on its own.
+    HotRoot {
+        path: "crates/core/src/delivery/pcbcast/link.rs",
+        owner: Some("Link"),
+        name: "on_frame",
     },
     HotRoot {
         path: "crates/simnet/src/sim.rs",

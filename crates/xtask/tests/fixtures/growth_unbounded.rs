@@ -23,8 +23,12 @@ impl PcEngine {
         }
     }
 
-    // Never called from ingest or on_members: the shrink exists but is
-    // unreachable from every declared GC root.
+    pub fn on_link_frame_into(&mut self, from: ProcessId) {
+        self.watermark.insert(from, 0);
+    }
+
+    // Never called from ingest, on_members or on_link_frame_into: the
+    // shrink exists but is unreachable from every declared GC root.
     pub fn cleanup(&mut self) {
         self.gate.clear();
     }
