@@ -21,7 +21,7 @@
 
 use causal_bench::json::{array, JsonObject};
 use causal_clocks::{MsgId, ProcessId};
-use causal_core::delivery::pcbcast::{LinkBody, LinkFrame};
+use causal_core::delivery::pcbcast::{LinkBody, LinkClock, LinkFrame};
 use causal_core::delivery::{CbcastEngine, DeliveryEngine, LinkSend, PcEngine, PcEnvelope};
 use causal_core::osend::OccursAfter;
 use causal_core::stack::{ProtocolStack, Timed};
@@ -312,7 +312,7 @@ impl ChurnNet {
                 let Some(engine) = self.engines[i].as_mut() else {
                     continue;
                 };
-                let rtx = engine.link_retransmissions();
+                let rtx = engine.link_retransmissions(LinkClock::STOPPED);
                 self.enqueue(i, rtx);
             }
         }

@@ -41,7 +41,7 @@ use crate::rbcast::HasMsgId;
 use crate::stack::Timed;
 use causal_clocks::{MsgId, ProcessId, VectorClock};
 use causal_simnet::SimTime;
-use pcbcast::link::LinkFrame;
+use pcbcast::link::{LinkClock, LinkFrame};
 use pcbcast::overlay::TreePosition;
 
 /// Engine-agnostic view of one delivered message, handed to the unified
@@ -210,6 +210,11 @@ pub trait DeliveryEngine {
     /// Handles one inbound overlay link frame. `history` is the
     /// membership layer's retained delivered envelopes (delivery order),
     /// which quarantine flushing draws from; static stacks pass `&[]`.
+    ///
+    /// The frame is handled on [`LinkClock::STOPPED`], so a link never
+    /// names a lost frame here: a replay of captured frames releases
+    /// what the live run released, without the hole reports that depend
+    /// on when frames arrived.
     fn on_link_frame(
         &mut self,
         from: ProcessId,
@@ -217,19 +222,22 @@ pub trait DeliveryEngine {
         history: &[Timed<Self::Envelope>],
     ) -> LinkDelivery<Self::Envelope> {
         let mut out = LinkDelivery::default();
-        self.on_link_frame_into(from, frame, history, &mut out);
+        self.on_link_frame_into(from, frame, history, LinkClock::STOPPED, &mut out);
         out
     }
 
-    /// Like [`on_link_frame`](Self::on_link_frame), appending to `out`
-    /// instead of returning a fresh [`LinkDelivery`]. This is the
-    /// flood-path entry point: the stack drains one retained `out` per
-    /// frame, so steady-state link traffic allocates no vectors.
+    /// Like [`on_link_frame`](Self::on_link_frame) at `clock`, appending
+    /// to `out` instead of returning a fresh [`LinkDelivery`]. This is
+    /// the flood-path entry point: the stack passes its time and
+    /// retransmission period, from which links judge which frames are
+    /// lost, and drains one retained `out` per frame, so steady-state
+    /// link traffic allocates no vectors.
     fn on_link_frame_into(
         &mut self,
         _from: ProcessId,
         _frame: LinkFrame<Timed<Self::Envelope>>,
         _history: &[Timed<Self::Envelope>],
+        _clock: LinkClock,
         _out: &mut LinkDelivery<Self::Envelope>,
     ) {
     }
@@ -249,8 +257,10 @@ pub trait DeliveryEngine {
         }
     }
 
-    /// Unacknowledged link frames due for retransmission.
-    fn link_retransmissions(&mut self) -> Vec<LinkSend<Self::Envelope>> {
+    /// The frames the retransmission tick at `clock` sends: every
+    /// unacknowledged link frame, and an ack on each link whose inbound
+    /// stream has holes due to be named.
+    fn link_retransmissions(&mut self, _clock: LinkClock) -> Vec<LinkSend<Self::Envelope>> {
         Vec::new()
     }
 

@@ -14,12 +14,15 @@
 //! LinkBody    := 0x00 ‖ T                      (Msg)
 //!              | 0x01 ‖ token(8)               (Ping)
 //!              | 0x02 ‖ token(8) ‖ len(4) ‖ (origin(4) ‖ wm(8))*  (Pong)
-//!              | 0x03 ‖ cum(8)                 (Ack)
+//!              | 0x03 ‖ cum(8) ‖ holes(8)      (Ack)
 //! ```
 //!
 //! A data frame's ordering metadata is the 8-byte link sequence plus
 //! the envelope's 12-byte id — constant in the group size, which is the
-//! whole point ([`crate::wire::pc_overhead_bytes`]).
+//! whole point ([`crate::wire::pc_overhead_bytes`]). An ack names the
+//! frames its sender has lost in a fixed 64-bit bitmap over the
+//! sequence numbers above `cum`, so its size is fixed too and decoding
+//! it reads exactly 16 bytes.
 
 use super::engine::PcEnvelope;
 use super::link::{LinkBody, LinkFrame};
@@ -76,6 +79,7 @@ pub fn decode_link_body<T: WireEncode>(input: &mut &[u8]) -> Result<LinkBody<T>,
         }
         TAG_LB_ACK => Ok(LinkBody::Ack {
             cum: get_u64_le(input)?,
+            holes: get_u64_le(input)?,
         }),
         got => Err(DecodeError::InvalidTag { got }),
     }
@@ -101,9 +105,10 @@ impl<T: WireEncode> WireEncode for LinkBody<T> {
                     out.extend_from_slice(&wm.to_le_bytes());
                 }
             }
-            LinkBody::Ack { cum } => {
+            LinkBody::Ack { cum, holes } => {
                 out.push(TAG_LB_ACK);
                 out.extend_from_slice(&cum.to_le_bytes());
+                out.extend_from_slice(&holes.to_le_bytes());
             }
         }
     }
@@ -168,7 +173,14 @@ mod tests {
             },
             LinkFrame {
                 seq: 0,
-                body: LinkBody::Ack { cum: 11 },
+                body: LinkBody::Ack { cum: 11, holes: 0 },
+            },
+            LinkFrame {
+                seq: 0,
+                body: LinkBody::Ack {
+                    cum: 11,
+                    holes: 1 << 63 | 0b101,
+                },
             },
         ]
     }

@@ -45,7 +45,7 @@
 //! self-heals when the gap fills. It is also the deduplication point:
 //! ids at or below the origin watermark are duplicates.
 
-use super::link::{Link, LinkBody, LinkFrame};
+use super::link::{Link, LinkBody, LinkClock, LinkFrame};
 use super::overlay::{tree_position, TreePosition, DEFAULT_FANOUT};
 use crate::delivery::{Delivered, DeliveryEngine, LinkDelivery, LinkSend};
 use crate::osend::OccursAfter;
@@ -128,6 +128,10 @@ pub struct PcEngine<P> {
     /// frames. Kept, like `batch`, so that steady-state frames allocate
     /// nothing.
     released: Vec<LinkBody<Timed<PcEnvelope<P>>>>,
+    /// The frames one inbound frame's link sends back to its peer (the
+    /// ack, and resends of frames the peer named lost), empty between
+    /// frames and kept like `released`.
+    replies: Vec<LinkFrame<Timed<PcEnvelope<P>>>>,
     /// What one inbound frame delivered before a pong, for that pong's
     /// flush, empty between frames. Filled only while a handshake is
     /// outstanding (see `deliver`).
@@ -164,6 +168,7 @@ impl<P: Clone> PcEngine<P> {
             log: Vec::new(),
             duplicates: 0,
             released: Vec::new(),
+            replies: Vec::new(),
             batch: Vec::new(),
             next_token: 0,
             peak_buffered: 0,
@@ -191,9 +196,15 @@ impl<P: Clone> PcEngine<P> {
         self.peak_buffered
     }
 
-    /// Stream frames retransmitted across all links.
+    /// Stream frames retransmitted by the tick across all links.
     pub fn link_retransmit_count(&self) -> u64 {
         self.links.values().map(Link::retransmit_count).sum()
+    }
+
+    /// Stream frames resent across all links because the receiver named
+    /// them lost.
+    pub fn link_repair_count(&self) -> u64 {
+        self.links.values().map(Link::repair_count).sum()
     }
 
     /// Slots the gate has allocated, empty or not.
@@ -431,6 +442,7 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
         from: ProcessId,
         frame: LinkFrame<Timed<PcEnvelope<P>>>,
         history: &[Timed<PcEnvelope<P>>],
+        clock: LinkClock,
         out: &mut LinkDelivery<PcEnvelope<P>>,
     ) {
         // Lazily materialize link state for a member whose frames beat our
@@ -445,15 +457,10 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
             Entry::Vacant(_) => return,
         };
         let mut released = std::mem::take(&mut self.released);
-        if let Some(cum) = link.on_frame(frame, &mut released) {
-            out.sends.push((
-                from,
-                LinkFrame {
-                    seq: 0,
-                    body: LinkBody::Ack { cum },
-                },
-            ));
-        }
+        let mut replies = std::mem::take(&mut self.replies);
+        link.on_frame(frame, clock, &mut released, &mut replies);
+        out.sends.extend(replies.drain(..).map(|f| (from, f)));
+        self.replies = replies;
         let mut batch = std::mem::take(&mut self.batch);
         for body in released.drain(..) {
             match body {
@@ -474,9 +481,12 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
         self.note_buffered();
     }
 
-    fn link_retransmissions(&mut self) -> Vec<LinkSend<PcEnvelope<P>>> {
+    fn link_retransmissions(&mut self, clock: LinkClock) -> Vec<LinkSend<PcEnvelope<P>>> {
         let mut sends = Vec::new();
         for (&peer, link) in self.links.iter_mut() {
+            if let Some(report) = link.hole_report(clock) {
+                sends.push((peer, report));
+            }
             for frame in link.retransmissions() {
                 sends.push((peer, frame));
             }

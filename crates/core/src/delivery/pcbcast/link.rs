@@ -28,21 +28,98 @@
 //! "first frame on a fresh link is the ping" invariant meaningful.
 //! [`LinkBody::Ack`] is unsequenced bookkeeping (`seq` 0) and carries
 //! only news: a receiver acknowledges when a frame advances its in-order
-//! point, and re-acknowledges a retransmitted copy of the frame at that
+//! point, re-acknowledges a retransmitted copy of the frame at that
 //! point, which every retransmission burst carries until the sender
-//! learns the point. Losing an ack therefore costs one retransmission
-//! burst, never correctness (see [`Link::on_frame`]).
+//! learns the point, and names the frames it has lost. Losing an ack
+//! therefore costs one retransmission burst, never correctness (see
+//! [`Link::on_frame`]).
+//!
+//! # Naming lost frames
+//!
+//! A lost frame holds back every later frame on its link, so a receiver
+//! names its losses instead of waiting for the sender's next tick. Each
+//! frame parked in reassembly carries the time it arrived. A sequence
+//! number missing below a frame that has been parked for at least W
+//! counts as lost: a frame sent after it has outwaited it by more than
+//! the link reorders. The receiver checks on every arrival on the link
+//! and at the stack's retransmission tick, names the lost frames in the
+//! ack it sends back, as a bitmap over the 64 sequence numbers above
+//! `cum`, and names a hole that is still missing again once P/2 has
+//! passed since it last named holes. The sender resends exactly the
+//! named frames it still retains, at once. Per link this costs one
+//! arrival stamp per parked frame and three words: the highest sequence
+//! number received, the naming frontier (every hole at or below it has
+//! been named) and the time of the last naming.
+//!
+//! A check walks up from the frontier and stops at the first frame
+//! parked for less than W, since frames above it arrived later as a
+//! rule. So it allocates nothing and visits a slot or two per arrival.
+//! The price is a straggler: a frame that arrived late stops the walk
+//! until it too has been parked for W, so a hole above it may be named
+//! later than the rule allows, by at most how late the straggler was,
+//! and never sooner.
+//!
+//! W comes from the stack's retransmission period P ([`LinkClock`]):
+//! W = P/8, 625 µs at the 5 ms default and 500 µs at the 4 ms
+//! membership default, which is wider than the 450 µs latency spread of
+//! the PC benchmark's network. W needs no option of its own. Too small
+//! a W only resends frames that were merely reordered, and too large a
+//! W only delays a repair towards the tick; neither touches
+//! correctness. A transport that reorders by more than P/8 also wastes
+//! most of its go-back-N bursts, so it needs a longer P already, and W
+//! grows with it.
+//!
+//! Liveness does not rest on naming. Every tick still resends the whole
+//! unacknowledged tail, so the argument above holds unchanged: named
+//! holes only bring a repair forward, and a lost hole report or a lost
+//! resend costs one tick, as any loss does. A caller without a clock
+//! passes [`LinkClock::STOPPED`], under which no frame is ever parked
+//! for W and the link names nothing.
 
+use crate::stack::DEFAULT_RETRANSMIT;
 use causal_clocks::{IdWindow, MsgId, ProcessId};
+use causal_simnet::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// The one lane of a link's reassembly window. Its ids are link
 /// sequence numbers; the origin carries no meaning.
 const STREAM: ProcessId = ProcessId::new(0);
 
+/// How many sequence numbers above `cum` an ack can name as lost: one
+/// per bit of [`LinkBody::Ack`]'s `holes`.
+const REPORT_SPAN: u64 = 64;
+
 /// The reassembly window's key for link sequence number `seq`.
 const fn at(seq: u64) -> MsgId {
     MsgId::new(STREAM, seq)
+}
+
+/// What a link reads of its stack's clock: the time of the arrival or
+/// tick being handled, and the stack's retransmission period P.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LinkClock {
+    /// The time now.
+    pub now: SimTime,
+    /// The stack's retransmission period P. A hole counts as lost once
+    /// a frame above it has been parked for P/8, and a hole still
+    /// missing is named again after P/2.
+    pub period: SimDuration,
+}
+
+impl LinkClock {
+    /// A clock stopped at time zero, at the default period: every frame
+    /// is stamped with the time it is checked at, so none is ever parked
+    /// for W and no hole is named. Callers without a clock (replays,
+    /// engine-level harnesses) use it.
+    pub const STOPPED: LinkClock = LinkClock {
+        now: SimTime::ZERO,
+        period: DEFAULT_RETRANSMIT,
+    };
+
+    /// Whether at least `period / div` has passed since `since`.
+    fn waited(self, since: SimTime, div: u64) -> bool {
+        self.now.saturating_since(since).as_micros() >= self.period.as_micros() / div
+    }
 }
 
 /// One frame on a directed overlay link.
@@ -75,18 +152,22 @@ pub enum LinkBody<T> {
         /// Sorted `(origin, watermark)` pairs.
         delivered: Vec<(ProcessId, u64)>,
     },
-    /// Cumulative acknowledgement of the peer's stream up to `cum`.
+    /// Cumulative acknowledgement of the peer's stream up to `cum`, and
+    /// the frames above it the receiver has lost.
     Ack {
         /// Highest in-order sequence received on the reverse direction.
         cum: u64,
+        /// Bit `i` set: frame `cum + 1 + i` is lost, so resend it.
+        holes: u64,
     },
 }
 
 /// Both directions of one overlay link, from the owning member's side.
 ///
 /// Outbound: assigns stream sequence numbers, retains frames until
-/// cumulatively acknowledged, and replays the unacknowledged tail on
-/// demand. Inbound: reassembles the peer's stream into FIFO order.
+/// cumulatively acknowledged, resends the frames the peer names as lost,
+/// and replays the unacknowledged tail on demand. Inbound: reassembles
+/// the peer's stream into FIFO order and names its losses.
 #[derive(Debug, Clone)]
 pub struct Link<T> {
     /// Outbound data permission: `false` while the fresh-link handshake
@@ -96,14 +177,24 @@ pub struct Link<T> {
     pub pending_ping: Option<u64>,
     /// Next outbound sequence number to assign.
     next_out: u64,
-    /// Sent but not yet cumulatively acknowledged, in sequence order.
+    /// Sent but not yet cumulatively acknowledged, in sequence order,
+    /// without gaps.
     unacked: VecDeque<(u64, LinkBody<T>)>,
-    /// Inbound frames awaiting their predecessors, in the lane
-    /// [`STREAM`]. The lane's floor is the in-order point: the highest
-    /// sequence number released so far.
-    reassembly: IdWindow<LinkBody<T>>,
-    /// Stream frames retransmitted so far.
+    /// Inbound frames awaiting their predecessors, each with the time it
+    /// arrived, in the lane [`STREAM`]. The lane's floor is the in-order
+    /// point: the highest sequence number released so far.
+    reassembly: IdWindow<(SimTime, LinkBody<T>)>,
+    /// The highest inbound sequence number received so far.
+    top: u64,
+    /// The naming frontier: every inbound hole at or below it has been
+    /// named to the peer.
+    named_to: u64,
+    /// When holes were last named.
+    named_at: SimTime,
+    /// Stream frames retransmitted by the tick so far.
     retransmits: u64,
+    /// Stream frames resent so far because the peer named them.
+    repairs: u64,
     /// Duplicate stream frames absorbed so far.
     duplicates: u64,
 }
@@ -116,7 +207,11 @@ impl<T> Default for Link<T> {
             next_out: 1,
             unacked: VecDeque::new(),
             reassembly: IdWindow::new(),
+            top: 0,
+            named_to: 0,
+            named_at: SimTime::ZERO,
             retransmits: 0,
+            repairs: 0,
             duplicates: 0,
         }
     }
@@ -142,56 +237,141 @@ impl<T: Clone> Link<T> {
         LinkFrame { seq, body }
     }
 
-    /// Processes one inbound frame: acknowledgements trim the outbound
-    /// retention window; stream frames are released in FIFO order,
-    /// buffering ahead-of-sequence arrivals and absorbing duplicates.
-    /// Released bodies are appended to `released`, so a caller that
-    /// reuses one buffer allocates nothing per frame.
+    /// Processes one inbound frame arriving at `clock.now`: an
+    /// acknowledgement trims the outbound retention window and resends
+    /// the frames it names as lost; a stream frame is released in FIFO
+    /// order, ahead-of-sequence arrivals are parked with their arrival
+    /// time, and duplicates are absorbed. Released bodies are appended
+    /// to `released`, and the frames to send back to the peer to
+    /// `replies`, so a caller that reuses both buffers allocates nothing
+    /// per frame until a loss is named.
     ///
-    /// Returns the cumulative acknowledgement to send back, only when it
-    /// is news: the frame advanced the in-order point, or it duplicates
+    /// The reply ack carries the in-order point and goes back only when
+    /// it is news: the frame advanced the in-order point, it duplicates
     /// the frame at that point (a retransmission, so the ack that
-    /// reported the point may have been lost). Frames parked in
+    /// reported the point may have been lost), or this arrival found
+    /// holes to name (see the [module docs](self)). Frames parked in
     /// reassembly and other duplicates would only repeat a point already
-    /// sent on this link, and stay unanswered.
+    /// sent on this link, and stay unanswered unless they name a hole.
     ///
-    /// Liveness: the sender reads only the cumulative point, and every
-    /// retransmission burst resends everything above the last point it
-    /// learned. A burst after a lost ack therefore carries the frame at
-    /// the receiver's point, whose re-ack repairs the loss; a lost data
-    /// frame is unacknowledged under any rule and is resent at the same
-    /// tick.
+    /// Liveness: the sender reads only the cumulative point to trim, and
+    /// every retransmission burst resends everything above the last
+    /// point it learned. A burst after a lost ack therefore carries the
+    /// frame at the receiver's point, whose re-ack repairs the loss; a
+    /// lost data frame is unacknowledged under any rule and is resent at
+    /// the same tick, if naming has not repaired it first.
     pub fn on_frame(
         &mut self,
         frame: LinkFrame<T>,
+        clock: LinkClock,
         released: &mut Vec<LinkBody<T>>,
-    ) -> Option<u64> {
-        if let LinkBody::Ack { cum } = frame.body {
-            self.on_ack(cum);
-            return None;
+        replies: &mut Vec<LinkFrame<T>>,
+    ) {
+        let news = match frame.body {
+            LinkBody::Ack { cum, holes } => {
+                self.on_ack(cum);
+                self.resend_named(cum, holes, replies);
+                false
+            }
+            body => self.on_stream(frame.seq, body, clock.now, released),
+        };
+        let holes = self.holes_due(clock);
+        if news || holes != 0 {
+            replies.push(self.ack(holes));
         }
+    }
+
+    /// Takes one stream frame that arrived at `now`: releases it and its
+    /// parked successors if it is next in sequence, parks it if it is
+    /// ahead, and absorbs it if it is a duplicate. Returns whether the
+    /// ack it calls for is news (see [`on_frame`](Self::on_frame)).
+    fn on_stream(
+        &mut self,
+        seq: u64,
+        body: LinkBody<T>,
+        now: SimTime,
+        released: &mut Vec<LinkBody<T>>,
+    ) -> bool {
+        self.top = self.top.max(seq);
         let point = self.in_order_point();
-        if frame.seq <= point {
+        if seq <= point {
             // Already released: a retransmission raced the ack. Only the
             // frame at the cumulative point is re-acknowledged; the sender
             // resends it in every burst until it learns that point.
             self.duplicates += 1;
-            return (frame.seq == point).then_some(point);
+            return seq == point;
         }
-        if frame.seq - point > 1 {
-            if self.reassembly.insert(at(frame.seq), frame.body).is_some() {
+        if seq - point > 1 {
+            // A duplicate keeps the first copy, and with it the time the
+            // frame first arrived.
+            if self.reassembly.insert(at(seq), (now, body)).is_some() {
                 self.duplicates += 1;
             }
-            return None;
+            return false;
         }
-        released.push(frame.body);
+        released.push(body);
         loop {
             let point = self.reassembly.advance(STREAM);
             match self.reassembly.remove(at(point.saturating_add(1))) {
-                Some(body) => released.push(body),
-                None => return Some(point),
+                Some((_, body)) => released.push(body),
+                None => return true,
             }
         }
+    }
+
+    /// The inbound holes to name at `clock`, as a bitmap over the
+    /// sequence numbers above the in-order point (bit `i`: `point + 1 +
+    /// i`). A hole is named once a frame above it has been parked for
+    /// P/8, as far as the walk up from the frontier reaches (see the
+    /// [module docs](self)), and named again, while it is still missing,
+    /// once P/2 has passed since holes were last named.
+    fn holes_due(&mut self, clock: LinkClock) -> u64 {
+        let point = self.in_order_point();
+        let bit = |seq: u64| 1u64 << (seq - point - 1);
+        let mut holes = 0;
+        if self.named_to > point && clock.waited(self.named_at, 2) {
+            for seq in point + 1..=self.named_to {
+                if !self.reassembly.contains(at(seq)) {
+                    holes |= bit(seq);
+                }
+            }
+        }
+        let last = self.top.min(point.saturating_add(REPORT_SPAN));
+        let mut missing = 0;
+        for seq in self.named_to.max(point) + 1..=last {
+            match self.reassembly.get(at(seq)) {
+                None => missing |= bit(seq),
+                Some(&(parked_at, _)) if clock.waited(parked_at, 8) => {
+                    holes |= missing;
+                    missing = 0;
+                    self.named_to = seq;
+                }
+                Some(_) => break,
+            }
+        }
+        if holes != 0 {
+            self.named_at = clock.now;
+        }
+        holes
+    }
+
+    /// An ack of the in-order point, naming `holes`.
+    fn ack(&self, holes: u64) -> LinkFrame<T> {
+        LinkFrame {
+            seq: 0,
+            body: LinkBody::Ack {
+                cum: self.in_order_point(),
+                holes,
+            },
+        }
+    }
+
+    /// The ack naming the inbound holes due at `clock`, if there are
+    /// any. The stack's retransmission tick runs the check every arrival
+    /// runs, for a stream that has gone quiet.
+    pub fn hole_report(&mut self, clock: LinkClock) -> Option<LinkFrame<T>> {
+        let holes = self.holes_due(clock);
+        (holes != 0).then(|| self.ack(holes))
     }
 
     /// Trims frames the peer has acknowledged receiving. An ack at or
@@ -205,6 +385,35 @@ impl<T: Clone> Link<T> {
         }
         while self.unacked.front().is_some_and(|(s, _)| *s <= cum) {
             self.unacked.pop_front();
+        }
+    }
+
+    /// Appends to `replies` a copy of each retained frame that an ack at
+    /// `cum` names in `holes`. A name at or above the next sequence
+    /// number to send (corrupt bytes, or a hole named by an earlier
+    /// incarnation of the link) resends nothing, and neither does one
+    /// of a frame already acknowledged.
+    fn resend_named(&mut self, cum: u64, holes: u64, replies: &mut Vec<LinkFrame<T>>) {
+        let Some(&(first, _)) = self.unacked.front() else {
+            return;
+        };
+        let mut bits = holes;
+        while bits != 0 {
+            let seq = cum.saturating_add(1 + u64::from(bits.trailing_zeros()));
+            bits &= bits - 1;
+            if seq >= self.next_out {
+                return;
+            }
+            let Some(offset) = seq.checked_sub(first) else {
+                continue;
+            };
+            if let Some((_, body)) = self.unacked.get(offset as usize) {
+                replies.push(LinkFrame {
+                    seq,
+                    body: body.clone(),
+                });
+                self.repairs += 1;
+            }
         }
     }
 
@@ -236,9 +445,14 @@ impl<T: Clone> Link<T> {
         self.reassembly.floor(STREAM)
     }
 
-    /// Stream frames retransmitted so far.
+    /// Stream frames retransmitted by the tick so far.
     pub fn retransmit_count(&self) -> u64 {
         self.retransmits
+    }
+
+    /// Stream frames resent so far because the peer named them lost.
+    pub fn repair_count(&self) -> u64 {
+        self.repairs
     }
 
     /// Duplicate stream frames absorbed so far.
@@ -255,15 +469,52 @@ mod tests {
         link.push(LinkBody::Msg(s))
     }
 
-    /// Feeds `frame` to `rx`: the bodies it released and the ack it
-    /// returned.
+    /// Feeds `frame` to `rx` at `now`: the bodies it released and the
+    /// frames it sent back.
+    fn feed_at(
+        rx: &mut Link<&'static str>,
+        frame: LinkFrame<&'static str>,
+        now: u64,
+    ) -> (Vec<LinkBody<&'static str>>, Vec<LinkFrame<&'static str>>) {
+        let clock = LinkClock {
+            now: SimTime::from_micros(now),
+            period: DEFAULT_RETRANSMIT,
+        };
+        let (mut released, mut replies) = (Vec::new(), Vec::new());
+        rx.on_frame(frame, clock, &mut released, &mut replies);
+        (released, replies)
+    }
+
+    /// Feeds `frame` to `rx` on a stopped clock: the bodies it released
+    /// and the point of the ack it returned.
     fn feed(
         rx: &mut Link<&'static str>,
         frame: LinkFrame<&'static str>,
     ) -> (Vec<LinkBody<&'static str>>, Option<u64>) {
-        let mut released = Vec::new();
-        let ack = rx.on_frame(frame, &mut released);
+        let (released, replies) = feed_at(rx, frame, 0);
+        let ack = replies.iter().find_map(|f| match f.body {
+            LinkBody::Ack { cum, holes: 0 } => Some(cum),
+            _ => None,
+        });
         (released, ack)
+    }
+
+    /// The holes an ack names, as sequence numbers.
+    fn named(frame: &LinkFrame<&'static str>) -> Vec<u64> {
+        let LinkBody::Ack { cum, holes } = frame.body else {
+            panic!("not an ack: {frame:?}");
+        };
+        (0..64)
+            .filter(|i| holes >> i & 1 == 1)
+            .map(|i| cum + 1 + i)
+            .collect()
+    }
+
+    fn ack_frame(cum: u64, holes: u64) -> LinkFrame<&'static str> {
+        LinkFrame {
+            seq: 0,
+            body: LinkBody::Ack { cum, holes },
+        }
     }
 
     #[test]
@@ -385,23 +636,18 @@ mod tests {
         assert!(feed(&mut rx, f2).0.is_empty());
         // The retransmitted tail includes the lost frame; duplicates of
         // the buffered one are absorbed.
-        let mut released = Vec::new();
-        for f in tx.retransmissions() {
-            rx.on_frame(f, &mut released);
-        }
+        let released: Vec<_> = tx
+            .retransmissions()
+            .into_iter()
+            .flat_map(|f| feed(&mut rx, f).0)
+            .collect();
         assert_eq!(released, vec![LinkBody::Msg("a"), LinkBody::Msg("b")]);
     }
 
     #[test]
     fn ack_frames_are_unsequenced() {
         let mut rx: Link<&str> = Link::new_safe();
-        let (released, ack) = feed(
-            &mut rx,
-            LinkFrame {
-                seq: 0,
-                body: LinkBody::Ack { cum: 0 },
-            },
-        );
+        let (released, ack) = feed(&mut rx, ack_frame(0, 0));
         assert!(released.is_empty());
         assert!(ack.is_none());
     }
@@ -412,15 +658,125 @@ mod tests {
         for s in ["a", "b", "c"] {
             msg(&mut tx, s);
         }
-        let ack = LinkFrame {
-            seq: 0,
-            body: LinkBody::Ack { cum: 10 },
-        };
-        assert_eq!(feed(&mut tx, ack), (Vec::new(), None));
+        assert_eq!(feed(&mut tx, ack_frame(10, 0)), (Vec::new(), None));
         let seqs: Vec<u64> = tx.retransmissions().iter().map(|f| f.seq).collect();
         assert_eq!(seqs, vec![1, 2, 3], "frames the peer never received stay");
         // An ack of the last frame sent still trims everything.
         tx.on_ack(3);
         assert!(!tx.has_pending());
+    }
+
+    #[test]
+    fn a_reordering_that_fills_within_w_names_nothing() {
+        let mut tx = Link::new_safe();
+        let mut rx: Link<&str> = Link::new_safe();
+        let frames: Vec<_> = ["a", "b", "c", "d"]
+            .into_iter()
+            .map(|s| msg(&mut tx, s))
+            .collect();
+        // W is 625 µs at the default period: frame 4 has waited 600 µs
+        // when frame 1 fills the gap, and a tick at that moment finds
+        // nothing to name either.
+        let arrivals = [(3, 0), (2, 250), (1, 400), (0, 600)];
+        for (i, now) in arrivals {
+            let (_, replies) = feed_at(&mut rx, frames[i].clone(), now);
+            assert!(
+                replies
+                    .iter()
+                    .all(|f| matches!(f.body, LinkBody::Ack { holes: 0, .. })),
+                "frame {} at {now} µs: {replies:?}",
+                i + 1
+            );
+        }
+        assert_eq!(rx.in_order_point(), 4);
+        let late = LinkClock {
+            now: SimTime::from_micros(5_000),
+            period: DEFAULT_RETRANSMIT,
+        };
+        assert_eq!(rx.hole_report(late), None);
+    }
+
+    #[test]
+    fn a_hole_outwaited_by_a_later_frame_is_named_and_resent() {
+        let mut tx = Link::new_safe();
+        let mut rx: Link<&str> = Link::new_safe();
+        let frames: Vec<_> = ["a", "b", "c", "d", "e"]
+            .into_iter()
+            .map(|s| msg(&mut tx, s))
+            .collect();
+        // Frames 1 and 3 are lost. Frame 2 parks at 0 µs; frame 4 at
+        // 300 µs names nothing, since frame 2 has waited less than W.
+        assert!(feed_at(&mut rx, frames[1].clone(), 0).1.is_empty());
+        assert!(feed_at(&mut rx, frames[3].clone(), 300).1.is_empty());
+        // At 700 µs frame 2 has waited W: hole 1 is lost. Hole 3 lies
+        // only below frame 4, which has waited 400 µs.
+        let (_, replies) = feed_at(&mut rx, frames[4].clone(), 700);
+        assert_eq!(replies.len(), 1);
+        assert_eq!(named(&replies[0]), vec![1]);
+        // The sender resends exactly the named frame.
+        let (_, resent) = feed_at(&mut tx, replies[0].clone(), 750);
+        assert_eq!(resent, vec![frames[0].clone()]);
+        assert_eq!(tx.repair_count(), 1);
+        // Frame 1 releases frame 2; the ack names hole 3 once frame 4
+        // has waited W.
+        let (released, replies) = feed_at(&mut rx, resent[0].clone(), 1_000);
+        assert_eq!(released, vec![LinkBody::Msg("a"), LinkBody::Msg("b")]);
+        assert_eq!(replies.len(), 1);
+        assert_eq!(named(&replies[0]), vec![3]);
+        let (_, resent) = feed_at(&mut tx, replies[0].clone(), 1_050);
+        assert_eq!(resent, vec![frames[2].clone()]);
+        let (released, replies) = feed_at(&mut rx, resent[0].clone(), 1_300);
+        assert_eq!(released.len(), 3);
+        assert_eq!(replies, vec![ack_frame(5, 0)]);
+    }
+
+    #[test]
+    fn a_still_missing_hole_is_named_again_after_half_a_period() {
+        let mut tx = Link::new_safe();
+        let mut rx: Link<&str> = Link::new_safe();
+        let frames: Vec<_> = ["a", "b", "c"]
+            .into_iter()
+            .map(|s| msg(&mut tx, s))
+            .collect();
+        feed_at(&mut rx, frames[1].clone(), 0);
+        let (_, replies) = feed_at(&mut rx, frames[2].clone(), 700);
+        assert_eq!(named(&replies[0]), vec![1]);
+        // The resend is lost. Until P/2 has passed nothing is named again.
+        let clock = |now| LinkClock {
+            now: SimTime::from_micros(now),
+            period: DEFAULT_RETRANSMIT,
+        };
+        assert_eq!(rx.hole_report(clock(3_199)), None);
+        let again = rx.hole_report(clock(3_200)).expect("named again");
+        assert_eq!(named(&again), vec![1]);
+        assert_eq!(rx.hole_report(clock(3_300)), None);
+    }
+
+    #[test]
+    fn a_sender_ignores_named_frames_it_does_not_retain() {
+        let mut tx = Link::new_safe();
+        let frames: Vec<_> = ["a", "b", "c", "d"]
+            .into_iter()
+            .map(|s| msg(&mut tx, s))
+            .collect();
+        tx.on_ack(1);
+        // An ack at 0 names 1 (already acknowledged), 3, and 5 and 40,
+        // which were never sent: only frame 3 is resent.
+        let holes = 1 | 1 << 2 | 1 << 4 | 1 << 39;
+        let (_, resent) = feed_at(&mut tx, ack_frame(0, holes), 0);
+        assert_eq!(resent, vec![frames[2].clone()]);
+        // A hole named above everything sent (an earlier incarnation of
+        // the link, or corrupt bytes) resends nothing, and an ack at or
+        // above the next sequence number is ignored as a whole.
+        assert!(feed_at(&mut tx, ack_frame(1, 1 << 3 | 1 << 63), 0)
+            .1
+            .is_empty());
+        assert!(feed_at(&mut tx, ack_frame(9, u64::MAX), 0).1.is_empty());
+        assert!(feed_at(&mut tx, ack_frame(u64::MAX, u64::MAX), 0)
+            .1
+            .is_empty());
+        assert_eq!(tx.repair_count(), 1);
+        let seqs: Vec<u64> = tx.retransmissions().iter().map(|f| f.seq).collect();
+        assert_eq!(seqs, vec![2, 3, 4], "naming trims nothing");
     }
 }

@@ -7,7 +7,8 @@
 //! - [`overlay`]: the deterministic spanning overlay (balanced k-ary
 //!   tree over sorted member ids) that replaces full-mesh dissemination;
 //! - [`link`]: synthesized FIFO links — per-link sequencing, reassembly,
-//!   cumulative acks, retransmission — the ordering substrate;
+//!   cumulative acks, named losses, retransmission — the ordering
+//!   substrate;
 //! - [`engine`]: the engine proper — forward-on-delivery over safe
 //!   links, the per-origin watermark gate, and the ping/pong quarantine
 //!   protocol for links opened by membership churn.
@@ -22,4 +23,4 @@ pub mod link;
 pub mod overlay;
 
 pub use engine::{PcEngine, PcEnvelope};
-pub use link::{Link, LinkBody, LinkFrame};
+pub use link::{Link, LinkBody, LinkClock, LinkFrame};

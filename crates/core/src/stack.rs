@@ -38,7 +38,7 @@
 //! `causal-net` TCP transport — including the membership machinery, which
 //! is just more messages and timers.
 
-use crate::delivery::pcbcast::LinkFrame;
+use crate::delivery::pcbcast::{LinkClock, LinkFrame};
 use crate::delivery::{
     CbcastEngine, Delivered, DeliveryEngine, GraphDelivery, LinkDelivery, PcEngine, VtEnvelope,
 };
@@ -602,6 +602,16 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         released
     }
 
+    /// What a routed engine's links read of this stack's clock: the time
+    /// now and the retransmission period, from which they judge which
+    /// frames are lost.
+    fn link_clock(&self, ctx: &Context<'_, StackWire<D::Envelope>>) -> LinkClock {
+        LinkClock {
+            now: ctx.now(),
+            period: self.retransmit_every,
+        }
+    }
+
     fn arm_retransmit(&mut self, ctx: &mut Context<'_, StackWire<D::Envelope>>) {
         if !self.rtx_armed && (self.rb.has_pending() || self.engine.link_has_pending()) {
             ctx.set_timer(self.retransmit_every, TIMER_RETRANSMIT);
@@ -1059,13 +1069,14 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> Actor for ProtocolStack<D, A> {
                 }
             }
             StackWire::Link(frame) => {
+                let clock = self.link_clock(ctx);
                 let history: &[Timed<D::Envelope>] = match &self.membership {
                     Some(mem) => mem.store.as_slice(),
                     None => &[],
                 };
                 let mut out = std::mem::take(&mut self.link_out);
                 self.engine
-                    .on_link_frame_into(from, frame, history, &mut out);
+                    .on_link_frame_into(from, frame, history, clock, &mut out);
                 for (id, sent_at, fresh) in out.receipts.drain(..) {
                     if fresh {
                         self.sent_times.get_or_insert_with(id, || sent_at);
@@ -1096,7 +1107,8 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> Actor for ProtocolStack<D, A> {
                         ctx.multicast(targets, StackWire::Rb(msg));
                     }
                 }
-                for (to, frame) in self.engine.link_retransmissions() {
+                let clock = self.link_clock(ctx);
+                for (to, frame) in self.engine.link_retransmissions(clock) {
                     ctx.send(to, StackWire::Link(frame));
                 }
                 self.arm_retransmit(ctx);

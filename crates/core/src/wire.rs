@@ -676,7 +676,7 @@ mod tests {
             },
             StackWire::Link(crate::delivery::pcbcast::LinkFrame {
                 seq: 3,
-                body: crate::delivery::pcbcast::LinkBody::Ack { cum: 2 },
+                body: crate::delivery::pcbcast::LinkBody::Ack { cum: 2, holes: 6 },
             }),
         ];
         for msg in msgs {

@@ -3,7 +3,7 @@
 
 use causal_clocks::{MsgId, ProcessId, VectorClock};
 use causal_core::delivery::pcbcast::overlay::tree_position;
-use causal_core::delivery::pcbcast::{Link, LinkBody, LinkFrame};
+use causal_core::delivery::pcbcast::{Link, LinkBody, LinkClock, LinkFrame};
 use causal_core::delivery::reference::{FlatCbcastEngine, ScanGraphDelivery};
 use causal_core::delivery::{
     CbcastEngine, DeliveryEngine, GraphDelivery, LinkSend, PcEngine, PcEnvelope, VtEnvelope,
@@ -12,11 +12,11 @@ use causal_core::graph::MsgGraph;
 use causal_core::osend::{GraphEnvelope, OccursAfter};
 use causal_core::stability::{ReportTo, StabilityTracker};
 use causal_core::stable::{LogEntry, StablePointDetector};
-use causal_core::stack::{StackWire, Timed};
+use causal_core::stack::{StackWire, Timed, DEFAULT_RETRANSMIT};
 use causal_core::statemachine::{is_transition_preserving, Operation};
 use causal_core::total::{DeterministicMerge, RoundMsg};
 use causal_core::wire::{self, WireEncode};
-use causal_simnet::SimTime;
+use causal_simnet::{SimDuration, SimTime};
 use causal_verify::check;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -582,7 +582,7 @@ impl PcNet {
                 return;
             }
             for i in 0..self.engines.len() {
-                let rtx = self.engines[i].link_retransmissions();
+                let rtx = self.engines[i].link_retransmissions(LinkClock::STOPPED);
                 self.enqueue(i, rtx);
             }
         }
@@ -610,7 +610,7 @@ fn arb_pc_body() -> impl Strategy<Value = LinkBody<Timed<PcEnvelope<u64>>>> {
                     .map(|(p, w)| (ProcessId::new(p), w))
                     .collect(),
             }),
-        any::<u64>().prop_map(|cum| LinkBody::Ack { cum }),
+        (any::<u64>(), any::<u64>()).prop_map(|(cum, holes)| LinkBody::Ack { cum, holes }),
     ]
 }
 
@@ -748,12 +748,13 @@ proptest! {
 
 /// A sender link, a receiver link, and the frames between them: data
 /// frames on their way to the receiver and acks on their way back, each
-/// in no particular order.
+/// in no particular order, with a clock both links read.
 struct LinkPair {
     tx: Link<u64>,
     rx: Link<u64>,
     data: Vec<LinkFrame<u64>>,
-    acks: Vec<u64>,
+    /// Acks on their way back, as `(cum, holes)`.
+    acks: Vec<(u64, u64)>,
     /// Every body the receiver released, in release order.
     released: Vec<LinkBody<u64>>,
     /// The last ack the receiver returned.
@@ -762,6 +763,26 @@ struct LinkPair {
     /// longest prefix `1..=prefix` among them.
     seen: BTreeSet<u64>,
     prefix: u64,
+    /// Frames the sender has pushed; frame `k` carries body `k`.
+    pushed: u64,
+    /// The time both links read.
+    now: SimTime,
+    /// Model: when each sequence number first reached the receiver.
+    arrived: BTreeMap<u64, SimTime>,
+    /// Model: when the receiver last named each sequence number lost.
+    named: BTreeMap<u64, SimTime>,
+}
+
+/// The retransmission period the links read: W = P/8 = 625 µs, and a
+/// hole is named again after P/2 = 2.5 ms.
+const LINK_PERIOD: SimDuration = DEFAULT_RETRANSMIT;
+
+/// The sequence numbers an ack at `cum` names in `holes`.
+fn named_seqs(cum: u64, holes: u64) -> Vec<u64> {
+    (0..64)
+        .filter(|i| holes >> i & 1 == 1)
+        .map(|i| cum + 1 + i)
+        .collect()
 }
 
 impl LinkPair {
@@ -775,58 +796,162 @@ impl LinkPair {
             last_ack: 0,
             seen: BTreeSet::new(),
             prefix: 0,
+            pushed: 0,
+            now: SimTime::ZERO,
+            arrived: BTreeMap::new(),
+            named: BTreeMap::new(),
         }
+    }
+
+    fn clock(&self) -> LinkClock {
+        LinkClock {
+            now: self.now,
+            period: LINK_PERIOD,
+        }
+    }
+
+    /// The sender sends its next frame.
+    fn push(&mut self) {
+        self.pushed += 1;
+        let frame = self.tx.push(LinkBody::Msg(self.pushed));
+        self.data.push(frame);
+    }
+
+    fn advance(&mut self, micros: u64) {
+        self.now += SimDuration::from_micros(micros);
     }
 
     /// Feeds `frame` to the receiver and checks what it did against the
     /// model: its in-order point is the longest prefix it was fed, it
     /// released exactly that far, it buffers exactly what it was fed
-    /// above the point, and its ack, if any, neither falls nor passes
-    /// the point.
+    /// above the point, and it sent back at most one ack (see
+    /// [`LinkPair::take_ack`]).
     fn receive(&mut self, frame: LinkFrame<u64>) {
         self.seen.insert(frame.seq);
+        self.arrived.entry(frame.seq).or_insert(self.now);
         while self.seen.contains(&(self.prefix + 1)) {
             self.prefix += 1;
         }
-        let ack = self.rx.on_frame(frame, &mut self.released);
+        let mut replies = Vec::new();
+        self.rx
+            .on_frame(frame, self.clock(), &mut self.released, &mut replies);
         let point = self.rx.in_order_point();
         assert_eq!(point, self.prefix);
         assert_eq!(self.released.len() as u64, point);
         assert_eq!(self.rx.buffered(), self.seen.range(point + 1..).count());
-        if let Some(cum) = ack {
-            assert!(cum >= self.last_ack, "ack fell: {cum} < {}", self.last_ack);
-            assert!(cum <= point, "ack {cum} passes the point {point}");
-            self.last_ack = cum;
-            self.acks.push(cum);
+        assert!(replies.len() <= 1, "{replies:?}");
+        for reply in replies {
+            self.take_ack(reply);
         }
     }
 
-    fn ack_sender(&mut self, cum: u64) {
-        let mut none = Vec::new();
+    /// Checks an ack the receiver sent and puts it on its way back. Its
+    /// point neither falls nor passes the receiver's in-order point, and
+    /// each hole it names was sent, is missing at the receiver, lies
+    /// below a frame that arrived at least W ago, and was last named at
+    /// least P/2 ago, if ever.
+    fn take_ack(&mut self, reply: LinkFrame<u64>) {
+        let LinkBody::Ack { cum, holes } = reply.body else {
+            panic!("the receiver sent {reply:?}");
+        };
+        let point = self.rx.in_order_point();
+        assert!(cum >= self.last_ack, "ack fell: {cum} < {}", self.last_ack);
+        assert!(cum <= point, "ack {cum} passes the point {point}");
+        self.last_ack = cum;
+        let outwait = LINK_PERIOD.as_micros() / 8;
+        for seq in named_seqs(cum, holes) {
+            assert!(seq <= self.pushed, "named {seq}, which was never sent");
+            assert!(!self.seen.contains(&seq), "named {seq}, which arrived");
+            let waited = |t: &SimTime| self.now.saturating_since(*t).as_micros();
+            assert!(
+                self.arrived
+                    .range(seq + 1..)
+                    .any(|(_, t)| waited(t) >= outwait),
+                "named {seq} at {}, below no frame parked for W",
+                self.now
+            );
+            if let Some(last) = self.named.get(&seq) {
+                let again = waited(last);
+                assert!(
+                    again >= LINK_PERIOD.as_micros() / 2,
+                    "named {seq} again after {again} µs"
+                );
+            }
+            self.named.insert(seq, self.now);
+        }
+        self.acks.push((cum, holes));
+    }
+
+    /// Feeds an ack to the sender, which resends exactly the retained
+    /// frames it names; the resends go on their way to the receiver.
+    fn ack_sender(&mut self, cum: u64, holes: u64) {
+        let (mut none, mut resent) = (Vec::new(), Vec::new());
         let ack = LinkFrame {
             seq: 0,
-            body: LinkBody::Ack { cum },
+            body: LinkBody::Ack { cum, holes },
         };
-        assert_eq!(self.tx.on_frame(ack, &mut none), None);
+        self.tx.on_frame(ack, self.clock(), &mut none, &mut resent);
         assert!(none.is_empty());
+        let named = named_seqs(cum, holes);
+        for frame in &resent {
+            assert!(named.contains(&frame.seq), "resent unnamed {frame:?}");
+            assert_eq!(frame.body, LinkBody::Msg(frame.seq));
+        }
+        self.data.extend(resent);
+    }
+
+    /// The retransmission tick: the receiver names the holes due, and
+    /// the sender resends its unacknowledged tail.
+    fn tick(&mut self) {
+        if let Some(report) = self.rx.hole_report(self.clock()) {
+            self.take_ack(report);
+        }
+        self.data.extend(self.tx.retransmissions());
     }
 
     /// Delivers everything in flight in send order, then repairs losses
-    /// by retransmission bursts until the sender holds nothing unacked.
-    fn quiesce(&mut self) {
+    /// by retransmission ticks `step` apart until the sender holds
+    /// nothing unacked.
+    fn quiesce(&mut self, step: u64) {
         for _round in 0..8 {
             for frame in std::mem::take(&mut self.data) {
                 self.receive(frame);
             }
-            for cum in std::mem::take(&mut self.acks) {
-                self.ack_sender(cum);
+            for (cum, holes) in std::mem::take(&mut self.acks) {
+                self.ack_sender(cum, holes);
             }
             if !self.tx.has_pending() {
                 return;
             }
-            self.data = self.tx.retransmissions();
+            self.advance(step);
+            self.tick();
         }
         panic!("the link failed to quiesce");
+    }
+
+    /// Repairs losses with no retransmission burst: delivers everything
+    /// in flight, lets the sender answer every ack, and when nothing is
+    /// in flight lets P/2 pass and has the receiver name what it still
+    /// misses, until the receiver holds the whole stream.
+    fn quiesce_by_naming(&mut self) {
+        for _round in 0..64 {
+            for frame in std::mem::take(&mut self.data) {
+                self.receive(frame);
+            }
+            for (cum, holes) in std::mem::take(&mut self.acks) {
+                self.ack_sender(cum, holes);
+            }
+            if self.rx.in_order_point() == self.pushed {
+                return;
+            }
+            if self.data.is_empty() {
+                self.advance(LINK_PERIOD.as_micros() / 2);
+                if let Some(report) = self.rx.hole_report(self.clock()) {
+                    self.take_ack(report);
+                }
+            }
+        }
+        panic!("naming failed to repair the stream");
     }
 }
 
@@ -837,21 +962,18 @@ proptest! {
     /// is released exactly once and in sequence order, acks never fall
     /// or pass the receiver's in-order point, the strays neither block
     /// nor reorder the stream, and once retransmission bursts have
-    /// repaired the drops only the strays stay buffered.
+    /// repaired the drops only the strays stay buffered. The clock
+    /// stands still, so no hole is ever named.
     #[test]
     fn link_reassembly_releases_each_body_once_in_order(
         frames in 1u64..=300,
         script in proptest::collection::vec((0usize..10_000, 0u8..16), 0..1200),
     ) {
         let mut pair = LinkPair::new();
-        let mut pushed = 0u64;
         let mut strays = BTreeSet::new();
         for &(pick, kind) in &script {
             match kind {
-                0..=4 if pushed < frames => {
-                    pushed += 1;
-                    pair.data.push(pair.tx.push(LinkBody::Msg(pushed)));
-                }
+                0..=4 if pair.pushed < frames => pair.push(),
                 5..=8 if !pair.data.is_empty() => {
                     let frame = pair.data.swap_remove(pick % pair.data.len());
                     pair.receive(frame);
@@ -864,12 +986,12 @@ proptest! {
                     pair.data.swap_remove(pick % pair.data.len());
                 }
                 11 if !pair.acks.is_empty() => {
-                    let cum = pair.acks.swap_remove(pick % pair.acks.len());
+                    let (cum, holes) = pair.acks.swap_remove(pick % pair.acks.len());
                     if pick % 4 != 0 {
-                        pair.ack_sender(cum);
+                        pair.ack_sender(cum, holes);
                     }
                 }
-                12 => pair.data.extend(pair.tx.retransmissions()),
+                12 => pair.tick(),
                 13 => {
                     let seq = u64::MAX - 1 - (pick % 3) as u64;
                     strays.insert(seq);
@@ -878,16 +1000,110 @@ proptest! {
                 _ => {}
             }
         }
-        while pushed < frames {
-            pushed += 1;
-            pair.data.push(pair.tx.push(LinkBody::Msg(pushed)));
+        while pair.pushed < frames {
+            pair.push();
         }
-        pair.quiesce();
+        pair.quiesce(0);
         let expected: Vec<LinkBody<u64>> = (1..=frames).map(LinkBody::Msg).collect();
         prop_assert_eq!(&pair.released, &expected);
         prop_assert_eq!(pair.rx.in_order_point(), frames);
         prop_assert_eq!(pair.rx.buffered(), strays.len());
         prop_assert_eq!(pair.last_ack, frames);
+        prop_assert!(pair.named.is_empty());
+        prop_assert_eq!(pair.tx.repair_count(), 0);
+    }
+
+    /// Hole naming under random schedules on a running clock: frames
+    /// arrive at random times, reordered, duplicated or dropped; acks
+    /// are lost at random whether or not they name holes; the sender
+    /// resends what acks name; and now and then a tick names the holes
+    /// due and resends the unacknowledged tail. After every step each
+    /// named frame was sent, was missing when named, lies below a frame
+    /// parked for at least W, and was not named in the P/2 before, and
+    /// the prefix model above still holds. At the end every body has
+    /// been released once, in order.
+    #[test]
+    fn link_names_only_outwaited_holes(
+        frames in 1u64..=200,
+        script in proptest::collection::vec((0usize..10_000, 0u8..16, 0u64..400), 0..1500),
+    ) {
+        let mut pair = LinkPair::new();
+        for &(pick, kind, micros) in &script {
+            match kind {
+                0..=3 if pair.pushed < frames => pair.push(),
+                4..=7 if !pair.data.is_empty() => {
+                    let frame = pair.data.swap_remove(pick % pair.data.len());
+                    pair.receive(frame);
+                }
+                8 if !pair.data.is_empty() => {
+                    let frame = pair.data[pick % pair.data.len()].clone();
+                    pair.receive(frame);
+                }
+                9 if !pair.data.is_empty() => {
+                    pair.data.swap_remove(pick % pair.data.len());
+                }
+                10 if !pair.acks.is_empty() => {
+                    let (cum, holes) = pair.acks.swap_remove(pick % pair.acks.len());
+                    if pick % 4 != 0 {
+                        pair.ack_sender(cum, holes);
+                    }
+                }
+                11 if pick % 8 == 0 => pair.tick(),
+                _ => pair.advance(micros),
+            }
+        }
+        while pair.pushed < frames {
+            pair.push();
+        }
+        pair.quiesce(LINK_PERIOD.as_micros());
+        let expected: Vec<LinkBody<u64>> = (1..=frames).map(LinkBody::Msg).collect();
+        prop_assert_eq!(&pair.released, &expected);
+        prop_assert_eq!(pair.rx.in_order_point(), frames);
+        prop_assert_eq!(pair.rx.buffered(), 0);
+        prop_assert_eq!(pair.last_ack, frames);
+    }
+
+    /// With no retransmission burst and no lost hole report, naming
+    /// alone repairs every dropped frame a later frame outran: the
+    /// schedule drops data frames (resends included) at random, every
+    /// ack reaches the sender, and the stream closes with a frame that
+    /// is never dropped, so every drop lies below a frame that arrived.
+    #[test]
+    fn naming_alone_repairs_every_outrun_loss(
+        frames in 2u64..=150,
+        script in proptest::collection::vec((0usize..10_000, 0u8..12, 0u64..400), 0..1200),
+    ) {
+        let mut pair = LinkPair::new();
+        let mut dropped = 0;
+        for &(pick, kind, micros) in &script {
+            match kind {
+                0..=2 if pair.pushed < frames => pair.push(),
+                3..=5 if !pair.data.is_empty() => {
+                    let frame = pair.data.swap_remove(pick % pair.data.len());
+                    pair.receive(frame);
+                }
+                6 if !pair.data.is_empty() => {
+                    pair.data.swap_remove(pick % pair.data.len());
+                    dropped += 1;
+                }
+                7 if !pair.acks.is_empty() => {
+                    let (cum, holes) = pair.acks.swap_remove(pick % pair.acks.len());
+                    pair.ack_sender(cum, holes);
+                }
+                _ => pair.advance(micros),
+            }
+        }
+        while pair.pushed <= frames {
+            pair.push();
+        }
+        pair.quiesce_by_naming();
+        let expected: Vec<LinkBody<u64>> = (1..=pair.pushed).map(LinkBody::Msg).collect();
+        prop_assert_eq!(&pair.released, &expected);
+        prop_assert_eq!(pair.tx.retransmit_count(), 0);
+        prop_assert!(!pair.tx.has_pending());
+        if dropped > 0 {
+            prop_assert!(pair.tx.repair_count() > 0);
+        }
     }
 }
 

@@ -143,22 +143,25 @@ proptest! {
         }
     }
 
-    /// The unsequenced link control frames — `Ack`, `Ping`, `Pong` —
-    /// face the same adversary as the data frames. These are the arms
-    /// the `wire-symmetry` lint reasons about structurally; here the
-    /// claim is dynamic: each round-trips exactly, every proper prefix
-    /// is rejected, and one-byte corruptions never panic (re-encoding
-    /// whatever still decodes, so no half-parsed state escapes).
+    /// The unsequenced link control frames — `Ack` (with and without a
+    /// hole bitmap), `Ping`, `Pong` — face the same adversary as the
+    /// data frames. These are the arms the `wire-symmetry` lint reasons
+    /// about structurally; here the claim is dynamic: each round-trips
+    /// exactly, every proper prefix is rejected, and one-byte
+    /// corruptions never panic (re-encoding whatever still decodes, so
+    /// no half-parsed state escapes).
     #[test]
     fn pc_link_control_frames_survive_truncation_and_corruption(
         stream_seq in 1u64..1024,
         token in any::<u64>(),
         cum in any::<u64>(),
+        holes in any::<u64>(),
         delivered in proptest::collection::vec((0u32..16, 1u64..1024), 0..6),
         flip in any::<u8>(),
     ) {
         let bodies: Vec<LinkBody<Timed<PcEnvelope<u64>>>> = vec![
-            LinkBody::Ack { cum },
+            LinkBody::Ack { cum, holes: 0 },
+            LinkBody::Ack { cum, holes },
             LinkBody::Ping { token },
             LinkBody::Pong {
                 token,

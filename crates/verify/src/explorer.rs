@@ -669,7 +669,10 @@ where
         // Routed-engine link frames: sequenced stream frames (data,
         // handshake pings/pongs) affect delivery state and must be
         // explored; cumulative acks are write-only bookkeeping like Rb
-        // acks and commute.
+        // acks and commute. An ack that names lost frames is not
+        // write-only (its receiver resends them), but none arises here:
+        // the explorer's clock stays at zero, so no frame is ever parked
+        // long enough for a link to name a hole.
         StackWire::Link(frame) => match frame.body {
             causal_core::delivery::pcbcast::LinkBody::Ack { .. } => MsgClass::Control,
             _ => MsgClass::Data,
