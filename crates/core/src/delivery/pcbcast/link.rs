@@ -37,35 +37,16 @@
 //! # Naming lost frames
 //!
 //! A lost frame holds back every later frame on its link, so a receiver
-//! names its losses instead of waiting for the sender's next tick. Each
-//! frame parked in reassembly carries the time it arrived. A sequence
-//! number missing below a frame that has been parked for at least W
-//! counts as lost: a frame sent after it has outwaited it by more than
-//! the link reorders. The receiver checks on every arrival on the link
-//! and at the stack's retransmission tick, names the lost frames in the
-//! ack it sends back, as a bitmap over the 64 sequence numbers above
-//! `cum`, and names a hole that is still missing again once P/2 has
-//! passed since it last named holes. The sender resends exactly the
-//! named frames it still retains, at once. Per link this costs one
-//! arrival stamp per parked frame and three words: the highest sequence
-//! number received, the naming frontier (every hole at or below it has
-//! been named) and the time of the last naming.
-//!
-//! A check walks up from the frontier and stops at the first frame
-//! parked for less than W, since frames above it arrived later as a
-//! rule. So it allocates nothing and visits a slot or two per arrival.
-//! The price is a straggler: a frame that arrived late stops the walk
-//! until it too has been parked for W, so a hole above it may be named
-//! later than the rule allows, by at most how late the straggler was,
-//! and never sooner.
-//!
-//! W comes from the stack's retransmission period P ([`LinkClock`]):
-//! W = P/8, 625 µs at the 5 ms default and 500 µs at the 4 ms
-//! membership default, which is wider than the 450 µs latency spread of
-//! the PC benchmark's network. W needs no option of its own. Too small
-//! a W only resends frames that were merely reordered, and too large a
-//! W only delays a repair towards the tick; neither touches
-//! correctness. A transport that reorders by more than P/8 also wastes
+//! names its losses instead of waiting for the sender's next tick, by the
+//! loss rule of [`holes`](crate::holes): each frame parked in reassembly
+//! carries the time it arrived, and a sequence number missing below a
+//! frame that has been parked for at least W = P/8 counts as lost. The
+//! receiver checks on every arrival on the link and at the stack's
+//! retransmission tick, names the lost frames in the ack it sends back,
+//! as a bitmap over the 64 sequence numbers above `cum`, and names a hole
+//! that is still missing again once P/2 has passed since it last named
+//! holes. The sender resends exactly the named frames it still retains,
+//! at once. A transport that reorders by more than W = P/8 also wastes
 //! most of its go-back-N bursts, so it needs a longer P already, and W
 //! grows with it.
 //!
@@ -76,50 +57,19 @@
 //! passes [`LinkClock::STOPPED`], under which no frame is ever parked
 //! for W and the link names nothing.
 
-use crate::stack::DEFAULT_RETRANSMIT;
+use crate::holes::HoleNamer;
+pub use crate::holes::LinkClock;
 use causal_clocks::{IdWindow, MsgId, ProcessId};
-use causal_simnet::{SimDuration, SimTime};
+use causal_simnet::SimTime;
 use std::collections::VecDeque;
 
 /// The one lane of a link's reassembly window. Its ids are link
 /// sequence numbers; the origin carries no meaning.
 const STREAM: ProcessId = ProcessId::new(0);
 
-/// How many sequence numbers above `cum` an ack can name as lost: one
-/// per bit of [`LinkBody::Ack`]'s `holes`.
-const REPORT_SPAN: u64 = 64;
-
 /// The reassembly window's key for link sequence number `seq`.
 const fn at(seq: u64) -> MsgId {
     MsgId::new(STREAM, seq)
-}
-
-/// What a link reads of its stack's clock: the time of the arrival or
-/// tick being handled, and the stack's retransmission period P.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkClock {
-    /// The time now.
-    pub now: SimTime,
-    /// The stack's retransmission period P. A hole counts as lost once
-    /// a frame above it has been parked for P/8, and a hole still
-    /// missing is named again after P/2.
-    pub period: SimDuration,
-}
-
-impl LinkClock {
-    /// A clock stopped at time zero, at the default period: every frame
-    /// is stamped with the time it is checked at, so none is ever parked
-    /// for W and no hole is named. Callers without a clock (replays,
-    /// engine-level harnesses) use it.
-    pub const STOPPED: LinkClock = LinkClock {
-        now: SimTime::ZERO,
-        period: DEFAULT_RETRANSMIT,
-    };
-
-    /// Whether at least `period / div` has passed since `since`.
-    fn waited(self, since: SimTime, div: u64) -> bool {
-        self.now.saturating_since(since).as_micros() >= self.period.as_micros() / div
-    }
 }
 
 /// One frame on a directed overlay link.
@@ -184,13 +134,8 @@ pub struct Link<T> {
     /// arrived, in the lane [`STREAM`]. The lane's floor is the in-order
     /// point: the highest sequence number released so far.
     reassembly: IdWindow<(SimTime, LinkBody<T>)>,
-    /// The highest inbound sequence number received so far.
-    top: u64,
-    /// The naming frontier: every inbound hole at or below it has been
-    /// named to the peer.
-    named_to: u64,
-    /// When holes were last named.
-    named_at: SimTime,
+    /// Which inbound holes have been named to the peer, and when.
+    namer: HoleNamer,
     /// Stream frames retransmitted by the tick so far.
     retransmits: u64,
     /// Stream frames resent so far because the peer named them.
@@ -207,9 +152,7 @@ impl<T> Default for Link<T> {
             next_out: 1,
             unacked: VecDeque::new(),
             reassembly: IdWindow::new(),
-            top: 0,
-            named_to: 0,
-            named_at: SimTime::ZERO,
+            namer: HoleNamer::default(),
             retransmits: 0,
             repairs: 0,
             duplicates: 0,
@@ -292,7 +235,7 @@ impl<T: Clone> Link<T> {
         now: SimTime,
         released: &mut Vec<LinkBody<T>>,
     ) -> bool {
-        self.top = self.top.max(seq);
+        self.namer.on_arrival(seq);
         let point = self.in_order_point();
         if seq <= point {
             // Already released: a retransmission raced the ack. Only the
@@ -321,38 +264,13 @@ impl<T: Clone> Link<T> {
 
     /// The inbound holes to name at `clock`, as a bitmap over the
     /// sequence numbers above the in-order point (bit `i`: `point + 1 +
-    /// i`). A hole is named once a frame above it has been parked for
-    /// P/8, as far as the walk up from the frontier reaches (see the
-    /// [module docs](self)), and named again, while it is still missing,
-    /// once P/2 has passed since holes were last named.
+    /// i`), by the shared loss rule ([`HoleNamer::holes_due`]).
     fn holes_due(&mut self, clock: LinkClock) -> u64 {
         let point = self.in_order_point();
-        let bit = |seq: u64| 1u64 << (seq - point - 1);
-        let mut holes = 0;
-        if self.named_to > point && clock.waited(self.named_at, 2) {
-            for seq in point + 1..=self.named_to {
-                if !self.reassembly.contains(at(seq)) {
-                    holes |= bit(seq);
-                }
-            }
-        }
-        let last = self.top.min(point.saturating_add(REPORT_SPAN));
-        let mut missing = 0;
-        for seq in self.named_to.max(point) + 1..=last {
-            match self.reassembly.get(at(seq)) {
-                None => missing |= bit(seq),
-                Some(&(parked_at, _)) if clock.waited(parked_at, 8) => {
-                    holes |= missing;
-                    missing = 0;
-                    self.named_to = seq;
-                }
-                Some(_) => break,
-            }
-        }
-        if holes != 0 {
-            self.named_at = clock.now;
-        }
-        holes
+        let reassembly = &self.reassembly;
+        self.namer.holes_due(point, clock, |seq| {
+            reassembly.get(at(seq)).map(|&(parked_at, _)| parked_at)
+        })
     }
 
     /// An ack of the in-order point, naming `holes`.
@@ -464,6 +382,7 @@ impl<T: Clone> Link<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stack::DEFAULT_RETRANSMIT;
 
     fn msg(link: &mut Link<&'static str>, s: &'static str) -> LinkFrame<&'static str> {
         link.push(LinkBody::Msg(s))

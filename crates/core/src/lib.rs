@@ -22,6 +22,7 @@
 //! | Stable points & causal activities (§4) | [`stable`] |
 //! | State transitions `F : M × S → S`, commutativity (§3.2, §5.1) | [`statemachine`] |
 //! | Reliable broadcast over a lossy network | [`rbcast`] |
+//! | Naming lost messages in a sequenced stream | [`holes`] |
 //! | The composed Figure-4 stack around a pluggable engine | [`stack`] |
 //! | Engine aliases over the stack ([`node::CausalNode`], [`node::CbcastNode`]) | [`node`] |
 //! | View-synchronous membership over the stack ([`vsync::VsyncNode`]) | [`vsync`] |
@@ -70,6 +71,7 @@
 
 pub mod delivery;
 pub mod graph;
+pub mod holes;
 pub mod node;
 pub mod osend;
 pub mod rbcast;

@@ -15,7 +15,10 @@
 //!    view-synchronous           (causal_membership, optional:
 //!    membership                  heartbeats, flush, install)
 //!   ───────────────────────
-//!    reliable broadcast         (rbcast::ReliableBroadcast — ack/rtx)
+//!    reliable broadcast         (rbcast::ReliableBroadcast — one
+//!                                cumulative ack per peer per origin per
+//!                                ack period, named losses resent at
+//!                                once, a backstop retransmission tick)
 //!   ───────────────────────
 //!    network                    (causal_simnet Simulation / threaded
 //!                                runtime, or causal-net TCP)
@@ -43,7 +46,7 @@ use crate::delivery::{
     CbcastEngine, Delivered, DeliveryEngine, GraphDelivery, LinkDelivery, PcEngine, VtEnvelope,
 };
 use crate::osend::{GraphEnvelope, OccursAfter};
-use crate::rbcast::{HasMsgId, RbMsg, ReliableBroadcast};
+use crate::rbcast::{HasMsgId, RbAck, RbMsg, ReliableBroadcast};
 use crate::stability::{ReportTo, StabilityTracker};
 use crate::stable::{StablePoint, StablePointDetector};
 use crate::statemachine::OpClass;
@@ -209,6 +212,7 @@ pub struct NodeStats {
 pub const DEFAULT_RETRANSMIT: SimDuration = SimDuration::from_millis(5);
 
 const TIMER_RETRANSMIT: u64 = 1;
+const TIMER_ACK: u64 = 2;
 const TIMER_HEARTBEAT: u64 = 10;
 const TIMER_FD_CHECK: u64 = 11;
 const TIMER_JOIN_RETRY: u64 = 13;
@@ -220,7 +224,10 @@ const TIMER_JOIN_RETRY: u64 = 13;
 /// `tests/tcp_vsync.rs` for a wall-clock-friendly configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct VsyncConfig {
-    /// Heartbeat period.
+    /// Heartbeat period H. Reliable-broadcast acks ride the same tick:
+    /// each member sends each view member either the acks due to it or
+    /// a heartbeat. H must stay below `retransmit_every`, so that an ack
+    /// reaches a sender before its backstop resends what the ack covers.
     pub heartbeat_every: SimDuration,
     /// Silence threshold after which a member is suspected.
     pub suspect_after: SimDuration,
@@ -287,6 +294,11 @@ pub struct ProtocolStack<D: DeliveryEngine, A: App<Op = D::Op>> {
     rb: ReliableBroadcast<Timed<D::Envelope>>,
     retransmit_every: SimDuration,
     rtx_armed: bool,
+    /// Whether the ack tick is armed (stacks without membership; with
+    /// membership, acks ride the heartbeat tick).
+    ack_armed: bool,
+    /// The acks of one ack period, kept so that ticks allocate nothing.
+    acks: Vec<(ProcessId, RbAck)>,
     /// Send time per message still on record; GC raises its floors.
     sent_times: IdWindow<SimTime>,
     last_sent: Option<MsgId>,
@@ -338,6 +350,8 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
             },
             retransmit_every: DEFAULT_RETRANSMIT,
             rtx_armed: false,
+            ack_armed: false,
+            acks: Vec::new(),
             sent_times: IdWindow::new(),
             last_sent: None,
             stats: NodeStats::default(),
@@ -609,6 +623,27 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         LinkClock {
             now: ctx.now(),
             period: self.retransmit_every,
+        }
+    }
+
+    /// Arms the ack tick of a stack without membership, at P/4, while
+    /// acks are due. With membership, acks ride the heartbeat tick.
+    fn arm_ack(&mut self, ctx: &mut Context<'_, StackWire<D::Envelope>>) {
+        if self.membership.is_none() && !self.ack_armed && self.rb.has_due() {
+            let quarter = SimDuration::from_micros(self.retransmit_every.as_micros() / 4);
+            ctx.set_timer(quarter, TIMER_ACK);
+            self.ack_armed = true;
+        }
+    }
+
+    /// Sends the acks due, one per (sender, origin) pair, leaving them in
+    /// `self.acks` (sorted by destination).
+    fn send_acks(&mut self, ctx: &mut Context<'_, StackWire<D::Envelope>>) {
+        let clock = self.link_clock(ctx);
+        self.acks.clear();
+        self.rb.take_acks(clock, &mut self.acks);
+        for &(to, ack) in &self.acks {
+            ctx.send(to, StackWire::Rb(RbMsg::Ack(ack)));
         }
     }
 
@@ -925,6 +960,8 @@ impl<A: App> ProtocolStack<GraphDelivery<A::Op>, A> {
             rb: ReliableBroadcast::with_peers(me, []),
             retransmit_every: config.retransmit_every,
             rtx_armed: false,
+            ack_armed: false,
+            acks: Vec::new(),
             sent_times: IdWindow::new(),
             last_sent: None,
             stats: NodeStats::default(),
@@ -981,10 +1018,12 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> Actor for ProtocolStack<D, A> {
         match msg {
             StackWire::Rb(RbMsg::Data(timed)) => {
                 let rid = timed.msg_id();
-                let (fresh, acks) = self.rb.on_data(from, timed);
-                for (to, ack) in acks {
+                let clock = self.link_clock(ctx);
+                let (fresh, named) = self.rb.on_data_at(from, timed, clock);
+                if let Some((to, ack)) = named {
                     ctx.send(to, StackWire::Rb(ack));
                 }
+                self.arm_ack(ctx);
                 // The engine may have already seen the message through its
                 // own overlay links (routed engines overlap with the
                 // membership flush/replay side-channel), so freshness is
@@ -1010,7 +1049,11 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> Actor for ProtocolStack<D, A> {
                 }
                 self.process_released(ctx, released);
             }
-            StackWire::Rb(RbMsg::Ack(id)) => self.rb.on_ack(from, id),
+            StackWire::Rb(RbMsg::Ack(ack)) => {
+                for (to, resend) in self.rb.on_ack(from, ack) {
+                    ctx.send(to, StackWire::Rb(resend));
+                }
+            }
             StackWire::StabilityReport(report) => {
                 if let Some(stability) = &mut self.stability {
                     stability.on_report(from, &report);
@@ -1113,16 +1156,26 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> Actor for ProtocolStack<D, A> {
                 }
                 self.arm_retransmit(ctx);
             }
+            TIMER_ACK => {
+                self.ack_armed = false;
+                self.send_acks(ctx);
+            }
             TIMER_HEARTBEAT => {
                 let Some(mem) = self.membership.as_ref() else {
                     return;
                 };
-                for m in mem.manager.current().members().to_vec() {
-                    if m != self.me {
+                let members = mem.manager.current().members().to_vec();
+                let every = mem.config.heartbeat_every;
+                // Any frame counts as liveness, so a member that gets
+                // acks this period needs no heartbeat.
+                self.send_acks(ctx);
+                for m in members {
+                    let acked = self.acks.binary_search_by_key(&m, |&(to, _)| to).is_ok();
+                    if m != self.me && !acked {
                         ctx.send(m, StackWire::Heartbeat);
                     }
                 }
-                ctx.set_timer(mem.config.heartbeat_every, TIMER_HEARTBEAT);
+                ctx.set_timer(every, TIMER_HEARTBEAT);
             }
             TIMER_FD_CHECK => {
                 let Some(mem) = self.membership.as_mut() else {

@@ -24,7 +24,7 @@
 
 use crate::delivery::VtEnvelope;
 use crate::osend::GraphEnvelope;
-use crate::rbcast::RbMsg;
+use crate::rbcast::{RbAck, RbMsg};
 use crate::stack::{StackWire, Timed};
 use causal_clocks::{MsgId, ProcessId, VectorClock};
 use causal_membership::{GroupView, ViewId};
@@ -429,18 +429,37 @@ impl<E: WireEncode> WireEncode for RbMsg<E> {
                 out.push(TAG_RB_DATA);
                 env.encode(out);
             }
-            RbMsg::Ack(id) => {
+            RbMsg::Ack(ack) => {
                 out.push(TAG_RB_ACK);
-                encode_msg_id(*id, out);
+                ack.encode(out);
             }
         }
     }
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         match get_u8(input)? {
             TAG_RB_DATA => Ok(RbMsg::Data(E::decode(input)?)),
-            TAG_RB_ACK => Ok(RbMsg::Ack(decode_msg_id(input)?)),
+            TAG_RB_ACK => Ok(RbMsg::Ack(RbAck::decode(input)?)),
             got => Err(DecodeError::InvalidTag { got }),
         }
+    }
+}
+
+/// Fixed size: `cum` (origin 4 ‖ seq 8) ‖ `held_from` 8 ‖ `held` 8 ‖
+/// `lost` 8, 36 bytes.
+impl WireEncode for RbAck {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_msg_id(self.cum, out);
+        out.extend_from_slice(&self.held_from.to_le_bytes());
+        out.extend_from_slice(&self.held.to_le_bytes());
+        out.extend_from_slice(&self.lost.to_le_bytes());
+    }
+    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
+        Ok(RbAck {
+            cum: decode_msg_id(input)?,
+            held_from: get_u64_le(input)?,
+            held: get_u64_le(input)?,
+            lost: get_u64_le(input)?,
+        })
     }
 }
 
@@ -665,7 +684,12 @@ mod tests {
                 env,
                 sent_at: SimTime::from_micros(42),
             })),
-            StackWire::Rb(RbMsg::Ack(MsgId::new(ProcessId::new(1), 9))),
+            StackWire::Rb(RbMsg::Ack(RbAck {
+                cum: MsgId::new(ProcessId::new(1), 9),
+                held_from: 11,
+                held: 0b101,
+                lost: 0b1,
+            })),
             StackWire::StabilityReport(VectorClock::from_entries([4, 0, 2])),
             StackWire::Heartbeat,
             StackWire::Propose(view.clone()),

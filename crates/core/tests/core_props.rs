@@ -9,7 +9,8 @@ use causal_core::delivery::{
     CbcastEngine, DeliveryEngine, GraphDelivery, LinkSend, PcEngine, PcEnvelope, VtEnvelope,
 };
 use causal_core::graph::MsgGraph;
-use causal_core::osend::{GraphEnvelope, OccursAfter};
+use causal_core::osend::{GraphEnvelope, OSender, OccursAfter};
+use causal_core::rbcast::{RbAck, RbMsg, ReliableBroadcast};
 use causal_core::stability::{ReportTo, StabilityTracker};
 use causal_core::stable::{LogEntry, StablePointDetector};
 use causal_core::stack::{StackWire, Timed, DEFAULT_RETRANSMIT};
@@ -1104,6 +1105,341 @@ proptest! {
         if dropped > 0 {
             prop_assert!(pair.tx.repair_count() > 0);
         }
+    }
+}
+
+/// A reliable-broadcast sender and receiver and the traffic between
+/// them, on a clock both read. The sender, member 1, broadcasts its own
+/// messages and relays those of member 0, which crashed. One of member
+/// 0's messages reached no survivor, so the sender never relays it: a
+/// hole that never fills. The receiver is member 2.
+struct RbPair {
+    tx: ReliableBroadcast<GraphEnvelope<u64>>,
+    rx: ReliableBroadcast<GraphEnvelope<u64>>,
+    /// Every message member 0 sent, the hole included.
+    crashed: Vec<GraphEnvelope<u64>>,
+    /// The sequence number of member 0's message that never arrives.
+    hole: u64,
+    /// How many of member 0's messages the sender has got through
+    /// (relayed, or skipped as the hole).
+    relayed: u64,
+    own: OSender,
+    /// Member 1's broadcasts so far.
+    broadcast: u64,
+    /// Copies on their way to the receiver.
+    data: Vec<GraphEnvelope<u64>>,
+    /// Acks on their way back to the sender.
+    acks: Vec<RbAck>,
+    /// The time both read.
+    now: SimTime,
+    /// Model: when each id first reached the receiver.
+    arrived: BTreeMap<MsgId, SimTime>,
+    /// Model: the ids the receiver released.
+    released: BTreeSet<MsgId>,
+    /// Model: when the receiver last named each id lost.
+    named: BTreeMap<MsgId, SimTime>,
+    /// Model: the sender's backstop ticks, and the tick count at each
+    /// copy's last transmission.
+    ticks: u64,
+    sent_tick: BTreeMap<MsgId, u64>,
+}
+
+const CRASHED: ProcessId = ProcessId::new(0);
+const SENDER: ProcessId = ProcessId::new(1);
+const RECEIVER: ProcessId = ProcessId::new(2);
+
+impl RbPair {
+    fn new(crashed: u64, hole: u64) -> Self {
+        let mut origin = OSender::new(CRASHED);
+        RbPair {
+            tx: ReliableBroadcast::with_peers(SENDER, [RECEIVER]),
+            rx: ReliableBroadcast::with_peers(RECEIVER, [SENDER]),
+            crashed: (1..=crashed)
+                .map(|k| origin.osend(k, OccursAfter::none()))
+                .collect(),
+            hole,
+            relayed: 0,
+            own: OSender::new(SENDER),
+            broadcast: 0,
+            data: Vec::new(),
+            acks: Vec::new(),
+            now: SimTime::ZERO,
+            arrived: BTreeMap::new(),
+            released: BTreeSet::new(),
+            named: BTreeMap::new(),
+            ticks: 0,
+            sent_tick: BTreeMap::new(),
+        }
+    }
+
+    fn clock(&self) -> LinkClock {
+        LinkClock {
+            now: self.now,
+            period: LINK_PERIOD,
+        }
+    }
+
+    fn advance(&mut self, micros: u64) {
+        self.now += SimDuration::from_micros(micros);
+    }
+
+    /// How many messages `origin` sent.
+    fn issued(&self, origin: ProcessId) -> u64 {
+        if origin == CRASHED {
+            self.crashed.len() as u64
+        } else {
+            self.broadcast
+        }
+    }
+
+    /// The receiver's model prefix for `origin`.
+    fn prefix(&self, origin: ProcessId) -> u64 {
+        (1..)
+            .find(|&k| !self.arrived.contains_key(&MsgId::new(origin, k)))
+            .expect("a finite stream")
+            - 1
+    }
+
+    /// The sender broadcasts its next message.
+    fn broadcast(&mut self) {
+        self.broadcast += 1;
+        let env = self.own.osend(self.broadcast, OccursAfter::none());
+        let (targets, msg) = self.tx.broadcast_grouped(env.clone());
+        assert_eq!((targets, msg), (vec![RECEIVER], RbMsg::Data(env.clone())));
+        self.sent_tick.insert(env.id, self.ticks);
+        self.data.push(env);
+    }
+
+    /// The sender relays member 0's next message, unless it is the hole.
+    fn relay(&mut self) {
+        self.relayed += 1;
+        if self.relayed == self.hole {
+            return;
+        }
+        let env = self.crashed[self.relayed as usize - 1].clone();
+        let relayed = self.tx.relay(&[RECEIVER], env.clone());
+        assert_eq!(relayed, Some((vec![RECEIVER], RbMsg::Data(env.clone()))));
+        self.sent_tick.insert(env.id, self.ticks);
+        self.data.push(env);
+    }
+
+    /// Feeds a copy to the receiver: it is released iff it is the first
+    /// copy of its id, and an ack comes back at once only if it names
+    /// holes, to the sender (the crashed origin is no peer, and member
+    /// 1 is its own messages' origin).
+    fn receive(&mut self, env: GraphEnvelope<u64>) {
+        let id = env.id;
+        let first = !self.arrived.contains_key(&id);
+        self.arrived.entry(id).or_insert(self.now);
+        let (fresh, named) = self.rx.on_data_at(SENDER, env, self.clock());
+        assert_eq!(fresh.is_some(), first, "{id:?} released wrongly");
+        if fresh.is_some() {
+            assert!(self.released.insert(id), "{id:?} released twice");
+        }
+        if let Some((to, msg)) = named {
+            let RbMsg::Ack(ack) = msg else {
+                panic!("the receiver sent {msg:?}");
+            };
+            assert_eq!(to, SENDER);
+            assert_ne!(ack.lost, 0, "an unprompted ack named nothing");
+            self.take_ack(ack);
+        }
+    }
+
+    /// Checks an ack the receiver sent and puts it on its way back. Its
+    /// prefix is the receiver's, it marks held only ids that arrived,
+    /// and each id it names lost was sent by its origin, is missing at
+    /// the receiver, lies below a copy that arrived at least W ago, and
+    /// was last named at least P/2 ago, if ever.
+    fn take_ack(&mut self, ack: RbAck) {
+        let origin = ack.cum.origin();
+        assert_eq!(ack.cum.seq(), self.prefix(origin), "{ack:?}");
+        assert!(ack.held_from > ack.cum.seq(), "{ack:?}");
+        for i in (0..64).filter(|i| ack.held >> i & 1 == 1) {
+            let id = MsgId::new(origin, ack.held_from + i);
+            assert!(
+                self.arrived.contains_key(&id),
+                "held {id:?}, which never arrived"
+            );
+        }
+        let outwait = LINK_PERIOD.as_micros() / 8;
+        let waited = |t: &SimTime| self.now.saturating_since(*t).as_micros();
+        for seq in named_seqs(ack.cum.seq(), ack.lost) {
+            let id = MsgId::new(origin, seq);
+            assert!(
+                seq <= self.issued(origin),
+                "named {id:?}, which was never sent"
+            );
+            assert!(
+                !self.arrived.contains_key(&id),
+                "named {id:?}, which arrived"
+            );
+            assert!(
+                self.arrived
+                    .range(id..MsgId::new(origin, u64::MAX))
+                    .any(|(_, t)| waited(t) >= outwait),
+                "named {id:?} at {}, below no copy parked for W",
+                self.now
+            );
+            if let Some(last) = self.named.get(&id) {
+                let again = waited(last);
+                assert!(
+                    again >= LINK_PERIOD.as_micros() / 2,
+                    "named {id:?} again after {again} µs"
+                );
+            }
+            self.named.insert(id, self.now);
+        }
+        self.acks.push(ack);
+    }
+
+    /// The receiver's ack period: one ack per origin it got copies of.
+    fn ack_tick(&mut self) {
+        let mut acks = Vec::new();
+        self.rx.take_acks(self.clock(), &mut acks);
+        assert!(!self.rx.has_due());
+        let origins: BTreeSet<ProcessId> = acks.iter().map(|(_, a)| a.cum.origin()).collect();
+        assert_eq!(origins.len(), acks.len(), "two acks of one origin");
+        for (to, ack) in acks {
+            assert_eq!(to, SENDER);
+            self.take_ack(ack);
+        }
+    }
+
+    /// Feeds an ack to the sender, which resends exactly the copies it
+    /// names that are still unacknowledged.
+    fn ack_sender(&mut self, ack: RbAck) {
+        for (to, msg) in self.tx.on_ack(RECEIVER, ack) {
+            let RbMsg::Data(env) = msg else {
+                panic!("the sender sent {msg:?}");
+            };
+            assert_eq!(to, RECEIVER);
+            assert_eq!(env.id.origin(), ack.cum.origin());
+            assert!(
+                named_seqs(ack.cum.seq(), ack.lost).contains(&env.id.seq()),
+                "resent unnamed {:?}",
+                env.id
+            );
+            self.sent_tick.insert(env.id, self.ticks);
+            self.data.push(env);
+        }
+    }
+
+    /// The sender's backstop tick: it resends only copies whose last
+    /// transmission came before the previous tick.
+    fn backstop(&mut self) {
+        self.ticks += 1;
+        for (targets, msg) in self.tx.retransmissions_grouped() {
+            let RbMsg::Data(env) = msg else {
+                panic!("the sender sent {msg:?}");
+            };
+            assert_eq!(targets, vec![RECEIVER]);
+            let last = self.sent_tick[&env.id];
+            assert!(
+                last + 2 <= self.ticks,
+                "{:?} resent at tick {}, last sent at tick {last}",
+                env.id,
+                self.ticks
+            );
+            self.sent_tick.insert(env.id, self.ticks);
+            self.data.push(env);
+        }
+    }
+
+    /// Sends what is left, then delivers everything in flight each ack
+    /// period, with the backstop every fourth, until the sender holds
+    /// nothing unacknowledged.
+    fn quiesce(&mut self, own: u64) {
+        while self.broadcast < own {
+            self.broadcast();
+        }
+        while self.relayed < self.crashed.len() as u64 {
+            self.relay();
+        }
+        for round in 0..256 {
+            for env in std::mem::take(&mut self.data) {
+                self.receive(env);
+            }
+            self.advance(LINK_PERIOD.as_micros() / 4);
+            self.ack_tick();
+            for ack in std::mem::take(&mut self.acks) {
+                self.ack_sender(ack);
+            }
+            if self.tx.pending_acks() == 0 {
+                return;
+            }
+            if round % 4 == 3 {
+                self.backstop();
+            }
+        }
+        panic!(
+            "reliable broadcast failed to quiesce: {} acks pending",
+            self.tx.pending_acks()
+        );
+    }
+}
+
+proptest! {
+    /// Cumulative acks, SACKs and named losses under random schedules on
+    /// a running clock: copies and acks are reordered, duplicated and
+    /// dropped, and the receiver's ack periods and the sender's backstop
+    /// ticks come at random. Every fresh envelope is released once;
+    /// every named id was sent, was missing, lies below a copy parked at
+    /// least W earlier, and was not named in the P/2 before; and the
+    /// backstop resends only copies older than a period. At quiescence
+    /// nothing is unacknowledged, even the relayed copies far above the
+    /// hole that never fills, and everything but the hole was released.
+    #[test]
+    fn rbcast_acks_retire_everything_held_and_name_only_outwaited_holes(
+        own in 0u64..=100,
+        crashed in 1u64..=150,
+        hole in 1u64..=20,
+        script in proptest::collection::vec((0usize..10_000, 0u8..18, 0u64..400), 0..1500),
+    ) {
+        let mut pair = RbPair::new(crashed, hole.min(crashed));
+        for &(pick, kind, micros) in &script {
+            match kind {
+                0..=1 if pair.broadcast < own => pair.broadcast(),
+                2..=3 if pair.relayed < crashed => pair.relay(),
+                4..=6 if !pair.data.is_empty() => {
+                    let env = pair.data.swap_remove(pick % pair.data.len());
+                    pair.receive(env);
+                }
+                7 if !pair.data.is_empty() => {
+                    let env = pair.data[pick % pair.data.len()].clone();
+                    pair.receive(env);
+                }
+                8 if !pair.data.is_empty() => {
+                    pair.data.swap_remove(pick % pair.data.len());
+                }
+                9..=10 if !pair.acks.is_empty() => {
+                    let ack = pair.acks.swap_remove(pick % pair.acks.len());
+                    if pick % 4 != 0 {
+                        pair.ack_sender(ack);
+                    }
+                }
+                11 if !pair.acks.is_empty() => {
+                    let ack = pair.acks[pick % pair.acks.len()];
+                    pair.ack_sender(ack);
+                }
+                12 => pair.ack_tick(),
+                13 if pick % 4 == 0 => pair.backstop(),
+                _ => pair.advance(micros),
+            }
+        }
+        pair.quiesce(own);
+        prop_assert_eq!(pair.tx.pending_acks(), 0);
+        prop_assert!(!pair.tx.has_pending());
+        let hole = MsgId::new(CRASHED, pair.hole);
+        let expected: BTreeSet<MsgId> = pair
+            .crashed
+            .iter()
+            .map(|e| e.id)
+            .filter(|&id| id != hole)
+            .chain((1..=own).map(|k| MsgId::new(SENDER, k)))
+            .collect();
+        prop_assert_eq!(&pair.released, &expected);
+        prop_assert_eq!(pair.rx.retained_len() as u64, crashed - pair.hole);
     }
 }
 

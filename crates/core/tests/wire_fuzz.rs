@@ -10,7 +10,7 @@ use causal_clocks::{MsgId, ProcessId, VectorClock};
 use causal_core::delivery::pcbcast::{LinkBody, LinkFrame};
 use causal_core::delivery::PcEnvelope;
 use causal_core::osend::GraphEnvelope;
-use causal_core::rbcast::RbMsg;
+use causal_core::rbcast::{RbAck, RbMsg};
 use causal_core::stack::{StackWire, Timed};
 use causal_core::wire::{FrameHeader, WireEncode};
 use causal_membership::{GroupView, ViewId};
@@ -195,6 +195,45 @@ proptest! {
                 if let Ok(decoded) = <StackWire<PcEnvelope<u64>>>::from_wire(&mutated) {
                     let _ = decoded.to_wire();
                 }
+            }
+        }
+    }
+
+    /// The reliable-broadcast ack is fixed-size: with random prefixes
+    /// and random SACK and lost bitmaps it round-trips exactly, every
+    /// proper prefix is rejected, and one-byte corruptions never panic.
+    #[test]
+    fn rb_acks_with_random_bitmaps_survive_truncation_and_corruption(
+        origin in any::<u32>(),
+        cum in any::<u64>(),
+        held_from in any::<u64>(),
+        held in any::<u64>(),
+        lost in any::<u64>(),
+        flip in any::<u8>(),
+    ) {
+        let msg: StackWire<GraphEnvelope<u64>> = StackWire::Rb(RbMsg::Ack(RbAck {
+            cum: MsgId::new(ProcessId::new(origin), cum),
+            held_from,
+            held,
+            lost,
+        }));
+        let full = msg.to_wire();
+        // Two tags and 36 bytes of status, whatever the bitmaps hold.
+        prop_assert_eq!(full.len(), 38);
+        let decoded = <StackWire<GraphEnvelope<u64>>>::from_wire(&full);
+        prop_assert_eq!(decoded, Ok(msg));
+        for cut in 0..full.len() {
+            prop_assert!(
+                <StackWire<GraphEnvelope<u64>>>::from_wire(&full[..cut]).is_err(),
+                "truncation to {cut} bytes decoded successfully"
+            );
+            let _ = decode_all(&full[..cut]);
+        }
+        for pos in 0..full.len() {
+            let mut mutated = full.clone();
+            mutated[pos] ^= flip | 1;
+            if let Ok(decoded) = <StackWire<GraphEnvelope<u64>>>::from_wire(&mutated) {
+                let _ = decoded.to_wire();
             }
         }
     }

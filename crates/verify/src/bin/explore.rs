@@ -10,7 +10,8 @@
 //! of a 3-node group, for the explicit-dependency graph engine, the
 //! vector-clock CBCAST engine, and both reference engines, checking the
 //! full oracle at every quiescent terminal state. Prints partial-order
-//! reduction statistics; exits nonzero if any schedule violates an
+//! reduction statistics and the number of distinct terminal outcomes
+//! (tuples of per-member delivery logs); exits nonzero if any schedule violates an
 //! invariant (the minimized counterexample trace is printed so it can be
 //! committed under `regressions/`).
 
@@ -33,8 +34,8 @@ where
     );
     let s = result.stats;
     println!(
-        "{name:14} schedules={:<6} transitions={:<7} sleep_pruned={:<5} max_depth={:<3} truncated={}",
-        s.schedules_complete, s.transitions, s.sleep_pruned, s.max_depth, s.truncated
+        "{name:14} schedules={:<6} transitions={:<7} sleep_pruned={:<5} max_depth={:<3} outcomes={:<3} truncated={}",
+        s.schedules_complete, s.transitions, s.sleep_pruned, s.max_depth, result.outcomes, s.truncated
     );
     if let Some(v) = &result.violation {
         println!("  VIOLATION: {}", v.failure);

@@ -29,7 +29,7 @@
 //! so the relation is exact for the state at hand rather than a static
 //! over-approximation.
 
-use causal_clocks::ProcessId;
+use causal_clocks::{MsgId, ProcessId};
 use causal_core::delivery::DeliveryEngine;
 use causal_core::osend::OccursAfter;
 use causal_core::rbcast::RbMsg;
@@ -37,6 +37,7 @@ use causal_core::stack::{App, ProtocolStack, StackWire};
 use causal_simnet::{Actor, Command, Context, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::oracle::{self, OracleConfig, OracleReport};
@@ -621,6 +622,11 @@ pub struct ScriptStep<Op> {
 pub struct StackExploration {
     /// Search statistics.
     pub stats: PorStats,
+    /// Distinct terminal outcomes: the number of different tuples of
+    /// per-member delivery logs the checked quiescent terminal states
+    /// reached. A sound independence relation changes how many schedules
+    /// reach an outcome, not which outcomes are reached.
+    pub outcomes: usize,
     /// Oracle counters from the last clean terminal state checked.
     pub last_report: Option<OracleReport>,
     /// The minimized failing schedule and its replayable trace, if the
@@ -668,11 +674,13 @@ where
         StackWire::Rb(RbMsg::Data(_)) => MsgClass::Data,
         // Routed-engine link frames: sequenced stream frames (data,
         // handshake pings/pongs) affect delivery state and must be
-        // explored; cumulative acks are write-only bookkeeping like Rb
-        // acks and commute. An ack that names lost frames is not
+        // explored; cumulative acks are write-only bookkeeping and
+        // commute. An ack that names lost frames or copies is not
         // write-only (its receiver resends them), but none arises here:
-        // the explorer's clock stays at zero, so no frame is ever parked
-        // long enough for a link to name a hole.
+        // the explorer's clock stays at zero, so no frame or copy is ever
+        // parked long enough to name a hole. Rb acks never arise at all:
+        // a stack sends them only at its ack or heartbeat tick, and the
+        // explorer's timers never fire.
         StackWire::Link(frame) => match frame.body {
             causal_core::delivery::pcbcast::LinkBody::Ack { .. } => MsgClass::Control,
             _ => MsgClass::Data,
@@ -699,7 +707,13 @@ where
         .map(|_| ())
         .map_err(|v| v.to_string())
     };
-    let report = explorer.run(&|nodes| check(nodes, true), &|nodes| check(nodes, false));
+    let outcomes = RefCell::new(BTreeSet::new());
+    let terminal = |nodes: &[ProtocolStack<D, A>]| {
+        let logs: Vec<Vec<MsgId>> = nodes.iter().map(|node| node.log().to_vec()).collect();
+        outcomes.borrow_mut().insert(logs);
+        check(nodes, true)
+    };
+    let report = explorer.run(&terminal, &|nodes| check(nodes, false));
 
     let (last_report, violation) = match report.counterexample {
         Some(cx) => {
@@ -730,6 +744,7 @@ where
     };
     StackExploration {
         stats: report.stats,
+        outcomes: outcomes.into_inner().len(),
         last_report,
         violation,
     }

@@ -161,6 +161,18 @@ pub const GC_ROOTS: &[HotRoot] = &[
         owner: Some("ReliableBroadcast"),
         name: "remove_peer",
     },
+    // The ack tick: it drains the (sender, origin) pairs owed an ack,
+    // and the stack's per-period ack buffer with them.
+    HotRoot {
+        path: "crates/core/src/rbcast.rs",
+        owner: Some("ReliableBroadcast"),
+        name: "take_acks",
+    },
+    HotRoot {
+        path: "crates/core/src/stack.rs",
+        owner: Some("ProtocolStack"),
+        name: "send_acks",
+    },
     HotRoot {
         path: "crates/net/src/conn.rs",
         owner: Some("LinkState"),

@@ -5,8 +5,9 @@
 //! `frame_copies == 0`); this pass proves it for *every* path: a
 //! declared **hot-root set** — the reactor shard loop and its flush /
 //! receive legs, the three delivery engines' drain paths and the PC
-//! engine's link frame entry, the simulator's batched event loop, and
-//! the stability tracker's per-delivery and per-report updates — is
+//! engine's link frame entry, reliable broadcast's data and ack
+//! entries, the simulator's batched event loop, and the stability
+//! tracker's per-delivery and per-report updates — is
 //! closed over the call graph, and every statement reachable (CFG-wise)
 //! inside that cone is scanned for heap-allocating expressions.
 //!
@@ -46,9 +47,9 @@ pub struct HotRoot {
 }
 
 /// The flood-path roots: reactor shard loop + flush/receive legs, the
-/// engines' drain paths, PC link frame ingress, the simulator's batched
-/// event loop, and the stability tracker's `on_deliver`/`on_report`
-/// (mesh and tree).
+/// engines' drain paths, PC link frame ingress, reliable broadcast's
+/// data and ack entries, the simulator's batched event loop, and the
+/// stability tracker's `on_deliver`/`on_report` (mesh and tree).
 pub const HOT_ROOTS: &[HotRoot] = &[
     HotRoot {
         path: "crates/net/src/reactor.rs",
@@ -92,6 +93,18 @@ pub const HOT_ROOTS: &[HotRoot] = &[
         path: "crates/core/src/delivery/pcbcast/link.rs",
         owner: Some("Link"),
         name: "on_frame",
+    },
+    // Full-mesh reliable broadcast: the clocked receive entry the stack
+    // calls for every data copy, and the ack handler.
+    HotRoot {
+        path: "crates/core/src/rbcast.rs",
+        owner: Some("ReliableBroadcast"),
+        name: "on_data_at",
+    },
+    HotRoot {
+        path: "crates/core/src/rbcast.rs",
+        owner: Some("ReliableBroadcast"),
+        name: "on_ack",
     },
     HotRoot {
         path: "crates/simnet/src/sim.rs",

@@ -20,6 +20,12 @@ impl<E> ReliableBroadcast<E> {
         self.seen.insert(id, ()).is_none()
     }
 
+    pub fn on_data_at(&mut self, id: MsgId) -> bool {
+        self.on_data(id)
+    }
+
+    pub fn take_acks(&mut self) {}
+
     pub fn on_ack(&mut self, id: MsgId) {
         self.outgoing.remove(id);
     }

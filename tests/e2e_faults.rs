@@ -9,10 +9,11 @@ use causal_broadcast::clocks::ProcessId;
 use causal_broadcast::core::delivery::DeliveryEngine;
 use causal_broadcast::core::node::CausalNode;
 use causal_broadcast::core::osend::OccursAfter;
-use causal_broadcast::core::stack::{App, ProtocolStack};
+use causal_broadcast::core::rbcast::RbMsg;
+use causal_broadcast::core::stack::{App, ProtocolStack, StackWire, VsyncConfig};
 use causal_broadcast::replica::counter::{CounterOp, CounterReplica};
 use causal_broadcast::simnet::{
-    FaultPlan, LatencyModel, NetConfig, Partition, SimDuration, SimTime, Simulation,
+    Actor, Context, FaultPlan, LatencyModel, NetConfig, Partition, SimDuration, SimTime, Simulation,
 };
 use causal_verify::{check, check_trace, OracleConfig, OracleReport, Trace};
 
@@ -185,5 +186,106 @@ fn causal_chains_survive_loss() {
         // The oracle re-derives the same guarantee from the recorded
         // dependency sets (and checks exactly-once on top).
         assert_oracle_clean(&sim, 3);
+    }
+}
+
+/// A member that counts the reliable-broadcast data copies and acks it
+/// receives.
+struct RbCounter {
+    node: CausalNode<CounterReplica>,
+    data: u64,
+    acks: u64,
+}
+
+impl Actor for RbCounter {
+    type Msg = <CausalNode<CounterReplica> as Actor>::Msg;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
+        self.node.on_start(ctx);
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: ProcessId, msg: Self::Msg) {
+        match &msg {
+            StackWire::Rb(RbMsg::Data(_)) => self.data += 1,
+            StackWire::Rb(RbMsg::Ack(_)) => self.acks += 1,
+            _ => {}
+        }
+        self.node.on_message(ctx, from, msg);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, Self::Msg>, tag: u64) {
+        self.node.on_timer(ctx, tag);
+    }
+}
+
+#[test]
+fn acks_cost_a_fraction_of_the_data_copies_at_the_benchmark_shape() {
+    // The paper-configuration benchmark's group and network: eight
+    // members with membership and stability GC, 200–800 µs latency, 1%
+    // drop, one op every 50 µs. A receiver acks each sender once per
+    // origin per heartbeat, not once per copy, and names a lost copy
+    // instead of waiting for the tick, which resends only copies older
+    // than a period.
+    let n = 8;
+    let ops = 2_000u32;
+    for seed in 0..2 {
+        let nodes = (0..n)
+            .map(|i| RbCounter {
+                node: CausalNode::with_membership(
+                    p(i),
+                    n as usize,
+                    CounterReplica::new(),
+                    VsyncConfig::default(),
+                )
+                .with_gc(n as usize, 64)
+                .with_tracing(),
+                data: 0,
+                acks: 0,
+            })
+            .collect();
+        let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(200, 800))
+            .faults(FaultPlan::new().with_drop_prob(0.01));
+        let mut sim = Simulation::new(nodes, cfg, seed);
+        for k in 0..ops {
+            sim.poke(p(k % n), |member, ctx| {
+                member
+                    .node
+                    .osend(ctx, CounterOp::Inc(1), OccursAfter::none());
+            });
+            let deadline = sim.now() + SimDuration::from_micros(50);
+            sim.run_until(deadline);
+        }
+        let drained = sim.now() + SimDuration::from_millis(100);
+        sim.run_until(drained);
+        for (i, member) in sim.nodes().iter().enumerate() {
+            let node = &member.node;
+            assert_eq!(node.app().value(), i64::from(ops), "seed {seed} member {i}");
+            assert_eq!(node.pending_len(), 0, "seed {seed} member {i}");
+            assert!(
+                node.installed_views().is_empty(),
+                "seed {seed}: a view changed"
+            );
+        }
+        let trace = Trace::new(
+            sim.nodes()
+                .iter()
+                .filter_map(|member| member.node.trace().cloned())
+                .collect(),
+        );
+        if let Err(v) = check_trace(&trace, &OracleConfig::default()) {
+            panic!("seed {seed}: oracle violation: {v}");
+        }
+        let data: u64 = sim.nodes().iter().map(|member| member.data).sum();
+        let acks: u64 = sim.nodes().iter().map(|member| member.acks).sum();
+        assert!(
+            acks * 2 <= data,
+            "seed {seed}: {acks} acks for {data} data copies"
+        );
+        let copies = u64::from(ops) * (u64::from(n) - 1);
+        let retransmit_ratio = data as f64 / copies as f64 - 1.0;
+        assert!(
+            retransmit_ratio <= 0.05,
+            "seed {seed}: {data} copies for {copies} (ratio {retransmit_ratio:.3})"
+        );
     }
 }
