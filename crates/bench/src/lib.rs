@@ -23,7 +23,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod scenarios;
 pub mod table;
 pub mod workload;

@@ -1,13 +1,12 @@
 //! Reference (pre-indexing) delivery engines, preserved verbatim from the
 //! seed implementation.
 //!
-//! These exist for two reasons. The equivalence proptests in
+//! They exist as differential oracles. The equivalence proptests in
 //! `crates/core/tests/core_props.rs` feed identical randomized schedules
 //! (drops, duplicates, reorders) to an indexed engine and its reference
 //! twin and require **byte-identical delivery logs** — the indexed
-//! rewrites are pure data-structure changes, not behavior changes. And the
-//! `bench_hotpath` bin measures the indexed engines against these to keep
-//! the speedup claim in `BENCH_delivery.json` honest.
+//! rewrites are pure data-structure changes, not behavior changes. The
+//! schedule explorer's `graph-ref` and `vector-ref` rows run them too.
 //!
 //! Do not use these in protocol code: their drains rescan the whole
 //! pending buffer after every delivery, which is O(pending) per delivery

@@ -479,49 +479,90 @@ proptest! {
 
 type PcFrame = LinkFrame<Timed<PcEnvelope<u64>>>;
 
-/// A deterministic mini-network over a static PC group: one frame queue
-/// per directed overlay link, which the proptest schedule can reorder
+/// A deterministic mini-network over a PC group: one frame queue per
+/// directed overlay link, which the proptest schedule can reorder
 /// (deliver from any queue position), duplicate (deliver a copy but keep
 /// the original in flight), or drop (discard — recovered later by the
-/// links' retransmission protocol).
+/// links' retransmission protocol). A member can crash, which re-derives
+/// the overlay at every survivor.
 struct PcNet {
-    engines: Vec<PcEngine<u64>>,
+    /// `None` once the member has crashed.
+    engines: Vec<Option<PcEngine<u64>>>,
     queues: BTreeMap<(usize, usize), Vec<PcFrame>>,
+    /// Each member's delivered envelopes in delivery order: the stack's
+    /// membership store, which pong flushes replay from.
+    history: Vec<Vec<Timed<PcEnvelope<u64>>>>,
 }
 
 impl PcNet {
     fn new(n: usize) -> Self {
         PcNet {
             engines: (0..n)
-                .map(|i| PcEngine::for_member(ProcessId::new(i as u32), n))
+                .map(|i| Some(PcEngine::for_member(ProcessId::new(i as u32), n)))
                 .collect(),
             queues: BTreeMap::new(),
+            history: vec![Vec::new(); n],
         }
+    }
+
+    /// The engines of the members that have not crashed.
+    fn live(&self) -> impl Iterator<Item = &PcEngine<u64>> {
+        self.engines.iter().flatten()
     }
 
     fn enqueue(&mut self, from: usize, sends: Vec<LinkSend<PcEnvelope<u64>>>) {
         for (to, frame) in sends {
-            self.queues
-                .entry((from, to.as_usize()))
-                .or_default()
-                .push(frame);
+            if self.engines[to.as_usize()].is_some() {
+                self.queues
+                    .entry((from, to.as_usize()))
+                    .or_default()
+                    .push(frame);
+            }
         }
     }
 
     fn broadcast(&mut self, node: usize, payload: u64) -> MsgId {
-        let (env, _self_delivery) = self.engines[node].send(payload, OccursAfter::none());
+        let engine = self.engines[node].as_mut().expect("sender alive");
+        let (env, _self_delivery) = engine.send(payload, OccursAfter::none());
         let id = env.id;
-        let sends = self.engines[node].route_broadcast(Timed {
+        let timed = Timed {
             env,
             sent_at: SimTime::ZERO,
-        });
+        };
+        self.history[node].push(timed.clone());
+        let sends = engine.route_broadcast(timed);
         self.enqueue(node, sends);
         id
     }
 
-    fn deliver(&mut self, key: (usize, usize), frame: PcFrame) {
-        let out = self.engines[key.1].on_link_frame(ProcessId::new(key.0 as u32), frame, &[]);
-        self.enqueue(key.1, out.sends);
+    fn deliver(&mut self, (from, to): (usize, usize), frame: PcFrame) {
+        let Some(engine) = self.engines[to].as_mut() else {
+            return;
+        };
+        let out = engine.on_link_frame(ProcessId::new(from as u32), frame, &self.history[to]);
+        self.history[to].extend(out.released.into_iter().map(|env| Timed {
+            env,
+            sent_at: SimTime::ZERO,
+        }));
+        self.enqueue(to, out.sends);
+    }
+
+    /// Crashes `victim`: its queues vanish with it, and every survivor
+    /// re-derives the overlay, opening quarantined links where the tree
+    /// changed.
+    fn crash(&mut self, victim: usize) {
+        self.engines[victim] = None;
+        self.queues.retain(|&(a, b), _| a != victim && b != victim);
+        let survivors: Vec<ProcessId> = (0..self.engines.len())
+            .filter(|&i| self.engines[i].is_some())
+            .map(|i| ProcessId::new(i as u32))
+            .collect();
+        for i in 0..self.engines.len() {
+            if let Some(engine) = self.engines[i].as_mut() {
+                let sends = engine.on_members(&survivors);
+                self.enqueue(i, sends);
+            }
+        }
     }
 
     /// One adversarial network step: `a` picks among the non-empty
@@ -579,12 +620,14 @@ impl PcNet {
                     .remove(0);
                 self.deliver(key, frame);
             }
-            if !self.engines.iter().any(|e| e.link_has_pending()) {
+            if !self.live().any(|e| e.link_has_pending()) {
                 return;
             }
             for i in 0..self.engines.len() {
-                let rtx = self.engines[i].link_retransmissions(LinkClock::STOPPED);
-                self.enqueue(i, rtx);
+                if let Some(engine) = self.engines[i].as_mut() {
+                    let rtx = engine.link_retransmissions(LinkClock::STOPPED);
+                    self.enqueue(i, rtx);
+                }
             }
         }
         panic!("PC network failed to quiesce");
@@ -657,7 +700,7 @@ proptest! {
         // Every node delivered every message exactly once.
         let mut expected: Vec<MsgId> = payloads.keys().copied().collect();
         expected.sort_unstable();
-        for (i, e) in net.engines.iter().enumerate() {
+        for (i, e) in net.live().enumerate() {
             prop_assert_eq!(e.pending_len(), 0, "node {} still buffering", i);
             let mut ids = e.log().to_vec();
             ids.sort_unstable();
@@ -669,7 +712,7 @@ proptest! {
         // (capturing exactly the causal past PC gave them), foreign
         // entries are receives of already-minted twins. Cross-origin
         // waits resolve monotonically unless PC produced a causal cycle.
-        let logs: Vec<Vec<MsgId>> = net.engines.iter().map(|e| e.log().to_vec()).collect();
+        let logs: Vec<Vec<MsgId>> = net.live().map(|e| e.log().to_vec()).collect();
         let mut shadows: Vec<CbcastEngine<u64>> = (0..n)
             .map(|i| CbcastEngine::new(ProcessId::new(i as u32), n))
             .collect();
@@ -745,6 +788,51 @@ proptest! {
         let decoded = <StackWire<PcEnvelope<u64>>>::from_wire(&buf).expect("round-trip");
         prop_assert_eq!(decoded, msg);
     }
+}
+
+/// PC-broadcast buffers in proportion to churn, not to group size
+/// (Nédelec, Molli & Mostéfaoui, SRDS 2018). The same three-phase
+/// workload runs at 10, 32 and 100 members: 12 broadcasts drained, 12
+/// more still in flight when interior member 1 crashes, and 12 over the
+/// repaired overlay. Every survivor ends with the full message set,
+/// because pong flushes replay from each member's history what the
+/// crash swallowed, and the peak buffered count is the same at every
+/// size.
+#[test]
+fn churn_buffering_does_not_grow_with_group_size() {
+    const ROUNDS: usize = 12;
+    const VICTIM: usize = 1;
+    let mut peaks = Vec::new();
+    for n in [10, 32, 100] {
+        let mut net = PcNet::new(n);
+        let mut sent = Vec::new();
+        for phase in 0..3 {
+            for k in 0..ROUNDS {
+                let sender = k % n;
+                if phase == 0 || sender != VICTIM {
+                    sent.push(net.broadcast(sender, sent.len() as u64));
+                }
+            }
+            if phase == 1 {
+                net.crash(VICTIM);
+            }
+            net.drain();
+        }
+        sent.sort_unstable();
+        for (i, engine) in net.engines.iter().enumerate() {
+            if let Some(engine) = engine {
+                let mut ids = engine.log().to_vec();
+                ids.sort_unstable();
+                assert_eq!(ids, sent, "member {i} of {n} missed messages");
+            }
+        }
+        peaks.push(net.live().map(PcEngine::peak_buffered).max().unwrap_or(0));
+    }
+    assert!(peaks[0] > 0, "the crash buffered nothing: {peaks:?}");
+    assert!(
+        peaks.iter().all(|&p| p == peaks[0]),
+        "peak buffered grew with group size: {peaks:?} at n = 10, 32, 100"
+    );
 }
 
 /// A sender link, a receiver link, and the frames between them: data

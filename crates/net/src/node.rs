@@ -288,8 +288,12 @@ mod tests {
     use causal_simnet::Context;
     use std::time::Duration;
 
-    /// Echo actor speaking u64 payloads: node 0 sends 3 pings to node 1,
-    /// which echoes each back incremented.
+    /// Frames node 0 floods at node 1 from `on_start`, faster than one
+    /// write can carry them, so the writer must coalesce.
+    const BURST: u64 = 5_000;
+
+    /// Echo actor speaking u64 payloads: node 0 sends [`BURST`] pings to
+    /// node 1, which echoes each back incremented.
     struct Echo {
         got: Vec<u64>,
     }
@@ -297,7 +301,7 @@ mod tests {
         type Msg = u64;
         fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
             if ctx.me() == ProcessId::new(0) {
-                for k in 0..3 {
+                for k in 0..BURST {
                     ctx.send(ProcessId::new(1), k);
                 }
             }
@@ -305,7 +309,7 @@ mod tests {
         fn on_message(&mut self, ctx: &mut Context<'_, u64>, from: ProcessId, msg: u64) {
             self.got.push(msg);
             if ctx.me() == ProcessId::new(1) {
-                ctx.send(from, msg + 100);
+                ctx.send(from, msg + BURST);
             }
         }
     }
@@ -332,8 +336,8 @@ mod tests {
             })
             .collect();
 
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while handles[0].stats().links[1].msgs_recv < 3 && Instant::now() < deadline {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while handles[0].stats().links[1].msgs_recv < BURST && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
         }
         for h in &handles {
@@ -345,16 +349,22 @@ mod tests {
         let (n0, s0) = done.pop().unwrap();
         let mut got0 = n0.got.clone();
         got0.sort_unstable();
-        assert_eq!(got0, vec![100, 101, 102]);
+        assert_eq!(got0, (BURST..2 * BURST).collect::<Vec<_>>(), "echoes lost");
         let mut got1 = n1.got.clone();
         got1.sort_unstable();
-        assert_eq!(got1, vec![0, 1, 2]);
-        assert_eq!(s0.links[1].msgs_sent, 3);
+        assert_eq!(got1, (0..BURST).collect::<Vec<_>>(), "pings lost");
+        assert_eq!(s0.links[1].msgs_sent, BURST);
         assert_eq!(s0.decode_errors, 0);
-        // The pings came back over a socket: every one of them must have
+        // The echoes came back over a socket: every one of them must have
         // been handed to the sink as a borrowed (zero-copy) frame view.
-        assert!(s0.frames_borrowed >= 3);
+        assert!(s0.frames_borrowed >= BURST);
         assert_eq!(s0.frame_copies, 0);
+        // The burst outran the writer, which batched it into fewer writes.
+        let per_write = s0.links[1].frames_per_write();
+        assert!(
+            per_write > 1.0,
+            "writer did not coalesce: {per_write} frames per write"
+        );
         assert!(s0.bytes_read > 0);
         assert!(s0.reactor.epoll_waits > 0);
     }

@@ -7,9 +7,9 @@
 //! enough to audit, and that [`Simulation`](crate::Simulation) must match
 //! it bit-for-bit: same seed, same actors, same configuration ⇒ identical
 //! traces, metrics, and final actor states. The differential suites
-//! (`tests/sim_differential.rs`, the proptests in `sim_props.rs`) and the
-//! `bench_simnet` baseline both run this core; that is why it is a public
-//! module rather than test-only code.
+//! (`tests/sim_differential.rs`, the proptests in `sim_props.rs`) run
+//! this core from outside the crate; that is why it is a public module
+//! rather than test-only code.
 //!
 //! Determinism depends on both cores drawing from the RNG in exactly the
 //! same order: per transmission, one Bernoulli draw for drop, one for

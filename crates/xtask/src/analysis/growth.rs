@@ -1,7 +1,7 @@
 //! `bounded-growth`: long-lived protocol state must shrink.
 //!
-//! The paper's resource argument (and ROADMAP item 1) is that causal
-//! stability lets a replica *discard* buffered messages and
+//! The paper's resource argument (and ROADMAP's bounded-state item) is
+//! that causal stability lets a replica *discard* buffered messages and
 //! bookkeeping — so the gate declares the structs that constitute
 //! long-lived protocol state ([`STATE_STRUCTS`]: the delivery engines,
 //! the stack's membership machinery, stability bookkeeping, and the
@@ -275,8 +275,8 @@ pub fn check_with(
                         "`{}.{}` ({}<…>) never shrinks: {} grow site(s), no \
                          remove/clear/drain/pop/retain anywhere in crate `{}` — long-lived \
                          protocol state must be compacted at stability, acked, or torn down \
-                         (ROADMAP item 1); if this field is deliberately monotone, say why in \
-                         lint-allow.toml",
+                         (ROADMAP's bounded-state item); if this field is deliberately \
+                         monotone, say why in lint-allow.toml",
                         sd.name,
                         field.name,
                         container,

@@ -1,6 +1,6 @@
 //! `hotpath-alloc`: no heap allocation on the flood path.
 //!
-//! The benches prove the steady state allocation-free only on the
+//! The tests prove the steady state allocation-free only on the
 //! schedules they happen to run (`RunnerStats.scratch_grows`,
 //! `frame_copies == 0`); this pass proves it for *every* path: a
 //! declared **hot-root set** — the reactor shard loop and its flush /
