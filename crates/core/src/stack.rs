@@ -12,8 +12,9 @@
 //!   ───────────────────────
 //!    causal delivery            (any delivery::DeliveryEngine)
 //!   ───────────────────────
-//!    view-synchronous           (causal_membership, optional:
-//!    membership                  heartbeats, flush, install)
+//!    view-synchronous           (causal_membership::ViewManager,
+//!    membership                  optional: every membership decision;
+//!                                the stack flushes and installs)
 //!   ───────────────────────
 //!    reliable broadcast         (rbcast::ReliableBroadcast — one
 //!                                cumulative ack per peer per origin per
@@ -40,6 +41,15 @@
 //! under the discrete-event simulator, the threaded runtime, and the
 //! `causal-net` TCP transport — including the membership machinery, which
 //! is just more messages and timers.
+//!
+//! Every membership decision (failure detection, who proposes, flush acks
+//! and install, join routing, retries) lives in the sans-IO
+//! [`ViewManager`]. The stack feeds it liveness, the membership messages
+//! and the check and join-retry ticks, sends what it returns, and performs
+//! its two local actions: the **flush** (relay the removed members'
+//! messages, then report done) and the **install** (reconfigure rbcast,
+//! stability and the engine, drain parked sends, call the app). The
+//! heartbeat tick stays here: it shares the rbcast ack period.
 
 use crate::delivery::pcbcast::{LinkClock, LinkFrame};
 use crate::delivery::{
@@ -52,9 +62,7 @@ use crate::stable::{StablePoint, StablePointDetector};
 use crate::statemachine::OpClass;
 use crate::trace::{MemberTrace, TraceEvent};
 use causal_clocks::{IdWindow, MsgId, ProcessId, VectorClock};
-use causal_membership::{
-    FlushStatus, GroupView, HeartbeatDetector, ManagerAction, ViewId, ViewManager,
-};
+use causal_membership::{GroupView, ManagerAction, MembershipMsg, ViewId, ViewManager};
 use causal_simnet::{Actor, Context, Histogram, SimDuration, SimTime};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -91,6 +99,19 @@ pub enum StackWire<E> {
     /// ping/pong handshake, or a cumulative link acknowledgement.
     /// Non-routed stacks never send or receive it.
     Link(LinkFrame<Timed<E>>),
+}
+
+/// The membership machine's messages travel as the matching
+/// [`StackWire`] variants.
+impl<E> From<MembershipMsg> for StackWire<E> {
+    fn from(msg: MembershipMsg) -> Self {
+        match msg {
+            MembershipMsg::Propose(view) => StackWire::Propose(view),
+            MembershipMsg::FlushAck(view_id) => StackWire::FlushAck(view_id),
+            MembershipMsg::Install(view) => StackWire::Install(view),
+            MembershipMsg::JoinReq { joiner } => StackWire::JoinReq { joiner },
+        }
+    }
 }
 
 /// An envelope tagged with its send time, so receivers can measure
@@ -229,9 +250,11 @@ pub struct VsyncConfig {
     /// a heartbeat. H must stay below `retransmit_every`, so that an ack
     /// reaches a sender before its backstop resends what the ack covers.
     pub heartbeat_every: SimDuration,
-    /// Silence threshold after which a member is suspected.
+    /// Silence threshold after which a member is suspected. At least
+    /// 1 µs: building a view-synchronous stack with less panics.
     pub suspect_after: SimDuration,
-    /// Coordinator's failure-detector polling period.
+    /// Period of the membership check tick (suspicion, takeover, and
+    /// the retries of a pending change), and of a joiner's retries.
     pub check_every: SimDuration,
     /// Reliability-layer retransmission period.
     pub retransmit_every: SimDuration,
@@ -248,33 +271,17 @@ impl Default for VsyncConfig {
     }
 }
 
-/// The membership side-state of a stack with view synchrony enabled.
+/// The membership side-state of a stack with view synchrony enabled: the
+/// machine that makes every membership decision, and what the stack keeps
+/// to carry those decisions out.
 struct MembershipState<D: DeliveryEngine> {
     manager: ViewManager,
-    fd: HeartbeatDetector,
     config: VsyncConfig,
     /// Envelopes delivered, retained for flush re-broadcast and joiner
     /// replay.
     store: Vec<Timed<D::Envelope>>,
     /// Sends requested while a view change was flushing.
     outbox: VecDeque<(D::Op, OccursAfter)>,
-    installed_views: Vec<GroupView>,
-    /// `Some(contact)` while this node is outside the group trying to join.
-    joining_via: Option<ProcessId>,
-}
-
-impl<D: DeliveryEngine> MembershipState<D> {
-    fn new(me: ProcessId, view: GroupView, config: VsyncConfig) -> Self {
-        MembershipState {
-            manager: ViewManager::new(me, view),
-            fd: HeartbeatDetector::new(config.suspect_after.as_micros()),
-            config,
-            store: Vec::new(),
-            outbox: VecDeque::new(),
-            installed_views: Vec::new(),
-            joining_via: None,
-        }
-    }
 }
 
 /// A group member running the full Figure-4 stack around a pluggable
@@ -333,21 +340,31 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
     ///
     /// Panics if `me` is outside the group.
     pub fn new(me: ProcessId, n: usize, app: A) -> Self {
+        // Routed engines disseminate over their own overlay; in a static
+        // group the full-mesh reliability layer would only retain O(n)
+        // peer state per node for traffic that never flows. Membership
+        // re-enables it (see `with_membership`) for the flush/replay
+        // side-channel.
+        let rb = if D::ROUTED {
+            ReliableBroadcast::with_peers(me, [])
+        } else {
+            ReliableBroadcast::new(me, n)
+        };
+        Self::assemble(me, app, D::for_member(me, n), rb)
+    }
+
+    fn assemble(
+        me: ProcessId,
+        app: A,
+        engine: D,
+        rb: ReliableBroadcast<Timed<D::Envelope>>,
+    ) -> Self {
         ProtocolStack {
             me,
             app,
-            engine: D::for_member(me, n),
+            engine,
             detector: StablePointDetector::new(),
-            // Routed engines disseminate over their own overlay; in a
-            // static group the full-mesh reliability layer would only
-            // retain O(n) peer state per node for traffic that never
-            // flows. Membership re-enables it (see `with_membership`) for
-            // the flush/replay side-channel.
-            rb: if D::ROUTED {
-                ReliableBroadcast::with_peers(me, [])
-            } else {
-                ReliableBroadcast::new(me, n)
-            },
+            rb,
             retransmit_every: DEFAULT_RETRANSMIT,
             rtx_armed: false,
             ack_armed: false,
@@ -373,14 +390,26 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
     ///
     /// Panics if `me` is outside the group.
     pub fn with_membership(me: ProcessId, n: usize, app: A, config: VsyncConfig) -> Self {
-        let mut node = Self::new(me, n, app);
         // Membership's flush re-broadcast and joiner replay run over the
         // reliability layer even under routed engines, so those stacks
         // need the full peer set after all.
-        node.rb = ReliableBroadcast::new(me, n);
-        node.retransmit_every = config.retransmit_every;
-        node.membership = Some(MembershipState::new(me, GroupView::initial(n), config));
-        node
+        let rb = ReliableBroadcast::new(me, n);
+        let suspect_after = config.suspect_after.as_micros();
+        Self::assemble(me, app, D::for_member(me, n), rb).with_manager(
+            ViewManager::new(me, GroupView::initial(n), suspect_after),
+            config,
+        )
+    }
+
+    fn with_manager(mut self, manager: ViewManager, config: VsyncConfig) -> Self {
+        self.retransmit_every = config.retransmit_every;
+        self.membership = Some(MembershipState {
+            manager,
+            config,
+            store: Vec::new(),
+            outbox: VecDeque::new(),
+        });
+        self
     }
 
     /// Overrides the retransmission period (default
@@ -504,7 +533,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
     pub fn is_flushing(&self) -> bool {
         self.membership
             .as_ref()
-            .is_some_and(|m| m.manager.status() == FlushStatus::Flushing)
+            .is_some_and(|m| m.manager.is_flushing())
     }
 
     /// The currently installed view.
@@ -520,19 +549,12 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
             .current()
     }
 
-    /// Views installed after the initial one (empty without membership).
-    pub fn installed_views(&self) -> &[GroupView] {
-        self.membership
-            .as_ref()
-            .map_or(&[], |m| m.installed_views.as_slice())
-    }
-
     /// `true` while this node is still outside the group awaiting its
     /// first installed view.
     pub fn is_joining(&self) -> bool {
         self.membership
             .as_ref()
-            .is_some_and(|m| m.joining_via.is_some())
+            .is_some_and(|m| m.manager.is_joining())
     }
 
     /// Silences this member from now on (test control: models a crash).
@@ -772,6 +794,20 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         self.sent_times.compact(stable);
     }
 
+    /// Feeds one input to the membership machine, if membership is
+    /// enabled, at the time now, and carries out what it decides.
+    fn membership_input(
+        &mut self,
+        ctx: &mut Context<'_, StackWire<D::Envelope>>,
+        input: impl FnOnce(&mut ViewManager, u64) -> Vec<ManagerAction>,
+    ) {
+        let Some(mem) = self.membership.as_mut() else {
+            return;
+        };
+        let actions = input(&mut mem.manager, ctx.now().as_micros());
+        self.perform(ctx, actions);
+    }
+
     fn perform(
         &mut self,
         ctx: &mut Context<'_, StackWire<D::Envelope>>,
@@ -779,160 +815,104 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
     ) {
         for action in actions {
             match action {
-                ManagerAction::BeginFlush { view } => {
+                ManagerAction::Send { to, msg } => ctx.send(to, msg.into()),
+                ManagerAction::BeginFlush { removed, to } => {
                     // Virtual-synchrony flush: relay the messages we have
                     // delivered from members being removed to every
                     // survivor (duplicates are absorbed), so nobody misses
                     // a message only some survivors saw. The reliability
                     // layer resends a lost copy until it is acknowledged.
-                    let me = self.me;
                     let mem = self.membership.as_ref().expect("membership enabled");
-                    let removed: Vec<ProcessId> = mem
-                        .manager
-                        .current()
-                        .members()
-                        .iter()
-                        .copied()
-                        .filter(|m| !view.contains(*m))
-                        .collect();
-                    let survivors: Vec<ProcessId> = view
-                        .members()
-                        .iter()
-                        .copied()
-                        .filter(|&m| m != me)
-                        .collect();
                     for timed in &mem.store {
                         if removed.contains(&timed.msg_id().origin()) {
-                            if let Some((to, msg)) = self.rb.relay(&survivors, timed.clone()) {
-                                ctx.multicast(to, StackWire::Rb(msg));
+                            if let Some((targets, msg)) = self.rb.relay(&to, timed.clone()) {
+                                ctx.multicast(targets, StackWire::Rb(msg));
                             }
                         }
                     }
                     self.arm_retransmit(ctx);
-                    let done = self
-                        .membership
-                        .as_mut()
-                        .expect("membership enabled")
-                        .manager
-                        .flush_complete();
-                    self.perform(ctx, done);
+                    self.membership_input(ctx, ViewManager::flush_done);
                 }
-                ManagerAction::SendPropose { to, view } => {
-                    for m in to {
-                        ctx.send(m, StackWire::Propose(view.clone()));
-                    }
-                }
-                ManagerAction::SendFlushAck { to, view_id } => {
-                    ctx.send(to, StackWire::FlushAck(view_id));
-                }
-                ManagerAction::SendInstall { to, view } => {
-                    for m in to {
-                        ctx.send(m, StackWire::Install(view.clone()));
-                    }
-                }
-                ManagerAction::Installed(view) => self.on_installed(ctx, view),
+                ManagerAction::Installed { view, joined } => self.on_installed(ctx, view, joined),
             }
         }
     }
 
-    fn on_installed(&mut self, ctx: &mut Context<'_, StackWire<D::Envelope>>, view: GroupView) {
-        {
-            let mem = self.membership.as_mut().expect("membership enabled");
-            let rb = &mut self.rb;
-            // Stop waiting for acknowledgements from removed members, and
-            // take them out of the stable minimum: their last reports
-            // would otherwise hold it down for good.
-            let removed: Vec<ProcessId> = rb.peers().filter(|p| !view.contains(*p)).collect();
-            for dead in removed {
-                rb.remove_peer(dead);
-                mem.fd.forget(dead);
-                if let Some(stability) = &mut self.stability {
-                    stability.remove_member(dead);
+    /// Reconfigures the layers for the installed `view`, lifts the flush
+    /// barrier, and tells the application (`joined`: this node was just
+    /// admitted, so its app starts now).
+    fn on_installed(
+        &mut self,
+        ctx: &mut Context<'_, StackWire<D::Envelope>>,
+        view: GroupView,
+        joined: bool,
+    ) {
+        let store = &self.membership.as_ref().expect("membership enabled").store;
+        let rb = &mut self.rb;
+        // Stop waiting for acknowledgements from removed members, and
+        // take them out of the stable minimum: their last reports would
+        // otherwise hold it down for good.
+        let removed: Vec<ProcessId> = rb.peers().filter(|p| !view.contains(*p)).collect();
+        for dead in removed {
+            rb.remove_peer(dead);
+            if let Some(stability) = &mut self.stability {
+                stability.remove_member(dead);
+            }
+        }
+        // Admit new members: target future broadcasts at them, extend the
+        // in-flight unacknowledged sets, and replay the delivered history
+        // (log-replay state transfer; their dedupe absorbs overlap with
+        // the in-flight retransmissions).
+        let known: BTreeSet<ProcessId> = rb.peers().collect();
+        let added: Vec<ProcessId> = view
+            .members()
+            .iter()
+            .copied()
+            .filter(|&m| m != self.me && !known.contains(&m))
+            .collect();
+        for &new in &added {
+            rb.add_peer(new);
+            for (to, msg) in rb.extend_unacked(new) {
+                ctx.send(to, StackWire::Rb(msg));
+            }
+            for timed in store.iter().cloned() {
+                if let Some((_, msg)) = rb.relay(&[new], timed) {
+                    ctx.send(new, StackWire::Rb(msg));
                 }
             }
-            // Admit new members: target future broadcasts at them, extend
-            // the in-flight unacknowledged sets, and replay the delivered
-            // history (log-replay state transfer; their dedupe absorbs
-            // overlap with the in-flight retransmissions).
-            let known: BTreeSet<ProcessId> = rb.peers().collect();
-            let added: Vec<ProcessId> = view
-                .members()
-                .iter()
-                .copied()
-                .filter(|&m| m != self.me && !known.contains(&m))
-                .collect();
-            for &new in &added {
-                rb.add_peer(new);
-                for (to, msg) in rb.extend_unacked(new) {
-                    ctx.send(to, StackWire::Rb(msg));
-                }
-                for timed in mem.store.iter().cloned() {
-                    if let Some((_, msg)) = rb.relay(&[new], timed) {
-                        ctx.send(new, StackWire::Rb(msg));
-                    }
-                }
-                if !self.rtx_armed && rb.has_pending() {
-                    ctx.set_timer(self.retransmit_every, TIMER_RETRANSMIT);
-                    self.rtx_armed = true;
-                }
-                mem.fd.observe(new, ctx.now().as_micros());
+            if !self.rtx_armed && rb.has_pending() {
+                ctx.set_timer(self.retransmit_every, TIMER_RETRANSMIT);
+                self.rtx_armed = true;
             }
-            // A joiner installing its first group view is now a member.
-            if mem.joining_via.take().is_some() {
-                for m in view.members().to_vec() {
-                    if m != self.me {
-                        rb.add_peer(m);
-                        mem.fd.observe(m, ctx.now().as_micros());
-                    }
-                }
-            }
-            if let Some(t) = &mut self.tracer {
-                t.record(TraceEvent::ViewInstalled { view: view.clone() });
-            }
-            mem.installed_views.push(view);
+        }
+        if let Some(t) = &mut self.tracer {
+            t.record(TraceEvent::ViewInstalled { view: view.clone() });
         }
         // Routed engines reconcile their overlay with the new member set:
         // removed members' links drop, fresh links open quarantined and
         // start their ping/pong handshake here.
-        {
-            let members = self
-                .membership
-                .as_ref()
-                .expect("membership enabled")
-                .installed_views
-                .last()
-                .expect("a view was just installed")
-                .members()
-                .to_vec();
-            for (to, frame) in self.engine.on_members(&members) {
-                ctx.send(to, StackWire::Link(frame));
-            }
-            self.arm_retransmit(ctx);
+        for (to, frame) in self.engine.on_members(view.members()) {
+            ctx.send(to, StackWire::Link(frame));
         }
+        self.arm_retransmit(ctx);
         // The flush barrier lifts: drain parked sends.
-        loop {
-            let next = self
-                .membership
-                .as_mut()
-                .expect("membership enabled")
-                .outbox
-                .pop_front();
-            let Some((op, after)) = next else { break };
+        while let Some((op, after)) = self
+            .membership
+            .as_mut()
+            .expect("membership enabled")
+            .outbox
+            .pop_front()
+        {
             let released = self.transmit(ctx, op, after);
             self.process_released(ctx, released);
         }
         // Tell the application; operations it emits in response go out in
         // the new view, behind the drained parked sends.
-        let installed = self
-            .membership
-            .as_ref()
-            .expect("membership enabled")
-            .installed_views
-            .last()
-            .expect("a view was just installed")
-            .clone();
         let mut out = Emitter::new();
-        self.app.on_view(&installed, &mut out);
+        if joined {
+            self.app.on_start(self.me, &mut out);
+        }
+        self.app.on_view(&view, &mut out);
         for (op, after) in out.drain() {
             let released = self.transmit(ctx, op, after);
             self.process_released(ctx, released);
@@ -950,29 +930,10 @@ impl<A: App> ProtocolStack<GraphDelivery<A::Op>, A> {
     /// Joining is specific to the graph engine: vector-clock engines size
     /// their clocks to a fixed group and cannot represent an outsider.
     pub fn joining(me: ProcessId, contact: ProcessId, app: A, config: VsyncConfig) -> Self {
-        let mut mem = MembershipState::new(me, GroupView::new(ViewId::initial(), [me]), config);
-        mem.joining_via = Some(contact);
-        ProtocolStack {
-            me,
-            app,
-            engine: GraphDelivery::for_member(me, 1),
-            detector: StablePointDetector::new(),
-            rb: ReliableBroadcast::with_peers(me, []),
-            retransmit_every: config.retransmit_every,
-            rtx_armed: false,
-            ack_armed: false,
-            acks: Vec::new(),
-            sent_times: IdWindow::new(),
-            last_sent: None,
-            stats: NodeStats::default(),
-            stability: None,
-            report_every: 0,
-            deliveries_since_report: 0,
-            membership: Some(mem),
-            tracer: None,
-            crashed: false,
-            link_out: LinkDelivery::default(),
-        }
+        let engine = GraphDelivery::for_member(me, 1);
+        let suspect_after = config.suspect_after.as_micros();
+        Self::assemble(me, app, engine, ReliableBroadcast::with_peers(me, []))
+            .with_manager(ViewManager::joining(me, contact, suspect_after), config)
     }
 }
 
@@ -980,23 +941,16 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> Actor for ProtocolStack<D, A> {
     type Msg = StackWire<D::Envelope>;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
-        if let Some(mem) = self.membership.as_mut() {
-            ctx.set_timer(mem.config.heartbeat_every, TIMER_HEARTBEAT);
-            // Every member polls its failure detector: if the coordinator
-            // itself dies, the lowest-ranked live member takes over.
-            ctx.set_timer(mem.config.check_every, TIMER_FD_CHECK);
-            if let Some(contact) = mem.joining_via {
-                ctx.send(contact, StackWire::JoinReq { joiner: self.me });
-                ctx.set_timer(mem.config.check_every, TIMER_JOIN_RETRY);
-                return; // apps start only once the node is a member
-            }
-            // Treat everyone as alive at start.
-            let now = ctx.now().as_micros();
-            let members = mem.manager.current().members().to_vec();
-            for m in members {
-                if m != self.me {
-                    mem.fd.observe(m, now);
-                }
+        if let Some(mem) = &self.membership {
+            let config = mem.config;
+            ctx.set_timer(config.heartbeat_every, TIMER_HEARTBEAT);
+            // Every member checks for suspects: if the coordinator itself
+            // dies, the lowest-ranked live member takes over.
+            ctx.set_timer(config.check_every, TIMER_FD_CHECK);
+            self.membership_input(ctx, ViewManager::start);
+            if self.is_joining() {
+                ctx.set_timer(config.check_every, TIMER_JOIN_RETRY);
+                return; // the app starts once the node is admitted
             }
         }
         let mut out = Emitter::new();
@@ -1013,7 +967,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> Actor for ProtocolStack<D, A> {
             return;
         }
         if let Some(mem) = self.membership.as_mut() {
-            mem.fd.observe(from, ctx.now().as_micros());
+            mem.manager.observe(from, ctx.now().as_micros());
         }
         match msg {
             StackWire::Rb(RbMsg::Data(timed)) => {
@@ -1063,53 +1017,16 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> Actor for ProtocolStack<D, A> {
             }
             StackWire::Heartbeat => {}
             StackWire::Propose(view) => {
-                let Some(mem) = self.membership.as_mut() else {
-                    return;
-                };
-                let actions = mem.manager.on_propose(from, view);
-                self.perform(ctx, actions);
+                self.membership_input(ctx, |m, _| m.on_propose(from, view));
             }
             StackWire::FlushAck(view_id) => {
-                let Some(mem) = self.membership.as_mut() else {
-                    return;
-                };
-                if mem.manager.pending().is_none() && mem.manager.current().id() == view_id {
-                    // The member missed our Install (lost message) and is
-                    // re-acking: resend it.
-                    let view = mem.manager.current().clone();
-                    ctx.send(from, StackWire::Install(view));
-                } else {
-                    let actions = mem.manager.on_flush_ack(from, view_id);
-                    self.perform(ctx, actions);
-                }
+                self.membership_input(ctx, |m, now| m.on_flush_ack(now, from, view_id));
             }
             StackWire::Install(view) => {
-                let Some(mem) = self.membership.as_mut() else {
-                    return;
-                };
-                let actions = mem.manager.on_install(view);
-                self.perform(ctx, actions);
+                self.membership_input(ctx, |m, now| m.on_install(now, view));
             }
             StackWire::JoinReq { joiner } => {
-                let Some(mem) = self.membership.as_mut() else {
-                    return;
-                };
-                if mem.manager.current().contains(joiner) {
-                    // Already admitted: the joiner missed the Install
-                    // (lost message) — resend it.
-                    let view = mem.manager.current().clone();
-                    ctx.send(joiner, StackWire::Install(view));
-                } else if !mem.manager.is_coordinator() {
-                    // Relay to the coordinator, which runs the change.
-                    let coordinator = mem.manager.current().coordinator();
-                    ctx.send(coordinator, StackWire::JoinReq { joiner });
-                } else if mem.manager.pending().is_none() {
-                    let next = mem.manager.current().with(joiner);
-                    if let Ok(actions) = mem.manager.propose(next) {
-                        self.perform(ctx, actions);
-                    }
-                    // Busy with another change: the joiner's retry covers it.
-                }
+                self.membership_input(ctx, |m, _| m.on_join_req(joiner));
             }
             StackWire::Link(frame) => {
                 let clock = self.link_clock(ctx);
@@ -1178,47 +1095,16 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> Actor for ProtocolStack<D, A> {
                 ctx.set_timer(every, TIMER_HEARTBEAT);
             }
             TIMER_FD_CHECK => {
-                let Some(mem) = self.membership.as_mut() else {
+                let Some(mem) = &self.membership else {
                     return;
                 };
                 let check_every = mem.config.check_every;
-                let mut to_perform = Vec::new();
-                if let Some(pending) = mem.manager.pending().cloned() {
-                    // A change is in flight: retry lost membership
-                    // messages (they have no reliability layer).
-                    if mem.manager.pending_proposer() == Some(self.me) {
-                        for m in pending.members().to_vec() {
-                            if m != self.me && mem.manager.current().contains(m) {
-                                ctx.send(m, StackWire::Propose(pending.clone()));
-                            }
-                        }
-                    } else {
-                        to_perform = mem.manager.flush_complete();
-                    }
-                } else {
-                    let suspects = mem.fd.suspects(ctx.now().as_micros());
-                    let in_view: Vec<ProcessId> = suspects
-                        .into_iter()
-                        .filter(|&s| mem.manager.current().contains(s))
-                        .collect();
-                    if let Some(&dead) = in_view.first() {
-                        // The lowest-ranked *live* member proposes —
-                        // coordinator takeover when the coordinator died.
-                        let next = mem.manager.current().without(dead);
-                        if let Ok(actions) = mem.manager.propose_takeover(next, &in_view) {
-                            to_perform = actions;
-                        }
-                    }
-                }
-                self.perform(ctx, to_perform);
+                self.membership_input(ctx, ViewManager::on_check);
                 ctx.set_timer(check_every, TIMER_FD_CHECK);
             }
             TIMER_JOIN_RETRY => {
-                let Some(mem) = self.membership.as_ref() else {
-                    return;
-                };
-                if let Some(contact) = mem.joining_via {
-                    ctx.send(contact, StackWire::JoinReq { joiner: self.me });
+                self.membership_input(ctx, |m, _| m.on_join_retry());
+                if let Some(mem) = self.membership.as_ref().filter(|m| m.manager.is_joining()) {
                     ctx.set_timer(mem.config.check_every, TIMER_JOIN_RETRY);
                 }
             }

@@ -5,19 +5,23 @@
 //! handling members that crash. [`VsyncNode`] is the unified
 //! [`ProtocolStack`](crate::stack::ProtocolStack) built with
 //! [`with_membership`](crate::stack::ProtocolStack::with_membership): the
-//! same data stack as [`CausalNode`](crate::node::CausalNode), with the
-//! [`membership`](causal_membership) substrate threaded through it:
+//! same data stack as [`CausalNode`](crate::node::CausalNode), hosting the
+//! [`membership`](causal_membership) crate's view-change machine:
 //!
-//! - members heartbeat; the view coordinator suspects silent members and
-//!   proposes the shrunken view;
-//! - on a proposal every survivor **flushes**: it re-broadcasts the
+//! - members heartbeat, and the machine suspects silent members; the
+//!   lowest-ranked unsuspected member proposes the shrunken view (the
+//!   coordinator, or a takeover when the coordinator is silent);
+//! - on a proposal every survivor **flushes**: the stack re-broadcasts the
 //!   messages it has delivered from the removed members over the
 //!   reliability layer, which resends each copy until it is acknowledged
 //!   (so any message *some* survivor saw reaches *all* survivors), pauses
-//!   new sends, and acknowledges;
-//! - the coordinator installs the new view once all survivors are
-//!   flushed; the reliability layer stops waiting for the dead member's
-//!   acknowledgements, and paused sends drain.
+//!   new sends, and the machine acknowledges;
+//! - the proposer's machine installs the new view once all survivors are
+//!   flushed; at each member the stack then stops waiting for the dead
+//!   member's acknowledgements, and paused sends drain.
+//!
+//! What to decide lives in `causal_membership::ViewManager`; what to do
+//! about it (relay, reconfigure, drain, tell the app) lives in the stack.
 //!
 //! The guarantee is the classic *virtual synchrony* property: every
 //! message is delivered in the view it was sent in, and the survivors'
@@ -31,7 +35,8 @@
 //! joiner, (b) extend their in-flight unacknowledged sets to it, and (c)
 //! reliably replay their delivered history (log-replay state transfer) —
 //! together covering every message of the old views, with the joiner's
-//! duplicate suppression absorbing the overlap.
+//! duplicate suppression absorbing the overlap. The joiner's app starts
+//! ([`App::on_start`]) at its first install, before it sees the view.
 //!
 //! Because membership is part of the one stack, a virtually synchronous
 //! group runs unchanged over the simulator **and** the `causal-net` TCP
@@ -75,7 +80,7 @@ mod tests {
     use crate::stack::Emitter;
     use crate::statemachine::OpClass;
     use causal_clocks::ProcessId;
-    use causal_membership::GroupView;
+    use causal_membership::{GroupView, ViewId};
     use causal_simnet::{LatencyModel, NetConfig, Partition, SimDuration, SimTime, Simulation};
 
     /// Counter app used throughout: payloads 1..=9 commutative.
@@ -121,7 +126,7 @@ mod tests {
         for i in 0..3 {
             assert_eq!(sim.node(p(i)).app().value, 12);
             assert_eq!(sim.node(p(i)).view(), &GroupView::initial(3));
-            assert!(sim.node(p(i)).installed_views().is_empty());
+            assert_eq!(sim.node(p(i)).view().id(), ViewId::initial());
         }
     }
 

@@ -1,19 +1,24 @@
-//! Process-group membership: views, failure detection, and flush.
+//! Process-group membership: views and the view-change protocol.
 //!
 //! The paper assumes its entities are "organized as members of a group"
 //! (§3) with the group communication layer — ISIS-style — maintaining who
-//! belongs. This crate provides that substrate:
+//! belongs. This crate is that layer, and the one home of its decisions:
 //!
 //! - [`GroupView`]: a numbered snapshot of the membership.
-//! - [`HeartbeatDetector`]: a timeout-based failure detector fed by
-//!   heartbeat observations.
-//! - [`ViewManager`]: a coordinator-driven view-change state machine with a
-//!   **flush** round (members stop sending, push out unstable messages,
-//!   acknowledge) so that view changes are *virtually synchronous*: every
-//!   message is delivered in the view it was sent in.
+//! - [`ViewManager`]: the whole view-change protocol of one member as a
+//!   sans-IO machine. It detects failures from each frame's liveness,
+//!   decides who proposes (coordinator takeover included), runs the
+//!   **flush** round (members stop sending, relay unstable messages,
+//!   acknowledge) so that view changes are *virtually synchronous* — every
+//!   message is delivered in the view it was sent in — admits joiners,
+//!   and retries every lost membership message.
 //!
-//! All components are sans-IO state machines: they consume observations and
-//! emit actions, and are driven by the simulator or by tests directly.
+//! The machine consumes inputs and returns [`ManagerAction`]s: sends of
+//! [`MembershipMsg`]s, plus two actions only the host can perform. On
+//! *flush* the host relays the removed members' messages and reports done;
+//! on *installed* it reconfigures its layers for the new view. The
+//! protocol stack in `causal-core` is one such host; tests drive the
+//! machine directly.
 //!
 //! # Examples
 //!
@@ -30,10 +35,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod detector;
 mod manager;
 mod view;
 
-pub use detector::HeartbeatDetector;
-pub use manager::{FlushStatus, ManagerAction, ViewChangeError, ViewManager};
+pub use manager::{ManagerAction, MembershipMsg, ViewManager};
 pub use view::{GroupView, ViewId};

@@ -1,113 +1,172 @@
-//! The view-change (flush) state machine.
+//! The view-change protocol as one sans-IO machine.
 //!
 //! Simplified virtual synchrony in the style of ISIS (Birman & Joseph
-//! 1987): the **coordinator** of the current view proposes the next view;
-//! every surviving member stops sending application messages, flushes its
-//! unstable messages, and acknowledges; once all survivors have
-//! acknowledged, the coordinator installs the new view everywhere. The
-//! flush barrier guarantees every application message is delivered in the
-//! view it was sent in.
+//! 1987). [`ViewManager`] makes every membership decision of one member:
+//!
+//! - **failure detection**: a member of the current view is suspected
+//!   once no frame of any kind has come from it for longer than
+//!   `suspect_after`;
+//! - **proposal**: at the check tick the lowest-ranked unsuspected member
+//!   proposes the view without the lowest suspect (coordinator takeover,
+//!   when the coordinator is the silent one), and the coordinator
+//!   proposes the view with a joiner when its `JoinReq` arrives;
+//! - **flush**: every survivor stops sending, has its host relay what it
+//!   delivered from the removed members, and acknowledges to the
+//!   proposer;
+//! - **install**: once every survivor has acknowledged, the proposer
+//!   installs the view and sends it to every other member of it;
+//! - **retries**: membership messages ride no reliability layer, so at
+//!   each check tick the proposer re-sends its proposal and every other
+//!   survivor its ack; a member that acks, or a joiner that asks, for a
+//!   view already installed gets the `Install` again; a joiner re-asks at
+//!   each retry tick until it is admitted.
+//!
+//! The flush barrier guarantees every application message is delivered in
+//! the view it was sent in.
 
 use crate::{GroupView, ViewId};
 use causal_clocks::ProcessId;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// Whether the application layer may currently send group messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FlushStatus {
-    /// Normal operation: sends allowed.
-    Stable,
-    /// A view change is in progress: the application must not send until
-    /// the next view is installed.
-    Flushing,
+/// A message of the view-change protocol: [`ViewManager`] builds it, and
+/// the host carries it to the recipient's machine and calls the matching
+/// handler (`Propose` → [`ViewManager::on_propose`], and so on).
+/// Heartbeats are the host's own: any frame proves liveness, and the host
+/// reports each through [`ViewManager::observe`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MembershipMsg {
+    /// The proposer asks the survivors to flush for the next view.
+    Propose(GroupView),
+    /// A survivor has flushed for the proposed view.
+    FlushAck(ViewId),
+    /// The proposer finalizes the view.
+    Install(GroupView),
+    /// A node outside the group asks to be admitted (relayed to the
+    /// coordinator if the contacted member is not it).
+    JoinReq {
+        /// The node requesting admission.
+        joiner: ProcessId,
+    },
 }
 
 /// An instruction emitted by the [`ViewManager`] for the hosting node to
-/// carry out.
+/// carry out, in order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ManagerAction {
-    /// Send a view proposal to each listed member.
-    SendPropose {
-        /// Recipients (survivors of the old view plus joiners).
-        to: Vec<ProcessId>,
-        /// The proposed view.
-        view: GroupView,
-    },
-    /// The local application must flush unstable messages, then call
-    /// [`ViewManager::flush_complete`].
-    BeginFlush {
-        /// The view being flushed for.
-        view: GroupView,
-    },
-    /// Send a flush acknowledgement to the coordinator.
-    SendFlushAck {
-        /// The coordinator of the *old* view.
+    /// Send `msg` to `to`.
+    Send {
+        /// The recipient.
         to: ProcessId,
-        /// The proposed view being acknowledged.
-        view_id: ViewId,
+        /// The message.
+        msg: MembershipMsg,
     },
-    /// Send the final install message to each listed member.
-    SendInstall {
-        /// Recipients.
+    /// Relay every message delivered from the `removed` members to `to`
+    /// (the other members of the next view), then call
+    /// [`ViewManager::flush_done`] and carry out what it returns before
+    /// the actions after this one.
+    BeginFlush {
+        /// Members of the current view that the next view drops.
+        removed: Vec<ProcessId>,
+        /// The relay's recipients.
         to: Vec<ProcessId>,
-        /// The view to install.
-        view: GroupView,
     },
-    /// The local node has installed this view; hand it to the application.
-    Installed(GroupView),
+    /// The view is installed: reconfigure for it and hand it to the
+    /// application.
+    Installed {
+        /// The installed view.
+        view: GroupView,
+        /// `true` at a joiner's first install: the node was just admitted.
+        joined: bool,
+    },
 }
 
 /// Per-node view-change state machine.
 ///
-/// Sans-IO: each handler returns the [`ManagerAction`]s the hosting node
-/// must perform (sends over its transport, local flush work).
+/// Sans-IO: the host feeds it each frame's liveness
+/// ([`observe`](Self::observe)), the four membership messages (one method
+/// per message: [`on_propose`](Self::on_propose),
+/// [`on_flush_ack`](Self::on_flush_ack), [`on_install`](Self::on_install),
+/// [`on_join_req`](Self::on_join_req)), the check tick
+/// ([`on_check`](Self::on_check)) and the join-retry tick
+/// ([`on_join_retry`](Self::on_join_retry)). Each input returns the
+/// [`ManagerAction`]s the host must perform. Time is an opaque `u64` in
+/// the unit of `suspect_after` (the stack passes microseconds).
 ///
 /// # Examples
 ///
-/// A two-member group removing a crashed third member:
+/// A three-member group removing a silent member:
 ///
 /// ```
 /// use causal_clocks::ProcessId;
-/// use causal_membership::{GroupView, ManagerAction, ViewManager};
+/// use causal_membership::{GroupView, ManagerAction, MembershipMsg, ViewManager};
 ///
+/// let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
 /// let view = GroupView::initial(3);
-/// let mut coord = ViewManager::new(ProcessId::new(0), view.clone());
-/// let mut peer = ViewManager::new(ProcessId::new(1), view.clone());
+/// let mut coord = ViewManager::new(p0, view.clone(), 1_000);
+/// let mut peer = ViewManager::new(p1, view.clone(), 1_000);
+/// coord.start(0);
+/// peer.start(0);
 ///
-/// // Coordinator decides p2 is gone and proposes the smaller view.
-/// let next = view.without(ProcessId::new(2));
-/// let actions = coord.propose(next.clone()).unwrap();
+/// // At 2 ms p0 has heard from p1 but not from p2: it proposes.
+/// coord.observe(p1, 1_500);
+/// let actions = coord.on_check(2_000);
 /// assert!(matches!(actions[0], ManagerAction::BeginFlush { .. }));
-/// assert!(matches!(actions[1], ManagerAction::SendPropose { .. }));
-/// coord.flush_complete();
+/// let next = view.without(ProcessId::new(2));
+/// let propose = MembershipMsg::Propose(next.clone());
+/// assert_eq!(actions[1], ManagerAction::Send { to: p1, msg: propose });
+/// assert!(coord.flush_done(2_000).is_empty()); // p1 has not acked yet
 ///
-/// // p1 receives the proposal, flushes, acks; the coordinator installs.
-/// let _ = peer.on_propose(ProcessId::new(0), next.clone());
-/// let ack_actions = peer.flush_complete();
-/// assert!(matches!(ack_actions[0], ManagerAction::SendFlushAck { .. }));
-/// let install = coord.on_flush_ack(ProcessId::new(1), next.id());
-/// assert!(install.iter().any(|a| matches!(a, ManagerAction::Installed(_))));
+/// // p1 flushes and acks; the ack installs the view at p0.
+/// assert!(matches!(peer.on_propose(p0, next.clone())[0], ManagerAction::BeginFlush { .. }));
+/// let ack = MembershipMsg::FlushAck(next.id());
+/// assert_eq!(peer.flush_done(2_100), vec![ManagerAction::Send { to: p0, msg: ack }]);
+/// let install = coord.on_flush_ack(2_200, p1, next.id());
+/// assert!(install.contains(&ManagerAction::Installed { view: next.clone(), joined: false }));
+/// assert_eq!(coord.current(), &next);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ViewManager {
     me: ProcessId,
     current: GroupView,
-    pending: Option<GroupView>,
-    pending_proposer: Option<ProcessId>,
+    /// The view being flushed for, and the member that proposed it.
+    pending: Option<(GroupView, ProcessId)>,
+    /// Survivors that have flushed for the pending view (at its proposer).
     acks: BTreeSet<ProcessId>,
-    status: FlushStatus,
+    /// When each other member of the current view was last heard from.
+    last_seen: BTreeMap<ProcessId, u64>,
+    suspect_after: u64,
+    /// While outside the group: the member asked for admission.
+    contact: Option<ProcessId>,
 }
 
 impl ViewManager {
-    /// Creates a manager for node `me` starting in `initial` view.
-    pub fn new(me: ProcessId, initial: GroupView) -> Self {
+    /// Creates the machine of member `me` of the view `initial`, which
+    /// suspects a member silent for longer than `suspect_after`.
+    ///
+    /// # Panics
+    ///
+    /// If `suspect_after` is zero: every member would be suspected at
+    /// every check.
+    pub fn new(me: ProcessId, initial: GroupView, suspect_after: u64) -> Self {
+        assert!(suspect_after > 0, "suspicion timeout must be positive");
         ViewManager {
             me,
             current: initial,
             pending: None,
-            pending_proposer: None,
             acks: BTreeSet::new(),
-            status: FlushStatus::Stable,
+            last_seen: BTreeMap::new(),
+            suspect_after,
+            contact: None,
+        }
+    }
+
+    /// Creates the machine of a node outside the group that asks `contact`
+    /// to admit it. Until its first view installs, its current view holds
+    /// only itself.
+    pub fn joining(me: ProcessId, contact: ProcessId, suspect_after: u64) -> Self {
+        ViewManager {
+            contact: Some(contact),
+            ..Self::new(me, GroupView::new(ViewId::initial(), [me]), suspect_after)
         }
     }
 
@@ -116,382 +175,535 @@ impl ViewManager {
         &self.current
     }
 
-    /// The view being transitioned to, if a change is in progress.
-    pub fn pending(&self) -> Option<&GroupView> {
-        self.pending.as_ref()
+    /// `true` while a change is in progress: the application must not
+    /// send until the next view is installed.
+    pub fn is_flushing(&self) -> bool {
+        self.pending.is_some()
     }
 
-    /// Whether the application may send group messages right now.
-    pub fn status(&self) -> FlushStatus {
-        self.status
+    /// `true` while this node is outside the group awaiting its first
+    /// installed view.
+    pub fn is_joining(&self) -> bool {
+        self.contact.is_some()
     }
 
-    /// `true` if this node coordinates the current view.
-    pub fn is_coordinator(&self) -> bool {
-        self.current.coordinator() == self.me
-    }
-
-    /// Coordinator entry point: proposes `next` as the successor of the
-    /// current view.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err` if this node is not the coordinator, a change is
-    /// already in progress, or `next.id()` is not the successor of the
-    /// current view id.
-    pub fn propose(&mut self, next: GroupView) -> Result<Vec<ManagerAction>, ViewChangeError> {
-        if !self.is_coordinator() {
-            return Err(ViewChangeError::NotCoordinator);
+    /// Starts the machine at local time `now`: a member treats every other
+    /// member as heard from; a joiner asks its contact for admission.
+    pub fn start(&mut self, now: u64) -> Vec<ManagerAction> {
+        if let Some(contact) = self.contact {
+            return vec![self.join_req(contact)];
         }
-        self.start_proposal(next)
+        for m in self.current.members().to_vec() {
+            self.observe(m, now);
+        }
+        Vec::new()
     }
 
-    /// Coordinator-takeover entry point: this member may propose if every
-    /// member ranked *below* it in the current view is in `suspected` —
-    /// i.e. it is the lowest-id member still believed alive. With an
-    /// empty suspect set this reduces to [`propose`](Self::propose).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`propose`](Self::propose); `NotCoordinator` now means "a
-    /// lower-ranked member is still unsuspected".
-    pub fn propose_takeover(
-        &mut self,
-        next: GroupView,
-        suspected: &[ProcessId],
-    ) -> Result<Vec<ManagerAction>, ViewChangeError> {
-        let eligible = self
-            .current
-            .members()
-            .iter()
-            .take_while(|&&m| m != self.me)
-            .all(|m| suspected.contains(m));
-        if !self.current.contains(self.me) || !eligible {
-            return Err(ViewChangeError::NotCoordinator);
+    /// Records a frame from `from` at local time `now`: all traffic proves
+    /// liveness. Frames from outside the current view are ignored.
+    pub fn observe(&mut self, from: ProcessId, now: u64) {
+        if from != self.me && self.current.contains(from) {
+            let seen = self.last_seen.entry(from).or_insert(now);
+            *seen = (*seen).max(now);
         }
-        self.start_proposal(next)
     }
 
-    fn start_proposal(&mut self, next: GroupView) -> Result<Vec<ManagerAction>, ViewChangeError> {
-        if self.pending.is_some() {
-            return Err(ViewChangeError::ChangeInProgress);
-        }
-        if next.id() != self.current.id().next() {
-            return Err(ViewChangeError::NonSuccessiveView {
-                current: self.current.id(),
-                proposed: next.id(),
-            });
-        }
-        self.pending = Some(next.clone());
-        self.pending_proposer = Some(self.me);
-        self.acks.clear();
-        self.status = FlushStatus::Flushing;
-        let others: Vec<_> = self
-            .survivors(&next)
-            .into_iter()
-            .filter(|&m| m != self.me)
-            .collect();
-        let mut actions = vec![ManagerAction::BeginFlush { view: next.clone() }];
-        if !others.is_empty() {
-            actions.push(ManagerAction::SendPropose {
-                to: others,
-                view: next,
-            });
-        }
-        Ok(actions)
-    }
-
-    /// Member handler for a proposal from `from` (the coordinator or a
-    /// takeover proposer). Stale or conflicting proposals are ignored
-    /// (empty action list); a **re-proposal** of the already-pending view
-    /// re-runs the flush so a lost acknowledgement is regenerated.
+    /// A proposal from `from`. Stale or conflicting proposals are ignored;
+    /// a **re-proposal** of the pending view flushes again, so a lost
+    /// acknowledgement is regenerated.
     pub fn on_propose(&mut self, from: ProcessId, view: GroupView) -> Vec<ManagerAction> {
-        if self.pending.as_ref() == Some(&view) {
-            // Duplicate (the proposer may be retrying a lost message):
-            // flush again; flushing is idempotent and re-acks.
-            return vec![ManagerAction::BeginFlush { view }];
+        if self.pending.as_ref().map(|(v, _)| v) == Some(&view) {
+            return vec![self.begin_flush(&view)];
         }
         if view.id() != self.current.id().next() || self.pending.is_some() {
             return Vec::new();
         }
-        self.pending = Some(view.clone());
-        self.pending_proposer = Some(from);
-        self.status = FlushStatus::Flushing;
-        vec![ManagerAction::BeginFlush { view }]
+        let flush = self.begin_flush(&view);
+        self.pending = Some((view, from));
+        vec![flush]
     }
 
-    /// The member that proposed the pending view, if a change is in
-    /// progress.
-    pub fn pending_proposer(&self) -> Option<ProcessId> {
-        self.pending_proposer
-    }
-
-    /// Called by the hosting node once its unstable messages are flushed.
-    /// At a member this emits the flush acknowledgement; at the
-    /// coordinator it records the self-ack (and may complete the change).
-    pub fn flush_complete(&mut self) -> Vec<ManagerAction> {
-        let Some(pending) = self.pending.clone() else {
-            return Vec::new();
-        };
-        let proposer = self
-            .pending_proposer
-            .unwrap_or_else(|| self.current.coordinator());
-        if proposer == self.me {
-            self.record_ack(self.me, &pending)
-        } else {
-            vec![ManagerAction::SendFlushAck {
-                to: proposer,
-                view_id: pending.id(),
-            }]
+    /// The host has flushed for the pending view: a survivor acks to the
+    /// proposer; the proposer records its own ack (and may install).
+    pub fn flush_done(&mut self, now: u64) -> Vec<ManagerAction> {
+        match &self.pending {
+            None => Vec::new(),
+            Some((_, proposer)) if *proposer == self.me => self.record_ack(self.me, now),
+            Some((view, proposer)) => vec![send(*proposer, MembershipMsg::FlushAck(view.id()))],
         }
     }
 
-    /// Coordinator handler for a member's flush acknowledgement. When every
-    /// survivor (including the coordinator itself) has acknowledged, emits
-    /// `SendInstall` plus a local `Installed`.
-    pub fn on_flush_ack(&mut self, from: ProcessId, view_id: ViewId) -> Vec<ManagerAction> {
-        let Some(pending) = self.pending.clone() else {
-            return Vec::new();
-        };
-        if pending.id() != view_id {
-            return Vec::new();
+    /// A flush acknowledgement from `from`. Once every survivor (the
+    /// proposer included) has acknowledged, the view installs here and
+    /// goes to its other members. An ack for the view already installed
+    /// means its sender missed the `Install`: it is sent again.
+    pub fn on_flush_ack(
+        &mut self,
+        now: u64,
+        from: ProcessId,
+        view_id: ViewId,
+    ) -> Vec<ManagerAction> {
+        match &self.pending {
+            None if view_id == self.current.id() => {
+                vec![send(from, MembershipMsg::Install(self.current.clone()))]
+            }
+            Some((view, _)) if view.id() == view_id => self.record_ack(from, now),
+            _ => Vec::new(),
         }
-        self.record_ack(from, &pending)
     }
 
-    /// Member handler for the coordinator's install message.
-    pub fn on_install(&mut self, view: GroupView) -> Vec<ManagerAction> {
+    /// The proposer's install message. Views not newer than the current
+    /// one are ignored.
+    pub fn on_install(&mut self, now: u64, view: GroupView) -> Vec<ManagerAction> {
         if view.id() <= self.current.id() {
             return Vec::new();
         }
-        self.current = view.clone();
-        self.pending = None;
-        self.pending_proposer = None;
-        self.acks.clear();
-        self.status = FlushStatus::Stable;
-        vec![ManagerAction::Installed(view)]
+        vec![self.install(view, now)]
     }
 
-    /// Survivors: members of the old view that remain in the new one (the
-    /// processes that must flush). The coordinator is included.
-    fn survivors(&self, next: &GroupView) -> Vec<ProcessId> {
+    /// A request to admit `joiner`. A joiner already admitted missed its
+    /// `Install` and gets it again; a member other than the coordinator
+    /// relays the request to it; the coordinator proposes the view with
+    /// the joiner unless a change is already pending, in which case the
+    /// joiner's retry covers it.
+    pub fn on_join_req(&mut self, joiner: ProcessId) -> Vec<ManagerAction> {
+        let coordinator = self.current.coordinator();
+        if self.current.contains(joiner) {
+            vec![send(joiner, MembershipMsg::Install(self.current.clone()))]
+        } else if coordinator != self.me {
+            vec![send(coordinator, MembershipMsg::JoinReq { joiner })]
+        } else if self.pending.is_none() {
+            self.propose(self.current.with(joiner))
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// The check tick at local time `now`. While a change is pending, its
+    /// proposer re-sends the proposal and every other survivor its ack.
+    /// Otherwise, if some member is suspected and every member ranked
+    /// below this one is too, this member proposes the view without the
+    /// lowest suspect.
+    pub fn on_check(&mut self, now: u64) -> Vec<ManagerAction> {
+        match &self.pending {
+            Some((view, proposer)) if *proposer == self.me => self
+                .others_surviving(view)
+                .into_iter()
+                .map(|m| send(m, MembershipMsg::Propose(view.clone())))
+                .collect(),
+            Some((view, proposer)) => vec![send(*proposer, MembershipMsg::FlushAck(view.id()))],
+            None => {
+                let suspects: Vec<ProcessId> = self
+                    .last_seen
+                    .iter()
+                    .filter(|(_, &seen)| now.saturating_sub(seen) > self.suspect_after)
+                    .map(|(&m, _)| m)
+                    .collect();
+                let Some(&dead) = suspects.first() else {
+                    return Vec::new();
+                };
+                let lowest_alive = self
+                    .current
+                    .members()
+                    .iter()
+                    .take_while(|&&m| m != self.me)
+                    .all(|m| suspects.contains(m));
+                if !lowest_alive {
+                    return Vec::new();
+                }
+                self.propose(self.current.without(dead))
+            }
+        }
+    }
+
+    /// The join-retry tick: a joiner not yet admitted asks its contact
+    /// again.
+    pub fn on_join_retry(&mut self) -> Vec<ManagerAction> {
+        self.contact
+            .map(|contact| self.join_req(contact))
+            .into_iter()
+            .collect()
+    }
+
+    fn join_req(&self, contact: ProcessId) -> ManagerAction {
+        send(contact, MembershipMsg::JoinReq { joiner: self.me })
+    }
+
+    /// Proposes `next`, which must succeed the current view, with no
+    /// change pending: flush locally, then ask the other survivors.
+    fn propose(&mut self, next: GroupView) -> Vec<ManagerAction> {
+        let mut actions = vec![self.begin_flush(&next)];
+        actions.extend(
+            self.others_surviving(&next)
+                .into_iter()
+                .map(|m| send(m, MembershipMsg::Propose(next.clone()))),
+        );
+        self.pending = Some((next, self.me));
+        self.acks.clear();
+        actions
+    }
+
+    /// Asks the host to flush for `next`: to relay what it delivered from
+    /// the members `next` drops to the other members of `next`.
+    fn begin_flush(&self, next: &GroupView) -> ManagerAction {
+        ManagerAction::BeginFlush {
+            removed: self
+                .current
+                .members()
+                .iter()
+                .copied()
+                .filter(|&m| !next.contains(m))
+                .collect(),
+            to: next
+                .members()
+                .iter()
+                .copied()
+                .filter(|&m| m != self.me)
+                .collect(),
+        }
+    }
+
+    /// Members of the current view that stay in `next` (the ones that
+    /// must flush), this member excepted.
+    fn others_surviving(&self, next: &GroupView) -> Vec<ProcessId> {
         self.current
             .members()
             .iter()
             .copied()
-            .filter(|&m| next.contains(m))
+            .filter(|&m| m != self.me && next.contains(m))
             .collect()
     }
 
-    fn record_ack(&mut self, from: ProcessId, pending: &GroupView) -> Vec<ManagerAction> {
+    fn record_ack(&mut self, from: ProcessId, now: u64) -> Vec<ManagerAction> {
         self.acks.insert(from);
-        let survivors = self.survivors(pending);
-        if !survivors.iter().all(|m| self.acks.contains(m)) {
+        let Some((view, _)) = &self.pending else {
             return Vec::new();
-        }
-        // All survivors flushed: install everywhere.
-        let to: Vec<_> = pending
+        };
+        let all_flushed = self
+            .current
             .members()
             .iter()
-            .copied()
-            .filter(|&m| m != self.me)
-            .collect();
-        let view = pending.clone();
-        self.current = view.clone();
-        self.pending = None;
-        self.pending_proposer = None;
-        self.acks.clear();
-        self.status = FlushStatus::Stable;
-        let mut actions = Vec::new();
-        if !to.is_empty() {
-            actions.push(ManagerAction::SendInstall {
-                to,
-                view: view.clone(),
-            });
+            .filter(|&&m| view.contains(m))
+            .all(|m| self.acks.contains(m));
+        if !all_flushed {
+            return Vec::new();
         }
-        actions.push(ManagerAction::Installed(view));
+        let view = view.clone();
+        let mut actions: Vec<ManagerAction> = view
+            .members()
+            .iter()
+            .filter(|&&m| m != self.me)
+            .map(|&m| send(m, MembershipMsg::Install(view.clone())))
+            .collect();
+        actions.push(self.install(view, now));
         actions
     }
-}
 
-/// Why a view-change proposal was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ViewChangeError {
-    /// Only the coordinator of the current view may propose.
-    NotCoordinator,
-    /// A change is already being flushed.
-    ChangeInProgress,
-    /// The proposed view id does not directly succeed the current one.
-    NonSuccessiveView {
-        /// The installed view id.
-        current: ViewId,
-        /// The rejected proposal's id.
-        proposed: ViewId,
-    },
-}
-
-impl std::fmt::Display for ViewChangeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ViewChangeError::NotCoordinator => write!(f, "only the view coordinator may propose"),
-            ViewChangeError::ChangeInProgress => write!(f, "a view change is already in progress"),
-            ViewChangeError::NonSuccessiveView { current, proposed } => write!(
-                f,
-                "proposed view {proposed} does not succeed current view {current}"
-            ),
+    /// Installs `view` at local time `now`: removed members stop being
+    /// watched, and added ones count as heard from now.
+    fn install(&mut self, view: GroupView, now: u64) -> ManagerAction {
+        self.last_seen.retain(|m, _| view.contains(*m));
+        for &m in view.members() {
+            if m != self.me && !self.current.contains(m) {
+                self.last_seen.insert(m, now);
+            }
+        }
+        self.current = view.clone();
+        self.pending = None;
+        self.acks.clear();
+        ManagerAction::Installed {
+            view,
+            joined: self.contact.take().is_some(),
         }
     }
 }
 
-impl std::error::Error for ViewChangeError {}
+fn send(to: ProcessId, msg: MembershipMsg) -> ManagerAction {
+    ManagerAction::Send { to, msg }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const SUSPECT: u64 = 1_000;
+
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
     }
 
-    fn managers(n: usize) -> Vec<ViewManager> {
+    /// Started machines of a group of `n`, every member heard from at 0.
+    fn members(n: usize) -> Vec<ViewManager> {
         let view = GroupView::initial(n);
         (0..n)
-            .map(|i| ViewManager::new(p(i as u32), view.clone()))
+            .map(|i| {
+                let mut m = ViewManager::new(p(i as u32), view.clone(), SUSPECT);
+                assert!(m.start(0).is_empty());
+                m
+            })
             .collect()
     }
 
-    /// Drives a full remove-member change through three managers by hand.
+    fn to(to: u32, msg: MembershipMsg) -> ManagerAction {
+        ManagerAction::Send { to: p(to), msg }
+    }
+
+    fn installed(view: &GroupView) -> ManagerAction {
+        ManagerAction::Installed {
+            view: view.clone(),
+            joined: false,
+        }
+    }
+
+    /// Drives a remove-member change by hand: p2 falls silent, p0 proposes,
+    /// p1 flushes and acks, p0 installs and tells p1.
     #[test]
-    fn full_view_change_removes_member() {
-        let mut ms = managers(3);
+    fn silent_member_is_removed() {
+        let mut ms = members(3);
         let next = ms[0].current().without(p(2));
-
-        let actions = ms[0].propose(next.clone()).unwrap();
-        assert_eq!(actions[0], ManagerAction::BeginFlush { view: next.clone() });
-        let ManagerAction::SendPropose { to, view } = &actions[1] else {
-            panic!("expected SendPropose");
-        };
-        assert_eq!(to, &vec![p(1)]); // p2 is being removed, not consulted
-        assert_eq!(ms[0].status(), FlushStatus::Flushing);
-
-        // Coordinator flushes locally; not yet complete (p1 outstanding).
-        assert!(ms[0].flush_complete().is_empty());
-
-        // p1 receives proposal, flushes, acks.
-        let member_actions = ms[1].on_propose(p(0), view.clone());
-        assert_eq!(member_actions.len(), 1);
-        let acks = ms[1].flush_complete();
+        ms[0].observe(p(1), 1_500);
+        assert!(ms[0].on_check(1_000).is_empty(), "not yet silent for long");
+        let actions = ms[0].on_check(2_000);
         assert_eq!(
-            acks,
-            vec![ManagerAction::SendFlushAck {
-                to: p(0),
-                view_id: next.id()
-            }]
+            actions,
+            vec![
+                ManagerAction::BeginFlush {
+                    removed: vec![p(2)],
+                    to: vec![p(1)],
+                },
+                to(1, MembershipMsg::Propose(next.clone())),
+            ]
         );
+        assert!(ms[0].is_flushing());
+        assert!(ms[0].flush_done(2_000).is_empty(), "p1 still to ack");
 
-        // Coordinator receives the ack: installs.
-        let install = ms[0].on_flush_ack(p(1), next.id());
-        assert!(install.contains(&ManagerAction::Installed(next.clone())));
+        let flush = ms[1].on_propose(p(0), next.clone());
+        assert!(matches!(flush[..], [ManagerAction::BeginFlush { .. }]));
+        let ack = ms[1].flush_done(2_100);
+        assert_eq!(ack, vec![to(0, MembershipMsg::FlushAck(next.id()))]);
+
+        let install = ms[0].on_flush_ack(2_200, p(1), next.id());
+        assert_eq!(
+            install,
+            vec![
+                to(1, MembershipMsg::Install(next.clone())),
+                installed(&next)
+            ]
+        );
         assert_eq!(ms[0].current(), &next);
-        assert_eq!(ms[0].status(), FlushStatus::Stable);
+        assert!(!ms[0].is_flushing());
 
-        // p1 receives the install.
-        let done = ms[1].on_install(next.clone());
-        assert_eq!(done, vec![ManagerAction::Installed(next.clone())]);
+        let done = ms[1].on_install(2_300, next.clone());
+        assert_eq!(done, vec![installed(&next)]);
         assert_eq!(ms[1].current(), &next);
+
+        // The removed member is no longer watched.
+        ms[0].observe(p(1), 9_000);
+        assert!(ms[0].on_check(9_500).is_empty());
     }
 
     #[test]
-    fn join_adds_member() {
-        let mut ms = managers(2);
-        let next = ms[0].current().with(p(5));
-        let actions = ms[0].propose(next.clone()).unwrap();
-        // Proposals go to survivors only (p1); joiner learns via install.
-        let ManagerAction::SendPropose { to, .. } = &actions[1] else {
-            panic!("expected SendPropose");
-        };
-        assert_eq!(to, &vec![p(1)]);
-
-        ms[0].flush_complete();
-        ms[1].on_propose(p(0), next.clone());
-        ms[1].flush_complete();
-        let install = ms[0].on_flush_ack(p(1), next.id());
-        let ManagerAction::SendInstall { to, .. } = &install[0] else {
-            panic!("expected SendInstall");
-        };
-        assert_eq!(to, &vec![p(1), p(5)]); // joiner gets the install
+    fn heard_members_are_not_suspected() {
+        let mut ms = members(3);
+        ms[0].observe(p(1), 1_500);
+        ms[0].observe(p(2), 1_900);
+        ms[0].observe(p(2), 100); // a stale observation changes nothing
+        assert!(ms[0].on_check(2_500).is_empty());
+        // Frames from outside the view prove nothing.
+        ms[0].observe(p(7), 2_500);
+        assert!(ms[0].on_check(2_500).is_empty());
     }
 
     #[test]
-    fn non_coordinator_cannot_propose() {
-        let mut ms = managers(2);
+    fn lowest_unsuspected_member_takes_over() {
+        let mut ms = members(4);
+        // p0 (the coordinator) and p2 fall silent; p1 and p3 hear each other.
+        ms[1].observe(p(3), 1_800);
+        ms[3].observe(p(1), 1_800);
         let next = ms[1].current().without(p(0));
-        assert_eq!(ms[1].propose(next), Err(ViewChangeError::NotCoordinator));
-    }
-
-    #[test]
-    fn concurrent_proposal_rejected() {
-        let mut ms = managers(3);
-        let next = ms[0].current().without(p(2));
-        ms[0].propose(next).unwrap();
-        let another = ms[0].current().without(p(1));
+        let takeover = ms[1].on_check(2_000);
         assert_eq!(
-            ms[0].propose(another),
-            Err(ViewChangeError::ChangeInProgress)
+            takeover,
+            vec![
+                ManagerAction::BeginFlush {
+                    removed: vec![p(0)],
+                    to: vec![p(2), p(3)],
+                },
+                to(2, MembershipMsg::Propose(next.clone())),
+                to(3, MembershipMsg::Propose(next.clone())),
+            ]
         );
+        // p3 suspects p0 and p2 too, but p1 ranks below it and is heard.
+        assert!(ms[3].on_check(2_000).is_empty());
     }
 
     #[test]
-    fn skipping_view_ids_rejected() {
-        let mut ms = managers(2);
-        let skipped = GroupView::new(ViewId::initial().next().next(), [p(0), p(1)]);
-        assert!(matches!(
-            ms[0].propose(skipped),
-            Err(ViewChangeError::NonSuccessiveView { .. })
-        ));
-    }
-
-    #[test]
-    fn stale_install_ignored() {
-        let mut ms = managers(2);
-        let stale = GroupView::new(ViewId::initial(), [p(0)]);
-        assert!(ms[1].on_install(stale).is_empty());
-    }
-
-    #[test]
-    fn stale_ack_ignored() {
-        let mut ms = managers(2);
-        assert!(ms[0]
-            .on_flush_ack(p(1), ViewId::initial().next())
-            .is_empty());
-    }
-
-    #[test]
-    fn duplicate_proposal_reflushes_for_retry() {
-        let mut ms = managers(3);
+    fn pending_change_is_retried_at_the_check_tick() {
+        let mut ms = members(3);
+        ms[0].observe(p(1), 1_500);
         let next = ms[0].current().without(p(2));
-        assert_eq!(ms[1].on_propose(p(0), next.clone()).len(), 1);
-        // A re-proposal of the same view re-runs the flush (ack retry)...
-        let retry = ms[1].on_propose(p(0), next.clone());
+        ms[0].on_check(2_000);
+        ms[0].flush_done(2_000);
+        ms[1].on_propose(p(0), next.clone());
+        ms[1].flush_done(2_100);
+        // Both messages were lost: the proposer re-proposes, the survivor
+        // re-acks, and a re-proposal flushes again.
         assert_eq!(
-            retry,
-            vec![ManagerAction::BeginFlush { view: next.clone() }]
+            ms[0].on_check(4_000),
+            vec![to(1, MembershipMsg::Propose(next.clone()))]
         );
-        // ...but a *conflicting* proposal for the same id is ignored.
+        assert_eq!(
+            ms[1].on_check(4_000),
+            vec![to(0, MembershipMsg::FlushAck(next.id()))]
+        );
+        let again = ms[1].on_propose(p(0), next.clone());
+        assert!(matches!(again[..], [ManagerAction::BeginFlush { .. }]));
+        // A conflicting proposal for the same view id is ignored.
         let conflicting = ms[1].current().without(p(1));
         assert!(ms[1].on_propose(p(0), conflicting).is_empty());
-        assert_eq!(ms[1].pending_proposer(), Some(p(0)));
     }
 
     #[test]
-    fn single_member_change_completes_immediately() {
-        // A coordinator alone (others removed) can change views by itself.
-        let view = GroupView::new(ViewId::initial(), [p(0), p(9)]);
-        let mut m = ViewManager::new(p(0), view.clone());
-        let next = view.without(p(9));
-        m.propose(next.clone()).unwrap();
-        let actions = m.flush_complete();
-        assert!(actions.contains(&ManagerAction::Installed(next.clone())));
-        assert_eq!(m.current(), &next);
+    fn flush_ack_for_the_installed_view_resends_install() {
+        let mut ms = members(3);
+        ms[0].observe(p(1), 1_500);
+        let next = ms[0].current().without(p(2));
+        ms[0].on_check(2_000);
+        ms[0].flush_done(2_000);
+        ms[0].on_flush_ack(2_200, p(1), next.id());
+        // p1 missed the Install and re-acks at its next check tick.
+        assert_eq!(
+            ms[0].on_flush_ack(4_000, p(1), next.id()),
+            vec![to(1, MembershipMsg::Install(next.clone()))]
+        );
+        // Acks for other views are stale.
+        assert!(ms[0].on_flush_ack(4_000, p(1), next.id().next()).is_empty());
+        assert!(ms[2].on_flush_ack(4_000, p(1), next.id()).is_empty());
+    }
+
+    #[test]
+    fn stale_and_skipping_views_are_ignored() {
+        let mut ms = members(2);
+        let stale = GroupView::new(ViewId::initial(), [p(0)]);
+        assert!(ms[1].on_install(0, stale).is_empty());
+        let skipping = GroupView::new(ViewId::initial().next().next(), [p(0), p(1)]);
+        assert!(ms[1].on_propose(p(0), skipping).is_empty());
+        assert!(!ms[1].is_flushing());
+    }
+
+    #[test]
+    fn non_coordinator_relays_a_join_request() {
+        let mut ms = members(3);
+        assert_eq!(
+            ms[1].on_join_req(p(5)),
+            vec![to(0, MembershipMsg::JoinReq { joiner: p(5) })]
+        );
+    }
+
+    #[test]
+    fn joiner_is_admitted_and_a_repeated_request_gets_install_back() {
+        let mut ms = members(2);
+        let mut joiner = ViewManager::joining(p(5), p(1), SUSPECT);
+        let ask = joiner.start(0);
+        assert_eq!(ask, vec![to(1, MembershipMsg::JoinReq { joiner: p(5) })]);
+        let relay = ms[1].on_join_req(p(5));
+        assert_eq!(relay, vec![to(0, MembershipMsg::JoinReq { joiner: p(5) })]);
+
+        // The coordinator proposes to the survivors only; the joiner
+        // learns of the view from the Install.
+        let next = ms[0].current().with(p(5));
+        let propose = ms[0].on_join_req(p(5));
+        assert_eq!(
+            propose,
+            vec![
+                ManagerAction::BeginFlush {
+                    removed: vec![],
+                    to: vec![p(1), p(5)],
+                },
+                to(1, MembershipMsg::Propose(next.clone())),
+            ]
+        );
+        // A second request while the change is pending waits for a retry.
+        assert!(ms[0].on_join_req(p(6)).is_empty());
+        ms[0].flush_done(20);
+        ms[1].on_propose(p(0), next.clone());
+        ms[1].flush_done(30);
+        let install = ms[0].on_flush_ack(40, p(1), next.id());
+        assert_eq!(
+            install,
+            vec![
+                to(1, MembershipMsg::Install(next.clone())),
+                to(5, MembershipMsg::Install(next.clone())),
+                installed(&next),
+            ]
+        );
+        assert_eq!(
+            joiner.on_install(50, next.clone()),
+            vec![ManagerAction::Installed {
+                view: next.clone(),
+                joined: true,
+            }]
+        );
+        assert!(!joiner.is_joining());
+        assert_eq!(joiner.current(), &next);
+
+        // A joiner that missed its Install asks again and gets it back.
+        ms[1].on_install(60, next.clone());
+        assert_eq!(
+            ms[1].on_join_req(p(5)),
+            vec![to(5, MembershipMsg::Install(next.clone()))]
+        );
+    }
+
+    #[test]
+    fn joiner_asks_again_at_each_retry_until_admitted() {
+        let mut joiner = ViewManager::joining(p(3), p(0), SUSPECT);
+        let ask = vec![to(0, MembershipMsg::JoinReq { joiner: p(3) })];
+        assert_eq!(joiner.start(0), ask);
+        assert_eq!(joiner.on_join_retry(), ask);
+        assert_eq!(joiner.on_join_retry(), ask);
+        // Outside the group it watches no one.
+        assert!(joiner.on_check(1_000_000).is_empty());
+        joiner.on_install(10, GroupView::initial(3).with(p(3)));
+        assert!(joiner.on_join_retry().is_empty());
+    }
+
+    #[test]
+    fn installed_members_are_watched_from_their_install() {
+        let mut joiner = ViewManager::joining(p(3), p(0), SUSPECT);
+        joiner.start(0);
+        let view = GroupView::initial(3).with(p(3));
+        joiner.on_install(5_000, view.clone());
+        assert!(joiner.on_check(5_900).is_empty());
+        // Only p0 is heard from after the install; p1 is the lowest suspect.
+        joiner.observe(p(0), 6_000);
+        joiner.observe(p(2), 6_000);
+        let actions = joiner.on_check(6_100);
+        assert!(
+            actions.is_empty(),
+            "p0 ranks below p3 and is heard: {actions:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "must be positive")]
+    fn zero_timeout_rejected() {
+        let _ = ViewManager::new(p(0), GroupView::initial(2), 0);
+    }
+
+    #[test]
+    fn lone_survivor_installs_at_once() {
+        let mut ms = members(2);
+        let next = ms[0].current().without(p(1));
+        let actions = ms[0].on_check(2_000);
+        assert_eq!(
+            actions,
+            vec![ManagerAction::BeginFlush {
+                removed: vec![p(1)],
+                to: vec![],
+            }]
+        );
+        assert_eq!(ms[0].flush_done(2_000), vec![installed(&next)]);
+        assert_eq!(ms[0].current(), &next);
     }
 }

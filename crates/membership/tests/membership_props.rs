@@ -1,167 +1,163 @@
-//! Property tests for the view-change state machine: arbitrary sequences
-//! of joins and leaves, driven to completion, leave every member with the
-//! identical view history.
+//! Property tests for the view-change machine: arbitrary sequences of
+//! joins and crashes, routed to completion over a loss-free network,
+//! leave every member with the identical view.
 
 use causal_clocks::ProcessId;
-use causal_membership::{GroupView, ManagerAction, ViewManager};
+use causal_membership::{GroupView, ManagerAction, MembershipMsg, ViewManager};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
-/// One membership change request.
+const SUSPECT_AFTER: u64 = 1_000;
+
+/// One membership change.
 #[derive(Debug, Clone, Copy)]
 enum Change {
     Join(u32),
-    Leave(u32),
+    Crash(u32),
 }
 
 fn arb_changes() -> impl Strategy<Value = Vec<Change>> {
     proptest::collection::vec(
         prop_oneof![
             (4u32..9).prop_map(Change::Join),
-            (0u32..9).prop_map(Change::Leave),
+            (0u32..9).prop_map(Change::Crash),
         ],
         1..6,
     )
 }
 
-/// Synchronously drives one proposed change through a set of managers
-/// (loss-free, in-order message "network"). Returns false if the proposal
-/// was rejected (e.g. removing the last member).
-fn drive_change(
-    managers: &mut BTreeMap<ProcessId, ViewManager>,
-    change: Change,
-    installed: &mut BTreeMap<ProcessId, Vec<GroupView>>,
-) -> bool {
-    let current = managers.values().next().unwrap().current().clone();
-    let next = match change {
-        Change::Join(i) => {
-            let p = ProcessId::new(i);
-            if current.contains(p) {
-                return false;
-            }
-            current.with(p)
-        }
-        Change::Leave(i) => {
-            let p = ProcessId::new(i);
-            if !current.contains(p) || current.len() == 1 {
-                return false;
-            }
-            current.without(p)
-        }
-    };
-    let coordinator = current.coordinator();
+/// Machines on a loss-free, in-order network sharing one clock.
+struct Group {
+    machines: BTreeMap<ProcessId, ViewManager>,
+    now: u64,
+    queue: VecDeque<(ProcessId, ProcessId, MembershipMsg)>,
+}
 
-    // Queue of (destination, action-producing messages) processed in FIFO
-    // order; the "network" is synchronous and reliable.
-    let mut queue: Vec<(ProcessId, Msg)> = Vec::new();
-    #[derive(Debug, Clone)]
-    enum Msg {
-        Propose(ProcessId, GroupView),
-        FlushAck(ProcessId, causal_membership::ViewId),
-        Install(GroupView),
+impl Group {
+    fn new(n: usize) -> Self {
+        let mut machines = BTreeMap::new();
+        for p in GroupView::initial(n).members() {
+            let mut m = ViewManager::new(*p, GroupView::initial(n), SUSPECT_AFTER);
+            assert!(m.start(0).is_empty());
+            machines.insert(*p, m);
+        }
+        Group {
+            machines,
+            now: 0,
+            queue: VecDeque::new(),
+        }
     }
-    let perform = |who: ProcessId,
-                   actions: Vec<ManagerAction>,
-                   queue: &mut Vec<(ProcessId, Msg)>,
-                   managers: &mut BTreeMap<ProcessId, ViewManager>,
-                   installed: &mut BTreeMap<ProcessId, Vec<GroupView>>| {
-        let mut stack = actions;
-        while let Some(action) = stack.pop() {
+
+    fn view(&self) -> &GroupView {
+        self.machines.values().next().unwrap().current()
+    }
+
+    fn perform(&mut self, who: ProcessId, actions: Vec<ManagerAction>) {
+        for action in actions {
             match action {
+                ManagerAction::Send { to, msg } => self.queue.push_back((who, to, msg)),
                 ManagerAction::BeginFlush { .. } => {
-                    let m = managers.get_mut(&who).unwrap();
-                    stack.extend(m.flush_complete());
+                    let done = self.machines.get_mut(&who).unwrap().flush_done(self.now);
+                    self.perform(who, done);
                 }
-                ManagerAction::SendPropose { to, view } => {
-                    for t in to {
-                        queue.push((t, Msg::Propose(who, view.clone())));
-                    }
-                }
-                ManagerAction::SendFlushAck { to, view_id } => {
-                    queue.push((to, Msg::FlushAck(who, view_id)));
-                }
-                ManagerAction::SendInstall { to, view } => {
-                    for t in to {
-                        queue.push((t, Msg::Install(view.clone())));
-                    }
-                }
-                ManagerAction::Installed(view) => {
-                    installed.entry(who).or_default().push(view);
-                }
+                ManagerAction::Installed { .. } => {}
             }
         }
-    };
-
-    let actions = match managers
-        .get_mut(&coordinator)
-        .unwrap()
-        .propose(next.clone())
-    {
-        Ok(a) => a,
-        Err(_) => return false,
-    };
-    perform(coordinator, actions, &mut queue, managers, installed);
-
-    let mut steps = 0;
-    while let Some((to, msg)) = if queue.is_empty() {
-        None
-    } else {
-        Some(queue.remove(0))
-    } {
-        steps += 1;
-        assert!(steps < 10_000, "membership protocol did not terminate");
-        // A joiner may not have a manager yet: create it on first Install.
-        if let std::collections::btree_map::Entry::Vacant(slot) = managers.entry(to) {
-            if let Msg::Install(view) = &msg {
-                // Fresh joiner: the installed view is its first view.
-                slot.insert(ViewManager::new(to, view.clone()));
-                installed.entry(to).or_default().push(view.clone());
-            }
-            continue;
-        }
-        let actions = match msg {
-            Msg::Propose(from, view) => managers.get_mut(&to).unwrap().on_propose(from, view),
-            Msg::FlushAck(from, id) => managers.get_mut(&to).unwrap().on_flush_ack(from, id),
-            Msg::Install(view) => managers.get_mut(&to).unwrap().on_install(view),
-        };
-        perform(to, actions, &mut queue, managers, installed);
     }
 
-    // Drop managers for members no longer in the view (left members).
-    managers.retain(|p, _| next.contains(*p));
-    true
+    /// Delivers every queued message, its liveness first, and what it
+    /// triggers; a message to a crashed node is lost.
+    fn settle(&mut self) {
+        let mut steps = 0;
+        while let Some((from, to, msg)) = self.queue.pop_front() {
+            steps += 1;
+            assert!(steps < 10_000, "membership protocol did not terminate");
+            let Some(m) = self.machines.get_mut(&to) else {
+                continue;
+            };
+            let now = self.now;
+            m.observe(from, now);
+            let actions = match msg {
+                MembershipMsg::Propose(view) => m.on_propose(from, view),
+                MembershipMsg::FlushAck(view_id) => m.on_flush_ack(now, from, view_id),
+                MembershipMsg::Install(view) => m.on_install(now, view),
+                MembershipMsg::JoinReq { joiner } => m.on_join_req(joiner),
+            };
+            self.perform(to, actions);
+        }
+    }
+
+    /// Lets more than the suspicion timeout pass, in which every live node
+    /// hears from every other, then runs every node's check tick.
+    fn tick(&mut self) {
+        self.now += SUSPECT_AFTER + 1;
+        let live: Vec<ProcessId> = self.machines.keys().copied().collect();
+        for &to in &live {
+            let m = self.machines.get_mut(&to).unwrap();
+            for &from in &live {
+                m.observe(from, self.now);
+            }
+        }
+        for who in live {
+            let actions = self.machines.get_mut(&who).unwrap().on_check(self.now);
+            self.perform(who, actions);
+        }
+        self.settle();
+    }
+
+    /// Applies one change if it is admissible; returns whether it was.
+    fn apply(&mut self, change: Change) -> bool {
+        let current = self.view().clone();
+        match change {
+            Change::Join(i) => {
+                let joiner = ProcessId::new(i);
+                if current.contains(joiner) {
+                    return false;
+                }
+                // Ask the highest member, so that the request is relayed
+                // whenever the group has more than one member.
+                let contact = *current.members().last().unwrap();
+                let mut machine = ViewManager::joining(joiner, contact, SUSPECT_AFTER);
+                let ask = machine.start(self.now);
+                self.machines.insert(joiner, machine);
+                self.perform(joiner, ask);
+                self.settle();
+            }
+            Change::Crash(i) => {
+                let victim = ProcessId::new(i);
+                if !current.contains(victim) || current.len() == 1 {
+                    return false;
+                }
+                self.machines.remove(&victim);
+                self.tick();
+            }
+        }
+        true
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// After any admissible sequence of joins and leaves, every remaining
+    /// After any admissible sequence of joins and crashes, every remaining
     /// member holds the same current view with the right membership.
     #[test]
     fn members_converge_on_view_history(changes in arb_changes()) {
-        let initial = GroupView::initial(4);
-        let mut managers: BTreeMap<ProcessId, ViewManager> = (0..4)
-            .map(|i| {
-                let p = ProcessId::new(i);
-                (p, ViewManager::new(p, initial.clone()))
-            })
-            .collect();
-        let mut installed: BTreeMap<ProcessId, Vec<GroupView>> = BTreeMap::new();
-
+        let mut group = Group::new(4);
         let mut applied = 0u64;
         for change in changes {
-            if drive_change(&mut managers, change, &mut installed) {
+            if group.apply(change) {
                 applied += 1;
             }
         }
 
-        let views: Vec<&GroupView> = managers.values().map(|m| m.current()).collect();
+        let views: Vec<&GroupView> = group.machines.values().map(|m| m.current()).collect();
         for w in views.windows(2) {
             prop_assert_eq!(w[0], w[1]);
         }
         prop_assert_eq!(views[0].id().as_u64(), applied);
-        // The view's membership matches the set of surviving managers.
-        let members: Vec<ProcessId> = managers.keys().copied().collect();
+        // The view's membership matches the set of live machines.
+        let members: Vec<ProcessId> = group.machines.keys().copied().collect();
         prop_assert_eq!(views[0].members(), &members[..]);
     }
 }

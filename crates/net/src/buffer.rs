@@ -4,9 +4,8 @@
 //! [`RecvBuf`] checked out of a shard-local [`BufferPool`]. Complete
 //! frames are handed out as [`Frame`] views that **borrow the body bytes
 //! in place** — the receive hot path never copies a frame body into an
-//! owned `Vec` (the old `FrameReader` did exactly that copy per frame).
-//! The only bytes ever moved are the sub-frame leftovers compacted to the
-//! buffer front between reads, bounded by one frame size.
+//! owned `Vec`. The only bytes ever moved are the sub-frame leftovers
+//! compacted to the buffer front between reads, bounded by one frame size.
 //!
 //! This module is registered as a wire-panic audit root
 //! (`cargo xtask lint`): [`RecvBuf::next_frame`] faces raw network bytes,
@@ -211,7 +210,12 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::append_frame;
+
+    /// Appends one frame (`header ‖ body`) to `out`.
+    fn append_frame(out: &mut Vec<u8>, body: &[u8]) {
+        FrameHeader::for_body_len(body.len()).encode(out);
+        out.extend_from_slice(body);
+    }
 
     fn feed(rb: &mut RecvBuf, bytes: &[u8]) {
         let space = rb.read_space(bytes.len());

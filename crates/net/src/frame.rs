@@ -1,83 +1,17 @@
-//! Length-prefixed framing and the connection handshake over byte streams.
+//! The connection handshake: the identifying `Hello` frame body.
 //!
-//! Reuses the [`FrameHeader`] codec from `causal-core`'s wire module: a
-//! frame is `u32-LE body length ‖ body`, with lengths above
-//! [`MAX_FRAME_LEN`](causal_core::wire::MAX_FRAME_LEN) rejected before any
-//! allocation. [`FrameReader`] tolerates read timeouts mid-frame (streams
-//! here run with a read timeout so threads can observe shutdown), buffering
-//! partial bytes until a whole frame is available.
+//! Frames on a connection are `u32-LE body length ‖ body`, the
+//! [`FrameHeader`](causal_core::wire::FrameHeader) codec from
+//! `causal-core`'s wire module; the reactor reassembles them in pooled
+//! receive buffers ([`RecvBuf`](crate::buffer::RecvBuf)). The first frame
+//! an initiator sends is a `Hello` naming it, built by [`hello_body`] and
+//! checked by [`parse_hello`].
 
 use causal_clocks::ProcessId;
-use causal_core::wire::{get_u32_le, DecodeError, FrameHeader, WireEncode};
-use std::io::{self, Read, Write};
+use causal_core::wire::{get_u32_le, DecodeError};
 
 /// First bytes of every connection: identifies the protocol ("CNE" + version).
 pub const HELLO_MAGIC: u32 = u32::from_le_bytes(*b"CNE1");
-
-/// Appends one frame (`header ‖ body`) to `out` without writing anywhere.
-///
-/// The coalescing writer builds a whole batch of frames in one reused
-/// buffer with this, then issues a single `write_all` + flush.
-///
-/// # Panics
-///
-/// Panics if `body` exceeds [`MAX_FRAME_LEN`](causal_core::wire::MAX_FRAME_LEN).
-pub fn append_frame(out: &mut Vec<u8>, body: &[u8]) {
-    FrameHeader::for_body_len(body.len()).encode(out);
-    out.extend_from_slice(body);
-}
-
-/// Writes one frame (`header ‖ body`) and flushes.
-///
-/// Allocates a fresh buffer per call; hot paths should use
-/// [`write_frame_buffered`] (or batch with [`append_frame`]) instead.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the underlying stream.
-///
-/// # Panics
-///
-/// Panics if `body` exceeds [`MAX_FRAME_LEN`](causal_core::wire::MAX_FRAME_LEN).
-pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> io::Result<()> {
-    let mut buf = Vec::new();
-    write_frame_buffered(w, &mut buf, body)
-}
-
-/// Writes one frame (`header ‖ body`) through a caller-owned scratch
-/// buffer (cleared first, capacity reused) and flushes — one `write_all`,
-/// no per-call allocation in steady state.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the underlying stream.
-///
-/// # Panics
-///
-/// Panics if `body` exceeds [`MAX_FRAME_LEN`](causal_core::wire::MAX_FRAME_LEN).
-pub fn write_frame_buffered<W: Write>(
-    w: &mut W,
-    scratch: &mut Vec<u8>,
-    body: &[u8],
-) -> io::Result<()> {
-    scratch.clear();
-    append_frame(scratch, body);
-    w.write_all(scratch)?;
-    w.flush()
-}
-
-/// Encodes the complete framed `Hello` (header ‖ body) for `me` into
-/// `scratch`, reusing its capacity, and returns the bytes to put on the
-/// wire. The handshake path on every (re)connect goes through this so a
-/// reconnect episode allocates nothing per attempt.
-pub fn hello_frame(me: ProcessId, scratch: &mut Vec<u8>) -> &[u8] {
-    scratch.clear();
-    let mut body = [0u8; 8];
-    body[..4].copy_from_slice(&HELLO_MAGIC.to_le_bytes());
-    body[4..].copy_from_slice(&me.as_u32().to_le_bytes());
-    append_frame(scratch, &body);
-    scratch.as_slice()
-}
 
 /// The body of the identifying `Hello` frame an initiator sends first.
 pub fn hello_body(me: ProcessId) -> Vec<u8> {
@@ -110,152 +44,9 @@ pub fn parse_hello(body: &[u8]) -> Result<ProcessId, DecodeError> {
     }
 }
 
-/// Incremental frame reassembler over a (possibly timing-out) reader.
-#[derive(Debug)]
-pub struct FrameReader<R> {
-    inner: R,
-    buf: Vec<u8>,
-}
-
-impl<R: Read> FrameReader<R> {
-    /// Wraps `inner`, which should have a read timeout set if the caller
-    /// needs to interleave shutdown checks.
-    pub fn new(inner: R) -> Self {
-        FrameReader {
-            inner,
-            buf: Vec::new(),
-        }
-    }
-
-    /// Returns the next complete frame body, `Ok(None)` if the read timed
-    /// out before one was available (partial bytes stay buffered), or an
-    /// error on EOF, I/O failure, or an out-of-range length prefix
-    /// (`InvalidData` — the stream is desynchronized and must be dropped).
-    ///
-    /// # Errors
-    ///
-    /// `UnexpectedEof` when the peer closes, `InvalidData` on a bad length
-    /// prefix, otherwise the underlying I/O error.
-    pub fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
-        loop {
-            if let Some(frame) = self.try_pop()? {
-                return Ok(Some(frame));
-            }
-            let mut chunk = [0u8; 8192];
-            match self.inner.read(&mut chunk) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "peer closed connection",
-                    ))
-                }
-                Ok(n) => {
-                    let filled = chunk.get(..n).ok_or_else(|| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "reader reported more bytes than the chunk holds",
-                        )
-                    })?;
-                    self.buf.extend_from_slice(filled);
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    return Ok(None)
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn try_pop(&mut self) -> io::Result<Option<Vec<u8>>> {
-        if self.buf.len() < FrameHeader::ENCODED_LEN {
-            return Ok(None);
-        }
-        let mut input = self.buf.as_slice();
-        let header = FrameHeader::decode(&mut input)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let total = FrameHeader::ENCODED_LEN
-            .checked_add(header.len as usize)
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidData, "frame length overflows usize")
-            })?;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let Some(body) = self.buf.get(FrameHeader::ENCODED_LEN..total) else {
-            return Ok(None);
-        };
-        let body = body.to_vec();
-        self.buf.drain(..total);
-        Ok(Some(body))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn frames_roundtrip_back_to_back() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"alpha").unwrap();
-        write_frame(&mut wire, b"").unwrap();
-        write_frame(&mut wire, b"bravo!").unwrap();
-        let mut reader = FrameReader::new(wire.as_slice());
-        assert_eq!(reader.next_frame().unwrap().unwrap(), b"alpha");
-        assert_eq!(reader.next_frame().unwrap().unwrap(), b"");
-        assert_eq!(reader.next_frame().unwrap().unwrap(), b"bravo!");
-        assert_eq!(
-            reader.next_frame().unwrap_err().kind(),
-            io::ErrorKind::UnexpectedEof
-        );
-    }
-
-    /// Reader that hands out one byte per call, mimicking worst-case
-    /// fragmentation.
-    struct Trickle(Vec<u8>, usize);
-    impl Read for Trickle {
-        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-            if self.1 >= self.0.len() {
-                return Err(io::Error::new(io::ErrorKind::WouldBlock, "dry"));
-            }
-            out[0] = self.0[self.1];
-            self.1 += 1;
-            Ok(1)
-        }
-    }
-
-    #[test]
-    fn partial_reads_reassemble() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"fragmented").unwrap();
-        let total = wire.len();
-        let mut reader = FrameReader::new(Trickle(wire, 0));
-        let mut got = None;
-        for _ in 0..=total {
-            if let Some(frame) = reader.next_frame().unwrap() {
-                got = Some(frame);
-                break;
-            }
-        }
-        assert_eq!(got.unwrap(), b"fragmented");
-    }
-
-    #[test]
-    fn oversized_length_is_invalid_data() {
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&u32::MAX.to_le_bytes());
-        let mut reader = FrameReader::new(wire.as_slice());
-        assert_eq!(
-            reader.next_frame().unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
-    }
 
     #[test]
     fn hello_roundtrip_and_rejection() {
@@ -265,25 +56,5 @@ mod tests {
         let mut bad = body.clone();
         bad[0] ^= 0xFF;
         assert!(parse_hello(&bad).is_err());
-    }
-
-    #[test]
-    fn hello_frame_matches_write_frame_of_hello_body() {
-        let mut via_write = Vec::new();
-        write_frame(&mut via_write, &hello_body(ProcessId::new(3))).unwrap();
-        let mut scratch = vec![0xAA; 64]; // stale contents must not leak
-        assert_eq!(hello_frame(ProcessId::new(3), &mut scratch), via_write);
-    }
-
-    #[test]
-    fn batched_frames_decode_individually() {
-        let mut batch = Vec::new();
-        append_frame(&mut batch, b"one");
-        append_frame(&mut batch, b"");
-        append_frame(&mut batch, b"three");
-        let mut reader = FrameReader::new(batch.as_slice());
-        assert_eq!(reader.next_frame().unwrap().unwrap(), b"one");
-        assert_eq!(reader.next_frame().unwrap().unwrap(), b"");
-        assert_eq!(reader.next_frame().unwrap().unwrap(), b"three");
     }
 }

@@ -4,7 +4,8 @@
 //! that causal stability lets a replica *discard* buffered messages and
 //! bookkeeping — so the gate declares the structs that constitute
 //! long-lived protocol state ([`STATE_STRUCTS`]: the delivery engines,
-//! the stack's membership machinery, stability bookkeeping, and the
+//! the stack's membership state and the view-change machine, stability
+//! bookkeeping, and the
 //! net layer's per-link/per-shard tables) and requires every growable
 //! collection field in them to have a **shrink site** (`remove`,
 //! `clear`, `drain`, `truncate`, `split_off`, `pop*`, `retain`,
@@ -48,8 +49,9 @@ pub struct StateStruct {
     pub name: &'static str,
 }
 
-/// The long-lived protocol state: engines, stack membership, stability
-/// bookkeeping, and the net layer's link/slot tables.
+/// The long-lived protocol state: engines, stack membership and the
+/// view-change machine, stability bookkeeping, and the net layer's
+/// link/slot tables.
 pub const STATE_STRUCTS: &[StateStruct] = &[
     StateStruct {
         path: "crates/core/src/delivery/pcbcast/engine.rs",
@@ -66,6 +68,10 @@ pub const STATE_STRUCTS: &[StateStruct] = &[
     StateStruct {
         path: "crates/core/src/stack.rs",
         name: "MembershipState",
+    },
+    StateStruct {
+        path: "crates/membership/src/manager.rs",
+        name: "ViewManager",
     },
     StateStruct {
         path: "crates/core/src/stability.rs",
@@ -105,6 +111,13 @@ pub const GC_ROOTS: &[HotRoot] = &[
         path: "crates/core/src/stack.rs",
         owner: Some("ProtocolStack"),
         name: "on_installed",
+    },
+    // A view install: the membership machine stops watching removed
+    // members and drops the acks of the change it completes.
+    HotRoot {
+        path: "crates/membership/src/manager.rs",
+        owner: Some("ViewManager"),
+        name: "install",
     },
     HotRoot {
         path: "crates/core/src/delivery/pcbcast/engine.rs",

@@ -41,13 +41,18 @@ pub struct LayerRule {
 ///   payloads only after the stack has unwrapped them.
 /// - **`StackWire` membership plane** (`Propose`, `FlushAck`, `Install`,
 ///   `JoinReq`): same allowances, declared separately because the
-///   invariant is sharper — nothing outside the stack's vsync section may
+///   invariant is sharper — nothing but the stack (which maps the
+///   membership machine's messages onto them) and the codec may
 ///   fabricate a view-change message, or the "no extra agreement
 ///   protocol" guarantee (§4) is forfeit.
 /// - **`StackWire` overlay plane** (`Link`): PC-broadcast link frames
 ///   carry per-link stream state (sequence numbers, acks, ping/pong
 ///   watermarks) owned by the engine's `Link` objects; a frame forged
 ///   outside the stack/codec would desynchronize a stream for good.
+/// - **`MembershipMsg`**: the view-change machine's own messages. Only
+///   `causal-membership` builds them, so every membership decision has
+///   one home; the stack only maps them onto the matching `StackWire`
+///   variants.
 /// - **`Command`**: only the actor `Context` constructs effects; only
 ///   the runtimes (simnet's event loop, the shared threaded runner) and
 ///   the schedule explorer interpret them.
@@ -81,6 +86,12 @@ pub const MATRIX: &[LayerRule] = &[
             "crates/core/src/wire.rs",
             "crates/verify/src/",
         ],
+    },
+    LayerRule {
+        enum_name: "MembershipMsg",
+        variants: &["Propose", "FlushAck", "Install", "JoinReq"],
+        construct: &["crates/membership/src/"],
+        consume: &["crates/membership/src/", "crates/core/src/stack.rs"],
     },
     LayerRule {
         enum_name: "Command",

@@ -1,7 +1,7 @@
 //! Wire-panic audit: no panic site may be reachable from a decode entry
 //! point that is fed attacker-controlled bytes.
 //!
-//! The transport hands `FrameReader` raw TCP bytes and the codec in
+//! The transport hands `RecvBuf` raw TCP bytes and the codec in
 //! `core/wire.rs` parses them; a reachable `unwrap`, slice index, or
 //! unchecked length arithmetic in that cone is a remote crash, which in
 //! this protocol also kills liveness for the whole view (the failure

@@ -11,6 +11,7 @@ use causal_broadcast::core::node::CausalNode;
 use causal_broadcast::core::osend::OccursAfter;
 use causal_broadcast::core::rbcast::RbMsg;
 use causal_broadcast::core::stack::{App, ProtocolStack, StackWire, VsyncConfig};
+use causal_broadcast::membership::ViewId;
 use causal_broadcast::replica::counter::{CounterOp, CounterReplica};
 use causal_broadcast::simnet::{
     Actor, Context, FaultPlan, LatencyModel, NetConfig, Partition, SimDuration, SimTime, Simulation,
@@ -261,8 +262,9 @@ fn acks_cost_a_fraction_of_the_data_copies_at_the_benchmark_shape() {
             let node = &member.node;
             assert_eq!(node.app().value(), i64::from(ops), "seed {seed} member {i}");
             assert_eq!(node.pending_len(), 0, "seed {seed} member {i}");
-            assert!(
-                node.installed_views().is_empty(),
+            assert_eq!(
+                node.view().id(),
+                ViewId::initial(),
                 "seed {seed}: a view changed"
             );
         }

@@ -22,10 +22,17 @@ use causal_verify::{check_trace, OracleConfig, OracleReport, Trace};
 struct Sum {
     value: i64,
     deliveries: Vec<i64>,
+    /// Broadcast once when the app starts, if set.
+    greeting: Option<i64>,
 }
 
 impl App for Sum {
     type Op = i64;
+    fn on_start(&mut self, _me: ProcessId, out: &mut Emitter<i64>) {
+        if let Some(op) = self.greeting {
+            out.broadcast(op);
+        }
+    }
     fn on_deliver(&mut self, env: Delivered<'_, i64>, _out: &mut Emitter<i64>) {
         self.value += *env.payload;
         self.deliveries.push(*env.payload);
@@ -255,6 +262,29 @@ fn join_then_crash_sequence() {
     // checks as live delivery, and its delivered set must match the
     // incumbents' at quiescence.
     assert_oracle_clean(&sim, 4, "join then crash");
+}
+
+#[test]
+fn joiner_app_starts_once_admitted() {
+    // Every app greets the group from `on_start`: the incumbents at
+    // start, the joiner p3 once its first view installs.
+    let greeter = || Sum {
+        greeting: Some(100),
+        ..Sum::default()
+    };
+    let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(100, 900));
+    let mut nodes: Vec<VsyncNode<Sum>> = (0..3)
+        .map(|i| vsync_node(p(i), 3, greeter(), VsyncConfig::default()).with_tracing())
+        .collect();
+    nodes.push(VsyncNode::joining(p(3), p(1), greeter(), VsyncConfig::default()).with_tracing());
+    let mut sim = Simulation::new(nodes, cfg, 11);
+    sim.run_until(SimTime::from_millis(80));
+    let expected = GroupView::initial(3).with(p(3));
+    for i in 0..4u32 {
+        assert_eq!(sim.node(p(i)).view(), &expected, "member {i}");
+        assert_eq!(sim.node(p(i)).app().value, 400, "member {i}");
+    }
+    assert_oracle_clean(&sim, 4, "joiner start");
 }
 
 #[test]

@@ -1,35 +1,31 @@
-//! Membership over the simulator: heartbeat failure detection feeding the
-//! coordinator's view-change (flush) protocol. A member crashes, the
-//! survivors install the smaller view virtually synchronously.
+//! The view-change machine over the simulator, with no data path: each
+//! member routes the machine's messages to their handlers, heartbeats and
+//! checks on the stack's default periods, and flushes at once (it has
+//! nothing to relay). A member crashes; the survivors install the smaller
+//! view virtually synchronously.
 
 use causal_broadcast::clocks::ProcessId;
-use causal_broadcast::membership::{
-    GroupView, HeartbeatDetector, ManagerAction, ViewId, ViewManager,
-};
-use causal_broadcast::simnet::{
-    Actor, Context, LatencyModel, NetConfig, SimDuration, SimTime, Simulation,
-};
+use causal_broadcast::core::stack::VsyncConfig;
+use causal_broadcast::membership::{GroupView, ManagerAction, MembershipMsg, ViewManager};
+use causal_broadcast::simnet::{Actor, Context, LatencyModel, NetConfig, SimTime, Simulation};
 
 fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
 }
 
-#[derive(Debug, Clone)]
-enum Msg {
-    Heartbeat,
-    Propose(GroupView),
-    FlushAck(ViewId),
-    Install(GroupView),
-}
-
-const HEARTBEAT_EVERY: SimDuration = SimDuration::from_millis(1);
-const CHECK_EVERY: SimDuration = SimDuration::from_millis(2);
 const TIMER_HB: u64 = 1;
 const TIMER_CHECK: u64 = 2;
 
+/// A frame between members: a heartbeat, or a message of the machine.
+#[derive(Debug, Clone)]
+enum Frame {
+    Heartbeat,
+    Membership(MembershipMsg),
+}
+
 struct Member {
     manager: ViewManager,
-    detector: HeartbeatDetector,
+    config: VsyncConfig,
     /// Simulated crash time (stop sending/acking after this), if any.
     crash_at: Option<SimTime>,
     installed: Vec<GroupView>,
@@ -37,9 +33,11 @@ struct Member {
 
 impl Member {
     fn new(me: ProcessId, n: usize, crash_at: Option<SimTime>) -> Self {
+        let config = VsyncConfig::default();
+        let suspect_after = config.suspect_after.as_micros();
         Member {
-            manager: ViewManager::new(me, GroupView::initial(n)),
-            detector: HeartbeatDetector::new(5_000), // 5ms silence => suspect
+            manager: ViewManager::new(me, GroupView::initial(n), suspect_after),
+            config,
             crash_at,
             installed: Vec::new(),
         }
@@ -49,102 +47,65 @@ impl Member {
         self.crash_at.is_some_and(|t| now >= t)
     }
 
-    fn perform(&mut self, ctx: &mut Context<'_, Msg>, actions: Vec<ManagerAction>) {
+    fn perform(&mut self, ctx: &mut Context<'_, Frame>, actions: Vec<ManagerAction>) {
         for action in actions {
             match action {
+                ManagerAction::Send { to, msg } => ctx.send(to, Frame::Membership(msg)),
                 ManagerAction::BeginFlush { .. } => {
-                    // Flush is instantaneous here (no unstable app traffic).
-                    let done = self.manager.flush_complete();
+                    let done = self.manager.flush_done(ctx.now().as_micros());
                     self.perform(ctx, done);
                 }
-                ManagerAction::SendPropose { to, view } => {
-                    for m in to {
-                        ctx.send(m, Msg::Propose(view.clone()));
-                    }
-                }
-                ManagerAction::SendFlushAck { to, view_id } => {
-                    ctx.send(to, Msg::FlushAck(view_id));
-                }
-                ManagerAction::SendInstall { to, view } => {
-                    for m in to {
-                        ctx.send(m, Msg::Install(view.clone()));
-                    }
-                }
-                ManagerAction::Installed(view) => self.installed.push(view),
+                ManagerAction::Installed { view, .. } => self.installed.push(view),
             }
         }
     }
 }
 
 impl Actor for Member {
-    type Msg = Msg;
+    type Msg = Frame;
 
-    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-        ctx.set_timer(HEARTBEAT_EVERY, TIMER_HB);
-        if self.manager.is_coordinator() {
-            ctx.set_timer(CHECK_EVERY, TIMER_CHECK);
-        }
-        // Prime the detector so silence is measured from the start.
-        let now = ctx.now().as_micros();
-        for m in self.manager.current().members().to_vec() {
-            if m != ctx.me() {
-                self.detector.observe(m, now);
-            }
-        }
+    fn on_start(&mut self, ctx: &mut Context<'_, Frame>) {
+        ctx.set_timer(self.config.heartbeat_every, TIMER_HB);
+        ctx.set_timer(self.config.check_every, TIMER_CHECK);
+        let actions = self.manager.start(ctx.now().as_micros());
+        self.perform(ctx, actions);
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: ProcessId, msg: Msg) {
+    fn on_message(&mut self, ctx: &mut Context<'_, Frame>, from: ProcessId, frame: Frame) {
         if self.crashed(ctx.now()) {
             return; // a crashed member is silent
         }
-        self.detector.observe(from, ctx.now().as_micros());
-        match msg {
-            Msg::Heartbeat => {}
-            Msg::Propose(view) => {
-                let actions = self.manager.on_propose(from, view);
-                self.perform(ctx, actions);
-            }
-            Msg::FlushAck(view_id) => {
-                let actions = self.manager.on_flush_ack(from, view_id);
-                self.perform(ctx, actions);
-            }
-            Msg::Install(view) => {
-                let actions = self.manager.on_install(view);
-                self.perform(ctx, actions);
-            }
-        }
+        let now = ctx.now().as_micros();
+        let m = &mut self.manager;
+        m.observe(from, now);
+        let actions = match frame {
+            Frame::Heartbeat => Vec::new(),
+            Frame::Membership(MembershipMsg::Propose(view)) => m.on_propose(from, view),
+            Frame::Membership(MembershipMsg::FlushAck(id)) => m.on_flush_ack(now, from, id),
+            Frame::Membership(MembershipMsg::Install(view)) => m.on_install(now, view),
+            Frame::Membership(MembershipMsg::JoinReq { joiner }) => m.on_join_req(joiner),
+        };
+        self.perform(ctx, actions);
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, tag: u64) {
-        if self.crashed(ctx.now()) {
-            return;
-        }
+    fn on_timer(&mut self, ctx: &mut Context<'_, Frame>, tag: u64) {
         // Stop timers eventually so the simulation quiesces.
-        if ctx.now() > SimTime::from_millis(60) {
+        if self.crashed(ctx.now()) || ctx.now() > SimTime::from_millis(60) {
             return;
         }
         match tag {
             TIMER_HB => {
                 for m in self.manager.current().members().to_vec() {
                     if m != ctx.me() {
-                        ctx.send(m, Msg::Heartbeat);
+                        ctx.send(m, Frame::Heartbeat);
                     }
                 }
-                ctx.set_timer(HEARTBEAT_EVERY, TIMER_HB);
+                ctx.set_timer(self.config.heartbeat_every, TIMER_HB);
             }
             TIMER_CHECK => {
-                if self.manager.is_coordinator() && self.manager.pending().is_none() {
-                    let suspects = self.detector.suspects(ctx.now().as_micros());
-                    if let Some(&dead) = suspects.first() {
-                        if self.manager.current().contains(dead) {
-                            let next = self.manager.current().without(dead);
-                            if let Ok(actions) = self.manager.propose(next) {
-                                self.perform(ctx, actions);
-                            }
-                        }
-                    }
-                }
-                ctx.set_timer(CHECK_EVERY, TIMER_CHECK);
+                let actions = self.manager.on_check(ctx.now().as_micros());
+                self.perform(ctx, actions);
+                ctx.set_timer(self.config.check_every, TIMER_CHECK);
             }
             _ => {}
         }
@@ -173,7 +134,7 @@ fn crashed_member_is_removed_from_the_view() {
             &expected,
             "member {i} should have installed the shrunken view"
         );
-        assert_eq!(member.installed.len(), 1);
+        assert_eq!(member.installed, vec![expected.clone()]);
     }
     // The crashed member never installed anything after its crash.
     assert!(sim.node(p(2)).installed.is_empty());
