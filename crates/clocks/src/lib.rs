@@ -6,7 +6,6 @@
 //!
 //! - [`ProcessId`], [`MsgId`], [`GroupId`]: identifiers for entities,
 //!   messages, and process groups.
-//! - [`LamportClock`]: scalar logical clocks (Lamport 1978).
 //! - [`VectorClock`]: vector timestamps with the partial-order comparison
 //!   used to decide causal precedence and concurrency, plus the classic
 //!   CBCAST causal-delivery condition (Birman, Schiper & Stephenson 1991).
@@ -38,14 +37,12 @@
 #![warn(missing_docs)]
 
 mod ids;
-mod lamport;
 mod matrix;
 mod ordering;
 mod vector;
 mod window;
 
 pub use ids::{GroupId, MsgId, ProcessId};
-pub use lamport::LamportClock;
 pub use matrix::MatrixClock;
 pub use ordering::CausalOrdering;
 pub use vector::{DeliveryCheck, VectorClock};

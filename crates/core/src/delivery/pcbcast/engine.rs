@@ -108,7 +108,6 @@ impl MemberSet {
 #[derive(Debug, Clone)]
 pub struct PcEngine<P> {
     me: ProcessId,
-    fanout: usize,
     /// This member's place in the overlay tree over `members`; `None`
     /// once a view has removed it.
     tree: Option<TreePosition>,
@@ -144,37 +143,6 @@ pub struct PcEngine<P> {
 }
 
 impl<P: Clone> PcEngine<P> {
-    /// Creates the engine with an explicit overlay fanout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me` is outside the group.
-    pub fn with_fanout(me: ProcessId, n: usize, fanout: usize) -> Self {
-        assert!(me.as_usize() < n, "member id outside group");
-        let members: Vec<ProcessId> = (0..n as u32).map(ProcessId::new).collect();
-        let tree = tree_position(me, &members, fanout);
-        let links = tree
-            .iter()
-            .flat_map(TreePosition::neighbors)
-            .map(|p| (p, Link::new_safe()))
-            .collect();
-        PcEngine {
-            me,
-            fanout,
-            tree,
-            links,
-            members: MemberSet::Initial(n),
-            gate: IdWindow::new(),
-            log: Vec::new(),
-            duplicates: 0,
-            released: Vec::new(),
-            replies: Vec::new(),
-            batch: Vec::new(),
-            next_token: 0,
-            peak_buffered: 0,
-        }
-    }
-
     /// Links whose outbound direction is currently safe (usable for
     /// application data).
     pub fn safe_links(&self) -> usize {
@@ -347,7 +315,28 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
     const ROUTED: bool = true;
 
     fn for_member(me: ProcessId, n: usize) -> Self {
-        Self::with_fanout(me, n, DEFAULT_FANOUT)
+        assert!(me.as_usize() < n, "member id outside group");
+        let members: Vec<ProcessId> = (0..n as u32).map(ProcessId::new).collect();
+        let tree = tree_position(me, &members, DEFAULT_FANOUT);
+        let links = tree
+            .iter()
+            .flat_map(TreePosition::neighbors)
+            .map(|p| (p, Link::new_safe()))
+            .collect();
+        PcEngine {
+            me,
+            tree,
+            links,
+            members: MemberSet::Initial(n),
+            gate: IdWindow::new(),
+            log: Vec::new(),
+            duplicates: 0,
+            released: Vec::new(),
+            replies: Vec::new(),
+            batch: Vec::new(),
+            next_token: 0,
+            peak_buffered: 0,
+        }
     }
 
     fn send(&mut self, op: P, _after: OccursAfter) -> (PcEnvelope<P>, Vec<PcEnvelope<P>>) {
@@ -411,7 +400,7 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
         // property for nothing).
         self.links.retain(|p, _| members.contains(p));
         self.members = MemberSet::Installed(members.to_vec());
-        self.tree = tree_position(self.me, members, self.fanout);
+        self.tree = tree_position(self.me, members, DEFAULT_FANOUT);
         let mut sends = Vec::new();
         for nbr in self.tree.iter().flat_map(TreePosition::neighbors) {
             let link = self.links.entry(nbr).or_default();
@@ -666,7 +655,7 @@ mod tests {
         // Two engines that were never neighbors: 0 has delivered two
         // messages; a view change now links it to 9.
         let mut a: PcEngine<&'static str> = PcEngine::for_member(p(0), 3);
-        let mut b: PcEngine<&'static str> = PcEngine::with_fanout(p(9), 10, 4);
+        let mut b: PcEngine<&'static str> = PcEngine::for_member(p(9), 10);
         let (m1, _) = a.send("one", OccursAfter::none());
         let (m2, _) = a.send("two", OccursAfter::none());
         let history = [timed(m1.clone()), timed(m2.clone())];

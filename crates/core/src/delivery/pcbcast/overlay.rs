@@ -19,7 +19,8 @@
 //! layer installs the next view and the survivors re-derive the tree
 //! over it (the flush protocol re-broadcasts anything stranded in the
 //! dead subtree). Denser overlays trade redundant transmissions for
-//! fewer recovery rounds; the fanout is the knob.
+//! fewer recovery rounds; the fanout sets that trade, and every engine
+//! uses [`DEFAULT_FANOUT`].
 
 use causal_clocks::ProcessId;
 

@@ -62,14 +62,15 @@
 //!
 //! # No options
 //!
-//! W and the ack period derive from the stack's periods. W = P/8, as for
-//! PC links. The ack period is the heartbeat period H where membership
-//! runs (which must stay below P) and P/4 elsewhere, so an ack reaches
-//! the sender well within the P a copy waits before the backstop can
-//! resend it. Neither needs an option: too small a W resends copies that
-//! were merely reordered, too large a W delays a repair towards the tick,
-//! a shorter ack period only sends more acks, and a longer one only
-//! retires copies later. None of that touches correctness.
+//! W and the ack period derive from the stack's retransmission period P.
+//! W = P/8, as for PC links. The ack period is P/4, with or without
+//! membership (where membership runs, the same tick carries the
+//! heartbeats), so an ack reaches the sender well within the P a copy
+//! waits before the backstop can resend it. Neither needs an option: too
+//! small a W resends copies that were merely reordered, too large a W
+//! delays a repair towards the tick, a shorter ack period only sends more
+//! acks, and a longer one only retires copies later. None of that touches
+//! correctness.
 
 use crate::holes::{HoleNamer, LinkClock, REPORT_SPAN};
 use causal_clocks::{IdWindow, MsgId, ProcessId, VectorClock};

@@ -48,8 +48,14 @@
 //! and the check and join-retry ticks, sends what it returns, and performs
 //! its two local actions: the **flush** (relay the removed members'
 //! messages, then report done) and the **install** (reconfigure rbcast,
-//! stability and the engine, drain parked sends, call the app). The
-//! heartbeat tick stays here: it shares the rbcast ack period.
+//! stability and the engine, drain parked sends, call the app).
+//! Heartbeats stay here: they ride the rbcast ack tick.
+//!
+//! Every period derives from the retransmission period P: the ack tick
+//! runs every P/4 and the membership check every P/2. Without membership
+//! the ack tick is armed only while acks are due; with membership it
+//! runs for the group's lifetime and sends each member that is owed no
+//! ack that period a heartbeat instead.
 
 use crate::delivery::pcbcast::{LinkClock, LinkFrame};
 use crate::delivery::{
@@ -229,43 +235,44 @@ pub struct NodeStats {
     pub delivery_latency: Histogram,
 }
 
-/// Default retransmission period for the reliability layer.
+/// Default retransmission period P for the reliability layer.
 pub const DEFAULT_RETRANSMIT: SimDuration = SimDuration::from_millis(5);
+
+/// Ack ticks per retransmission period: the ack tick runs every P/4, so
+/// an ack reaches its sender well within the P a copy waits before the
+/// backstop resends it. Where membership runs, the same tick carries the
+/// heartbeats.
+pub const ACK_TICKS_PER_RETRANSMIT: u64 = 4;
+
+/// Membership checks per retransmission period: suspicion, takeover, the
+/// retries of a pending change and a joiner's retries run every P/2.
+pub const CHECKS_PER_RETRANSMIT: u64 = 2;
 
 const TIMER_RETRANSMIT: u64 = 1;
 const TIMER_ACK: u64 = 2;
-const TIMER_HEARTBEAT: u64 = 10;
 const TIMER_FD_CHECK: u64 = 11;
 const TIMER_JOIN_RETRY: u64 = 13;
 
-/// Timing configuration of the membership machinery.
+/// Timing configuration of the membership machinery. The ack and
+/// heartbeat tick (P/4) and the membership check (P/2) derive from
+/// `retransmit_every` (P).
 ///
 /// The defaults suit the discrete-event simulator's microsecond latencies.
-/// Real transports (TCP) should scale everything up — see
+/// Real transports (TCP) should scale both up — see
 /// `tests/tcp_vsync.rs` for a wall-clock-friendly configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct VsyncConfig {
-    /// Heartbeat period H. Reliable-broadcast acks ride the same tick:
-    /// each member sends each view member either the acks due to it or
-    /// a heartbeat. H must stay below `retransmit_every`, so that an ack
-    /// reaches a sender before its backstop resends what the ack covers.
-    pub heartbeat_every: SimDuration,
     /// Silence threshold after which a member is suspected. At least
     /// 1 µs: building a view-synchronous stack with less panics.
     pub suspect_after: SimDuration,
-    /// Period of the membership check tick (suspicion, takeover, and
-    /// the retries of a pending change), and of a joiner's retries.
-    pub check_every: SimDuration,
-    /// Reliability-layer retransmission period.
+    /// Reliability-layer retransmission period P.
     pub retransmit_every: SimDuration,
 }
 
 impl Default for VsyncConfig {
     fn default() -> Self {
         VsyncConfig {
-            heartbeat_every: SimDuration::from_millis(1),
             suspect_after: SimDuration::from_millis(6),
-            check_every: SimDuration::from_millis(2),
             retransmit_every: SimDuration::from_millis(4),
         }
     }
@@ -276,7 +283,6 @@ impl Default for VsyncConfig {
 /// to carry those decisions out.
 struct MembershipState<D: DeliveryEngine> {
     manager: ViewManager,
-    config: VsyncConfig,
     /// Envelopes delivered, retained for flush re-broadcast and joiner
     /// replay.
     store: Vec<Timed<D::Envelope>>,
@@ -301,8 +307,8 @@ pub struct ProtocolStack<D: DeliveryEngine, A: App<Op = D::Op>> {
     rb: ReliableBroadcast<Timed<D::Envelope>>,
     retransmit_every: SimDuration,
     rtx_armed: bool,
-    /// Whether the ack tick is armed (stacks without membership; with
-    /// membership, acks ride the heartbeat tick).
+    /// Whether the ack tick is armed: while acks are due, and for good
+    /// where membership runs.
     ack_armed: bool,
     /// The acks of one ack period, kept so that ticks allocate nothing.
     acks: Vec<(ProcessId, RbAck)>,
@@ -405,7 +411,6 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         self.retransmit_every = config.retransmit_every;
         self.membership = Some(MembershipState {
             manager,
-            config,
             store: Vec::new(),
             outbox: VecDeque::new(),
         });
@@ -648,12 +653,11 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         }
     }
 
-    /// Arms the ack tick of a stack without membership, at P/4, while
-    /// acks are due. With membership, acks ride the heartbeat tick.
+    /// Arms the ack tick, P/4 from now: while acks are due, and always
+    /// where membership runs, since the tick carries the heartbeats.
     fn arm_ack(&mut self, ctx: &mut Context<'_, StackWire<D::Envelope>>) {
-        if self.membership.is_none() && !self.ack_armed && self.rb.has_due() {
-            let quarter = SimDuration::from_micros(self.retransmit_every.as_micros() / 4);
-            ctx.set_timer(quarter, TIMER_ACK);
+        if !self.ack_armed && (self.membership.is_some() || self.rb.has_due()) {
+            ctx.set_timer(self.retransmit_every / ACK_TICKS_PER_RETRANSMIT, TIMER_ACK);
             self.ack_armed = true;
         }
     }
@@ -941,15 +945,15 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> Actor for ProtocolStack<D, A> {
     type Msg = StackWire<D::Envelope>;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
-        if let Some(mem) = &self.membership {
-            let config = mem.config;
-            ctx.set_timer(config.heartbeat_every, TIMER_HEARTBEAT);
+        if self.membership.is_some() {
+            self.arm_ack(ctx);
             // Every member checks for suspects: if the coordinator itself
             // dies, the lowest-ranked live member takes over.
-            ctx.set_timer(config.check_every, TIMER_FD_CHECK);
+            let check = self.retransmit_every / CHECKS_PER_RETRANSMIT;
+            ctx.set_timer(check, TIMER_FD_CHECK);
             self.membership_input(ctx, ViewManager::start);
             if self.is_joining() {
-                ctx.set_timer(config.check_every, TIMER_JOIN_RETRY);
+                ctx.set_timer(check, TIMER_JOIN_RETRY);
                 return; // the app starts once the node is admitted
             }
         }
@@ -1076,36 +1080,28 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> Actor for ProtocolStack<D, A> {
             TIMER_ACK => {
                 self.ack_armed = false;
                 self.send_acks(ctx);
-            }
-            TIMER_HEARTBEAT => {
-                let Some(mem) = self.membership.as_ref() else {
-                    return;
-                };
-                let members = mem.manager.current().members().to_vec();
-                let every = mem.config.heartbeat_every;
-                // Any frame counts as liveness, so a member that gets
-                // acks this period needs no heartbeat.
-                self.send_acks(ctx);
-                for m in members {
-                    let acked = self.acks.binary_search_by_key(&m, |&(to, _)| to).is_ok();
-                    if m != self.me && !acked {
-                        ctx.send(m, StackWire::Heartbeat);
+                if let Some(mem) = &self.membership {
+                    // Any frame counts as liveness, so a member that gets
+                    // acks this period needs no heartbeat.
+                    for &m in mem.manager.current().members() {
+                        let acked = self.acks.binary_search_by_key(&m, |&(to, _)| to).is_ok();
+                        if m != self.me && !acked {
+                            ctx.send(m, StackWire::Heartbeat);
+                        }
                     }
                 }
-                ctx.set_timer(every, TIMER_HEARTBEAT);
+                self.arm_ack(ctx);
             }
             TIMER_FD_CHECK => {
-                let Some(mem) = &self.membership else {
-                    return;
-                };
-                let check_every = mem.config.check_every;
                 self.membership_input(ctx, ViewManager::on_check);
-                ctx.set_timer(check_every, TIMER_FD_CHECK);
+                let check = self.retransmit_every / CHECKS_PER_RETRANSMIT;
+                ctx.set_timer(check, TIMER_FD_CHECK);
             }
             TIMER_JOIN_RETRY => {
                 self.membership_input(ctx, |m, _| m.on_join_retry());
-                if let Some(mem) = self.membership.as_ref().filter(|m| m.manager.is_joining()) {
-                    ctx.set_timer(mem.config.check_every, TIMER_JOIN_RETRY);
+                if self.is_joining() {
+                    let check = self.retransmit_every / CHECKS_PER_RETRANSMIT;
+                    ctx.set_timer(check, TIMER_JOIN_RETRY);
                 }
             }
             _ => {}

@@ -9,10 +9,10 @@
 //! of messages is a stable point precisely when its event sequences are
 //! *transition-preserving* — every allowed interleaving reaches the same
 //! state.
-
-use crate::osend::GraphEnvelope;
-use crate::stable::{StablePoint, StablePointDetector};
-use causal_clocks::MsgId;
+//!
+//! The replicas themselves are [`App`](crate::stack::App)s hosted on the
+//! protocol stack; this module holds the operation vocabulary they share
+//! and the transition-preservation check.
 
 /// The paper's two operation categories (§6): commutative operations may
 /// remain concurrent; non-commutative operations are ordered and act as
@@ -151,136 +151,9 @@ where
     true
 }
 
-/// A state-machine replica: applies delivered operations, snapshots the
-/// state at every stable point, and serves **deferred reads** — the §5.1
-/// rule that a read "may be deferred to occur at the next stable point so
-/// that the value returned by the member is the same as that by every
-/// other member".
-///
-/// # Examples
-///
-/// ```
-/// use causal_clocks::ProcessId;
-/// use causal_core::osend::{OSender, OccursAfter};
-/// use causal_core::statemachine::{Operation, Replica};
-///
-/// #[derive(Clone)]
-/// struct Set(i64);
-/// impl Operation<i64> for Set {
-///     fn apply(&self, s: &mut i64) { *s = self.0; }
-///     // non-commutative by default: a synchronization candidate
-/// }
-///
-/// let mut tx = OSender::new(ProcessId::new(0));
-/// let mut replica = Replica::new(0i64);
-/// let m = tx.osend(Set(5), OccursAfter::none());
-/// replica.on_deliver(&m);
-/// assert_eq!(*replica.state(), 5);
-/// assert_eq!(replica.read_at_stable(), Some(&5)); // first nc is stable
-/// ```
-#[derive(Debug, Clone)]
-pub struct Replica<S, O> {
-    state: S,
-    log: Vec<MsgId>,
-    detector: StablePointDetector,
-    stable_states: Vec<(StablePoint, S)>,
-    deferred: Vec<u64>,
-    resolved: Vec<(u64, S)>,
-    _op: std::marker::PhantomData<O>,
-}
-
-impl<S: Clone, O: Operation<S>> Replica<S, O> {
-    /// Creates a replica in the given initial state.
-    pub fn new(initial: S) -> Self {
-        Replica {
-            state: initial,
-            log: Vec::new(),
-            detector: StablePointDetector::new(),
-            stable_states: Vec::new(),
-            deferred: Vec::new(),
-            resolved: Vec::new(),
-            _op: std::marker::PhantomData,
-        }
-    }
-
-    /// Processes one causally delivered operation envelope. Returns the
-    /// stable point if the message closed one.
-    pub fn on_deliver(&mut self, env: &GraphEnvelope<O>) -> Option<StablePoint> {
-        env.payload.apply(&mut self.state);
-        self.log.push(env.id);
-        let candidate = !env.payload.is_commutative();
-        let sp = self.detector.on_deliver(env.id, &env.deps, candidate);
-        if let Some(sp) = sp {
-            self.stable_states.push((sp, self.state.clone()));
-            for tag in std::mem::take(&mut self.deferred) {
-                self.resolved.push((tag, self.state.clone()));
-            }
-        }
-        sp
-    }
-
-    /// Queues a local read to be answered at the **next** stable point —
-    /// the §5.1 deferral rule: "a read operation on X requested at a
-    /// member may be deferred to occur at the next stable point so that
-    /// the value of X returned by the member is the same as that by every
-    /// other member." `tag` identifies the read when it resolves.
-    pub fn defer_read(&mut self, tag: u64) {
-        self.deferred.push(tag);
-    }
-
-    /// Reads queued and not yet resolved.
-    pub fn deferred_len(&self) -> usize {
-        self.deferred.len()
-    }
-
-    /// Drains the reads resolved by stable points reached so far, with the
-    /// agreed state each one observed.
-    pub fn take_resolved_reads(&mut self) -> Vec<(u64, S)> {
-        std::mem::take(&mut self.resolved)
-    }
-
-    /// The current (possibly divergent between stable points) local state.
-    pub fn state(&self) -> &S {
-        &self.state
-    }
-
-    /// The state at the most recent stable point — the value a deferred
-    /// read returns; identical at every member that reached the point.
-    pub fn read_at_stable(&self) -> Option<&S> {
-        self.stable_states.last().map(|(_, s)| s)
-    }
-
-    /// The state snapshot at stable point `ordinal`, if reached.
-    pub fn stable_state(&self, ordinal: usize) -> Option<&S> {
-        self.stable_states.get(ordinal).map(|(_, s)| s)
-    }
-
-    /// All stable points reached, in order.
-    pub fn stable_points(&self) -> impl Iterator<Item = StablePoint> + '_ {
-        self.stable_states.iter().map(|(sp, _)| *sp)
-    }
-
-    /// Number of stable points reached.
-    pub fn stable_count(&self) -> usize {
-        self.stable_states.len()
-    }
-
-    /// The delivery log (message ids in processing order).
-    pub fn log(&self) -> &[MsgId] {
-        &self.log
-    }
-
-    /// Operations applied so far.
-    pub fn applied_len(&self) -> usize {
-        self.log.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::osend::{OSender, OccursAfter};
-    use causal_clocks::ProcessId;
 
     #[derive(Debug, Clone, PartialEq)]
     enum Op {
@@ -288,8 +161,6 @@ mod tests {
         Dec(i64),
         /// Overwrite — non-commutative.
         Set(i64),
-        /// Read marker — non-commutative, no state effect.
-        Read,
     }
 
     impl Operation<i64> for Op {
@@ -298,7 +169,6 @@ mod tests {
                 Op::Inc(k) => *state += k,
                 Op::Dec(k) => *state -= k,
                 Op::Set(v) => *state = *v,
-                Op::Read => {}
             }
         }
         fn is_commutative(&self) -> bool {
@@ -347,106 +217,5 @@ mod tests {
     fn limit_bounds_enumeration() {
         // With limit 1 only the reference order is checked: always true.
         assert!(is_transition_preserving(&0, &[Op::Set(1), Op::Set(2)], 1));
-    }
-
-    #[test]
-    fn replica_applies_and_snapshots() {
-        let mut tx = OSender::new(ProcessId::new(0));
-        let mut replica: Replica<i64, Op> = Replica::new(0);
-
-        let nc0 = tx.osend(Op::Set(10), OccursAfter::none());
-        assert!(replica.on_deliver(&nc0).is_some());
-        assert_eq!(replica.stable_state(0), Some(&10));
-
-        let mut tx1 = OSender::new(ProcessId::new(1));
-        let mut tx2 = OSender::new(ProcessId::new(2));
-        let c1 = tx1.osend(Op::Inc(1), OccursAfter::message(nc0.id));
-        let c2 = tx2.osend(Op::Inc(2), OccursAfter::message(nc0.id));
-        assert!(replica.on_deliver(&c1).is_none());
-        assert!(replica.on_deliver(&c2).is_none());
-        // Interior state visible locally but not yet agreed.
-        assert_eq!(*replica.state(), 13);
-        assert_eq!(replica.read_at_stable(), Some(&10));
-
-        let nc1 = tx.osend(Op::Set(0), OccursAfter::all([c1.id, c2.id]));
-        let sp = replica.on_deliver(&nc1).unwrap();
-        assert_eq!(sp.ordinal, 1);
-        assert_eq!(replica.read_at_stable(), Some(&0));
-        assert_eq!(replica.stable_count(), 2);
-        assert_eq!(replica.applied_len(), 4);
-        assert_eq!(replica.log().len(), 4);
-    }
-
-    #[test]
-    fn deferred_reads_resolve_at_next_stable_point() {
-        let mut tx0 = OSender::new(ProcessId::new(0));
-        let mut tx1 = OSender::new(ProcessId::new(1));
-        let mut replica: Replica<i64, Op> = Replica::new(0);
-
-        let nc0 = tx0.osend(Op::Set(10), OccursAfter::none());
-        replica.on_deliver(&nc0);
-        let c1 = tx1.osend(Op::Inc(5), OccursAfter::message(nc0.id));
-        replica.on_deliver(&c1);
-
-        // Read requested mid-activity: deferred, not yet resolved.
-        replica.defer_read(7);
-        assert_eq!(replica.deferred_len(), 1);
-        assert!(replica.take_resolved_reads().is_empty());
-
-        // The closing nc resolves it with the agreed value.
-        let nc1 = tx0.osend(Op::Read, OccursAfter::message(c1.id));
-        replica.on_deliver(&nc1);
-        assert_eq!(replica.take_resolved_reads(), vec![(7, 15)]);
-        assert_eq!(replica.deferred_len(), 0);
-    }
-
-    #[test]
-    fn deferred_reads_at_two_members_return_the_same_value() {
-        let mut tx0 = OSender::new(ProcessId::new(0));
-        let mut tx1 = OSender::new(ProcessId::new(1));
-        let mut tx2 = OSender::new(ProcessId::new(2));
-        let nc0 = tx0.osend(Op::Set(0), OccursAfter::none());
-        let c1 = tx1.osend(Op::Inc(3), OccursAfter::message(nc0.id));
-        let c2 = tx2.osend(Op::Dec(1), OccursAfter::message(nc0.id));
-        let nc1 = tx0.osend(Op::Read, OccursAfter::all([c1.id, c2.id]));
-
-        let mut ra: Replica<i64, Op> = Replica::new(0);
-        let mut rb: Replica<i64, Op> = Replica::new(0);
-        ra.on_deliver(&nc0);
-        rb.on_deliver(&nc0);
-        // Each member defers a read mid-activity, at *different* local
-        // moments (ra before any commutative op, rb after one).
-        ra.defer_read(1);
-        ra.on_deliver(&c1);
-        ra.on_deliver(&c2);
-        rb.on_deliver(&c2);
-        rb.defer_read(1);
-        rb.on_deliver(&c1);
-        ra.on_deliver(&nc1);
-        rb.on_deliver(&nc1);
-        assert_eq!(ra.take_resolved_reads(), rb.take_resolved_reads());
-    }
-
-    #[test]
-    fn two_replicas_agree_at_stable_point_despite_interleaving() {
-        let mut tx0 = OSender::new(ProcessId::new(0));
-        let mut tx1 = OSender::new(ProcessId::new(1));
-        let mut tx2 = OSender::new(ProcessId::new(2));
-
-        let nc0 = tx0.osend(Op::Set(100), OccursAfter::none());
-        let c1 = tx1.osend(Op::Inc(7), OccursAfter::message(nc0.id));
-        let c2 = tx2.osend(Op::Dec(3), OccursAfter::message(nc0.id));
-        let nc1 = tx0.osend(Op::Read, OccursAfter::all([c1.id, c2.id]));
-
-        let mut ra: Replica<i64, Op> = Replica::new(0);
-        for env in [&nc0, &c1, &c2, &nc1] {
-            ra.on_deliver(env);
-        }
-        let mut rb: Replica<i64, Op> = Replica::new(0);
-        for env in [&nc0, &c2, &c1, &nc1] {
-            rb.on_deliver(env);
-        }
-        assert_eq!(ra.stable_state(1), rb.stable_state(1));
-        assert_eq!(ra.stable_state(1), Some(&104));
     }
 }

@@ -8,9 +8,11 @@
 //! same data stack as [`CausalNode`](crate::node::CausalNode), hosting the
 //! [`membership`](causal_membership) crate's view-change machine:
 //!
-//! - members heartbeat, and the machine suspects silent members; the
-//!   lowest-ranked unsuspected member proposes the shrunken view (the
-//!   coordinator, or a takeover when the coordinator is silent);
+//! - members heartbeat on the stack's ack tick (every P/4, to each member
+//!   owed no ack that period), and at its check (every P/2) the machine
+//!   suspects silent members; the lowest-ranked unsuspected member
+//!   proposes the shrunken view (the coordinator, or a takeover when the
+//!   coordinator is silent);
 //! - on a proposal every survivor **flushes**: the stack re-broadcasts the
 //!   messages it has delivered from the removed members over the
 //!   reliability layer, which resends each copy until it is acknowledged

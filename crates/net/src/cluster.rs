@@ -69,7 +69,6 @@ where
                     listener,
                     &addrs,
                     seed.wrapping_add(i as u64),
-                    config.clone(),
                 )
             })
             .collect::<io::Result<_>>()?;

@@ -1,12 +1,11 @@
-//! Transport tuning knobs.
+//! Transport configuration.
 
-use std::time::Duration;
-
-/// Configuration for a TCP node: reactor sizing, reconnect policy, and
-/// batching limits.
+/// Configuration for a TCP node: the size of its reactor.
 ///
-/// The defaults suit localhost clusters and tests; a LAN deployment would
-/// raise the backoff ceiling and the retry budget.
+/// Everything else is fixed beside the code that reads it, at values
+/// that suit localhost clusters and tests: the reconnect backoff and
+/// retry budget in `conn.rs`, the batching, buffer and handshake limits
+/// in `reactor.rs`, and the driver's poll interval in `node.rs`.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
     /// Poller shards in the reactor: every socket of every node sharing
@@ -14,54 +13,10 @@ pub struct TcpConfig {
     /// (`epoll` + `eventfd` each). Thread count is O(shards), however
     /// many peers connect.
     pub poller_shards: usize,
-    /// Delay before the first reconnect attempt; doubles per failure.
-    pub backoff_initial: Duration,
-    /// Ceiling on the exponential backoff delay.
-    pub backoff_max: Duration,
-    /// Connection attempts per reconnect episode. When exhausted,
-    /// everything queued on the link is dropped (counted in
-    /// [`LinkSnapshot::send_drops`](crate::stats::LinkSnapshot::send_drops));
-    /// the next outbound frame starts a fresh episode.
-    pub max_connect_retries: u32,
-    /// Granularity at which the actor driver re-checks its stop flag
-    /// while waiting for inbound messages, and the reactor's idle
-    /// `epoll_wait` ceiling.
-    pub poll_interval: Duration,
-    /// How long an accepted connection may sit silent before its
-    /// identifying `Hello` frame must have arrived.
-    pub hello_timeout: Duration,
-    /// Ceiling on the bytes of one vectored write batch: the shard
-    /// gathers queued frames into at most this many bytes of `writev`
-    /// iovecs per syscall. Batching only coalesces what is already
-    /// queued, so it never adds latency; the cap keeps one connection
-    /// from monopolizing its shard.
-    pub max_batch_bytes: usize,
-    /// Ceiling on bytes queued toward one peer (encoded frame bodies).
-    /// Beyond it, new sends are dropped and counted — the reliability
-    /// layer retransmits, so overflow costs latency, not correctness.
-    /// The default is effectively unbounded, preserving the semantics
-    /// of the thread-per-pair transport's unbounded channels.
-    pub max_queued_bytes: usize,
-    /// Size of each pooled receive buffer, and the minimum space offered
-    /// to every socket read.
-    pub recv_buffer_bytes: usize,
-    /// Free receive buffers each poller shard keeps for reuse.
-    pub recv_pool_buffers: usize,
 }
 
 impl Default for TcpConfig {
     fn default() -> Self {
-        TcpConfig {
-            poller_shards: 2,
-            backoff_initial: Duration::from_millis(10),
-            backoff_max: Duration::from_millis(500),
-            max_connect_retries: 12,
-            poll_interval: Duration::from_millis(20),
-            hello_timeout: Duration::from_secs(2),
-            max_batch_bytes: 256 * 1024,
-            max_queued_bytes: usize::MAX,
-            recv_buffer_bytes: 64 * 1024,
-            recv_pool_buffers: 64,
-        }
+        TcpConfig { poller_shards: 2 }
     }
 }

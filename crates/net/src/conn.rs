@@ -17,7 +17,6 @@
 //! messages.
 
 use crate::buffer::Frame;
-use crate::config::TcpConfig;
 use crate::frame::hello_body;
 use crate::reactor::{Reactor, NO_CONN};
 use crate::stats::NetStats;
@@ -33,6 +32,20 @@ use std::time::Duration;
 /// How long [`ConnectionManager::shutdown`] waits for every reactor
 /// shard to acknowledge closing this node's sockets.
 const SHUTDOWN_ACK_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Delay before the first reconnect attempt of an episode; doubles per
+/// failure, up to [`BACKOFF_MAX`].
+const BACKOFF_INITIAL: Duration = Duration::from_millis(10);
+
+/// Ceiling on the exponential backoff delay.
+const BACKOFF_MAX: Duration = Duration::from_millis(500);
+
+/// Connection attempts per reconnect episode: eleven waits, about 3.1 s
+/// in all. When they run out, everything queued on the link is dropped
+/// (counted in
+/// [`LinkSnapshot::send_drops`](crate::stats::LinkSnapshot::send_drops));
+/// the next outbound frame starts a fresh episode.
+const MAX_CONNECT_RETRIES: u32 = 12;
 
 /// Receives inbound frames as borrowed views of the pooled receive
 /// buffers — the zero-copy hand-off point between the reactor's read
@@ -133,14 +146,6 @@ impl LinkMode {
     }
 }
 
-/// Reconnect policy copied out of [`TcpConfig`] at link creation.
-#[derive(Debug, Clone, Copy)]
-struct ReconnectPolicy {
-    initial: Duration,
-    max: Duration,
-    retries: u32,
-}
-
 /// Backoff progress of the current connect episode (shard-only).
 struct Episode {
     attempts: u32,
@@ -173,19 +178,16 @@ pub(crate) struct LinkState {
     pub(crate) conn_token: AtomicUsize,
     queue: Mutex<VecDeque<OutFrame>>,
     queued_bytes: AtomicUsize,
-    max_queued_bytes: usize,
     mode: AtomicU8,
     dirty: AtomicBool,
     /// Clone of the currently live outbound stream, for fault injection
     /// ([`ConnectionManager::force_disconnect`]) and shutdown.
     live: Mutex<Option<TcpStream>>,
     ever_connected: AtomicBool,
-    policy: ReconnectPolicy,
     episode: Mutex<Episode>,
 }
 
 impl LinkState {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         node_id: u64,
         me: ProcessId,
@@ -194,7 +196,6 @@ impl LinkState {
         shard: usize,
         shutdown: Arc<AtomicBool>,
         stats: Arc<NetStats>,
-        config: &TcpConfig,
     ) -> Self {
         LinkState {
             node_id,
@@ -207,39 +208,25 @@ impl LinkState {
             conn_token: AtomicUsize::new(NO_CONN),
             queue: Mutex::new(VecDeque::new()),
             queued_bytes: AtomicUsize::new(0),
-            max_queued_bytes: config.max_queued_bytes,
             mode: AtomicU8::new(LinkMode::Idle.as_u8()),
             dirty: AtomicBool::new(false),
             live: Mutex::new(None),
             ever_connected: AtomicBool::new(false),
-            policy: ReconnectPolicy {
-                initial: config.backoff_initial.max(Duration::from_millis(1)),
-                max: config.backoff_max.max(config.backoff_initial),
-                retries: config.max_connect_retries.max(1),
-            },
             episode: Mutex::new(Episode {
                 attempts: 0,
-                next_delay: config.backoff_initial,
+                next_delay: BACKOFF_INITIAL,
             }),
         }
     }
 
     // -- sender side --------------------------------------------------------
 
-    /// Queues one frame unless the link's byte cap is exceeded.
-    fn enqueue(&self, frame: OutFrame) -> bool {
-        let bytes = frame.wire_len();
-        if self
-            .queued_bytes
-            .load(Ordering::Relaxed)
-            .saturating_add(bytes)
-            > self.max_queued_bytes
-        {
-            return false;
-        }
-        self.queued_bytes.fetch_add(bytes, Ordering::Relaxed);
+    /// Queues one frame. The queue has no byte cap; what empties it
+    /// while the peer is unreachable is an exhausted reconnect episode.
+    fn enqueue(&self, frame: OutFrame) {
+        self.queued_bytes
+            .fetch_add(frame.wire_len(), Ordering::Relaxed);
         self.queue.lock().unwrap().push_back(frame);
-        true
     }
 
     /// `Idle → Connecting`; true when this sender starts the episode.
@@ -340,7 +327,7 @@ impl LinkState {
     pub(crate) fn episode_reset(&self) {
         let mut ep = self.episode.lock().unwrap();
         ep.attempts = 0;
-        ep.next_delay = self.policy.initial;
+        ep.next_delay = BACKOFF_INITIAL;
     }
 
     /// Books one failed attempt. Returns the delay before the next one,
@@ -348,23 +335,22 @@ impl LinkState {
     pub(crate) fn episode_next_delay(&self) -> Option<Duration> {
         let mut ep = self.episode.lock().unwrap();
         ep.attempts += 1;
-        if ep.attempts >= self.policy.retries {
+        if ep.attempts >= MAX_CONNECT_RETRIES {
             return None;
         }
         let delay = ep.next_delay;
-        ep.next_delay = (delay * 2).min(self.policy.max);
+        ep.next_delay = (delay * 2).min(BACKOFF_MAX);
         Some(delay)
     }
 }
 
 /// The per-node slice of transport shared by every link and inbound
-/// connection of one node: identity, config, counters, shutdown flag,
-/// and the frame sink.
+/// connection of one node: identity, counters, shutdown flag, and the
+/// frame sink.
 pub(crate) struct NodeCore {
     /// Reactor-unique id scoping this node's sockets for teardown.
     pub(crate) id: u64,
     pub(crate) me: ProcessId,
-    pub(crate) config: TcpConfig,
     pub(crate) stats: Arc<NetStats>,
     pub(crate) sink: Arc<dyn InboundSink>,
     pub(crate) shutdown: Arc<AtomicBool>,
@@ -407,7 +393,6 @@ impl ConnectionManager {
         me: ProcessId,
         listener: TcpListener,
         peer_addrs: &[SocketAddr],
-        config: TcpConfig,
         stats: Arc<NetStats>,
         sink: Arc<dyn InboundSink>,
         reactor: Arc<Reactor>,
@@ -415,7 +400,6 @@ impl ConnectionManager {
         let core = Arc::new(NodeCore {
             id: reactor.next_node_id(),
             me,
-            config,
             stats,
             sink,
             shutdown: Arc::new(AtomicBool::new(false)),
@@ -448,7 +432,6 @@ impl ConnectionManager {
                 self.reactor.assign_shard(),
                 Arc::clone(&self.core.shutdown),
                 Arc::clone(&self.core.stats),
-                &self.core.config,
             ))
         }))
     }
@@ -470,12 +453,7 @@ impl ConnectionManager {
             }
             return;
         };
-        if !link.enqueue(frame) {
-            if let Some(l) = self.core.stats.link(to) {
-                l.record_send_drop();
-            }
-            return;
-        }
+        link.enqueue(frame);
         if link.try_begin_connect() {
             link.mark_dirty();
             self.reactor.request_connect(Arc::clone(link));

@@ -28,7 +28,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// How often the driver re-checks its stop flag while it waits for
+/// inbound messages.
+const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// [`Transport`] impl: encode, then hand to the connection manager.
 ///
@@ -163,7 +167,7 @@ where
     A::Msg: WireEncode + Send + 'static,
 {
     let reactor = Reactor::start(&config)?;
-    spawn_node_on(&reactor, actor, me, listener, peer_addrs, seed, config)
+    spawn_node_on(&reactor, actor, me, listener, peer_addrs, seed)
 }
 
 /// Like [`spawn_node`], but rides an existing [`Reactor`] — the way to
@@ -180,7 +184,6 @@ pub fn spawn_node_on<A>(
     listener: TcpListener,
     peer_addrs: &[SocketAddr],
     seed: u64,
-    config: TcpConfig,
 ) -> io::Result<NodeHandle<A>>
 where
     A: Actor + Send + 'static,
@@ -197,7 +200,6 @@ where
         me,
         listener,
         peer_addrs,
-        config.clone(),
         Arc::clone(&stats),
         sink,
         Arc::clone(reactor),
@@ -209,7 +211,7 @@ where
         .spawn({
             let manager = Arc::clone(&manager);
             let stop = Arc::clone(&stop);
-            move || drive(actor, me, n, seed, manager, stop, inbox_rx, config)
+            move || drive(actor, me, n, seed, manager, stop, inbox_rx)
         })?;
 
     Ok(NodeHandle {
@@ -226,7 +228,6 @@ where
 /// before re-checking timers; bounds timer latency under flood.
 const INBOX_DRAIN_BATCH: usize = 128;
 
-#[allow(clippy::too_many_arguments)]
 fn drive<A>(
     actor: A,
     me: ProcessId,
@@ -235,7 +236,6 @@ fn drive<A>(
     manager: Arc<ConnectionManager>,
     stop: Arc<AtomicBool>,
     inbox_rx: Receiver<(ProcessId, A::Msg)>,
-    config: TcpConfig,
 ) -> A
 where
     A: Actor,
@@ -252,8 +252,8 @@ where
         let now = Instant::now();
         let wait_until = runner
             .next_timer_deadline()
-            .map(|at| at.min(now + config.poll_interval))
-            .unwrap_or(now + config.poll_interval);
+            .map(|at| at.min(now + POLL_INTERVAL))
+            .unwrap_or(now + POLL_INTERVAL);
         let timeout = wait_until.saturating_duration_since(now);
         match inbox_rx.recv_timeout(timeout) {
             Ok((from, msg)) => {
@@ -286,7 +286,6 @@ where
 mod tests {
     use super::*;
     use causal_simnet::Context;
-    use std::time::Duration;
 
     /// Frames node 0 floods at node 1 from `on_start`, faster than one
     /// write can carry them, so the writer must coalesce.

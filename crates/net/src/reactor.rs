@@ -49,6 +49,23 @@ pub(crate) const NO_CONN: usize = usize::MAX;
 const EVENT_BATCH: usize = 256;
 /// Scratch size for draining unexpected inbound bytes on outbound links.
 const DISCARD_BUF: usize = 4096;
+/// The idle `epoll_wait` ceiling: with no timer due, a shard still wakes
+/// this often.
+const IDLE_WAIT: Duration = Duration::from_millis(200);
+/// How long an accepted connection may sit silent before its identifying
+/// `Hello` frame must have arrived.
+const HELLO_TIMEOUT: Duration = Duration::from_secs(2);
+/// Ceiling on the bytes of one vectored write batch: the shard gathers
+/// queued frames into at most this many bytes of `writev` iovecs per
+/// syscall. Batching only coalesces what is already queued, so it never
+/// adds latency; the cap keeps one connection from monopolizing its
+/// shard.
+const MAX_BATCH_BYTES: usize = 256 * 1024;
+/// Size of each pooled receive buffer, and the minimum space offered to
+/// every socket read.
+const RECV_BUFFER_BYTES: usize = 64 * 1024;
+/// Free receive buffers each shard keeps for reuse.
+const RECV_POOL_BUFFERS: usize = 64;
 
 // ---------------------------------------------------------------------------
 // Public reactor handle
@@ -142,7 +159,7 @@ impl Reactor {
         });
         let mut threads = Vec::with_capacity(n);
         for idx in 0..n {
-            let shard = Shard::new(idx, Arc::clone(&shared), config)?;
+            let shard = Shard::new(idx, Arc::clone(&shared))?;
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("causal-net-shard-{idx}"))
@@ -355,13 +372,10 @@ struct Shard {
     timers: BinaryHeap<TimerEntry>,
     timer_seq: u64,
     pool: BufferPool,
-    poll_interval: Duration,
-    max_batch_bytes: usize,
-    recv_chunk: usize,
 }
 
 impl Shard {
-    fn new(idx: usize, shared: Arc<Shared>, config: &TcpConfig) -> io::Result<Self> {
+    fn new(idx: usize, shared: Arc<Shared>) -> io::Result<Self> {
         let epoll = sys::Epoll::new()?;
         epoll.add(shared.shards[idx].waker.raw(), sys::EV_READ, WAKER_TOKEN)?;
         Ok(Shard {
@@ -373,10 +387,7 @@ impl Shard {
             next_gen: 0,
             timers: BinaryHeap::new(),
             timer_seq: 0,
-            pool: BufferPool::new(config.recv_buffer_bytes, config.recv_pool_buffers),
-            poll_interval: config.poll_interval,
-            max_batch_bytes: config.max_batch_bytes.max(1),
-            recv_chunk: config.recv_buffer_bytes.max(4096),
+            pool: BufferPool::new(RECV_BUFFER_BYTES, RECV_POOL_BUFFERS),
         })
     }
 
@@ -408,10 +419,12 @@ impl Shard {
 
     /// Sleep no longer than the next timer or the idle poll ceiling.
     fn next_timeout(&self) -> Duration {
-        let cap = self.poll_interval.max(Duration::from_millis(1)) * 10;
         match self.timers.peek() {
-            Some(t) => t.at.saturating_duration_since(Instant::now()).min(cap),
-            None => cap,
+            Some(t) => {
+                t.at.saturating_duration_since(Instant::now())
+                    .min(IDLE_WAIT)
+            }
+            None => IDLE_WAIT,
         }
     }
 
@@ -745,7 +758,6 @@ impl Shard {
             }
             let _ = stream.set_nodelay(true);
             self.shared.stats.record_accept();
-            let hello_timeout = node.config.hello_timeout;
             let fd = stream.as_raw_fd();
             let t = self.insert_slot(SlotKind::Inbound {
                 stream,
@@ -759,7 +771,7 @@ impl Shard {
             }
             let gen = self.slots[t].as_ref().map(|s| s.gen).unwrap_or(0);
             self.arm_timer(
-                Instant::now() + hello_timeout,
+                Instant::now() + HELLO_TIMEOUT,
                 TimerKind::HelloDeadline { token: t, gen },
             );
         }
@@ -784,14 +796,7 @@ impl Shard {
                 Some(rb) => rb,
                 None => self.pool.acquire(),
             };
-            close = !pump_inbound(
-                stream,
-                node,
-                from,
-                &mut rb,
-                self.recv_chunk,
-                &self.shared.stats,
-            );
+            close = !pump_inbound(stream, node, from, &mut rb, &self.shared.stats);
             if !close && !rb.is_drained() {
                 *recv = Some(rb);
             } else {
@@ -911,7 +916,7 @@ impl Shard {
                     break;
                 }
                 self.shared.stats.record_writev_syscall();
-                let segs = IovSegments::new(inflight, *inflight_off, self.max_batch_bytes);
+                let segs = IovSegments::new(inflight, *inflight_off);
                 match sys::writev_fd(stream.as_raw_fd(), segs) {
                     Ok((written, submitted)) => {
                         let completed = advance_inflight(inflight, inflight_off, written);
@@ -961,8 +966,8 @@ impl Shard {
 
 /// Streams one `writev` batch out of the in-flight queue as raw wire
 /// segments — header then body per frame, starting `offset` bytes into
-/// the front frame, stopping once `max_bytes` wire bytes have been
-/// yielded. No intermediate collection: [`sys::writev_fd`] consumes the
+/// the front frame, stopping once [`MAX_BATCH_BYTES`] wire bytes have
+/// been yielded. No intermediate collection: [`sys::writev_fd`] consumes the
 /// iterator straight into its stack iovec array (which also enforces the
 /// [`sys::MAX_IOVECS`] cap; a frame split across batches resumes via the
 /// caller's running offset).
@@ -971,17 +976,15 @@ struct IovSegments<'a> {
     pending_body: Option<&'a [u8]>,
     skip: usize,
     bytes: usize,
-    max_bytes: usize,
 }
 
 impl<'a> IovSegments<'a> {
-    fn new(inflight: &'a VecDeque<OutFrame>, offset: usize, max_bytes: usize) -> Self {
+    fn new(inflight: &'a VecDeque<OutFrame>, offset: usize) -> Self {
         IovSegments {
             frames: inflight.iter(),
             pending_body: None,
             skip: offset,
             bytes: 0,
-            max_bytes,
         }
     }
 }
@@ -1001,7 +1004,7 @@ impl<'a> Iterator for IovSegments<'a> {
                 self.skip -= body.len();
                 continue;
             }
-            if self.bytes >= self.max_bytes {
+            if self.bytes >= MAX_BATCH_BYTES {
                 return None;
             }
             let frame = self.frames.next()?;
@@ -1053,11 +1056,10 @@ fn pump_inbound(
     node: &Arc<NodeCore>,
     from: &mut Option<causal_clocks::ProcessId>,
     rb: &mut RecvBuf,
-    chunk: usize,
     reactor_stats: &ReactorStats,
 ) -> bool {
     loop {
-        let space = rb.read_space(chunk);
+        let space = rb.read_space(RECV_BUFFER_BYTES);
         let n = match sys::read_fd(stream.as_raw_fd(), space) {
             Ok(0) => return false,
             Ok(n) => n,

@@ -283,10 +283,10 @@ pub struct MergeWire<O> {
 #[derive(Debug)]
 pub struct MergeOrderNode<S, O> {
     me: ProcessId,
-    n: usize,
     state: S,
     merge: DeterministicMerge<O>,
     next_round: u64,
+    /// Send time of each received operation whose round has not applied.
     sent_times: std::collections::HashMap<(u64, ProcessId), SimTime>,
     applied: Vec<(u64, ProcessId)>,
     stats: NodeStats,
@@ -297,7 +297,6 @@ impl<S, O: Operation<S>> MergeOrderNode<S, O> {
     pub fn new(me: ProcessId, n: usize, initial: S) -> Self {
         MergeOrderNode {
             me,
-            n,
             state: initial,
             merge: DeterministicMerge::new(n),
             next_round: 0,
@@ -349,13 +348,12 @@ impl<S, O: Operation<S>> Actor for MergeOrderNode<S, O> {
         for ready in self.merge.on_receive(msg.msg) {
             ready.payload.apply(&mut self.state);
             self.applied.push((ready.round, ready.from));
-            if let Some(&sent_at) = self.sent_times.get(&(ready.round, ready.from)) {
+            if let Some(sent_at) = self.sent_times.remove(&(ready.round, ready.from)) {
                 self.stats
                     .delivery_latency
                     .record(ctx.now().saturating_since(sent_at));
             }
         }
-        let _ = self.n;
     }
 }
 
@@ -465,6 +463,25 @@ mod tests {
         for i in 1..4 {
             assert_eq!(sim.node(p(i)).applied(), &reference[..], "member {i}");
             assert_eq!(sim.node(p(i)).state(), sim.node(p(0)).state());
+        }
+    }
+
+    #[test]
+    fn merge_order_forgets_send_times_once_applied() {
+        let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(100, 9000));
+        let nodes: Vec<MergeOrderNode<i64, CounterOp>> =
+            (0..4).map(|i| MergeOrderNode::new(p(i), 4, 0)).collect();
+        let mut sim = Simulation::new(nodes, cfg, 13);
+        for _round in 0..3 {
+            for i in 0..4u32 {
+                sim.poke(p(i), |node, ctx| node.submit(ctx, CounterOp::Inc(1)));
+            }
+        }
+        sim.run_to_quiescence();
+        for i in 0..4 {
+            let node = sim.node(p(i));
+            assert_eq!(node.applied().len(), 12, "member {i}");
+            assert!(node.sent_times.is_empty(), "member {i} kept send times");
         }
     }
 

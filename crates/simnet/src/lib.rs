@@ -70,4 +70,3 @@ pub use runner::{ActorRunner, RunnerStats, Transport};
 pub use sim::{NetConfig, Simulation};
 pub use time::{SimDuration, SimTime};
 pub use trace::{NetEvent, NetTrace};
-pub use wheel::QueueConfig;

@@ -382,7 +382,7 @@ impl<A: Actor> Simulation<A> {
             1
         };
         for _ in 0..copies {
-            let latency: SimDuration = self.config.latency_for(from, to).sample(&mut self.rng);
+            let latency: SimDuration = self.config.latency_model().sample(&mut self.rng);
             self.schedule(
                 self.now + latency,
                 EventKind::Deliver {

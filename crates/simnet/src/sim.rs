@@ -10,10 +10,9 @@ use crate::actor::{Actor, Command, Context};
 use crate::arena::MsgArena;
 use crate::event::{EventKind, Scheduled};
 use crate::fault::PartitionSchedule;
-use crate::wheel::CalendarQueue;
+use crate::wheel::{CalendarQueue, QueueConfig};
 use crate::{
-    FaultPlan, LatencyModel, Metrics, NetEvent, NetTrace, Partition, QueueConfig, SimDuration,
-    SimTime,
+    FaultPlan, LatencyModel, Metrics, NetEvent, NetTrace, Partition, SimDuration, SimTime,
 };
 use causal_clocks::ProcessId;
 use rand::rngs::StdRng;
@@ -36,7 +35,6 @@ pub struct NetConfig {
     latency: LatencyModel,
     faults: FaultPlan,
     partitions: Vec<Partition>,
-    link_overrides: Vec<(ProcessId, ProcessId, LatencyModel)>,
 }
 
 impl NetConfig {
@@ -65,24 +63,7 @@ impl NetConfig {
         self
     }
 
-    /// Overrides the latency model of one directed link (e.g. a slow or
-    /// remote member). Later overrides for the same pair win.
-    pub fn link_latency(mut self, from: ProcessId, to: ProcessId, model: LatencyModel) -> Self {
-        self.link_overrides.push((from, to, model));
-        self
-    }
-
-    /// The latency model in effect for a directed link.
-    pub fn latency_for(&self, from: ProcessId, to: ProcessId) -> &LatencyModel {
-        self.link_overrides
-            .iter()
-            .rev()
-            .find(|(f, t, _)| *f == from && *t == to)
-            .map(|(_, _, m)| m)
-            .unwrap_or(&self.latency)
-    }
-
-    /// The default latency model in effect.
+    /// The latency model in effect on every link.
     pub fn latency_model(&self) -> &LatencyModel {
         &self.latency
     }
@@ -142,8 +123,7 @@ pub struct Simulation<A: Actor> {
 
 impl<A: Actor> Simulation<A> {
     /// Creates a simulation over `nodes` (node `i` gets identity `p_i`) and
-    /// runs every actor's [`Actor::on_start`] at time zero. Uses the
-    /// default event-queue geometry ([`QueueConfig::default`]).
+    /// runs every actor's [`Actor::on_start`] at time zero.
     ///
     /// # Panics
     ///
@@ -152,14 +132,10 @@ impl<A: Actor> Simulation<A> {
         Simulation::with_queue_config(nodes, config, seed, QueueConfig::default())
     }
 
-    /// [`new`](Self::new) with explicit event-queue geometry, for workloads
-    /// whose latency profile doesn't fit the default bucket span. Queue
-    /// geometry never affects results — only speed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is empty or `queue` is invalid.
-    pub fn with_queue_config(
+    /// [`new`](Self::new) with explicit event-queue geometry, which never
+    /// affects results (the tests below hold every geometry to the
+    /// reference core).
+    pub(crate) fn with_queue_config(
         nodes: Vec<A>,
         config: NetConfig,
         seed: u64,
@@ -514,7 +490,7 @@ impl<A: Actor> Simulation<A> {
         };
         let mut msg = Some(msg);
         for i in 0..copies {
-            let latency: SimDuration = self.config.latency_for(from, to).sample(&mut self.rng);
+            let latency: SimDuration = self.config.latency_model().sample(&mut self.rng);
             let payload = if i + 1 == copies {
                 msg.take().expect("one payload per copy")
             } else {
@@ -528,6 +504,7 @@ impl<A: Actor> Simulation<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Counts deliveries; on start, node 0 broadcasts `rounds` batches.
     struct Counter {
@@ -588,31 +565,6 @@ mod tests {
             })
             .collect();
         assert_eq!(latencies, vec![777]);
-    }
-
-    #[test]
-    fn link_override_changes_one_direction_only() {
-        let cfg = NetConfig::with_latency(LatencyModel::constant_micros(100)).link_latency(
-            ProcessId::new(0),
-            ProcessId::new(1),
-            LatencyModel::constant_micros(9000),
-        );
-        // p0 broadcasts to p1 and p2: p1's copy rides the slow link.
-        let mut sim = Simulation::new(counters(3, 1), cfg, 1);
-        sim.enable_trace();
-        sim.run_to_quiescence();
-        let deliveries: Vec<(ProcessId, u64)> = sim
-            .trace()
-            .unwrap()
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                NetEvent::Delivered { to, at, .. } => Some((*to, at.as_micros())),
-                _ => None,
-            })
-            .collect();
-        assert!(deliveries.contains(&(ProcessId::new(1), 9000)));
-        assert!(deliveries.contains(&(ProcessId::new(2), 100)));
     }
 
     #[test]
@@ -858,5 +810,86 @@ mod tests {
     #[should_panic(expected = "at least one node")]
     fn empty_simulation_rejected() {
         let _ = Simulation::<Counter>::new(vec![], NetConfig::new(), 0);
+    }
+
+    /// Every node broadcasts `rounds` batches on a timer and counts
+    /// receptions: deliveries and timers interleaved across many days.
+    struct Chatty {
+        rounds: u32,
+        sent_rounds: u32,
+        received: u64,
+    }
+
+    impl Actor for Chatty {
+        type Msg = u32;
+        fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+            ctx.set_timer(SimDuration::from_micros(500), 0);
+        }
+        fn on_message(&mut self, _ctx: &mut Context<'_, u32>, _from: ProcessId, _msg: u32) {
+            self.received += 1;
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, u32>, _tag: u64) {
+            ctx.broadcast(self.sent_rounds);
+            self.sent_rounds += 1;
+            if self.sent_rounds < self.rounds {
+                ctx.set_timer(SimDuration::from_micros(500), 0);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The bucketed core equals the heap-based reference core bit for
+        /// bit across random fault configurations, partitions, and random
+        /// queue geometries: bucket span and ring size must never be
+        /// observable, even at degenerate settings (1 µs days, 2 buckets)
+        /// where almost everything rides the overflow heap.
+        #[test]
+        fn bucketed_core_equals_reference_core(
+            latency in prop_oneof![
+                Just(LatencyModel::constant_micros(300)),
+                Just(LatencyModel::uniform_micros(50, 4000)),
+                Just(LatencyModel::exponential_micros(100, 700)),
+            ],
+            drop in 0.0f64..0.5,
+            dup in 0.0f64..0.3,
+            seed in any::<u64>(),
+            n in 2usize..5,
+            rounds in 1u32..5,
+            with_partition in any::<bool>(),
+            shift in 0u32..12,
+            bucket_pow in 1u32..10,
+        ) {
+            let mut cfg = NetConfig::with_latency(latency)
+                .faults(FaultPlan::new().with_drop_prob(drop).with_dup_prob(dup));
+            if with_partition && n >= 3 {
+                cfg = cfg.partition(Partition::new(
+                    [ProcessId::new(0)],
+                    [ProcessId::new(1)],
+                    SimTime::from_micros(700),
+                    SimTime::from_micros(1_900),
+                ));
+            }
+            let mk_nodes = || -> Vec<Chatty> {
+                (0..n)
+                    .map(|_| Chatty { rounds, sent_rounds: 0, received: 0 })
+                    .collect()
+            };
+            let queue = QueueConfig { bucket_micros_log2: shift, buckets: 1 << bucket_pow };
+            let mut fast = Simulation::with_queue_config(mk_nodes(), cfg.clone(), seed, queue);
+            let mut oracle = crate::reference::Simulation::new(mk_nodes(), cfg, seed);
+            fast.enable_trace();
+            oracle.enable_trace();
+            fast.run_to_quiescence();
+            oracle.run_to_quiescence();
+            prop_assert_eq!(fast.trace(), oracle.trace());
+            prop_assert_eq!(fast.metrics(), oracle.metrics());
+            prop_assert_eq!(fast.now(), oracle.now());
+            prop_assert_eq!(fast.events_processed(), oracle.events_processed());
+            let fast_received: Vec<u64> = fast.nodes().iter().map(|c| c.received).collect();
+            let oracle_received: Vec<u64> = oracle.nodes().iter().map(|c| c.received).collect();
+            prop_assert_eq!(fast_received, oracle_received);
+        }
     }
 }

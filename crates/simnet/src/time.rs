@@ -88,6 +88,7 @@ impl Sub<SimTime> for SimTime {
 /// let d = SimDuration::from_millis(1) + SimDuration::from_micros(500);
 /// assert_eq!(d.as_micros(), 1_500);
 /// assert_eq!(d * 2, SimDuration::from_micros(3_000));
+/// assert_eq!(d / 4, SimDuration::from_micros(375));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimDuration(u64);
@@ -144,6 +145,13 @@ impl std::ops::Mul<u64> for SimDuration {
     type Output = SimDuration;
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 * rhs)
+    }
+}
+
+impl std::ops::Div<u64> for SimDuration {
+    type Output = SimDuration;
+    fn div(self, rhs: u64) -> SimDuration {
+        SimDuration(self.0 / rhs)
     }
 }
 

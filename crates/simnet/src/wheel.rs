@@ -37,21 +37,14 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Geometry of the `CalendarQueue`: bucket granularity and ring size.
-///
-/// # Examples
-///
-/// ```
-/// use causal_simnet::QueueConfig;
-///
-/// let cfg = QueueConfig::default();
-/// assert!(cfg.buckets.is_power_of_two());
-/// ```
+/// Geometry never affects results, only speed; the simulator always
+/// runs the default, and tests sweep others.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueConfig {
+pub(crate) struct QueueConfig {
     /// log2 of the simulated microseconds each bucket spans.
-    pub bucket_micros_log2: u32,
+    pub(crate) bucket_micros_log2: u32,
     /// Number of buckets in the ring (must be a power of two ≥ 2).
-    pub buckets: usize,
+    pub(crate) buckets: usize,
 }
 
 impl Default for QueueConfig {

@@ -1,11 +1,10 @@
 //! Property tests for the simulator's determinism and fault-injection
-//! accounting, including cross-core equivalence against the preserved
-//! heap-based [`reference`] engine.
+//! accounting. The cross-core equivalence sweep over queue geometries
+//! lives beside the crate-private geometry, in `sim.rs`'s tests.
 
 use causal_clocks::ProcessId;
 use causal_simnet::{
-    reference, Actor, Context, FaultPlan, LatencyModel, NetConfig, NetTrace, Partition,
-    QueueConfig, SimDuration, SimTime, Simulation,
+    Actor, Context, FaultPlan, LatencyModel, NetConfig, NetTrace, SimDuration, Simulation,
 };
 use proptest::prelude::*;
 
@@ -108,49 +107,5 @@ proptest! {
         for r in received {
             prop_assert_eq!(r, ((n - 1) as u64) * rounds as u64);
         }
-    }
-
-    /// The bucketed core equals the heap-based reference core bit for bit
-    /// across random fault configurations, partitions, and — crucially —
-    /// random queue geometries: bucket span and ring size must never be
-    /// observable, even at degenerate settings (1 µs days, 2 buckets)
-    /// where almost everything rides the overflow heap.
-    #[test]
-    fn bucketed_core_equals_reference_core(
-        (cfg, seed) in arb_config(),
-        n in 2usize..5,
-        rounds in 1u32..5,
-        with_partition in any::<bool>(),
-        shift in 0u32..12,
-        bucket_pow in 1u32..10,
-    ) {
-        let mut cfg = cfg;
-        if with_partition && n >= 3 {
-            cfg = cfg.partition(Partition::new(
-                [ProcessId::new(0)],
-                [ProcessId::new(1)],
-                SimTime::from_micros(700),
-                SimTime::from_micros(1_900),
-            ));
-        }
-        let mk_nodes = || -> Vec<Chatty> {
-            (0..n)
-                .map(|_| Chatty { rounds, sent_rounds: 0, received: 0 })
-                .collect()
-        };
-        let queue = QueueConfig { bucket_micros_log2: shift, buckets: 1 << bucket_pow };
-        let mut fast = Simulation::with_queue_config(mk_nodes(), cfg.clone(), seed, queue);
-        let mut oracle = reference::Simulation::new(mk_nodes(), cfg, seed);
-        fast.enable_trace();
-        oracle.enable_trace();
-        fast.run_to_quiescence();
-        oracle.run_to_quiescence();
-        prop_assert_eq!(fast.trace(), oracle.trace());
-        prop_assert_eq!(fast.metrics(), oracle.metrics());
-        prop_assert_eq!(fast.now(), oracle.now());
-        prop_assert_eq!(fast.events_processed(), oracle.events_processed());
-        let fast_received: Vec<u64> = fast.nodes().iter().map(|c| c.received).collect();
-        let oracle_received: Vec<u64> = oracle.nodes().iter().map(|c| c.received).collect();
-        prop_assert_eq!(fast_received, oracle_received);
     }
 }

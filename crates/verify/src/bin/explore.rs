@@ -19,7 +19,7 @@ use causal_core::delivery::reference::{FlatCbcastEngine, ScanGraphDelivery};
 use causal_core::delivery::{CbcastEngine, DeliveryEngine, GraphDelivery, PcEngine};
 use causal_core::stack::ProtocolStack;
 use causal_verify::apps::{sec61_script, CounterOp, SumApp};
-use causal_verify::explorer::{explore_stacks, Limits};
+use causal_verify::explorer::explore_stacks;
 use std::process::ExitCode;
 
 fn explore_engine<D>(name: &str) -> bool
@@ -30,7 +30,6 @@ where
         3,
         |me, n| ProtocolStack::<D, SumApp>::new(me, n, SumApp::new()),
         sec61_script(),
-        Limits::default(),
     );
     let s = result.stats;
     println!(

@@ -55,24 +55,12 @@ pub enum MsgClass {
 /// A directed link between two node indices: `(from, to)`.
 pub type LinkKey = (usize, usize);
 
-/// Exploration bounds. The defaults are far above what the in-tree
-/// configurations need; hitting one sets [`PorStats::truncated`].
-#[derive(Debug, Clone, Copy)]
-pub struct Limits {
-    /// Maximum complete schedules to check.
-    pub max_schedules: u64,
-    /// Maximum schedule length.
-    pub max_depth: usize,
-}
-
-impl Default for Limits {
-    fn default() -> Self {
-        Limits {
-            max_schedules: 1_000_000,
-            max_depth: 256,
-        }
-    }
-}
+/// Complete schedules checked before the search stops. This bound and
+/// [`MAX_DEPTH`] are far above what the in-tree configurations need;
+/// hitting either sets [`PorStats::truncated`].
+const MAX_SCHEDULES: u64 = 1_000_000;
+/// The longest schedule explored.
+const MAX_DEPTH: usize = 256;
 
 /// Partial-order-reduction statistics from one [`Explorer::run`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -369,7 +357,6 @@ pub struct Explorer<'a, N: Actor> {
     factory: Box<dyn Fn(usize, usize) -> N + 'a>,
     script: ScriptFn<'a, N>,
     classify: ClassifyFn<'a, N::Msg>,
-    limits: Limits,
     control_commutes: bool,
 }
 
@@ -388,7 +375,6 @@ impl<'a, N: Actor> Explorer<'a, N> {
             factory: Box::new(factory),
             script: Box::new(script),
             classify: Box::new(|_| MsgClass::Data),
-            limits: Limits::default(),
             control_commutes: false,
         }
     }
@@ -396,12 +382,6 @@ impl<'a, N: Actor> Explorer<'a, N> {
     /// Sets the message classifier (see [`MsgClass`]).
     pub fn with_classifier(mut self, classify: impl Fn(&N::Msg) -> MsgClass + 'a) -> Self {
         self.classify = Box::new(classify);
-        self
-    }
-
-    /// Sets exploration bounds.
-    pub fn with_limits(mut self, limits: Limits) -> Self {
-        self.limits = limits;
         self
     }
 
@@ -456,7 +436,7 @@ impl<'a, N: Actor> Explorer<'a, N> {
     }
 
     /// Explores every schedule (up to sleep-set equivalence and the
-    /// limits), running `terminal_check` at each quiescent state. On the
+    /// bounds), running `terminal_check` at each quiescent state. On the
     /// first failure the schedule is minimized against `safety_check` —
     /// a check valid on *partial* runs (no quiescence assumptions) — and
     /// returned as a counterexample.
@@ -497,7 +477,7 @@ impl<'a, N: Actor> Explorer<'a, N> {
         let enabled = world.enabled();
         if enabled.is_empty() {
             stats.schedules_complete += 1;
-            if stats.schedules_complete >= self.limits.max_schedules {
+            if stats.schedules_complete >= MAX_SCHEDULES {
                 stats.truncated = true;
             }
             if let Err(failure) = terminal_check(world.nodes()) {
@@ -512,7 +492,7 @@ impl<'a, N: Actor> Explorer<'a, N> {
             }
             return None;
         }
-        if schedule.len() >= self.limits.max_depth {
+        if schedule.len() >= MAX_DEPTH {
             stats.truncated = true;
             return None;
         }
@@ -655,7 +635,6 @@ pub fn explore_stacks<D, A>(
     n: usize,
     mk: impl Fn(ProcessId, usize) -> ProtocolStack<D, A>,
     steps: Vec<ScriptStep<D::Op>>,
-    limits: Limits,
 ) -> StackExploration
 where
     D: DeliveryEngine,
@@ -679,8 +658,8 @@ where
         // write-only (its receiver resends them), but none arises here:
         // the explorer's clock stays at zero, so no frame or copy is ever
         // parked long enough to name a hole. Rb acks never arise at all:
-        // a stack sends them only at its ack or heartbeat tick, and the
-        // explorer's timers never fire.
+        // a stack sends them only at its ack tick, and the explorer's
+        // timers never fire.
         StackWire::Link(frame) => match frame.body {
             causal_core::delivery::pcbcast::LinkBody::Ack { .. } => MsgClass::Control,
             _ => MsgClass::Data,
@@ -693,7 +672,6 @@ where
     // `with_commuting_control` for the soundness argument).
     let explorer = Explorer::new(n, factory, script)
         .with_classifier(classify)
-        .with_limits(limits)
         .with_commuting_control();
 
     let check = |nodes: &[ProtocolStack<D, A>], quiescent: bool| -> CheckResult {
@@ -856,7 +834,8 @@ mod tests {
         assert!(cx.schedule.iter().all(|k| k.1 == 2));
     }
 
-    /// Depth limiting marks the report truncated instead of hanging.
+    /// Depth limiting marks the report truncated instead of hanging: a
+    /// token that rings longer than the depth bound.
     #[test]
     fn limits_truncate() {
         let explorer = Explorer::new(
@@ -867,13 +846,10 @@ mod tests {
                 seen: Vec::new(),
             },
             |world: &mut World<'_, Ring>| {
-                world.poke(0, |_, ctx| ctx.send(ProcessId::new(1), 50u64));
+                let hops = MAX_DEPTH as u64 + 8;
+                world.poke(0, |_, ctx| ctx.send(ProcessId::new(1), hops));
             },
-        )
-        .with_limits(Limits {
-            max_schedules: 1_000_000,
-            max_depth: 5,
-        });
+        );
         let report = explorer.run(&|_| Ok(()), &|_| Ok(()));
         assert!(report.stats.truncated);
         assert_eq!(report.stats.schedules_complete, 0);

@@ -40,6 +40,6 @@ pub mod oracle;
 pub mod trace;
 
 pub use check::Violation;
-pub use explorer::{explore_stacks, Explorer, Limits, MsgClass, PorStats, ScriptStep};
+pub use explorer::{explore_stacks, Explorer, MsgClass, PorStats, ScriptStep};
 pub use oracle::{check_trace, OracleConfig, OracleReport, OracleViolation};
 pub use trace::Trace;

@@ -9,7 +9,7 @@ use causal_core::osend::{GraphEnvelope, OSender, OccursAfter};
 use causal_core::stack::ProtocolStack;
 use causal_verify::apps::{CounterOp, SumApp};
 use causal_verify::check::Violation;
-use causal_verify::explorer::{explore_stacks, Limits, ScriptStep};
+use causal_verify::explorer::{explore_stacks, ScriptStep};
 use causal_verify::OracleViolation;
 use std::collections::HashSet;
 
@@ -99,7 +99,6 @@ fn eager_engine_is_caught_and_minimized() {
         3,
         |me, n| ProtocolStack::<EagerGraphDelivery, SumApp>::new(me, n, SumApp::new()),
         scenario(),
-        Limits::default(),
     );
     let v = result
         .violation

@@ -10,7 +10,7 @@ use causal_core::delivery::reference::{FlatCbcastEngine, ScanGraphDelivery};
 use causal_core::delivery::{CbcastEngine, DeliveryEngine, GraphDelivery, PcEngine};
 use causal_core::stack::ProtocolStack;
 use causal_verify::apps::{sec61_script, CounterOp, SumApp};
-use causal_verify::explorer::{explore_stacks, Limits};
+use causal_verify::explorer::explore_stacks;
 
 /// `(schedules, sleep_pruned, distinct terminal outcomes,
 /// rederived-causality logs)` of one row.
@@ -19,7 +19,6 @@ fn counts<D: DeliveryEngine<Op = CounterOp>>() -> (u64, u64, usize, usize) {
         3,
         |me, n| ProtocolStack::<D, SumApp>::new(me, n, SumApp::new()),
         sec61_script(),
-        Limits::default(),
     );
     assert!(result.violation.is_none(), "{:?}", result.violation);
     assert!(!result.stats.truncated);

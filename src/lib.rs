@@ -6,13 +6,14 @@
 //!
 //! This façade crate re-exports the workspace members:
 //!
-//! - [`clocks`] — logical clocks (Lamport, vector, matrix) and identifiers.
+//! - [`clocks`] — logical clocks (vector, matrix) and identifiers.
 //! - [`simnet`] — deterministic discrete-event network simulator with
 //!   latency models and fault injection.
 //! - [`membership`] — process-group views, failure detection, and flush.
 //! - [`core`] — the paper's contribution: the `OSend`/`ASend` primitives,
 //!   message dependency graphs `R(M)`, causal delivery engines, stable
-//!   points, causal activities, and the replicated state-machine framework.
+//!   points, causal activities, and the protocol stack that hosts each
+//!   replica.
 //! - [`replica`] — data-access protocols built on the model: front-end
 //!   managers (§6.1), decentralized lock arbitration (§6.2), a name service
 //!   with application-level consistency checks (§5.2), a conferencing
@@ -43,9 +44,7 @@ pub use causal_simnet as simnet;
 /// assert_eq!(env.id.origin(), ProcessId::new(0));
 /// ```
 pub mod prelude {
-    pub use causal_clocks::{
-        CausalOrdering, GroupId, LamportClock, MatrixClock, MsgId, ProcessId, VectorClock,
-    };
+    pub use causal_clocks::{CausalOrdering, GroupId, MatrixClock, MsgId, ProcessId, VectorClock};
     pub use causal_core::delivery::{
         CbcastEngine, Delivered, DeliveryEngine, FifoDelivery, GraphDelivery, VtEnvelope,
     };
@@ -55,7 +54,7 @@ pub mod prelude {
     };
     pub use causal_core::osend::{GraphEnvelope, OSender, OccursAfter};
     pub use causal_core::stable::{CausalActivity, LogEntry, StablePoint, StablePointDetector};
-    pub use causal_core::statemachine::{OpClass, Operation, Replica};
+    pub use causal_core::statemachine::{OpClass, Operation};
     pub use causal_core::total::{DeterministicMerge, RoundMsg, SeqEnvelope, Sequencer};
     pub use causal_core::vsync::{VsyncConfig, VsyncNode};
     pub use causal_membership::{GroupView, ViewId, ViewManager};

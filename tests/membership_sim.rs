@@ -1,13 +1,15 @@
 //! The view-change machine over the simulator, with no data path: each
 //! member routes the machine's messages to their handlers, heartbeats and
-//! checks on the stack's default periods, and flushes at once (it has
-//! nothing to relay). A member crashes; the survivors install the smaller
-//! view virtually synchronously.
+//! checks on the stack's default periods (P/4 and P/2), and flushes at
+//! once (it has nothing to relay). A member crashes; the survivors
+//! install the smaller view virtually synchronously.
 
 use causal_broadcast::clocks::ProcessId;
-use causal_broadcast::core::stack::VsyncConfig;
+use causal_broadcast::core::stack::{VsyncConfig, ACK_TICKS_PER_RETRANSMIT, CHECKS_PER_RETRANSMIT};
 use causal_broadcast::membership::{GroupView, ManagerAction, MembershipMsg, ViewManager};
-use causal_broadcast::simnet::{Actor, Context, LatencyModel, NetConfig, SimTime, Simulation};
+use causal_broadcast::simnet::{
+    Actor, Context, LatencyModel, NetConfig, SimDuration, SimTime, Simulation,
+};
 
 fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
@@ -25,7 +27,8 @@ enum Frame {
 
 struct Member {
     manager: ViewManager,
-    config: VsyncConfig,
+    heartbeat_period: SimDuration,
+    check_period: SimDuration,
     /// Simulated crash time (stop sending/acking after this), if any.
     crash_at: Option<SimTime>,
     installed: Vec<GroupView>,
@@ -37,7 +40,8 @@ impl Member {
         let suspect_after = config.suspect_after.as_micros();
         Member {
             manager: ViewManager::new(me, GroupView::initial(n), suspect_after),
-            config,
+            heartbeat_period: config.retransmit_every / ACK_TICKS_PER_RETRANSMIT,
+            check_period: config.retransmit_every / CHECKS_PER_RETRANSMIT,
             crash_at,
             installed: Vec::new(),
         }
@@ -65,8 +69,8 @@ impl Actor for Member {
     type Msg = Frame;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Frame>) {
-        ctx.set_timer(self.config.heartbeat_every, TIMER_HB);
-        ctx.set_timer(self.config.check_every, TIMER_CHECK);
+        ctx.set_timer(self.heartbeat_period, TIMER_HB);
+        ctx.set_timer(self.check_period, TIMER_CHECK);
         let actions = self.manager.start(ctx.now().as_micros());
         self.perform(ctx, actions);
     }
@@ -100,12 +104,12 @@ impl Actor for Member {
                         ctx.send(m, Frame::Heartbeat);
                     }
                 }
-                ctx.set_timer(self.config.heartbeat_every, TIMER_HB);
+                ctx.set_timer(self.heartbeat_period, TIMER_HB);
             }
             TIMER_CHECK => {
                 let actions = self.manager.on_check(ctx.now().as_micros());
                 self.perform(ctx, actions);
-                ctx.set_timer(self.config.check_every, TIMER_CHECK);
+                ctx.set_timer(self.check_period, TIMER_CHECK);
             }
             _ => {}
         }

@@ -8,9 +8,11 @@ use causal_broadcast::core::delivery::Delivered;
 use causal_broadcast::core::node::{App, CausalNode, Emitter};
 use causal_broadcast::core::osend::OccursAfter;
 use causal_broadcast::core::statemachine::OpClass;
-use causal_broadcast::net::{LoopbackCluster, TcpConfig};
+use causal_broadcast::net::{spawn_node, LoopbackCluster, NodeHandle, TcpConfig};
 use causal_broadcast::replica::counter::{CounterOp, CounterReplica};
+use causal_broadcast::simnet::{Actor, Context};
 use causal_verify::{check, check_trace, OracleConfig, Trace};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -206,38 +208,31 @@ fn run_scenario(seed: u64) -> u64 {
     reconnects_01
 }
 
-/// Satellite guarantee of the reactor rewrite: tearing a node down is
-/// prompt even while its transport is mid-reconnect against a dead peer
-/// — the shard abandons the connect episode instead of sleeping through
-/// the backoff schedule, and every reactor thread joins on drop.
-#[test]
-fn node_shutdown_is_prompt_even_mid_connect() {
-    use causal_broadcast::net::spawn_node;
-    use causal_broadcast::simnet::{Actor, Context};
-    use std::net::TcpListener;
+/// Fires a burst of 64 frames at node 1 from `on_start`.
+struct Talker;
 
-    /// Fires a burst at a peer that will never answer.
-    struct Talker;
-    impl Actor for Talker {
-        type Msg = u64;
-        fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
-            for k in 0..64 {
-                ctx.send(ProcessId::new(1), k);
-            }
+impl Actor for Talker {
+    type Msg = u64;
+    fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
+        for k in 0..64 {
+            ctx.send(ProcessId::new(1), k);
         }
-        fn on_message(&mut self, _ctx: &mut Context<'_, u64>, _from: ProcessId, _msg: u64) {}
     }
+    fn on_message(&mut self, _ctx: &mut Context<'_, u64>, _from: ProcessId, _msg: u64) {}
+}
 
+/// Boots a [`Talker`] as node 0 whose only peer is a dead port: bind to
+/// learn a free port, then drop the listener, so every connect attempt
+/// is refused and the link sits in its reconnect episode (12 attempts,
+/// eleven backoff waits of 10 ms doubling to a 500 ms ceiling, about
+/// 3.1 s in all).
+fn talker_to_dead_peer() -> NodeHandle<Talker> {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let me_addr = listener.local_addr().unwrap();
-    // A dead peer: bind to learn a free port, then drop the listener so
-    // every connect attempt is refused and the link sits in its backoff
-    // episode (default schedule: 12 attempts over several seconds).
     let dead = TcpListener::bind("127.0.0.1:0").unwrap();
     let dead_addr = dead.local_addr().unwrap();
     drop(dead);
-
-    let handle = spawn_node(
+    spawn_node(
         Talker,
         ProcessId::new(0),
         listener,
@@ -245,7 +240,16 @@ fn node_shutdown_is_prompt_even_mid_connect() {
         7,
         TcpConfig::default(),
     )
-    .unwrap();
+    .unwrap()
+}
+
+/// Satellite guarantee of the reactor rewrite: tearing a node down is
+/// prompt even while its transport is mid-reconnect against a dead peer
+/// — the shard abandons the connect episode instead of sleeping through
+/// the backoff schedule, and every reactor thread joins on drop.
+#[test]
+fn node_shutdown_is_prompt_even_mid_connect() {
+    let handle = talker_to_dead_peer();
 
     // Let the connect episode get going before pulling the plug.
     std::thread::sleep(Duration::from_millis(60));
@@ -260,6 +264,34 @@ fn node_shutdown_is_prompt_even_mid_connect() {
     // The episode really was in flight when we tore down.
     assert!(stats.reactor.connects_started >= 1, "{:?}", stats.reactor);
     assert_eq!(stats.links[1].msgs_sent, 64);
+}
+
+/// A link that runs out of connect attempts drops everything it queued
+/// and counts each frame as a send drop, while the node runs on (the
+/// count is read before shutdown, which would also drop the queue); the
+/// node still shuts down promptly afterwards.
+#[test]
+fn exhausted_reconnect_episode_drops_the_queue() {
+    let handle = talker_to_dead_peer();
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut drops = 0;
+    while drops < 64 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+        drops = handle.stats().links[1].send_drops;
+    }
+    assert_eq!(drops, 64, "the exhausted episode must drop the queue");
+
+    handle.request_stop();
+    let started = Instant::now();
+    let (_actor, stats) = handle.join();
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "shutdown took {elapsed:?}"
+    );
+    assert_eq!(stats.reactor.connects_started, 12, "{:?}", stats.reactor);
+    assert_eq!(stats.links[1].send_drops, 64);
 }
 
 /// Many-peer smoke test for the sharded reactor: 64 PC-broadcast nodes

@@ -34,12 +34,11 @@ fn p(i: u32) -> ProcessId {
 
 /// Timings scaled for wall-clock TCP (the defaults suit the simulator's
 /// microsecond latencies; over real sockets they would suspect members
-/// during ordinary scheduling hiccups).
+/// during ordinary scheduling hiccups). The heartbeat (P/4 = 12.5 ms) and
+/// the membership check (P/2 = 25 ms) follow the retransmission period.
 fn tcp_vsync_config() -> VsyncConfig {
     VsyncConfig {
-        heartbeat_every: SimDuration::from_millis(25),
         suspect_after: SimDuration::from_millis(400),
-        check_every: SimDuration::from_millis(50),
         retransmit_every: SimDuration::from_millis(50),
     }
 }
