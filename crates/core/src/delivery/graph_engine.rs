@@ -56,6 +56,11 @@ pub struct GraphDelivery<P> {
     /// Slots holding a buffered message.
     pending: usize,
     duplicates: u64,
+    /// Emptied waiter lists, for the next dependency that gains a waiter:
+    /// the cascade returns each list it has worked through, so buffering
+    /// reuses the same few allocations. There are never more of them than
+    /// dependencies that once had waiters at the same time.
+    spare_waiters: Vec<Vec<MsgId>>,
     /// Sending endpoint, present when the engine was built for a member
     /// (see [`DeliveryEngine::for_member`]). Receive-only engines
     /// (validators, tests) have none.
@@ -102,6 +107,7 @@ impl<P> GraphDelivery<P> {
             accepted: 0,
             pending: 0,
             duplicates: 0,
+            spare_waiters: Vec::new(),
             sender: None,
         }
     }
@@ -165,13 +171,19 @@ impl<P> GraphDelivery<P> {
             released.push(delivered);
             self.cascade(released);
         } else {
-            for &d in &env.deps {
+            for &d in env.deps.iter() {
                 if !self.is_satisfied(d) {
-                    self.slots
+                    let waiters = &mut self
+                        .slots
                         .get_or_insert_with(d, Slot::default)
                         .expect("an unsatisfied dependency lies above the floor")
-                        .waiters
-                        .push(env.id);
+                        .waiters;
+                    if waiters.capacity() == 0 {
+                        if let Some(spare) = self.spare_waiters.pop() {
+                            *waiters = spare;
+                        }
+                    }
+                    waiters.push(env.id);
                 }
             }
             self.pending += 1;
@@ -227,12 +239,12 @@ impl<P> GraphDelivery<P> {
         let mut i = released.len() - 1;
         while i < released.len() {
             let just = released[i].id;
-            let waiters = self
+            let mut waiters = self
                 .slots
                 .get_mut(just)
                 .map(|slot| std::mem::take(&mut slot.waiters))
                 .unwrap_or_default();
-            for w in waiters {
+            for &w in &waiters {
                 let Some(slot) = self.slots.get_mut(w) else {
                     continue;
                 };
@@ -245,6 +257,10 @@ impl<P> GraphDelivery<P> {
                     self.pending -= 1;
                     released.push(self.deliver(env));
                 }
+            }
+            if waiters.capacity() > 0 {
+                waiters.clear();
+                self.spare_waiters.push(waiters);
             }
             i += 1;
         }
@@ -316,14 +332,19 @@ impl<P: Clone> DeliveryEngine for GraphDelivery<P> {
         engine
     }
 
-    fn send(&mut self, op: P, after: OccursAfter) -> (GraphEnvelope<P>, Vec<GraphEnvelope<P>>) {
+    fn send_into(
+        &mut self,
+        op: P,
+        after: OccursAfter,
+        released: &mut Vec<GraphEnvelope<P>>,
+    ) -> GraphEnvelope<P> {
         let env = self
             .sender
             .as_mut()
             .expect("receive-only engine cannot send (construct with for_member)")
             .osend(op, after);
-        let released = self.on_receive(env.clone());
-        (env, released)
+        self.on_receive_into(env.clone(), released);
+        env
     }
 
     fn on_receive_into(&mut self, env: GraphEnvelope<P>, out: &mut Vec<GraphEnvelope<P>>) {
@@ -503,7 +524,7 @@ mod tests {
         assert_eq!(rx.log().len(), 6);
         let dup = GraphEnvelope {
             id: ids[0],
-            deps: vec![],
+            deps: Default::default(),
             payload: 0u8,
         };
         assert!(rx.on_receive(dup).is_empty());
@@ -584,7 +605,7 @@ mod tests {
         // As the id itself.
         let stray = GraphEnvelope {
             id: far,
-            deps: vec![],
+            deps: Default::default(),
             payload: 2u8,
         };
         assert_eq!(rx.on_receive(stray.clone()).len(), 2);
@@ -608,9 +629,9 @@ mod tests {
             for o in 0..ORIGINS {
                 let id = MsgId::new(ProcessId::new(o), seq);
                 let deps = if seq > 1 {
-                    vec![MsgId::new(ProcessId::new(o), seq - 1)]
+                    [MsgId::new(ProcessId::new(o), seq - 1)].into()
                 } else {
-                    vec![]
+                    Default::default()
                 };
                 stream.push(GraphEnvelope {
                     id,

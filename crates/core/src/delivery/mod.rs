@@ -137,7 +137,21 @@ pub trait DeliveryEngine {
     /// Engines that infer ordering from delivery history (vector clocks)
     /// ignore `after`: anything already delivered locally is covered by
     /// the clock stamp.
-    fn send(&mut self, op: Self::Op, after: OccursAfter) -> (Self::Envelope, Vec<Self::Envelope>);
+    fn send(&mut self, op: Self::Op, after: OccursAfter) -> (Self::Envelope, Vec<Self::Envelope>) {
+        let mut released = Vec::new();
+        let env = self.send_into(op, after, &mut released);
+        (env, released)
+    }
+
+    /// Like [`send`](Self::send), appending the envelopes the
+    /// self-delivery released to `released` instead of returning a fresh
+    /// vector: the stack's send path, which drains one retained buffer.
+    fn send_into(
+        &mut self,
+        op: Self::Op,
+        after: OccursAfter,
+        released: &mut Vec<Self::Envelope>,
+    ) -> Self::Envelope;
 
     /// Handles an envelope received from the network; returns the
     /// envelopes released to the application, in delivery order.
@@ -248,13 +262,23 @@ pub trait DeliveryEngine {
     /// yet seen it — routed engines deduplicate here, since their link
     /// streams and the side-channel overlap.
     fn on_replay(&mut self, timed: Timed<Self::Envelope>) -> LinkDelivery<Self::Envelope> {
-        let id = timed.msg_id();
-        let sent_at = timed.sent_at;
-        LinkDelivery {
-            receipts: vec![(id, sent_at, true)],
-            released: self.on_receive(timed.env),
-            sends: Vec::new(),
-        }
+        let mut out = LinkDelivery::default();
+        self.on_replay_into(timed, &mut out);
+        out
+    }
+
+    /// Like [`on_replay`](Self::on_replay), appending to `out` instead of
+    /// returning a fresh [`LinkDelivery`]: the stack drains one retained
+    /// `out` per full-mesh data copy, so steady-state copies allocate no
+    /// vectors. Non-routed engines release through
+    /// [`on_receive_into`](Self::on_receive_into) and send nothing.
+    fn on_replay_into(
+        &mut self,
+        timed: Timed<Self::Envelope>,
+        out: &mut LinkDelivery<Self::Envelope>,
+    ) {
+        out.receipts.push((timed.msg_id(), timed.sent_at, true));
+        self.on_receive_into(timed.env, &mut out.released);
     }
 
     /// The frames the retransmission tick at `clock` sends: every

@@ -339,7 +339,12 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
         }
     }
 
-    fn send(&mut self, op: P, _after: OccursAfter) -> (PcEnvelope<P>, Vec<PcEnvelope<P>>) {
+    fn send_into(
+        &mut self,
+        op: P,
+        _after: OccursAfter,
+        released: &mut Vec<PcEnvelope<P>>,
+    ) -> PcEnvelope<P> {
         // PC-broadcast infers ordering from delivery history, like the
         // vector engine: anything delivered locally precedes this send.
         let env = PcEnvelope {
@@ -347,7 +352,8 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
             payload: op,
         };
         self.log.push(env.id);
-        (env.clone(), vec![env])
+        released.push(env.clone());
+        env
     }
 
     fn on_receive_into(&mut self, env: PcEnvelope<P>, out: &mut Vec<PcEnvelope<P>>) {
@@ -361,15 +367,17 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
         );
     }
 
-    fn on_replay(&mut self, timed: Timed<PcEnvelope<P>>) -> LinkDelivery<PcEnvelope<P>> {
-        let mut out = LinkDelivery::default();
+    fn on_replay_into(
+        &mut self,
+        timed: Timed<PcEnvelope<P>>,
+        out: &mut LinkDelivery<PcEnvelope<P>>,
+    ) {
         let mut batch = Vec::new();
         // The replayed envelope itself is never forwarded (the
         // membership layer already multicast it to everyone), but link
         // messages it drains out of the gate are.
-        self.ingest(timed, None, false, &mut batch, &mut out);
+        self.ingest(timed, None, false, &mut batch, out);
         self.note_buffered();
-        out
     }
 
     fn view<'a>(env: &'a PcEnvelope<P>) -> Delivered<'a, P> {

@@ -247,9 +247,15 @@ impl<P: Clone> DeliveryEngine for FlatCbcastEngine<P> {
         FlatCbcastEngine::new(me, n)
     }
 
-    fn send(&mut self, op: P, _after: OccursAfter) -> (VtEnvelope<P>, Vec<VtEnvelope<P>>) {
+    fn send_into(
+        &mut self,
+        op: P,
+        _after: OccursAfter,
+        released: &mut Vec<VtEnvelope<P>>,
+    ) -> VtEnvelope<P> {
         let env = self.broadcast(op);
-        (env.clone(), vec![env])
+        released.push(env.clone());
+        env
     }
 
     fn on_receive_into(&mut self, env: VtEnvelope<P>, out: &mut Vec<VtEnvelope<P>>) {
@@ -291,14 +297,19 @@ impl<P: Clone> DeliveryEngine for ScanGraphDelivery<P> {
         engine
     }
 
-    fn send(&mut self, op: P, after: OccursAfter) -> (GraphEnvelope<P>, Vec<GraphEnvelope<P>>) {
+    fn send_into(
+        &mut self,
+        op: P,
+        after: OccursAfter,
+        released: &mut Vec<GraphEnvelope<P>>,
+    ) -> GraphEnvelope<P> {
         let env = self
             .sender
             .as_mut()
             .expect("receive-only engine cannot send (construct with for_member)")
             .osend(op, after);
-        let released = self.on_receive(env.clone());
-        (env, released)
+        released.extend(self.on_receive(env.clone()));
+        env
     }
 
     fn on_receive_into(&mut self, env: GraphEnvelope<P>, out: &mut Vec<GraphEnvelope<P>>) {

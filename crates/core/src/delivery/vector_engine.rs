@@ -310,13 +310,15 @@ impl<P: Clone> super::DeliveryEngine for CbcastEngine<P> {
     /// The `after` predicate is ignored: vector-clock causality already
     /// orders the broadcast after everything delivered locally, which
     /// covers (and over-approximates) any deliverable `Occurs-After` set.
-    fn send(
+    fn send_into(
         &mut self,
         op: P,
         _after: crate::osend::OccursAfter,
-    ) -> (VtEnvelope<P>, Vec<VtEnvelope<P>>) {
+        released: &mut Vec<VtEnvelope<P>>,
+    ) -> VtEnvelope<P> {
         let env = self.broadcast(op);
-        (env.clone(), vec![env])
+        released.push(env.clone());
+        env
     }
 
     fn on_receive_into(&mut self, env: VtEnvelope<P>, out: &mut Vec<VtEnvelope<P>>) {

@@ -446,17 +446,39 @@ impl MsgGraph {
     }
 
     /// Counts pairs of concurrent messages — a direct measure of the
-    /// concurrency the ordering constraints leave available (quadratic;
-    /// intended for analysis and benchmarks, not hot paths).
+    /// concurrency the ordering constraints leave available.
+    ///
+    /// One pass in insertion order builds each message's ancestors as a
+    /// bitset over insertion positions, the union of its dependencies'
+    /// sets and the dependencies themselves, which precede it. No later
+    /// message precedes a message, so each earlier message is either one
+    /// of its ancestors or concurrent with it. Quadratic in bits, n²/8
+    /// bytes of memory: intended for analysis and benchmarks, not hot
+    /// paths.
     pub fn concurrent_pairs(&self) -> usize {
-        let ids = &self.insertion;
+        let position: HashMap<MsgId, usize> = self
+            .insertion
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| (id, i))
+            .collect();
+        let words = self.len().div_ceil(64);
+        let mut ancestors = vec![0u64; self.len() * words];
         let mut count = 0;
-        for (i, &a) in ids.iter().enumerate() {
-            for &b in &ids[i + 1..] {
-                if self.is_concurrent(a, b) {
-                    count += 1;
+        for (j, id) in self.insertion.iter().enumerate() {
+            let (earlier, rest) = ancestors.split_at_mut(j * words);
+            let row = &mut rest[..words];
+            for d in &self.deps[id] {
+                let i = position[d];
+                row[i / 64] |= 1 << (i % 64);
+                // `d`'s ancestors all lie below position `i`.
+                let dep_row = &earlier[i * words..i * words + i / 64 + 1];
+                for (bits, dep_bits) in row.iter_mut().zip(dep_row) {
+                    *bits |= dep_bits;
                 }
             }
+            let preceding: u32 = row.iter().map(|bits| bits.count_ones()).sum();
+            count += j - preceding as usize;
         }
         count
     }

@@ -16,6 +16,7 @@
 
 use causal_clocks::{MsgId, ProcessId};
 use std::fmt;
+use std::sync::Arc;
 
 /// The ordering predicate of an `OSend`: the set of messages the new
 /// message must occur after (an AND dependency; empty = unconstrained).
@@ -35,7 +36,8 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct OccursAfter {
-    deps: Vec<MsgId>,
+    /// Shared with every envelope [`OSender::osend`] stamps with it.
+    deps: Arc<[MsgId]>,
 }
 
 impl OccursAfter {
@@ -46,7 +48,9 @@ impl OccursAfter {
 
     /// Occurs after a single message.
     pub fn message(m: MsgId) -> Self {
-        OccursAfter { deps: vec![m] }
+        OccursAfter {
+            deps: Arc::from([m]),
+        }
     }
 
     /// Occurs after *all* of the given messages (AND dependency).
@@ -55,7 +59,7 @@ impl OccursAfter {
         let mut deps: Vec<_> = deps.into_iter().collect();
         deps.sort_unstable();
         deps.dedup();
-        OccursAfter { deps }
+        OccursAfter { deps: share(deps) }
     }
 
     /// The (sorted) dependency set.
@@ -76,6 +80,15 @@ impl OccursAfter {
     /// `true` when there are no dependencies.
     pub fn is_empty(&self) -> bool {
         self.deps.is_empty()
+    }
+}
+
+/// One shared allocation holding `deps`; an empty set allocates nothing.
+pub(crate) fn share(deps: Vec<MsgId>) -> Arc<[MsgId]> {
+    if deps.is_empty() {
+        Arc::default()
+    } else {
+        deps.into()
     }
 }
 
@@ -107,12 +120,17 @@ impl FromIterator<MsgId> for OccursAfter {
 /// The envelope *is* the wire representation used by the delivery engines:
 /// a member may process `payload` only after every id in `deps` has been
 /// processed.
+///
+/// The dependency set is shared, not owned: every copy of a message (each
+/// multicast leg, the reliability layer's retained copy, a relay, the
+/// membership store) points at the one set its sender stamped, so copying
+/// an envelope copies its payload and bumps a reference count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GraphEnvelope<P> {
     /// Unique message identity (origin + per-origin sequence).
     pub id: MsgId,
     /// Sorted AND-set of direct causal predecessors.
-    pub deps: Vec<MsgId>,
+    pub deps: Arc<[MsgId]>,
     /// The application payload (a data-access operation).
     pub payload: P,
 }
@@ -141,7 +159,7 @@ impl<P> GraphEnvelope<P> {
 /// let a = tx.osend("inc", OccursAfter::none());
 /// let b = tx.osend("read", OccursAfter::message(a.id));
 /// assert_eq!(b.id.seq(), 2);
-/// assert_eq!(b.deps, vec![a.id]);
+/// assert_eq!(*b.deps, [a.id]);
 /// assert_eq!(tx.last_sent(), Some(b.id));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -269,7 +287,7 @@ mod tests {
         let mut tx = OSender::new(ProcessId::new(0));
         let a = tx.osend((), OccursAfter::none());
         let env = tx.osend((), OccursAfter::all([a.id, mid(7, 9)]));
-        assert_eq!(env.deps, vec![a.id, mid(7, 9)]);
+        assert_eq!(*env.deps, [a.id, mid(7, 9)]);
     }
 
     #[test]
@@ -278,9 +296,9 @@ mod tests {
         let root = tx.osend('r', OccursAfter::none());
         let batch = tx.asend(['a', 'b', 'c'], OccursAfter::message(root.id));
         assert_eq!(batch.len(), 3);
-        assert_eq!(batch[0].deps, vec![root.id]);
-        assert_eq!(batch[1].deps, vec![batch[0].id]);
-        assert_eq!(batch[2].deps, vec![batch[1].id]);
+        assert_eq!(*batch[0].deps, [root.id]);
+        assert_eq!(*batch[1].deps, [batch[0].id]);
+        assert_eq!(*batch[2].deps, [batch[1].id]);
     }
 
     #[test]

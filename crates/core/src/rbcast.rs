@@ -75,7 +75,7 @@
 use crate::holes::{HoleNamer, LinkClock, REPORT_SPAN};
 use causal_clocks::{IdWindow, MsgId, ProcessId, VectorClock};
 use causal_simnet::SimTime;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Envelope types that carry a unique message identity (implemented by
 /// both the graph and vector-clock envelopes).
@@ -171,7 +171,7 @@ impl RbAck {
 #[derive(Debug, Clone)]
 pub struct ReliableBroadcast<E> {
     me: ProcessId,
-    peers: BTreeSet<ProcessId>,
+    peers: PeerSet,
     outgoing: IdWindow<Outgoing<E>>,
     /// Order of initiation, for deterministic retransmission order
     /// (joiner replay makes it differ from `outgoing`'s id order).
@@ -198,7 +198,7 @@ pub struct ReliableBroadcast<E> {
 #[derive(Debug, Clone)]
 struct Outgoing<E> {
     env: E,
-    unacked: BTreeSet<ProcessId>,
+    unacked: PeerSet,
     /// The tick count when this copy was last transmitted.
     sent_tick: u64,
 }
@@ -216,6 +216,89 @@ struct Due {
 /// [`Due::low`] when no copy above the prefix arrived.
 const NO_COPY: u64 = u64::MAX;
 
+/// A flat set of process ids: ids below 64, which cover every group this
+/// workspace runs, are the bits of one word, so copying the set, adding,
+/// removing and testing a member cost one word operation and allocate
+/// nothing; larger ids (members admitted past 63) sit in a sorted vector.
+#[derive(Debug, Clone, Default)]
+struct PeerSet {
+    low: u64,
+    high: Vec<ProcessId>,
+}
+
+impl PeerSet {
+    /// Adds `p`; returns whether it was absent.
+    fn insert(&mut self, p: ProcessId) -> bool {
+        match Self::bit(p) {
+            Some(bit) => {
+                let absent = self.low & bit == 0;
+                self.low |= bit;
+                absent
+            }
+            None => match self.high.binary_search(&p) {
+                Ok(_) => false,
+                Err(at) => {
+                    self.high.insert(at, p);
+                    true
+                }
+            },
+        }
+    }
+
+    /// Removes `p`; returns whether it was present.
+    fn remove(&mut self, p: ProcessId) -> bool {
+        match Self::bit(p) {
+            Some(bit) => {
+                let present = self.low & bit != 0;
+                self.low &= !bit;
+                present
+            }
+            None => match self.high.binary_search(&p) {
+                Ok(at) => {
+                    self.high.remove(at);
+                    true
+                }
+                Err(_) => false,
+            },
+        }
+    }
+
+    fn contains(&self, p: ProcessId) -> bool {
+        match Self::bit(p) {
+            Some(bit) => self.low & bit != 0,
+            None => self.high.binary_search(&p).is_ok(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.low == 0 && self.high.is_empty()
+    }
+
+    fn len(&self) -> usize {
+        self.low.count_ones() as usize + self.high.len()
+    }
+
+    /// The members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = ProcessId> + '_ {
+        let mut bits = self.low;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let i = bits.trailing_zeros();
+            bits &= bits - 1;
+            Some(ProcessId::new(i))
+        })
+        .chain(self.high.iter().copied())
+    }
+
+    /// `p`'s bit in the inline word, if it has one.
+    fn bit(p: ProcessId) -> Option<u64> {
+        let i = p.as_usize();
+        (i < 64).then(|| 1 << i)
+    }
+}
+
 impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
     /// Creates the reliability state for member `me` of a group of `n`.
     ///
@@ -232,9 +315,10 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
         self.me
     }
 
-    /// The peers currently owed acknowledgements for new broadcasts.
+    /// The peers currently owed acknowledgements for new broadcasts, in
+    /// ascending order.
     pub fn peers(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.peers.iter().copied()
+        self.peers.iter()
     }
 
     /// Starts including `peer` in future broadcasts — called after a view
@@ -250,9 +334,15 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
     /// joining member, which starts with no peers until its first view is
     /// installed).
     pub fn with_peers<I: IntoIterator<Item = ProcessId>>(me: ProcessId, peers: I) -> Self {
+        let mut set = PeerSet::default();
+        for p in peers {
+            if p != me {
+                set.insert(p);
+            }
+        }
         ReliableBroadcast {
             me,
-            peers: peers.into_iter().filter(|&p| p != me).collect(),
+            peers: set,
             outgoing: IdWindow::new(),
             outgoing_order: Vec::new(),
             seen: IdWindow::new(),
@@ -291,11 +381,11 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
     /// are dropped, and its stream's naming state is forgotten (a relayed
     /// copy of its messages starts it afresh).
     pub fn remove_peer(&mut self, peer: ProcessId) {
-        self.peers.remove(&peer);
+        self.peers.remove(peer);
         let outgoing = &mut self.outgoing;
         self.outgoing_order.retain(|&id| {
             let out = outgoing.get_mut(id).expect("ordered ids exist");
-            out.unacked.remove(&peer);
+            out.unacked.remove(peer);
             let retired = out.unacked.is_empty();
             if retired {
                 outgoing.remove(id);
@@ -331,7 +421,10 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
             }
             None if peers.is_empty() => Vec::new(),
             None => {
-                let unacked = peers.iter().copied().collect();
+                let mut unacked = PeerSet::default();
+                for &p in peers {
+                    unacked.insert(p);
+                }
                 self.outgoing.insert(
                     id,
                     Outgoing {
@@ -354,19 +447,21 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
     /// message once for the whole group (see `Context::multicast`). An
     /// empty target list means no peers. The caller delivers the
     /// envelope to its *own* stack directly (self-delivery is reliable).
+    /// The target list is the one allocation: the retained copy's
+    /// unacknowledged set is a flat copy of the peer set.
     pub fn broadcast_grouped(&mut self, env: E) -> (Vec<ProcessId>, RbMsg<E>) {
         let id = env.msg_id();
         self.accept(id, SimTime::ZERO);
-        let unacked = self.peers.clone();
-        let targets: Vec<ProcessId> = unacked.iter().copied().collect();
+        let mut targets = Vec::with_capacity(self.peers.len());
+        targets.extend(self.peers.iter());
         let msg = RbMsg::Data(env.clone());
-        if !unacked.is_empty() {
+        if !self.peers.is_empty() {
             let sent_tick = self.ticks;
             self.outgoing.insert(
                 id,
                 Outgoing {
                     env,
-                    unacked,
+                    unacked: self.peers.clone(),
                     sent_tick,
                 },
             );
@@ -417,7 +512,7 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
             seen.get(MsgId::new(origin, seq)).copied()
         });
         let named = (lost != 0).then(|| {
-            let holder = if self.peers.contains(&origin) {
+            let holder = if self.peers.contains(origin) {
                 origin
             } else {
                 from
@@ -516,7 +611,7 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
     pub fn take_acks(&mut self, clock: LinkClock, out: &mut Vec<(ProcessId, RbAck)>) {
         for i in 0..self.due.len() {
             let Due { to, origin, low } = self.due[i];
-            let lost = if to == origin || !self.peers.contains(&origin) {
+            let lost = if to == origin || !self.peers.contains(origin) {
                 self.holes_due(origin, clock)
             } else {
                 0
@@ -542,7 +637,7 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
                 return true;
             }
             let out = outgoing.get_mut(id).expect("ordered ids exist");
-            out.unacked.remove(&from);
+            out.unacked.remove(from);
             let retired = out.unacked.is_empty();
             if retired {
                 outgoing.remove(id);
@@ -567,7 +662,7 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
             let Some(out) = self.outgoing.get_mut(MsgId::new(ack.cum.origin(), seq)) else {
                 continue;
             };
-            if out.unacked.contains(&from) {
+            if out.unacked.contains(from) {
                 out.sent_tick = self.ticks;
                 self.repairs += 1;
                 sends.push((from, RbMsg::Data(out.env.clone())));
@@ -591,7 +686,8 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
                 continue;
             }
             outgoing.sent_tick = self.ticks;
-            let targets: Vec<ProcessId> = outgoing.unacked.iter().copied().collect();
+            let mut targets = Vec::with_capacity(outgoing.unacked.len());
+            targets.extend(outgoing.unacked.iter());
             self.retransmissions += targets.len() as u64;
             out.push((targets, RbMsg::Data(outgoing.env.clone())));
         }
@@ -908,7 +1004,7 @@ mod tests {
         for seq in [1, 2, u64::MAX - 1] {
             let e = GraphEnvelope {
                 id: MsgId::new(p(1), seq),
-                deps: vec![],
+                deps: Default::default(),
                 payload: 0,
             };
             assert!(rb.on_data(p(1), e.clone()).0.is_some());

@@ -30,8 +30,7 @@
 //! concurrent with a declared sync message), members may disagree; the
 //! `causal_verify::check` validators detect such mis-specifications.
 
-use causal_clocks::MsgId;
-use std::collections::BTreeSet;
+use causal_clocks::{IdWindow, MsgId};
 
 /// A detected stable point in a member's delivery stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,6 +73,17 @@ impl LogEntry {
 /// candidate's direct dependencies cover the member's entire current
 /// frontier.
 ///
+/// Each delivery costs O(|deps|) and allocates nothing once the frontier's
+/// windows have grown to the traffic's shape, however large the frontier
+/// is: the frontier is a per-origin [`IdWindow`] of the delivered messages
+/// no later delivery has named, and a delivery's dependencies cover it
+/// exactly when removing them empties it. The frontier is never scanned,
+/// which matters because traffic without synchronization messages grows
+/// it without bound. Message ids number from 1, as [`OSender`] assigns
+/// them; an id with sequence 0 never enters the frontier.
+///
+/// [`OSender`]: crate::osend::OSender
+///
 /// # Examples
 ///
 /// The §6.1 cycle `nc₀ → ‖{c₁, c₂} → nc₁`:
@@ -95,7 +105,8 @@ impl LogEntry {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct StablePointDetector {
-    frontier: BTreeSet<MsgId>,
+    /// The delivered messages that no later delivery depends on.
+    frontier: IdWindow<()>,
     delivered: usize,
     points: Vec<StablePoint>,
 }
@@ -116,14 +127,18 @@ impl StablePointDetector {
         deps: &[MsgId],
         sync_candidate: bool,
     ) -> Option<StablePoint> {
-        let is_sync = sync_candidate && self.frontier.iter().all(|f| deps.contains(f));
-        for d in deps {
-            self.frontier.remove(d);
-        }
-        self.frontier.insert(id);
+        // The dependencies cover the frontier iff every frontier member is
+        // among them, that is iff removing them removes all of it. Each
+        // member leaves once, however often `deps` repeats it.
+        let before = self.frontier.len();
+        let covered = deps
+            .iter()
+            .filter(|&&d| self.frontier.remove(d).is_some())
+            .count();
+        self.frontier.insert(id, ());
         let log_index = self.delivered;
         self.delivered += 1;
-        if is_sync {
+        if sync_candidate && covered == before {
             let sp = StablePoint {
                 msg: id,
                 log_index,
@@ -136,9 +151,10 @@ impl StablePointDetector {
         }
     }
 
-    /// The member's current frontier (maximal delivered messages).
+    /// The member's current frontier (maximal delivered messages), in id
+    /// order.
     pub fn frontier(&self) -> impl Iterator<Item = MsgId> + '_ {
-        self.frontier.iter().copied()
+        self.frontier.iter().map(|(id, ())| id)
     }
 
     /// All stable points detected so far, in order.

@@ -322,10 +322,17 @@ pub struct ProtocolStack<D: DeliveryEngine, A: App<Op = D::Op>> {
     membership: Option<MembershipState<D>>,
     tracer: Option<MemberTrace>,
     crashed: bool,
-    /// What the engine made of one inbound link frame, drained before the
-    /// frame's handling returns and kept so that steady-state link
-    /// traffic allocates no vectors.
-    link_out: LinkDelivery<D::Envelope>,
+    /// What the engine made of one input (an inbound link frame, a data
+    /// copy, a local send), drained before the input's handling returns.
+    /// Its `released` is the queue [`process_released`](Self::process_released)
+    /// works through. Kept, like `spare` and `emitter`, so that
+    /// steady-state traffic allocates no vectors.
+    engine_out: LinkDelivery<D::Envelope>,
+    /// The queue's second buffer: `process_released` swaps it in while it
+    /// hands one round of envelopes to the app.
+    spare: Vec<D::Envelope>,
+    /// What the app emits from one callback, empty between callbacks.
+    emitter: Emitter<D::Op>,
 }
 
 impl<D: DeliveryEngine, A: App<Op = D::Op>> fmt::Debug for ProtocolStack<D, A> {
@@ -384,7 +391,9 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
             membership: None,
             tracer: None,
             crashed: false,
-            link_out: LinkDelivery::default(),
+            engine_out: LinkDelivery::default(),
+            spare: Vec::new(),
+            emitter: Emitter::new(),
         }
     }
 
@@ -593,9 +602,9 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
             mem.outbox.push_back((op, after));
             return None;
         }
-        let released = self.transmit(ctx, op, after);
+        self.transmit(ctx, op, after);
         let id = self.last_sent;
-        self.process_released(ctx, released);
+        self.process_released(ctx);
         id
     }
 
@@ -609,13 +618,17 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         self.osend(ctx, op, OccursAfter::none())
     }
 
+    /// Broadcasts `op` and queues what its self-delivery released for
+    /// [`process_released`](Self::process_released).
     fn transmit(
         &mut self,
         ctx: &mut Context<'_, StackWire<D::Envelope>>,
         op: D::Op,
         after: OccursAfter,
-    ) -> Vec<D::Envelope> {
-        let (env, released) = self.engine.send(op, after);
+    ) {
+        let env = self
+            .engine
+            .send_into(op, after, &mut self.engine_out.released);
         let id = env.msg_id();
         let timed = Timed {
             env,
@@ -640,7 +653,6 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         if let Some(t) = &mut self.tracer {
             t.record(TraceEvent::Send { id });
         }
-        released
     }
 
     /// What a routed engine's links read of this stack's clock: the time
@@ -680,76 +692,88 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         }
     }
 
-    fn process_released(
-        &mut self,
-        ctx: &mut Context<'_, StackWire<D::Envelope>>,
-        released: impl IntoIterator<Item = D::Envelope>,
-    ) {
-        // `released` in order, then what the app's own sends release.
-        let mut released = released.into_iter().fuse();
-        let mut emitted = VecDeque::new();
-        while let Some(env) = released.next().or_else(|| emitted.pop_front()) {
-            let id = env.msg_id();
-            let sent_at = self.sent_times.get(id).copied();
-            if let Some(sent_at) = sent_at {
-                self.stats
-                    .delivery_latency
-                    .record(ctx.now().saturating_since(sent_at));
+    /// Hands the queued envelopes to the app in order, then what the
+    /// app's own sends release, and so on, then reports and compacts. The
+    /// queue is worked through in rounds: one round's envelopes go to the
+    /// app while its sends queue theirs for the next, which is the order a
+    /// single first-in, first-out queue gives.
+    fn process_released(&mut self, ctx: &mut Context<'_, StackWire<D::Envelope>>) {
+        while !self.engine_out.released.is_empty() {
+            let spare = std::mem::take(&mut self.spare);
+            let mut round = std::mem::replace(&mut self.engine_out.released, spare);
+            for env in round.drain(..) {
+                self.deliver(ctx, env);
             }
-            if let Some(mem) = self.membership.as_mut() {
-                // Retained for flush re-broadcast and joiner replay.
-                mem.store.push(Timed {
-                    env: env.clone(),
-                    sent_at: sent_at.unwrap_or_else(|| ctx.now()),
-                });
-            }
-            let delivered = D::view(&env);
-            let candidate = self.app.classify(delivered.payload) == OpClass::NonCommutative;
-            let sp = match delivered.deps {
-                Some(deps) => self.detector.on_deliver(id, deps, candidate),
-                // Without explicit dependencies (vector-clock engines) the
-                // paper's §4 detection rule has nothing to work with.
-                None => None,
-            };
-            if let Some(stability) = &mut self.stability {
-                stability.on_deliver(id);
-                self.deliveries_since_report += 1;
-            }
-            if let Some(t) = &mut self.tracer {
-                t.record(TraceEvent::Deliver {
-                    id,
-                    deps: delivered.deps.map(<[MsgId]>::to_vec),
-                    vt: D::clock_of(&env).cloned(),
-                    sync_candidate: candidate,
-                });
-            }
-            let mut out = Emitter::new();
-            self.app.on_deliver(D::view(&env), &mut out);
-            if let Some(sp) = sp {
-                if let Some(t) = &mut self.tracer {
-                    // The state *after* processing the closing sync
-                    // message is the paper's stable-point state.
-                    t.record(TraceEvent::StablePoint {
-                        ordinal: sp.ordinal,
-                        msg: sp.msg,
-                        snapshot: self.app.snapshot(),
-                    });
-                }
-                self.app.on_stable_point(sp, &mut out);
-            }
-            for (op, after) in out.drain() {
-                if self.is_flushing() {
-                    let mem = self
-                        .membership
-                        .as_mut()
-                        .expect("flushing implies membership");
-                    mem.outbox.push_back((op, after));
-                } else {
-                    emitted.extend(self.transmit(ctx, op, after));
-                }
-            }
+            self.spare = round;
         }
         self.maybe_report_and_compact(ctx);
+    }
+
+    /// Delivers one released envelope: latency, stable-point detection,
+    /// stability, tracing, the app, then the membership store, which takes
+    /// the envelope itself once the app has seen it. The app's sends go
+    /// out at once, or park while a view change flushes.
+    fn deliver(&mut self, ctx: &mut Context<'_, StackWire<D::Envelope>>, env: D::Envelope) {
+        let id = env.msg_id();
+        let sent_at = self.sent_times.get(id).copied();
+        if let Some(sent_at) = sent_at {
+            self.stats
+                .delivery_latency
+                .record(ctx.now().saturating_since(sent_at));
+        }
+        let delivered = D::view(&env);
+        let candidate = self.app.classify(delivered.payload) == OpClass::NonCommutative;
+        let sp = match delivered.deps {
+            Some(deps) => self.detector.on_deliver(id, deps, candidate),
+            // Without explicit dependencies (vector-clock engines) the
+            // paper's §4 detection rule has nothing to work with.
+            None => None,
+        };
+        if let Some(stability) = &mut self.stability {
+            stability.on_deliver(id);
+            self.deliveries_since_report += 1;
+        }
+        if let Some(t) = &mut self.tracer {
+            t.record(TraceEvent::Deliver {
+                id,
+                deps: delivered.deps.map(<[MsgId]>::to_vec),
+                vt: D::clock_of(&env).cloned(),
+                sync_candidate: candidate,
+            });
+        }
+        let mut out = std::mem::take(&mut self.emitter);
+        self.app.on_deliver(D::view(&env), &mut out);
+        if let Some(sp) = sp {
+            if let Some(t) = &mut self.tracer {
+                // The state *after* processing the closing sync
+                // message is the paper's stable-point state.
+                t.record(TraceEvent::StablePoint {
+                    ordinal: sp.ordinal,
+                    msg: sp.msg,
+                    snapshot: self.app.snapshot(),
+                });
+            }
+            self.app.on_stable_point(sp, &mut out);
+        }
+        if let Some(mem) = self.membership.as_mut() {
+            // Retained for flush re-broadcast and joiner replay.
+            mem.store.push(Timed {
+                env,
+                sent_at: sent_at.unwrap_or_else(|| ctx.now()),
+            });
+        }
+        for (op, after) in out.sends.drain(..) {
+            if self.is_flushing() {
+                let mem = self
+                    .membership
+                    .as_mut()
+                    .expect("flushing implies membership");
+                mem.outbox.push_back((op, after));
+            } else {
+                self.transmit(ctx, op, after);
+            }
+        }
+        self.emitter = out;
     }
 
     /// Reports the delivered-prefix clock when due and compacts if the
@@ -907,8 +931,8 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
             .outbox
             .pop_front()
         {
-            let released = self.transmit(ctx, op, after);
-            self.process_released(ctx, released);
+            self.transmit(ctx, op, after);
+            self.process_released(ctx);
         }
         // Tell the application; operations it emits in response go out in
         // the new view, behind the drained parked sends.
@@ -918,9 +942,112 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         }
         self.app.on_view(&view, &mut out);
         for (op, after) in out.drain() {
-            let released = self.transmit(ctx, op, after);
-            self.process_released(ctx, released);
+            self.transmit(ctx, op, after);
+            self.process_released(ctx);
         }
+    }
+}
+
+/// The data path: what the stack does with each full-mesh data copy, ack
+/// and stability report, and each overlay link frame. Steady-state traffic
+/// through these allocates only what a new message needs of its own.
+impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
+    /// A full-mesh data copy from `from`: the reliability layer judges it
+    /// (and may name lost copies at once), the engine takes it if fresh,
+    /// and what that releases goes up the stack.
+    fn on_rb_data(
+        &mut self,
+        ctx: &mut Context<'_, StackWire<D::Envelope>>,
+        from: ProcessId,
+        timed: Timed<D::Envelope>,
+    ) {
+        let rid = timed.msg_id();
+        let clock = self.link_clock(ctx);
+        let (fresh, named) = self.rb.on_data_at(from, timed, clock);
+        if let Some((to, ack)) = named {
+            ctx.send(to, StackWire::Rb(ack));
+        }
+        self.arm_ack(ctx);
+        // The engine may have already seen the message through its own
+        // overlay links (routed engines overlap with the membership
+        // flush/replay side-channel), so freshness is the *engine's*
+        // verdict, not the reliability layer's.
+        let mut engine_fresh = false;
+        if let Some(timed) = fresh {
+            self.sent_times
+                .get_or_insert_with(timed.msg_id(), || timed.sent_at);
+            self.engine.on_replay_into(timed, &mut self.engine_out);
+            engine_fresh = self.engine_out.receipts.first().is_some_and(|r| r.2);
+            self.engine_out.receipts.clear();
+            for (to, frame) in self.engine_out.sends.drain(..) {
+                ctx.send(to, StackWire::Link(frame));
+            }
+            self.arm_retransmit(ctx);
+        }
+        if let Some(t) = &mut self.tracer {
+            t.record(TraceEvent::Receive {
+                id: rid,
+                fresh: engine_fresh,
+            });
+        }
+        self.process_released(ctx);
+    }
+
+    /// `from`'s ack of one origin: retire what it covers, resend what it
+    /// names lost.
+    fn on_rb_ack(
+        &mut self,
+        ctx: &mut Context<'_, StackWire<D::Envelope>>,
+        from: ProcessId,
+        ack: RbAck,
+    ) {
+        for (to, resend) in self.rb.on_ack(from, ack) {
+            ctx.send(to, StackWire::Rb(resend));
+        }
+    }
+
+    /// `from`'s stability report: fold it in, pass on what the tracker
+    /// queues, and compact if the stable prefix rose.
+    fn on_stability_report(
+        &mut self,
+        ctx: &mut Context<'_, StackWire<D::Envelope>>,
+        from: ProcessId,
+        report: &VectorClock,
+    ) {
+        if let Some(stability) = &mut self.stability {
+            stability.on_report(from, report);
+            self.send_reports(ctx);
+            self.compact_now();
+        }
+    }
+
+    /// An overlay link frame from `from` (routed engines only).
+    fn on_link(
+        &mut self,
+        ctx: &mut Context<'_, StackWire<D::Envelope>>,
+        from: ProcessId,
+        frame: LinkFrame<Timed<D::Envelope>>,
+    ) {
+        let clock = self.link_clock(ctx);
+        let history: &[Timed<D::Envelope>] = match &self.membership {
+            Some(mem) => mem.store.as_slice(),
+            None => &[],
+        };
+        self.engine
+            .on_link_frame_into(from, frame, history, clock, &mut self.engine_out);
+        for (id, sent_at, fresh) in self.engine_out.receipts.drain(..) {
+            if fresh {
+                self.sent_times.get_or_insert_with(id, || sent_at);
+            }
+            if let Some(t) = &mut self.tracer {
+                t.record(TraceEvent::Receive { id, fresh });
+            }
+        }
+        for (to, f) in self.engine_out.sends.drain(..) {
+            ctx.send(to, StackWire::Link(f));
+        }
+        self.arm_retransmit(ctx);
+        self.process_released(ctx);
     }
 }
 
@@ -959,11 +1086,10 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> Actor for ProtocolStack<D, A> {
         }
         let mut out = Emitter::new();
         self.app.on_start(self.me, &mut out);
-        let mut released = Vec::new();
         for (op, after) in out.drain() {
-            released.extend(self.transmit(ctx, op, after));
+            self.transmit(ctx, op, after);
         }
-        self.process_released(ctx, released);
+        self.process_released(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: ProcessId, msg: Self::Msg) {
@@ -974,51 +1100,9 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> Actor for ProtocolStack<D, A> {
             mem.manager.observe(from, ctx.now().as_micros());
         }
         match msg {
-            StackWire::Rb(RbMsg::Data(timed)) => {
-                let rid = timed.msg_id();
-                let clock = self.link_clock(ctx);
-                let (fresh, named) = self.rb.on_data_at(from, timed, clock);
-                if let Some((to, ack)) = named {
-                    ctx.send(to, StackWire::Rb(ack));
-                }
-                self.arm_ack(ctx);
-                // The engine may have already seen the message through its
-                // own overlay links (routed engines overlap with the
-                // membership flush/replay side-channel), so freshness is
-                // the *engine's* verdict, not the reliability layer's.
-                let mut engine_fresh = false;
-                let mut released = Vec::new();
-                if let Some(timed) = fresh {
-                    self.sent_times
-                        .get_or_insert_with(timed.msg_id(), || timed.sent_at);
-                    let out = self.engine.on_replay(timed);
-                    engine_fresh = out.receipts.first().is_some_and(|r| r.2);
-                    for (to, frame) in out.sends {
-                        ctx.send(to, StackWire::Link(frame));
-                    }
-                    self.arm_retransmit(ctx);
-                    released = out.released;
-                }
-                if let Some(t) = &mut self.tracer {
-                    t.record(TraceEvent::Receive {
-                        id: rid,
-                        fresh: engine_fresh,
-                    });
-                }
-                self.process_released(ctx, released);
-            }
-            StackWire::Rb(RbMsg::Ack(ack)) => {
-                for (to, resend) in self.rb.on_ack(from, ack) {
-                    ctx.send(to, StackWire::Rb(resend));
-                }
-            }
-            StackWire::StabilityReport(report) => {
-                if let Some(stability) = &mut self.stability {
-                    stability.on_report(from, &report);
-                    self.send_reports(ctx);
-                    self.compact_now();
-                }
-            }
+            StackWire::Rb(RbMsg::Data(timed)) => self.on_rb_data(ctx, from, timed),
+            StackWire::Rb(RbMsg::Ack(ack)) => self.on_rb_ack(ctx, from, ack),
+            StackWire::StabilityReport(report) => self.on_stability_report(ctx, from, &report),
             StackWire::Heartbeat => {}
             StackWire::Propose(view) => {
                 self.membership_input(ctx, |m, _| m.on_propose(from, view));
@@ -1032,30 +1116,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> Actor for ProtocolStack<D, A> {
             StackWire::JoinReq { joiner } => {
                 self.membership_input(ctx, |m, _| m.on_join_req(joiner));
             }
-            StackWire::Link(frame) => {
-                let clock = self.link_clock(ctx);
-                let history: &[Timed<D::Envelope>] = match &self.membership {
-                    Some(mem) => mem.store.as_slice(),
-                    None => &[],
-                };
-                let mut out = std::mem::take(&mut self.link_out);
-                self.engine
-                    .on_link_frame_into(from, frame, history, clock, &mut out);
-                for (id, sent_at, fresh) in out.receipts.drain(..) {
-                    if fresh {
-                        self.sent_times.get_or_insert_with(id, || sent_at);
-                    }
-                    if let Some(t) = &mut self.tracer {
-                        t.record(TraceEvent::Receive { id, fresh });
-                    }
-                }
-                for (to, f) in out.sends.drain(..) {
-                    ctx.send(to, StackWire::Link(f));
-                }
-                self.arm_retransmit(ctx);
-                self.process_released(ctx, out.released.drain(..));
-                self.link_out = out;
-            }
+            StackWire::Link(frame) => self.on_link(ctx, from, frame),
         }
     }
 

@@ -262,7 +262,7 @@ pub fn decode_vector_clock(input: &mut &[u8]) -> Result<VectorClock, DecodeError
 pub fn encode_graph_envelope<P: WireEncode>(env: &GraphEnvelope<P>, out: &mut Vec<u8>) {
     encode_msg_id(env.id, out);
     put_len(out, env.deps.len());
-    for &d in &env.deps {
+    for &d in env.deps.iter() {
         encode_msg_id(d, out);
     }
     env.payload.encode(out);
@@ -283,7 +283,11 @@ pub fn decode_graph_envelope<P: WireEncode>(
         deps.push(decode_msg_id(input)?);
     }
     let payload = P::decode(input)?;
-    Ok(GraphEnvelope { id, deps, payload })
+    Ok(GraphEnvelope {
+        id,
+        deps: crate::osend::share(deps),
+        payload,
+    })
 }
 
 /// Encodes a [`VtEnvelope`]: id, vector timestamp, payload.

@@ -55,7 +55,7 @@ fn dag_envelopes(dag: &RandomDag) -> Vec<GraphEnvelope<usize>> {
                 let mut d: Vec<MsgId> = deps.iter().map(|&j| ids[j]).collect();
                 d.sort_unstable();
                 d.dedup();
-                d
+                d.into()
             },
             payload: i,
         })
@@ -109,7 +109,7 @@ proptest! {
         }
         prop_assert!(graph.is_linearization(rx.log()));
         let dep_log: Vec<(MsgId, Vec<MsgId>)> =
-            delivered.iter().map(|e| (e.id, e.deps.clone())).collect();
+            delivered.iter().map(|e| (e.id, e.deps.to_vec())).collect();
         prop_assert!(check::causal_order_respected(&dep_log, 0).is_ok());
     }
 
@@ -329,7 +329,11 @@ proptest! {
         deps in proptest::collection::vec(arb_msg_id(), 0..10),
         payload in ".*",
     ) {
-        let env = GraphEnvelope { id, deps, payload };
+        let env = GraphEnvelope {
+            id,
+            deps: deps.into(),
+            payload,
+        };
         let mut buf = Vec::new();
         wire::encode_graph_envelope(&env, &mut buf);
         let mut input = buf.as_slice();
@@ -1669,6 +1673,171 @@ proptest! {
         let common = g.trackers[0].local_report();
         for (m, t) in g.trackers.iter().enumerate() {
             prop_assert_eq!(t.stable(), &common, "member {}", m);
+        }
+    }
+}
+
+/// The stable-point rule over a `BTreeSet` frontier, as the detector
+/// first stated it: a sync candidate closes a point when its
+/// dependencies contain every frontier member; then its dependencies
+/// leave the frontier and it joins.
+#[derive(Debug, Default)]
+struct FrontierModel {
+    frontier: BTreeSet<MsgId>,
+    delivered: usize,
+    points: usize,
+}
+
+impl FrontierModel {
+    fn on_deliver(&mut self, id: MsgId, deps: &[MsgId], sync_candidate: bool) -> Option<usize> {
+        let is_sync = sync_candidate && self.frontier.iter().all(|f| deps.contains(f));
+        for d in deps {
+            self.frontier.remove(d);
+        }
+        self.frontier.insert(id);
+        let log_index = self.delivered;
+        self.delivered += 1;
+        is_sync.then(|| {
+            self.points += 1;
+            log_index
+        })
+    }
+}
+
+/// A deterministic xorshift stream expanding one random step into a
+/// burst of deliveries.
+struct Draws(u64);
+
+impl Draws {
+    fn next(&mut self, below: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % below
+    }
+}
+
+/// Ids for a delivery stream: four origins, sequences from 1, mostly in
+/// order, sometimes jumping further ahead than an `IdWindow` lane
+/// reaches, and sometimes going back to a sequence skipped earlier.
+struct Ids {
+    next: [u64; 4],
+    skipped: Vec<MsgId>,
+}
+
+impl Ids {
+    fn fresh(&mut self, draws: &mut Draws) -> MsgId {
+        if !self.skipped.is_empty() && draws.next(8) == 0 {
+            let i = draws.next(self.skipped.len() as u64) as usize;
+            return self.skipped.swap_remove(i);
+        }
+        let o = draws.next(4) as usize;
+        let origin = ProcessId::new(o as u32);
+        if draws.next(16) == 0 {
+            let jump = 1 + draws.next(100);
+            for s in 1..=jump.min(3) {
+                self.skipped.push(MsgId::new(origin, self.next[o] + s));
+            }
+            self.next[o] += jump;
+        }
+        self.next[o] += 1;
+        MsgId::new(origin, self.next[o])
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `concurrent_pairs` (ancestor bitsets) counts exactly the pairs
+    /// that pairwise `relation` calls concurrent, on DAGs wider than one
+    /// 64-bit word.
+    #[test]
+    fn concurrent_pairs_match_pairwise_relations(dag in arb_dag(100)) {
+        let mut graph = MsgGraph::new();
+        for env in dag_envelopes(&dag) {
+            graph.add(env.id, &env.deps).unwrap();
+        }
+        let ids = graph.insertion_order();
+        let mut pairwise = 0;
+        for (i, &a) in ids.iter().enumerate() {
+            for &b in &ids[i + 1..] {
+                pairwise += usize::from(graph.relation(a, b) == causal_clocks::CausalOrdering::Concurrent);
+            }
+        }
+        prop_assert_eq!(graph.concurrent_pairs(), pairwise);
+    }
+
+    /// The detector's windowed frontier gives the `BTreeSet` model's
+    /// stable points at every delivery and its frontier, in the same
+    /// order, after every step: on streams with repeated and unsorted
+    /// dependencies, dependencies on ids not (yet) delivered, dep-less
+    /// sync messages, and sync-free runs whose frontier reaches thousands
+    /// of ids.
+    #[test]
+    fn stable_point_detector_matches_a_btreeset_frontier(
+        steps in proptest::collection::vec((0u8..16, any::<u64>()), 1..40),
+    ) {
+        let mut det = StablePointDetector::new();
+        let mut model = FrontierModel::default();
+        let mut ids = Ids { next: [0; 4], skipped: Vec::new() };
+        let mut delivered: Vec<MsgId> = Vec::new();
+        for (kind, seed) in steps {
+            let mut draws = Draws(seed | 1);
+            // (deps, sync candidate) of each delivery in this step.
+            let mut burst: Vec<(Vec<MsgId>, bool)> = Vec::new();
+            match kind {
+                // A sync-free run: commutative, no dependencies.
+                0..=1 => {
+                    for _ in 0..1 + draws.next(3_000) {
+                        burst.push((Vec::new(), false));
+                    }
+                }
+                // A dep-less sync message.
+                2 => burst.push((Vec::new(), true)),
+                // A message covering the whole frontier, shuffled and
+                // with repeats.
+                3..=5 => {
+                    let mut deps: Vec<MsgId> = model.frontier.iter().copied().collect();
+                    for _ in 0..draws.next(4) {
+                        if let Some(&d) = deps.get(draws.next(deps.len().max(1) as u64) as usize) {
+                            deps.push(d);
+                        }
+                    }
+                    for i in (1..deps.len()).rev() {
+                        deps.swap(i, draws.next(i as u64 + 1) as usize);
+                    }
+                    burst.push((deps, draws.next(4) != 0));
+                }
+                // Messages depending on part of the frontier, or on any
+                // delivered id, or on an id nobody delivered yet.
+                _ => {
+                    for _ in 0..1 + draws.next(20) {
+                        let mut deps = Vec::new();
+                        for _ in 0..draws.next(6) {
+                            let d = match draws.next(3) {
+                                0 if !model.frontier.is_empty() => {
+                                    let k = draws.next(model.frontier.len() as u64) as usize;
+                                    *model.frontier.iter().nth(k).expect("in range")
+                                }
+                                1 if !delivered.is_empty() => {
+                                    delivered[draws.next(delivered.len() as u64) as usize]
+                                }
+                                _ => MsgId::new(ProcessId::new(draws.next(5) as u32), 1 + draws.next(10_000)),
+                            };
+                            deps.push(d);
+                        }
+                        burst.push((deps, draws.next(2) == 0));
+                    }
+                }
+            }
+            for (deps, candidate) in burst {
+                let id = ids.fresh(&mut draws);
+                delivered.push(id);
+                let got = det.on_deliver(id, &deps, candidate).map(|sp| sp.log_index);
+                prop_assert_eq!(got, model.on_deliver(id, &deps, candidate));
+            }
+            prop_assert!(det.frontier().eq(model.frontier.iter().copied()));
+            prop_assert_eq!(det.points().len(), model.points);
         }
     }
 }

@@ -43,9 +43,9 @@ use causal_core::statemachine::OpClass;
 /// let nc1 = fe.submit(&mut tx, "read", OpClass::NonCommutative);
 ///
 /// assert!(nc0.deps.is_empty());
-/// assert_eq!(c1.deps, vec![nc0.id]);        // ordered after last nc
-/// assert_eq!(c2.deps, vec![nc0.id]);        // concurrent with c1
-/// assert_eq!(nc1.deps, vec![c1.id, c2.id]); // AND over the open set
+/// assert_eq!(*c1.deps, [nc0.id]);        // ordered after last nc
+/// assert_eq!(*c2.deps, [nc0.id]);        // concurrent with c1
+/// assert_eq!(*nc1.deps, [c1.id, c2.id]); // AND over the open set
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FrontEndManager {
@@ -144,8 +144,8 @@ mod tests {
         let nc = fe.submit(&mut tx, (), OpClass::NonCommutative);
         let c1 = fe.submit(&mut tx, (), OpClass::Commutative);
         let c2 = fe.submit(&mut tx, (), OpClass::Commutative);
-        assert_eq!(c1.deps, vec![nc.id]);
-        assert_eq!(c2.deps, vec![nc.id]);
+        assert_eq!(*c1.deps, [nc.id]);
+        assert_eq!(*c2.deps, [nc.id]);
         assert_eq!(fe.open_cids(), &[c1.id, c2.id]);
     }
 
@@ -154,7 +154,7 @@ mod tests {
         let (mut fe, mut tx) = manager_and_sender();
         let nc0 = fe.submit(&mut tx, (), OpClass::NonCommutative);
         let nc1 = fe.submit(&mut tx, (), OpClass::NonCommutative);
-        assert_eq!(nc1.deps, vec![nc0.id]);
+        assert_eq!(*nc1.deps, [nc0.id]);
         assert_eq!(fe.cycles(), 2);
     }
 
@@ -165,9 +165,9 @@ mod tests {
         let c1 = fe.submit(&mut tx, (), OpClass::Commutative);
         let c2 = fe.submit(&mut tx, (), OpClass::Commutative);
         let nc = fe.submit(&mut tx, (), OpClass::NonCommutative);
-        let mut want = vec![c1.id, c2.id];
+        let mut want = [c1.id, c2.id];
         want.sort_unstable();
-        assert_eq!(nc.deps, want);
+        assert_eq!(*nc.deps, want);
         assert!(fe.open_cids().is_empty());
     }
 
@@ -197,7 +197,7 @@ mod tests {
         // Two replicas process interiors in opposite orders.
         let forward: Vec<_> = envs
             .iter()
-            .map(|(e, s)| causal_core::stable::LogEntry::new(e.id, e.deps.clone(), *s))
+            .map(|(e, s)| causal_core::stable::LogEntry::new(e.id, e.deps.to_vec(), *s))
             .collect();
         let mut reversed = Vec::new();
         let mut i = 0;

@@ -161,10 +161,12 @@ impl<'a, M: Clone> Context<'a, M> {
 
     /// Queues a message to every *other* node.
     pub fn broadcast(&mut self, msg: M) {
-        let to: Vec<ProcessId> = (0..self.group_size)
-            .map(|i| ProcessId::new(i as u32))
-            .filter(|&to| to != self.me)
-            .collect();
+        let mut to = Vec::with_capacity(self.group_size.saturating_sub(1));
+        to.extend(
+            (0..self.group_size)
+                .map(|i| ProcessId::new(i as u32))
+                .filter(|&to| to != self.me),
+        );
         self.multicast(to, msg);
     }
 

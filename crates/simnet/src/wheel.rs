@@ -63,6 +63,12 @@ impl Default for QueueConfig {
 #[derive(Debug)]
 pub(crate) struct CalendarQueue {
     buckets: Vec<Vec<Scheduled>>,
+    /// Drained days' storage, empty, for the next buckets that start
+    /// filling: a steady stream of events reuses the same allocations
+    /// instead of growing each bucket from nothing. A day's storage comes
+    /// back here when the next day replaces it as `current`, so there are
+    /// never more spares than days that were once pending together.
+    spares: Vec<Vec<Scheduled>>,
     mask: u64,
     shift: u32,
     /// Absolute day (`at >> shift`) currently being drained.
@@ -96,6 +102,7 @@ impl CalendarQueue {
         assert!(config.bucket_micros_log2 < 32, "bucket span too large");
         CalendarQueue {
             buckets: (0..config.buckets).map(|_| Vec::new()).collect(),
+            spares: Vec::new(),
             mask: (config.buckets - 1) as u64,
             shift: config.bucket_micros_log2,
             cursor_day: 0,
@@ -125,11 +132,16 @@ impl CalendarQueue {
         self.overflow.len()
     }
 
-    /// Event slots allocated across the ring buckets and the `current`
-    /// day (what the wheel retains between days).
+    /// Event slots allocated across the ring buckets, the `current` day
+    /// and the spares (what the wheel retains between days).
     #[cfg(test)]
     pub(crate) fn wheel_capacity(&self) -> usize {
-        self.buckets.iter().map(Vec::capacity).sum::<usize>() + self.current.capacity()
+        self.buckets
+            .iter()
+            .chain(&self.spares)
+            .map(Vec::capacity)
+            .sum::<usize>()
+            + self.current.capacity()
     }
 
     fn day_of(&self, at: SimTime) -> u64 {
@@ -164,7 +176,14 @@ impl CalendarQueue {
             let pos = self.inc_head + tail.partition_point(|e| e.key() < ev.key());
             self.incoming.insert(pos, ev);
         } else {
-            self.buckets[(day & self.mask) as usize].push(ev);
+            let bucket = &mut self.buckets[(day & self.mask) as usize];
+            if bucket.capacity() == 0 {
+                // A bucket has no storage only until its day's first event.
+                if let Some(spare) = self.spares.pop() {
+                    *bucket = spare;
+                }
+            }
+            bucket.push(ev);
             self.wheel_len += 1;
         }
     }
@@ -189,8 +208,8 @@ impl CalendarQueue {
                 return true;
             }
             // Day exhausted: reset the scratch vectors. `incoming` keeps
-            // its capacity; `current` keeps it only until the next bucket
-            // replaces it.
+            // its capacity; `current` keeps it until the next bucket
+            // replaces it, and then becomes a spare.
             self.current.clear();
             self.cur_head = 0;
             self.incoming.clear();
@@ -213,8 +232,13 @@ impl CalendarQueue {
                         // Take, not swap: a swap would park the drained
                         // day's capacity in this bucket until the ring
                         // comes round, so every visited bucket would keep
-                        // the busiest day's allocation.
-                        self.current = std::mem::take(&mut self.buckets[slot]);
+                        // the busiest day's allocation. The drained day
+                        // becomes a spare for the next bucket to fill.
+                        let day = std::mem::take(&mut self.buckets[slot]);
+                        let drained = std::mem::replace(&mut self.current, day);
+                        if drained.capacity() > 0 {
+                            self.spares.push(drained);
+                        }
                         self.current.sort_unstable();
                         self.wheel_len -= self.current.len();
                         break;

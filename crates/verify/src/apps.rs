@@ -140,7 +140,7 @@ mod tests {
         let mut out = Emitter::new();
         let env = causal_core::osend::GraphEnvelope {
             id: causal_clocks::MsgId::new(causal_clocks::ProcessId::new(0), 1),
-            deps: vec![],
+            deps: Default::default(),
             payload: CounterOp::Add(7),
         };
         app.on_deliver(Delivered::from_graph(&env), &mut out);

@@ -534,7 +534,7 @@ where
 {
     let entries: Vec<LogEntry> = log
         .iter()
-        .map(|e| LogEntry::new(e.id, e.deps.clone(), !e.payload.is_commutative()))
+        .map(|e| LogEntry::new(e.id, e.deps.to_vec(), !e.payload.is_commutative()))
         .collect();
     fn by_id<O>(log: &[GraphEnvelope<O>], id: MsgId) -> &O {
         &log.iter()

@@ -33,10 +33,15 @@ impl DeliveryEngine for EagerGraphDelivery {
         }
     }
 
-    fn send(&mut self, op: Self::Op, after: OccursAfter) -> (Self::Envelope, Vec<Self::Envelope>) {
+    fn send_into(
+        &mut self,
+        op: Self::Op,
+        after: OccursAfter,
+        released: &mut Vec<Self::Envelope>,
+    ) -> Self::Envelope {
         let env = self.tx.osend(op, after);
-        let released = self.on_receive(env.clone());
-        (env, released)
+        self.on_receive_into(env.clone(), released);
+        env
     }
 
     fn on_receive_into(&mut self, env: Self::Envelope, out: &mut Vec<Self::Envelope>) {

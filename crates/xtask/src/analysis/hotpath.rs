@@ -6,8 +6,9 @@
 //! declared **hot-root set** — the reactor shard loop and its flush /
 //! receive legs, the three delivery engines' drain paths and the PC
 //! engine's link frame entry, reliable broadcast's data and ack
-//! entries, the simulator's batched event loop, and the stability
-//! tracker's per-delivery and per-report updates — is
+//! entries, the simulator's batched event loop, the stability
+//! tracker's per-delivery and per-report updates, the protocol stack's
+//! data-path callbacks, and stable-point detection — is
 //! closed over the call graph, and every statement reachable (CFG-wise)
 //! inside that cone is scanned for heap-allocating expressions.
 //!
@@ -48,8 +49,10 @@ pub struct HotRoot {
 
 /// The flood-path roots: reactor shard loop + flush/receive legs, the
 /// engines' drain paths, PC link frame ingress, reliable broadcast's
-/// data and ack entries, the simulator's batched event loop, and the
-/// stability tracker's `on_deliver`/`on_report` (mesh and tree).
+/// data and ack entries, the simulator's batched event loop, the
+/// stability tracker's `on_deliver`/`on_report` (mesh and tree), the
+/// protocol stack's data, ack, report and link arms with its send and
+/// delivery paths, and the stable-point detector's `on_deliver`.
 pub const HOT_ROOTS: &[HotRoot] = &[
     HotRoot {
         path: "crates/net/src/reactor.rs",
@@ -110,6 +113,46 @@ pub const HOT_ROOTS: &[HotRoot] = &[
         path: "crates/simnet/src/sim.rs",
         owner: Some("Simulation"),
         name: "run_events",
+    },
+    // The stack's data path: the full-mesh data, ack and stability-report
+    // arms, the link-frame arm, the send path, and the delivery of what
+    // they release. The stack reaches the layers below through non-`self`
+    // receivers or other files, so those layers keep roots of their own.
+    HotRoot {
+        path: "crates/core/src/stack.rs",
+        owner: Some("ProtocolStack"),
+        name: "on_rb_data",
+    },
+    HotRoot {
+        path: "crates/core/src/stack.rs",
+        owner: Some("ProtocolStack"),
+        name: "on_rb_ack",
+    },
+    HotRoot {
+        path: "crates/core/src/stack.rs",
+        owner: Some("ProtocolStack"),
+        name: "on_stability_report",
+    },
+    HotRoot {
+        path: "crates/core/src/stack.rs",
+        owner: Some("ProtocolStack"),
+        name: "on_link",
+    },
+    HotRoot {
+        path: "crates/core/src/stack.rs",
+        owner: Some("ProtocolStack"),
+        name: "process_released",
+    },
+    HotRoot {
+        path: "crates/core/src/stack.rs",
+        owner: Some("ProtocolStack"),
+        name: "transmit",
+    },
+    // Stable-point detection runs on every delivery (§4).
+    HotRoot {
+        path: "crates/core/src/stable.rs",
+        owner: Some("StablePointDetector"),
+        name: "on_deliver",
     },
     HotRoot {
         path: "crates/core/src/stability.rs",
