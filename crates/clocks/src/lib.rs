@@ -13,7 +13,8 @@
 //!   (everyone-knows-that-everyone-received), which enables garbage
 //!   collection of delivery buffers.
 //! - [`IdWindow`]: per-message state keyed by [`MsgId`], laid out as one
-//!   window per origin whose floor retires a prefix at a time.
+//!   window per origin whose floor retires a prefix at a time; it is also
+//!   the in-order gate of every sequenced stream ([`Offer`]).
 //!
 //! # Examples
 //!
@@ -46,4 +47,4 @@ pub use ids::{GroupId, MsgId, ProcessId};
 pub use matrix::MatrixClock;
 pub use ordering::CausalOrdering;
 pub use vector::{DeliveryCheck, VectorClock};
-pub use window::IdWindow;
+pub use window::{IdWindow, Offer};

@@ -9,6 +9,12 @@
 //! id counts as retired, and a deque of slots covering the live span
 //! above it. Lookups index the deque by `seq − base`; raising a floor
 //! pops only the slots it passes.
+//!
+//! The same shape is an in-order gate for sequenced streams
+//! ([`IdWindow::offer`], [`IdWindow::pop_next`]): the floor is the
+//! stream's in-order point, ids at or below it are duplicates, ids
+//! further ahead park, and the next id releases along with the parked
+//! ids that follow it.
 
 use crate::{MsgId, ProcessId, VectorClock};
 use std::collections::{BTreeMap, VecDeque};
@@ -23,6 +29,21 @@ const DENSE_ORIGINS: usize = 1024;
 /// and still extend the lane's deque. Ids further out go to the overflow
 /// map, so a stray id allocates at most this many empty slots.
 const REACH: u64 = 64;
+
+/// What [`IdWindow::offer`] did with an offered id and its value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Offer<T> {
+    /// The id is at or below its origin's floor, or already holds a
+    /// value. Nothing changed: a value the id holds stays, and the
+    /// offered one is dropped.
+    Duplicate,
+    /// The id lies beyond the one just above the floor: its value is
+    /// parked under it.
+    Parked,
+    /// The id was the one just above the floor: the floor rose over it,
+    /// and its value comes back to the caller.
+    Next(T),
+}
 
 /// A map from [`MsgId`] to `T` laid out as one window per origin.
 ///
@@ -375,6 +396,46 @@ impl<T> IdWindow<T> {
         floor
     }
 
+    /// Gates one id of a sequenced stream (see [`Offer`]). After
+    /// [`Next`](Offer::Next), [`pop_next`](Self::pop_next) releases the
+    /// parked ids that follow.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use causal_clocks::{IdWindow, MsgId, Offer, ProcessId};
+    ///
+    /// let p0 = ProcessId::new(0);
+    /// let mut w = IdWindow::new();
+    /// assert_eq!(w.offer(MsgId::new(p0, 2), "b"), Offer::Parked);
+    /// assert_eq!(w.offer(MsgId::new(p0, 2), "b'"), Offer::Duplicate);
+    /// assert_eq!(w.offer(MsgId::new(p0, 1), "a"), Offer::Next("a"));
+    /// assert_eq!(w.pop_next(p0), Some("b"));
+    /// assert_eq!(w.pop_next(p0), None);
+    /// assert_eq!(w.floor(p0), 2);
+    /// ```
+    pub fn offer(&mut self, id: MsgId, value: T) -> Offer<T> {
+        let floor = self.floor(id.origin());
+        if id.seq() <= floor || self.contains(id) {
+            Offer::Duplicate
+        } else if id.seq() == floor + 1 {
+            self.advance(id.origin());
+            Offer::Next(value)
+        } else {
+            self.insert(id, value);
+            Offer::Parked
+        }
+    }
+
+    /// Raises `origin`'s floor over the id just above it, if that id is
+    /// parked, and returns its value.
+    pub fn pop_next(&mut self, origin: ProcessId) -> Option<T> {
+        let next = self.floor(origin).checked_add(1)?;
+        let value = self.remove(MsgId::new(origin, next))?;
+        self.advance(origin);
+        Some(value)
+    }
+
     /// Raises every origin's floor to at least its entry in `stable` and
     /// drops the values that became retired. Costs one step per origin in
     /// `stable` plus one per dropped slot: the entries above the floors
@@ -484,6 +545,21 @@ mod tests {
         w.compact(&VectorClock::from_entries([1]));
         assert_eq!(w.iter().collect::<Vec<_>>(), vec![(id(5, 1), &5)]);
         assert_eq!(w.floors().collect::<Vec<_>>()[0], (ProcessId::new(0), 1));
+    }
+
+    #[test]
+    fn compact_under_a_parked_id_leaves_it_for_pop_next() {
+        let p0 = ProcessId::new(0);
+        let mut w = IdWindow::new();
+        assert_eq!(w.offer(id(0, 4), 'd'), Offer::Parked);
+        w.compact(&VectorClock::from_entries([3]));
+        // The next id already holds a value: offering it again is a
+        // duplicate that keeps the parked value, and pop_next takes it.
+        assert_eq!(w.offer(id(0, 4), 'D'), Offer::Duplicate);
+        assert_eq!(w.pop_next(p0), Some('d'));
+        assert_eq!(w.floor(p0), 4);
+        assert_eq!(w.offer(id(0, 5), 'e'), Offer::Next('e'));
+        assert!(w.is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the logical-clock laws.
 
-use causal_clocks::{CausalOrdering, IdWindow, MatrixClock, MsgId, ProcessId, VectorClock};
+use causal_clocks::{CausalOrdering, IdWindow, MatrixClock, MsgId, Offer, ProcessId, VectorClock};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -18,6 +18,8 @@ enum WindowOp {
     Remove(MsgId),
     Advance(ProcessId),
     Compact(VectorClock),
+    Offer(MsgId, u32),
+    PopNext(ProcessId),
 }
 
 /// Origins 0..3 have dense lanes; 5000 and `u32::MAX` are far lanes.
@@ -45,6 +47,12 @@ fn arb_window_op() -> impl Strategy<Value = WindowOp> {
         arb_origin().prop_map(WindowOp::Advance),
         proptest::collection::vec(prop_oneof![0u64..300, Just(u64::MAX)], 0..4)
             .prop_map(|floors| WindowOp::Compact(VectorClock::from_entries(floors))),
+        // Offers lean to small ids, so that many land just above a floor.
+        (arb_origin(), prop_oneof![1u64..8, arb_seq()], 0u32..100)
+            .prop_map(|(o, s, v)| WindowOp::Offer(MsgId::new(o, s), v)),
+        (arb_origin(), prop_oneof![1u64..8, arb_seq()], 0u32..100)
+            .prop_map(|(o, s, v)| WindowOp::Offer(MsgId::new(o, s), v)),
+        arb_origin().prop_map(WindowOp::PopNext),
     ]
 }
 
@@ -185,9 +193,11 @@ proptest! {
     }
 
     /// An IdWindow agrees with a `BTreeMap` plus per-origin floors after
-    /// every step of a random insert/remove/advance/compact sequence:
-    /// values, membership, retired-ness, length, floors and (origin, seq)
-    /// iteration order.
+    /// every step of a random insert/remove/advance/compact/offer/pop
+    /// sequence: values, membership, retired-ness, length, floors and
+    /// (origin, seq) iteration order. The gate's model answers duplicate
+    /// for a retired or held id and keeps the held value, answers next
+    /// for the id just above the floor, and parks any other id.
     #[test]
     fn id_window_matches_btreemap_model(
         ops in proptest::collection::vec(arb_window_op(), 1..120)
@@ -233,6 +243,29 @@ proptest! {
                     }
                     model.retain(|id, _| id.seq() > floors.get(&id.origin()).copied().unwrap_or(0));
                     window.compact(&stable);
+                }
+                WindowOp::Offer(id, v) => {
+                    touched.push(id);
+                    let floor = floors.entry(id.origin()).or_insert(0);
+                    let expected = if id.seq() <= *floor || model.contains_key(&id) {
+                        Offer::Duplicate
+                    } else if id.seq() == *floor + 1 {
+                        *floor += 1;
+                        Offer::Next(v)
+                    } else {
+                        model.insert(id, v);
+                        Offer::Parked
+                    };
+                    prop_assert_eq!(window.offer(id, v), expected);
+                }
+                WindowOp::PopNext(origin) => {
+                    let floor = floors.entry(origin).or_insert(0);
+                    let next = floor.checked_add(1).map(|s| MsgId::new(origin, s));
+                    let expected = next.and_then(|id| model.remove(&id));
+                    if expected.is_some() {
+                        *floor += 1;
+                    }
+                    prop_assert_eq!(window.pop_next(origin), expected);
                 }
             }
             prop_assert_eq!(window.len(), model.len());

@@ -1,7 +1,6 @@
 //! Per-sender FIFO delivery — a baseline weaker than causal order.
 
-use causal_clocks::{MsgId, ProcessId};
-use std::collections::{BTreeMap, HashMap};
+use causal_clocks::{IdWindow, MsgId, Offer};
 
 /// A message stamped with its per-sender sequence number only.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,8 +31,10 @@ pub struct FifoEnvelope<P> {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FifoDelivery<P> {
-    next_expected: HashMap<ProcessId, u64>,
-    buffered: HashMap<ProcessId, BTreeMap<u64, FifoEnvelope<P>>>,
+    /// The in-order gate: each sender's floor is its last released
+    /// sequence number, and the entries are messages waiting for an
+    /// earlier one.
+    gate: IdWindow<FifoEnvelope<P>>,
     log: Vec<MsgId>,
     duplicates: u64,
 }
@@ -43,31 +44,27 @@ impl<P> FifoDelivery<P> {
     /// expected to start at 1 for every sender.
     pub fn new() -> Self {
         FifoDelivery {
-            next_expected: HashMap::new(),
-            buffered: HashMap::new(),
+            gate: IdWindow::new(),
             log: Vec::new(),
             duplicates: 0,
         }
     }
 
-    /// Accepts an envelope; returns the envelopes released in order.
+    /// Accepts an envelope; returns the envelopes released in order. A
+    /// duplicate of a waiting message leaves the first copy waiting.
     pub fn on_receive(&mut self, env: FifoEnvelope<P>) -> Vec<FifoEnvelope<P>> {
         let sender = env.id.origin();
-        let next = self.next_expected.entry(sender).or_insert(1);
-        let seq = env.id.seq();
-        if seq < *next {
-            self.duplicates += 1;
-            return Vec::new();
-        }
-        let buffer = self.buffered.entry(sender).or_default();
-        if buffer.insert(seq, env).is_some() {
-            self.duplicates += 1;
-        }
         let mut released = Vec::new();
-        while let Some(env) = buffer.remove(next) {
-            self.log.push(env.id);
-            released.push(env);
-            *next += 1;
+        match self.gate.offer(env.id, env) {
+            Offer::Duplicate => self.duplicates += 1,
+            Offer::Parked => {}
+            Offer::Next(env) => {
+                released.push(env);
+                while let Some(env) = self.gate.pop_next(sender) {
+                    released.push(env);
+                }
+                self.log.extend(released.iter().map(|env| env.id));
+            }
         }
         released
     }
@@ -79,7 +76,7 @@ impl<P> FifoDelivery<P> {
 
     /// Messages buffered waiting for sender gaps.
     pub fn pending_len(&self) -> usize {
-        self.buffered.values().map(BTreeMap::len).sum()
+        self.gate.len()
     }
 
     /// Duplicate receptions absorbed.
@@ -91,6 +88,7 @@ impl<P> FifoDelivery<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use causal_clocks::ProcessId;
 
     fn env(p: u32, s: u64, payload: char) -> FifoEnvelope<char> {
         FifoEnvelope {
@@ -138,6 +136,16 @@ mod tests {
         rx.on_receive(env(0, 3, 'c'));
         rx.on_receive(env(0, 3, 'c')); // duplicate in buffer
         assert_eq!(rx.duplicates(), 2);
+    }
+
+    #[test]
+    fn a_duplicate_of_a_waiting_message_keeps_the_first_copy() {
+        let mut rx = FifoDelivery::new();
+        assert!(rx.on_receive(env(0, 2, 'b')).is_empty());
+        assert!(rx.on_receive(env(0, 2, 'B')).is_empty());
+        let out = rx.on_receive(env(0, 1, 'a'));
+        assert_eq!(out.iter().map(|e| e.payload).collect::<String>(), "ab");
+        assert_eq!(rx.duplicates(), 1);
     }
 
     #[test]

@@ -191,10 +191,10 @@ pub trait DeliveryEngine {
     fn duplicates(&self) -> u64;
 
     /// Hook for engines that keep records stability GC should switch off.
-    /// No engine keeps one: the per-node delivery record is the stack's
-    /// opt-in [`MemberTrace`](crate::trace::MemberTrace), and `with_gc`
-    /// does not call this. It stays a no-op for drivers that configure an
-    /// engine the way a GC stack would (perfbench's layer replay).
+    /// No engine switches one off: each keeps its delivery
+    /// [`log`](Self::log) under GC too, and `with_gc` does not call this.
+    /// It stays a no-op for drivers that configure an engine the way a GC
+    /// stack would (perfbench's layer replay).
     fn enable_gc_mode(&mut self) {}
 
     /// Forgets per-message state for the globally stable prefix. Engines

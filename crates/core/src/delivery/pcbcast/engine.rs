@@ -51,7 +51,7 @@ use crate::delivery::{Delivered, DeliveryEngine, LinkDelivery, LinkSend};
 use crate::osend::OccursAfter;
 use crate::rbcast::HasMsgId;
 use crate::stack::Timed;
-use causal_clocks::{IdWindow, MsgId, ProcessId};
+use causal_clocks::{IdWindow, MsgId, Offer, ProcessId};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
@@ -72,16 +72,16 @@ impl<P> HasMsgId for PcEnvelope<P> {
     }
 }
 
-/// A message parked in the per-origin gate.
+/// A message offered to the per-origin gate, and parked there while it
+/// waits for its per-origin predecessor.
 #[derive(Debug, Clone)]
 struct Parked<P> {
     timed: Timed<PcEnvelope<P>>,
-    /// The link it arrived on (skipped when forwarding), if any.
+    /// The link it arrived on, if any. On delivery it is forwarded on
+    /// every other safe link; a message that arrived through the
+    /// membership side-channel (flush re-broadcast, joiner replay) was
+    /// already multicast to everyone and is not re-forwarded.
     from: Option<ProcessId>,
-    /// Whether to forward on delivery. Messages arriving through the
-    /// membership side-channel (flush re-broadcast, joiner replay) were
-    /// already multicast to everyone and are not re-forwarded.
-    forward: bool,
 }
 
 /// The peers a link frame may open a link from.
@@ -186,20 +186,16 @@ impl<P: Clone> PcEngine<P> {
         self.peak_buffered = self.peak_buffered.max(buffered);
     }
 
-    /// Delivers `timed` (watermark advance, log append), forwards it on
+    /// Delivers a message the gate released (log append), forwards it on
     /// every safe link except the one it arrived on, and releases it.
     fn deliver(
         &mut self,
-        timed: Timed<PcEnvelope<P>>,
-        from: Option<ProcessId>,
-        forward: bool,
+        Parked { timed, from }: Parked<P>,
         batch: &mut Vec<Timed<PcEnvelope<P>>>,
         out: &mut LinkDelivery<PcEnvelope<P>>,
     ) {
-        let id = timed.env.id;
-        self.gate.advance(id.origin());
-        self.log.push(id);
-        if forward {
+        self.log.push(timed.env.id);
+        if from.is_some() {
             for (&peer, link) in self.links.iter_mut() {
                 if link.safe && Some(peer) != from {
                     let frame = link.push(LinkBody::Msg(timed.clone()));
@@ -218,44 +214,28 @@ impl<P: Clone> PcEngine<P> {
         out.released.push(timed.env);
     }
 
-    /// First-reception processing of one data message: deduplicate
-    /// against the watermark, deliver when contiguous (draining the
-    /// gate), park otherwise.
+    /// First-reception processing of one data message that arrived on
+    /// the link `from`, if any: the gate absorbs a duplicate, delivers the
+    /// message if it is next from its origin (and then the parked ones
+    /// that follow it), and parks it otherwise.
     fn ingest(
         &mut self,
         timed: Timed<PcEnvelope<P>>,
         from: Option<ProcessId>,
-        forward: bool,
         batch: &mut Vec<Timed<PcEnvelope<P>>>,
         out: &mut LinkDelivery<PcEnvelope<P>>,
-    ) -> bool {
-        let id = timed.env.id;
-        let origin = id.origin();
-        if self.gate.is_retired(id) || self.gate.contains(id) {
-            self.duplicates += 1;
-            out.receipts.push((id, timed.sent_at, false));
-            return false;
-        }
-        out.receipts.push((id, timed.sent_at, true));
-        if id.seq() == self.gate.floor(origin) + 1 {
-            self.deliver(timed, from, forward, batch, out);
-            while let Some(p) = self
-                .gate
-                .remove(MsgId::new(origin, self.gate.floor(origin) + 1))
-            {
-                self.deliver(p.timed, p.from, p.forward, batch, out);
+    ) {
+        let (id, sent_at) = (timed.env.id, timed.sent_at);
+        let offer = self.gate.offer(id, Parked { timed, from });
+        let fresh = !matches!(offer, Offer::Duplicate);
+        out.receipts.push((id, sent_at, fresh));
+        self.duplicates += u64::from(!fresh);
+        if let Offer::Next(arrival) = offer {
+            self.deliver(arrival, batch, out);
+            while let Some(parked) = self.gate.pop_next(id.origin()) {
+                self.deliver(parked, batch, out);
             }
-        } else {
-            self.gate.insert(
-                id,
-                Parked {
-                    timed,
-                    from,
-                    forward,
-                },
-            );
         }
-        true
     }
 
     /// Answers a ping on the link to `from` with this member's
@@ -376,7 +356,7 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
         // The replayed envelope itself is never forwarded (the
         // membership layer already multicast it to everyone), but link
         // messages it drains out of the gate are.
-        self.ingest(timed, None, false, &mut batch, out);
+        self.ingest(timed, None, &mut batch, out);
         self.note_buffered();
     }
 
@@ -462,7 +442,7 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
         for body in released.drain(..) {
             match body {
                 LinkBody::Msg(timed) => {
-                    self.ingest(timed, Some(from), true, &mut batch, out);
+                    self.ingest(timed, Some(from), &mut batch, out);
                 }
                 LinkBody::Ping { token } => self.on_ping(from, token, out),
                 LinkBody::Pong { token, delivered } => {

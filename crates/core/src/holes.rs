@@ -39,6 +39,18 @@ use causal_simnet::{SimDuration, SimTime};
 /// per bit of a `u64` bitmap.
 pub(crate) const REPORT_SPAN: u64 = 64;
 
+/// The numbers a hole bitmap over the numbers above `point` names, in
+/// ascending order: bit `i` names `point + 1 + i`, as
+/// [`HoleNamer::holes_due`] encodes it.
+pub(crate) fn named(point: u64, holes: u64) -> impl Iterator<Item = u64> {
+    let mut bits = holes;
+    std::iter::from_fn(move || {
+        let i = u64::from(bits.trailing_zeros());
+        bits &= bits.wrapping_sub(1);
+        (i < REPORT_SPAN).then(|| point.saturating_add(1 + i))
+    })
+}
+
 /// What a receiver reads of its stack's clock: the time of the arrival or
 /// tick being handled, and the stack's retransmission period P.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -7,7 +7,9 @@
 //! duplicate, or dependency referencing it can do anything new.
 //!
 //! Each member summarizes its deliveries as a **contiguous prefix** per
-//! origin ([`ContiguousPrefix`]). The per-origin minimum of every
+//! origin, the floors of an [`IdWindow`] gate: graph delivery may release
+//! a sender's messages out of per-sender order, so a delivery beyond a
+//! gap is parked until the gap fills. The per-origin minimum of every
 //! member's prefix is stable everywhere and may be compacted
 //! ([`GraphDelivery::compact`](crate::delivery::GraphDelivery::compact),
 //! [`ReliableBroadcast::compact`](crate::rbcast::ReliableBroadcast::compact)).
@@ -71,68 +73,13 @@
 //! read as covering its new one. Reports carry no view, so stacks with
 //! membership stay on the full mesh.
 
-use causal_clocks::{IdWindow, MatrixClock, MsgId, ProcessId, VectorClock};
+use causal_clocks::{IdWindow, MatrixClock, MsgId, Offer, ProcessId, VectorClock};
 
-/// Tracks, per origin, the longest *contiguous* prefix of sequence
-/// numbers delivered locally (graph delivery may release a sender's
-/// messages out of per-sender order, so out-of-order deliveries are
-/// parked until the gap fills).
-#[derive(Debug, Clone)]
-pub struct ContiguousPrefix {
-    /// Group size: the width of [`as_clock`](Self::as_clock).
-    width: usize,
-    /// Floor per origin = prefix end; entries = deliveries parked beyond
-    /// the gap.
-    parked: IdWindow<()>,
-}
-
-impl ContiguousPrefix {
-    /// Creates a tracker for a group of `n` origins (prefix starts empty;
-    /// sequence numbers start at 1).
-    pub fn new(n: usize) -> Self {
-        ContiguousPrefix {
-            width: n,
-            parked: IdWindow::new(),
-        }
-    }
-
-    /// Records a delivery and extends the prefix as far as it now reaches.
-    /// Returns the origin's new prefix end if the prefix advanced.
-    pub fn on_deliver(&mut self, id: MsgId) -> Option<u64> {
-        let origin = id.origin();
-        let end = self.parked.floor(origin);
-        if id.seq() <= end {
-            return None; // already inside the prefix (duplicate)
-        }
-        if id.seq() > end + 1 {
-            self.parked.insert(id, ());
-            return None;
-        }
-        // In order: extend, then drain whatever the gap was holding.
-        let mut end = self.parked.advance(origin);
-        while !self.parked.is_empty() && self.parked.remove(MsgId::new(origin, end + 1)).is_some() {
-            end = self.parked.advance(origin);
-        }
-        Some(end)
-    }
-
-    /// The prefix end for `origin`: every message from it up to this seq
-    /// has been delivered here.
-    fn end(&self, origin: ProcessId) -> u64 {
-        self.parked.floor(origin)
-    }
-
-    /// The prefix as a vector clock over the group: entry `j` = highest
-    /// seq such that every message from `j` up to it has been delivered
-    /// here.
-    pub fn as_clock(&self) -> VectorClock {
-        VectorClock::from_entries(ProcessId::all(self.width).map(|o| self.end(o)))
-    }
-
-    /// Deliveries parked beyond a gap (diagnostic).
-    pub fn parked_len(&self) -> usize {
-        self.parked.len()
-    }
+/// The delivered prefix `prefix` as a vector clock over a group of
+/// `width`: entry `j` is the highest seq such that every message from `j`
+/// up to it has been delivered.
+fn prefix_clock(prefix: &IdWindow<()>, width: usize) -> VectorClock {
+    VectorClock::from_entries(ProcessId::all(width).map(|o| prefix.floor(o)))
 }
 
 /// Where a queued stability report goes
@@ -164,7 +111,11 @@ pub enum ReportTo<'a> {
 #[derive(Debug, Clone)]
 pub struct StabilityTracker {
     me: ProcessId,
-    prefix: ContiguousPrefix,
+    /// Group size: the width of every report.
+    width: usize,
+    /// The local delivered prefix: each origin's floor is its prefix
+    /// end, and the entries are deliveries parked beyond a gap.
+    prefix: IdWindow<()>,
     topology: Topology,
     /// A stable entry rose since the last [`take_advance`](Self::take_advance).
     advanced: bool,
@@ -215,12 +166,12 @@ impl Convergecast {
 
     /// The up value's entry for `origin`: the minimum of this member's
     /// prefix and every child's latest report.
-    fn up_entry(&self, prefix: &ContiguousPrefix, origin: usize) -> u64 {
-        let own = prefix.end(ProcessId::new(origin as u32));
+    fn up_entry(&self, prefix: &IdWindow<()>, width: usize, origin: usize) -> u64 {
+        let own = prefix.floor(ProcessId::new(origin as u32));
         self.rows
             .iter()
             .skip(origin)
-            .step_by(prefix.width)
+            .step_by(width)
             .fold(own, |lo, &v| lo.min(v))
     }
 
@@ -238,15 +189,15 @@ impl Convergecast {
     /// Queues an up report; the root instead raises its stable vector to
     /// the up value and queues the vector for its children. Returns
     /// whether the stable vector rose.
-    fn report(&mut self, prefix: &ContiguousPrefix) -> bool {
-        self.allocate(prefix.width);
+    fn report(&mut self, prefix: &IdWindow<()>, width: usize) -> bool {
+        self.allocate(width);
         if self.parent.is_some() {
             self.up_due = true;
             return false;
         }
         let mut rose = false;
-        for origin in 0..prefix.width {
-            rose |= self.raise(origin, self.up_entry(prefix, origin));
+        for origin in 0..width {
+            rose |= self.raise(origin, self.up_entry(prefix, width, origin));
         }
         self.down_due |= !self.children.is_empty();
         rose
@@ -258,9 +209,9 @@ impl Convergecast {
         &mut self,
         from: ProcessId,
         report: &VectorClock,
-        prefix: &ContiguousPrefix,
+        prefix: &IdWindow<()>,
+        width: usize,
     ) -> bool {
-        let width = prefix.width;
         if Some(from) == self.parent {
             self.allocate(width);
             let mut rose = false;
@@ -284,7 +235,7 @@ impl Convergecast {
         }
         // Every child reported since the last wave: start the next one.
         self.heard.fill(false);
-        self.report(prefix)
+        self.report(prefix, width)
     }
 }
 
@@ -298,7 +249,8 @@ impl StabilityTracker {
         assert!(me.as_usize() < n, "member id outside group");
         StabilityTracker {
             me,
-            prefix: ContiguousPrefix::new(n),
+            width: n,
+            prefix: IdWindow::new(),
             topology: Topology::Mesh {
                 matrix: MatrixClock::new(n),
                 due: false,
@@ -324,7 +276,8 @@ impl StabilityTracker {
         assert!(me.as_usize() < n, "member id outside group");
         StabilityTracker {
             me,
-            prefix: ContiguousPrefix::new(n),
+            width: n,
+            prefix: IdWindow::new(),
             topology: Topology::Tree(Convergecast {
                 parent,
                 children,
@@ -347,19 +300,22 @@ impl StabilityTracker {
     /// never becomes stable here, so its per-message state is not
     /// compacted until the tracker is resized at view installation.
     pub fn on_deliver(&mut self, id: MsgId) {
-        if id.origin().as_usize() >= self.prefix.width {
+        let origin = id.origin();
+        if origin.as_usize() >= self.width {
             return;
         }
-        let Some(end) = self.prefix.on_deliver(id) else {
+        let Offer::Next(()) = self.prefix.offer(id, ()) else {
             return;
         };
+        while self.prefix.pop_next(origin).is_some() {}
+        let end = self.prefix.floor(origin);
         match &mut self.topology {
             Topology::Mesh { matrix, .. } => {
-                self.advanced |= matrix.raise(self.me, id.origin(), end);
+                self.advanced |= matrix.raise(self.me, origin, end);
             }
             Topology::Tree(tree) if tree.parent.is_none() && tree.children.is_empty() => {
-                tree.allocate(self.prefix.width);
-                self.advanced |= tree.raise(id.origin().as_usize(), end);
+                tree.allocate(self.width);
+                self.advanced |= tree.raise(origin.as_usize(), end);
             }
             Topology::Tree(_) => {}
         }
@@ -368,7 +324,7 @@ impl StabilityTracker {
     /// The local delivered-prefix clock — what a mesh member gossips, and
     /// a tree member's own share of its up report.
     pub fn local_report(&self) -> VectorClock {
-        self.prefix.as_clock()
+        prefix_clock(&self.prefix, self.width)
     }
 
     /// Merges a report from `from`: a mesh peer's prefix, a tree child's
@@ -376,13 +332,13 @@ impl StabilityTracker {
     /// width than the group's, from senders outside it, or (over a tree)
     /// from anyone but a neighbour are ignored.
     pub fn on_report(&mut self, from: ProcessId, report: &VectorClock) {
-        let width = self.prefix.width;
+        let width = self.width;
         if report.width() != width || from.as_usize() >= width {
             return;
         }
         self.advanced |= match &mut self.topology {
             Topology::Mesh { matrix, .. } => matrix.update_row(from, report),
-            Topology::Tree(tree) => tree.on_report(from, report, &self.prefix),
+            Topology::Tree(tree) => tree.on_report(from, report, &self.prefix, width),
         };
     }
 
@@ -393,7 +349,7 @@ impl StabilityTracker {
     pub fn on_cadence(&mut self) {
         match &mut self.topology {
             Topology::Mesh { due, .. } => *due = true,
-            Topology::Tree(tree) => self.advanced |= tree.report(&self.prefix),
+            Topology::Tree(tree) => self.advanced |= tree.report(&self.prefix, self.width),
         }
     }
 
@@ -402,14 +358,15 @@ impl StabilityTracker {
     /// and [`on_report`](Self::on_report). Every report is as wide as
     /// the group.
     pub fn take_report(&mut self) -> Option<(ReportTo<'_>, VectorClock)> {
+        let (prefix, width) = (&self.prefix, self.width);
         match &mut self.topology {
             Topology::Mesh { due, .. } => {
-                std::mem::take(due).then(|| (ReportTo::Everyone, self.prefix.as_clock()))
+                std::mem::take(due).then(|| (ReportTo::Everyone, prefix_clock(prefix, width)))
             }
             Topology::Tree(tree) => {
                 // Only a member with a parent queues an up report.
                 if let (true, Some(parent)) = (std::mem::take(&mut tree.up_due), &tree.parent) {
-                    let up = (0..self.prefix.width).map(|o| tree.up_entry(&self.prefix, o));
+                    let up = (0..width).map(|o| tree.up_entry(prefix, width, o));
                     let to = ReportTo::Members(std::slice::from_ref(parent));
                     return Some((to, VectorClock::from_entries(up)));
                 }
@@ -465,32 +422,32 @@ mod tests {
 
     #[test]
     fn prefix_extends_contiguously() {
-        let mut p = ContiguousPrefix::new(2);
-        p.on_deliver(id(0, 1));
-        p.on_deliver(id(0, 2));
-        assert_eq!(p.as_clock().as_ref(), &[2, 0]);
+        let mut t = StabilityTracker::new(ProcessId::new(0), 2);
+        t.on_deliver(id(0, 1));
+        t.on_deliver(id(0, 2));
+        assert_eq!(t.local_report().as_ref(), &[2, 0]);
     }
 
     #[test]
     fn gaps_park_until_filled() {
-        let mut p = ContiguousPrefix::new(1);
-        p.on_deliver(id(0, 3));
-        assert_eq!(p.as_clock().as_ref(), &[0]);
-        assert_eq!(p.parked_len(), 1);
-        p.on_deliver(id(0, 1));
-        assert_eq!(p.as_clock().as_ref(), &[1]);
-        p.on_deliver(id(0, 2));
-        assert_eq!(p.as_clock().as_ref(), &[3]);
-        assert_eq!(p.parked_len(), 0);
+        let mut t = StabilityTracker::new(ProcessId::new(0), 1);
+        t.on_deliver(id(0, 3));
+        assert_eq!(t.local_report().as_ref(), &[0]);
+        assert_eq!(t.prefix.len(), 1);
+        t.on_deliver(id(0, 1));
+        assert_eq!(t.local_report().as_ref(), &[1]);
+        t.on_deliver(id(0, 2));
+        assert_eq!(t.local_report().as_ref(), &[3]);
+        assert_eq!(t.prefix.len(), 0);
     }
 
     #[test]
     fn duplicates_inside_prefix_ignored() {
-        let mut p = ContiguousPrefix::new(1);
-        p.on_deliver(id(0, 1));
-        p.on_deliver(id(0, 1));
-        assert_eq!(p.as_clock().as_ref(), &[1]);
-        assert_eq!(p.parked_len(), 0);
+        let mut t = StabilityTracker::new(ProcessId::new(0), 1);
+        t.on_deliver(id(0, 1));
+        t.on_deliver(id(0, 1));
+        assert_eq!(t.local_report().as_ref(), &[1]);
+        assert_eq!(t.prefix.len(), 0);
     }
 
     #[test]
@@ -510,11 +467,16 @@ mod tests {
 
     #[test]
     fn on_deliver_reports_prefix_advances() {
-        let mut p = ContiguousPrefix::new(1);
-        assert_eq!(p.on_deliver(id(0, 2)), None); // parked beyond the gap
-        assert_eq!(p.on_deliver(id(0, 1)), Some(2)); // fills it
-        assert_eq!(p.on_deliver(id(0, 1)), None); // duplicate
-        assert_eq!(p.on_deliver(id(0, 3)), Some(3));
+        // Alone in its group, a member's prefix is the stable prefix.
+        let mut t = StabilityTracker::new(ProcessId::new(0), 1);
+        let mut deliver = |seq| {
+            t.on_deliver(id(0, seq));
+            t.take_advance().map(|s| s.get(ProcessId::new(0)))
+        };
+        assert_eq!(deliver(2), None); // parked beyond the gap
+        assert_eq!(deliver(1), Some(2)); // fills it
+        assert_eq!(deliver(1), None); // duplicate
+        assert_eq!(deliver(3), Some(3));
     }
 
     #[test]
@@ -608,7 +570,7 @@ mod tests {
     /// deliveries: one per origin for the prefix, plus the matrix (mesh)
     /// or the child rows and the stable vector (tree).
     fn held_entries(t: &StabilityTracker) -> usize {
-        t.prefix.width
+        t.width
             + match &t.topology {
                 Topology::Mesh { matrix, .. } => ProcessId::all(matrix.width())
                     .map(|p| matrix.row(p).len())

@@ -444,10 +444,12 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
     /// vectors flowing back down. Every other stack gossips to all
     /// members ([`StabilityTracker::new`]).
     ///
-    /// This is stability GC only: it changes nothing the stack records. The
-    /// per-node delivery record is the opt-in [`MemberTrace`]
-    /// ([`with_tracing`](Self::with_tracing)), which a long-running
-    /// deployment simply leaves off.
+    /// This is stability GC only: it changes nothing the stack records.
+    /// The delivery log ([`log`](Self::log)), the stable points
+    /// ([`stable_points`](Self::stable_points)) and the latency samples
+    /// ([`stats`](Self::stats)) still grow with every delivery, as does
+    /// the opt-in [`MemberTrace`] ([`with_tracing`](Self::with_tracing))
+    /// where it is on.
     ///
     /// # Panics
     ///
@@ -472,9 +474,10 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
     /// delivery, stable point, view installation, and crash to a private
     /// [`MemberTrace`], which a verification harness collects after the
     /// run. Purely local (no extra messages), so it works unchanged under
-    /// any runtime. The trace is the stack's one per-node delivery record:
-    /// dependency sets, stable-point snapshots and the rebuilt `R(M)`
-    /// ([`MemberTrace::graph`]) are read from it.
+    /// any runtime. Dependency sets, stable-point snapshots and the
+    /// rebuilt `R(M)` ([`MemberTrace::graph`]) are read from the trace;
+    /// the delivery log, the stable points and the latency samples are
+    /// kept without it.
     pub fn with_tracing(mut self) -> Self {
         self.tracer = Some(MemberTrace::new(self.me));
         self

@@ -13,9 +13,13 @@
 //! no duplicate or lost delivery, stable-point agreement, view agreement)
 //! across the group.
 //!
-//! The trace is the stack's only per-node delivery record: the delivery
-//! log with its dependency sets, the stable points, and the dependency
-//! graph `R(M)` ([`MemberTrace::graph`]) are all read from it.
+//! The trace is the stack's one record of each delivery's dependency
+//! set, and the dependency graph `R(M)` ([`MemberTrace::graph`]) is
+//! rebuilt from it. It is not the only per-node record: the engine's
+//! delivery log (`ProtocolStack::log`), every stable point
+//! (`ProtocolStack::stable_points`) and every latency sample
+//! (`NodeStats`) are kept whether or not tracing is on, even under
+//! `with_gc`.
 
 use crate::graph::{GraphError, MsgGraph};
 use causal_clocks::{MsgId, ProcessId, VectorClock};

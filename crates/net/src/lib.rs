@@ -32,7 +32,8 @@
 //! the encode-once bytes (a multicast body is one `Arc<[u8]>` shared by
 //! every peer's queue); inbound bytes land in pooled buffers and frames
 //! are **borrow-decoded in place** — the receive hot path never copies a
-//! frame body (see `NetSnapshot::frames_borrowed` / `frame_copies`).
+//! frame body (`NetSnapshot::frames_borrowed` counts every frame decoded
+//! in place, and the TCP tests assert it equals every frame received).
 //!
 //! The transport is deliberately *lossy at the edges*: frames in flight
 //! when a connection drops are gone, and frames sent while a link is down

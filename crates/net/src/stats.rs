@@ -193,7 +193,6 @@ pub struct NetStats {
     decode_errors: AtomicU64,
     bytes_read: AtomicU64,
     frames_borrowed: AtomicU64,
-    frame_copies: AtomicU64,
 }
 
 impl NetStats {
@@ -204,7 +203,6 @@ impl NetStats {
             decode_errors: AtomicU64::new(0),
             bytes_read: AtomicU64::new(0),
             frames_borrowed: AtomicU64::new(0),
-            frame_copies: AtomicU64::new(0),
         }
     }
 
@@ -249,7 +247,6 @@ impl NetStats {
             decode_errors: self.decode_errors.load(Ordering::Relaxed),
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
             frames_borrowed: self.frames_borrowed.load(Ordering::Relaxed),
-            frame_copies: self.frame_copies.load(Ordering::Relaxed),
             reactor,
         }
     }
@@ -271,13 +268,10 @@ pub struct NetSnapshot {
     /// Socket bytes read for this node (frame headers included).
     pub bytes_read: u64,
     /// Frames delivered to the decode sink as borrowed views of pooled
-    /// receive buffers — the zero-copy receive path.
+    /// receive buffers — the zero-copy receive path. Equal to
+    /// [`total_recv`](Self::total_recv) when every frame a node received
+    /// came over a socket (see `tests/tcp_cluster.rs`).
     pub frames_borrowed: u64,
-    /// Frame bodies copied out of the receive path into owned buffers.
-    /// The reactor transport never does this; the counter exists so the
-    /// zero-copy property is asserted, not assumed (see
-    /// `tests/tcp_cluster.rs`).
-    pub frame_copies: u64,
     /// Counters of the reactor (poller pool) this node's sockets run on.
     /// Reactor-wide: nodes sharing a pool see the same numbers.
     pub reactor: ReactorSnapshot,

@@ -86,6 +86,8 @@ pub const GROW_METHODS: &[&str] = &[
     "or_default",
     "resize",
     "resize_with",
+    // `IdWindow`'s in-order gate parks what it does not release.
+    "offer",
 ];
 
 /// Methods that remove entries from a collection.
@@ -107,6 +109,7 @@ pub const SHRINK_METHODS: &[&str] = &[
     // `IdWindow`'s floor raises, which retire entries.
     "advance",
     "compact",
+    "pop_next",
 ];
 
 /// The atomic access methods (used to recognize bare-identifier

@@ -9,7 +9,7 @@
 //! net layer's per-link/per-shard tables) and requires every growable
 //! collection field in them to have a **shrink site** (`remove`,
 //! `clear`, `drain`, `truncate`, `split_off`, `pop*`, `retain`,
-//! `take`, an `IdWindow`'s `advance` / `compact`, …) that is
+//! `take`, an `IdWindow`'s `advance` / `compact` / `pop_next`, …) that is
 //! *reachable from a declared stability / ack / GC / teardown root*
 //! ([`GC_ROOTS`]), closed over the call graph.
 //!
@@ -75,7 +75,7 @@ pub const STATE_STRUCTS: &[StateStruct] = &[
     },
     StateStruct {
         path: "crates/core/src/stability.rs",
-        name: "ContiguousPrefix",
+        name: "StabilityTracker",
     },
     StateStruct {
         path: "crates/core/src/delivery/graph_engine.rs",
@@ -146,7 +146,7 @@ pub const GC_ROOTS: &[HotRoot] = &[
     },
     HotRoot {
         path: "crates/core/src/stability.rs",
-        owner: Some("ContiguousPrefix"),
+        owner: Some("StabilityTracker"),
         name: "on_deliver",
     },
     HotRoot {

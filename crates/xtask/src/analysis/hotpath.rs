@@ -2,8 +2,8 @@
 //!
 //! The tests prove the steady state allocation-free only on the
 //! schedules they happen to run (`RunnerStats.scratch_grows`,
-//! `frame_copies == 0`); this pass proves it for *every* path: a
-//! declared **hot-root set** — the reactor shard loop and its flush /
+//! `frames_borrowed == total_recv`); this pass proves it for *every*
+//! path: a declared **hot-root set** — the reactor shard loop and its flush /
 //! receive legs, the three delivery engines' drain paths and the PC
 //! engine's link frame entry, reliable broadcast's data and ack
 //! entries, the simulator's batched event loop, the stability

@@ -322,14 +322,19 @@ fn bounded_growth_sees_id_window_fields() {
         .iter()
         .filter(|f| f.rule == "bounded-growth")
         .collect();
-    // Only `seen` is flagged: `outgoing` is retired by `on_ack`, a root.
-    assert_eq!(growth.len(), 1, "{findings:?}");
+    // `seen` (only inserted into) and `gated` (only offered to) are
+    // flagged: `outgoing` is retired by `on_ack`, a root, and `released`
+    // is drained by `pop_next` in `compact`, another.
+    assert_eq!(growth.len(), 2, "{findings:?}");
     assert!(growth[0].snippet.contains("seen"), "{:?}", growth[0]);
-    assert!(
-        growth[0].detail.contains("(IdWindow<…>) never shrinks"),
-        "{}",
-        growth[0].detail
-    );
+    assert!(growth[1].snippet.contains("gated"), "{:?}", growth[1]);
+    for finding in growth {
+        assert!(
+            finding.detail.contains("(IdWindow<…>) never shrinks"),
+            "{}",
+            finding.detail
+        );
+    }
 }
 
 #[test]

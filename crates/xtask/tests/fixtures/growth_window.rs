@@ -1,13 +1,17 @@
 //! Bad fixture for `bounded-growth` on `IdWindow` fields: a
 //! ReliableBroadcast whose `seen` window is only ever inserted into
-//! (no `compact`, `advance` or `remove` anywhere), beside an `outgoing`
-//! window that an acknowledgement retires. Loaded at the real
+//! (no `compact`, `advance` or `remove` anywhere) and whose `gated`
+//! window is only ever offered to (its parked ids are never popped),
+//! beside an `outgoing` window that an acknowledgement retires and a
+//! `released` gate that `pop_next` drains on compaction. Loaded at the real
 //! reliability-layer path so the pass's declared struct and root sets
 //! bind to it.
 
 pub struct ReliableBroadcast<E> {
     outgoing: IdWindow<E>,
     seen: IdWindow<()>,
+    gated: IdWindow<E>,
+    released: IdWindow<E>,
 }
 
 impl<E> ReliableBroadcast<E> {
@@ -20,8 +24,20 @@ impl<E> ReliableBroadcast<E> {
         self.seen.insert(id, ()).is_none()
     }
 
-    pub fn on_data_at(&mut self, id: MsgId) -> bool {
-        self.on_data(id)
+    // Parks what arrives ahead of its predecessor and never releases it.
+    pub fn gate(&mut self, id: MsgId, env: E) -> bool {
+        matches!(self.gated.offer(id, env), Offer::Next(_))
+    }
+
+    pub fn release(&mut self, id: MsgId, env: E) {
+        if let Offer::Next(_) = self.released.offer(id, env) {
+            while self.released.pop_next(id.origin()).is_some() {}
+        }
+    }
+
+    pub fn on_data_at(&mut self, id: MsgId, env: E) -> bool {
+        self.release(id, env);
+        self.gate(id, env) && self.on_data(id)
     }
 
     pub fn take_acks(&mut self) {}
@@ -35,8 +51,10 @@ impl<E> ReliableBroadcast<E> {
     }
 
     // Forgets to raise `seen`'s floors: the stable prefix is never
-    // retired.
+    // retired. It does release what `released` parked.
     pub fn compact(&mut self, stable: &VectorClock) {
-        let _ = stable;
+        for (origin, _) in stable.iter() {
+            while self.released.pop_next(origin).is_some() {}
+        }
     }
 }

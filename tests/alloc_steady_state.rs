@@ -1,14 +1,19 @@
-//! Heap allocations per operation on the full-mesh data path, counted.
+//! Heap allocations per operation on the full-mesh and PC data paths,
+//! counted.
 //!
 //! A thread-local counting allocator wraps the system one, and a group
-//! shaped like perfbench's `graph_mix_sim` runs on the simulator: eight
-//! graph-engine members with view-synchronous membership and stability GC
-//! (`with_gc(8, 64)`), §6.1 ordering at f̄ = 20 (one op in 21
-//! non-commutative, AND-depending on the cycle's commutative ops), uniform
-//! 200–800 µs latency, 1% loss, one op every 50 µs from a random member.
-//! After a warm-up that grows every retained buffer and window to the
-//! traffic's shape, the test counts the allocations (fresh blocks and
-//! regrowths) of a measured stretch and bounds them per op.
+//! shaped like one of perfbench's workloads runs on the simulator. After
+//! a warm-up that grows every retained buffer and window to the traffic's
+//! shape, each test counts the allocations (fresh blocks and regrowths)
+//! of a measured stretch and bounds them per op.
+//!
+//! # Full mesh
+//!
+//! The group is shaped like `graph_mix_sim`: eight graph-engine members
+//! with view-synchronous membership and stability GC (`with_gc(8, 64)`),
+//! §6.1 ordering at f̄ = 20 (one op in 21 non-commutative, AND-depending
+//! on the cycle's commutative ops), uniform 200–800 µs latency, 1% loss,
+//! one op every 50 µs from a random member.
 //!
 //! The group reads 3.2 allocations per op. What still allocates:
 //!
@@ -29,9 +34,33 @@
 //! Data copies, acks and heartbeats allocate nothing. Before the data
 //! path reused its buffers and shared dependency sets, this group read
 //! 38.4 allocations per op.
+//!
+//! # PC broadcast
+//!
+//! The group is shaped like `pc_fanout_sim`: 64 static PC-engine members
+//! with stability GC over the overlay tree (`with_gc(64, 64)`), every op
+//! commutative, uniform 50–500 µs latency, 1% loss, one broadcast every
+//! 20 µs from a random member.
+//!
+//! The group reads 6.1 allocations per op. What still allocates:
+//!
+//! - stability reports, about 3.6 per op in all: each member's up report
+//!   once per 64 deliveries and the stable vector it passes down to its
+//!   children, 64 entries each, a copy of the vector per receiver leg,
+//!   and a target list per report;
+//! - the new message's link frames, about 1.3 per op: `route_broadcast`
+//!   returns a fresh list of one frame per safe link, which grows past
+//!   its first block at an interior member;
+//! - retransmission ticks: a list of the frames each tick resends;
+//! - regrowth: the stack's window of send times when its span outgrows
+//!   its deque, and amortised growth of what is never compacted (the
+//!   delivery log).
+//!
+//! Link frames, their acks, reassembly and the per-origin gate allocate
+//! nothing once warm.
 
 use causal_broadcast::clocks::ProcessId;
-use causal_broadcast::core::delivery::{Delivered, GraphDelivery};
+use causal_broadcast::core::delivery::{Delivered, GraphDelivery, PcEngine};
 use causal_broadcast::core::stack::{App, Emitter, ProtocolStack, VsyncConfig};
 use causal_broadcast::core::statemachine::OpClass;
 use causal_broadcast::replica::frontend::FrontEndManager;
@@ -171,6 +200,56 @@ fn the_full_mesh_data_path_allocates_a_few_blocks_per_op() {
     for m in sim.nodes() {
         assert_eq!(m.app().delivered, total, "member {:?}", m.me());
         assert_eq!(m.view().members().len(), N, "no view change");
+    }
+    assert!(
+        per_op <= BOUND,
+        "{per_op:.2} allocations per op in steady state (bound {BOUND})"
+    );
+}
+
+const PC_N: usize = 64;
+const PC_INTERVAL: SimDuration = SimDuration::from_micros(20);
+
+/// Broadcasts `ops` commutative operations, one every 20 µs from a random
+/// member.
+fn broadcast_pc(
+    sim: &mut Simulation<ProtocolStack<PcEngine<Op>, Tally>>,
+    rng: &mut StdRng,
+    at: &mut SimTime,
+    ops: u64,
+) {
+    for _ in 0..ops {
+        sim.run_until(*at);
+        let submitter = ProcessId::new(rng.gen_range(0..PC_N as u32));
+        sim.poke(submitter, |m, ctx| m.broadcast(ctx, Op { nc: false }));
+        *at += PC_INTERVAL;
+    }
+}
+
+#[test]
+fn the_pc_data_path_allocates_a_few_blocks_per_op() {
+    const WARM_UP: u64 = 3_000;
+    const MEASURED: u64 = 3_000;
+    const BOUND: f64 = 7.5;
+    let members = (0..PC_N)
+        .map(|i| {
+            let me = ProcessId::new(i as u32);
+            ProtocolStack::new(me, PC_N, Tally::default()).with_gc(PC_N, 64)
+        })
+        .collect();
+    let net = NetConfig::with_latency(LatencyModel::uniform_micros(50, 500))
+        .faults(FaultPlan::new().with_drop_prob(0.01));
+    let mut sim = Simulation::new(members, net, 1);
+    let mut rng = StdRng::seed_from_u64(1);
+    let mut at = SimTime::ZERO;
+    broadcast_pc(&mut sim, &mut rng, &mut at, WARM_UP);
+    let before = allocations();
+    broadcast_pc(&mut sim, &mut rng, &mut at, MEASURED);
+    let per_op = (allocations() - before) as f64 / MEASURED as f64;
+    sim.run_until(at + SimDuration::from_millis(200));
+    let total = WARM_UP + MEASURED;
+    for m in sim.nodes() {
+        assert_eq!(m.app().delivered, total, "member {:?}", m.me());
     }
     assert!(
         per_op <= BOUND,
