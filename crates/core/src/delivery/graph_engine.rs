@@ -31,7 +31,7 @@ use causal_clocks::{IdWindow, MsgId, ProcessId, VectorClock};
 ///
 /// ```
 /// use causal_clocks::ProcessId;
-/// use causal_core::delivery::GraphDelivery;
+/// use causal_core::delivery::{DeliveryEngine, GraphDelivery};
 /// use causal_core::osend::{OSender, OccursAfter};
 ///
 /// let mut tx = OSender::new(ProcessId::new(0));
@@ -50,7 +50,6 @@ pub struct GraphDelivery<P> {
     /// ids at or below it are known delivered-and-stable though their
     /// slots were dropped.
     slots: IdWindow<Slot<P>>,
-    log: Vec<MsgId>,
     /// Slots holding a received message (buffered or delivered).
     accepted: usize,
     /// Slots holding a buffered message.
@@ -103,7 +102,6 @@ impl<P> GraphDelivery<P> {
     pub fn new() -> Self {
         GraphDelivery {
             slots: IdWindow::new(),
-            log: Vec::new(),
             accepted: 0,
             pending: 0,
             duplicates: 0,
@@ -116,82 +114,6 @@ impl<P> GraphDelivery<P> {
         match self.slots.get(dep) {
             Some(slot) => matches!(slot.state, State::Delivered),
             None => self.slots.is_retired(dep),
-        }
-    }
-
-    /// Forgets per-message state for the globally **stable** prefix: ids
-    /// with `seq <= stable[origin]` are dropped, and future references to
-    /// them (duplicates, dependencies) are resolved against the raised
-    /// floor instead. Only the slots that just became stable are touched.
-    ///
-    /// Soundness requires `stable` to really be a stable prefix (delivered
-    /// at every member — see
-    /// [`StabilityTracker`](crate::stability::StabilityTracker)): only
-    /// then are all of its ids delivered here, with no *pending* message
-    /// at any member waiting on one of them.
-    pub fn compact(&mut self, stable: &VectorClock) {
-        let before = self.slots.len();
-        self.slots.compact(stable);
-        self.accepted -= before - self.slots.len();
-    }
-
-    /// Retained per-message bookkeeping entries (the quantity compaction
-    /// bounds): delivered + seen + pending, where the seen set holds
-    /// every accepted message, so each accepted message counts twice.
-    pub fn retained_len(&self) -> usize {
-        2 * self.accepted
-    }
-
-    /// Accepts an envelope from the transport; returns the envelopes
-    /// released for processing, in delivery order (possibly empty, possibly
-    /// several when the arrival unblocks buffered waiters).
-    pub fn on_receive(&mut self, env: GraphEnvelope<P>) -> Vec<GraphEnvelope<P>> {
-        let mut released = Vec::new();
-        self.on_receive_into(env, &mut released);
-        released
-    }
-
-    /// [`on_receive`](Self::on_receive) appending to a caller-owned
-    /// buffer — the allocation-free flood-path variant: missing
-    /// dependencies are counted in place instead of collected, and
-    /// cascades extend `released` directly.
-    pub fn on_receive_into(&mut self, env: GraphEnvelope<P>, released: &mut Vec<GraphEnvelope<P>>) {
-        let fresh = match self.slots.get(env.id) {
-            Some(slot) => matches!(slot.state, State::Awaited),
-            None => !self.slots.is_retired(env.id),
-        };
-        if !fresh {
-            self.duplicates += 1;
-            return;
-        }
-        self.accepted += 1;
-        let missing = env.deps.iter().filter(|&&d| !self.is_satisfied(d)).count();
-        if missing == 0 {
-            let delivered = self.deliver(env);
-            released.push(delivered);
-            self.cascade(released);
-        } else {
-            for &d in env.deps.iter() {
-                if !self.is_satisfied(d) {
-                    let waiters = &mut self
-                        .slots
-                        .get_or_insert_with(d, Slot::default)
-                        .expect("an unsatisfied dependency lies above the floor")
-                        .waiters;
-                    if waiters.capacity() == 0 {
-                        if let Some(spare) = self.spare_waiters.pop() {
-                            *waiters = spare;
-                        }
-                    }
-                    waiters.push(env.id);
-                }
-            }
-            self.pending += 1;
-            let slot = self
-                .slots
-                .get_or_insert_with(env.id, Slot::default)
-                .expect("a fresh id lies above the floor");
-            slot.state = State::Pending { env, missing };
         }
     }
 
@@ -223,7 +145,6 @@ impl<P> GraphDelivery<P> {
                 .expect("the slot was just marked delivered")
                 .waiters = waiters;
         }
-        self.log.push(id);
         env
     }
 
@@ -278,21 +199,6 @@ impl<P> GraphDelivery<P> {
         )
     }
 
-    /// The delivery log: message ids in the order they were released.
-    pub fn log(&self) -> &[MsgId] {
-        &self.log
-    }
-
-    /// Number of messages delivered.
-    pub fn delivered_len(&self) -> usize {
-        self.log.len()
-    }
-
-    /// Number of messages buffered awaiting dependencies.
-    pub fn pending_len(&self) -> usize {
-        self.pending
-    }
-
     /// Ids currently buffered awaiting dependencies, in (origin, seq)
     /// order.
     pub fn pending_ids(&self) -> impl Iterator<Item = MsgId> + '_ {
@@ -300,11 +206,6 @@ impl<P> GraphDelivery<P> {
             .iter()
             .filter(|(_, slot)| matches!(slot.state, State::Pending { .. }))
             .map(|(id, _)| id)
-    }
-
-    /// Duplicate receptions absorbed so far.
-    pub fn duplicates(&self) -> u64 {
-        self.duplicates
     }
 
     /// Slots allocated for per-message state, empty or not.
@@ -347,36 +248,81 @@ impl<P: Clone> DeliveryEngine for GraphDelivery<P> {
         env
     }
 
-    fn on_receive_into(&mut self, env: GraphEnvelope<P>, out: &mut Vec<GraphEnvelope<P>>) {
-        GraphDelivery::on_receive_into(self, env, out);
-    }
-
-    fn view<'a>(env: &'a GraphEnvelope<P>) -> Delivered<'a, P> {
-        Delivered {
-            id: env.id,
-            deps: Some(&env.deps),
-            payload: &env.payload,
+    /// Missing dependencies are counted in place instead of collected,
+    /// and cascades extend `released` directly.
+    fn on_receive_into(&mut self, env: GraphEnvelope<P>, released: &mut Vec<GraphEnvelope<P>>) {
+        let fresh = match self.slots.get(env.id) {
+            Some(slot) => matches!(slot.state, State::Awaited),
+            None => !self.slots.is_retired(env.id),
+        };
+        if !fresh {
+            self.duplicates += 1;
+            return;
+        }
+        self.accepted += 1;
+        let missing = env.deps.iter().filter(|&&d| !self.is_satisfied(d)).count();
+        if missing == 0 {
+            let delivered = self.deliver(env);
+            released.push(delivered);
+            self.cascade(released);
+        } else {
+            for &d in env.deps.iter() {
+                if !self.is_satisfied(d) {
+                    let waiters = &mut self
+                        .slots
+                        .get_or_insert_with(d, Slot::default)
+                        .expect("an unsatisfied dependency lies above the floor")
+                        .waiters;
+                    if waiters.capacity() == 0 {
+                        if let Some(spare) = self.spare_waiters.pop() {
+                            *waiters = spare;
+                        }
+                    }
+                    waiters.push(env.id);
+                }
+            }
+            self.pending += 1;
+            let slot = self
+                .slots
+                .get_or_insert_with(env.id, Slot::default)
+                .expect("a fresh id lies above the floor");
+            slot.state = State::Pending { env, missing };
         }
     }
 
-    fn log(&self) -> &[MsgId] {
-        GraphDelivery::log(self)
+    fn view<'a>(env: &'a GraphEnvelope<P>) -> Delivered<'a, P> {
+        Delivered::from_graph(env)
     }
 
     fn pending_len(&self) -> usize {
-        GraphDelivery::pending_len(self)
+        self.pending
     }
 
     fn duplicates(&self) -> u64 {
-        GraphDelivery::duplicates(self)
+        self.duplicates
     }
 
+    /// Forgets per-message state for the globally **stable** prefix: ids
+    /// with `seq <= stable[origin]` are dropped, and future references to
+    /// them (duplicates, dependencies) are resolved against the raised
+    /// floor instead. Only the slots that just became stable are touched.
+    ///
+    /// Soundness requires `stable` to really be a stable prefix (delivered
+    /// at every member — see
+    /// [`StabilityTracker`](crate::stability::StabilityTracker)): only
+    /// then are all of its ids delivered here, with no *pending* message
+    /// at any member waiting on one of them.
     fn compact(&mut self, stable: &VectorClock) {
-        GraphDelivery::compact(self, stable);
+        let before = self.slots.len();
+        self.slots.compact(stable);
+        self.accepted -= before - self.slots.len();
     }
 
+    /// Retained per-message bookkeeping entries (the quantity compaction
+    /// bounds): delivered + seen + pending, where the seen set holds
+    /// every accepted message, so each accepted message counts twice.
     fn retained_len(&self) -> usize {
-        GraphDelivery::retained_len(self)
+        2 * self.accepted
     }
 }
 
@@ -390,15 +336,19 @@ mod tests {
         (0..n).map(|i| OSender::new(ProcessId::new(i))).collect()
     }
 
+    /// The ids of `released`, in release order.
+    fn ids<P>(released: &[GraphEnvelope<P>]) -> Vec<MsgId> {
+        released.iter().map(|e| e.id).collect()
+    }
+
     #[test]
     fn unconstrained_delivers_immediately() {
         let mut tx = senders(1);
         let mut rx = GraphDelivery::new();
         let env = tx[0].osend(1u8, OccursAfter::none());
         let out = rx.on_receive(env.clone());
-        assert_eq!(out.len(), 1);
         assert!(rx.is_delivered(env.id));
-        assert_eq!(rx.log(), &[env.id]);
+        assert_eq!(ids(&out), [env.id]);
     }
 
     #[test]
@@ -430,8 +380,7 @@ mod tests {
         assert!(rx.on_receive(c.clone()).is_empty());
         assert!(rx.on_receive(b.clone()).is_empty());
         let out = rx.on_receive(a.clone());
-        assert_eq!(out.len(), 4);
-        assert_eq!(rx.log(), &[a.id, b.id, c.id, d.id]);
+        assert_eq!(ids(&out), [a.id, b.id, c.id, d.id]);
     }
 
     #[test]
@@ -456,13 +405,13 @@ mod tests {
         let a = tx[0].osend('a', OccursAfter::none());
         let b = tx[0].osend('b', OccursAfter::message(a.id));
         let mut rx = GraphDelivery::new();
-        rx.on_receive(b.clone());
-        rx.on_receive(b.clone()); // duplicate while pending
-        rx.on_receive(a.clone());
-        rx.on_receive(a.clone()); // duplicate after delivery
+        let mut out = Vec::new();
+        rx.on_receive_into(b.clone(), &mut out);
+        rx.on_receive_into(b.clone(), &mut out); // duplicate while pending
+        rx.on_receive_into(a.clone(), &mut out);
+        rx.on_receive_into(a.clone(), &mut out); // duplicate after delivery
         assert_eq!(rx.duplicates(), 2);
-        assert_eq!(rx.delivered_len(), 2);
-        assert_eq!(rx.log(), &[a.id, b.id]);
+        assert_eq!(ids(&out), [a.id, b.id]);
     }
 
     #[test]
@@ -470,16 +419,17 @@ mod tests {
         let mut tx = senders(2);
         let a = tx[0].osend('a', OccursAfter::none());
         let b = tx[1].osend('b', OccursAfter::none());
+        let (mut out1, mut out2) = (Vec::new(), Vec::new());
         let mut rx1 = GraphDelivery::new();
-        rx1.on_receive(a.clone());
-        rx1.on_receive(b.clone());
+        rx1.on_receive_into(a.clone(), &mut out1);
+        rx1.on_receive_into(b.clone(), &mut out1);
         let mut rx2 = GraphDelivery::new();
-        rx2.on_receive(b.clone());
-        rx2.on_receive(a.clone());
+        rx2.on_receive_into(b.clone(), &mut out2);
+        rx2.on_receive_into(a.clone(), &mut out2);
         // Different orders at different members — allowed for concurrent
         // messages.
-        assert_eq!(rx1.log(), &[a.id, b.id]);
-        assert_eq!(rx2.log(), &[b.id, a.id]);
+        assert_eq!(ids(&out1), [a.id, b.id]);
+        assert_eq!(ids(&out2), [b.id, a.id]);
     }
 
     #[test]
@@ -494,36 +444,36 @@ mod tests {
         assert!(rx.on_receive(d.clone()).is_empty());
         assert!(rx.on_receive(b.clone()).is_empty());
         assert!(rx.on_receive(c.clone()).is_empty());
-        let out = rx.on_receive(a.clone());
+        let out = ids(&rx.on_receive(a.clone()));
         assert_eq!(out.len(), 4);
-        assert_eq!(rx.log().first(), Some(&a.id));
-        assert_eq!(rx.log().last(), Some(&d.id));
-        assert_eq!(rx.delivered_len(), 4);
+        assert_eq!(out.first(), Some(&a.id));
+        assert_eq!(out.last(), Some(&d.id));
         // d delivered exactly once despite two waiter registrations.
-        assert_eq!(rx.log().iter().filter(|&&m| m == d.id).count(), 1);
+        assert_eq!(out.iter().filter(|&&m| m == d.id).count(), 1);
     }
 
     #[test]
     fn compact_prunes_stable_prefix() {
         let mut tx = senders(1);
         let mut rx = GraphDelivery::new();
-        let mut ids = Vec::new();
+        let mut sent = Vec::new();
+        let mut out = Vec::new();
         let mut prev: Option<MsgId> = None;
         for k in 0..6u8 {
             let after = prev.map_or(OccursAfter::none(), OccursAfter::message);
             let env = tx[0].osend(k, after);
             prev = Some(env.id);
-            ids.push(env.id);
-            rx.on_receive(env);
+            sent.push(env.id);
+            rx.on_receive_into(env, &mut out);
         }
+        assert_eq!(ids(&out), sent);
         assert_eq!(rx.retained_len(), 12); // 6 delivered + 6 seen
                                            // First four messages are stable everywhere.
         rx.compact(&VectorClock::from_entries([4]));
         assert_eq!(rx.retained_len(), 4);
-        // Log is untouched; duplicates of compacted ids are absorbed.
-        assert_eq!(rx.log().len(), 6);
+        // Duplicates of compacted ids are absorbed.
         let dup = GraphEnvelope {
-            id: ids[0],
+            id: sent[0],
             deps: Default::default(),
             payload: 0u8,
         };

@@ -21,9 +21,12 @@
 //! Two weaker engines serve as baselines: [`FifoDelivery`] (per-sender
 //! order only) and no engine at all (process on receipt).
 //!
-//! The [`mod@reference`] module preserves the seed (pre-indexing)
-//! implementations of both causal engines for differential testing and
-//! benchmarking; protocol code should never use them.
+//! The [`mod@reference`] module keeps the seed (pre-indexing) algorithms
+//! of both causal engines as differential oracles; protocol code should
+//! never use them.
+//!
+//! An engine only orders. The record of what a member delivered is the
+//! stack's: [`ProtocolStack::log`](crate::stack::ProtocolStack::log).
 
 mod fifo;
 mod graph_engine;
@@ -108,8 +111,11 @@ impl<E> Default for LinkDelivery<E> {
 ///
 /// Implemented by [`GraphDelivery`] (explicit `Occurs-After` graphs, the
 /// paper's semantic causality), [`CbcastEngine`] (vector clocks, ISIS
-/// CBCAST potential causality), and their seed reference implementations
-/// in [`mod@reference`] (used for differential testing).
+/// CBCAST potential causality), [`PcEngine`] (PC-broadcast), and the seed
+/// algorithms of the first two in [`mod@reference`] (used for
+/// differential testing). An engine keeps no delivery log: the envelopes
+/// it releases, in release order, are the member's deliveries, and the
+/// stack records them.
 pub trait DeliveryEngine {
     /// The application operation type carried in envelopes.
     type Op: Clone;
@@ -181,9 +187,6 @@ pub trait DeliveryEngine {
         None
     }
 
-    /// The delivery log so far (message ids in delivery order).
-    fn log(&self) -> &[MsgId];
-
     /// Messages buffered awaiting causal predecessors.
     fn pending_len(&self) -> usize;
 
@@ -191,10 +194,9 @@ pub trait DeliveryEngine {
     fn duplicates(&self) -> u64;
 
     /// Hook for engines that keep records stability GC should switch off.
-    /// No engine switches one off: each keeps its delivery
-    /// [`log`](Self::log) under GC too, and `with_gc` does not call this.
-    /// It stays a no-op for drivers that configure an engine the way a GC
-    /// stack would (perfbench's layer replay).
+    /// No engine keeps one, and `with_gc` does not call this. It stays a
+    /// no-op for drivers that configure an engine the way a GC stack
+    /// would (perfbench's layer replay).
     fn enable_gc_mode(&mut self) {}
 
     /// Forgets per-message state for the globally stable prefix. Engines
@@ -210,10 +212,9 @@ pub trait DeliveryEngine {
     // --- Routed-engine hooks (no-ops unless `ROUTED`) ------------------
 
     /// Reconciles the engine's overlay with a newly installed member
-    /// set; returns handshake frames for freshly-opened links.
-    fn on_members(&mut self, _members: &[ProcessId]) -> Vec<LinkSend<Self::Envelope>> {
-        Vec::new()
-    }
+    /// set, appending the handshake frames of freshly-opened links to
+    /// `sends`.
+    fn on_members(&mut self, _members: &[ProcessId], _sends: &mut Vec<LinkSend<Self::Envelope>>) {}
 
     /// Disseminates a freshly originated (and already self-delivered)
     /// envelope over the overlay.
@@ -257,21 +258,14 @@ pub trait DeliveryEngine {
     }
 
     /// Handles an envelope arriving through the reliable-broadcast
-    /// side-channel (virtual-synchrony flush re-broadcast, joiner
-    /// replay). The single receipt records whether the engine had not
-    /// yet seen it — routed engines deduplicate here, since their link
-    /// streams and the side-channel overlap.
-    fn on_replay(&mut self, timed: Timed<Self::Envelope>) -> LinkDelivery<Self::Envelope> {
-        let mut out = LinkDelivery::default();
-        self.on_replay_into(timed, &mut out);
-        out
-    }
-
-    /// Like [`on_replay`](Self::on_replay), appending to `out` instead of
-    /// returning a fresh [`LinkDelivery`]: the stack drains one retained
-    /// `out` per full-mesh data copy, so steady-state copies allocate no
-    /// vectors. Non-routed engines release through
-    /// [`on_receive_into`](Self::on_receive_into) and send nothing.
+    /// side-channel (a full-mesh data copy, virtual-synchrony flush
+    /// re-broadcast, joiner replay), appending to `out`. The single
+    /// receipt records whether the engine had not yet seen it — routed
+    /// engines deduplicate here, since their link streams and the
+    /// side-channel overlap. The stack drains one retained `out` per
+    /// copy, so steady-state copies allocate no vectors. Non-routed
+    /// engines release through [`on_receive_into`](Self::on_receive_into)
+    /// and send nothing.
     fn on_replay_into(
         &mut self,
         timed: Timed<Self::Envelope>,
@@ -281,11 +275,14 @@ pub trait DeliveryEngine {
         self.on_receive_into(timed.env, &mut out.released);
     }
 
-    /// The frames the retransmission tick at `clock` sends: every
-    /// unacknowledged link frame, and an ack on each link whose inbound
-    /// stream has holes due to be named.
-    fn link_retransmissions(&mut self, _clock: LinkClock) -> Vec<LinkSend<Self::Envelope>> {
-        Vec::new()
+    /// Appends to `sends` the frames the retransmission tick at `clock`
+    /// sends: every unacknowledged link frame, and an ack on each link
+    /// whose inbound stream has holes due to be named.
+    fn link_retransmissions(
+        &mut self,
+        _clock: LinkClock,
+        _sends: &mut Vec<LinkSend<Self::Envelope>>,
+    ) {
     }
 
     /// Whether any link frame still awaits acknowledgement.

@@ -2,9 +2,9 @@
 //!
 //! Lives in its own file (rather than folded into `core/wire.rs`) so
 //! the static analyzer's wire-panic audit can name it as a decode entry
-//! file: every `decode_*` function here is an audit root, and the whole
-//! reachable cone must stay panic-free — these bytes come straight off
-//! a TCP socket on the `causal-net` path.
+//! file: every `decode` here is an audit root, and the whole reachable
+//! cone must stay panic-free — these bytes come straight off a TCP
+//! socket on the `causal-net` path.
 //!
 //! Format (little-endian, like the rest of the codec):
 //!
@@ -26,64 +26,13 @@
 
 use super::engine::PcEnvelope;
 use super::link::{LinkBody, LinkFrame};
-use crate::wire::{
-    decode_msg_id, encode_msg_id, get_len, get_u32_le, get_u64_le, get_u8, put_len, DecodeError,
-    WireEncode,
-};
-use causal_clocks::ProcessId;
+use crate::wire::{get_len, get_u32_le, get_u64_le, get_u8, put_len, DecodeError, WireEncode};
+use causal_clocks::{MsgId, ProcessId};
 
 const TAG_LB_MSG: u8 = 0;
 const TAG_LB_PING: u8 = 1;
 const TAG_LB_PONG: u8 = 2;
 const TAG_LB_ACK: u8 = 3;
-
-/// Encodes a [`PcEnvelope`]: id, payload — no ordering metadata at all.
-pub fn encode_pc_envelope<P: WireEncode>(env: &PcEnvelope<P>, out: &mut Vec<u8>) {
-    encode_msg_id(env.id, out);
-    env.payload.encode(out);
-}
-
-/// Decodes a [`PcEnvelope`].
-///
-/// # Errors
-///
-/// [`DecodeError`] on truncation.
-pub fn decode_pc_envelope<P: WireEncode>(input: &mut &[u8]) -> Result<PcEnvelope<P>, DecodeError> {
-    let id = decode_msg_id(input)?;
-    let payload = P::decode(input)?;
-    Ok(PcEnvelope { id, payload })
-}
-
-/// Decodes a [`LinkBody`].
-///
-/// # Errors
-///
-/// [`DecodeError`] on truncation, a bad tag, or an absurd watermark
-/// count.
-pub fn decode_link_body<T: WireEncode>(input: &mut &[u8]) -> Result<LinkBody<T>, DecodeError> {
-    match get_u8(input)? {
-        TAG_LB_MSG => Ok(LinkBody::Msg(T::decode(input)?)),
-        TAG_LB_PING => Ok(LinkBody::Ping {
-            token: get_u64_le(input)?,
-        }),
-        TAG_LB_PONG => {
-            let token = get_u64_le(input)?;
-            let n = get_len(input)?;
-            let mut delivered = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let origin = ProcessId::new(get_u32_le(input)?);
-                let wm = get_u64_le(input)?;
-                delivered.push((origin, wm));
-            }
-            Ok(LinkBody::Pong { token, delivered })
-        }
-        TAG_LB_ACK => Ok(LinkBody::Ack {
-            cum: get_u64_le(input)?,
-            holes: get_u64_le(input)?,
-        }),
-        got => Err(DecodeError::InvalidTag { got }),
-    }
-}
 
 impl<T: WireEncode> WireEncode for LinkBody<T> {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -113,7 +62,28 @@ impl<T: WireEncode> WireEncode for LinkBody<T> {
         }
     }
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        decode_link_body(input)
+        match get_u8(input)? {
+            TAG_LB_MSG => Ok(LinkBody::Msg(T::decode(input)?)),
+            TAG_LB_PING => Ok(LinkBody::Ping {
+                token: get_u64_le(input)?,
+            }),
+            TAG_LB_PONG => {
+                let token = get_u64_le(input)?;
+                let n = get_len(input)?;
+                let mut delivered = Vec::with_capacity(n.min(1024));
+                for _ in 0..n {
+                    let origin = ProcessId::new(get_u32_le(input)?);
+                    let wm = get_u64_le(input)?;
+                    delivered.push((origin, wm));
+                }
+                Ok(LinkBody::Pong { token, delivered })
+            }
+            TAG_LB_ACK => Ok(LinkBody::Ack {
+                cum: get_u64_le(input)?,
+                holes: get_u64_le(input)?,
+            }),
+            got => Err(DecodeError::InvalidTag { got }),
+        }
     }
 }
 
@@ -124,17 +94,21 @@ impl<T: WireEncode> WireEncode for LinkFrame<T> {
     }
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         let seq = get_u64_le(input)?;
-        let body = decode_link_body(input)?;
+        let body = LinkBody::decode(input)?;
         Ok(LinkFrame { seq, body })
     }
 }
 
+/// Id, payload — no ordering metadata at all.
 impl<P: WireEncode> WireEncode for PcEnvelope<P> {
     fn encode(&self, out: &mut Vec<u8>) {
-        encode_pc_envelope(self, out);
+        self.id.encode(out);
+        self.payload.encode(out);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        decode_pc_envelope(input)
+        let id = MsgId::decode(input)?;
+        let payload = P::decode(input)?;
+        Ok(PcEnvelope { id, payload })
     }
 }
 
@@ -142,7 +116,6 @@ impl<P: WireEncode> WireEncode for PcEnvelope<P> {
 mod tests {
     use super::*;
     use crate::stack::Timed;
-    use causal_clocks::MsgId;
     use causal_simnet::SimTime;
 
     type Frame = LinkFrame<Timed<PcEnvelope<i64>>>;

@@ -120,8 +120,6 @@ pub struct PcEngine<P> {
     /// highest contiguously delivered sequence), and the entries are the
     /// messages received ahead of their per-origin predecessor.
     gate: IdWindow<Parked<P>>,
-    /// Delivery log (message ids in delivery order).
-    log: Vec<MsgId>,
     duplicates: u64,
     /// The bodies one inbound frame's link released, empty between
     /// frames. Kept, like `batch`, so that steady-state frames allocate
@@ -186,15 +184,14 @@ impl<P: Clone> PcEngine<P> {
         self.peak_buffered = self.peak_buffered.max(buffered);
     }
 
-    /// Delivers a message the gate released (log append), forwards it on
-    /// every safe link except the one it arrived on, and releases it.
+    /// Delivers a message the gate released: forwards it on every safe
+    /// link except the one it arrived on, and releases it.
     fn deliver(
         &mut self,
         Parked { timed, from }: Parked<P>,
         batch: &mut Vec<Timed<PcEnvelope<P>>>,
         out: &mut LinkDelivery<PcEnvelope<P>>,
     ) {
-        self.log.push(timed.env.id);
         if from.is_some() {
             for (&peer, link) in self.links.iter_mut() {
                 if link.safe && Some(peer) != from {
@@ -309,7 +306,6 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
             links,
             members: MemberSet::Initial(n),
             gate: IdWindow::new(),
-            log: Vec::new(),
             duplicates: 0,
             released: Vec::new(),
             replies: Vec::new(),
@@ -331,20 +327,18 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
             id: MsgId::new(self.me, self.gate.advance(self.me)),
             payload: op,
         };
-        self.log.push(env.id);
         released.push(env.clone());
         env
     }
 
     fn on_receive_into(&mut self, env: PcEnvelope<P>, out: &mut Vec<PcEnvelope<P>>) {
-        out.append(
-            &mut self
-                .on_replay(Timed {
-                    env,
-                    sent_at: causal_simnet::SimTime::ZERO,
-                })
-                .released,
-        );
+        let mut replayed = LinkDelivery::default();
+        let timed = Timed {
+            env,
+            sent_at: causal_simnet::SimTime::ZERO,
+        };
+        self.on_replay_into(timed, &mut replayed);
+        out.append(&mut replayed.released);
     }
 
     fn on_replay_into(
@@ -368,10 +362,6 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
         }
     }
 
-    fn log(&self) -> &[MsgId] {
-        &self.log
-    }
-
     fn pending_len(&self) -> usize {
         self.gate.len() + self.links.values().map(Link::buffered).sum::<usize>()
     }
@@ -380,7 +370,7 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
         self.duplicates + self.links.values().map(Link::duplicate_count).sum::<u64>()
     }
 
-    fn on_members(&mut self, members: &[ProcessId]) -> Vec<LinkSend<PcEnvelope<P>>> {
+    fn on_members(&mut self, members: &[ProcessId], sends: &mut Vec<LinkSend<PcEnvelope<P>>>) {
         // Links to removed members die with them; links between
         // surviving members persist even when the re-derived tree no
         // longer contains them (a safe link only becomes *more*
@@ -389,7 +379,6 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
         self.links.retain(|p, _| members.contains(p));
         self.members = MemberSet::Installed(members.to_vec());
         self.tree = tree_position(self.me, members, DEFAULT_FANOUT);
-        let mut sends = Vec::new();
         for nbr in self.tree.iter().flat_map(TreePosition::neighbors) {
             let link = self.links.entry(nbr).or_default();
             if !link.safe && link.pending_ping.is_none() {
@@ -400,7 +389,6 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
                 sends.push((nbr, frame));
             }
         }
-        sends
     }
 
     fn route_broadcast(&mut self, timed: Timed<PcEnvelope<P>>) -> Vec<LinkSend<PcEnvelope<P>>> {
@@ -458,17 +446,13 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
         self.note_buffered();
     }
 
-    fn link_retransmissions(&mut self, clock: LinkClock) -> Vec<LinkSend<PcEnvelope<P>>> {
-        let mut sends = Vec::new();
+    fn link_retransmissions(&mut self, clock: LinkClock, sends: &mut Vec<LinkSend<PcEnvelope<P>>>) {
         for (&peer, link) in self.links.iter_mut() {
             if let Some(report) = link.hole_report(clock) {
                 sends.push((peer, report));
             }
-            for frame in link.retransmissions() {
-                sends.push((peer, frame));
-            }
+            sends.extend(link.retransmissions().map(|frame| (peer, frame)));
         }
-        sends
     }
 
     fn link_has_pending(&self) -> bool {
@@ -498,11 +482,34 @@ mod tests {
 
     type TestFrame = LinkFrame<Timed<PcEnvelope<&'static str>>>;
 
+    /// Hands `timed` to the membership side-channel.
+    fn replay(
+        e: &mut PcEngine<&'static str>,
+        timed: Timed<PcEnvelope<&'static str>>,
+    ) -> LinkDelivery<PcEnvelope<&'static str>> {
+        let mut out = LinkDelivery::default();
+        e.on_replay_into(timed, &mut out);
+        out
+    }
+
+    /// Installs `members`; returns the handshake frames it sends.
+    fn install(
+        e: &mut PcEngine<&'static str>,
+        members: &[ProcessId],
+    ) -> Vec<LinkSend<PcEnvelope<&'static str>>> {
+        let mut sends = Vec::new();
+        e.on_members(members, &mut sends);
+        sends
+    }
+
     /// Drives a static group of engines to quiescence by repeatedly
     /// delivering every queued link frame in FIFO order.
     struct Net {
         engines: Vec<PcEngine<&'static str>>,
         queues: BTreeMap<(usize, usize), Vec<TestFrame>>,
+        /// What each member's engine released, own sends included, in
+        /// release order: the member's deliveries.
+        delivered: Vec<Vec<MsgId>>,
     }
 
     impl Net {
@@ -512,6 +519,7 @@ mod tests {
                     .map(|i| PcEngine::for_member(p(i as u32), n))
                     .collect(),
                 queues: BTreeMap::new(),
+                delivered: vec![Vec::new(); n],
             }
         }
 
@@ -525,7 +533,8 @@ mod tests {
         }
 
         fn broadcast(&mut self, node: usize, payload: &'static str) {
-            let (env, _released) = self.engines[node].send(payload, OccursAfter::none());
+            let (env, released) = self.engines[node].send(payload, OccursAfter::none());
+            self.delivered[node].extend(released.iter().map(|e| e.id));
             let sends = self.engines[node].route_broadcast(timed(env));
             self.enqueue(node, sends);
         }
@@ -542,6 +551,7 @@ mod tests {
             while let Some((from, to)) = self.next_busy_link() {
                 let frame = self.queues.get_mut(&(from, to)).unwrap().remove(0);
                 let out = self.engines[to].on_link_frame(p(from as u32), frame, &[]);
+                self.delivered[to].extend(out.released.iter().map(|e| e.id));
                 self.enqueue(to, out.sends);
             }
             self.queues.clear();
@@ -554,7 +564,7 @@ mod tests {
         net.broadcast(3, "hello");
         net.run();
         for (i, e) in net.engines.iter().enumerate() {
-            assert_eq!(e.log(), &[MsgId::new(p(3), 1)], "node {i}");
+            assert_eq!(net.delivered[i], [MsgId::new(p(3), 1)], "node {i}");
             assert_eq!(e.pending_len(), 0);
         }
     }
@@ -570,8 +580,8 @@ mod tests {
         net.run();
         let a = MsgId::new(p(1), 1);
         let b = MsgId::new(p(0), 1);
-        for e in &net.engines {
-            assert_eq!(e.log(), &[a, b]);
+        for delivered in &net.delivered {
+            assert_eq!(delivered, &[a, b]);
         }
     }
 
@@ -584,18 +594,17 @@ mod tests {
             }
             net.run();
         }
-        let log0: Vec<MsgId> = net.engines[0].log().to_vec();
-        for e in &net.engines[1..] {
-            assert_eq!(e.log().len(), 9);
+        for (e, delivered) in net.engines.iter().zip(&net.delivered).skip(1) {
+            assert_eq!(delivered.len(), 9);
             // A tree overlay delivers each message exactly once.
             assert_eq!(e.duplicates(), 0);
         }
         // All members saw all messages (order may differ for concurrent
         // sends but the sets agree).
-        let mut ids0 = log0.clone();
+        let mut ids0 = net.delivered[0].clone();
         ids0.sort();
-        for e in &net.engines[1..] {
-            let mut ids = e.log().to_vec();
+        for delivered in &net.delivered[1..] {
+            let mut ids = delivered.clone();
             ids.sort();
             assert_eq!(ids, ids0);
         }
@@ -613,11 +622,11 @@ mod tests {
             id: MsgId::new(p(7), 2),
             payload: "two",
         };
-        let out2 = e.on_replay(timed(m2.clone()));
+        let out2 = replay(&mut e, timed(m2.clone()));
         assert!(out2.receipts[0].2, "ahead-of-sequence is still fresh");
         assert!(out2.released.is_empty());
         assert_eq!(e.pending_len(), 1);
-        let out1 = e.on_replay(timed(m1.clone()));
+        let out1 = replay(&mut e, timed(m1.clone()));
         assert!(out1.receipts[0].2);
         assert_eq!(out1.released, vec![m1, m2]);
         assert_eq!(e.pending_len(), 0);
@@ -631,8 +640,8 @@ mod tests {
             id: MsgId::new(p(1), 1),
             payload: "m",
         };
-        assert!(e.on_replay(timed(m.clone())).receipts[0].2);
-        let again = e.on_replay(timed(m));
+        assert!(replay(&mut e, timed(m.clone())).receipts[0].2);
+        let again = replay(&mut e, timed(m));
         assert!(!again.receipts[0].2);
         assert!(again.released.is_empty());
         assert_eq!(e.duplicates(), 1);
@@ -649,8 +658,8 @@ mod tests {
         let history = [timed(m1.clone()), timed(m2.clone())];
 
         let members = [p(0), p(9)];
-        let pings_a = a.on_members(&members);
-        let pings_b = b.on_members(&members);
+        let pings_a = install(&mut a, &members);
+        let pings_b = install(&mut b, &members);
         assert_eq!(pings_a.len(), 1);
         assert_eq!(pings_b.len(), 1);
         assert_eq!(a.quarantined_links(), 1);
@@ -713,7 +722,7 @@ mod tests {
         let (m2, _) = a.send("two", OccursAfter::none());
         let history = vec![timed(m1.clone()), timed(m2.clone())];
         let members = [p(0), p(5)];
-        let pings = a.on_members(&members);
+        let pings = install(&mut a, &members);
         let token = match pings[0].1.body {
             LinkBody::Ping { token } => token,
             ref b => panic!("expected ping, got {b:?}"),
@@ -736,7 +745,7 @@ mod tests {
     fn removed_members_lose_their_links() {
         let mut e: PcEngine<&'static str> = PcEngine::for_member(p(0), 3);
         assert_eq!(e.safe_links(), 2);
-        let sends = e.on_members(&[p(0), p(2)]);
+        let sends = install(&mut e, &[p(0), p(2)]);
         assert!(sends.is_empty(), "surviving link stays safe: {sends:?}");
         assert_eq!(e.safe_links(), 1);
     }
@@ -756,13 +765,12 @@ mod tests {
             assert!(out.sends.is_empty(), "{:?}", out.sends);
             assert!(out.released.is_empty());
             assert!(out.receipts.is_empty());
-            assert!(e.log().is_empty());
             assert_eq!(e.pending_len(), 0);
         }
 
         // A removed member's late frame.
         let mut e: PcEngine<&'static str> = PcEngine::for_member(p(0), 3);
-        e.on_members(&[p(0), p(2)]);
+        install(&mut e, &[p(0), p(2)]);
         let out = e.on_link_frame(p(1), msg_frame(p(1), 7), &[]);
         assert_ignored(&e, &out);
         assert!(!e.links.contains_key(&p(1)));
@@ -775,10 +783,10 @@ mod tests {
         assert!(!e.links.contains_key(&stranger));
 
         // Once a view admits it, its retransmission gets through.
-        e.on_members(&[p(0), p(1), p(2), stranger]);
+        install(&mut e, &[p(0), p(1), p(2), stranger]);
         let out = e.on_link_frame(stranger, msg_frame(stranger, 1), &[]);
         assert_eq!(out.released.len(), 1);
-        assert_eq!(e.log(), &[MsgId::new(stranger, 1)]);
+        assert_eq!(out.released[0].id, MsgId::new(stranger, 1));
     }
 
     #[test]

@@ -324,16 +324,14 @@ impl<T: Clone> Link<T> {
         }
     }
 
-    /// Clones the unacknowledged outbound tail for retransmission.
-    pub fn retransmissions(&mut self) -> Vec<LinkFrame<T>> {
+    /// Clones the unacknowledged outbound tail for retransmission, frame
+    /// by frame as the caller appends them to its send buffer.
+    pub fn retransmissions(&mut self) -> impl Iterator<Item = LinkFrame<T>> + '_ {
         self.retransmits += self.unacked.len() as u64;
-        self.unacked
-            .iter()
-            .map(|(seq, body)| LinkFrame {
-                seq: *seq,
-                body: body.clone(),
-            })
-            .collect()
+        self.unacked.iter().map(|(seq, body)| LinkFrame {
+            seq: *seq,
+            body: body.clone(),
+        })
     }
 
     /// Whether any outbound frame still awaits acknowledgement.
@@ -508,7 +506,6 @@ mod tests {
         assert!(tx.has_pending());
         let acks: Vec<u64> = tx
             .retransmissions()
-            .into_iter()
             .filter_map(|f| feed(&mut rx, f).1)
             .collect();
         assert_eq!(acks, vec![10], "only frame 10 is re-acked");
@@ -523,13 +520,13 @@ mod tests {
         let _f2 = msg(&mut tx, "b");
         assert!(tx.has_pending());
         tx.on_ack(1);
-        let rtx = tx.retransmissions();
+        let rtx: Vec<_> = tx.retransmissions().collect();
         assert_eq!(rtx.len(), 1);
         assert_eq!(rtx[0].seq, 2);
         assert_ne!(rtx[0].seq, f1.seq);
         tx.on_ack(2);
         assert!(!tx.has_pending());
-        assert!(tx.retransmissions().is_empty());
+        assert!(tx.retransmissions().next().is_none());
     }
 
     #[test]
@@ -543,7 +540,6 @@ mod tests {
         // the buffered one are absorbed.
         let released: Vec<_> = tx
             .retransmissions()
-            .into_iter()
             .flat_map(|f| feed(&mut rx, f).0)
             .collect();
         assert_eq!(released, vec![LinkBody::Msg("a"), LinkBody::Msg("b")]);
@@ -564,7 +560,7 @@ mod tests {
             msg(&mut tx, s);
         }
         assert_eq!(feed(&mut tx, ack_frame(10, 0)), (Vec::new(), None));
-        let seqs: Vec<u64> = tx.retransmissions().iter().map(|f| f.seq).collect();
+        let seqs: Vec<u64> = tx.retransmissions().map(|f| f.seq).collect();
         assert_eq!(seqs, vec![1, 2, 3], "frames the peer never received stay");
         // An ack of the last frame sent still trims everything.
         tx.on_ack(3);
@@ -700,7 +696,7 @@ mod tests {
             .1
             .is_empty());
         assert_eq!(tx.repair_count(), 1);
-        let seqs: Vec<u64> = tx.retransmissions().iter().map(|f| f.seq).collect();
+        let seqs: Vec<u64> = tx.retransmissions().map(|f| f.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4], "naming trims nothing");
     }
 }

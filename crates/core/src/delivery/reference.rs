@@ -1,10 +1,11 @@
-//! Reference (pre-indexing) delivery engines, preserved verbatim from the
-//! seed implementation.
+//! Reference (pre-indexing) delivery engines: the seed implementation's
+//! algorithms, behind the same [`DeliveryEngine`] trait as the indexed
+//! engines.
 //!
 //! They exist as differential oracles. The equivalence proptests in
 //! `crates/core/tests/core_props.rs` feed identical randomized schedules
 //! (drops, duplicates, reorders) to an indexed engine and its reference
-//! twin and require **byte-identical delivery logs** — the indexed
+//! twin and require **identical release orders** — the indexed
 //! rewrites are pure data-structure changes, not behavior changes. The
 //! schedule explorer's `graph-ref` and `vector-ref` rows run them too.
 //!
@@ -22,14 +23,13 @@ use super::{Delivered, DeliveryEngine, VtEnvelope};
 /// every delivery.
 ///
 /// Functionally identical to [`CbcastEngine`](super::CbcastEngine) — same
-/// delivery order, same log, same duplicate accounting — just O(pending)
-/// per delivery instead of O(woken).
+/// delivery order, same duplicate accounting — just O(pending) per
+/// delivery instead of O(woken).
 #[derive(Debug, Clone)]
 pub struct FlatCbcastEngine<P> {
     me: ProcessId,
     vt: VectorClock,
     pending: Vec<VtEnvelope<P>>,
-    log: Vec<MsgId>,
     duplicates: u64,
 }
 
@@ -45,7 +45,6 @@ impl<P> FlatCbcastEngine<P> {
             me,
             vt: VectorClock::new(n),
             pending: Vec::new(),
-            log: Vec::new(),
             duplicates: 0,
         }
     }
@@ -58,7 +57,6 @@ impl<P> FlatCbcastEngine<P> {
     {
         let seq = self.vt.increment(self.me);
         let id = MsgId::new(self.me, seq);
-        self.log.push(id);
         VtEnvelope {
             id,
             vt: self.vt.clone(),
@@ -66,33 +64,8 @@ impl<P> FlatCbcastEngine<P> {
         }
     }
 
-    /// Accepts an envelope; returns the envelopes released in causal order.
-    pub fn on_receive(&mut self, env: VtEnvelope<P>) -> Vec<VtEnvelope<P>> {
-        let mut released = Vec::new();
-        match self.vt.delivery_check(&env.vt, env.id.origin()) {
-            DeliveryCheck::Deliverable => {
-                self.deliver(env, &mut released);
-                self.drain_pending(&mut released);
-            }
-            DeliveryCheck::Duplicate => {
-                self.duplicates += 1;
-            }
-            DeliveryCheck::MissingFromSender { .. } | DeliveryCheck::MissingPredecessor { .. } => {
-                // Absorb duplicates of already-buffered messages too —
-                // via the linear scan this module exists to preserve.
-                if self.pending.iter().any(|p| p.id == env.id) {
-                    self.duplicates += 1;
-                } else {
-                    self.pending.push(env);
-                }
-            }
-        }
-        released
-    }
-
     fn deliver(&mut self, env: VtEnvelope<P>, released: &mut Vec<VtEnvelope<P>>) {
         self.vt.apply_delivery(&env.vt);
-        self.log.push(env.id);
         released.push(env);
     }
 
@@ -115,21 +88,6 @@ impl<P> FlatCbcastEngine<P> {
     pub fn clock(&self) -> &VectorClock {
         &self.vt
     }
-
-    /// The delivery log (own broadcasts included at their send position).
-    pub fn log(&self) -> &[MsgId] {
-        &self.log
-    }
-
-    /// Number of messages buffered awaiting causal predecessors.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Duplicate receptions absorbed.
-    pub fn duplicates(&self) -> u64 {
-        self.duplicates
-    }
 }
 
 /// The seed explicit-graph engine: a cascade that re-checks **every**
@@ -141,7 +99,6 @@ impl<P> FlatCbcastEngine<P> {
 #[derive(Debug, Clone)]
 pub struct ScanGraphDelivery<P> {
     delivered: HashSet<MsgId>,
-    log: Vec<MsgId>,
     pending: HashMap<MsgId, GraphEnvelope<P>>,
     waiters: HashMap<MsgId, Vec<MsgId>>,
     seen: HashSet<MsgId>,
@@ -156,7 +113,6 @@ impl<P> ScanGraphDelivery<P> {
     pub fn new() -> Self {
         ScanGraphDelivery {
             delivered: HashSet::new(),
-            log: Vec::new(),
             pending: HashMap::new(),
             waiters: HashMap::new(),
             seen: HashSet::new(),
@@ -165,35 +121,8 @@ impl<P> ScanGraphDelivery<P> {
         }
     }
 
-    /// Accepts an envelope; returns the envelopes released in delivery
-    /// order.
-    pub fn on_receive(&mut self, env: GraphEnvelope<P>) -> Vec<GraphEnvelope<P>> {
-        if !self.seen.insert(env.id) {
-            self.duplicates += 1;
-            return Vec::new();
-        }
-        let missing: Vec<MsgId> = env
-            .deps
-            .iter()
-            .copied()
-            .filter(|&d| !self.delivered.contains(&d))
-            .collect();
-        if missing.is_empty() {
-            let mut released = vec![self.deliver(env)];
-            self.cascade(&mut released);
-            released
-        } else {
-            for &d in &missing {
-                self.waiters.entry(d).or_default().push(env.id);
-            }
-            self.pending.insert(env.id, env);
-            Vec::new()
-        }
-    }
-
     fn deliver(&mut self, env: GraphEnvelope<P>) -> GraphEnvelope<P> {
         self.delivered.insert(env.id);
-        self.log.push(env.id);
         env
     }
 
@@ -215,21 +144,6 @@ impl<P> ScanGraphDelivery<P> {
             }
             i += 1;
         }
-    }
-
-    /// The delivery log: message ids in the order they were released.
-    pub fn log(&self) -> &[MsgId] {
-        &self.log
-    }
-
-    /// Number of messages buffered awaiting dependencies.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Duplicate receptions absorbed.
-    pub fn duplicates(&self) -> u64 {
-        self.duplicates
     }
 }
 
@@ -258,8 +172,25 @@ impl<P: Clone> DeliveryEngine for FlatCbcastEngine<P> {
         env
     }
 
-    fn on_receive_into(&mut self, env: VtEnvelope<P>, out: &mut Vec<VtEnvelope<P>>) {
-        out.extend(FlatCbcastEngine::on_receive(self, env));
+    fn on_receive_into(&mut self, env: VtEnvelope<P>, released: &mut Vec<VtEnvelope<P>>) {
+        match self.vt.delivery_check(&env.vt, env.id.origin()) {
+            DeliveryCheck::Deliverable => {
+                self.deliver(env, released);
+                self.drain_pending(released);
+            }
+            DeliveryCheck::Duplicate => {
+                self.duplicates += 1;
+            }
+            DeliveryCheck::MissingFromSender { .. } | DeliveryCheck::MissingPredecessor { .. } => {
+                // Absorb duplicates of already-buffered messages too —
+                // via the linear scan this module exists to preserve.
+                if self.pending.iter().any(|p| p.id == env.id) {
+                    self.duplicates += 1;
+                } else {
+                    self.pending.push(env);
+                }
+            }
+        }
     }
 
     fn view<'a>(env: &'a VtEnvelope<P>) -> Delivered<'a, P> {
@@ -274,16 +205,12 @@ impl<P: Clone> DeliveryEngine for FlatCbcastEngine<P> {
         Some(&env.vt)
     }
 
-    fn log(&self) -> &[MsgId] {
-        FlatCbcastEngine::log(self)
-    }
-
     fn pending_len(&self) -> usize {
-        FlatCbcastEngine::pending_len(self)
+        self.pending.len()
     }
 
     fn duplicates(&self) -> u64 {
-        FlatCbcastEngine::duplicates(self)
+        self.duplicates
     }
 }
 
@@ -308,32 +235,42 @@ impl<P: Clone> DeliveryEngine for ScanGraphDelivery<P> {
             .as_mut()
             .expect("receive-only engine cannot send (construct with for_member)")
             .osend(op, after);
-        released.extend(self.on_receive(env.clone()));
+        self.on_receive_into(env.clone(), released);
         env
     }
 
-    fn on_receive_into(&mut self, env: GraphEnvelope<P>, out: &mut Vec<GraphEnvelope<P>>) {
-        out.extend(ScanGraphDelivery::on_receive(self, env));
-    }
-
-    fn view<'a>(env: &'a GraphEnvelope<P>) -> Delivered<'a, P> {
-        Delivered {
-            id: env.id,
-            deps: Some(&env.deps),
-            payload: &env.payload,
+    fn on_receive_into(&mut self, env: GraphEnvelope<P>, released: &mut Vec<GraphEnvelope<P>>) {
+        if !self.seen.insert(env.id) {
+            self.duplicates += 1;
+            return;
+        }
+        let missing: Vec<MsgId> = env
+            .deps
+            .iter()
+            .copied()
+            .filter(|&d| !self.delivered.contains(&d))
+            .collect();
+        if missing.is_empty() {
+            released.push(self.deliver(env));
+            self.cascade(released);
+        } else {
+            for &d in &missing {
+                self.waiters.entry(d).or_default().push(env.id);
+            }
+            self.pending.insert(env.id, env);
         }
     }
 
-    fn log(&self) -> &[MsgId] {
-        ScanGraphDelivery::log(self)
+    fn view<'a>(env: &'a GraphEnvelope<P>) -> Delivered<'a, P> {
+        Delivered::from_graph(env)
     }
 
     fn pending_len(&self) -> usize {
-        ScanGraphDelivery::pending_len(self)
+        self.pending.len()
     }
 
     fn duplicates(&self) -> u64 {
-        ScanGraphDelivery::duplicates(self)
+        self.duplicates
     }
 }
 
@@ -357,12 +294,16 @@ mod tests {
         }
         let mut flat = FlatCbcastEngine::new(p(1), 2);
         let mut idx = CbcastEngine::new(p(1), 2);
+        let (mut flat_order, mut idx_order) = (Vec::new(), Vec::new());
         for m in msgs.iter().rev() {
             let a = flat.on_receive(m.clone());
             let b = idx.on_receive(m.clone());
             assert_eq!(a, b);
+            flat_order.extend(a.iter().map(|e| e.id));
+            idx_order.extend(b.iter().map(|e| e.id));
         }
-        assert_eq!(flat.log(), idx.log());
+        assert_eq!(flat_order.len(), 40);
+        assert_eq!(flat_order, idx_order);
         assert_eq!(flat.duplicates(), idx.duplicates());
     }
 
@@ -380,11 +321,15 @@ mod tests {
             .collect();
         let mut scan = ScanGraphDelivery::new();
         let mut idx = GraphDelivery::new();
+        let (mut scan_order, mut idx_order) = (Vec::new(), Vec::new());
         for e in envs.iter().rev() {
             let a: Vec<_> = scan.on_receive(e.clone()).iter().map(|e| e.id).collect();
             let b: Vec<_> = idx.on_receive(e.clone()).iter().map(|e| e.id).collect();
             assert_eq!(a, b);
+            scan_order.extend(a);
+            idx_order.extend(b);
         }
-        assert_eq!(scan.log(), idx.log());
+        assert_eq!(scan_order.len(), 40);
+        assert_eq!(scan_order, idx_order);
     }
 }

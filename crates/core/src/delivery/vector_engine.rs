@@ -1,5 +1,7 @@
 //! Vector-clock causal delivery (ISIS CBCAST-style).
 
+use super::{Delivered, DeliveryEngine};
+use crate::osend::OccursAfter;
 use causal_clocks::{DeliveryCheck, MsgId, ProcessId, VectorClock};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -55,7 +57,7 @@ struct Buffered<P> {
 ///
 /// ```
 /// use causal_clocks::ProcessId;
-/// use causal_core::delivery::CbcastEngine;
+/// use causal_core::delivery::{CbcastEngine, DeliveryEngine};
 ///
 /// let mut p0 = CbcastEngine::new(ProcessId::new(0), 2);
 /// let mut p1 = CbcastEngine::new(ProcessId::new(1), 2);
@@ -88,7 +90,6 @@ pub struct CbcastEngine<P> {
     buffered: usize,
     /// Monotone arrival stamp for drain-order tie-breaking.
     arrivals: u64,
-    log: Vec<MsgId>,
     duplicates: u64,
     /// Drain scratch — `(arrival, origin)` of heads known deliverable but
     /// not yet popped. Kept across calls (always drained empty) so the
@@ -115,53 +116,25 @@ impl<P> CbcastEngine<P> {
             waiters: (0..n).map(|_| BinaryHeap::new()).collect(),
             buffered: 0,
             arrivals: 0,
-            log: Vec::new(),
             duplicates: 0,
             ready: BinaryHeap::new(),
             advanced: Vec::new(),
         }
     }
 
-    /// Stamps a broadcast: increments the local entry, records the local
-    /// (self-)delivery, and returns the envelope to disseminate to the
-    /// other members.
+    /// Stamps a broadcast: increments the local entry, which counts as
+    /// the local (self-)delivery, and returns the envelope to disseminate
+    /// to the other members.
     pub fn broadcast(&mut self, payload: P) -> VtEnvelope<P>
     where
         P: Clone,
     {
         let seq = self.vt.increment(self.me);
         let id = MsgId::new(self.me, seq);
-        self.log.push(id);
         VtEnvelope {
             id,
             vt: self.vt.clone(),
             payload,
-        }
-    }
-
-    /// Accepts an envelope from the transport; returns the envelopes
-    /// released for processing in causal order (deliveries may cascade).
-    pub fn on_receive(&mut self, env: VtEnvelope<P>) -> Vec<VtEnvelope<P>> {
-        let mut released = Vec::new();
-        self.on_receive_into(env, &mut released);
-        released
-    }
-
-    /// [`on_receive`](Self::on_receive) appending to a caller-owned
-    /// buffer — the allocation-free flood-path variant.
-    pub fn on_receive_into(&mut self, env: VtEnvelope<P>, released: &mut Vec<VtEnvelope<P>>) {
-        match self.vt.delivery_check(&env.vt, env.id.origin()) {
-            DeliveryCheck::Deliverable => {
-                let origin = env.id.origin();
-                self.deliver(env, released);
-                self.drain_from(origin, released);
-            }
-            DeliveryCheck::Duplicate => {
-                self.duplicates += 1;
-            }
-            DeliveryCheck::MissingFromSender { .. } | DeliveryCheck::MissingPredecessor { .. } => {
-                self.buffer(env);
-            }
         }
     }
 
@@ -182,7 +155,7 @@ impl<P> CbcastEngine<P> {
         self.buffered += 1;
         if new_head {
             // A freshly arrived envelope is never deliverable (otherwise
-            // on_receive would have delivered it), so this only
+            // on_receive_into would have delivered it), so this only
             // re-registers the queue's blocker.
             self.check_head(origin);
         }
@@ -190,7 +163,6 @@ impl<P> CbcastEngine<P> {
 
     fn deliver(&mut self, env: VtEnvelope<P>, released: &mut Vec<VtEnvelope<P>>) {
         self.vt.apply_delivery(&env.vt);
-        self.log.push(env.id);
         released.push(env);
     }
 
@@ -282,24 +254,9 @@ impl<P> CbcastEngine<P> {
     pub fn clock(&self) -> &VectorClock {
         &self.vt
     }
-
-    /// The delivery log (own broadcasts included at their send position).
-    pub fn log(&self) -> &[MsgId] {
-        &self.log
-    }
-
-    /// Number of messages buffered awaiting causal predecessors.
-    pub fn pending_len(&self) -> usize {
-        self.buffered
-    }
-
-    /// Duplicate receptions absorbed.
-    pub fn duplicates(&self) -> u64 {
-        self.duplicates
-    }
 }
 
-impl<P: Clone> super::DeliveryEngine for CbcastEngine<P> {
+impl<P: Clone> DeliveryEngine for CbcastEngine<P> {
     type Op = P;
     type Envelope = VtEnvelope<P>;
 
@@ -313,7 +270,7 @@ impl<P: Clone> super::DeliveryEngine for CbcastEngine<P> {
     fn send_into(
         &mut self,
         op: P,
-        _after: crate::osend::OccursAfter,
+        _after: OccursAfter,
         released: &mut Vec<VtEnvelope<P>>,
     ) -> VtEnvelope<P> {
         let env = self.broadcast(op);
@@ -321,12 +278,24 @@ impl<P: Clone> super::DeliveryEngine for CbcastEngine<P> {
         env
     }
 
-    fn on_receive_into(&mut self, env: VtEnvelope<P>, out: &mut Vec<VtEnvelope<P>>) {
-        CbcastEngine::on_receive_into(self, env, out);
+    fn on_receive_into(&mut self, env: VtEnvelope<P>, released: &mut Vec<VtEnvelope<P>>) {
+        match self.vt.delivery_check(&env.vt, env.id.origin()) {
+            DeliveryCheck::Deliverable => {
+                let origin = env.id.origin();
+                self.deliver(env, released);
+                self.drain_from(origin, released);
+            }
+            DeliveryCheck::Duplicate => {
+                self.duplicates += 1;
+            }
+            DeliveryCheck::MissingFromSender { .. } | DeliveryCheck::MissingPredecessor { .. } => {
+                self.buffer(env);
+            }
+        }
     }
 
-    fn view<'a>(env: &'a VtEnvelope<P>) -> super::Delivered<'a, P> {
-        super::Delivered {
+    fn view<'a>(env: &'a VtEnvelope<P>) -> Delivered<'a, P> {
+        Delivered {
             id: env.id,
             deps: None,
             payload: &env.payload,
@@ -337,16 +306,12 @@ impl<P: Clone> super::DeliveryEngine for CbcastEngine<P> {
         Some(&env.vt)
     }
 
-    fn log(&self) -> &[MsgId] {
-        CbcastEngine::log(self)
-    }
-
     fn pending_len(&self) -> usize {
-        CbcastEngine::pending_len(self)
+        self.buffered
     }
 
     fn duplicates(&self) -> u64 {
-        CbcastEngine::duplicates(self)
+        self.duplicates
     }
 }
 
@@ -358,12 +323,17 @@ mod tests {
         ProcessId::new(i)
     }
 
+    /// The ids of `released`, in release order.
+    fn ids<P>(released: &[VtEnvelope<P>]) -> Vec<MsgId> {
+        released.iter().map(|e| e.id).collect()
+    }
+
     #[test]
     fn own_broadcast_self_delivers() {
         let mut e = CbcastEngine::new(p(0), 2);
-        let env = e.broadcast('x');
+        let (env, released) = e.send('x', OccursAfter::none());
         assert_eq!(env.id, MsgId::new(p(0), 1));
-        assert_eq!(e.log(), &[env.id]);
+        assert_eq!(ids(&released), [env.id]);
         assert_eq!(e.clock().get(p(0)), 1);
     }
 
@@ -373,9 +343,11 @@ mod tests {
         let mut rx = CbcastEngine::new(p(1), 2);
         let m1 = tx.broadcast(1);
         let m2 = tx.broadcast(2);
-        assert_eq!(rx.on_receive(m1.clone()).len(), 1);
-        assert_eq!(rx.on_receive(m2.clone()).len(), 1);
-        assert_eq!(rx.log(), &[m1.id, m2.id]);
+        let mut out = Vec::new();
+        rx.on_receive_into(m1.clone(), &mut out);
+        assert_eq!(out.len(), 1);
+        rx.on_receive_into(m2.clone(), &mut out);
+        assert_eq!(ids(&out), [m1.id, m2.id]);
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //!
 //! ```
 //! use causal_clocks::ProcessId;
-//! use causal_core::delivery::GraphDelivery;
+//! use causal_core::delivery::{DeliveryEngine, GraphDelivery};
 //! use causal_core::graph::MsgGraph;
 //! use causal_core::osend::{OSender, OccursAfter};
 //!

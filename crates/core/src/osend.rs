@@ -311,7 +311,7 @@ mod tests {
 
     #[test]
     fn asend_order_identical_at_all_receivers() {
-        use crate::delivery::GraphDelivery;
+        use crate::delivery::{DeliveryEngine, GraphDelivery};
         let mut tx = OSender::new(ProcessId::new(0));
         let batch = tx.asend([1u8, 2, 3], OccursAfter::none());
         // Receiver 1 gets the batch in order; receiver 2 reversed.

@@ -11,7 +11,7 @@
 //! a sender's messages out of per-sender order, so a delivery beyond a
 //! gap is parked until the gap fills. The per-origin minimum of every
 //! member's prefix is stable everywhere and may be compacted
-//! ([`GraphDelivery::compact`](crate::delivery::GraphDelivery::compact),
+//! ([`DeliveryEngine::compact`](crate::delivery::DeliveryEngine::compact),
 //! [`ReliableBroadcast::compact`](crate::rbcast::ReliableBroadcast::compact)).
 //! [`StabilityTracker`] learns that minimum over one of two topologies.
 //!

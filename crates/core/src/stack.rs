@@ -315,6 +315,8 @@ pub struct ProtocolStack<D: DeliveryEngine, A: App<Op = D::Op>> {
     /// Send time per message still on record; GC raises its floors.
     sent_times: IdWindow<SimTime>,
     last_sent: Option<MsgId>,
+    /// The ids of the delivered messages, in delivery order.
+    log: Vec<MsgId>,
     stats: NodeStats,
     stability: Option<StabilityTracker>,
     report_every: u64,
@@ -323,7 +325,8 @@ pub struct ProtocolStack<D: DeliveryEngine, A: App<Op = D::Op>> {
     tracer: Option<MemberTrace>,
     crashed: bool,
     /// What the engine made of one input (an inbound link frame, a data
-    /// copy, a local send), drained before the input's handling returns.
+    /// copy, a local send, a view install, a retransmission tick),
+    /// drained before the input's handling returns.
     /// Its `released` is the queue [`process_released`](Self::process_released)
     /// works through. Kept, like `spare` and `emitter`, so that
     /// steady-state traffic allocates no vectors.
@@ -339,7 +342,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> fmt::Debug for ProtocolStack<D, A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ProtocolStack")
             .field("me", &self.me)
-            .field("delivered", &self.engine.log().len())
+            .field("delivered", &self.log.len())
             .field("pending", &self.engine.pending_len())
             .field("membership", &self.membership.is_some())
             .finish_non_exhaustive()
@@ -384,6 +387,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
             acks: Vec::new(),
             sent_times: IdWindow::new(),
             last_sent: None,
+            log: Vec::new(),
             stats: NodeStats::default(),
             stability: None,
             report_every: 0,
@@ -529,9 +533,10 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         &self.stats
     }
 
-    /// The member's delivery log.
+    /// The member's delivery log: the ids of the messages handed to the
+    /// app, own sends included, in delivery order.
     pub fn log(&self) -> &[MsgId] {
-        self.engine.log()
+        &self.log
     }
 
     /// Stable points detected so far.
@@ -688,6 +693,15 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         }
     }
 
+    /// Sends the link frames the engine queued in `engine_out.sends`: the
+    /// one way a routed engine's frames reach the network, besides
+    /// [`route_broadcast`](DeliveryEngine::route_broadcast)'s.
+    fn send_link_frames(&mut self, ctx: &mut Context<'_, StackWire<D::Envelope>>) {
+        for (to, frame) in self.engine_out.sends.drain(..) {
+            ctx.send(to, StackWire::Link(frame));
+        }
+    }
+
     fn arm_retransmit(&mut self, ctx: &mut Context<'_, StackWire<D::Envelope>>) {
         if !self.rtx_armed && (self.rb.has_pending() || self.engine.link_has_pending()) {
             ctx.set_timer(self.retransmit_every, TIMER_RETRANSMIT);
@@ -718,6 +732,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
     /// out at once, or park while a view change flushes.
     fn deliver(&mut self, ctx: &mut Context<'_, StackWire<D::Envelope>>, env: D::Envelope) {
         let id = env.msg_id();
+        self.log.push(id);
         let sent_at = self.sent_times.get(id).copied();
         if let Some(sent_at) = sent_at {
             self.stats
@@ -922,9 +937,9 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         // Routed engines reconcile their overlay with the new member set:
         // removed members' links drop, fresh links open quarantined and
         // start their ping/pong handshake here.
-        for (to, frame) in self.engine.on_members(view.members()) {
-            ctx.send(to, StackWire::Link(frame));
-        }
+        self.engine
+            .on_members(view.members(), &mut self.engine_out.sends);
+        self.send_link_frames(ctx);
         self.arm_retransmit(ctx);
         // The flush barrier lifts: drain parked sends.
         while let Some((op, after)) = self
@@ -982,9 +997,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
             self.engine.on_replay_into(timed, &mut self.engine_out);
             engine_fresh = self.engine_out.receipts.first().is_some_and(|r| r.2);
             self.engine_out.receipts.clear();
-            for (to, frame) in self.engine_out.sends.drain(..) {
-                ctx.send(to, StackWire::Link(frame));
-            }
+            self.send_link_frames(ctx);
             self.arm_retransmit(ctx);
         }
         if let Some(t) = &mut self.tracer {
@@ -1046,9 +1059,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
                 t.record(TraceEvent::Receive { id, fresh });
             }
         }
-        for (to, f) in self.engine_out.sends.drain(..) {
-            ctx.send(to, StackWire::Link(f));
-        }
+        self.send_link_frames(ctx);
         self.arm_retransmit(ctx);
         self.process_released(ctx);
     }
@@ -1136,9 +1147,9 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> Actor for ProtocolStack<D, A> {
                     }
                 }
                 let clock = self.link_clock(ctx);
-                for (to, frame) in self.engine.link_retransmissions(clock) {
-                    ctx.send(to, StackWire::Link(frame));
-                }
+                self.engine
+                    .link_retransmissions(clock, &mut self.engine_out.sends);
+                self.send_link_frames(ctx);
                 self.arm_retransmit(ctx);
             }
             TIMER_ACK => {

@@ -15,11 +15,11 @@
 //!
 //! The trace is the stack's one record of each delivery's dependency
 //! set, and the dependency graph `R(M)` ([`MemberTrace::graph`]) is
-//! rebuilt from it. It is not the only per-node record: the engine's
+//! rebuilt from it. It is not the only per-node record: the stack's
 //! delivery log (`ProtocolStack::log`), every stable point
 //! (`ProtocolStack::stable_points`) and every latency sample
 //! (`NodeStats`) are kept whether or not tracing is on, even under
-//! `with_gc`.
+//! `with_gc`. The delivery engines keep no record of their own.
 
 use crate::graph::{GraphError, MsgGraph};
 use causal_clocks::{MsgId, ProcessId, VectorClock};

@@ -21,6 +21,30 @@
 //! Format: little-endian, length-prefixed. No varints — simplicity and
 //! determinism over byte-shaving. Decoding reads from the front of a
 //! `&[u8]` and advances it, so consumers can concatenate structures.
+//! Each type's layout is defined once, in its [`WireEncode`] impl:
+//!
+//! ```text
+//! MsgId         := origin(4) ‖ seq(8)
+//! VectorClock   := width(4) ‖ entry(8)*
+//! GraphEnvelope := MsgId ‖ len(4) ‖ MsgId* ‖ payload      (id, deps)
+//! VtEnvelope    := MsgId ‖ VectorClock ‖ payload
+//! Timed<E>      := E ‖ sent_at(8)
+//! RbMsg<E>      := 0x00 ‖ E                              (Data)
+//!                | 0x01 ‖ RbAck                          (Ack)
+//! RbAck         := cum:MsgId ‖ held_from(8) ‖ held(8) ‖ lost(8)
+//! GroupView     := view_id(8) ‖ len(4) ‖ member(4)*
+//! StackWire<E>  := 0x00 ‖ RbMsg<Timed<E>>                (Rb)
+//!                | 0x01 ‖ VectorClock                    (StabilityReport)
+//!                | 0x02                                  (Heartbeat)
+//!                | 0x03 ‖ GroupView                      (Propose)
+//!                | 0x04 ‖ view_id(8)                     (FlushAck)
+//!                | 0x05 ‖ GroupView                      (Install)
+//!                | 0x06 ‖ joiner(4)                      (JoinReq)
+//!                | 0x07 ‖ LinkFrame<Timed<E>>            (Link)
+//! ```
+//!
+//! The PC-broadcast envelope and link frames are laid out in
+//! [`crate::delivery::pcbcast`]'s codec.
 
 use crate::delivery::VtEnvelope;
 use crate::osend::GraphEnvelope;
@@ -220,95 +244,6 @@ impl WireEncode for FrameHeader {
     }
 }
 
-/// Encodes a [`MsgId`] (origin + seq packed: 4 + 8 = 12 bytes).
-pub fn encode_msg_id(id: MsgId, out: &mut Vec<u8>) {
-    out.extend_from_slice(&id.origin().as_u32().to_le_bytes());
-    out.extend_from_slice(&id.seq().to_le_bytes());
-}
-
-/// Decodes a [`MsgId`].
-///
-/// # Errors
-///
-/// [`DecodeError::UnexpectedEnd`] on a truncated buffer.
-pub fn decode_msg_id(input: &mut &[u8]) -> Result<MsgId, DecodeError> {
-    let origin = ProcessId::new(get_u32_le(input)?);
-    let seq = get_u64_le(input)?;
-    Ok(MsgId::new(origin, seq))
-}
-
-/// Encodes a [`VectorClock`] (length-prefixed entries).
-pub fn encode_vector_clock(vt: &VectorClock, out: &mut Vec<u8>) {
-    put_len(out, vt.width());
-    for (_, v) in vt.iter() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Decodes a [`VectorClock`].
-///
-/// # Errors
-///
-/// [`DecodeError`] on truncation or an absurd width.
-pub fn decode_vector_clock(input: &mut &[u8]) -> Result<VectorClock, DecodeError> {
-    let width = get_len(input)?;
-    if input.len() < width.saturating_mul(8) {
-        return Err(DecodeError::UnexpectedEnd);
-    }
-    (0..width).map(|_| get_u64_le(input)).collect()
-}
-
-/// Encodes a [`GraphEnvelope`]: id, dependency set, payload.
-pub fn encode_graph_envelope<P: WireEncode>(env: &GraphEnvelope<P>, out: &mut Vec<u8>) {
-    encode_msg_id(env.id, out);
-    put_len(out, env.deps.len());
-    for &d in env.deps.iter() {
-        encode_msg_id(d, out);
-    }
-    env.payload.encode(out);
-}
-
-/// Decodes a [`GraphEnvelope`].
-///
-/// # Errors
-///
-/// [`DecodeError`] on truncation or malformed lengths.
-pub fn decode_graph_envelope<P: WireEncode>(
-    input: &mut &[u8],
-) -> Result<GraphEnvelope<P>, DecodeError> {
-    let id = decode_msg_id(input)?;
-    let n = get_len(input)?;
-    let mut deps = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        deps.push(decode_msg_id(input)?);
-    }
-    let payload = P::decode(input)?;
-    Ok(GraphEnvelope {
-        id,
-        deps: crate::osend::share(deps),
-        payload,
-    })
-}
-
-/// Encodes a [`VtEnvelope`]: id, vector timestamp, payload.
-pub fn encode_vt_envelope<P: WireEncode>(env: &VtEnvelope<P>, out: &mut Vec<u8>) {
-    encode_msg_id(env.id, out);
-    encode_vector_clock(&env.vt, out);
-    env.payload.encode(out);
-}
-
-/// Decodes a [`VtEnvelope`].
-///
-/// # Errors
-///
-/// [`DecodeError`] on truncation or malformed lengths.
-pub fn decode_vt_envelope<P: WireEncode>(input: &mut &[u8]) -> Result<VtEnvelope<P>, DecodeError> {
-    let id = decode_msg_id(input)?;
-    let vt = decode_vector_clock(input)?;
-    let payload = P::decode(input)?;
-    Ok(VtEnvelope { id, vt, payload })
-}
-
 /// The encoded size of a graph envelope's **ordering metadata** only
 /// (id + dependency list), in bytes — what `OSend` adds to a payload.
 pub fn graph_overhead_bytes(deps: usize) -> usize {
@@ -366,21 +301,33 @@ impl WireEncode for () {
     }
 }
 
+/// Origin and sequence packed: 4 + 8 = 12 bytes.
 impl WireEncode for MsgId {
     fn encode(&self, out: &mut Vec<u8>) {
-        encode_msg_id(*self, out);
+        out.extend_from_slice(&self.origin().as_u32().to_le_bytes());
+        out.extend_from_slice(&self.seq().to_le_bytes());
     }
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        decode_msg_id(input)
+        let origin = ProcessId::new(get_u32_le(input)?);
+        let seq = get_u64_le(input)?;
+        Ok(MsgId::new(origin, seq))
     }
 }
 
+/// Length-prefixed entries.
 impl WireEncode for VectorClock {
     fn encode(&self, out: &mut Vec<u8>) {
-        encode_vector_clock(self, out);
+        put_len(out, self.width());
+        for (_, v) in self.iter() {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
     }
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        decode_vector_clock(input)
+        let width = get_len(input)?;
+        if input.len() < width.saturating_mul(8) {
+            return Err(DecodeError::UnexpectedEnd);
+        }
+        (0..width).map(|_| get_u64_le(input)).collect()
     }
 }
 
@@ -393,21 +340,44 @@ impl WireEncode for SimTime {
     }
 }
 
+/// Id, dependency set, payload.
 impl<P: WireEncode> WireEncode for GraphEnvelope<P> {
     fn encode(&self, out: &mut Vec<u8>) {
-        encode_graph_envelope(self, out);
+        self.id.encode(out);
+        put_len(out, self.deps.len());
+        for d in self.deps.iter() {
+            d.encode(out);
+        }
+        self.payload.encode(out);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        decode_graph_envelope(input)
+        let id = MsgId::decode(input)?;
+        let n = get_len(input)?;
+        let mut deps = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            deps.push(MsgId::decode(input)?);
+        }
+        let payload = P::decode(input)?;
+        Ok(GraphEnvelope {
+            id,
+            deps: crate::osend::share(deps),
+            payload,
+        })
     }
 }
 
+/// Id, vector timestamp, payload.
 impl<P: WireEncode> WireEncode for VtEnvelope<P> {
     fn encode(&self, out: &mut Vec<u8>) {
-        encode_vt_envelope(self, out);
+        self.id.encode(out);
+        self.vt.encode(out);
+        self.payload.encode(out);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        decode_vt_envelope(input)
+        let id = MsgId::decode(input)?;
+        let vt = VectorClock::decode(input)?;
+        let payload = P::decode(input)?;
+        Ok(VtEnvelope { id, vt, payload })
     }
 }
 
@@ -452,14 +422,14 @@ impl<E: WireEncode> WireEncode for RbMsg<E> {
 /// `lost` 8, 36 bytes.
 impl WireEncode for RbAck {
     fn encode(&self, out: &mut Vec<u8>) {
-        encode_msg_id(self.cum, out);
+        self.cum.encode(out);
         out.extend_from_slice(&self.held_from.to_le_bytes());
         out.extend_from_slice(&self.held.to_le_bytes());
         out.extend_from_slice(&self.lost.to_le_bytes());
     }
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         Ok(RbAck {
-            cum: decode_msg_id(input)?,
+            cum: MsgId::decode(input)?,
             held_from: get_u64_le(input)?,
             held: get_u64_le(input)?,
             lost: get_u64_le(input)?,
@@ -515,7 +485,7 @@ impl<E: WireEncode> WireEncode for StackWire<E> {
             }
             StackWire::StabilityReport(vt) => {
                 out.push(TAG_SW_STABILITY);
-                encode_vector_clock(vt, out);
+                vt.encode(out);
             }
             StackWire::Heartbeat => out.push(TAG_SW_HEARTBEAT),
             StackWire::Propose(view) => {
@@ -543,7 +513,7 @@ impl<E: WireEncode> WireEncode for StackWire<E> {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         match get_u8(input)? {
             TAG_SW_RB => Ok(StackWire::Rb(RbMsg::decode(input)?)),
-            TAG_SW_STABILITY => Ok(StackWire::StabilityReport(decode_vector_clock(input)?)),
+            TAG_SW_STABILITY => Ok(StackWire::StabilityReport(VectorClock::decode(input)?)),
             TAG_SW_HEARTBEAT => Ok(StackWire::Heartbeat),
             TAG_SW_PROPOSE => Ok(StackWire::Propose(GroupView::decode(input)?)),
             TAG_SW_FLUSH_ACK => Ok(StackWire::FlushAck(ViewId::decode(input)?)),
@@ -569,7 +539,7 @@ mod tests {
     ) {
         let buf = env.to_wire();
         let mut input = buf.as_slice();
-        let decoded: GraphEnvelope<P> = decode_graph_envelope(&mut input).unwrap();
+        let decoded = GraphEnvelope::<P>::decode(&mut input).unwrap();
         assert_eq!(&decoded, env);
         assert!(input.is_empty(), "trailing bytes");
     }
@@ -621,7 +591,7 @@ mod tests {
         let full = env.to_wire();
         for cut in 0..full.len() {
             let mut trunc = &full[..cut];
-            let out: Result<GraphEnvelope<u64>, _> = decode_graph_envelope(&mut trunc);
+            let out = GraphEnvelope::<u64>::decode(&mut trunc);
             assert_eq!(out, Err(DecodeError::UnexpectedEnd), "cut at {cut}");
         }
     }
@@ -629,10 +599,10 @@ mod tests {
     #[test]
     fn absurd_length_rejected() {
         let mut buf = Vec::new();
-        encode_msg_id(MsgId::new(ProcessId::new(0), 1), &mut buf);
+        MsgId::new(ProcessId::new(0), 1).encode(&mut buf);
         buf.extend_from_slice(&u32::MAX.to_le_bytes()); // deps length prefix
         let mut input = buf.as_slice();
-        let out: Result<GraphEnvelope<u64>, _> = decode_graph_envelope(&mut input);
+        let out = GraphEnvelope::<u64>::decode(&mut input);
         assert!(matches!(out, Err(DecodeError::LengthOutOfRange { .. })));
     }
 
@@ -709,6 +679,165 @@ mod tests {
         ];
         for msg in msgs {
             assert_eq!(W::from_wire(&msg.to_wire()).unwrap(), msg, "{msg:?}");
+        }
+    }
+
+    /// One golden encoding per `StackWire` variant and per `LinkBody`
+    /// variant, written out field by field from the layouts in the
+    /// module docs and in `pcbcast`'s codec. A round trip cannot see two
+    /// fields swapped on both sides; these bytes can.
+    #[test]
+    fn encodings_follow_the_documented_layout() {
+        use crate::delivery::pcbcast::{LinkBody, LinkFrame};
+        use crate::delivery::PcEnvelope;
+        fn bytes(fields: &[&[u8]]) -> Vec<u8> {
+            fields.concat()
+        }
+        let id = |origin: u32, seq: u64| bytes(&[&origin.to_le_bytes(), &seq.to_le_bytes()]);
+        let view = GroupView::new(ViewId::from_u64(4), [ProcessId::new(0), ProcessId::new(2)]);
+        let view_bytes = bytes(&[
+            &4u64.to_le_bytes(),
+            &2u32.to_le_bytes(),
+            &0u32.to_le_bytes(),
+            &2u32.to_le_bytes(),
+        ]);
+        let env = GraphEnvelope {
+            id: MsgId::new(ProcessId::new(3), 5),
+            deps: vec![MsgId::new(ProcessId::new(1), 2)].into(),
+            payload: 11u64,
+        };
+        let stack: Vec<(StackWire<GraphEnvelope<u64>>, Vec<u8>)> = vec![
+            (
+                StackWire::Rb(RbMsg::Data(Timed {
+                    env,
+                    sent_at: SimTime::from_micros(42),
+                })),
+                bytes(&[
+                    &[0x00, 0x00],
+                    &id(3, 5),
+                    &1u32.to_le_bytes(),
+                    &id(1, 2),
+                    &11u64.to_le_bytes(),
+                    &42u64.to_le_bytes(),
+                ]),
+            ),
+            (
+                StackWire::Rb(RbMsg::Ack(RbAck {
+                    cum: MsgId::new(ProcessId::new(1), 9),
+                    held_from: 11,
+                    held: 0b101,
+                    lost: 0b1,
+                })),
+                bytes(&[
+                    &[0x00, 0x01],
+                    &id(1, 9),
+                    &11u64.to_le_bytes(),
+                    &5u64.to_le_bytes(),
+                    &1u64.to_le_bytes(),
+                ]),
+            ),
+            (
+                StackWire::StabilityReport(VectorClock::from_entries([4, 0, 2])),
+                bytes(&[
+                    &[0x01],
+                    &3u32.to_le_bytes(),
+                    &4u64.to_le_bytes(),
+                    &0u64.to_le_bytes(),
+                    &2u64.to_le_bytes(),
+                ]),
+            ),
+            (StackWire::Heartbeat, vec![0x02]),
+            (
+                StackWire::Propose(view.clone()),
+                bytes(&[&[0x03], &view_bytes]),
+            ),
+            (
+                StackWire::FlushAck(view.id()),
+                bytes(&[&[0x04], &4u64.to_le_bytes()]),
+            ),
+            (StackWire::Install(view), bytes(&[&[0x05], &view_bytes])),
+            (
+                StackWire::JoinReq {
+                    joiner: ProcessId::new(7),
+                },
+                bytes(&[&[0x06], &7u32.to_le_bytes()]),
+            ),
+            (
+                StackWire::Link(LinkFrame {
+                    seq: 3,
+                    body: LinkBody::Ping { token: 8 },
+                }),
+                bytes(&[&[0x07], &3u64.to_le_bytes(), &[0x01], &8u64.to_le_bytes()]),
+            ),
+        ];
+        for (msg, golden) in stack {
+            assert_eq!(msg.to_wire(), golden, "{msg:?}");
+            assert_eq!(StackWire::from_wire(&golden), Ok(msg));
+        }
+
+        type Frame = LinkFrame<Timed<PcEnvelope<u64>>>;
+        let link: Vec<(Frame, Vec<u8>)> = vec![
+            (
+                LinkFrame {
+                    seq: 9,
+                    body: LinkBody::Msg(Timed {
+                        env: PcEnvelope {
+                            id: MsgId::new(ProcessId::new(3), 17),
+                            payload: 21,
+                        },
+                        sent_at: SimTime::from_micros(1234),
+                    }),
+                },
+                bytes(&[
+                    &9u64.to_le_bytes(),
+                    &[0x00],
+                    &id(3, 17),
+                    &21u64.to_le_bytes(),
+                    &1234u64.to_le_bytes(),
+                ]),
+            ),
+            (
+                LinkFrame {
+                    seq: 1,
+                    body: LinkBody::Ping { token: 7 },
+                },
+                bytes(&[&1u64.to_le_bytes(), &[0x01], &7u64.to_le_bytes()]),
+            ),
+            (
+                LinkFrame {
+                    seq: 2,
+                    body: LinkBody::Pong {
+                        token: 8,
+                        delivered: vec![(ProcessId::new(0), 5), (ProcessId::new(9), 1)],
+                    },
+                },
+                bytes(&[
+                    &2u64.to_le_bytes(),
+                    &[0x02],
+                    &8u64.to_le_bytes(),
+                    &2u32.to_le_bytes(),
+                    &0u32.to_le_bytes(),
+                    &5u64.to_le_bytes(),
+                    &9u32.to_le_bytes(),
+                    &1u64.to_le_bytes(),
+                ]),
+            ),
+            (
+                LinkFrame {
+                    seq: 0,
+                    body: LinkBody::Ack { cum: 11, holes: 6 },
+                },
+                bytes(&[
+                    &0u64.to_le_bytes(),
+                    &[0x03],
+                    &11u64.to_le_bytes(),
+                    &6u64.to_le_bytes(),
+                ]),
+            ),
+        ];
+        for (frame, golden) in link {
+            assert_eq!(frame.to_wire(), golden, "{frame:?}");
+            assert_eq!(Frame::from_wire(&golden), Ok(frame));
         }
     }
 

@@ -10,7 +10,7 @@ use causal_core::delivery::{
 };
 use causal_core::graph::MsgGraph;
 use causal_core::osend::{GraphEnvelope, OSender, OccursAfter};
-use causal_core::rbcast::{RbAck, RbMsg, ReliableBroadcast};
+use causal_core::rbcast::{HasMsgId, RbAck, RbMsg, ReliableBroadcast};
 use causal_core::stability::{ReportTo, StabilityTracker};
 use causal_core::stable::{LogEntry, StablePointDetector};
 use causal_core::stack::{StackWire, Timed, DEFAULT_RETRANSMIT};
@@ -32,6 +32,11 @@ struct RandomDag {
     deps: Vec<Vec<usize>>,
     /// arrival[k] = index of the k-th arriving message at the receiver.
     arrival: Vec<usize>,
+}
+
+/// The ids of `released`, in release order.
+fn ids<E: HasMsgId>(released: &[E]) -> Vec<MsgId> {
+    released.iter().map(HasMsgId::msg_id).collect()
 }
 
 fn msg_id(dag_index: usize, n_procs: usize, seqs: &mut [u64]) -> MsgId {
@@ -107,27 +112,30 @@ proptest! {
         for env in &envs {
             graph.add(env.id, &env.deps).unwrap();
         }
-        prop_assert!(graph.is_linearization(rx.log()));
+        let order: Vec<MsgId> = delivered.iter().map(|e| e.id).collect();
+        prop_assert!(graph.is_linearization(&order));
         let dep_log: Vec<(MsgId, Vec<MsgId>)> =
             delivered.iter().map(|e| (e.id, e.deps.to_vec())).collect();
         prop_assert!(check::causal_order_respected(&dep_log, 0).is_ok());
     }
 
-    /// Duplicated arrivals change nothing: same log, every duplicate
-    /// absorbed.
+    /// Duplicated arrivals change nothing: same release order, every
+    /// duplicate absorbed.
     #[test]
     fn graph_delivery_idempotent_under_duplication(dag in arb_dag(16)) {
         let envs = dag_envelopes(&dag);
         let mut once = GraphDelivery::new();
+        let mut once_out = Vec::new();
         for &k in &dag.arrival {
-            once.on_receive(envs[k].clone());
+            once.on_receive_into(envs[k].clone(), &mut once_out);
         }
         let mut twice = GraphDelivery::new();
+        let mut twice_out = Vec::new();
         for &k in &dag.arrival {
-            twice.on_receive(envs[k].clone());
-            twice.on_receive(envs[k].clone());
+            twice.on_receive_into(envs[k].clone(), &mut twice_out);
+            twice.on_receive_into(envs[k].clone(), &mut twice_out);
         }
-        prop_assert_eq!(once.log(), twice.log());
+        prop_assert_eq!(ids(&once_out), ids(&twice_out));
         prop_assert_eq!(twice.duplicates(), envs.len() as u64);
     }
 
@@ -335,9 +343,9 @@ proptest! {
             payload,
         };
         let mut buf = Vec::new();
-        wire::encode_graph_envelope(&env, &mut buf);
+        env.encode(&mut buf);
         let mut input = buf.as_slice();
-        let decoded: GraphEnvelope<String> = wire::decode_graph_envelope(&mut input).unwrap();
+        let decoded = GraphEnvelope::<String>::decode(&mut input).unwrap();
         prop_assert_eq!(decoded, env);
         prop_assert!(input.is_empty());
     }
@@ -351,9 +359,9 @@ proptest! {
     ) {
         let env = VtEnvelope { id, vt: VectorClock::from_entries(entries), payload };
         let mut buf = Vec::new();
-        wire::encode_vt_envelope(&env, &mut buf);
+        env.encode(&mut buf);
         let mut input = buf.as_slice();
-        let decoded: VtEnvelope<i64> = wire::decode_vt_envelope(&mut input).unwrap();
+        let decoded = VtEnvelope::<i64>::decode(&mut input).unwrap();
         prop_assert_eq!(decoded, env);
     }
 
@@ -361,9 +369,9 @@ proptest! {
     #[test]
     fn wire_decode_never_panics(junk in proptest::collection::vec(any::<u8>(), 0..256)) {
         let mut input = junk.as_slice();
-        let _: Result<GraphEnvelope<u64>, _> = wire::decode_graph_envelope(&mut input);
+        let _ = GraphEnvelope::<u64>::decode(&mut input);
         let mut input2 = junk.as_slice();
-        let _: Result<VtEnvelope<u64>, _> = wire::decode_vt_envelope(&mut input2);
+        let _ = VtEnvelope::<u64>::decode(&mut input2);
     }
 
     /// Frame header: round-trips at every legal length, including the
@@ -413,8 +421,8 @@ proptest! {
     /// flat-rescan engine under arbitrary schedules: reorders, duplicated
     /// receptions, and drops (messages that simply never arrive). Every
     /// `on_receive` must release the same envelopes in the same order,
-    /// and the final log, clock, buffer depth, and duplicate count must
-    /// all agree.
+    /// and the whole release order, clock, buffer depth, and duplicate
+    /// count must all agree.
     #[test]
     fn cbcast_indexed_equivalent_to_flat_engine(
         sends_per in proptest::collection::vec(1usize..6, 3),
@@ -442,13 +450,16 @@ proptest! {
         // repeat (duplicates) or be absent entirely (drops), in any order.
         let mut flat = FlatCbcastEngine::<usize>::new(ProcessId::new(2), n);
         let mut indexed = CbcastEngine::<usize>::new(ProcessId::new(2), n);
+        let (mut flat_order, mut indexed_order) = (Vec::new(), Vec::new());
         for &raw in &raw_sched {
             let env = &wire[raw % wire.len()];
             let a = flat.on_receive(env.clone());
             let b = indexed.on_receive(env.clone());
+            flat_order.extend(ids(&a));
+            indexed_order.extend(ids(&b));
             prop_assert_eq!(a, b);
         }
-        prop_assert_eq!(flat.log(), indexed.log());
+        prop_assert_eq!(flat_order, indexed_order);
         prop_assert_eq!(flat.clock(), indexed.clock());
         prop_assert_eq!(flat.pending_len(), indexed.pending_len());
         prop_assert_eq!(flat.duplicates(), indexed.duplicates());
@@ -465,13 +476,16 @@ proptest! {
         let envs = dag_envelopes(&dag);
         let mut scan = ScanGraphDelivery::<usize>::new();
         let mut indexed = GraphDelivery::<usize>::new();
+        let (mut scan_order, mut indexed_order) = (Vec::new(), Vec::new());
         for &raw in &raw_sched {
             let env = &envs[raw % envs.len()];
-            let a: Vec<MsgId> = scan.on_receive(env.clone()).iter().map(|e| e.id).collect();
-            let b: Vec<MsgId> = indexed.on_receive(env.clone()).iter().map(|e| e.id).collect();
-            prop_assert_eq!(a, b);
+            let a = ids(&scan.on_receive(env.clone()));
+            let b = ids(&indexed.on_receive(env.clone()));
+            prop_assert_eq!(&a, &b);
+            scan_order.extend(a);
+            indexed_order.extend(b);
         }
-        prop_assert_eq!(scan.log(), indexed.log());
+        prop_assert_eq!(scan_order, indexed_order);
         prop_assert_eq!(scan.pending_len(), indexed.pending_len());
         prop_assert_eq!(scan.duplicates(), indexed.duplicates());
     }
@@ -493,8 +507,9 @@ struct PcNet {
     /// `None` once the member has crashed.
     engines: Vec<Option<PcEngine<u64>>>,
     queues: BTreeMap<(usize, usize), Vec<PcFrame>>,
-    /// Each member's delivered envelopes in delivery order: the stack's
-    /// membership store, which pong flushes replay from.
+    /// Each member's delivered envelopes in delivery order (its own
+    /// sends included): the stack's membership store, which pong flushes
+    /// replay from.
     history: Vec<Vec<Timed<PcEnvelope<u64>>>>,
 }
 
@@ -512,6 +527,17 @@ impl PcNet {
     /// The engines of the members that have not crashed.
     fn live(&self) -> impl Iterator<Item = &PcEngine<u64>> {
         self.engines.iter().flatten()
+    }
+
+    /// The delivery order of each member that has not crashed, read from
+    /// its history.
+    fn live_logs(&self) -> Vec<Vec<MsgId>> {
+        self.engines
+            .iter()
+            .zip(&self.history)
+            .filter(|(engine, _)| engine.is_some())
+            .map(|(_, history)| history.iter().map(|t| t.env.id).collect())
+            .collect()
     }
 
     fn enqueue(&mut self, from: usize, sends: Vec<LinkSend<PcEnvelope<u64>>>) {
@@ -563,7 +589,8 @@ impl PcNet {
             .collect();
         for i in 0..self.engines.len() {
             if let Some(engine) = self.engines[i].as_mut() {
-                let sends = engine.on_members(&survivors);
+                let mut sends = Vec::new();
+                engine.on_members(&survivors, &mut sends);
                 self.enqueue(i, sends);
             }
         }
@@ -629,7 +656,8 @@ impl PcNet {
             }
             for i in 0..self.engines.len() {
                 if let Some(engine) = self.engines[i].as_mut() {
-                    let rtx = engine.link_retransmissions(LinkClock::STOPPED);
+                    let mut rtx = Vec::new();
+                    engine.link_retransmissions(LinkClock::STOPPED, &mut rtx);
                     self.enqueue(i, rtx);
                 }
             }
@@ -704,9 +732,10 @@ proptest! {
         // Every node delivered every message exactly once.
         let mut expected: Vec<MsgId> = payloads.keys().copied().collect();
         expected.sort_unstable();
-        for (i, e) in net.live().enumerate() {
+        let logs = net.live_logs();
+        for (i, (e, log)) in net.live().zip(&logs).enumerate() {
             prop_assert_eq!(e.pending_len(), 0, "node {} still buffering", i);
-            let mut ids = e.log().to_vec();
+            let mut ids = log.clone();
             ids.sort_unstable();
             prop_assert_eq!(&ids, &expected, "node {} delivered a different set", i);
         }
@@ -716,7 +745,6 @@ proptest! {
         // (capturing exactly the causal past PC gave them), foreign
         // entries are receives of already-minted twins. Cross-origin
         // waits resolve monotonically unless PC produced a causal cycle.
-        let logs: Vec<Vec<MsgId>> = net.live().map(|e| e.log().to_vec()).collect();
         let mut shadows: Vec<CbcastEngine<u64>> = (0..n)
             .map(|i| CbcastEngine::new(ProcessId::new(i as u32), n))
             .collect();
@@ -756,26 +784,25 @@ proptest! {
         // that message — immediately, with nothing held back.
         for (o, log) in logs.iter().enumerate() {
             let mut observer = CbcastEngine::<u64>::new(ProcessId::new(o as u32), n);
+            let mut observed = Vec::new();
             for &id in log {
                 if id.origin().as_usize() == o {
-                    let env = observer.broadcast(payloads[&id]);
+                    let (env, released) = observer.send(payloads[&id], OccursAfter::none());
                     prop_assert_eq!(env.id, id);
+                    observed.extend(ids(&released));
                 } else {
-                    let released: Vec<MsgId> = observer
-                        .on_receive(minted[&id].clone())
-                        .iter()
-                        .map(|e| e.id)
-                        .collect();
+                    let released = ids(&observer.on_receive(minted[&id].clone()));
                     prop_assert_eq!(
-                        released, vec![id],
+                        &released, &vec![id],
                         "vector engine refuses node {}'s PC order at {}", o, id
                     );
+                    observed.extend(released);
                 }
             }
             prop_assert_eq!(observer.pending_len(), 0);
             // Byte-identical delivery logs between the two engines.
             let pc_bytes: Vec<u8> = log.iter().flat_map(|id| id.to_wire()).collect();
-            let vt_bytes: Vec<u8> = observer.log().iter().flat_map(|id| id.to_wire()).collect();
+            let vt_bytes: Vec<u8> = observed.iter().flat_map(|id| id.to_wire()).collect();
             prop_assert_eq!(pc_bytes, vt_bytes, "logs differ on the wire at node {}", o);
         }
     }
@@ -823,12 +850,10 @@ fn churn_buffering_does_not_grow_with_group_size() {
             net.drain();
         }
         sent.sort_unstable();
-        for (i, engine) in net.engines.iter().enumerate() {
-            if let Some(engine) = engine {
-                let mut ids = engine.log().to_vec();
-                ids.sort_unstable();
-                assert_eq!(ids, sent, "member {i} of {n} missed messages");
-            }
+        for (i, log) in net.live_logs().into_iter().enumerate() {
+            let mut ids = log;
+            ids.sort_unstable();
+            assert_eq!(ids, sent, "live member {i} of {n} missed messages");
         }
         peaks.push(net.live().map(PcEngine::peak_buffered).max().unwrap_or(0));
     }

@@ -17,7 +17,6 @@ use std::collections::HashSet;
 /// dependency sets) but delivers eagerly in arrival order.
 struct EagerGraphDelivery {
     tx: OSender,
-    log: Vec<MsgId>,
     seen: HashSet<MsgId>,
 }
 
@@ -28,7 +27,6 @@ impl DeliveryEngine for EagerGraphDelivery {
     fn for_member(me: ProcessId, _n: usize) -> Self {
         EagerGraphDelivery {
             tx: OSender::new(me),
-            log: Vec::new(),
             seen: HashSet::new(),
         }
     }
@@ -46,17 +44,12 @@ impl DeliveryEngine for EagerGraphDelivery {
 
     fn on_receive_into(&mut self, env: Self::Envelope, out: &mut Vec<Self::Envelope>) {
         if self.seen.insert(env.id) {
-            self.log.push(env.id);
             out.push(env); // dependencies? never heard of them
         }
     }
 
     fn view<'a>(env: &'a Self::Envelope) -> Delivered<'a, Self::Op> {
         Delivered::from_graph(env)
-    }
-
-    fn log(&self) -> &[MsgId] {
-        &self.log
     }
 
     fn pending_len(&self) -> usize {
