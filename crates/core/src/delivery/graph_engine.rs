@@ -248,8 +248,8 @@ impl<P: Clone> DeliveryEngine for GraphDelivery<P> {
         env
     }
 
-    /// Missing dependencies are counted in place instead of collected,
-    /// and cascades extend `released` directly.
+    /// Missing dependencies are counted in place and cascades extend
+    /// `released` directly, so a steady-state arrival allocates nothing.
     fn on_receive_into(&mut self, env: GraphEnvelope<P>, released: &mut Vec<GraphEnvelope<P>>) {
         let fresh = match self.slots.get(env.id) {
             Some(slot) => matches!(slot.state, State::Awaited),

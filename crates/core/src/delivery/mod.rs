@@ -66,8 +66,9 @@ pub struct Delivered<'a, Op> {
 }
 
 impl<'a, Op> Delivered<'a, Op> {
-    /// Views a graph envelope as a delivered message. Handy when feeding
-    /// apps by hand in tests without running an engine.
+    /// Views a graph envelope as a delivered message: the graph engines'
+    /// [`view`](DeliveryEngine::view), and handy when feeding apps by hand
+    /// in tests without running an engine.
     pub fn from_graph(env: &'a crate::osend::GraphEnvelope<Op>) -> Self {
         Delivered {
             id: env.id,
