@@ -112,8 +112,7 @@ proptest! {
         for env in &envs {
             graph.add(env.id, &env.deps).unwrap();
         }
-        let order: Vec<MsgId> = delivered.iter().map(|e| e.id).collect();
-        prop_assert!(graph.is_linearization(&order));
+        prop_assert!(graph.is_linearization(&ids(&delivered)));
         let dep_log: Vec<(MsgId, Vec<MsgId>)> =
             delivered.iter().map(|e| (e.id, e.deps.to_vec())).collect();
         prop_assert!(check::causal_order_respected(&dep_log, 0).is_ok());
