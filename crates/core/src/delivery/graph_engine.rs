@@ -50,8 +50,6 @@ pub struct GraphDelivery<P> {
     /// ids at or below it are known delivered-and-stable though their
     /// slots were dropped.
     slots: IdWindow<Slot<P>>,
-    /// Slots holding a received message (buffered or delivered).
-    accepted: usize,
     /// Slots holding a buffered message.
     pending: usize,
     duplicates: u64,
@@ -102,7 +100,6 @@ impl<P> GraphDelivery<P> {
     pub fn new() -> Self {
         GraphDelivery {
             slots: IdWindow::new(),
-            accepted: 0,
             pending: 0,
             duplicates: 0,
             spare_waiters: Vec::new(),
@@ -259,7 +256,6 @@ impl<P: Clone> DeliveryEngine for GraphDelivery<P> {
             self.duplicates += 1;
             return;
         }
-        self.accepted += 1;
         let missing = env.deps.iter().filter(|&&d| !self.is_satisfied(d)).count();
         if missing == 0 {
             let delivered = self.deliver(env);
@@ -313,16 +309,14 @@ impl<P: Clone> DeliveryEngine for GraphDelivery<P> {
     /// then are all of its ids delivered here, with no *pending* message
     /// at any member waiting on one of them.
     fn compact(&mut self, stable: &VectorClock) {
-        let before = self.slots.len();
         self.slots.compact(stable);
-        self.accepted -= before - self.slots.len();
     }
 
     /// Retained per-message bookkeeping entries (the quantity compaction
-    /// bounds): delivered + seen + pending, where the seen set holds
-    /// every accepted message, so each accepted message counts twice.
+    /// bounds): one window slot per id the engine holds state for,
+    /// whether delivered, buffered, or named as a dependency and awaited.
     fn retained_len(&self) -> usize {
-        2 * self.accepted
+        self.slots.len()
     }
 }
 
@@ -467,10 +461,11 @@ mod tests {
             rx.on_receive_into(env, &mut out);
         }
         assert_eq!(ids(&out), sent);
-        assert_eq!(rx.retained_len(), 12); // 6 delivered + 6 seen
-                                           // First four messages are stable everywhere.
+        // One slot per delivered message.
+        assert_eq!(rx.retained_len(), 6);
+        // First four messages are stable everywhere.
         rx.compact(&VectorClock::from_entries([4]));
-        assert_eq!(rx.retained_len(), 4);
+        assert_eq!(rx.retained_len(), 2);
         // Duplicates of compacted ids are absorbed.
         let dup = GraphEnvelope {
             id: sent[0],
@@ -539,7 +534,7 @@ mod tests {
         rx.compact(&VectorClock::from_entries([1]));
         rx.on_receive_into(b, &mut out);
         assert_eq!(out.iter().map(|e| e.payload).collect::<Vec<_>>(), [1, 2, 3]);
-        assert_eq!(rx.retained_len(), 6);
+        assert_eq!(rx.retained_len(), 3);
     }
 
     #[test]
