@@ -26,7 +26,6 @@ pub struct MixOp {
 pub struct MixWorkload {
     ops: Vec<MixOp>,
     cycles: usize,
-    commutative: usize,
 }
 
 impl MixWorkload {
@@ -39,7 +38,6 @@ impl MixWorkload {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut ops = Vec::new();
         let mut submitter = 0usize;
-        let mut commutative = 0usize;
         let next = move |s: &mut usize| {
             let v = *s;
             *s += 1;
@@ -72,14 +70,9 @@ impl MixWorkload {
                     op,
                     submitter: next(&mut submitter),
                 });
-                commutative += 1;
             }
         }
-        MixWorkload {
-            ops,
-            cycles,
-            commutative,
-        }
+        MixWorkload { ops, cycles }
     }
 
     /// The generated requests in submission order.
@@ -91,19 +84,6 @@ impl MixWorkload {
     pub fn cycles(&self) -> usize {
         self.cycles
     }
-
-    /// Number of commutative requests.
-    pub fn commutative_count(&self) -> usize {
-        self.commutative
-    }
-
-    /// Fraction of commutative operations — the paper's "typically 90 %".
-    pub fn commutative_fraction(&self) -> f64 {
-        if self.ops.is_empty() {
-            return 0.0;
-        }
-        self.commutative as f64 / self.ops.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -111,12 +91,16 @@ mod tests {
     use super::*;
     use causal_core::statemachine::{OpClass, Operation};
 
+    fn commutative(w: &MixWorkload) -> usize {
+        w.ops().iter().filter(|m| m.op.is_commutative()).count()
+    }
+
     #[test]
     fn exact_f_bar_without_jitter() {
         let w = MixWorkload::generate(5, 4, false, 1);
         assert_eq!(w.ops().len(), 5 * (1 + 4));
         assert_eq!(w.cycles(), 5);
-        assert_eq!(w.commutative_count(), 20);
+        assert_eq!(commutative(&w), 20);
     }
 
     #[test]
@@ -124,7 +108,7 @@ mod tests {
         // f̄ = 20 gives 20/21 ≈ 95% commutative, the ballpark of the
         // paper's "typically 90%".
         let w = MixWorkload::generate(10, 20, false, 2);
-        assert!(w.commutative_fraction() > 0.9);
+        assert!(commutative(&w) as f64 / w.ops().len() as f64 > 0.9);
     }
 
     #[test]
@@ -154,7 +138,6 @@ mod tests {
     #[test]
     fn zero_f_bar_is_all_non_commutative() {
         let w = MixWorkload::generate(4, 0, false, 5);
-        assert_eq!(w.commutative_count(), 0);
         assert!(w
             .ops()
             .iter()

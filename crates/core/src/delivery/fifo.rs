@@ -35,7 +35,6 @@ pub struct FifoDelivery<P> {
     /// sequence number, and the entries are messages waiting for an
     /// earlier one.
     gate: IdWindow<FifoEnvelope<P>>,
-    log: Vec<MsgId>,
     duplicates: u64,
 }
 
@@ -45,7 +44,6 @@ impl<P> FifoDelivery<P> {
     pub fn new() -> Self {
         FifoDelivery {
             gate: IdWindow::new(),
-            log: Vec::new(),
             duplicates: 0,
         }
     }
@@ -63,15 +61,9 @@ impl<P> FifoDelivery<P> {
                 while let Some(env) = self.gate.pop_next(sender) {
                     released.push(env);
                 }
-                self.log.extend(released.iter().map(|env| env.id));
             }
         }
         released
-    }
-
-    /// The delivery log in release order.
-    pub fn log(&self) -> &[MsgId] {
-        &self.log
     }
 
     /// Messages buffered waiting for sender gaps.
@@ -97,12 +89,16 @@ mod tests {
         }
     }
 
+    fn ids(released: Vec<FifoEnvelope<char>>) -> Vec<MsgId> {
+        released.into_iter().map(|e| e.id).collect()
+    }
+
     #[test]
     fn in_order_passthrough() {
         let mut rx = FifoDelivery::new();
-        assert_eq!(rx.on_receive(env(0, 1, 'a')).len(), 1);
-        assert_eq!(rx.on_receive(env(0, 2, 'b')).len(), 1);
-        assert_eq!(rx.log().len(), 2);
+        let p0 = ProcessId::new(0);
+        assert_eq!(ids(rx.on_receive(env(0, 1, 'a'))), [MsgId::new(p0, 1)]);
+        assert_eq!(ids(rx.on_receive(env(0, 2, 'b'))), [MsgId::new(p0, 2)]);
     }
 
     #[test]
@@ -153,8 +149,9 @@ mod tests {
         // p1's message "after" p0's is released before it — FIFO allows
         // the causal anomaly.
         let mut rx = FifoDelivery::new();
-        assert_eq!(rx.on_receive(env(1, 1, 'r')).len(), 1); // the "reply"
-        assert_eq!(rx.on_receive(env(0, 1, 'q')).len(), 1); // the "request"
-        assert_eq!(rx.log()[0].origin(), ProcessId::new(1));
+        let reply = ids(rx.on_receive(env(1, 1, 'r')));
+        let request = ids(rx.on_receive(env(0, 1, 'q')));
+        assert_eq!(reply, [MsgId::new(ProcessId::new(1), 1)]);
+        assert_eq!(request, [MsgId::new(ProcessId::new(0), 1)]);
     }
 }

@@ -162,11 +162,6 @@ impl<P: Clone> PcEngine<P> {
         self.peak_buffered
     }
 
-    /// Stream frames retransmitted by the tick across all links.
-    pub fn link_retransmit_count(&self) -> u64 {
-        self.links.values().map(Link::retransmit_count).sum()
-    }
-
     /// Stream frames resent across all links because the receiver named
     /// them lost.
     pub fn link_repair_count(&self) -> u64 {

@@ -30,7 +30,7 @@ use std::sync::Arc;
 /// let m1 = MsgId::new(ProcessId::new(0), 1);
 /// let m2 = MsgId::new(ProcessId::new(1), 1);
 ///
-/// assert!(OccursAfter::none().is_unconstrained());
+/// assert!(OccursAfter::none().is_empty());
 /// assert_eq!(OccursAfter::message(m1).deps(), &[m1]);
 /// assert_eq!(OccursAfter::all([m2, m1, m1]).deps(), &[m1, m2]); // sorted, deduped
 /// ```
@@ -65,11 +65,6 @@ impl OccursAfter {
     /// The (sorted) dependency set.
     pub fn deps(&self) -> &[MsgId] {
         &self.deps
-    }
-
-    /// `true` if the message can be processed without constraint.
-    pub fn is_unconstrained(&self) -> bool {
-        self.deps.is_empty()
     }
 
     /// Number of direct dependencies.
@@ -227,11 +222,6 @@ impl OSender {
             Some(MsgId::new(self.me, self.next_seq - 1))
         }
     }
-
-    /// How many messages this endpoint has sent.
-    pub fn sent_count(&self) -> u64 {
-        self.next_seq - 1
-    }
 }
 
 #[cfg(test)]
@@ -245,7 +235,6 @@ mod tests {
     #[test]
     fn occurs_after_none_is_unconstrained() {
         let oa = OccursAfter::none();
-        assert!(oa.is_unconstrained());
         assert!(oa.is_empty());
         assert_eq!(oa.len(), 0);
     }
@@ -274,12 +263,11 @@ mod tests {
     fn osender_assigns_increasing_seq() {
         let mut tx = OSender::new(ProcessId::new(3));
         assert_eq!(tx.last_sent(), None);
-        assert_eq!(tx.sent_count(), 0);
         let a = tx.osend(1u8, OccursAfter::none());
         let b = tx.osend(2u8, OccursAfter::none());
         assert_eq!(a.id, mid(3, 1));
         assert_eq!(b.id, mid(3, 2));
-        assert_eq!(tx.sent_count(), 2);
+        assert_eq!(tx.last_sent(), Some(b.id));
     }
 
     #[test]
@@ -306,7 +294,7 @@ mod tests {
         let mut tx = OSender::new(ProcessId::new(0));
         let out: Vec<GraphEnvelope<u8>> = tx.asend([], OccursAfter::none());
         assert!(out.is_empty());
-        assert_eq!(tx.sent_count(), 0);
+        assert_eq!(tx.last_sent(), None);
     }
 
     #[test]

@@ -161,11 +161,6 @@ impl StablePointDetector {
     pub fn points(&self) -> &[StablePoint] {
         &self.points
     }
-
-    /// Deliveries observed so far.
-    pub fn delivered_len(&self) -> usize {
-        self.delivered
-    }
 }
 
 /// One **causal activity** (§4.1): the span between two successive

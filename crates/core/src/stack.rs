@@ -314,7 +314,6 @@ pub struct ProtocolStack<D: DeliveryEngine, A: App<Op = D::Op>> {
     acks: Vec<(ProcessId, RbAck)>,
     /// Send time per message still on record; GC raises its floors.
     sent_times: IdWindow<SimTime>,
-    last_sent: Option<MsgId>,
     /// The ids of the delivered messages, in delivery order.
     log: Vec<MsgId>,
     stats: NodeStats,
@@ -386,7 +385,6 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
             ack_armed: false,
             acks: Vec::new(),
             sent_times: IdWindow::new(),
-            last_sent: None,
             log: Vec::new(),
             stats: NodeStats::default(),
             stability: None,
@@ -602,18 +600,9 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         if self.crashed {
             return None;
         }
-        if self.is_flushing() {
-            let mem = self
-                .membership
-                .as_mut()
-                .expect("flushing implies membership");
-            mem.outbox.push_back((op, after));
-            return None;
-        }
-        self.transmit(ctx, op, after);
-        let id = self.last_sent;
+        let id = self.send_or_park(ctx, op, after)?;
         self.process_released(ctx);
-        id
+        Some(id)
     }
 
     /// Broadcasts `op` with no declared ordering constraint — the CBCAST
@@ -626,14 +615,34 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         self.osend(ctx, op, OccursAfter::none())
     }
 
-    /// Broadcasts `op` and queues what its self-delivery released for
-    /// [`process_released`](Self::process_released).
+    /// Transmits `op` at once, or parks it in the outbox while a view
+    /// change flushes; returns the assigned id when it was transmitted.
+    fn send_or_park(
+        &mut self,
+        ctx: &mut Context<'_, StackWire<D::Envelope>>,
+        op: D::Op,
+        after: OccursAfter,
+    ) -> Option<MsgId> {
+        if self.is_flushing() {
+            let mem = self
+                .membership
+                .as_mut()
+                .expect("flushing implies membership");
+            mem.outbox.push_back((op, after));
+            return None;
+        }
+        Some(self.transmit(ctx, op, after))
+    }
+
+    /// Broadcasts `op`, queues what its self-delivery released for
+    /// [`process_released`](Self::process_released), and returns the id
+    /// it assigned.
     fn transmit(
         &mut self,
         ctx: &mut Context<'_, StackWire<D::Envelope>>,
         op: D::Op,
         after: OccursAfter,
-    ) {
+    ) -> MsgId {
         let env = self
             .engine
             .send_into(op, after, &mut self.engine_out.released);
@@ -657,10 +666,10 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         }
         self.arm_retransmit(ctx);
         self.sent_times.insert(id, ctx.now());
-        self.last_sent = Some(id);
         if let Some(t) = &mut self.tracer {
             t.record(TraceEvent::Send { id });
         }
+        id
     }
 
     /// What a routed engine's links read of this stack's clock: the time
@@ -781,15 +790,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
             });
         }
         for (op, after) in out.sends.drain(..) {
-            if self.is_flushing() {
-                let mem = self
-                    .membership
-                    .as_mut()
-                    .expect("flushing implies membership");
-                mem.outbox.push_back((op, after));
-            } else {
-                self.transmit(ctx, op, after);
-            }
+            self.send_or_park(ctx, op, after);
         }
         self.emitter = out;
     }
@@ -925,10 +926,6 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
                 if let Some((_, msg)) = rb.relay(&[new], timed) {
                     ctx.send(new, StackWire::Rb(msg));
                 }
-            }
-            if !self.rtx_armed && rb.has_pending() {
-                ctx.set_timer(self.retransmit_every, TIMER_RETRANSMIT);
-                self.rtx_armed = true;
             }
         }
         if let Some(t) = &mut self.tracer {

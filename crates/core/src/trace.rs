@@ -119,31 +119,6 @@ impl MemberTrace {
         self.events.iter().any(|e| matches!(e, TraceEvent::Crashed))
     }
 
-    /// Ids this member delivered, in delivery order.
-    pub fn delivered_ids(&self) -> impl Iterator<Item = MsgId> + '_ {
-        self.events.iter().filter_map(|e| match e {
-            TraceEvent::Deliver { id, .. } => Some(*id),
-            _ => None,
-        })
-    }
-
-    /// Ids this member broadcast, in send order.
-    pub fn sent_ids(&self) -> impl Iterator<Item = MsgId> + '_ {
-        self.events.iter().filter_map(|e| match e {
-            TraceEvent::Send { id } => Some(*id),
-            _ => None,
-        })
-    }
-
-    /// Ids the reliability layer accepted as fresh, in receipt order
-    /// (excludes this member's own broadcasts, which are self-delivered).
-    pub fn fresh_received_ids(&self) -> impl Iterator<Item = MsgId> + '_ {
-        self.events.iter().filter_map(|e| match e {
-            TraceEvent::Receive { id, fresh: true } => Some(*id),
-            _ => None,
-        })
-    }
-
     /// Rebuilds the delivered prefix of the dependency graph `R(M)` from
     /// the recorded deliveries, as any member can (§4: `R(M)` is
     /// reproducible information). Deliveries without a declared dependency
@@ -200,9 +175,6 @@ mod tests {
         });
         assert_eq!(t.me(), ProcessId::new(1));
         assert_eq!(t.len(), 4);
-        assert_eq!(t.sent_ids().collect::<Vec<_>>(), vec![id(1, 1)]);
-        assert_eq!(t.fresh_received_ids().collect::<Vec<_>>(), vec![id(0, 1)]);
-        assert_eq!(t.delivered_ids().collect::<Vec<_>>(), vec![id(0, 1)]);
         assert!(!t.crashed());
         t.record(TraceEvent::Crashed);
         assert!(t.crashed());

@@ -130,25 +130,10 @@ impl GroupView {
         self.members.binary_search(&p).is_ok()
     }
 
-    /// The rank (0-based position) of `p` in the sorted membership, if a
-    /// member.
-    pub fn rank(&self, p: ProcessId) -> Option<usize> {
-        self.members.binary_search(&p).ok()
-    }
-
     /// The coordinator: the lowest-id member. Deterministic across all
     /// installers of the view.
     pub fn coordinator(&self) -> ProcessId {
         self.members[0]
-    }
-
-    /// The member after `p` in ring order (wrapping), used by round-robin
-    /// protocols such as the paper's lock-transfer sequence (§6.2).
-    ///
-    /// Returns `None` if `p` is not a member.
-    pub fn successor(&self, p: ProcessId) -> Option<ProcessId> {
-        let rank = self.rank(p)?;
-        Some(self.members[(rank + 1) % self.members.len()])
     }
 
     /// The next view with `p` added.
@@ -217,26 +202,16 @@ mod tests {
     }
 
     #[test]
-    fn contains_and_rank() {
+    fn contains_checks_membership() {
         let v = GroupView::new(ViewId::initial(), [p(1), p(3), p(5)]);
         assert!(v.contains(p(3)));
         assert!(!v.contains(p(2)));
-        assert_eq!(v.rank(p(5)), Some(2));
-        assert_eq!(v.rank(p(0)), None);
     }
 
     #[test]
     fn coordinator_is_lowest() {
         let v = GroupView::new(ViewId::initial(), [p(4), p(2), p(7)]);
         assert_eq!(v.coordinator(), p(2));
-    }
-
-    #[test]
-    fn successor_wraps() {
-        let v = GroupView::new(ViewId::initial(), [p(0), p(1), p(2)]);
-        assert_eq!(v.successor(p(0)), Some(p(1)));
-        assert_eq!(v.successor(p(2)), Some(p(0)));
-        assert_eq!(v.successor(p(9)), None);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 /// Everything else is fixed beside the code that reads it, at values
 /// that suit localhost clusters and tests: the reconnect backoff and
 /// retry budget in `conn.rs`, the batching, buffer and handshake limits
-/// in `reactor.rs`, and the driver's poll interval in `node.rs`.
+/// in `reactor.rs`, and the poll interval in `causal-simnet`'s
+/// `ActorRunner::serve`, the receive loop every real-time runtime shares.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
     /// Poller shards in the reactor: every socket of every node sharing

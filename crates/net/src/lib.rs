@@ -12,7 +12,8 @@
 //! ```text
 //!   Actor (CausalNode<CounterReplica>, …)      sans-IO state machine
 //!   ─────────────────────────────────────
-//!   ActorRunner (causal-simnet)                timers, RNG, dispatch
+//!   ActorRunner (causal-simnet)                receive loop, timers, RNG,
+//!                                              dispatch
 //!   ─────────────────────────────────────
 //!   ConnectionManager (this crate)             lazy per-peer links, reconnect
 //!   ─────────────────────────────────────

@@ -1,14 +1,15 @@
 //! Hosting a sans-IO [`Actor`] on a real TCP node.
 //!
 //! [`spawn_node`] wires one actor to a [`ConnectionManager`] and drives it
-//! on a dedicated thread through the same
-//! [`ActorRunner`](causal_simnet::ActorRunner) the in-process threaded
-//! runtime uses. Outbound messages are encoded with
+//! on a dedicated thread through
+//! [`ActorRunner::serve`](causal_simnet::ActorRunner::serve), the receive
+//! loop the in-process threaded runtime runs too; this file is only the
+//! socket plumbing. Outbound messages are encoded with
 //! [`WireEncode`](causal_core::wire::WireEncode) and framed onto per-peer
 //! connections; inbound frames are **borrow-decoded on the reactor shard**
 //! straight out of the pooled receive buffers (no frame-body copy ever),
-//! then delivered as `on_message` callbacks; `Context::set_timer` works
-//! unchanged.
+//! then queued on the node thread's inbox and delivered as `on_message`
+//! callbacks; `Context::set_timer` works unchanged.
 //!
 //! [`spawn_node_on`] hosts many nodes on one shared [`Reactor`], keeping
 //! transport threads at O(poller shards) for a whole in-process cluster.
@@ -25,14 +26,9 @@ use causal_simnet::Actor;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// How often the driver re-checks its stop flag while it waits for
-/// inbound messages.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// [`Transport`] impl: encode, then hand to the connection manager.
 ///
@@ -211,7 +207,16 @@ where
         .spawn({
             let manager = Arc::clone(&manager);
             let stop = Arc::clone(&stop);
-            move || drive(actor, me, n, seed, manager, stop, inbox_rx)
+            move || {
+                let mut transport = TcpTransport {
+                    manager: Arc::clone(&manager),
+                    scratch: Vec::new(),
+                };
+                let mut runner = ActorRunner::new(actor, me, n, seed);
+                runner.serve(&mut transport, &inbox_rx, || stop.load(Ordering::SeqCst));
+                manager.shutdown();
+                runner.into_actor()
+            }
         })?;
 
     Ok(NodeHandle {
@@ -224,68 +229,11 @@ where
     })
 }
 
-/// How many already-arrived messages the driver delivers per wakeup
-/// before re-checking timers; bounds timer latency under flood.
-const INBOX_DRAIN_BATCH: usize = 128;
-
-fn drive<A>(
-    actor: A,
-    me: ProcessId,
-    n: usize,
-    seed: u64,
-    manager: Arc<ConnectionManager>,
-    stop: Arc<AtomicBool>,
-    inbox_rx: Receiver<(ProcessId, A::Msg)>,
-) -> A
-where
-    A: Actor,
-    A::Msg: WireEncode,
-{
-    let mut transport = TcpTransport {
-        manager: Arc::clone(&manager),
-        scratch: Vec::new(),
-    };
-    let mut runner = ActorRunner::new(actor, me, n, seed);
-    runner.start(&mut transport);
-    while !stop.load(Ordering::SeqCst) {
-        runner.fire_due_timers(&mut transport);
-        let now = Instant::now();
-        let wait_until = runner
-            .next_timer_deadline()
-            .map(|at| at.min(now + POLL_INTERVAL))
-            .unwrap_or(now + POLL_INTERVAL);
-        let timeout = wait_until.saturating_duration_since(now);
-        match inbox_rx.recv_timeout(timeout) {
-            Ok((from, msg)) => {
-                runner.on_message(&mut transport, from, msg);
-                // Under load the inbox holds a backlog; drain a bounded
-                // batch before paying the timer/clock bookkeeping again
-                // (bounded so a flood cannot starve due timers).
-                for _ in 0..INBOX_DRAIN_BATCH {
-                    match inbox_rx.try_recv() {
-                        Ok((from, msg)) => runner.on_message(&mut transport, from, msg),
-                        Err(_) => break,
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    // Clean shutdown: deliver what has already arrived before tearing the
-    // transport down, so a stop requested after "all frames received"
-    // leaves the actor having seen all of them.
-    while let Ok((from, msg)) = inbox_rx.try_recv() {
-        runner.on_message(&mut transport, from, msg);
-    }
-    manager.shutdown();
-    runner.into_actor()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use causal_simnet::Context;
+    use std::time::{Duration, Instant};
 
     /// Frames node 0 floods at node 1 from `on_start`, faster than one
     /// write can carry them, so the writer must coalesce.

@@ -89,15 +89,6 @@ impl LinkSnapshot {
             self.frames_written as f64 / self.writes as f64
         }
     }
-
-    /// Mean wire bytes per socket write (0.0 when nothing was written).
-    pub fn bytes_per_write(&self) -> f64 {
-        if self.writes == 0 {
-            0.0
-        } else {
-            self.bytes_written as f64 / self.writes as f64
-        }
-    }
 }
 
 /// Reactor-level counters: the event-loop's own syscall economy, shared
@@ -288,11 +279,6 @@ impl NetSnapshot {
         self.links.iter().map(|l| l.msgs_recv).sum()
     }
 
-    /// Total reconnects across all links.
-    pub fn total_reconnects(&self) -> u64 {
-        self.links.iter().map(|l| l.reconnects).sum()
-    }
-
     /// Total socket writes across all links.
     pub fn total_writes(&self) -> u64 {
         self.links.iter().map(|l| l.writes).sum()
@@ -343,16 +329,13 @@ mod tests {
         assert_eq!(snap.links[1].frames_written, 4);
         assert_eq!(snap.links[1].bytes_written, 120);
         assert_eq!(snap.links[1].frames_per_write(), 2.0);
-        assert_eq!(snap.links[1].bytes_per_write(), 60.0);
         assert_eq!(snap.decode_errors, 1);
         assert_eq!(snap.total_sent(), 2);
-        assert_eq!(snap.total_reconnects(), 1);
         assert_eq!(snap.total_writes(), 2);
         assert_eq!(snap.total_frames_written(), 4);
         assert_eq!(snap.frames_per_write(), 2.0);
-        // A link that never wrote reports the neutral ratios.
+        // A link that never wrote reports the neutral ratio.
         assert_eq!(snap.links[0].frames_per_write(), 1.0);
-        assert_eq!(snap.links[0].bytes_per_write(), 0.0);
         assert!(stats.link(ProcessId::new(9)).is_none());
     }
 }

@@ -14,7 +14,6 @@
 //! (re-exported from [`causal_core::statemachine`])
 //! and validated by `causal_verify::check::commutativity_declarations_sound`.
 
-use causal_clocks::MsgId;
 use causal_core::delivery::Delivered;
 use causal_core::node::{App, Emitter};
 use causal_core::stable::StablePoint;
@@ -186,11 +185,6 @@ pub fn append_tag(author: u32, seq: u64) -> u64 {
     ((author as u64) << 40) | seq
 }
 
-/// `MsgId`-derived append tag (guaranteed unique within a computation).
-pub fn append_tag_for(id: MsgId) -> u64 {
-    append_tag(id.origin().as_u32(), id.seq())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,9 +325,5 @@ mod tests {
                 assert!(tags.insert(append_tag(a, s)));
             }
         }
-        assert_eq!(
-            append_tag_for(MsgId::new(ProcessId::new(3), 9)),
-            append_tag(3, 9)
-        );
     }
 }

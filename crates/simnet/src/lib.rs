@@ -13,7 +13,8 @@
 //! A small real-thread runtime ([`threaded`]) runs the same [`Actor`]s over
 //! in-process channels, demonstrating that the protocol crates are
 //! transport-agnostic (sans-IO); the `causal-net` crate carries them over
-//! real TCP sockets using the shared [`runner`] driver.
+//! real TCP sockets. Both drive their actors through the [`runner`]'s one
+//! receive loop, [`ActorRunner::serve`].
 //!
 //! # Examples
 //!

@@ -4,26 +4,29 @@
 //! loop; every *real-time* runtime (the in-process [`threaded`] runtime,
 //! `causal-net`'s TCP transport) needs the same surrounding machinery: an
 //! RNG derived from the run seed, a wall-clock origin mapped onto
-//! [`SimTime`], a timer wheel for [`Command::SetTimer`], and command
-//! draining after each callback. [`ActorRunner`] factors that out so a
-//! transport only has to deliver bytes and call back in.
+//! [`SimTime`], a timer wheel for [`Command::SetTimer`], command
+//! draining after each callback, and the receive loop that interleaves
+//! inbound messages with due timers. [`ActorRunner`] factors that out.
 //!
 //! [`threaded`]: crate::threaded
 //!
 //! The division of labour:
 //!
-//! - the **transport** owns the sockets/channels and the receive loop;
-//! - the **runner** owns the actor, its timers, and its clock.
+//! - the **transport** owns the sockets/channels: it carries outbound
+//!   messages and queues inbound ones on an `mpsc` inbox;
+//! - the **runner** owns the actor, its timers, its clock, and the one
+//!   receive loop, [`ActorRunner::serve`].
 //!
-//! A transport's loop looks like:
+//! The loop, in outline:
 //!
 //! ```text
-//! runner.start(&mut transport);
-//! loop {
-//!     runner.fire_due_timers(&mut transport);
-//!     wait for a message until runner.next_timer_deadline();
-//!     if a message arrived { runner.on_message(&mut transport, from, msg); }
+//! start the actor;
+//! until stop() holds or the inbox disconnects {
+//!     fire the due timers;
+//!     wait for a message until the next timer is due, or POLL_INTERVAL;
+//!     deliver it, plus up to INBOX_DRAIN_BATCH already queued;
 //! }
+//! deliver whatever has already arrived;
 //! ```
 
 use crate::actor::{Actor, Command, Context};
@@ -33,7 +36,16 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant};
+
+/// How long [`ActorRunner::serve`] waits for a message before it re-checks
+/// its stop condition, when no timer is due sooner.
+const POLL_INTERVAL: Duration = Duration::from_millis(20);
+
+/// How many already-arrived messages [`ActorRunner::serve`] delivers per
+/// wakeup before it re-checks timers; bounds timer latency under flood.
+const INBOX_DRAIN_BATCH: usize = 128;
 
 /// An outbound message sink for one node.
 ///
@@ -90,10 +102,9 @@ pub struct RunnerStats {
 /// Drives one [`Actor`] against wall-clock time.
 ///
 /// Owns the actor, its deterministic RNG, and its pending timers. The
-/// embedding transport calls [`start`](ActorRunner::start) once, then
-/// alternates [`fire_due_timers`](ActorRunner::fire_due_timers) and
-/// [`on_message`](ActorRunner::on_message), sleeping no later than
-/// [`next_timer_deadline`](ActorRunner::next_timer_deadline) between turns.
+/// embedding transport hands [`serve`](ActorRunner::serve) its outbound
+/// half and its inbox, and gets the actor back with
+/// [`into_actor`](ActorRunner::into_actor) once the loop returns.
 #[derive(Debug)]
 pub struct ActorRunner<A: Actor> {
     node: A,
@@ -143,13 +154,55 @@ impl<A: Actor> ActorRunner<A> {
         self.me
     }
 
+    /// Runs the actor until `stop()` holds or every sender of `inbox` is
+    /// gone: starts it, then fires the due timers, waits for a message
+    /// until the next timer is due (or for at most the 20 ms poll
+    /// interval), and delivers that message plus up to 128 already queued
+    /// ones, over and over. Before it returns it delivers whatever has
+    /// already arrived, so a stop requested after "all messages received"
+    /// leaves the actor having seen all of them. `stop()` is checked once
+    /// per wakeup, so the loop may outlast it by up to one poll interval.
+    pub fn serve<T: Transport<A::Msg>>(
+        &mut self,
+        transport: &mut T,
+        inbox: &Receiver<(ProcessId, A::Msg)>,
+        mut stop: impl FnMut() -> bool,
+    ) {
+        self.start(transport);
+        while !stop() {
+            self.fire_due_timers(transport);
+            let now = Instant::now();
+            let poll = now + POLL_INTERVAL;
+            let wait_until = self.next_timer_deadline().map_or(poll, |at| at.min(poll));
+            match inbox.recv_timeout(wait_until.saturating_duration_since(now)) {
+                Ok((from, msg)) => {
+                    self.on_message(transport, from, msg);
+                    // Under load the inbox holds a backlog; drain a bounded
+                    // batch before paying the timer/clock bookkeeping again
+                    // (bounded so a flood cannot starve due timers).
+                    for _ in 0..INBOX_DRAIN_BATCH {
+                        match inbox.try_recv() {
+                            Ok((from, msg)) => self.on_message(transport, from, msg),
+                            Err(_) => break,
+                        }
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        while let Ok((from, msg)) = inbox.try_recv() {
+            self.on_message(transport, from, msg);
+        }
+    }
+
     /// Delivers the `on_start` callback. Call exactly once, first.
-    pub fn start<T: Transport<A::Msg>>(&mut self, transport: &mut T) {
+    fn start<T: Transport<A::Msg>>(&mut self, transport: &mut T) {
         self.dispatch(transport, Event::Start);
     }
 
     /// Delivers one inbound message to the actor.
-    pub fn on_message<T: Transport<A::Msg>>(
+    fn on_message<T: Transport<A::Msg>>(
         &mut self,
         transport: &mut T,
         from: ProcessId,
@@ -159,7 +212,7 @@ impl<A: Actor> ActorRunner<A> {
     }
 
     /// Fires every timer whose deadline has passed, in deadline order.
-    pub fn fire_due_timers<T: Transport<A::Msg>>(&mut self, transport: &mut T) {
+    fn fire_due_timers<T: Transport<A::Msg>>(&mut self, transport: &mut T) {
         while let Some(Reverse((at, _, tag))) = self.timers.peek().copied() {
             if at <= Instant::now() {
                 self.timers.pop();
@@ -170,9 +223,8 @@ impl<A: Actor> ActorRunner<A> {
         }
     }
 
-    /// The instant the next pending timer is due, if any. Transports use
-    /// this to bound their receive wait.
-    pub fn next_timer_deadline(&self) -> Option<Instant> {
+    /// The instant the next pending timer is due, if any.
+    fn next_timer_deadline(&self) -> Option<Instant> {
         self.timers.peek().map(|Reverse((at, _, _))| *at)
     }
 
@@ -221,6 +273,9 @@ impl<A: Actor> ActorRunner<A> {
 mod tests {
     use super::*;
     use crate::SimDuration;
+    use std::cell::Cell;
+    use std::rc::Rc;
+    use std::sync::mpsc::channel;
 
     #[derive(Default)]
     struct Recorder(Vec<(ProcessId, u32)>);
@@ -283,6 +338,77 @@ mod tests {
         );
         assert_eq!(stats.callbacks, warm.callbacks + 1_000);
         assert_eq!(stats.commands, warm.commands + 1_000);
+    }
+
+    /// Records every message and timer it gets; arms a 1 ms timer on
+    /// start and reports each firing through a shared counter.
+    struct Inbox {
+        got: Vec<u32>,
+        fired: Rc<Cell<u32>>,
+    }
+    impl Actor for Inbox {
+        type Msg = u32;
+        fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+            ctx.set_timer(SimDuration::from_millis(1), 0);
+        }
+        fn on_message(&mut self, _ctx: &mut Context<'_, u32>, _from: ProcessId, msg: u32) {
+            self.got.push(msg);
+        }
+        fn on_timer(&mut self, _ctx: &mut Context<'_, u32>, _tag: u64) {
+            self.fired.set(self.fired.get() + 1);
+        }
+    }
+
+    fn inbox_runner() -> (ActorRunner<Inbox>, Rc<Cell<u32>>) {
+        let fired = Rc::new(Cell::new(0));
+        let actor = Inbox {
+            got: Vec::new(),
+            fired: Rc::clone(&fired),
+        };
+        (ActorRunner::new(actor, ProcessId::new(0), 2, 1), fired)
+    }
+
+    #[test]
+    fn serve_delivers_everything_queued_before_stop() {
+        let (mut runner, _) = inbox_runner();
+        let (tx, rx) = channel();
+        // Several drain batches' worth, so the in-loop batch and the
+        // end-of-run drain both deliver some of it.
+        let queued = 5 * INBOX_DRAIN_BATCH as u32;
+        for i in 0..queued {
+            tx.send((ProcessId::new(1), i)).unwrap();
+        }
+        let mut wakeups = 0;
+        runner.serve(&mut Recorder::default(), &rx, || {
+            wakeups += 1;
+            wakeups > 1
+        });
+        assert_eq!(runner.actor().got, (0..queued).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn serve_fires_a_due_timer_while_the_inbox_is_idle() {
+        let (mut runner, fired) = inbox_runner();
+        // The sender stays alive: the inbox is idle, not disconnected.
+        let (_tx, rx) = channel::<(ProcessId, u32)>();
+        let give_up = Instant::now() + Duration::from_secs(5);
+        runner.serve(&mut Recorder::default(), &rx, || {
+            fired.get() > 0 || Instant::now() >= give_up
+        });
+        assert_eq!(fired.get(), 1);
+        assert!(runner.actor().got.is_empty());
+    }
+
+    #[test]
+    fn serve_returns_when_the_inbox_disconnects() {
+        let (mut runner, _) = inbox_runner();
+        let (tx, rx) = channel();
+        for i in 0..3 {
+            tx.send((ProcessId::new(1), i)).unwrap();
+        }
+        drop(tx);
+        runner.serve(&mut Recorder::default(), &rx, || false);
+        assert_eq!(runner.actor().got, vec![0, 1, 2]);
     }
 
     #[test]

@@ -98,9 +98,11 @@ impl NetConfig {
 /// - payloads live in a generation-checked `MsgArena`, so queue traffic
 ///   is fixed-size and steady-state runs allocate nothing per message;
 /// - actor commands collect into one recycled scratch buffer instead of a
-///   fresh `Vec` per callback;
-/// - [`run_events`](Self::run_events) / [`drain_timestamp`](Self::drain_timestamp)
-///   batch stepping for driver loops.
+///   fresh `Vec` per callback.
+///
+/// [`step`](Self::step) is the one way to advance it:
+/// [`run_until`](Self::run_until) and
+/// [`run_to_quiescence`](Self::run_to_quiescence) loop over it.
 ///
 /// # Examples
 ///
@@ -233,11 +235,6 @@ impl<A: Actor> Simulation<A> {
         self.arena.live()
     }
 
-    /// Events waiting in the queue (deliveries and timers).
-    pub fn events_queued(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Calls `f` on node `p` with a live [`Context`] at the current time,
     /// then applies the commands it issued. This is how external drivers
     /// (workload generators, examples) inject requests mid-run.
@@ -263,49 +260,6 @@ impl<A: Actor> Simulation<A> {
         self.events_processed += 1;
         self.fire(event);
         true
-    }
-
-    /// Processes up to `max` events, returning how many ran (fewer only on
-    /// quiescence). Batching keeps driver loops out of the per-event path:
-    /// a harness can interleave workload injection every `n` events instead
-    /// of wrapping every [`step`](Self::step).
-    pub fn run_events(&mut self, max: u64) -> u64 {
-        let mut done = 0;
-        while done < max {
-            let Some(event) = self.queue.pop() else {
-                break;
-            };
-            debug_assert!(event.at >= self.now, "time went backwards");
-            self.now = event.at;
-            self.events_processed += 1;
-            self.fire(event);
-            done += 1;
-        }
-        done
-    }
-
-    /// Processes every event of the next occupied simulated instant —
-    /// including events that callbacks schedule *at* that instant (loopback
-    /// deliveries, zero-delay timers) — and returns how many ran. Zero
-    /// means quiescence. This is the batched unit drivers want when they
-    /// inspect state "between" simulated times: afterwards, no event is
-    /// pending at `now()`.
-    pub fn drain_timestamp(&mut self) -> u64 {
-        let Some((instant, _)) = self.queue.peek_key() else {
-            return 0;
-        };
-        let mut done = 0;
-        while let Some((at, _)) = self.queue.peek_key() {
-            if at != instant {
-                break;
-            }
-            let event = self.queue.pop().expect("peeked event");
-            self.now = event.at;
-            self.events_processed += 1;
-            self.fire(event);
-            done += 1;
-        }
-        done
     }
 
     /// Runs until no event is scheduled at or before `deadline`; the clock
@@ -726,57 +680,11 @@ mod tests {
     }
 
     #[test]
-    fn run_events_batches_and_reports_count() {
-        let mut sim = Simulation::new(counters(4, 10), NetConfig::new(), 1);
-        // 10 broadcasts × 3 destinations = 30 deliveries pending.
-        assert_eq!(sim.run_events(12), 12);
-        assert_eq!(sim.events_processed(), 12);
-        assert_eq!(sim.run_events(1_000), 18);
-        assert_eq!(sim.run_events(1_000), 0, "quiescent");
-        assert_eq!(sim.metrics().delivered, 30);
-    }
-
-    #[test]
-    fn drain_timestamp_consumes_one_instant_with_cascades() {
-        struct Chain {
-            got: Vec<u32>,
-        }
-        impl Actor for Chain {
-            type Msg = u32;
-            fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
-                if ctx.me() == ProcessId::new(0) {
-                    let me = ctx.me();
-                    ctx.send(me, 3); // loopback cascade at t=0
-                    ctx.set_timer(SimDuration::from_micros(500), 0);
-                }
-            }
-            fn on_message(&mut self, ctx: &mut Context<'_, u32>, _from: ProcessId, msg: u32) {
-                self.got.push(msg);
-                if msg > 0 {
-                    let me = ctx.me();
-                    ctx.send(me, msg - 1); // still at the same instant
-                }
-            }
-            fn on_timer(&mut self, _: &mut Context<'_, u32>, _: u64) {}
-        }
-        let mut sim = Simulation::new(vec![Chain { got: vec![] }], NetConfig::new(), 1);
-        // Instant 0: the whole loopback cascade (3, 2, 1, 0), not the timer.
-        assert_eq!(sim.drain_timestamp(), 4);
-        assert_eq!(sim.now(), SimTime::ZERO);
-        assert_eq!(sim.node(ProcessId::new(0)).got, vec![3, 2, 1, 0]);
-        // Next instant: the timer alone.
-        assert_eq!(sim.drain_timestamp(), 1);
-        assert_eq!(sim.now(), SimTime::from_micros(500));
-        assert_eq!(sim.drain_timestamp(), 0, "quiescent");
-    }
-
-    #[test]
     fn arena_drains_to_zero_at_quiescence() {
         let cfg = NetConfig::new().faults(FaultPlan::new().with_dup_prob(0.5));
         let mut sim = Simulation::new(counters(5, 20), cfg, 3);
         sim.run_to_quiescence();
         assert_eq!(sim.in_flight(), 0);
-        assert_eq!(sim.events_queued(), 0);
         assert!(sim.metrics().peak_in_flight > 0);
     }
 

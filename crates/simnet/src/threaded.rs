@@ -8,9 +8,9 @@
 //! tests; quantitative experiments use the simulator, and `causal-net`
 //! carries the same actors over real TCP sockets.
 //!
-//! Each node thread wraps its actor in an
-//! [`ActorRunner`] — the same driver the TCP
-//! transport uses — so this file is only the channel plumbing.
+//! Each node thread hands its actor to [`ActorRunner::serve`] — the same
+//! receive loop the TCP transport runs — so this file is only the channel
+//! plumbing.
 //!
 //! # Examples
 //!
@@ -37,7 +37,7 @@
 use crate::actor::Actor;
 use crate::runner::{ActorRunner, RunnerStats, Transport};
 use causal_clocks::ProcessId;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
 
 type Link<M> = (ProcessId, M);
@@ -58,6 +58,9 @@ impl<M> Transport<M> for Mesh<M> {
 
 /// Runs each actor on its own OS thread for (at least) `duration` of wall
 /// time, then joins the threads and returns the actors for inspection.
+/// A node notices the deadline at its next wakeup, so it may run up to
+/// one poll interval (20 ms) past it, and it delivers what has already
+/// reached it before it stops.
 ///
 /// Message links are unbounded mpsc channels (reliable, FIFO, unbounded
 /// latency jitter from the OS scheduler). Timers are serviced with
@@ -119,24 +122,7 @@ where
         };
         let handle = std::thread::spawn(move || {
             let mut runner = ActorRunner::new(node, me, n, seed.wrapping_add(i as u64));
-            runner.start(&mut mesh);
-            loop {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                runner.fire_due_timers(&mut mesh);
-                let wait_until = runner
-                    .next_timer_deadline()
-                    .map(|at| at.min(deadline))
-                    .unwrap_or(deadline);
-                let timeout = wait_until.saturating_duration_since(Instant::now());
-                match rx.recv_timeout(timeout) {
-                    Ok((from, msg)) => runner.on_message(&mut mesh, from, msg),
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
+            runner.serve(&mut mesh, &rx, || Instant::now() >= deadline);
             let stats = runner.stats();
             (runner.into_actor(), stats)
         });

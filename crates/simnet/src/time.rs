@@ -117,11 +117,6 @@ impl SimDuration {
         self.0
     }
 
-    /// The duration in (fractional) milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// The duration in (fractional) seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
@@ -187,7 +182,7 @@ mod tests {
     #[test]
     fn duration_conversions() {
         assert_eq!(SimDuration::from_secs(2).as_micros(), 2_000_000);
-        assert_eq!(SimDuration::from_millis(3).as_millis_f64(), 3.0);
+        assert_eq!(SimDuration::from_millis(3).as_micros(), 3_000);
         assert_eq!(SimDuration::from_micros(1500).as_secs_f64(), 0.0015);
     }
 

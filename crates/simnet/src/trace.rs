@@ -103,16 +103,6 @@ impl NetTrace {
         self.events.is_empty()
     }
 
-    /// Events involving `node` (as sender, receiver, or timer owner).
-    pub fn for_node(&self, node: ProcessId) -> impl Iterator<Item = &NetEvent> {
-        self.events.iter().filter(move |e| match e {
-            NetEvent::Sent { from, to, .. }
-            | NetEvent::Delivered { from, to, .. }
-            | NetEvent::Dropped { from, to, .. } => *from == node || *to == node,
-            NetEvent::TimerFired { node: n, .. } => *n == node,
-        })
-    }
-
     /// Renders a textual space-time diagram (one line per delivery, in
     /// time order): the classic Lamport-diagram view of a run, useful for
     /// eyeballing interleavings in examples and bug reports.
@@ -226,23 +216,5 @@ mod tests {
         assert!(lines[1].contains("p0 -> p2"));
         assert!(lines[2].contains("x"));
         assert!(lines[2].contains("LOST"));
-    }
-
-    #[test]
-    fn for_node_filters() {
-        let mut t = NetTrace::new();
-        t.push(NetEvent::Sent {
-            at: SimTime::ZERO,
-            from: p(0),
-            to: p(1),
-        });
-        t.push(NetEvent::Dropped {
-            at: SimTime::ZERO,
-            from: p(2),
-            to: p(3),
-        });
-        assert_eq!(t.for_node(p(1)).count(), 1);
-        assert_eq!(t.for_node(p(3)).count(), 1);
-        assert_eq!(t.for_node(p(4)).count(), 0);
     }
 }

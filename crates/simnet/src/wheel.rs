@@ -87,7 +87,6 @@ pub(crate) struct CalendarQueue {
     /// Events resident in wheel buckets (excluding current/incoming).
     wheel_len: usize,
     overflow: BinaryHeap<Reverse<Scheduled>>,
-    len: usize,
     /// Key of the most recently popped event — pushes must order after it
     /// (the simulator never schedules into the consumed past).
     last_popped: Option<(SimTime, u64)>,
@@ -112,18 +111,23 @@ impl CalendarQueue {
             inc_head: 0,
             wheel_len: 0,
             overflow: BinaryHeap::new(),
-            len: 0,
             last_popped: None,
         }
     }
 
+    /// Events pending: in the ring buckets, the overflow heap, and what is
+    /// left of the cursor day (`current` and `incoming`).
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.wheel_len
+            + self.overflow.len()
+            + (self.current.len() - self.cur_head)
+            + (self.incoming.len() - self.inc_head)
     }
 
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Events currently parked beyond the wheel horizon.
@@ -158,7 +162,6 @@ impl CalendarQueue {
             self.last_popped.is_none_or(|k| ev.key() > k),
             "event scheduled into the consumed past"
         );
-        self.len += 1;
         if self.day_of(ev.at) >= self.horizon() {
             self.overflow.push(Reverse(ev));
         } else {
@@ -272,7 +275,6 @@ impl CalendarQueue {
             (None, Some(_)) => true,
             _ => false,
         };
-        self.len -= 1;
         let ev = if take_incoming {
             let ev = self.incoming[self.inc_head];
             self.inc_head += 1;

@@ -213,50 +213,7 @@ impl<'c, N: Actor> World<'c, N> {
         // (from, to, msg) pending immediate delivery (recycled buffer).
         let mut immediate = std::mem::take(&mut self.cascade);
         debug_assert!(immediate.is_empty());
-        let push = |links: &mut BTreeMap<LinkKey, VecDeque<N::Msg>>,
-                    immediate: &mut VecDeque<(usize, usize, N::Msg)>,
-                    fp: &mut Footprint,
-                    classify: &dyn Fn(&N::Msg) -> MsgClass,
-                    from: usize,
-                    to: ProcessId,
-                    msg: N::Msg| {
-            let to = to.as_usize();
-            if to == from || classify(&msg) == MsgClass::Control {
-                immediate.push_back((from, to, msg));
-            } else {
-                links.entry((from, to)).or_default().push_back(msg);
-                fp.appended.insert((from, to));
-            }
-        };
-        for cmd in cmds.drain(..) {
-            match cmd {
-                Command::Send { to, msg } => push(
-                    &mut self.links,
-                    &mut immediate,
-                    fp,
-                    self.classify,
-                    origin,
-                    to,
-                    msg,
-                ),
-                Command::Multicast { to, msg } => {
-                    for t in to {
-                        push(
-                            &mut self.links,
-                            &mut immediate,
-                            fp,
-                            self.classify,
-                            origin,
-                            t,
-                            msg.clone(),
-                        );
-                    }
-                }
-                // Lossless network: retransmission, heartbeats and
-                // failure detection never need to fire.
-                Command::SetTimer { .. } => {}
-            }
-        }
+        self.dispatch(origin, cmds, &mut immediate, fp);
         while let Some((from, to, msg)) = immediate.pop_front() {
             if !fp.touched.contains(&to) {
                 fp.control_touched.insert(to);
@@ -274,35 +231,42 @@ impl<'c, N: Actor> World<'c, N> {
             );
             self.nodes[to].on_message(&mut ctx, ProcessId::new(from as u32), msg);
             *cmds = ctx.take_commands();
-            for cmd in cmds.drain(..) {
-                match cmd {
-                    Command::Send { to: t, msg } => push(
-                        &mut self.links,
-                        &mut immediate,
-                        fp,
-                        self.classify,
-                        to,
-                        t,
-                        msg,
-                    ),
-                    Command::Multicast { to: ts, msg } => {
-                        for t in ts {
-                            push(
-                                &mut self.links,
-                                &mut immediate,
-                                fp,
-                                self.classify,
-                                to,
-                                t,
-                                msg.clone(),
-                            );
-                        }
-                    }
-                    Command::SetTimer { .. } => {}
-                }
-            }
+            self.dispatch(to, cmds, &mut immediate, fp);
         }
         self.cascade = immediate;
+    }
+
+    /// Drains the commands node `from` issued: control messages and
+    /// self-sends join `immediate`, data messages queue on their links.
+    fn dispatch(
+        &mut self,
+        from: usize,
+        cmds: &mut Vec<Command<N::Msg>>,
+        immediate: &mut VecDeque<(usize, usize, N::Msg)>,
+        fp: &mut Footprint,
+    ) {
+        let mut push = |to: ProcessId, msg: N::Msg| {
+            let to = to.as_usize();
+            if to == from || (self.classify)(&msg) == MsgClass::Control {
+                immediate.push_back((from, to, msg));
+            } else {
+                self.links.entry((from, to)).or_default().push_back(msg);
+                fp.appended.insert((from, to));
+            }
+        };
+        for cmd in cmds.drain(..) {
+            match cmd {
+                Command::Send { to, msg } => push(to, msg),
+                Command::Multicast { to, msg } => {
+                    for t in to {
+                        push(t, msg.clone());
+                    }
+                }
+                // Lossless network: retransmission, heartbeats and
+                // failure detection never need to fire.
+                Command::SetTimer { .. } => {}
+            }
+        }
     }
 
     /// The currently enabled transitions: links with queued data, in

@@ -6,7 +6,7 @@
 //! path: a declared **hot-root set** — the reactor shard loop and its flush /
 //! receive legs, the three delivery engines' drain paths and the PC
 //! engine's link frame entry, reliable broadcast's data and ack
-//! entries, the simulator's batched event loop, the stability
+//! entries, the simulator's `run_until` event loop, the stability
 //! tracker's per-delivery and per-report updates, the protocol stack's
 //! data-path callbacks, and stable-point detection — is
 //! closed over the call graph, and every statement reachable (CFG-wise)
@@ -49,7 +49,7 @@ pub struct HotRoot {
 
 /// The flood-path roots: reactor shard loop + flush/receive legs, the
 /// engines' drain paths, PC link frame ingress, reliable broadcast's
-/// data and ack entries, the simulator's batched event loop, the
+/// data and ack entries, the simulator's `run_until` event loop, the
 /// stability tracker's `on_deliver`/`on_report` (mesh and tree), the
 /// protocol stack's data, ack, report and link arms with its send and
 /// delivery paths, and the stable-point detector's `on_deliver`.
@@ -109,10 +109,12 @@ pub const HOT_ROOTS: &[HotRoot] = &[
         owner: Some("ReliableBroadcast"),
         name: "on_ack",
     },
+    // The simulator's event loop as perfbench and the experiments run
+    // it; its cone covers `step` and `fire`.
     HotRoot {
         path: "crates/simnet/src/sim.rs",
         owner: Some("Simulation"),
-        name: "run_events",
+        name: "run_until",
     },
     // The stack's data path: the full-mesh data, ack and stability-report
     // arms, the link-frame arm, the send path, and the delivery of what

@@ -198,48 +198,3 @@ fn pcbcast_scenario_identical_across_cores() {
         }
     }
 }
-
-/// The batched step APIs are pure driver conveniences: a run advanced via
-/// `run_events` / `drain_timestamp` must equal a `step()`-driven reference
-/// run event for event.
-#[test]
-fn batched_stepping_matches_reference_stepping() {
-    let mk = || {
-        (0..5)
-            .map(|i| CausalNode::new(p(i), 5, CounterReplica::new()).with_tracing())
-            .collect::<Vec<_>>()
-    };
-    let cfg = || {
-        NetConfig::with_latency(LatencyModel::uniform_micros(50, 900))
-            .faults(FaultPlan::new().with_drop_prob(0.1))
-    };
-    let seed = 11u64;
-
-    let mut fast = Simulation::new(mk(), cfg(), seed);
-    fast.enable_trace();
-    for i in 0..5 {
-        fast.poke(p(i), |node, ctx| {
-            node.osend(ctx, CounterOp::Inc(1), OccursAfter::none())
-        });
-    }
-    // Alternate batching styles until quiescence.
-    loop {
-        if fast.drain_timestamp() == 0 {
-            break;
-        }
-        fast.run_events(7);
-    }
-
-    let mut oracle = reference::Simulation::new(mk(), cfg(), seed);
-    oracle.enable_trace();
-    for i in 0..5 {
-        oracle.poke(p(i), |node, ctx| {
-            node.osend(ctx, CounterOp::Inc(1), OccursAfter::none())
-        });
-    }
-    oracle.run_to_quiescence();
-
-    assert_eq!(fast.trace(), oracle.trace());
-    assert_eq!(fast.metrics(), oracle.metrics());
-    assert_eq!(fast.events_processed(), oracle.events_processed());
-}
