@@ -11,8 +11,8 @@
 
 use causal_bench::Table;
 use causal_clocks::ProcessId;
-use causal_core::node::CausalNode;
 use causal_core::osend::OccursAfter;
+use causal_core::stack::CausalNode;
 use causal_replica::counter::{CounterOp, CounterReplica};
 use causal_simnet::{FaultPlan, LatencyModel, NetConfig, SimDuration, Simulation};
 

@@ -18,8 +18,8 @@ use causal_bench::table::fmt_ms;
 use causal_bench::Table;
 use causal_clocks::{ProcessId, VectorClock};
 use causal_core::delivery::Delivered;
-use causal_core::node::{App, CausalNode, CbcastNode, Emitter};
 use causal_core::osend::OccursAfter;
+use causal_core::stack::{App, CausalNode, CbcastNode, Emitter};
 use causal_core::statemachine::OpClass;
 use causal_simnet::{FaultPlan, Histogram, LatencyModel, NetConfig, SimDuration, Simulation};
 use causal_verify::{check_trace, OracleConfig, Trace};

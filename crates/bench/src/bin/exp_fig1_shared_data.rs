@@ -10,8 +10,8 @@
 use causal_bench::table::fmt_ms;
 use causal_bench::Table;
 use causal_clocks::{MsgId, ProcessId};
-use causal_core::node::CausalNode;
 use causal_core::osend::OccursAfter;
+use causal_core::stack::CausalNode;
 use causal_replica::document::{DocOp, DocumentReplica};
 use causal_simnet::{FaultPlan, LatencyModel, NetConfig, Simulation};
 

@@ -8,8 +8,8 @@
 
 use causal_bench::Table;
 use causal_clocks::{MsgId, ProcessId};
-use causal_core::node::CausalNode;
 use causal_core::osend::OccursAfter;
+use causal_core::stack::CausalNode;
 use causal_replica::counter::{CounterOp, CounterReplica};
 use causal_simnet::{LatencyModel, NetConfig, Simulation};
 use causal_verify::{check_trace, OracleConfig, Trace};

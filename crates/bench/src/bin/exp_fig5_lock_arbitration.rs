@@ -9,7 +9,7 @@
 use causal_bench::table::fmt_ms;
 use causal_bench::Table;
 use causal_clocks::ProcessId;
-use causal_core::node::CausalNode;
+use causal_core::stack::CausalNode;
 use causal_replica::lock::LockMember;
 use causal_simnet::{FaultPlan, LatencyModel, NetConfig, Simulation};
 

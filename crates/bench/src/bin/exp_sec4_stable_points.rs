@@ -20,8 +20,8 @@
 use causal_bench::table::fmt_ms;
 use causal_bench::Table;
 use causal_clocks::{MsgId, ProcessId};
-use causal_core::node::{CausalNode, WireMsg};
 use causal_core::osend::OccursAfter;
+use causal_core::stack::{CausalNode, WireMsg};
 use causal_core::statemachine::OpClass;
 use causal_replica::counter::{CounterOp, CounterReplica};
 use causal_replica::frontend::FrontEndManager;

@@ -12,7 +12,7 @@
 use causal_bench::table::fmt_ms;
 use causal_bench::Table;
 use causal_clocks::ProcessId;
-use causal_core::node::CausalNode;
+use causal_core::stack::CausalNode;
 use causal_replica::cardgame::CardPlayer;
 use causal_simnet::{LatencyModel, NetConfig, Simulation};
 use causal_verify::{check_trace, OracleConfig, Trace};

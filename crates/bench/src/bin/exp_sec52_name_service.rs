@@ -14,8 +14,8 @@
 use causal_bench::table::fmt_ms;
 use causal_bench::Table;
 use causal_clocks::{MsgId, ProcessId};
-use causal_core::node::CausalNode;
 use causal_core::osend::OccursAfter;
+use causal_core::stack::CausalNode;
 use causal_core::statemachine::Operation;
 use causal_replica::baseline::SequencedNode;
 use causal_replica::registry::{QryContext, QryOutcome, RegistryOp, RegistryReplica};

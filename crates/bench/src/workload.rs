@@ -25,7 +25,6 @@ pub struct MixOp {
 #[derive(Debug, Clone)]
 pub struct MixWorkload {
     ops: Vec<MixOp>,
-    cycles: usize,
 }
 
 impl MixWorkload {
@@ -72,17 +71,12 @@ impl MixWorkload {
                 });
             }
         }
-        MixWorkload { ops, cycles }
+        MixWorkload { ops }
     }
 
     /// The generated requests in submission order.
     pub fn ops(&self) -> &[MixOp] {
         &self.ops
-    }
-
-    /// Number of cycles (non-commutative requests).
-    pub fn cycles(&self) -> usize {
-        self.cycles
     }
 }
 
@@ -99,7 +93,6 @@ mod tests {
     fn exact_f_bar_without_jitter() {
         let w = MixWorkload::generate(5, 4, false, 1);
         assert_eq!(w.ops().len(), 5 * (1 + 4));
-        assert_eq!(w.cycles(), 5);
         assert_eq!(commutative(&w), 20);
     }
 

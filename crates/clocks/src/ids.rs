@@ -1,4 +1,4 @@
-//! Identifiers for processes, messages, and groups.
+//! Identifiers for processes and messages.
 
 use std::fmt;
 
@@ -112,41 +112,6 @@ impl fmt::Display for MsgId {
     }
 }
 
-/// Identifier of a process group (e.g. the `RPC-GRP` of the paper's §6.1).
-///
-/// # Examples
-///
-/// ```
-/// use causal_clocks::GroupId;
-/// assert_eq!(GroupId::new(2).to_string(), "g2");
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct GroupId(u32);
-
-impl GroupId {
-    /// Creates a group identifier.
-    pub const fn new(index: u32) -> Self {
-        GroupId(index)
-    }
-
-    /// Returns the identifier as a `u32` index.
-    pub const fn as_u32(self) -> u32 {
-        self.0
-    }
-}
-
-impl fmt::Display for GroupId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "g{}", self.0)
-    }
-}
-
-impl From<u32> for GroupId {
-    fn from(index: u32) -> Self {
-        GroupId(index)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,11 +165,5 @@ mod tests {
             }
         }
         assert_eq!(set.len(), 40);
-    }
-
-    #[test]
-    fn group_id_display() {
-        assert_eq!(GroupId::new(3).to_string(), "g3");
-        assert_eq!(GroupId::from(3u32).as_u32(), 3);
     }
 }

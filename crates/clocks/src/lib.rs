@@ -4,8 +4,7 @@
 //! `causal-broadcast` workspace, a reproduction of *Causal Broadcasting and
 //! Consistency of Distributed Shared Data* (Ravindran & Shah, ICDCS 1994):
 //!
-//! - [`ProcessId`], [`MsgId`], [`GroupId`]: identifiers for entities,
-//!   messages, and process groups.
+//! - [`ProcessId`], [`MsgId`]: identifiers for entities and messages.
 //! - [`VectorClock`]: vector timestamps with the partial-order comparison
 //!   used to decide causal precedence and concurrency, plus the classic
 //!   CBCAST causal-delivery condition (Birman, Schiper & Stephenson 1991).
@@ -43,7 +42,7 @@ mod ordering;
 mod vector;
 mod window;
 
-pub use ids::{GroupId, MsgId, ProcessId};
+pub use ids::{MsgId, ProcessId};
 pub use matrix::MatrixClock;
 pub use ordering::CausalOrdering;
 pub use vector::{DeliveryCheck, VectorClock};

@@ -23,9 +23,7 @@
 //! | State transitions `F : M × S → S`, commutativity (§3.2, §5.1) | [`statemachine`] |
 //! | Reliable broadcast over a lossy network | [`rbcast`] |
 //! | Naming lost messages in a sequenced stream | [`holes`] |
-//! | The composed Figure-4 stack around a pluggable engine | [`stack`] |
-//! | Engine aliases over the stack ([`node::CausalNode`], [`node::CbcastNode`]) | [`node`] |
-//! | View-synchronous membership over the stack ([`vsync::VsyncNode`]) | [`vsync`] |
+//! | The composed Figure-4 stack around a pluggable engine, its engine aliases ([`stack::CausalNode`], [`stack::CbcastNode`], [`stack::PcNode`]) and view-synchronous membership ([`stack::ProtocolStack::with_membership`]) | [`stack`] |
 //!
 //! The consistency validators and the trace oracle that check these
 //! claims over recorded executions live in the `causal-verify` crate
@@ -72,7 +70,6 @@
 pub mod delivery;
 pub mod graph;
 pub mod holes;
-pub mod node;
 pub mod osend;
 pub mod rbcast;
 pub mod stability;
@@ -81,7 +78,6 @@ pub mod stack;
 pub mod statemachine;
 pub mod total;
 pub mod trace;
-pub mod vsync;
 pub mod wire;
 
-pub use causal_clocks::{CausalOrdering, GroupId, MsgId, ProcessId, VectorClock};
+pub use causal_clocks::{CausalOrdering, MsgId, ProcessId, VectorClock};

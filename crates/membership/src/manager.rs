@@ -19,7 +19,7 @@
 //!   each check tick the proposer re-sends its proposal and every other
 //!   survivor its ack; a member that acks, or a joiner that asks, for a
 //!   view already installed gets the `Install` again; a joiner re-asks at
-//!   each retry tick until it is admitted.
+//!   each check tick until it is admitted.
 //!
 //! The flush barrier guarantees every application message is delivered in
 //! the view it was sent in.
@@ -86,9 +86,8 @@ pub enum ManagerAction {
 /// ([`observe`](Self::observe)), the four membership messages (one method
 /// per message: [`on_propose`](Self::on_propose),
 /// [`on_flush_ack`](Self::on_flush_ack), [`on_install`](Self::on_install),
-/// [`on_join_req`](Self::on_join_req)), the check tick
-/// ([`on_check`](Self::on_check)) and the join-retry tick
-/// ([`on_join_retry`](Self::on_join_retry)). Each input returns the
+/// [`on_join_req`](Self::on_join_req)) and the check tick
+/// ([`on_check`](Self::on_check)). Each input returns the
 /// [`ManagerAction`]s the host must perform. Time is an opaque `u64` in
 /// the unit of `suspect_after` (the stack passes microseconds).
 ///
@@ -279,12 +278,15 @@ impl ViewManager {
         }
     }
 
-    /// The check tick at local time `now`. While a change is pending, its
-    /// proposer re-sends the proposal and every other survivor its ack.
-    /// Otherwise, if some member is suspected and every member ranked
-    /// below this one is too, this member proposes the view without the
-    /// lowest suspect.
+    /// The check tick at local time `now`. A joiner not yet admitted asks
+    /// its contact again. While a change is pending, its proposer re-sends
+    /// the proposal and every other survivor its ack. Otherwise, if some
+    /// member is suspected and every member ranked below this one is too,
+    /// this member proposes the view without the lowest suspect.
     pub fn on_check(&mut self, now: u64) -> Vec<ManagerAction> {
+        if let Some(contact) = self.contact {
+            return vec![self.join_req(contact)];
+        }
         match &self.pending {
             Some((view, proposer)) if *proposer == self.me => self
                 .others_surviving(view)
@@ -314,15 +316,6 @@ impl ViewManager {
                 self.propose(self.current.without(dead))
             }
         }
-    }
-
-    /// The join-retry tick: a joiner not yet admitted asks its contact
-    /// again.
-    pub fn on_join_retry(&mut self) -> Vec<ManagerAction> {
-        self.contact
-            .map(|contact| self.join_req(contact))
-            .into_iter()
-            .collect()
     }
 
     fn join_req(&self, contact: ProcessId) -> ManagerAction {
@@ -660,12 +653,12 @@ mod tests {
         let mut joiner = ViewManager::joining(p(3), p(0), SUSPECT);
         let ask = vec![to(0, MembershipMsg::JoinReq { joiner: p(3) })];
         assert_eq!(joiner.start(0), ask);
-        assert_eq!(joiner.on_join_retry(), ask);
-        assert_eq!(joiner.on_join_retry(), ask);
-        // Outside the group it watches no one.
-        assert!(joiner.on_check(1_000_000).is_empty());
-        joiner.on_install(10, GroupView::initial(3).with(p(3)));
-        assert!(joiner.on_join_retry().is_empty());
+        assert_eq!(joiner.on_check(2_000), ask);
+        // Outside the group it watches no one: however long the wait, it
+        // only asks again.
+        assert_eq!(joiner.on_check(1_000_000), ask);
+        joiner.on_install(1_000_010, GroupView::initial(3).with(p(3)));
+        assert!(joiner.on_check(1_000_020).is_empty());
     }
 
     #[test]

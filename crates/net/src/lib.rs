@@ -51,7 +51,7 @@
 //! ```no_run
 //! use causal_net::{LoopbackCluster, TcpConfig};
 //! use causal_clocks::ProcessId;
-//! use causal_core::node::CausalNode;
+//! use causal_core::stack::CausalNode;
 //! use causal_replica::counter::CounterReplica;
 //!
 //! let nodes: Vec<CausalNode<CounterReplica>> = (0..3)

@@ -19,7 +19,7 @@
 
 use causal_clocks::{MsgId, ProcessId};
 use causal_core::delivery::{FifoDelivery, FifoEnvelope};
-use causal_core::node::NodeStats;
+use causal_core::stack::NodeStats;
 use causal_core::statemachine::Operation;
 use causal_core::total::{DeterministicMerge, RoundMsg, SeqEnvelope, Sequencer, TotalOrderBuffer};
 use causal_simnet::{Actor, Context, SimTime};

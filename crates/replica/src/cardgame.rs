@@ -16,8 +16,8 @@
 
 use causal_clocks::{MsgId, ProcessId};
 use causal_core::delivery::Delivered;
-use causal_core::node::{App, Emitter};
 use causal_core::osend::OccursAfter;
+use causal_core::stack::{App, Emitter};
 use causal_core::statemachine::OpClass;
 use std::collections::BTreeMap;
 
@@ -32,7 +32,7 @@ pub struct CardOp {
 }
 
 /// A player in the card game, hosted on a
-/// [`CausalNode`](causal_core::node::CausalNode). Fully reactive: cards
+/// [`CausalNode`](causal_core::stack::CausalNode). Fully reactive: cards
 /// are emitted from delivery callbacks once their §5.1 dependency is
 /// satisfied.
 #[derive(Debug, Clone)]
@@ -164,7 +164,7 @@ impl App for CardPlayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use causal_core::node::CausalNode;
+    use causal_core::stack::CausalNode;
     use causal_simnet::{LatencyModel, NetConfig, Simulation};
 
     fn p(i: u32) -> ProcessId {

@@ -9,8 +9,8 @@
 
 use causal_clocks::MsgId;
 use causal_core::delivery::Delivered;
-use causal_core::node::{App, Emitter};
 use causal_core::stable::StablePoint;
+use causal_core::stack::{App, Emitter};
 use causal_core::statemachine::{OpClass, Operation};
 use causal_core::wire::{DecodeError, WireEncode};
 
@@ -160,8 +160,8 @@ impl App for CounterReplica {
 mod tests {
     use super::*;
     use causal_clocks::ProcessId;
-    use causal_core::node::CausalNode;
     use causal_core::osend::OccursAfter;
+    use causal_core::stack::CausalNode;
     use causal_core::statemachine::is_transition_preserving;
     use causal_simnet::{LatencyModel, NetConfig, Simulation};
 

@@ -11,8 +11,8 @@
 
 use causal_clocks::MsgId;
 use causal_core::delivery::Delivered;
-use causal_core::node::{App, Emitter};
 use causal_core::stable::StablePoint;
+use causal_core::stack::{App, Emitter};
 use causal_core::statemachine::OpClass;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -179,7 +179,7 @@ mod tests {
 
     #[test]
     fn commit_snapshots_identical_documents() {
-        use causal_core::node::CausalNode;
+        use causal_core::stack::CausalNode;
         use causal_simnet::{LatencyModel, NetConfig, Simulation};
         let p = ProcessId::new;
         let nodes: Vec<CausalNode<DocumentReplica>> = (0..3)

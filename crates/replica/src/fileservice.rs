@@ -15,8 +15,8 @@
 //! and validated by `causal_verify::check::commutativity_declarations_sound`.
 
 use causal_core::delivery::Delivered;
-use causal_core::node::{App, Emitter};
 use causal_core::stable::StablePoint;
+use causal_core::stack::{App, Emitter};
 use causal_core::statemachine::{OpClass, Operation};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -189,8 +189,8 @@ pub fn append_tag(author: u32, seq: u64) -> u64 {
 mod tests {
     use super::*;
     use causal_clocks::ProcessId;
-    use causal_core::node::CausalNode;
     use causal_core::osend::OccursAfter;
+    use causal_core::stack::CausalNode;
     use causal_core::statemachine::is_transition_preserving;
     use causal_simnet::{LatencyModel, NetConfig, Simulation};
     use causal_verify::check::commutativity_declarations_sound;

@@ -51,7 +51,6 @@ use causal_core::statemachine::OpClass;
 pub struct FrontEndManager {
     last_nc: Option<MsgId>,
     open_cids: Vec<MsgId>,
-    cycles: u64,
 }
 
 impl FrontEndManager {
@@ -90,32 +89,15 @@ impl FrontEndManager {
 
     /// Records an externally submitted request (when the caller performed
     /// the `OSend` itself, e.g. through a
-    /// [`CausalNode`](causal_core::node::CausalNode)).
+    /// [`CausalNode`](causal_core::stack::CausalNode)).
     pub fn record(&mut self, id: MsgId, class: OpClass) {
         match class {
             OpClass::NonCommutative => {
                 self.last_nc = Some(id);
                 self.open_cids.clear();
-                self.cycles += 1;
             }
             OpClass::Commutative => self.open_cids.push(id),
         }
-    }
-
-    /// The most recent non-commutative request (`Ncid - 1`), if any.
-    pub fn last_nc(&self) -> Option<MsgId> {
-        self.last_nc
-    }
-
-    /// The commutative requests issued since the last non-commutative one
-    /// (the open `{Cid}` set).
-    pub fn open_cids(&self) -> &[MsgId] {
-        &self.open_cids
-    }
-
-    /// Completed processing cycles (non-commutative requests issued).
-    pub fn cycles(&self) -> u64 {
-        self.cycles
     }
 }
 
@@ -135,7 +117,8 @@ mod tests {
         let (mut fe, mut tx) = manager_and_sender();
         let env = fe.submit(&mut tx, (), OpClass::NonCommutative);
         assert!(env.deps.is_empty());
-        assert_eq!(fe.last_nc(), Some(env.id));
+        let next = OccursAfter::message(env.id);
+        assert_eq!(fe.ordering_for(OpClass::Commutative), next);
     }
 
     #[test]
@@ -146,7 +129,8 @@ mod tests {
         let c2 = fe.submit(&mut tx, (), OpClass::Commutative);
         assert_eq!(*c1.deps, [nc.id]);
         assert_eq!(*c2.deps, [nc.id]);
-        assert_eq!(fe.open_cids(), &[c1.id, c2.id]);
+        let closing = OccursAfter::all([c1.id, c2.id]);
+        assert_eq!(fe.ordering_for(OpClass::NonCommutative), closing);
     }
 
     #[test]
@@ -155,7 +139,8 @@ mod tests {
         let nc0 = fe.submit(&mut tx, (), OpClass::NonCommutative);
         let nc1 = fe.submit(&mut tx, (), OpClass::NonCommutative);
         assert_eq!(*nc1.deps, [nc0.id]);
-        assert_eq!(fe.cycles(), 2);
+        let next = OccursAfter::message(nc1.id);
+        assert_eq!(fe.ordering_for(OpClass::NonCommutative), next);
     }
 
     #[test]
@@ -168,7 +153,8 @@ mod tests {
         let mut want = [c1.id, c2.id];
         want.sort_unstable();
         assert_eq!(*nc.deps, want);
-        assert!(fe.open_cids().is_empty());
+        let next = OccursAfter::message(nc.id);
+        assert_eq!(fe.ordering_for(OpClass::NonCommutative), next);
     }
 
     #[test]

@@ -21,8 +21,8 @@
 
 use causal_clocks::{MsgId, ProcessId};
 use causal_core::delivery::Delivered;
-use causal_core::node::{App, Emitter};
 use causal_core::osend::OccursAfter;
+use causal_core::stack::{App, Emitter};
 use causal_core::statemachine::OpClass;
 use std::collections::BTreeMap;
 
@@ -46,7 +46,7 @@ pub enum LockOp {
 }
 
 /// One member of the arbitration group, hosted on a
-/// [`CausalNode`](causal_core::node::CausalNode).
+/// [`CausalNode`](causal_core::stack::CausalNode).
 ///
 /// Every member requests the lock every cycle (the paper's scenario).
 /// The deterministic arbitration selects holders in ascending member-id
@@ -208,7 +208,7 @@ impl App for LockMember {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use causal_core::node::CausalNode;
+    use causal_core::stack::CausalNode;
     use causal_simnet::{FaultPlan, LatencyModel, NetConfig, Simulation};
 
     fn p(i: u32) -> ProcessId {

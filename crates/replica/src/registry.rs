@@ -22,7 +22,7 @@
 
 use causal_clocks::MsgId;
 use causal_core::delivery::Delivered;
-use causal_core::node::{App, Emitter};
+use causal_core::stack::{App, Emitter};
 use causal_core::statemachine::OpClass;
 use std::collections::HashMap;
 
@@ -87,7 +87,6 @@ pub enum QryOutcome {
 #[derive(Debug, Clone, Default)]
 pub struct RegistryReplica {
     bindings: HashMap<String, Binding>,
-    upds_applied: u64,
     outcomes: Vec<(MsgId, QryOutcome)>,
 }
 
@@ -106,11 +105,6 @@ impl RegistryReplica {
     /// query issued *by this member now* would carry.
     pub fn version_of(&self, key: &str) -> u64 {
         self.bindings.get(key).map_or(0, |b| b.version)
-    }
-
-    /// Total updates applied.
-    pub fn upds_applied(&self) -> u64 {
-        self.upds_applied
     }
 
     /// Every query processed, with its outcome at this member.
@@ -149,7 +143,6 @@ impl App for RegistryReplica {
                 });
                 binding.version += 1;
                 binding.value = value.clone();
-                self.upds_applied += 1;
             }
             RegistryOp::Qry { key, context } => {
                 let member_version = self.version_of(key);
@@ -211,7 +204,6 @@ mod tests {
         deliver(&mut r, &mut tx, upd("printer", "host-b"));
         assert_eq!(r.resolve("printer"), Some("host-b"));
         assert_eq!(r.version_of("printer"), 2);
-        assert_eq!(r.upds_applied(), 2);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 
 use causal_clocks::{MsgId, ProcessId};
 use causal_core::graph::MsgGraph;
-use causal_core::node::CausalNode;
 use causal_core::osend::{OSender, OccursAfter};
 use causal_core::stable::StablePointDetector;
+use causal_core::stack::CausalNode;
 use causal_core::statemachine::OpClass;
 use causal_replica::counter::{CounterOp, CounterReplica};
 use causal_replica::frontend::FrontEndManager;

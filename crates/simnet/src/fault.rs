@@ -61,11 +61,6 @@ impl FaultPlan {
     pub fn dup_prob(&self) -> f64 {
         self.dup_prob
     }
-
-    /// `true` if this plan never injects faults.
-    pub fn is_fault_free(&self) -> bool {
-        self.drop_prob == 0.0 && self.dup_prob == 0.0
-    }
 }
 
 /// A temporary two-sided network partition: messages crossing between
@@ -130,73 +125,6 @@ impl Partition {
         (self.side_a.contains(&src) && self.side_b.contains(&dst))
             || (self.side_b.contains(&src) && self.side_a.contains(&dst))
     }
-
-    /// The instant the partition heals.
-    pub fn heals_at(&self) -> SimTime {
-        self.until
-    }
-
-    /// The instant the partition begins.
-    pub fn starts_at(&self) -> SimTime {
-        self.from
-    }
-
-    /// `severs` without the window check, for callers that already know
-    /// the partition is active at the send instant.
-    fn crosses(&self, src: ProcessId, dst: ProcessId) -> bool {
-        (self.side_a.contains(&src) && self.side_b.contains(&dst))
-            || (self.side_b.contains(&src) && self.side_a.contains(&dst))
-    }
-}
-
-/// Incremental partition lookup for a clock that only moves forward.
-///
-/// The simulator asks "is this link severed *now*?" once per transmission,
-/// and `now` is monotone. Instead of scanning every configured partition
-/// per send (the reference core's behavior), this schedule keeps the
-/// not-yet-started partitions sorted by start time and maintains the
-/// currently active set: each query activates newly started partitions,
-/// retires healed ones, and scans only the active set — which is empty for
-/// the overwhelming majority of scenarios and simulated instants.
-///
-/// Purely an indexing structure: for any query sequence with
-/// non-decreasing `at`, answers are identical to scanning the full list,
-/// so it cannot perturb trace-level determinism.
-#[derive(Debug, Clone)]
-pub(crate) struct PartitionSchedule {
-    /// Not yet activated, sorted by `starts_at` (stable, preserving
-    /// configuration order for equal start times).
-    pending: Vec<Partition>,
-    /// Index of the next partition in `pending` to activate.
-    next: usize,
-    /// Started and not yet healed as of the last query.
-    active: Vec<Partition>,
-}
-
-impl PartitionSchedule {
-    pub(crate) fn new(partitions: &[Partition]) -> Self {
-        let mut pending = partitions.to_vec();
-        pending.sort_by_key(Partition::starts_at);
-        PartitionSchedule {
-            pending,
-            next: 0,
-            active: Vec::new(),
-        }
-    }
-
-    /// `true` if any configured partition severs `src → dst` at `at`.
-    /// Queries must use non-decreasing `at`.
-    pub(crate) fn severed(&mut self, src: ProcessId, dst: ProcessId, at: SimTime) -> bool {
-        while self.next < self.pending.len() && self.pending[self.next].starts_at() <= at {
-            self.active.push(self.pending[self.next].clone());
-            self.next += 1;
-        }
-        if self.active.is_empty() {
-            return false;
-        }
-        self.active.retain(|p| at < p.heals_at());
-        self.active.iter().any(|p| p.crosses(src, dst))
-    }
 }
 
 #[cfg(test)]
@@ -209,7 +137,8 @@ mod tests {
 
     #[test]
     fn default_plan_is_fault_free() {
-        assert!(FaultPlan::new().is_fault_free());
+        let plan = FaultPlan::new();
+        assert_eq!((plan.drop_prob(), plan.dup_prob()), (0.0, 0.0));
     }
 
     #[test]
@@ -217,7 +146,6 @@ mod tests {
         let f = FaultPlan::new().with_drop_prob(0.2).with_dup_prob(0.1);
         assert_eq!(f.drop_prob(), 0.2);
         assert_eq!(f.dup_prob(), 0.1);
-        assert!(!f.is_fault_free());
     }
 
     #[test]
@@ -250,7 +178,6 @@ mod tests {
         assert!(!part.severs(p(0), p(1), SimTime::from_micros(9)));
         assert!(part.severs(p(0), p(1), SimTime::from_micros(10)));
         assert!(!part.severs(p(0), p(1), SimTime::from_micros(20)));
-        assert_eq!(part.heals_at(), SimTime::from_micros(20));
     }
 
     #[test]
@@ -262,52 +189,6 @@ mod tests {
             SimTime::from_micros(100),
         );
         assert!(!part.severs(p(0), p(1), SimTime::from_micros(5)));
-    }
-
-    #[test]
-    fn schedule_matches_full_scan() {
-        let parts = vec![
-            Partition::new(
-                [p(0)],
-                [p(1)],
-                SimTime::from_micros(10),
-                SimTime::from_micros(20),
-            ),
-            Partition::new(
-                [p(2)],
-                [p(3)],
-                SimTime::from_micros(5),
-                SimTime::from_micros(40),
-            ),
-            Partition::new(
-                [p(0)],
-                [p(3)],
-                SimTime::from_micros(30),
-                SimTime::from_micros(35),
-            ),
-        ];
-        let mut sched = PartitionSchedule::new(&parts);
-        // Monotone sweep over times × links: incremental answers must equal
-        // the brute-force scan.
-        for t in 0..50u64 {
-            let at = SimTime::from_micros(t);
-            for src in 0..4 {
-                for dst in 0..4 {
-                    let expect = parts.iter().any(|pt| pt.severs(p(src), p(dst), at));
-                    assert_eq!(
-                        sched.severed(p(src), p(dst), at),
-                        expect,
-                        "t={t} {src}->{dst}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn schedule_handles_empty_plan() {
-        let mut sched = PartitionSchedule::new(&[]);
-        assert!(!sched.severed(p(0), p(1), SimTime::from_micros(9)));
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use crate::actor::{Actor, Command, Context};
 use crate::arena::MsgArena;
 use crate::event::{EventKind, Scheduled};
-use crate::fault::PartitionSchedule;
 use crate::wheel::{CalendarQueue, QueueConfig};
 use crate::{
     FaultPlan, LatencyModel, Metrics, NetEvent, NetTrace, Partition, SimDuration, SimTime,
@@ -28,7 +27,7 @@ use rand::{Rng, SeedableRng};
 ///
 /// let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(100, 900))
 ///     .faults(FaultPlan::new().with_drop_prob(0.01));
-/// assert!(!cfg.fault_plan().is_fault_free());
+/// assert_eq!(cfg.fault_plan().drop_prob(), 0.01);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct NetConfig {
@@ -73,14 +72,9 @@ impl NetConfig {
         &self.faults
     }
 
-    /// The scheduled partitions, in configuration order.
-    pub fn partitions(&self) -> &[Partition] {
-        &self.partitions
-    }
-
-    /// Full scan over every partition; the bucketed core uses the
-    /// incremental [`PartitionSchedule`] instead, and the differential
-    /// tests keep the two answers equal.
+    /// `true` if a scheduled partition severs `from → to` at `at`: a scan
+    /// over every partition, which both simulator cores run per
+    /// transmission (most configurations schedule none).
     pub(crate) fn severed(&self, from: ProcessId, to: ProcessId, at: SimTime) -> bool {
         self.partitions.iter().any(|p| p.severs(from, to, at))
     }
@@ -116,7 +110,6 @@ pub struct Simulation<A: Actor> {
     next_seq: u64,
     rng: StdRng,
     config: NetConfig,
-    partitions: PartitionSchedule,
     metrics: Metrics,
     trace: Option<NetTrace>,
     events_processed: u64,
@@ -144,7 +137,6 @@ impl<A: Actor> Simulation<A> {
         queue: QueueConfig,
     ) -> Self {
         assert!(!nodes.is_empty(), "simulation requires at least one node");
-        let partitions = PartitionSchedule::new(config.partitions());
         let mut sim = Simulation {
             nodes,
             queue: CalendarQueue::new(queue),
@@ -153,7 +145,6 @@ impl<A: Actor> Simulation<A> {
             next_seq: 0,
             rng: StdRng::seed_from_u64(seed),
             config,
-            partitions,
             metrics: Metrics::new(),
             trace: None,
             events_processed: 0,
@@ -417,7 +408,7 @@ impl<A: Actor> Simulation<A> {
                 to,
             });
         }
-        let severed = self.partitions.severed(from, to, self.now);
+        let severed = self.config.severed(from, to, self.now);
         let dropped = severed
             || self
                 .rng

@@ -4,7 +4,7 @@
 
 use causal_clocks::{MsgId, VectorClock};
 use causal_core::graph::MsgGraph;
-use causal_core::stable::{LogEntry, StablePointDetector};
+use causal_core::stable::{activities_with_tail, LogEntry};
 use causal_core::statemachine::Operation;
 use std::collections::HashSet;
 use std::fmt;
@@ -145,48 +145,33 @@ pub fn replicas_agree<S: PartialEq>(states: &[S]) -> bool {
 /// *same set* of messages inside each causal activity — even though the
 /// orders inside an activity may differ.
 pub fn stable_points_consistent(logs: &[Vec<LogEntry>]) -> Result<(), Violation> {
-    #[derive(PartialEq)]
-    struct Segmented {
-        points: Vec<MsgId>,
-        activity_sets: Vec<HashSet<MsgId>>,
-    }
+    // Each log's stable points, and the set of messages each activity
+    // delivered, its closing message included. The unfinished tail after
+    // the last stable point is not compared.
     let segment = |log: &[LogEntry]| {
-        let mut det = StablePointDetector::new();
-        let mut points = Vec::new();
-        let mut activity_sets = Vec::new();
-        let mut current = HashSet::new();
-        for e in log {
-            current.insert(e.id);
-            if det.on_deliver(e.id, &e.deps, e.sync_candidate).is_some() {
-                points.push(e.id);
-                activity_sets.push(std::mem::take(&mut current));
-            }
-        }
-        Segmented {
-            points,
-            activity_sets,
-        }
+        let (activities, _tail) = activities_with_tail(log);
+        let points: Vec<MsgId> = activities.iter().map(|a| a.end).collect();
+        let sets: Vec<HashSet<MsgId>> = activities
+            .iter()
+            .map(|a| a.interior.iter().copied().chain([a.end]).collect())
+            .collect();
+        (points, sets)
     };
-    let segs: Vec<Segmented> = logs.iter().map(|l| segment(l)).collect();
-    for (b, seg) in segs.iter().enumerate().skip(1) {
-        if seg.points != segs[0].points {
-            let ordinal = seg
-                .points
+    let segs: Vec<_> = logs.iter().map(|l| segment(l)).collect();
+    let Some((points0, sets0)) = segs.first() else {
+        return Ok(());
+    };
+    for (b, (points, sets)) in segs.iter().enumerate().skip(1) {
+        if points != points0 {
+            let ordinal = points
                 .iter()
-                .zip(&segs[0].points)
+                .zip(points0)
                 .position(|(x, y)| x != y)
-                .unwrap_or_else(|| seg.points.len().min(segs[0].points.len()));
+                .unwrap_or_else(|| points.len().min(points0.len()));
             return Err(Violation::StablePointMismatch { a: 0, b, ordinal });
         }
-        for (ordinal, (sa, sb)) in segs[0]
-            .activity_sets
-            .iter()
-            .zip(&seg.activity_sets)
-            .enumerate()
-        {
-            if sa != sb {
-                return Err(Violation::ActivityContentMismatch { a: 0, b, ordinal });
-            }
+        if let Some(ordinal) = sets0.iter().zip(sets).position(|(sa, sb)| sa != sb) {
+            return Err(Violation::ActivityContentMismatch { a: 0, b, ordinal });
         }
     }
     Ok(())

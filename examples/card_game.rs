@@ -10,7 +10,7 @@
 //! ```
 
 use causal_broadcast::clocks::ProcessId;
-use causal_broadcast::core::node::CausalNode;
+use causal_broadcast::core::stack::CausalNode;
 use causal_broadcast::replica::cardgame::CardPlayer;
 use causal_broadcast::simnet::{LatencyModel, NetConfig, Simulation};
 use causal_verify::{check_trace, OracleConfig, Trace};

@@ -13,8 +13,8 @@
 //! ```
 
 use causal_broadcast::clocks::{MsgId, ProcessId};
-use causal_broadcast::core::node::CausalNode;
 use causal_broadcast::core::osend::OccursAfter;
+use causal_broadcast::core::stack::CausalNode;
 use causal_broadcast::replica::document::{DocOp, DocumentReplica};
 use causal_broadcast::simnet::{FaultPlan, LatencyModel, NetConfig, Simulation};
 

@@ -10,7 +10,7 @@
 //! ```
 
 use causal_broadcast::clocks::ProcessId;
-use causal_broadcast::core::node::CausalNode;
+use causal_broadcast::core::stack::CausalNode;
 use causal_broadcast::replica::lock::LockMember;
 use causal_broadcast::simnet::{FaultPlan, LatencyModel, NetConfig, Simulation};
 

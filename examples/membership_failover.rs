@@ -13,10 +13,9 @@
 
 use causal_broadcast::clocks::ProcessId;
 use causal_broadcast::core::delivery::Delivered;
-use causal_broadcast::core::node::{App, Emitter};
 use causal_broadcast::core::osend::OccursAfter;
+use causal_broadcast::core::stack::{App, CausalNode, Emitter, VsyncConfig};
 use causal_broadcast::core::statemachine::OpClass;
-use causal_broadcast::core::vsync::{vsync_node, VsyncConfig, VsyncNode};
 use causal_broadcast::simnet::{LatencyModel, NetConfig, SimDuration, SimTime, Simulation};
 
 #[derive(Debug, Default)]
@@ -37,8 +36,10 @@ impl App for Sum {
 fn main() {
     let p = ProcessId::new;
     let n = 4usize;
-    let nodes: Vec<VsyncNode<Sum>> = (0..n)
-        .map(|i| vsync_node(p(i as u32), n, Sum::default(), VsyncConfig::default()))
+    let nodes: Vec<CausalNode<Sum>> = (0..n)
+        .map(|i| {
+            CausalNode::with_membership(p(i as u32), n, Sum::default(), VsyncConfig::default())
+        })
         .collect();
     let net = NetConfig::with_latency(LatencyModel::uniform_micros(200, 1200));
     let mut sim = Simulation::new(nodes, net, 19);

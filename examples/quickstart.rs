@@ -14,8 +14,8 @@
 //! ```
 
 use causal_broadcast::clocks::ProcessId;
-use causal_broadcast::core::node::CausalNode;
 use causal_broadcast::core::osend::OccursAfter;
+use causal_broadcast::core::stack::CausalNode;
 use causal_broadcast::replica::counter::{CounterOp, CounterReplica};
 use causal_broadcast::simnet::{LatencyModel, NetConfig, Simulation};
 

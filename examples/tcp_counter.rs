@@ -14,8 +14,8 @@
 
 use causal_broadcast::clocks::ProcessId;
 use causal_broadcast::core::delivery::Delivered;
-use causal_broadcast::core::node::{App, CausalNode, Emitter};
 use causal_broadcast::core::osend::OccursAfter;
+use causal_broadcast::core::stack::{App, CausalNode, Emitter};
 use causal_broadcast::core::statemachine::OpClass;
 use causal_broadcast::net::{LoopbackCluster, TcpConfig};
 use causal_broadcast::replica::counter::{CounterOp, CounterReplica};

@@ -12,8 +12,8 @@
 
 use causal_broadcast::clocks::ProcessId;
 use causal_broadcast::core::delivery::Delivered;
-use causal_broadcast::core::node::{App, CausalNode, Emitter};
 use causal_broadcast::core::osend::OccursAfter;
+use causal_broadcast::core::stack::{App, CausalNode, Emitter};
 use causal_broadcast::core::statemachine::OpClass;
 use causal_broadcast::replica::counter::{CounterOp, CounterReplica};
 use causal_broadcast::simnet::threaded::run_threaded;

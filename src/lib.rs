@@ -12,8 +12,9 @@
 //! - [`membership`] — process-group views, failure detection, and flush.
 //! - [`core`] — the paper's contribution: the `OSend`/`ASend` primitives,
 //!   message dependency graphs `R(M)`, causal delivery engines, stable
-//!   points, causal activities, and the protocol stack that hosts each
-//!   replica.
+//!   points, causal activities, and the protocol stack
+//!   ([`core::stack`]) that hosts each replica, with view-synchronous
+//!   membership as a way to build it.
 //! - [`replica`] — data-access protocols built on the model: front-end
 //!   managers (§6.1), decentralized lock arbitration (§6.2), a name service
 //!   with application-level consistency checks (§5.2), a conferencing
@@ -44,19 +45,18 @@ pub use causal_simnet as simnet;
 /// assert_eq!(env.id.origin(), ProcessId::new(0));
 /// ```
 pub mod prelude {
-    pub use causal_clocks::{CausalOrdering, GroupId, MatrixClock, MsgId, ProcessId, VectorClock};
+    pub use causal_clocks::{CausalOrdering, MatrixClock, MsgId, ProcessId, VectorClock};
     pub use causal_core::delivery::{
         CbcastEngine, Delivered, DeliveryEngine, FifoDelivery, GraphDelivery, VtEnvelope,
     };
     pub use causal_core::graph::MsgGraph;
-    pub use causal_core::node::{
-        App, CausalNode, CbcastNode, Emitter, NodeStats, ProtocolStack, StackWire,
-    };
     pub use causal_core::osend::{GraphEnvelope, OSender, OccursAfter};
     pub use causal_core::stable::{CausalActivity, LogEntry, StablePoint, StablePointDetector};
+    pub use causal_core::stack::{
+        App, CausalNode, CbcastNode, Emitter, NodeStats, ProtocolStack, StackWire, VsyncConfig,
+    };
     pub use causal_core::statemachine::{OpClass, Operation};
     pub use causal_core::total::{DeterministicMerge, RoundMsg, SeqEnvelope, Sequencer};
-    pub use causal_core::vsync::{VsyncConfig, VsyncNode};
     pub use causal_membership::{GroupView, ViewId, ViewManager};
     pub use causal_simnet::{
         Actor, Context, FaultPlan, LatencyModel, NetConfig, Partition, SimDuration, SimTime,

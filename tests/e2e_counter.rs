@@ -3,8 +3,8 @@
 
 use causal_broadcast::clocks::{MsgId, ProcessId};
 use causal_broadcast::core::graph::MsgGraph;
-use causal_broadcast::core::node::CausalNode;
 use causal_broadcast::core::osend::OccursAfter;
+use causal_broadcast::core::stack::CausalNode;
 use causal_broadcast::core::statemachine::OpClass;
 use causal_broadcast::replica::counter::{CounterOp, CounterReplica};
 use causal_broadcast::replica::frontend::FrontEndManager;

@@ -7,10 +7,9 @@
 
 use causal_broadcast::clocks::ProcessId;
 use causal_broadcast::core::delivery::DeliveryEngine;
-use causal_broadcast::core::node::CausalNode;
 use causal_broadcast::core::osend::OccursAfter;
 use causal_broadcast::core::rbcast::RbMsg;
-use causal_broadcast::core::stack::{App, ProtocolStack, StackWire, VsyncConfig};
+use causal_broadcast::core::stack::{App, CausalNode, ProtocolStack, StackWire, VsyncConfig};
 use causal_broadcast::membership::ViewId;
 use causal_broadcast::replica::counter::{CounterOp, CounterReplica};
 use causal_broadcast::simnet::{
@@ -142,7 +141,7 @@ fn causal_chains_survive_loss() {
     // A dependent chain built through reactions; loss reorders heavily but
     // delivery order must still respect the chain at every member.
     use causal_broadcast::core::delivery::Delivered;
-    use causal_broadcast::core::node::{App, Emitter};
+    use causal_broadcast::core::stack::{App, Emitter};
 
     #[derive(Debug, Default)]
     struct Chainer {

@@ -8,9 +8,8 @@ use causal_broadcast::clocks::ProcessId;
 use causal_broadcast::core::delivery::pcbcast::overlay::TreePosition;
 use causal_broadcast::core::delivery::pcbcast::LinkBody;
 use causal_broadcast::core::delivery::{Delivered, DeliveryEngine};
-use causal_broadcast::core::node::{App, Emitter, PcNode};
 use causal_broadcast::core::osend::OccursAfter;
-use causal_broadcast::core::stack::{ProtocolStack, StackWire, VsyncConfig};
+use causal_broadcast::core::stack::{App, Emitter, PcNode, ProtocolStack, StackWire, VsyncConfig};
 use causal_broadcast::core::statemachine::OpClass;
 use causal_broadcast::membership::GroupView;
 use causal_broadcast::simnet::{

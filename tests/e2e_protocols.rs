@@ -2,8 +2,8 @@
 //! game, document, name service) across seeds, group sizes, and faults.
 
 use causal_broadcast::clocks::ProcessId;
-use causal_broadcast::core::node::CausalNode;
 use causal_broadcast::core::osend::OccursAfter;
+use causal_broadcast::core::stack::CausalNode;
 use causal_broadcast::replica::cardgame::CardPlayer;
 use causal_broadcast::replica::document::{DocOp, DocumentReplica};
 use causal_broadcast::replica::lock::LockMember;

@@ -7,11 +7,9 @@
 
 use causal_broadcast::clocks::ProcessId;
 use causal_broadcast::core::delivery::{Delivered, DeliveryEngine};
-use causal_broadcast::core::node::{App, Emitter, PcNode};
 use causal_broadcast::core::osend::OccursAfter;
-use causal_broadcast::core::stack::ProtocolStack;
+use causal_broadcast::core::stack::{App, CausalNode, Emitter, PcNode, ProtocolStack, VsyncConfig};
 use causal_broadcast::core::statemachine::OpClass;
-use causal_broadcast::core::vsync::{vsync_node, VsyncConfig, VsyncNode};
 use causal_broadcast::membership::GroupView;
 use causal_broadcast::simnet::{
     FaultPlan, LatencyModel, NetConfig, SimDuration, SimTime, Simulation,
@@ -46,9 +44,12 @@ fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
 }
 
-fn group(n: usize) -> Vec<VsyncNode<Sum>> {
+fn group(n: usize) -> Vec<CausalNode<Sum>> {
     (0..n)
-        .map(|i| vsync_node(p(i as u32), n, Sum::default(), VsyncConfig::default()).with_tracing())
+        .map(|i| {
+            CausalNode::with_membership(p(i as u32), n, Sum::default(), VsyncConfig::default())
+                .with_tracing()
+        })
         .collect()
 }
 
@@ -231,7 +232,7 @@ fn join_then_crash_sequence() {
     let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(100, 900));
     let mut nodes = group(3);
     nodes.push(
-        VsyncNode::joining(p(3), p(2), Sum::default(), VsyncConfig::default()).with_tracing(),
+        CausalNode::joining(p(3), p(2), Sum::default(), VsyncConfig::default()).with_tracing(),
     );
     let mut sim = Simulation::new(nodes, cfg, 77);
     for k in 0..6u32 {
@@ -273,10 +274,12 @@ fn joiner_app_starts_once_admitted() {
         ..Sum::default()
     };
     let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(100, 900));
-    let mut nodes: Vec<VsyncNode<Sum>> = (0..3)
-        .map(|i| vsync_node(p(i), 3, greeter(), VsyncConfig::default()).with_tracing())
+    let mut nodes: Vec<CausalNode<Sum>> = (0..3)
+        .map(|i| {
+            CausalNode::with_membership(p(i), 3, greeter(), VsyncConfig::default()).with_tracing()
+        })
         .collect();
-    nodes.push(VsyncNode::joining(p(3), p(1), greeter(), VsyncConfig::default()).with_tracing());
+    nodes.push(CausalNode::joining(p(3), p(1), greeter(), VsyncConfig::default()).with_tracing());
     let mut sim = Simulation::new(nodes, cfg, 11);
     sim.run_until(SimTime::from_millis(80));
     let expected = GroupView::initial(3).with(p(3));
@@ -294,15 +297,15 @@ fn gc_members_admit_a_joiner_outside_their_stability_width() {
     // uncompacted everywhere, while the incumbents keep compacting each
     // other's.
     let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(100, 900));
-    let mut nodes: Vec<VsyncNode<Sum>> = (0..3)
+    let mut nodes: Vec<CausalNode<Sum>> = (0..3)
         .map(|i| {
-            vsync_node(p(i), 3, Sum::default(), VsyncConfig::default())
+            CausalNode::with_membership(p(i), 3, Sum::default(), VsyncConfig::default())
                 .with_gc(3, 2)
                 .with_tracing()
         })
         .collect();
     nodes.push(
-        VsyncNode::joining(p(3), p(2), Sum::default(), VsyncConfig::default()).with_tracing(),
+        CausalNode::joining(p(3), p(2), Sum::default(), VsyncConfig::default()).with_tracing(),
     );
     let mut sim = Simulation::new(nodes, cfg, 77);
     for k in 0..6u32 {
@@ -390,7 +393,7 @@ fn stability_gc_keeps_compacting_after_a_crash() {
     // matrix row would otherwise keep its last report forever.
     let graph = (0..4)
         .map(|i| {
-            vsync_node(p(i), 4, Sum::default(), VsyncConfig::default())
+            CausalNode::with_membership(p(i), 4, Sum::default(), VsyncConfig::default())
                 .with_gc(4, 2)
                 .with_tracing()
         })
@@ -413,7 +416,7 @@ fn joiner_sees_messages_in_causal_order() {
     let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(200, 2500));
     let mut nodes = group(2);
     nodes.push(
-        VsyncNode::joining(p(2), p(0), Sum::default(), VsyncConfig::default()).with_tracing(),
+        CausalNode::joining(p(2), p(0), Sum::default(), VsyncConfig::default()).with_tracing(),
     );
     let mut sim = Simulation::new(nodes, cfg, 5);
     // A causal chain built before/while the join happens.

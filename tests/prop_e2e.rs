@@ -11,9 +11,8 @@
 use causal_broadcast::clocks::{MsgId, ProcessId};
 use causal_broadcast::core::delivery::{CbcastEngine, DeliveryEngine, GraphDelivery};
 use causal_broadcast::core::osend::OccursAfter;
-use causal_broadcast::core::stack::ProtocolStack;
+use causal_broadcast::core::stack::{CausalNode, ProtocolStack, VsyncConfig};
 use causal_broadcast::core::statemachine::OpClass;
-use causal_broadcast::core::vsync::{vsync_node, VsyncConfig, VsyncNode};
 use causal_broadcast::membership::GroupView;
 use causal_broadcast::replica::counter::{CounterOp, CounterReplica};
 use causal_broadcast::replica::frontend::FrontEndManager;
@@ -257,10 +256,11 @@ fn arb_crash_scenario() -> impl Strategy<Value = CrashScenario> {
     })
 }
 
-fn run_crash(s: &CrashScenario) -> Simulation<VsyncNode<CounterReplica>> {
+fn run_crash(s: &CrashScenario) -> Simulation<CausalNode<CounterReplica>> {
     let nodes = (0..s.n)
         .map(|i| {
-            vsync_node(p(i), s.n, CounterReplica::new(), VsyncConfig::default()).with_tracing()
+            CausalNode::with_membership(p(i), s.n, CounterReplica::new(), VsyncConfig::default())
+                .with_tracing()
         })
         .collect();
     let mut sim = Simulation::new(nodes, faulty_net(10, 2000, s.drop_pct, s.dup_pct), s.seed);

@@ -14,10 +14,9 @@
 
 use causal_broadcast::clocks::ProcessId;
 use causal_broadcast::core::delivery::Delivered;
-use causal_broadcast::core::node::{App, CausalNode, Emitter, PcNode};
 use causal_broadcast::core::osend::OccursAfter;
+use causal_broadcast::core::stack::{App, CausalNode, Emitter, PcNode, VsyncConfig};
 use causal_broadcast::core::statemachine::OpClass;
-use causal_broadcast::core::vsync::{vsync_node, VsyncConfig, VsyncNode};
 use causal_broadcast::replica::counter::{CounterOp, CounterReplica};
 use causal_broadcast::simnet::{
     reference, FaultPlan, LatencyModel, NetConfig, Partition, SimDuration, SimTime, Simulation,
@@ -141,8 +140,11 @@ fn faults_scenario_identical_across_cores() {
 fn vsync_crash_scenario_identical_across_cores() {
     let mk = || {
         (0..4)
-            .map(|i| vsync_node(p(i), 4, Sum::default(), VsyncConfig::default()).with_tracing())
-            .collect::<Vec<VsyncNode<Sum>>>()
+            .map(|i| {
+                CausalNode::with_membership(p(i), 4, Sum::default(), VsyncConfig::default())
+                    .with_tracing()
+            })
+            .collect::<Vec<CausalNode<Sum>>>()
     };
     let cfg = || NetConfig::with_latency(LatencyModel::uniform_micros(100, 1500));
     for seed in 0..3u64 {

@@ -5,8 +5,8 @@
 
 use causal_broadcast::clocks::ProcessId;
 use causal_broadcast::core::delivery::Delivered;
-use causal_broadcast::core::node::{App, CausalNode, Emitter};
 use causal_broadcast::core::osend::OccursAfter;
+use causal_broadcast::core::stack::{App, CausalNode, Emitter};
 use causal_broadcast::core::statemachine::OpClass;
 use causal_broadcast::net::{spawn_node, LoopbackCluster, NodeHandle, TcpConfig};
 use causal_broadcast::replica::counter::{CounterOp, CounterReplica};
@@ -304,7 +304,7 @@ fn exhausted_reconnect_episode_drops_the_queue() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only: 64-node cluster")]
 fn many_peer_pc_engine_smoke() {
-    use causal_broadcast::core::node::PcNode;
+    use causal_broadcast::core::stack::PcNode;
     use causal_broadcast::simnet::SimDuration;
 
     const M: usize = 64;

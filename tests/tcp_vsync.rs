@@ -1,7 +1,7 @@
 //! Virtually synchronous membership over real TCP sockets.
 //!
 //! The membership machinery is part of the one unified protocol stack, so
-//! the exact [`VsyncNode`] the simulator drives also runs over
+//! the exact [`CausalNode`] the simulator drives also runs over
 //! `causal-net`: heartbeats, failure suspicion, the flush barrier, and
 //! view installation all travel as [`StackWire`] frames through the
 //! length-prefixed codec. These tests boot a three-member group on
@@ -13,14 +13,13 @@
 //! The apps publish their state through atomics because the actors live
 //! on the transport's driver threads; the test thread polls.
 //!
-//! [`StackWire`]: causal_broadcast::core::node::StackWire
+//! [`StackWire`]: causal_broadcast::core::stack::StackWire
 
 use causal_broadcast::clocks::ProcessId;
 use causal_broadcast::core::delivery::Delivered;
-use causal_broadcast::core::node::{App, Emitter};
 use causal_broadcast::core::osend::OccursAfter;
+use causal_broadcast::core::stack::{App, CausalNode, Emitter, VsyncConfig};
 use causal_broadcast::core::statemachine::OpClass;
-use causal_broadcast::core::vsync::{vsync_node, VsyncConfig, VsyncNode};
 use causal_broadcast::membership::GroupView;
 use causal_broadcast::net::{LoopbackCluster, TcpConfig};
 use causal_broadcast::simnet::SimDuration;
@@ -130,12 +129,12 @@ fn wait_for(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
 fn tcp_cluster_survives_member_crash_and_view_change() {
     let n = 3usize;
     let probes: Vec<Probe> = (0..n).map(|_| Probe::default()).collect();
-    let nodes: Vec<VsyncNode<Watcher>> = (0..n)
+    let nodes: Vec<CausalNode<Watcher>> = (0..n)
         .map(|i| {
             let mut app = Watcher::new(probes[i].clone());
             // The survivors' coordinator proves liveness in the new view.
             app.post_view_op_at_len = Some(n - 1);
-            vsync_node(p(i as u32), n, app, tcp_vsync_config())
+            CausalNode::with_membership(p(i as u32), n, app, tcp_vsync_config())
         })
         .collect();
     let cluster = LoopbackCluster::spawn(nodes, 11, TcpConfig::default()).unwrap();
@@ -194,14 +193,14 @@ fn tcp_crash_racing_in_flight_message_is_flushed_not_lost() {
     // so the op is delivered everywhere exactly once.
     let n = 3usize;
     let probes: Vec<Probe> = (0..n).map(|_| Probe::default()).collect();
-    let nodes: Vec<VsyncNode<Watcher>> = (0..n)
+    let nodes: Vec<CausalNode<Watcher>> = (0..n)
         .map(|i| {
             let mut app = Watcher::new(probes[i].clone());
             if i == n - 1 {
                 // Once p2 has seen the whole initial round, it emits 5.
                 app.emit_at_applied = Some(n as u64);
             }
-            vsync_node(p(i as u32), n, app, tcp_vsync_config())
+            CausalNode::with_membership(p(i as u32), n, app, tcp_vsync_config())
         })
         .collect();
     let cluster = LoopbackCluster::spawn(nodes, 23, TcpConfig::default()).unwrap();
