@@ -218,7 +218,7 @@ impl<P> Default for GraphDelivery<P> {
     }
 }
 
-impl<P: Clone> DeliveryEngine for GraphDelivery<P> {
+impl<P: Clone + Send + Sync> DeliveryEngine for GraphDelivery<P> {
     type Op = P;
     type Envelope = GraphEnvelope<P>;
 

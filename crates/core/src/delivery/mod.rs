@@ -121,7 +121,7 @@ pub trait DeliveryEngine {
     /// The application operation type carried in envelopes.
     type Op: Clone;
     /// The engine's wire envelope.
-    type Envelope: HasMsgId + Clone;
+    type Envelope: HasMsgId + Clone + Send + Sync;
 
     /// `true` for engines that disseminate over their own overlay links
     /// ([`PcEngine`]) instead of full-mesh reliable broadcast. The stack
@@ -218,9 +218,21 @@ pub trait DeliveryEngine {
     fn on_members(&mut self, _members: &[ProcessId], _sends: &mut Vec<LinkSend<Self::Envelope>>) {}
 
     /// Disseminates a freshly originated (and already self-delivered)
-    /// envelope over the overlay.
-    fn route_broadcast(&mut self, _timed: Timed<Self::Envelope>) -> Vec<LinkSend<Self::Envelope>> {
-        Vec::new()
+    /// envelope over the overlay; returns the frames to transmit.
+    fn route_broadcast(&mut self, timed: Timed<Self::Envelope>) -> Vec<LinkSend<Self::Envelope>> {
+        let mut sends = Vec::new();
+        self.route_broadcast_into(timed, &mut sends);
+        sends
+    }
+
+    /// Like [`route_broadcast`](Self::route_broadcast), appending the
+    /// frames to `sends` instead of returning a fresh vector: the stack's
+    /// send path, which drains one retained buffer.
+    fn route_broadcast_into(
+        &mut self,
+        _timed: Timed<Self::Envelope>,
+        _sends: &mut Vec<LinkSend<Self::Envelope>>,
+    ) {
     }
 
     /// Handles one inbound overlay link frame. `history` is the

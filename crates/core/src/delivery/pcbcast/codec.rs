@@ -15,14 +15,17 @@
 //!              | 0x01 ‖ token(8)               (Ping)
 //!              | 0x02 ‖ token(8) ‖ len(4) ‖ (origin(4) ‖ wm(8))*  (Pong)
 //!              | 0x03 ‖ cum(8) ‖ holes(8)      (Ack)
+//!              | 0x04 ‖ len(4) ‖ T*            (Run)
 //! ```
 //!
 //! A data frame's ordering metadata is the 8-byte link sequence plus
 //! the envelope's 12-byte id — constant in the group size, which is the
-//! whole point ([`crate::wire::pc_overhead_bytes`]). An ack names the
-//! frames its sender has lost in a fixed 64-bit bitmap over the
-//! sequence numbers above `cum`, so its size is fixed too and decoding
-//! it reads exactly 16 bytes.
+//! whole point ([`crate::wire::pc_overhead_bytes`]). A run carries its
+//! messages under one 13-byte header (sequence, tag, count), so its
+//! metadata per message is the 12-byte id and a share of that header.
+//! An ack names the frames its sender has lost in a fixed 64-bit bitmap
+//! over the sequence numbers above `cum`, so its size is fixed too and
+//! decoding it reads exactly 16 bytes.
 
 use super::engine::PcEnvelope;
 use super::link::{LinkBody, LinkFrame};
@@ -33,6 +36,7 @@ const TAG_LB_MSG: u8 = 0;
 const TAG_LB_PING: u8 = 1;
 const TAG_LB_PONG: u8 = 2;
 const TAG_LB_ACK: u8 = 3;
+const TAG_LB_RUN: u8 = 4;
 
 impl<T: WireEncode> WireEncode for LinkBody<T> {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -59,6 +63,13 @@ impl<T: WireEncode> WireEncode for LinkBody<T> {
                 out.extend_from_slice(&cum.to_le_bytes());
                 out.extend_from_slice(&holes.to_le_bytes());
             }
+            LinkBody::Run(run) => {
+                out.push(TAG_LB_RUN);
+                put_len(out, run.len());
+                for t in run.iter() {
+                    t.encode(out);
+                }
+            }
         }
     }
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
@@ -82,6 +93,14 @@ impl<T: WireEncode> WireEncode for LinkBody<T> {
                 cum: get_u64_le(input)?,
                 holes: get_u64_le(input)?,
             }),
+            TAG_LB_RUN => {
+                let n = get_len(input)?;
+                let mut run = Vec::with_capacity(n.min(1024));
+                for _ in 0..n {
+                    run.push(T::decode(input)?);
+                }
+                Ok(LinkBody::Run(run.into()))
+            }
             got => Err(DecodeError::InvalidTag { got }),
         }
     }
@@ -155,6 +174,20 @@ mod tests {
                     holes: 1 << 63 | 0b101,
                 },
             },
+            LinkFrame {
+                seq: 10,
+                body: LinkBody::Run(
+                    [(3, 18), (4, 1), (3, 19)]
+                        .map(|(origin, seq)| Timed {
+                            env: PcEnvelope {
+                                id: MsgId::new(ProcessId::new(origin), seq),
+                                payload: seq as i64,
+                            },
+                            sent_at: SimTime::from_micros(1240 + seq),
+                        })
+                        .into(),
+                ),
+            },
         ]
     }
 
@@ -197,6 +230,17 @@ mod tests {
             Frame::from_wire(&buf),
             Err(DecodeError::InvalidTag { got: 0xEE })
         );
+    }
+
+    #[test]
+    fn absurd_run_length_rejected() {
+        let mut buf = 2u64.to_le_bytes().to_vec(); // seq
+        buf.push(super::TAG_LB_RUN);
+        buf.extend_from_slice(&u32::MAX.to_le_bytes()); // message count
+        assert!(matches!(
+            Frame::from_wire(&buf),
+            Err(DecodeError::LengthOutOfRange { .. })
+        ));
     }
 
     #[test]

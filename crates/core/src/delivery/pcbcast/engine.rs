@@ -10,6 +10,21 @@
 //! delivery, and the only per-message control information is the
 //! 12-byte message id ([`crate::wire::pc_overhead_bytes`]).
 //!
+//! # One frame per link per input
+//!
+//! What one input delivers (an inbound link frame, which may release a
+//! burst of parked frames at once, or a side-channel replay that drains
+//! the gate) is forwarded when the input ends, as one frame per safe
+//! link: the delivered messages that did not arrive on that link, in
+//! delivery order, a lone message as a [`LinkBody::Msg`] and two or more
+//! as one [`LinkBody::Run`]. The links that take the whole burst share
+//! one run. A frame pushed straight onto a link mid-input (a pong, or a
+//! pong's history flush) first forwards what the input has delivered so
+//! far, so every link still carries this member's delivery order, and
+//! the invariant above holds as it did for one frame per message. A run
+//! takes one link sequence number, so on each link a burst costs one
+//! datagram and one reassembly slot, not one per message.
+//!
 //! # Safe links and the churn quarantine
 //!
 //! The invariant above holds only for links that carried the full
@@ -54,6 +69,7 @@ use crate::stack::Timed;
 use causal_clocks::{IdWindow, MsgId, Offer, ProcessId};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The constant-size PC-broadcast envelope: message identity and
 /// payload, nothing else. All ordering information is structural
@@ -133,6 +149,12 @@ pub struct PcEngine<P> {
     /// flush, empty between frames. Filled only while a handshake is
     /// outstanding (see `deliver`).
     batch: Vec<Timed<PcEnvelope<P>>>,
+    /// What one input delivered off a link, with the link it arrived on,
+    /// in delivery order: forwarded as one frame per safe link when the
+    /// input ends, or before anything else is pushed on a link
+    /// (`forward_staged`). Empty between inputs, and kept like
+    /// `released`.
+    staged: Vec<(ProcessId, Timed<PcEnvelope<P>>)>,
     /// Ping tokens issued so far.
     next_token: u64,
     /// High-water mark of messages buffered around churn: gate entries,
@@ -179,21 +201,16 @@ impl<P: Clone> PcEngine<P> {
         self.peak_buffered = self.peak_buffered.max(buffered);
     }
 
-    /// Delivers a message the gate released: forwards it on every safe
-    /// link except the one it arrived on, and releases it.
+    /// Delivers a message the gate released: stages it for forwarding
+    /// on every safe link except the one it arrived on, and releases it.
     fn deliver(
         &mut self,
         Parked { timed, from }: Parked<P>,
         batch: &mut Vec<Timed<PcEnvelope<P>>>,
         out: &mut LinkDelivery<PcEnvelope<P>>,
     ) {
-        if from.is_some() {
-            for (&peer, link) in self.links.iter_mut() {
-                if link.safe && Some(peer) != from {
-                    let frame = link.push(LinkBody::Msg(timed.clone()));
-                    out.sends.push((peer, frame));
-                }
-            }
+        if let Some(from) = from {
+            self.staged.push((from, timed.clone()));
         }
         // `batch` is only ever read by `on_pong`, which flushes solely on
         // links whose handshake was already outstanding when this call
@@ -228,6 +245,37 @@ impl<P: Clone> PcEngine<P> {
                 self.deliver(parked, batch, out);
             }
         }
+    }
+
+    /// Forwards what this input staged: on each safe link, one frame
+    /// with the staged messages that did not arrive on that link, in
+    /// delivery order, a lone message as [`LinkBody::Msg`] and two or
+    /// more as a [`LinkBody::Run`]. Every link that takes the whole
+    /// burst (all but the link it arrived on, as a rule) shares one run,
+    /// built only if some link takes it. Each link thus carries this
+    /// member's delivery order, one frame per input.
+    fn forward_staged(&mut self, out: &mut LinkDelivery<PcEnvelope<P>>) {
+        let staged = &self.staged;
+        let mut whole: Option<Arc<[Timed<PcEnvelope<P>>]>> = None;
+        for (&peer, link) in self.links.iter_mut() {
+            let mut others = staged.iter().filter(|&&(from, _)| from != peer);
+            let (true, Some((_, first))) = (link.safe, others.next()) else {
+                continue;
+            };
+            let rest = others.count();
+            let body = if rest == 0 {
+                LinkBody::Msg(first.clone())
+            } else if rest + 1 == staged.len() {
+                let run = whole
+                    .get_or_insert_with(|| staged.iter().map(|(_, timed)| timed.clone()).collect());
+                LinkBody::Run(Arc::clone(run))
+            } else {
+                let part = staged.iter().filter(|&&(from, _)| from != peer);
+                LinkBody::Run(part.map(|(_, timed)| timed.clone()).collect())
+            };
+            out.sends.push((peer, link.push(body)));
+        }
+        self.staged.clear();
     }
 
     /// Answers a ping on the link to `from` with this member's
@@ -280,7 +328,7 @@ impl<P: Clone> PcEngine<P> {
     }
 }
 
-impl<P: Clone> DeliveryEngine for PcEngine<P> {
+impl<P: Clone + Send + Sync> DeliveryEngine for PcEngine<P> {
     type Op = P;
     type Envelope = PcEnvelope<P>;
 
@@ -305,6 +353,7 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
             released: Vec::new(),
             replies: Vec::new(),
             batch: Vec::new(),
+            staged: Vec::new(),
             next_token: 0,
             peak_buffered: 0,
         }
@@ -346,6 +395,7 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
         // membership layer already multicast it to everyone), but link
         // messages it drains out of the gate are.
         self.ingest(timed, None, &mut batch, out);
+        self.forward_staged(out);
         self.note_buffered();
     }
 
@@ -386,15 +436,17 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
         }
     }
 
-    fn route_broadcast(&mut self, timed: Timed<PcEnvelope<P>>) -> Vec<LinkSend<PcEnvelope<P>>> {
-        let mut sends = Vec::new();
+    fn route_broadcast_into(
+        &mut self,
+        timed: Timed<PcEnvelope<P>>,
+        sends: &mut Vec<LinkSend<PcEnvelope<P>>>,
+    ) {
         for (&peer, link) in self.links.iter_mut() {
             if link.safe {
                 let frame = link.push(LinkBody::Msg(timed.clone()));
                 sends.push((peer, frame));
             }
         }
-        sends
     }
 
     fn on_link_frame_into(
@@ -427,14 +479,27 @@ impl<P: Clone> DeliveryEngine for PcEngine<P> {
                 LinkBody::Msg(timed) => {
                     self.ingest(timed, Some(from), &mut batch, out);
                 }
-                LinkBody::Ping { token } => self.on_ping(from, token, out),
+                LinkBody::Run(run) => {
+                    for timed in run.iter() {
+                        self.ingest(timed.clone(), Some(from), &mut batch, out);
+                    }
+                }
+                // A handshake frame goes straight onto the link to
+                // `from`, so what this frame delivered before it goes
+                // out first.
+                LinkBody::Ping { token } => {
+                    self.forward_staged(out);
+                    self.on_ping(from, token, out);
+                }
                 LinkBody::Pong { token, delivered } => {
+                    self.forward_staged(out);
                     self.on_pong(from, token, delivered, history, &batch, out);
                 }
                 // Acks are consumed inside `Link::on_frame`.
                 LinkBody::Ack { .. } => {}
             }
         }
+        self.forward_staged(out);
         batch.clear();
         self.batch = batch;
         self.released = released;
@@ -734,6 +799,141 @@ mod tests {
             })
             .collect();
         assert_eq!(flushed, vec![m2.id]);
+    }
+
+    fn env(origin: u32, seq: u64) -> Timed<PcEnvelope<&'static str>> {
+        timed(PcEnvelope {
+            id: MsgId::new(p(origin), seq),
+            payload: "m",
+        })
+    }
+
+    fn frame(seq: u64, body: LinkBody<Timed<PcEnvelope<&'static str>>>) -> TestFrame {
+        LinkFrame { seq, body }
+    }
+
+    /// The ids of the data messages a frame carries, if it carries any.
+    fn carried(frame: &TestFrame) -> Option<Vec<MsgId>> {
+        match &frame.body {
+            LinkBody::Msg(t) => Some(vec![t.msg_id()]),
+            LinkBody::Run(run) => Some(run.iter().map(HasMsgId::msg_id).collect()),
+            _ => None,
+        }
+    }
+
+    /// The data frames `out` sends, in send order, as (link, ids).
+    fn data_sends(out: &LinkDelivery<PcEnvelope<&'static str>>) -> Vec<(u32, Vec<MsgId>)> {
+        out.sends
+            .iter()
+            .filter_map(|(to, f)| Some((to.as_u32(), carried(f)?)))
+            .collect()
+    }
+
+    #[test]
+    fn one_input_goes_out_as_one_frame_per_safe_link() {
+        // n = 16: p1's parent is p0 and its children are p5..=p8.
+        let mut e: PcEngine<&'static str> = PcEngine::for_member(p(1), 16);
+        assert_eq!(e.safe_links(), 5);
+        // Frames 2 and 3 from the parent park; frame 1 releases all three.
+        let msgs = [env(0, 1), env(0, 2), env(9, 1)];
+        for (seq, m) in [(2, &msgs[1]), (3, &msgs[2])] {
+            let out = e.on_link_frame(p(0), frame(seq, LinkBody::Msg(m.clone())), &[]);
+            assert!(out.sends.is_empty() && out.released.is_empty());
+        }
+        let out = e.on_link_frame(p(0), frame(1, LinkBody::Msg(msgs[0].clone())), &[]);
+        let ids: Vec<MsgId> = msgs.iter().map(HasMsgId::msg_id).collect();
+        assert_eq!(out.released.iter().map(|e| e.id).collect::<Vec<_>>(), ids);
+        // One run per child, in delivery order, and nothing back up the
+        // link it came from.
+        assert_eq!(
+            data_sends(&out),
+            (5..=8).map(|c| (c, ids.clone())).collect::<Vec<_>>()
+        );
+        // Every child's frame shares one copy of the burst.
+        let runs: Vec<&Arc<[_]>> = out
+            .sends
+            .iter()
+            .filter_map(|(_, f)| match &f.body {
+                LinkBody::Run(run) => Some(run),
+                _ => None,
+            })
+            .collect();
+        assert!(runs.iter().all(|run| Arc::ptr_eq(run, runs[0])));
+        // A run from the parent goes on as one run; a lone message as a
+        // message.
+        let run = LinkBody::Run(Arc::from([env(0, 3), env(0, 4)]));
+        let out = e.on_link_frame(p(0), frame(4, run), &[]);
+        let (a, b) = (MsgId::new(p(0), 3), MsgId::new(p(0), 4));
+        assert_eq!(
+            data_sends(&out),
+            (5..=8).map(|c| (c, vec![a, b])).collect::<Vec<_>>()
+        );
+        let out = e.on_link_frame(p(5), frame(1, LinkBody::Msg(env(5, 1))), &[]);
+        let sent: Vec<u32> = data_sends(&out).into_iter().map(|(to, _)| to).collect();
+        assert_eq!(sent, [0, 6, 7, 8]);
+        assert!(out
+            .sends
+            .iter()
+            .all(|(_, f)| !matches!(f.body, LinkBody::Run(_))));
+    }
+
+    #[test]
+    fn a_burst_from_several_links_sends_each_link_only_what_it_lacks() {
+        let mut e: PcEngine<&'static str> = PcEngine::for_member(p(1), 16);
+        // (9, 2) arrives from child p5 ahead of (9, 1) and parks in the
+        // gate; a run from the parent then releases (9, 1), the parked
+        // (9, 2), and (3, 1).
+        let out = e.on_link_frame(p(5), frame(1, LinkBody::Msg(env(9, 2))), &[]);
+        assert!(out.released.is_empty());
+        let run = LinkBody::Run(Arc::from([env(9, 1), env(3, 1)]));
+        let out = e.on_link_frame(p(0), frame(1, run), &[]);
+        let [a, b, c] = [(9, 1), (9, 2), (3, 1)].map(|(o, s)| MsgId::new(p(o), s));
+        assert_eq!(
+            out.released.iter().map(|e| e.id).collect::<Vec<_>>(),
+            [a, b, c]
+        );
+        assert_eq!(
+            data_sends(&out),
+            vec![
+                (0, vec![b]),
+                (5, vec![a, c]),
+                (6, vec![a, b, c]),
+                (7, vec![a, b, c]),
+                (8, vec![a, b, c]),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_pong_mid_input_forwards_what_was_staged_first() {
+        // p0 of {0, 1, 2} opens a link to the joiner p9.
+        let mut e: PcEngine<&'static str> = PcEngine::for_member(p(0), 3);
+        let pings = install(&mut e, &[p(0), p(1), p(2), p(9)]);
+        let [(_, ping)] = pings.as_slice() else {
+            panic!("one ping: {pings:?}");
+        };
+        let LinkBody::Ping { token } = ping.body else {
+            panic!("not a ping: {ping:?}");
+        };
+        // (5, 2) arrives from p1 ahead of (5, 1) and parks in the gate.
+        e.on_link_frame(p(1), frame(1, LinkBody::Msg(env(5, 2))), &[]);
+        // p9's stream: (5, 1), then its pong, which says it has delivered
+        // nothing. Both release in one input.
+        let pong = LinkBody::Pong {
+            token,
+            delivered: Vec::new(),
+        };
+        e.on_link_frame(p(9), frame(2, pong), &[]);
+        let out = e.on_link_frame(p(9), frame(1, LinkBody::Msg(env(5, 1))), &[]);
+        let [a, b] = [1, 2].map(|s| MsgId::new(p(5), s));
+        // What the input staged before the pong goes out on the links
+        // safe until then; the pong makes p9's link safe and flushes the
+        // two messages to it, each once.
+        assert_eq!(
+            data_sends(&out),
+            vec![(1, vec![a]), (2, vec![a, b]), (9, vec![a]), (9, vec![b])]
+        );
+        assert_eq!(e.quarantined_links(), 0);
     }
 
     #[test]

@@ -17,11 +17,16 @@
 //! number such as `u64::MAX − 1`) costs one overflow entry, as a far
 //! message id does in the engine's gate, and never blocks the stream.
 //!
-//! Three frame kinds ride the sequenced stream — [`LinkBody::Msg`]
-//! (application data), [`LinkBody::Ping`] and [`LinkBody::Pong`] (the
-//! fresh-link handshake) — so the handshake is ordered and retransmitted
-//! exactly like data, which is what makes the quarantine protocol's
-//! "first frame on a fresh link is the ping" invariant meaningful.
+//! Four frame kinds ride the sequenced stream — [`LinkBody::Msg`] and
+//! [`LinkBody::Run`] (application data: one message, or a burst of them
+//! in order), [`LinkBody::Ping`] and [`LinkBody::Pong`] (the fresh-link
+//! handshake) — so the handshake is ordered and retransmitted exactly
+//! like data, which is what makes the quarantine protocol's "first frame
+//! on a fresh link is the ping" invariant meaningful. A run takes one
+//! sequence number like any other frame: the link reassembles, acks,
+//! names and resends it whole, and never looks inside it. Its messages
+//! sit behind one shared [`Arc`], so the frame's retained copy and every
+//! retransmission of it bump a count instead of copying the burst.
 //! [`LinkBody::Ack`] is unsequenced bookkeeping (`seq` 0) and carries
 //! only news: a receiver acknowledges when a frame advances its in-order
 //! point, re-acknowledges a retransmitted copy of the frame at that
@@ -58,6 +63,7 @@ use crate::holes::{self, HoleNamer};
 use causal_clocks::{IdWindow, MsgId, Offer, ProcessId};
 use causal_simnet::SimTime;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// The one lane of a link's reassembly window. Its ids are link
 /// sequence numbers; the origin carries no meaning.
@@ -83,6 +89,9 @@ pub struct LinkFrame<T> {
 pub enum LinkBody<T> {
     /// An application envelope being disseminated over the overlay.
     Msg(T),
+    /// Two or more envelopes released together, in delivery order: one
+    /// frame, one sequence number, one shared copy of the burst.
+    Run(Arc<[T]>),
     /// First frame on a freshly-opened link: asks the peer to report
     /// what it has delivered so the opener can fill the gap.
     Ping {
@@ -670,6 +679,66 @@ mod tests {
         let again = rx.hole_report(clock(3_200)).expect("named again");
         assert_eq!(named(&again), vec![1]);
         assert_eq!(rx.hole_report(clock(3_300)), None);
+    }
+
+    /// The run a frame carries.
+    fn run_of<'a>(frame: &'a LinkFrame<&'static str>) -> &'a Arc<[&'static str]> {
+        match &frame.body {
+            LinkBody::Run(run) => run,
+            body => panic!("not a run: {body:?}"),
+        }
+    }
+
+    #[test]
+    fn a_lost_run_is_named_and_resent_whole() {
+        let mut tx = Link::new_safe();
+        let mut rx: Link<&str> = Link::new_safe();
+        let first = msg(&mut tx, "a");
+        let run = tx.push(LinkBody::Run(Arc::from(["b", "c", "d"])));
+        let last = msg(&mut tx, "e");
+        assert_eq!((run.seq, last.seq), (2, 3), "a run takes one number");
+        // The run is lost: frame 3 parks, and once it has waited W the
+        // receiver names frame 2.
+        assert_eq!(feed_at(&mut rx, first, 0).0, vec![LinkBody::Msg("a")]);
+        assert!(feed_at(&mut rx, last, 100).0.is_empty());
+        let clock = LinkClock {
+            now: SimTime::from_micros(800),
+            period: DEFAULT_RETRANSMIT,
+        };
+        let report = rx.hole_report(clock).expect("the run is named");
+        assert_eq!(named(&report), vec![2]);
+        // The sender resends the whole run, sharing the burst it retains.
+        let (_, resent) = feed_at(&mut tx, report, 850);
+        assert_eq!(resent, vec![run.clone()]);
+        assert!(Arc::ptr_eq(run_of(&resent[0]), run_of(&run)));
+        assert_eq!(tx.repair_count(), 1);
+        // It releases in place, then frame 3 behind it.
+        let (released, replies) = feed_at(&mut rx, resent[0].clone(), 900);
+        assert_eq!(
+            released,
+            vec![run.body.clone(), LinkBody::Msg("e")],
+            "the run releases as one body"
+        );
+        assert_eq!(replies, vec![ack_frame(3, 0)]);
+    }
+
+    #[test]
+    fn a_duplicate_run_is_absorbed_once() {
+        let mut tx = Link::new_safe();
+        let mut rx: Link<&str> = Link::new_safe();
+        let run = tx.push(LinkBody::Run(Arc::from(["a", "b"])));
+        // The tick's copy shares the burst too.
+        let copy = tx.retransmissions().next().expect("unacknowledged");
+        assert!(Arc::ptr_eq(run_of(&copy), run_of(&run)));
+        let (released, ack) = feed(&mut rx, run.clone());
+        assert_eq!(released, vec![run.body.clone()]);
+        assert_eq!(ack, Some(1));
+        // The copy duplicates the frame at the point: re-acked, and
+        // nothing released a second time.
+        let (released, ack) = feed(&mut rx, copy);
+        assert!(released.is_empty());
+        assert_eq!(ack, Some(1));
+        assert_eq!(rx.duplicate_count(), 1);
     }
 
     #[test]

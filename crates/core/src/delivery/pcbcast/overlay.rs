@@ -9,8 +9,11 @@
 //!
 //! - degree ≤ k+1 (constant, independent of group size),
 //! - diameter O(log_k n) (bounds delivery latency in overlay hops),
-//! - exactly n-1 transmissions per broadcast (a tree has no redundant
-//!   edges — compare n-1 sends *per member* for full-mesh rbcast),
+//! - each message crosses each of the n-1 edges exactly once, so a
+//!   broadcast costs at most n-1 transmissions, and fewer where a
+//!   member forwards a burst of messages as one frame (a tree has no
+//!   redundant edges — compare n-1 sends *per member* for full-mesh
+//!   rbcast),
 //! - determinism: the edge set is a pure function of the member set, so
 //!   every member of an installed view agrees on it without negotiation.
 //!

@@ -153,7 +153,7 @@ impl<P> Default for ScanGraphDelivery<P> {
     }
 }
 
-impl<P: Clone> DeliveryEngine for FlatCbcastEngine<P> {
+impl<P: Clone + Send + Sync> DeliveryEngine for FlatCbcastEngine<P> {
     type Op = P;
     type Envelope = VtEnvelope<P>;
 
@@ -214,7 +214,7 @@ impl<P: Clone> DeliveryEngine for FlatCbcastEngine<P> {
     }
 }
 
-impl<P: Clone> DeliveryEngine for ScanGraphDelivery<P> {
+impl<P: Clone + Send + Sync> DeliveryEngine for ScanGraphDelivery<P> {
     type Op = P;
     type Envelope = GraphEnvelope<P>;
 

@@ -256,7 +256,7 @@ impl<P> CbcastEngine<P> {
     }
 }
 
-impl<P: Clone> DeliveryEngine for CbcastEngine<P> {
+impl<P: Clone + Send + Sync> DeliveryEngine for CbcastEngine<P> {
     type Op = P;
     type Envelope = VtEnvelope<P>;
 

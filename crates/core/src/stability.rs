@@ -49,8 +49,10 @@
 //!   reported since its last such *wave*; cadence sends leave the wave
 //!   set alone.
 //! - The root has no parent: it raises its stable vector to each up
-//!   value it computes and sends the vector to its children. Alone in
-//!   its group, it raises the vector on every delivery.
+//!   value it computes and sends the vector to its children after every
+//!   wave, and after a cadence only if the vector rose. A wave that
+//!   raises nothing still sends it, which repairs a lost down report.
+//!   Alone in its group, it raises the vector on every delivery.
 //! - Every member forwards a stable vector from its parent to its
 //!   children on receipt.
 //! - Child reports and stable vectors are max-merged, so a stable vector
@@ -187,9 +189,11 @@ impl Convergecast {
     }
 
     /// Queues an up report; the root instead raises its stable vector to
-    /// the up value and queues the vector for its children. Returns
-    /// whether the stable vector rose.
-    fn report(&mut self, prefix: &IdWindow<()>, width: usize) -> bool {
+    /// the up value and queues the vector for its children if it rose or
+    /// `wave` completed. A completed wave always sends it, so a lost
+    /// down report is repaired by the next wave; a cadence that raises
+    /// nothing sends nothing. Returns whether the stable vector rose.
+    fn report(&mut self, prefix: &IdWindow<()>, width: usize, wave: bool) -> bool {
         self.allocate(width);
         if self.parent.is_some() {
             self.up_due = true;
@@ -199,7 +203,7 @@ impl Convergecast {
         for origin in 0..width {
             rose |= self.raise(origin, self.up_entry(prefix, width, origin));
         }
-        self.down_due |= !self.children.is_empty();
+        self.down_due |= (wave || rose) && !self.children.is_empty();
         rose
     }
 
@@ -235,7 +239,7 @@ impl Convergecast {
         }
         // Every child reported since the last wave: start the next one.
         self.heard.fill(false);
-        self.report(prefix, width)
+        self.report(prefix, width, true)
     }
 }
 
@@ -345,11 +349,13 @@ impl StabilityTracker {
     /// Queues this member's periodic report (the host's report cadence).
     /// The mesh queues the local prefix for every peer; a tree member
     /// queues an up report, and the root raises its stable vector and
-    /// queues it for its children.
+    /// queues it for its children if it rose.
     pub fn on_cadence(&mut self) {
         match &mut self.topology {
             Topology::Mesh { due, .. } => *due = true,
-            Topology::Tree(tree) => self.advanced |= tree.report(&self.prefix, self.width),
+            Topology::Tree(tree) => {
+                self.advanced |= tree.report(&self.prefix, self.width, false);
+            }
         }
     }
 
@@ -695,9 +701,24 @@ mod tests {
             drain(&mut root),
             vec![(pid(1), vc([2, 0, 0])), (pid(2), vc([2, 0, 0]))]
         );
-        // Its own cadence computes the same up value: no rise, but the
-        // children hear the vector again.
+        // Its own cadence computes the same up value: no rise, so the
+        // children hear nothing.
         root.on_cadence();
+        assert_eq!(root.take_advance(), None);
+        assert!(drain(&mut root).is_empty());
+        // A child's report that completes no wave sends nothing either,
+        // but the root's next cadence raises the vector and sends it.
+        root.on_report(pid(1), &vc([3, 0, 0]));
+        assert!(drain(&mut root).is_empty());
+        root.on_cadence();
+        assert_eq!(root.take_advance().map(AsRef::as_ref), Some(&[3, 0, 0][..]));
+        assert_eq!(
+            drain(&mut root),
+            vec![(pid(1), vc([3, 0, 0])), (pid(2), vc([3, 0, 0]))]
+        );
+        // A completed wave sends the vector even when it raises nothing,
+        // which repairs a lost down report.
+        root.on_report(pid(2), &vc([3, 0, 0]));
         assert_eq!(root.take_advance(), None);
         assert_eq!(drain(&mut root).len(), 2);
     }
@@ -780,13 +801,32 @@ mod tests {
 
     #[test]
     fn tree_reports_are_as_wide_as_the_group() {
-        // Even the root's first cadence, before anything was delivered or
-        // heard, sends a full-width vector down.
+        // The root's first cadence, before anything was delivered or
+        // heard, raises nothing and sends nothing.
         let mut root = tree_member(0, 5);
+        root.on_cadence();
+        assert!(drain(&mut root).is_empty());
+        // A wave sends a full-width vector down, even one that raises
+        // nothing...
+        for child in 1..=4 {
+            root.on_report(pid(child), &VectorClock::new(5));
+        }
+        assert_eq!(root.take_advance(), None);
+        let down = drain(&mut root);
+        assert_eq!(down.len(), 4);
+        assert!(down.iter().all(|(_, v)| *v == VectorClock::new(5)));
+        // ...and so does a cadence that raises the vector.
+        for child in 1..=4 {
+            root.on_report(pid(child), &VectorClock::from_entries([1, 0, 0, 0, 0]));
+        }
+        drain(&mut root);
+        root.on_deliver(id(0, 1));
         root.on_cadence();
         let down = drain(&mut root);
         assert_eq!(down.len(), 4);
-        assert!(down.iter().all(|(_, v)| v.width() == 5));
+        assert!(down
+            .iter()
+            .all(|(_, v)| *v == VectorClock::from_entries([1, 0, 0, 0, 0])));
         let mut leaf = tree_member(4, 5);
         leaf.on_cadence();
         assert_eq!(drain(&mut leaf), vec![(pid(0), VectorClock::new(5))]);

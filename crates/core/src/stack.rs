@@ -205,7 +205,7 @@ impl<Op> Default for Emitter<Op> {
 /// there and simply ignore it.
 pub trait App {
     /// The data-access operation type broadcast within the group.
-    type Op: Clone;
+    type Op: Clone + Send + Sync;
 
     /// Called once at start (for membership joiners: once admitted); may
     /// emit initial operations.
@@ -676,9 +676,9 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         if D::ROUTED {
             // Routed engines disseminate over their overlay links (the
             // link layer provides per-link reliability + FIFO).
-            for (to, frame) in self.engine.route_broadcast(timed) {
-                ctx.send(to, StackWire::Link(frame));
-            }
+            self.engine
+                .route_broadcast_into(timed, &mut self.engine_out.sends);
+            self.send_link_frames(ctx);
         } else {
             // One multicast per broadcast: the copies are identical, so a
             // serializing transport encodes the envelope once for the
@@ -725,8 +725,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
     }
 
     /// Sends the link frames the engine queued in `engine_out.sends`: the
-    /// one way a routed engine's frames reach the network, besides
-    /// [`route_broadcast`](DeliveryEngine::route_broadcast)'s.
+    /// one way a routed engine's frames reach the network.
     fn send_link_frames(&mut self, ctx: &mut Context<'_, StackWire<D::Envelope>>) {
         for (to, frame) in self.engine_out.sends.drain(..) {
             ctx.send(to, StackWire::Link(frame));

@@ -834,6 +834,33 @@ mod tests {
                     &6u64.to_le_bytes(),
                 ]),
             ),
+            (
+                LinkFrame {
+                    seq: 4,
+                    body: LinkBody::Run(
+                        [(3, 18, 22, 1240), (5, 1, 23, 1250)]
+                            .map(|(origin, seq, payload, sent)| Timed {
+                                env: PcEnvelope {
+                                    id: MsgId::new(ProcessId::new(origin), seq),
+                                    payload,
+                                },
+                                sent_at: SimTime::from_micros(sent),
+                            })
+                            .into(),
+                    ),
+                },
+                bytes(&[
+                    &4u64.to_le_bytes(),
+                    &[0x04],
+                    &2u32.to_le_bytes(),
+                    &id(3, 18),
+                    &22u64.to_le_bytes(),
+                    &1240u64.to_le_bytes(),
+                    &id(5, 1),
+                    &23u64.to_le_bytes(),
+                    &1250u64.to_le_bytes(),
+                ]),
+            ),
         ];
         for (frame, golden) in link {
             assert_eq!(frame.to_wire(), golden, "{frame:?}");

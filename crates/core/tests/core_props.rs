@@ -666,13 +666,15 @@ impl PcNet {
 }
 
 fn arb_pc_body() -> impl Strategy<Value = LinkBody<Timed<PcEnvelope<u64>>>> {
+    let timed = || {
+        (arb_msg_id(), any::<u64>(), any::<u64>()).prop_map(|(id, payload, at)| Timed {
+            env: PcEnvelope { id, payload },
+            sent_at: SimTime::from_micros(at),
+        })
+    };
     prop_oneof![
-        (arb_msg_id(), any::<u64>(), any::<u64>()).prop_map(|(id, payload, at)| {
-            LinkBody::Msg(Timed {
-                env: PcEnvelope { id, payload },
-                sent_at: SimTime::from_micros(at),
-            })
-        }),
+        timed().prop_map(LinkBody::Msg),
+        proptest::collection::vec(timed(), 2..6).prop_map(|run| LinkBody::Run(run.into())),
         any::<u64>().prop_map(|token| LinkBody::Ping { token }),
         (
             any::<u64>(),

@@ -105,40 +105,48 @@ proptest! {
     }
 
     /// PC link frames face the same adversary: truncations and one-byte
-    /// corruptions of a valid `StackWire::Link` encoding never panic,
-    /// and every proper prefix is rejected.
+    /// corruptions of a valid `StackWire::Link` encoding of a message or
+    /// a run of messages never panic, and every proper prefix is
+    /// rejected.
     #[test]
     fn pc_link_frames_survive_truncation_and_corruption(
         origin in 0u32..8,
         seq in 1u64..1024,
         stream_seq in 1u64..1024,
-        payload in any::<u64>(),
+        payloads in proptest::collection::vec(any::<u64>(), 2..5),
         flip in any::<u8>(),
     ) {
-        let msg: StackWire<PcEnvelope<u64>> = StackWire::Link(LinkFrame {
-            seq: stream_seq,
-            body: LinkBody::Msg(Timed {
-                env: PcEnvelope {
-                    id: MsgId::new(ProcessId::new(origin), seq),
-                    payload,
-                },
-                sent_at: SimTime::ZERO,
-            }),
-        });
-        let full = msg.to_wire();
-        prop_assert!(<StackWire<PcEnvelope<u64>>>::from_wire(&full).is_ok());
-        for cut in 0..full.len() {
-            prop_assert!(
-                <StackWire<PcEnvelope<u64>>>::from_wire(&full[..cut]).is_err(),
-                "truncation to {cut} bytes decoded successfully"
-            );
-            let _ = decode_all(&full[..cut]);
-        }
-        for pos in 0..full.len() {
-            let mut mutated = full.clone();
-            mutated[pos] ^= flip | 1;
-            if let Ok(decoded) = <StackWire<PcEnvelope<u64>>>::from_wire(&mutated) {
-                let _ = decoded.to_wire();
+        let timed = |k: usize| Timed {
+            env: PcEnvelope {
+                id: MsgId::new(ProcessId::new(origin), seq + k as u64),
+                payload: payloads[k],
+            },
+            sent_at: SimTime::ZERO,
+        };
+        let bodies = [
+            LinkBody::Msg(timed(0)),
+            LinkBody::Run((0..payloads.len()).map(timed).collect()),
+        ];
+        for body in bodies {
+            let msg: StackWire<PcEnvelope<u64>> = StackWire::Link(LinkFrame {
+                seq: stream_seq,
+                body,
+            });
+            let full = msg.to_wire();
+            prop_assert!(<StackWire<PcEnvelope<u64>>>::from_wire(&full).is_ok());
+            for cut in 0..full.len() {
+                prop_assert!(
+                    <StackWire<PcEnvelope<u64>>>::from_wire(&full[..cut]).is_err(),
+                    "truncation to {cut} bytes decoded successfully"
+                );
+                let _ = decode_all(&full[..cut]);
+            }
+            for pos in 0..full.len() {
+                let mut mutated = full.clone();
+                mutated[pos] ^= flip | 1;
+                if let Ok(decoded) = <StackWire<PcEnvelope<u64>>>::from_wire(&mutated) {
+                    let _ = decoded.to_wire();
+                }
             }
         }
     }

@@ -42,23 +42,25 @@
 //! commutative, uniform 50–500 µs latency, 1% loss, one broadcast every
 //! 20 µs from a random member.
 //!
-//! The group reads 5.2 allocations per op. What still allocates:
+//! The group reads 5.5 allocations per op. What still allocates:
 //!
-//! - stability reports, about 3.6 per op in all: each member's up report
-//!   once per 64 deliveries and the stable vector it passes down to its
-//!   children, 64 entries each, a copy of the vector per receiver leg,
-//!   and a target list per report;
-//! - the new message's link frames, about 1.2 per op: `route_broadcast`
-//!   returns a fresh list of one frame per safe link, which grows past
-//!   its first block at an interior member;
+//! - stability reports, about 3.3 per op in all: each member's up report
+//!   once per 64 deliveries and the stable vector the root passes down
+//!   when a wave completes or the vector rises, 64 entries each, a copy
+//!   of the vector per receiver leg, and a target list per report;
+//! - runs, about 1.8 per op: a member forwards what one input released
+//!   as one frame per link, and a burst of two or more messages is one
+//!   block that every link's frame and retransmission copy shares;
 //! - regrowth: the stack's window of send times when its span outgrows
 //!   its deque, and amortised growth of what is never compacted (the
 //!   delivery log).
 //!
-//! Link frames, their acks, reassembly, the per-origin gate and the
-//! retransmission tick allocate nothing once warm. Before the tick
-//! appended its frames to the stack's retained buffer, this group read
-//! 6.1 allocations per op.
+//! Single-message frames, the new message's frames, acks, reassembly,
+//! the per-origin gate and the retransmission tick allocate nothing
+//! once warm. Before members forwarded bursts as runs, this group read
+//! 5.2 allocations per op, for about three times as many link frames;
+//! before the tick appended its frames to the stack's retained buffer,
+//! 6.1.
 
 use causal_broadcast::clocks::ProcessId;
 use causal_broadcast::core::delivery::{Delivered, GraphDelivery, PcEngine};
