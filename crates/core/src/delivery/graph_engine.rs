@@ -3,7 +3,9 @@
 
 use super::{Delivered, DeliveryEngine};
 use crate::osend::{GraphEnvelope, OSender, OccursAfter};
+use crate::stack::Timed;
 use causal_clocks::{IdWindow, MsgId, ProcessId, VectorClock};
+use causal_simnet::SimTime;
 
 /// Per-member delivery engine for [`GraphEnvelope`]s.
 ///
@@ -78,9 +80,10 @@ struct Slot<P> {
 enum State<P> {
     /// Named as a dependency, not received yet.
     Awaited,
-    /// Received, with `missing` dependencies still undelivered.
+    /// Received, with its origin's send time and `missing` dependencies
+    /// still undelivered.
     Pending {
-        env: GraphEnvelope<P>,
+        timed: Timed<GraphEnvelope<P>>,
         missing: usize,
     },
     Delivered,
@@ -114,8 +117,8 @@ impl<P> GraphDelivery<P> {
         }
     }
 
-    fn deliver(&mut self, env: GraphEnvelope<P>) -> GraphEnvelope<P> {
-        let id = env.id;
+    fn deliver(&mut self, timed: Timed<GraphEnvelope<P>>) -> Timed<GraphEnvelope<P>> {
+        let id = timed.env.id;
         let slot = self
             .slots
             .get_or_insert_with(id, Slot::default)
@@ -142,7 +145,7 @@ impl<P> GraphDelivery<P> {
                 .expect("the slot was just marked delivered")
                 .waiters = waiters;
         }
-        env
+        timed
     }
 
     /// Releases any pending messages whose last dependency just arrived,
@@ -153,10 +156,10 @@ impl<P> GraphDelivery<P> {
     /// the reference engine's full dependency re-check, without ever
     /// re-checking a dependency (each registration is touched twice: one
     /// decrement, one readiness glance).
-    fn cascade(&mut self, released: &mut Vec<GraphEnvelope<P>>) {
+    fn cascade(&mut self, released: &mut Vec<Timed<GraphEnvelope<P>>>) {
         let mut i = released.len() - 1;
         while i < released.len() {
-            let just = released[i].id;
+            let just = released[i].env.id;
             let mut waiters = self
                 .slots
                 .get_mut(just)
@@ -167,13 +170,13 @@ impl<P> GraphDelivery<P> {
                     continue;
                 };
                 if let State::Pending { missing: 0, .. } = slot.state {
-                    let State::Pending { env, .. } =
+                    let State::Pending { timed, .. } =
                         std::mem::replace(&mut slot.state, State::Delivered)
                     else {
                         unreachable!("matched as pending above");
                     };
                     self.pending -= 1;
-                    released.push(self.deliver(env));
+                    released.push(self.deliver(timed));
                 }
             }
             if waiters.capacity() > 0 {
@@ -230,24 +233,31 @@ impl<P: Clone + Send + Sync> DeliveryEngine for GraphDelivery<P> {
         engine
     }
 
-    fn send_into(
+    fn send_timed(
         &mut self,
         op: P,
         after: OccursAfter,
-        released: &mut Vec<GraphEnvelope<P>>,
-    ) -> GraphEnvelope<P> {
+        sent_at: SimTime,
+        released: &mut Vec<Timed<GraphEnvelope<P>>>,
+    ) -> Timed<GraphEnvelope<P>> {
         let env = self
             .sender
             .as_mut()
             .expect("receive-only engine cannot send (construct with for_member)")
             .osend(op, after);
-        self.on_receive_into(env.clone(), released);
-        env
+        let timed = Timed { env, sent_at };
+        self.on_receive_timed(timed.clone(), released);
+        timed
     }
 
     /// Missing dependencies are counted in place and cascades extend
     /// `released` directly, so a steady-state arrival allocates nothing.
-    fn on_receive_into(&mut self, env: GraphEnvelope<P>, released: &mut Vec<GraphEnvelope<P>>) {
+    fn on_receive_timed(
+        &mut self,
+        timed: Timed<GraphEnvelope<P>>,
+        released: &mut Vec<Timed<GraphEnvelope<P>>>,
+    ) {
+        let env = &timed.env;
         let fresh = match self.slots.get(env.id) {
             Some(slot) => matches!(slot.state, State::Awaited),
             None => !self.slots.is_retired(env.id),
@@ -258,7 +268,7 @@ impl<P: Clone + Send + Sync> DeliveryEngine for GraphDelivery<P> {
         }
         let missing = env.deps.iter().filter(|&&d| !self.is_satisfied(d)).count();
         if missing == 0 {
-            let delivered = self.deliver(env);
+            let delivered = self.deliver(timed);
             released.push(delivered);
             self.cascade(released);
         } else {
@@ -282,7 +292,7 @@ impl<P: Clone + Send + Sync> DeliveryEngine for GraphDelivery<P> {
                 .slots
                 .get_or_insert_with(env.id, Slot::default)
                 .expect("a fresh id lies above the floor");
-            slot.state = State::Pending { env, missing };
+            slot.state = State::Pending { timed, missing };
         }
     }
 

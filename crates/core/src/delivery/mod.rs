@@ -85,18 +85,28 @@ pub type LinkSend<E> = (ProcessId, LinkFrame<Timed<E>>);
 /// What a routed engine produced from one inbound frame (or one replayed
 /// envelope): receipt records for tracing, envelopes released to the
 /// application, and frames to transmit (forwards, acks, handshakes).
+///
+/// `R` is what one release carries: the envelope alone, as the untimed
+/// [`on_link_frame`](DeliveryEngine::on_link_frame) returns it, or the
+/// envelope with its origin's send time ([`TimedDelivery`]), as the
+/// stack's path takes it.
 #[derive(Debug)]
-pub struct LinkDelivery<E> {
-    /// `(id, sent_at, fresh)` per data message processed, in link order.
-    /// `fresh` is `false` for duplicates the engine absorbed.
-    pub receipts: Vec<(MsgId, SimTime, bool)>,
-    /// Envelopes released to the application, in delivery order.
-    pub released: Vec<E>,
+pub struct LinkDelivery<E, R = E> {
+    /// `(id, fresh)` per data message processed, in link order. `fresh`
+    /// is `false` for duplicates the engine absorbed.
+    pub receipts: Vec<(MsgId, bool)>,
+    /// Releases to the application, in delivery order.
+    pub released: Vec<R>,
     /// Frames to transmit.
     pub sends: Vec<LinkSend<E>>,
 }
 
-impl<E> Default for LinkDelivery<E> {
+/// A [`LinkDelivery`] whose releases carry their origin's send time: what
+/// the engine hands the stack, which records each delivery's latency from
+/// it.
+pub type TimedDelivery<E> = LinkDelivery<E, Timed<E>>;
+
+impl<E, R> Default for LinkDelivery<E, R> {
     fn default() -> Self {
         LinkDelivery {
             receipts: Vec::new(),
@@ -117,6 +127,14 @@ impl<E> Default for LinkDelivery<E> {
 /// differential testing). An engine keeps no delivery log: the envelopes
 /// it releases, in release order, are the member's deliveries, and the
 /// stack records them.
+///
+/// Every envelope an engine holds or releases travels as a [`Timed`], with
+/// its origin's send time, so the stack keeps no send-time record of its
+/// own: it reads each delivery's latency from the release. The
+/// untimed entry points ([`send`](Self::send),
+/// [`on_receive_into`](Self::on_receive_into),
+/// [`on_link_frame`](Self::on_link_frame)) wrap the timed ones with a zero
+/// send time and strip it from what they return.
 pub trait DeliveryEngine {
     /// The application operation type carried in envelopes.
     type Op: Clone;
@@ -146,19 +164,22 @@ pub trait DeliveryEngine {
     /// the clock stamp.
     fn send(&mut self, op: Self::Op, after: OccursAfter) -> (Self::Envelope, Vec<Self::Envelope>) {
         let mut released = Vec::new();
-        let env = self.send_into(op, after, &mut released);
-        (env, released)
+        let timed = self.send_timed(op, after, SimTime::ZERO, &mut released);
+        (timed.env, released.into_iter().map(|t| t.env).collect())
     }
 
-    /// Like [`send`](Self::send), appending the envelopes the
-    /// self-delivery released to `released` instead of returning a fresh
-    /// vector: the stack's send path, which drains one retained buffer.
-    fn send_into(
+    /// Like [`send`](Self::send), for a message sent at `sent_at`:
+    /// returns the envelope stamped with it, and appends what the
+    /// self-delivery released to `released`, each with its origin's send
+    /// time. This is the stack's send path, which drains one retained
+    /// buffer.
+    fn send_timed(
         &mut self,
         op: Self::Op,
         after: OccursAfter,
-        released: &mut Vec<Self::Envelope>,
-    ) -> Self::Envelope;
+        sent_at: SimTime,
+        released: &mut Vec<Timed<Self::Envelope>>,
+    ) -> Timed<Self::Envelope>;
 
     /// Handles an envelope received from the network; returns the
     /// envelopes released to the application, in delivery order.
@@ -169,12 +190,31 @@ pub trait DeliveryEngine {
     }
 
     /// Like [`on_receive`](Self::on_receive), appending the released
-    /// envelopes to `out` instead of returning a fresh vector. This is
-    /// the flood-path entry point: drivers feed a reused scratch buffer
-    /// through it so steady-state receive processing allocates nothing
-    /// (the causal engines also keep their internal drain scratch across
-    /// calls for the same reason).
-    fn on_receive_into(&mut self, env: Self::Envelope, out: &mut Vec<Self::Envelope>);
+    /// envelopes to `out` instead of returning a fresh vector. It runs
+    /// [`on_receive_timed`](Self::on_receive_timed) with a zero send time
+    /// through a vector of its own.
+    fn on_receive_into(&mut self, env: Self::Envelope, out: &mut Vec<Self::Envelope>) {
+        let mut released = Vec::new();
+        let timed = Timed {
+            env,
+            sent_at: SimTime::ZERO,
+        };
+        self.on_receive_timed(timed, &mut released);
+        out.extend(released.into_iter().map(|t| t.env));
+    }
+
+    /// Handles an envelope received with its origin's send time,
+    /// appending what it releases to `released`, each with its origin's
+    /// send time. An envelope the engine buffers keeps its send time
+    /// until it is released. This is the flood-path entry point: the
+    /// stack drains one retained buffer through it, so steady-state
+    /// receive processing allocates nothing (the causal engines also keep
+    /// their internal drain scratch across calls for the same reason).
+    fn on_receive_timed(
+        &mut self,
+        timed: Timed<Self::Envelope>,
+        released: &mut Vec<Timed<Self::Envelope>>,
+    );
 
     /// Projects an envelope to the engine-agnostic delivered view.
     fn view<'a>(env: &'a Self::Envelope) -> Delivered<'a, Self::Op>;
@@ -249,24 +289,28 @@ pub trait DeliveryEngine {
         frame: LinkFrame<Timed<Self::Envelope>>,
         history: &[Timed<Self::Envelope>],
     ) -> LinkDelivery<Self::Envelope> {
-        let mut out = LinkDelivery::default();
+        let mut out = TimedDelivery::default();
         self.on_link_frame_into(from, frame, history, LinkClock::STOPPED, &mut out);
-        out
+        LinkDelivery {
+            receipts: out.receipts,
+            released: out.released.into_iter().map(|t| t.env).collect(),
+            sends: out.sends,
+        }
     }
 
     /// Like [`on_link_frame`](Self::on_link_frame) at `clock`, appending
-    /// to `out` instead of returning a fresh [`LinkDelivery`]. This is
-    /// the flood-path entry point: the stack passes its time and
-    /// retransmission period, from which links judge which frames are
-    /// lost, and drains one retained `out` per frame, so steady-state
-    /// link traffic allocates no vectors.
+    /// to `out` instead of returning a fresh [`LinkDelivery`], each
+    /// release with its origin's send time. This is the flood-path entry
+    /// point: the stack passes its time and retransmission period, from
+    /// which links judge which frames are lost, and drains one retained
+    /// `out` per frame, so steady-state link traffic allocates no vectors.
     fn on_link_frame_into(
         &mut self,
         _from: ProcessId,
         _frame: LinkFrame<Timed<Self::Envelope>>,
         _history: &[Timed<Self::Envelope>],
         _clock: LinkClock,
-        _out: &mut LinkDelivery<Self::Envelope>,
+        _out: &mut TimedDelivery<Self::Envelope>,
     ) {
     }
 
@@ -277,15 +321,15 @@ pub trait DeliveryEngine {
     /// engines deduplicate here, since their link streams and the
     /// side-channel overlap. The stack drains one retained `out` per
     /// copy, so steady-state copies allocate no vectors. Non-routed
-    /// engines release through [`on_receive_into`](Self::on_receive_into)
+    /// engines release through [`on_receive_timed`](Self::on_receive_timed)
     /// and send nothing.
     fn on_replay_into(
         &mut self,
         timed: Timed<Self::Envelope>,
-        out: &mut LinkDelivery<Self::Envelope>,
+        out: &mut TimedDelivery<Self::Envelope>,
     ) {
-        out.receipts.push((timed.msg_id(), timed.sent_at, true));
-        self.on_receive_into(timed.env, &mut out.released);
+        out.receipts.push((timed.msg_id(), true));
+        self.on_receive_timed(timed, &mut out.released);
     }
 
     /// Appends to `sends` the frames the retransmission tick at `clock`

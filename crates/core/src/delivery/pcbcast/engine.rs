@@ -62,11 +62,12 @@
 
 use super::link::{Link, LinkBody, LinkClock, LinkFrame};
 use super::overlay::{tree_position, TreePosition, DEFAULT_FANOUT};
-use crate::delivery::{Delivered, DeliveryEngine, LinkDelivery, LinkSend};
+use crate::delivery::{Delivered, DeliveryEngine, LinkSend, TimedDelivery};
 use crate::osend::OccursAfter;
 use crate::rbcast::HasMsgId;
 use crate::stack::Timed;
 use causal_clocks::{IdWindow, MsgId, Offer, ProcessId};
+use causal_simnet::SimTime;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -202,12 +203,13 @@ impl<P: Clone> PcEngine<P> {
     }
 
     /// Delivers a message the gate released: stages it for forwarding
-    /// on every safe link except the one it arrived on, and releases it.
+    /// on every safe link except the one it arrived on, and releases it
+    /// with its origin's send time.
     fn deliver(
         &mut self,
         Parked { timed, from }: Parked<P>,
         batch: &mut Vec<Timed<PcEnvelope<P>>>,
-        out: &mut LinkDelivery<PcEnvelope<P>>,
+        out: &mut TimedDelivery<PcEnvelope<P>>,
     ) {
         if let Some(from) = from {
             self.staged.push((from, timed.clone()));
@@ -220,7 +222,7 @@ impl<P: Clone> PcEngine<P> {
         if self.links.values().any(|l| l.pending_ping.is_some()) {
             batch.push(timed.clone());
         }
-        out.released.push(timed.env);
+        out.released.push(timed);
     }
 
     /// First-reception processing of one data message that arrived on
@@ -232,12 +234,12 @@ impl<P: Clone> PcEngine<P> {
         timed: Timed<PcEnvelope<P>>,
         from: Option<ProcessId>,
         batch: &mut Vec<Timed<PcEnvelope<P>>>,
-        out: &mut LinkDelivery<PcEnvelope<P>>,
+        out: &mut TimedDelivery<PcEnvelope<P>>,
     ) {
-        let (id, sent_at) = (timed.env.id, timed.sent_at);
+        let id = timed.env.id;
         let offer = self.gate.offer(id, Parked { timed, from });
         let fresh = !matches!(offer, Offer::Duplicate);
-        out.receipts.push((id, sent_at, fresh));
+        out.receipts.push((id, fresh));
         self.duplicates += u64::from(!fresh);
         if let Offer::Next(arrival) = offer {
             self.deliver(arrival, batch, out);
@@ -254,7 +256,7 @@ impl<P: Clone> PcEngine<P> {
     /// burst (all but the link it arrived on, as a rule) shares one run,
     /// built only if some link takes it. Each link thus carries this
     /// member's delivery order, one frame per input.
-    fn forward_staged(&mut self, out: &mut LinkDelivery<PcEnvelope<P>>) {
+    fn forward_staged(&mut self, out: &mut TimedDelivery<PcEnvelope<P>>) {
         let staged = &self.staged;
         let mut whole: Option<Arc<[Timed<PcEnvelope<P>>]>> = None;
         for (&peer, link) in self.links.iter_mut() {
@@ -281,7 +283,7 @@ impl<P: Clone> PcEngine<P> {
     /// Answers a ping on the link to `from` with this member's
     /// per-origin delivered watermarks. Runs once per link a view change
     /// opens, never per data frame.
-    fn on_ping(&mut self, from: ProcessId, token: u64, out: &mut LinkDelivery<PcEnvelope<P>>) {
+    fn on_ping(&mut self, from: ProcessId, token: u64, out: &mut TimedDelivery<PcEnvelope<P>>) {
         let delivered: Vec<(ProcessId, u64)> = self.gate.floors().filter(|&(_, w)| w > 0).collect();
         let link = self.links.entry(from).or_default();
         let frame = link.push(LinkBody::Pong { token, delivered });
@@ -299,7 +301,7 @@ impl<P: Clone> PcEngine<P> {
         delivered: Vec<(ProcessId, u64)>,
         history: &[Timed<PcEnvelope<P>>],
         batch: &[Timed<PcEnvelope<P>>],
-        out: &mut LinkDelivery<PcEnvelope<P>>,
+        out: &mut TimedDelivery<PcEnvelope<P>>,
     ) {
         let Some(link) = self.links.get_mut(&from) else {
             return;
@@ -359,36 +361,40 @@ impl<P: Clone + Send + Sync> DeliveryEngine for PcEngine<P> {
         }
     }
 
-    fn send_into(
+    fn send_timed(
         &mut self,
         op: P,
         _after: OccursAfter,
-        released: &mut Vec<PcEnvelope<P>>,
-    ) -> PcEnvelope<P> {
+        sent_at: SimTime,
+        released: &mut Vec<Timed<PcEnvelope<P>>>,
+    ) -> Timed<PcEnvelope<P>> {
         // PC-broadcast infers ordering from delivery history, like the
         // vector engine: anything delivered locally precedes this send.
         let env = PcEnvelope {
             id: MsgId::new(self.me, self.gate.advance(self.me)),
             payload: op,
         };
-        released.push(env.clone());
-        env
+        let timed = Timed { env, sent_at };
+        released.push(timed.clone());
+        timed
     }
 
-    fn on_receive_into(&mut self, env: PcEnvelope<P>, out: &mut Vec<PcEnvelope<P>>) {
-        let mut replayed = LinkDelivery::default();
-        let timed = Timed {
-            env,
-            sent_at: causal_simnet::SimTime::ZERO,
-        };
+    /// Runs [`on_replay_into`](DeliveryEngine::on_replay_into) and keeps
+    /// only what it released.
+    fn on_receive_timed(
+        &mut self,
+        timed: Timed<PcEnvelope<P>>,
+        released: &mut Vec<Timed<PcEnvelope<P>>>,
+    ) {
+        let mut replayed = TimedDelivery::default();
         self.on_replay_into(timed, &mut replayed);
-        out.append(&mut replayed.released);
+        released.append(&mut replayed.released);
     }
 
     fn on_replay_into(
         &mut self,
         timed: Timed<PcEnvelope<P>>,
-        out: &mut LinkDelivery<PcEnvelope<P>>,
+        out: &mut TimedDelivery<PcEnvelope<P>>,
     ) {
         let mut batch = Vec::new();
         // The replayed envelope itself is never forwarded (the
@@ -455,7 +461,7 @@ impl<P: Clone + Send + Sync> DeliveryEngine for PcEngine<P> {
         frame: LinkFrame<Timed<PcEnvelope<P>>>,
         history: &[Timed<PcEnvelope<P>>],
         clock: LinkClock,
-        out: &mut LinkDelivery<PcEnvelope<P>>,
+        out: &mut TimedDelivery<PcEnvelope<P>>,
     ) {
         // Lazily materialize link state for a member whose frames beat our
         // own view installation; our outbound ping goes out when
@@ -527,7 +533,7 @@ impl<P: Clone + Send + Sync> DeliveryEngine for PcEngine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use causal_simnet::SimTime;
+    use crate::delivery::LinkDelivery;
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -546,8 +552,8 @@ mod tests {
     fn replay(
         e: &mut PcEngine<&'static str>,
         timed: Timed<PcEnvelope<&'static str>>,
-    ) -> LinkDelivery<PcEnvelope<&'static str>> {
-        let mut out = LinkDelivery::default();
+    ) -> TimedDelivery<PcEnvelope<&'static str>> {
+        let mut out = TimedDelivery::default();
         e.on_replay_into(timed, &mut out);
         out
     }
@@ -683,12 +689,12 @@ mod tests {
             payload: "two",
         };
         let out2 = replay(&mut e, timed(m2.clone()));
-        assert!(out2.receipts[0].2, "ahead-of-sequence is still fresh");
+        assert!(out2.receipts[0].1, "ahead-of-sequence is still fresh");
         assert!(out2.released.is_empty());
         assert_eq!(e.pending_len(), 1);
         let out1 = replay(&mut e, timed(m1.clone()));
-        assert!(out1.receipts[0].2);
-        assert_eq!(out1.released, vec![m1, m2]);
+        assert!(out1.receipts[0].1);
+        assert_eq!(out1.released, vec![timed(m1), timed(m2)]);
         assert_eq!(e.pending_len(), 0);
         assert!(e.peak_buffered() >= 1);
     }
@@ -700,9 +706,9 @@ mod tests {
             id: MsgId::new(p(1), 1),
             payload: "m",
         };
-        assert!(replay(&mut e, timed(m.clone())).receipts[0].2);
+        assert!(replay(&mut e, timed(m.clone())).receipts[0].1);
         let again = replay(&mut e, timed(m));
-        assert!(!again.receipts[0].2);
+        assert!(!again.receipts[0].1);
         assert!(again.released.is_empty());
         assert_eq!(e.duplicates(), 1);
     }
@@ -788,7 +794,7 @@ mod tests {
             ref b => panic!("expected ping, got {b:?}"),
         };
         // Peer reports it already delivered (0, 1): only m2 flushes.
-        let mut out = LinkDelivery::default();
+        let mut out = TimedDelivery::default();
         a.on_pong(p(5), token, vec![(p(0), 1)], &history, &[], &mut out);
         let flushed: Vec<MsgId> = out
             .sends
@@ -822,7 +828,7 @@ mod tests {
     }
 
     /// The data frames `out` sends, in send order, as (link, ids).
-    fn data_sends(out: &LinkDelivery<PcEnvelope<&'static str>>) -> Vec<(u32, Vec<MsgId>)> {
+    fn data_sends<R>(out: &LinkDelivery<PcEnvelope<&'static str>, R>) -> Vec<(u32, Vec<MsgId>)> {
         out.sends
             .iter()
             .filter_map(|(to, f)| Some((to.as_u32(), carried(f)?)))

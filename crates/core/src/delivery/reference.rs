@@ -14,7 +14,9 @@
 //! and quadratic under out-of-order bursts.
 
 use crate::osend::{GraphEnvelope, OSender, OccursAfter};
+use crate::stack::Timed;
 use causal_clocks::{DeliveryCheck, MsgId, ProcessId, VectorClock};
+use causal_simnet::SimTime;
 use std::collections::{HashMap, HashSet};
 
 use super::{Delivered, DeliveryEngine, VtEnvelope};
@@ -29,7 +31,7 @@ use super::{Delivered, DeliveryEngine, VtEnvelope};
 pub struct FlatCbcastEngine<P> {
     me: ProcessId,
     vt: VectorClock,
-    pending: Vec<VtEnvelope<P>>,
+    pending: Vec<Timed<VtEnvelope<P>>>,
     duplicates: u64,
 }
 
@@ -64,20 +66,20 @@ impl<P> FlatCbcastEngine<P> {
         }
     }
 
-    fn deliver(&mut self, env: VtEnvelope<P>, released: &mut Vec<VtEnvelope<P>>) {
-        self.vt.apply_delivery(&env.vt);
-        released.push(env);
+    fn deliver(&mut self, timed: Timed<VtEnvelope<P>>, released: &mut Vec<Timed<VtEnvelope<P>>>) {
+        self.vt.apply_delivery(&timed.env.vt);
+        released.push(timed);
     }
 
-    fn drain_pending(&mut self, released: &mut Vec<VtEnvelope<P>>) {
+    fn drain_pending(&mut self, released: &mut Vec<Timed<VtEnvelope<P>>>) {
         loop {
             let idx = self.pending.iter().position(|p| {
-                self.vt.delivery_check(&p.vt, p.id.origin()) == DeliveryCheck::Deliverable
+                self.vt.delivery_check(&p.env.vt, p.env.id.origin()) == DeliveryCheck::Deliverable
             });
             match idx {
                 Some(i) => {
-                    let env = self.pending.remove(i);
-                    self.deliver(env, released);
+                    let timed = self.pending.remove(i);
+                    self.deliver(timed, released);
                 }
                 None => break,
             }
@@ -99,7 +101,7 @@ impl<P> FlatCbcastEngine<P> {
 #[derive(Debug, Clone)]
 pub struct ScanGraphDelivery<P> {
     delivered: HashSet<MsgId>,
-    pending: HashMap<MsgId, GraphEnvelope<P>>,
+    pending: HashMap<MsgId, Timed<GraphEnvelope<P>>>,
     waiters: HashMap<MsgId, Vec<MsgId>>,
     seen: HashSet<MsgId>,
     duplicates: u64,
@@ -121,24 +123,24 @@ impl<P> ScanGraphDelivery<P> {
         }
     }
 
-    fn deliver(&mut self, env: GraphEnvelope<P>) -> GraphEnvelope<P> {
-        self.delivered.insert(env.id);
-        env
+    fn deliver(&mut self, timed: Timed<GraphEnvelope<P>>) -> Timed<GraphEnvelope<P>> {
+        self.delivered.insert(timed.env.id);
+        timed
     }
 
-    fn cascade(&mut self, released: &mut Vec<GraphEnvelope<P>>) {
+    fn cascade(&mut self, released: &mut Vec<Timed<GraphEnvelope<P>>>) {
         let mut i = released.len() - 1;
         while i < released.len() {
-            let just = released[i].id;
+            let just = released[i].env.id;
             if let Some(waiters) = self.waiters.remove(&just) {
                 for w in waiters {
                     let ready = match self.pending.get(&w) {
-                        Some(env) => env.deps.iter().all(|&d| self.delivered.contains(&d)),
+                        Some(timed) => timed.env.deps.iter().all(|&d| self.delivered.contains(&d)),
                         None => false, // already released via another path
                     };
                     if ready {
-                        let env = self.pending.remove(&w).expect("checked above");
-                        released.push(self.deliver(env));
+                        let timed = self.pending.remove(&w).expect("checked above");
+                        released.push(self.deliver(timed));
                     }
                 }
             }
@@ -161,21 +163,29 @@ impl<P: Clone + Send + Sync> DeliveryEngine for FlatCbcastEngine<P> {
         FlatCbcastEngine::new(me, n)
     }
 
-    fn send_into(
+    fn send_timed(
         &mut self,
         op: P,
         _after: OccursAfter,
-        released: &mut Vec<VtEnvelope<P>>,
-    ) -> VtEnvelope<P> {
-        let env = self.broadcast(op);
-        released.push(env.clone());
-        env
+        sent_at: SimTime,
+        released: &mut Vec<Timed<VtEnvelope<P>>>,
+    ) -> Timed<VtEnvelope<P>> {
+        let timed = Timed {
+            env: self.broadcast(op),
+            sent_at,
+        };
+        released.push(timed.clone());
+        timed
     }
 
-    fn on_receive_into(&mut self, env: VtEnvelope<P>, released: &mut Vec<VtEnvelope<P>>) {
-        match self.vt.delivery_check(&env.vt, env.id.origin()) {
+    fn on_receive_timed(
+        &mut self,
+        timed: Timed<VtEnvelope<P>>,
+        released: &mut Vec<Timed<VtEnvelope<P>>>,
+    ) {
+        match self.vt.delivery_check(&timed.env.vt, timed.env.id.origin()) {
             DeliveryCheck::Deliverable => {
-                self.deliver(env, released);
+                self.deliver(timed, released);
                 self.drain_pending(released);
             }
             DeliveryCheck::Duplicate => {
@@ -184,10 +194,10 @@ impl<P: Clone + Send + Sync> DeliveryEngine for FlatCbcastEngine<P> {
             DeliveryCheck::MissingFromSender { .. } | DeliveryCheck::MissingPredecessor { .. } => {
                 // Absorb duplicates of already-buffered messages too —
                 // via the linear scan this module exists to preserve.
-                if self.pending.iter().any(|p| p.id == env.id) {
+                if self.pending.iter().any(|p| p.env.id == timed.env.id) {
                     self.duplicates += 1;
                 } else {
-                    self.pending.push(env);
+                    self.pending.push(timed);
                 }
             }
         }
@@ -224,40 +234,48 @@ impl<P: Clone + Send + Sync> DeliveryEngine for ScanGraphDelivery<P> {
         engine
     }
 
-    fn send_into(
+    fn send_timed(
         &mut self,
         op: P,
         after: OccursAfter,
-        released: &mut Vec<GraphEnvelope<P>>,
-    ) -> GraphEnvelope<P> {
+        sent_at: SimTime,
+        released: &mut Vec<Timed<GraphEnvelope<P>>>,
+    ) -> Timed<GraphEnvelope<P>> {
         let env = self
             .sender
             .as_mut()
             .expect("receive-only engine cannot send (construct with for_member)")
             .osend(op, after);
-        self.on_receive_into(env.clone(), released);
-        env
+        let timed = Timed { env, sent_at };
+        self.on_receive_timed(timed.clone(), released);
+        timed
     }
 
-    fn on_receive_into(&mut self, env: GraphEnvelope<P>, released: &mut Vec<GraphEnvelope<P>>) {
-        if !self.seen.insert(env.id) {
+    fn on_receive_timed(
+        &mut self,
+        timed: Timed<GraphEnvelope<P>>,
+        released: &mut Vec<Timed<GraphEnvelope<P>>>,
+    ) {
+        let id = timed.env.id;
+        if !self.seen.insert(id) {
             self.duplicates += 1;
             return;
         }
-        let missing: Vec<MsgId> = env
+        let missing: Vec<MsgId> = timed
+            .env
             .deps
             .iter()
             .copied()
             .filter(|&d| !self.delivered.contains(&d))
             .collect();
         if missing.is_empty() {
-            released.push(self.deliver(env));
+            released.push(self.deliver(timed));
             self.cascade(released);
         } else {
             for &d in &missing {
-                self.waiters.entry(d).or_default().push(env.id);
+                self.waiters.entry(d).or_default().push(id);
             }
-            self.pending.insert(env.id, env);
+            self.pending.insert(id, timed);
         }
     }
 

@@ -2,7 +2,9 @@
 
 use super::{Delivered, DeliveryEngine};
 use crate::osend::OccursAfter;
+use crate::stack::Timed;
 use causal_clocks::{DeliveryCheck, MsgId, ProcessId, VectorClock};
+use causal_simnet::SimTime;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -17,13 +19,14 @@ pub struct VtEnvelope<P> {
     pub payload: P,
 }
 
-/// A buffered out-of-order envelope, stamped with its arrival rank so the
-/// drain releases simultaneously deliverable messages in arrival order
-/// (the order the seed engine's linear rescan produced).
+/// A buffered out-of-order envelope with its origin's send time, stamped
+/// with its arrival rank so the drain releases simultaneously deliverable
+/// messages in arrival order (the order the seed engine's linear rescan
+/// produced).
 #[derive(Debug, Clone)]
 struct Buffered<P> {
     arrival: u64,
-    env: VtEnvelope<P>,
+    timed: Timed<VtEnvelope<P>>,
 }
 
 /// Per-member CBCAST engine: causal delivery from *potential* causality.
@@ -140,9 +143,9 @@ impl<P> CbcastEngine<P> {
 
     /// Buffers a non-deliverable envelope in its origin's queue,
     /// absorbing duplicates of already-buffered ids in O(log queue).
-    fn buffer(&mut self, env: VtEnvelope<P>) {
-        let origin = env.id.origin();
-        let seq = env.id.seq();
+    fn buffer(&mut self, timed: Timed<VtEnvelope<P>>) {
+        let origin = timed.env.id.origin();
+        let seq = timed.env.id.seq();
         let queue = &mut self.queues[origin.as_usize()];
         if queue.contains_key(&seq) {
             self.duplicates += 1;
@@ -151,19 +154,19 @@ impl<P> CbcastEngine<P> {
         let new_head = queue.keys().next().is_none_or(|&head| seq < head);
         let arrival = self.arrivals;
         self.arrivals += 1;
-        queue.insert(seq, Buffered { arrival, env });
+        queue.insert(seq, Buffered { arrival, timed });
         self.buffered += 1;
         if new_head {
             // A freshly arrived envelope is never deliverable (otherwise
-            // on_receive_into would have delivered it), so this only
+            // on_receive_timed would have delivered it), so this only
             // re-registers the queue's blocker.
             self.check_head(origin);
         }
     }
 
-    fn deliver(&mut self, env: VtEnvelope<P>, released: &mut Vec<VtEnvelope<P>>) {
-        self.vt.apply_delivery(&env.vt);
-        released.push(env);
+    fn deliver(&mut self, timed: Timed<VtEnvelope<P>>, released: &mut Vec<Timed<VtEnvelope<P>>>) {
+        self.vt.apply_delivery(&timed.env.vt);
+        released.push(timed);
     }
 
     /// Re-examines the head of `origin`'s queue: returns its arrival
@@ -176,7 +179,7 @@ impl<P> CbcastEngine<P> {
                 self.blocked[k] = None;
                 return None;
             };
-            match self.vt.delivery_check(&head.env.vt, origin) {
+            match self.vt.delivery_check(&head.timed.env.vt, origin) {
                 DeliveryCheck::Deliverable => {
                     self.blocked[k] = None;
                     return Some(head.arrival);
@@ -211,7 +214,7 @@ impl<P> CbcastEngine<P> {
     /// waking only registered heads whose threshold has been reached.
     /// Simultaneously deliverable heads release in arrival order, matching
     /// the seed engine's linear-rescan drain.
-    fn drain_from(&mut self, origin: ProcessId, released: &mut Vec<VtEnvelope<P>>) {
+    fn drain_from(&mut self, origin: ProcessId, released: &mut Vec<Timed<VtEnvelope<P>>>) {
         // Both scratch collections live on the engine and are empty here:
         // every path below drains them before returning.
         debug_assert!(self.ready.is_empty() && self.advanced.is_empty());
@@ -241,7 +244,7 @@ impl<P> CbcastEngine<P> {
                 .pop_first()
                 .expect("ready origin has a queued head");
             self.buffered -= 1;
-            self.deliver(head.env, released);
+            self.deliver(head.timed, released);
             self.advanced.push(k);
             // The next message in k's queue was never examined as a head.
             if let Some(arrival) = self.check_head(k) {
@@ -267,29 +270,37 @@ impl<P: Clone + Send + Sync> DeliveryEngine for CbcastEngine<P> {
     /// The `after` predicate is ignored: vector-clock causality already
     /// orders the broadcast after everything delivered locally, which
     /// covers (and over-approximates) any deliverable `Occurs-After` set.
-    fn send_into(
+    fn send_timed(
         &mut self,
         op: P,
         _after: OccursAfter,
-        released: &mut Vec<VtEnvelope<P>>,
-    ) -> VtEnvelope<P> {
-        let env = self.broadcast(op);
-        released.push(env.clone());
-        env
+        sent_at: SimTime,
+        released: &mut Vec<Timed<VtEnvelope<P>>>,
+    ) -> Timed<VtEnvelope<P>> {
+        let timed = Timed {
+            env: self.broadcast(op),
+            sent_at,
+        };
+        released.push(timed.clone());
+        timed
     }
 
-    fn on_receive_into(&mut self, env: VtEnvelope<P>, released: &mut Vec<VtEnvelope<P>>) {
-        match self.vt.delivery_check(&env.vt, env.id.origin()) {
+    fn on_receive_timed(
+        &mut self,
+        timed: Timed<VtEnvelope<P>>,
+        released: &mut Vec<Timed<VtEnvelope<P>>>,
+    ) {
+        let origin = timed.env.id.origin();
+        match self.vt.delivery_check(&timed.env.vt, origin) {
             DeliveryCheck::Deliverable => {
-                let origin = env.id.origin();
-                self.deliver(env, released);
+                self.deliver(timed, released);
                 self.drain_from(origin, released);
             }
             DeliveryCheck::Duplicate => {
                 self.duplicates += 1;
             }
             DeliveryCheck::MissingFromSender { .. } | DeliveryCheck::MissingPredecessor { .. } => {
-                self.buffer(env);
+                self.buffer(timed);
             }
         }
     }

@@ -704,10 +704,16 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
     /// for origins whose messages reached this member another way (a
     /// routed engine's overlay). Unacknowledged outgoing copies are never
     /// pruned — they are precisely the unstable messages. Costs one step
-    /// per origin plus one per pruned entry; origins outside `stable`'s
-    /// width (members admitted later) keep their prefixes.
+    /// per origin plus one per pruned entry, and one more per origin
+    /// while copies stay parked (a layer that carries no traffic, as in a
+    /// static routed stack, pays only the first); origins outside
+    /// `stable`'s width (members admitted later) keep their prefixes.
     pub fn compact(&mut self, stable: &VectorClock) {
         self.seen.compact(stable);
+        // Only a parked copy can sit just above a raised prefix.
+        if self.seen.is_empty() {
+            return;
+        }
         for (origin, _) in stable.iter() {
             while self.seen.pop_next(origin).is_some() {}
         }
@@ -972,6 +978,42 @@ mod tests {
         let e4 = env(&mut tx, 4);
         assert_eq!(rb.on_data(p(0), e4.clone()).0, Some(e4));
         assert_eq!(rb.retained_len(), 0);
+    }
+
+    #[test]
+    fn a_copy_parked_just_above_a_raised_prefix_is_drained() {
+        // p0's copies 3 and 5 park behind missing 1, 2 and 4, and p2's
+        // copy 2 behind missing 1. A stable prefix of 2 from p0 and none
+        // from p2 drains p0's copy 3 alone.
+        let mut tx0 = OSender::new(p(0));
+        let p0: Vec<_> = (1..=5).map(|k| env(&mut tx0, k)).collect();
+        let mut tx2 = OSender::new(p(2));
+        let p2: Vec<_> = (1..=2).map(|k| env(&mut tx2, k)).collect();
+        let mut rb = ReliableBroadcast::new(p(1), 3);
+        for e in [&p0[2], &p0[4], &p2[1]] {
+            assert!(rb.on_data(e.id.origin(), e.clone()).0.is_some());
+        }
+        assert_eq!(rb.retained_len(), 3);
+        rb.compact(&VectorClock::from_entries([2, 0, 0]));
+        assert_eq!(rb.retained_len(), 2);
+        let mut acks = Vec::new();
+        rb.take_acks(LinkClock::STOPPED, &mut acks);
+        let cum = |origin| {
+            acks.iter()
+                .find(|(_, a)| a.cum.origin() == origin)
+                .map(|(_, a)| a.cum)
+        };
+        assert_eq!(cum(p(0)), Some(MsgId::new(p(0), 3)));
+        // Copy 4 fills the last hole and releases the parked copy 5.
+        assert_eq!(rb.on_data(p(0), p0[3].clone()).0, Some(p0[3].clone()));
+        assert_eq!(rb.retained_len(), 1);
+        assert_eq!(rb.on_data(p(0), p0[4].clone()).0, None);
+        // With nothing parked, compaction still raises the prefixes.
+        assert_eq!(rb.on_data(p(2), p2[0].clone()).0, Some(p2[0].clone()));
+        assert_eq!(rb.retained_len(), 0);
+        rb.compact(&VectorClock::from_entries([7, 0, 3]));
+        assert_eq!(rb.on_data(p(0), env(&mut tx0, 6)).0, None);
+        assert_eq!(rb.duplicate_count(), 2);
     }
 
     #[test]

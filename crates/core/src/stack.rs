@@ -79,7 +79,7 @@
 
 use crate::delivery::pcbcast::{LinkClock, LinkFrame};
 use crate::delivery::{
-    CbcastEngine, Delivered, DeliveryEngine, GraphDelivery, LinkDelivery, PcEngine, VtEnvelope,
+    CbcastEngine, Delivered, DeliveryEngine, GraphDelivery, PcEngine, TimedDelivery, VtEnvelope,
 };
 use crate::osend::{GraphEnvelope, OccursAfter};
 use crate::rbcast::{HasMsgId, RbAck, RbMsg, ReliableBroadcast};
@@ -87,7 +87,7 @@ use crate::stability::{ReportTo, StabilityTracker};
 use crate::stable::{StablePoint, StablePointDetector};
 use crate::statemachine::OpClass;
 use crate::trace::{MemberTrace, TraceEvent};
-use causal_clocks::{IdWindow, MsgId, ProcessId, VectorClock};
+use causal_clocks::{MsgId, ProcessId, VectorClock};
 use causal_membership::{GroupView, ManagerAction, MembershipMsg, ViewId, ViewManager};
 use causal_simnet::{Actor, Context, Histogram, SimDuration, SimTime};
 use std::collections::{BTreeSet, VecDeque};
@@ -331,8 +331,6 @@ pub struct ProtocolStack<D: DeliveryEngine, A: App<Op = D::Op>> {
     ack_armed: bool,
     /// The acks of one ack period, kept so that ticks allocate nothing.
     acks: Vec<(ProcessId, RbAck)>,
-    /// Send time per message still on record; GC raises its floors.
-    sent_times: IdWindow<SimTime>,
     /// The ids of the delivered messages, in delivery order.
     log: Vec<MsgId>,
     stats: NodeStats,
@@ -348,10 +346,10 @@ pub struct ProtocolStack<D: DeliveryEngine, A: App<Op = D::Op>> {
     /// Its `released` is the queue [`process_released`](Self::process_released)
     /// works through. Kept, like `spare` and `emitter`, so that
     /// steady-state traffic allocates no vectors.
-    engine_out: LinkDelivery<D::Envelope>,
+    engine_out: TimedDelivery<D::Envelope>,
     /// The queue's second buffer: `process_released` swaps it in while it
     /// hands one round of envelopes to the app.
-    spare: Vec<D::Envelope>,
+    spare: Vec<Timed<D::Envelope>>,
     /// What the app emits from one callback, empty between callbacks.
     emitter: Emitter<D::Op>,
 }
@@ -403,7 +401,6 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
             rtx_armed: false,
             ack_armed: false,
             acks: Vec::new(),
-            sent_times: IdWindow::new(),
             log: Vec::new(),
             stats: NodeStats::default(),
             stability: None,
@@ -412,7 +409,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
             membership: None,
             tracer: None,
             crashed: false,
-            engine_out: LinkDelivery::default(),
+            engine_out: TimedDelivery::default(),
             spare: Vec::new(),
             emitter: Emitter::new(),
         }
@@ -459,8 +456,8 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
 
     /// Enables stability-based garbage collection: every `report_every`
     /// deliveries this member reports its delivered-prefix clock, and
-    /// prunes per-message state (delivery engine, reliability layer, send
-    /// times) once the prefix is known delivered everywhere.
+    /// prunes per-message state (delivery engine, reliability layer) once
+    /// the prefix is known delivered everywhere.
     ///
     /// A routed stack without membership has no full-mesh channel, so it
     /// reports over its engine's overlay tree
@@ -523,9 +520,20 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
     }
 
     /// Per-message bookkeeping entries currently retained (what GC
-    /// bounds): delivery engine + reliability layer + send-time table.
+    /// bounds): delivery engine + reliability layer.
     pub fn retained_state(&self) -> usize {
-        self.engine.retained_len() + self.rb.retained_len() + self.sent_times.len()
+        self.engine.retained_len() + self.rb.retained_len()
+    }
+
+    /// Messages this member holds without knowing them stable: its
+    /// deliveries above the stable prefix (all of them without GC), plus
+    /// what its engine holds parked.
+    pub fn unstable_len(&self) -> usize {
+        let stable = self
+            .stability
+            .as_ref()
+            .map_or(0, |s| s.stable().total_events());
+        (self.log.len() as u64).saturating_sub(stable) as usize + self.engine.pending_len()
     }
 
     /// This member's identity.
@@ -665,14 +673,10 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         op: D::Op,
         after: OccursAfter,
     ) -> MsgId {
-        let env = self
+        let timed = self
             .engine
-            .send_into(op, after, &mut self.engine_out.released);
-        let id = env.msg_id();
-        let timed = Timed {
-            env,
-            sent_at: ctx.now(),
-        };
+            .send_timed(op, after, ctx.now(), &mut self.engine_out.released);
+        let id = timed.msg_id();
         if D::ROUTED {
             // Routed engines disseminate over their overlay links (the
             // link layer provides per-link reliability + FIFO).
@@ -687,7 +691,6 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
             ctx.multicast(targets, StackWire::Rb(msg));
         }
         self.arm_retransmit(ctx);
-        self.sent_times.insert(id, ctx.now());
         if let Some(t) = &mut self.tracer {
             t.record(TraceEvent::Send { id });
         }
@@ -748,8 +751,8 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         while !self.engine_out.released.is_empty() {
             let spare = std::mem::take(&mut self.spare);
             let mut round = std::mem::replace(&mut self.engine_out.released, spare);
-            for env in round.drain(..) {
-                self.deliver(ctx, env);
+            for timed in round.drain(..) {
+                self.deliver(ctx, timed);
             }
             self.spare = round;
         }
@@ -760,16 +763,18 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
     /// stability, tracing, the app, then the membership store, which takes
     /// the envelope itself once the app has seen it. The app's sends go
     /// out at once, or park while a view change flushes.
-    fn deliver(&mut self, ctx: &mut Context<'_, StackWire<D::Envelope>>, env: D::Envelope) {
-        let id = env.msg_id();
+    fn deliver(
+        &mut self,
+        ctx: &mut Context<'_, StackWire<D::Envelope>>,
+        timed: Timed<D::Envelope>,
+    ) {
+        let id = timed.msg_id();
         self.log.push(id);
-        let sent_at = self.sent_times.get(id).copied();
-        if let Some(sent_at) = sent_at {
-            self.stats
-                .delivery_latency
-                .record(ctx.now().saturating_since(sent_at));
-        }
-        let delivered = D::view(&env);
+        self.stats
+            .delivery_latency
+            .record(ctx.now().saturating_since(timed.sent_at));
+        let env = &timed.env;
+        let delivered = D::view(env);
         let candidate = self.app.classify(delivered.payload) == OpClass::NonCommutative;
         let sp = match delivered.deps {
             Some(deps) => self.detector.on_deliver(id, deps, candidate),
@@ -785,12 +790,12 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
             t.record(TraceEvent::Deliver {
                 id,
                 deps: delivered.deps.map(<[MsgId]>::to_vec),
-                vt: D::clock_of(&env).cloned(),
+                vt: D::clock_of(env).cloned(),
                 sync_candidate: candidate,
             });
         }
         let mut out = std::mem::take(&mut self.emitter);
-        self.app.on_deliver(D::view(&env), &mut out);
+        self.app.on_deliver(D::view(env), &mut out);
         if let Some(sp) = sp {
             if let Some(t) = &mut self.tracer {
                 // The state *after* processing the closing sync
@@ -805,10 +810,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         }
         if let Some(mem) = self.membership.as_mut() {
             // Retained for flush re-broadcast and joiner replay.
-            mem.store.push(Timed {
-                env,
-                sent_at: sent_at.unwrap_or_else(|| ctx.now()),
-            });
+            mem.store.push(timed);
         }
         for (op, after) in out.sends.drain(..) {
             self.send_or_park(ctx, op, after);
@@ -845,10 +847,10 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         }
     }
 
-    /// Compacts engine, reliability layer and send times against the
-    /// stable prefix, only when it rose since the last compaction: every
-    /// layer absorbs ids inside an already compacted prefix as duplicates,
-    /// so an unchanged prefix leaves nothing new to prune.
+    /// Compacts engine and reliability layer against the stable prefix,
+    /// only when it rose since the last compaction: every layer absorbs
+    /// ids inside an already compacted prefix as duplicates, so an
+    /// unchanged prefix leaves nothing new to prune.
     fn compact_now(&mut self) {
         let Some(stable) = self
             .stability
@@ -859,7 +861,6 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         };
         self.engine.compact(stable);
         self.rb.compact(stable);
-        self.sent_times.compact(stable);
     }
 
     /// Feeds one input to the membership machine, if membership is
@@ -1010,10 +1011,8 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         // verdict, not the reliability layer's.
         let mut engine_fresh = false;
         if let Some(timed) = fresh {
-            self.sent_times
-                .get_or_insert_with(timed.msg_id(), || timed.sent_at);
             self.engine.on_replay_into(timed, &mut self.engine_out);
-            engine_fresh = self.engine_out.receipts.first().is_some_and(|r| r.2);
+            engine_fresh = self.engine_out.receipts.first().is_some_and(|r| r.1);
             self.engine_out.receipts.clear();
             self.send_link_frames(ctx);
             self.arm_retransmit(ctx);
@@ -1069,10 +1068,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         };
         self.engine
             .on_link_frame_into(from, frame, history, clock, &mut self.engine_out);
-        for (id, sent_at, fresh) in self.engine_out.receipts.drain(..) {
-            if fresh {
-                self.sent_times.get_or_insert_with(id, || sent_at);
-            }
+        for (id, fresh) in self.engine_out.receipts.drain(..) {
             if let Some(t) = &mut self.tracer {
                 t.record(TraceEvent::Receive { id, fresh });
             }
@@ -1411,6 +1407,56 @@ mod tests {
             assert!(env.deps.is_none(), "cbcast carries no explicit deps");
             self.value += *env.payload;
         }
+    }
+
+    /// Member 0 of a two-member group sends `m1` at 1 ms, whose copy to
+    /// member 1 is lost, and `m2`, ordered after it, at 1.3 ms. Member 1
+    /// holds `m2` back until `m1`'s repair arrives, then delivers both at
+    /// once. Checks that each latency sample there is the delivery time
+    /// minus the origin's send time, which the engine kept while it
+    /// buffered the message.
+    fn held_back_message_keeps_its_send_time<D: DeliveryEngine<Op = i64>>(
+        nodes: Vec<ProtocolStack<D, Sum>>,
+    ) {
+        let (t1, t2) = (SimTime::from_micros(1_000), SimTime::from_micros(1_300));
+        let cfg = NetConfig::with_latency(LatencyModel::constant_micros(100)).partition(
+            Partition::new([p(0)], [p(1)], t1, SimTime::from_micros(1_100)),
+        );
+        let mut sim = Simulation::new(nodes, cfg, 1);
+        sim.run_until(t1);
+        let m1 = sim.poke(p(0), |node, ctx| node.osend(ctx, 1, OccursAfter::none()));
+        sim.run_until(t2);
+        sim.poke(p(0), |node, ctx| {
+            node.osend(ctx, 2, OccursAfter::message(m1.expect("sent")))
+        });
+        sim.run_until(t2 + SimDuration::from_micros(150));
+        assert!(sim.node(p(1)).log().is_empty());
+        assert_eq!(sim.node(p(1)).pending_len(), 1, "m2 is held back");
+        while sim.node(p(1)).log().len() < 2 {
+            assert!(sim.step(), "m1 was never repaired");
+        }
+        let delivered = sim.now();
+        let latency = &sim.node(p(1)).stats().delivery_latency;
+        assert_eq!(latency.len(), 2);
+        assert_eq!(latency.max(), delivered.saturating_since(t1), "m1");
+        assert_eq!(latency.min(), delivered.saturating_since(t2), "m2");
+    }
+
+    #[test]
+    fn graph_engine_keeps_the_send_time_of_a_message_awaiting_its_dependency() {
+        held_back_message_keeps_its_send_time(group(2, false));
+    }
+
+    #[test]
+    fn vector_engine_keeps_the_send_time_of_a_message_awaiting_its_predecessor() {
+        let nodes = (0..2).map(|i| CbcastNode::new(p(i), 2, Sum::default()));
+        held_back_message_keeps_its_send_time(nodes.collect());
+    }
+
+    #[test]
+    fn pc_engine_keeps_the_send_time_of_a_frame_parked_in_reassembly() {
+        let nodes = (0..2).map(|i| PcNode::new(p(i), 2, Sum::default()));
+        held_back_message_keeps_its_send_time(nodes.collect());
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub trait Operation<S>: Clone {
 
 /// Applies a sequence of operations to a starting state, returning the
 /// final state (the composed `F` of relation (1)).
-pub fn apply_sequence<S: Clone, O: Operation<S>>(initial: &S, ops: &[O]) -> S {
+fn apply_sequence<S: Clone, O: Operation<S>>(initial: &S, ops: &[O]) -> S {
     let mut state = initial.clone();
     for op in ops {
         op.apply(&mut state);

@@ -284,10 +284,10 @@ pub struct MergeWire<O> {
 pub struct MergeOrderNode<S, O> {
     me: ProcessId,
     state: S,
-    merge: DeterministicMerge<O>,
+    /// Each received operation with its send time, until its round
+    /// applies.
+    merge: DeterministicMerge<(O, SimTime)>,
     next_round: u64,
-    /// Send time of each received operation whose round has not applied.
-    sent_times: std::collections::HashMap<(u64, ProcessId), SimTime>,
     applied: Vec<(u64, ProcessId)>,
     stats: NodeStats,
 }
@@ -300,7 +300,6 @@ impl<S, O: Operation<S>> MergeOrderNode<S, O> {
             state: initial,
             merge: DeterministicMerge::new(n),
             next_round: 0,
-            sent_times: std::collections::HashMap::new(),
             applied: Vec::new(),
             stats: NodeStats::default(),
         }
@@ -343,16 +342,19 @@ impl<S, O: Operation<S>> Actor for MergeOrderNode<S, O> {
     type Msg = MergeWire<O>;
 
     fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, _from: ProcessId, msg: Self::Msg) {
-        self.sent_times
-            .insert((msg.msg.round, msg.msg.from), msg.sent_at);
-        for ready in self.merge.on_receive(msg.msg) {
-            ready.payload.apply(&mut self.state);
+        let MergeWire { msg, sent_at } = msg;
+        let timed = RoundMsg {
+            round: msg.round,
+            from: msg.from,
+            payload: (msg.payload, sent_at),
+        };
+        for ready in self.merge.on_receive(timed) {
+            let (op, sent_at) = ready.payload;
+            op.apply(&mut self.state);
             self.applied.push((ready.round, ready.from));
-            if let Some(sent_at) = self.sent_times.remove(&(ready.round, ready.from)) {
-                self.stats
-                    .delivery_latency
-                    .record(ctx.now().saturating_since(sent_at));
-            }
+            self.stats
+                .delivery_latency
+                .record(ctx.now().saturating_since(sent_at));
         }
     }
 }
@@ -467,7 +469,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_order_forgets_send_times_once_applied() {
+    fn merge_order_samples_latency_once_per_applied_op() {
         let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(100, 9000));
         let nodes: Vec<MergeOrderNode<i64, CounterOp>> =
             (0..4).map(|i| MergeOrderNode::new(p(i), 4, 0)).collect();
@@ -481,7 +483,7 @@ mod tests {
         for i in 0..4 {
             let node = sim.node(p(i));
             assert_eq!(node.applied().len(), 12, "member {i}");
-            assert!(node.sent_times.is_empty(), "member {i} kept send times");
+            assert_eq!(node.stats().delivery_latency.len(), 12, "member {i}");
         }
     }
 

@@ -90,11 +90,7 @@ where
 /// # Panics
 ///
 /// Panics if `nodes` is empty or if a node thread panics.
-pub fn run_threaded_with_stats<A>(
-    nodes: Vec<A>,
-    duration: Duration,
-    seed: u64,
-) -> Vec<(A, RunnerStats)>
+fn run_threaded_with_stats<A>(nodes: Vec<A>, duration: Duration, seed: u64) -> Vec<(A, RunnerStats)>
 where
     A: Actor + Send + 'static,
     A::Msg: Send + 'static,

@@ -115,7 +115,7 @@ impl Footprint {
     /// `control_commutes` the control-cascade touches are ignored — valid
     /// only if the caller knows control processing is commutative and
     /// never influences future observable behavior (see
-    /// [`Explorer::with_commuting_control`]).
+    /// `Explorer::with_commuting_control`).
     pub fn independent(&self, other: &Footprint, control_commutes: bool) -> bool {
         if !(self.touched.is_disjoint(&other.touched) && self.appended.is_disjoint(&other.appended))
         {
@@ -327,8 +327,7 @@ pub struct Explorer<'a, N: Actor> {
 impl<'a, N: Actor> Explorer<'a, N> {
     /// A new explorer over `n` nodes built by `factory(index, n)`, with
     /// `script` initiating the workload. All messages are treated as
-    /// [`MsgClass::Data`] until [`with_classifier`](Self::with_classifier)
-    /// says otherwise.
+    /// [`MsgClass::Data`] until `with_classifier` says otherwise.
     pub fn new(
         n: usize,
         factory: impl Fn(usize, usize) -> N + 'a,
@@ -344,7 +343,7 @@ impl<'a, N: Actor> Explorer<'a, N> {
     }
 
     /// Sets the message classifier (see [`MsgClass`]).
-    pub fn with_classifier(mut self, classify: impl Fn(&N::Msg) -> MsgClass + 'a) -> Self {
+    fn with_classifier(mut self, classify: impl Fn(&N::Msg) -> MsgClass + 'a) -> Self {
         self.classify = Box::new(classify);
         self
     }
@@ -357,7 +356,7 @@ impl<'a, N: Actor> Explorer<'a, N> {
     /// (the network is lossless and timers never fire, so acknowledgement
     /// bookkeeping is write-only), but is unsound for actors whose
     /// control handling feeds back into data behavior.
-    pub fn with_commuting_control(mut self) -> Self {
+    fn with_commuting_control(mut self) -> Self {
         self.control_commutes = true;
         self
     }
@@ -394,7 +393,7 @@ impl<'a, N: Actor> Explorer<'a, N> {
 
     /// The nodes reached by (leniently) replaying `schedule` — used to
     /// extract the counterexample trace for a failing schedule.
-    pub fn nodes_after(&self, schedule: &[LinkKey]) -> Vec<N> {
+    fn nodes_after(&self, schedule: &[LinkKey]) -> Vec<N> {
         let (w, _) = self.replay_lenient(schedule);
         w.nodes
     }

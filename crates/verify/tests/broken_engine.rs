@@ -6,7 +6,8 @@
 use causal_clocks::{MsgId, ProcessId};
 use causal_core::delivery::{Delivered, DeliveryEngine};
 use causal_core::osend::{GraphEnvelope, OSender, OccursAfter};
-use causal_core::stack::ProtocolStack;
+use causal_core::stack::{ProtocolStack, Timed};
+use causal_simnet::SimTime;
 use causal_verify::apps::{CounterOp, SumApp};
 use causal_verify::check::Violation;
 use causal_verify::explorer::{explore_stacks, ScriptStep};
@@ -31,20 +32,28 @@ impl DeliveryEngine for EagerGraphDelivery {
         }
     }
 
-    fn send_into(
+    fn send_timed(
         &mut self,
         op: Self::Op,
         after: OccursAfter,
-        released: &mut Vec<Self::Envelope>,
-    ) -> Self::Envelope {
-        let env = self.tx.osend(op, after);
-        self.on_receive_into(env.clone(), released);
-        env
+        sent_at: SimTime,
+        released: &mut Vec<Timed<Self::Envelope>>,
+    ) -> Timed<Self::Envelope> {
+        let timed = Timed {
+            env: self.tx.osend(op, after),
+            sent_at,
+        };
+        self.on_receive_timed(timed.clone(), released);
+        timed
     }
 
-    fn on_receive_into(&mut self, env: Self::Envelope, out: &mut Vec<Self::Envelope>) {
-        if self.seen.insert(env.id) {
-            out.push(env); // dependencies? never heard of them
+    fn on_receive_timed(
+        &mut self,
+        timed: Timed<Self::Envelope>,
+        released: &mut Vec<Timed<Self::Envelope>>,
+    ) {
+        if self.seen.insert(timed.env.id) {
+            released.push(timed); // dependencies? never heard of them
         }
     }
 

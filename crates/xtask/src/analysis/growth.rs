@@ -157,7 +157,7 @@ pub const GC_ROOTS: &[HotRoot] = &[
     HotRoot {
         path: "crates/core/src/delivery/graph_engine.rs",
         owner: Some("GraphDelivery"),
-        name: "on_receive_into",
+        name: "on_receive_timed",
     },
     HotRoot {
         path: "crates/core/src/rbcast.rs",
@@ -219,7 +219,7 @@ pub fn check(ws: &Workspace, graph: &CallGraph, fields: &FieldTable) -> Vec<Find
 }
 
 /// The pass with injectable struct/root sets, for fixture tests.
-pub fn check_with(
+fn check_with(
     ws: &Workspace,
     graph: &CallGraph,
     fields: &FieldTable,

@@ -72,12 +72,12 @@ pub const HOT_ROOTS: &[HotRoot] = &[
     HotRoot {
         path: "crates/core/src/delivery/vector_engine.rs",
         owner: Some("CbcastEngine"),
-        name: "on_receive_into",
+        name: "on_receive_timed",
     },
     HotRoot {
         path: "crates/core/src/delivery/graph_engine.rs",
         owner: Some("GraphDelivery"),
-        name: "on_receive_into",
+        name: "on_receive_timed",
     },
     HotRoot {
         path: "crates/core/src/delivery/pcbcast/engine.rs",

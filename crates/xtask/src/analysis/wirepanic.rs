@@ -56,7 +56,7 @@ const PANIC_MACROS: &[&str] = &[
 ];
 
 /// Does this function name mark a decode entry point?
-pub fn is_entry_name(name: &str) -> bool {
+fn is_entry_name(name: &str) -> bool {
     name.contains("decode")
         || name.contains("parse")
         || name.starts_with("get_")

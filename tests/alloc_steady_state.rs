@@ -42,7 +42,7 @@
 //! commutative, uniform 50–500 µs latency, 1% loss, one broadcast every
 //! 20 µs from a random member.
 //!
-//! The group reads 5.5 allocations per op. What still allocates:
+//! The group reads 5.25 allocations per op. What still allocates:
 //!
 //! - stability reports, about 3.3 per op in all: each member's up report
 //!   once per 64 deliveries and the stable vector the root passes down
@@ -51,16 +51,16 @@
 //! - runs, about 1.8 per op: a member forwards what one input released
 //!   as one frame per link, and a burst of two or more messages is one
 //!   block that every link's frame and retransmission copy shares;
-//! - regrowth: the stack's window of send times when its span outgrows
-//!   its deque, and amortised growth of what is never compacted (the
+//! - regrowth: amortised growth of what is never compacted (the
 //!   delivery log).
 //!
 //! Single-message frames, the new message's frames, acks, reassembly,
 //! the per-origin gate and the retransmission tick allocate nothing
-//! once warm. Before members forwarded bursts as runs, this group read
-//! 5.2 allocations per op, for about three times as many link frames;
-//! before the tick appended its frames to the stack's retained buffer,
-//! 6.1.
+//! once warm. While the stack kept every send time in a window of its
+//! own, whose span regrew its deque, the group read 5.5. Before members
+//! forwarded bursts as runs, it read 5.2 allocations per op, for about
+//! three times as many link frames; before the tick appended its frames
+//! to the stack's retained buffer, 6.1.
 
 use causal_broadcast::clocks::ProcessId;
 use causal_broadcast::core::delivery::{Delivered, GraphDelivery, PcEngine};

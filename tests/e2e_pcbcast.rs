@@ -250,22 +250,25 @@ fn links_repair_named_losses_before_the_tick() {
     }
 }
 
-/// Per-message state a member of a static GC group may hold at any
-/// time, during a stream or after it drained. A member holds what it
-/// does not yet know to be stable: what the tree is still disseminating
-/// (the stream puts 50 ops per millisecond in flight), deliveries since
-/// each member's last report, and what the convergecast is still
-/// carrying up and down the tree. Over seeds 0–9 at 4,000 ops the peak
-/// measured 608–782 at n = 16 and 969–1,202 at n = 64, where full-mesh
-/// gossip measured 593–751 and 933–1,242.
+/// Messages a member of a static GC group may hold without knowing them
+/// stable ([`ProtocolStack::unstable_len`]), at any time, during a stream
+/// or after it drained: what the tree is still disseminating (the stream
+/// puts 50 ops per millisecond in flight), deliveries since each
+/// member's last report, and what the convergecast is still carrying up
+/// and down the tree. Over seeds 0–9 at 4,000 ops the peak measured
+/// 192–302 at n = 16 and 374–471 at n = 64 (the stack's former
+/// send-time table, which this replaces, read 190–300 and 373–471).
+/// Without the tree's reports nothing becomes stable, and a member
+/// holds the whole stream.
 const TREE_GC_RETAINED_BOUND: usize = 1_300;
 
 /// Streams 2,000 ops, 20 µs apart, into a static PC group of `n` with
 /// stability GC on the PC benchmark's network shape, and checks that
-/// the group converges cleanly within [`TREE_GC_RETAINED_BOUND`] and
-/// that every stability report went to a tree neighbour. Returns the
-/// inbound stability reports per op, and the most the tree's shape
-/// allows ([`convergecast_ceiling`]).
+/// the group converges cleanly with no member ever holding more than
+/// [`TREE_GC_RETAINED_BOUND`] unstable messages, and that every
+/// stability report went to a tree neighbour. Returns the inbound
+/// stability reports per op, and the most the tree's shape allows
+/// ([`convergecast_ceiling`]).
 fn tree_gc_stream(n: usize, report_every: u64, seed: u64) -> (f64, f64) {
     let ops = 2_000u32;
     let nodes = (0..n)
@@ -287,10 +290,10 @@ fn tree_gc_stream(n: usize, report_every: u64, seed: u64) -> (f64, f64) {
         let deadline = sim.now() + SimDuration::from_micros(20);
         sim.run_until(deadline);
         for (i, member) in sim.nodes().iter().enumerate() {
-            let retained = member.node.retained_state();
+            let unstable = member.node.unstable_len();
             assert!(
-                retained <= TREE_GC_RETAINED_BOUND,
-                "{tag} member {i}: {retained} retained at op {k}"
+                unstable <= TREE_GC_RETAINED_BOUND,
+                "{tag} member {i}: {unstable} unstable at op {k}"
             );
         }
     }
@@ -298,10 +301,10 @@ fn tree_gc_stream(n: usize, report_every: u64, seed: u64) -> (f64, f64) {
     for (i, member) in sim.nodes().iter().enumerate() {
         assert_eq!(member.node.app().value, i64::from(ops), "{tag} member {i}");
         assert_eq!(member.node.pending_len(), 0, "{tag} member {i}");
-        let retained = member.node.retained_state();
+        let unstable = member.node.unstable_len();
         assert!(
-            retained <= TREE_GC_RETAINED_BOUND,
-            "{tag} member {i}: {retained} retained after the drain"
+            unstable <= TREE_GC_RETAINED_BOUND,
+            "{tag} member {i}: {unstable} unstable after the drain"
         );
     }
     let report = assert_stacks_oracle_clean(sim.nodes().iter().map(|m| &m.node), &tag);

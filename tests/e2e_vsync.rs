@@ -332,10 +332,12 @@ fn gc_members_admit_a_joiner_outside_their_stability_width() {
 }
 
 /// Per-message state a survivor of a crashed `with_gc(n, 2)` group may
-/// retain once a lossless stream has drained: what the members delivered
-/// after their last report, under one report period (2) per member of
-/// the larger group (8). Measured: 0 (graph) and at most 2 (PC); without
-/// the removed member leaving the minimum, the whole stream.
+/// retain once a lossless stream has drained, and messages it may hold
+/// without knowing them stable: what the members delivered after their
+/// last report, under one report period (2) per member of the larger
+/// group (8). Measured: `retained_state` 0 on both arms (graph slots,
+/// rbcast copies), `unstable_len` 0 (graph) and 1 (PC); without the
+/// removed member leaving the minimum, the whole stream.
 const CRASH_GC_RETAINED_BOUND: usize = 16;
 
 /// Streams `ops` operations round-robin from `survivors` after `dead`
@@ -381,6 +383,11 @@ where
         assert!(
             retained <= CRASH_GC_RETAINED_BOUND,
             "{tag}: {m} retains {retained} after the stream"
+        );
+        let unstable = node.unstable_len();
+        assert!(
+            unstable <= CRASH_GC_RETAINED_BOUND,
+            "{tag}: {m} holds {unstable} unstable after the stream"
         );
     }
     assert_oracle_clean(&sim, n, tag);
