@@ -282,7 +282,7 @@ pub trait DeliveryEngine {
     /// The frame is handled on [`LinkClock::STOPPED`], so a link never
     /// names a lost frame here: a replay of captured frames releases
     /// what the live run released, without the hole reports that depend
-    /// on when frames arrived.
+    /// on when frames arrived. `history` is copied into one segment.
     fn on_link_frame(
         &mut self,
         from: ProcessId,
@@ -290,7 +290,8 @@ pub trait DeliveryEngine {
         history: &[Timed<Self::Envelope>],
     ) -> LinkDelivery<Self::Envelope> {
         let mut out = TimedDelivery::default();
-        self.on_link_frame_into(from, frame, history, LinkClock::STOPPED, &mut out);
+        let segments = [history.to_vec()];
+        self.on_link_frame_into(from, frame, &segments, LinkClock::STOPPED, &mut out);
         LinkDelivery {
             receipts: out.receipts,
             released: out.released.into_iter().map(|t| t.env).collect(),
@@ -300,15 +301,17 @@ pub trait DeliveryEngine {
 
     /// Like [`on_link_frame`](Self::on_link_frame) at `clock`, appending
     /// to `out` instead of returning a fresh [`LinkDelivery`], each
-    /// release with its origin's send time. This is the flood-path entry
-    /// point: the stack passes its time and retransmission period, from
-    /// which links judge which frames are lost, and drains one retained
-    /// `out` per frame, so steady-state link traffic allocates no vectors.
+    /// release with its origin's send time. `history` comes as the
+    /// membership store's segments, read in order. This is the flood-path
+    /// entry point: the stack passes its time and retransmission period,
+    /// from which links judge which frames are lost, and drains one
+    /// retained `out` per frame, so steady-state link traffic allocates
+    /// no vectors.
     fn on_link_frame_into(
         &mut self,
         _from: ProcessId,
         _frame: LinkFrame<Timed<Self::Envelope>>,
-        _history: &[Timed<Self::Envelope>],
+        _history: &[Vec<Timed<Self::Envelope>>],
         _clock: LinkClock,
         _out: &mut TimedDelivery<Self::Envelope>,
     ) {

@@ -45,9 +45,9 @@
 //! asymmetry virtual synchrony already accepts for view installation.
 //!
 //! The retained history handed to [`DeliveryEngine::on_link_frame_into`] is
-//! the membership layer's flush/replay store, so quarantine costs no
-//! extra copies; static groups (no membership) never open a fresh link
-//! and never need it.
+//! the membership layer's flush/replay store, read segment by segment in
+//! delivery order, so quarantine costs no extra copies; static groups (no
+//! membership) never open a fresh link and never need it.
 //!
 //! # The per-origin gate
 //!
@@ -147,8 +147,8 @@ pub struct PcEngine<P> {
     /// frames and kept like `released`.
     replies: Vec<LinkFrame<Timed<PcEnvelope<P>>>>,
     /// What one inbound frame delivered before a pong, for that pong's
-    /// flush, empty between frames. Filled only while a handshake is
-    /// outstanding (see `deliver`).
+    /// flush, empty between frames. Filled only by a frame that arrives
+    /// while a handshake is outstanding (see `on_link_frame_into`).
     batch: Vec<Timed<PcEnvelope<P>>>,
     /// What one input delivered off a link, with the link it arrived on,
     /// in delivery order: forwarded as one frame per safe link when the
@@ -203,23 +203,19 @@ impl<P: Clone> PcEngine<P> {
     }
 
     /// Delivers a message the gate released: stages it for forwarding
-    /// on every safe link except the one it arrived on, and releases it
-    /// with its origin's send time.
+    /// on every safe link except the one it arrived on, keeps a copy in
+    /// `batch` if the input keeps one, and releases it with its origin's
+    /// send time.
     fn deliver(
         &mut self,
         Parked { timed, from }: Parked<P>,
-        batch: &mut Vec<Timed<PcEnvelope<P>>>,
+        batch: Option<&mut Vec<Timed<PcEnvelope<P>>>>,
         out: &mut TimedDelivery<PcEnvelope<P>>,
     ) {
         if let Some(from) = from {
             self.staged.push((from, timed.clone()));
         }
-        // `batch` is only ever read by `on_pong`, which flushes solely on
-        // links whose handshake was already outstanding when this call
-        // began (`pending_ping` is set in `on_members`, never mid-frame).
-        // With every link safe the clone would be dead weight on the
-        // steady-state flood path, so skip it.
-        if self.links.values().any(|l| l.pending_ping.is_some()) {
+        if let Some(batch) = batch {
             batch.push(timed.clone());
         }
         out.released.push(timed);
@@ -228,12 +224,13 @@ impl<P: Clone> PcEngine<P> {
     /// First-reception processing of one data message that arrived on
     /// the link `from`, if any: the gate absorbs a duplicate, delivers the
     /// message if it is next from its origin (and then the parked ones
-    /// that follow it), and parks it otherwise.
+    /// that follow it), and parks it otherwise. What it delivers is also
+    /// kept in `batch`, if given.
     fn ingest(
         &mut self,
         timed: Timed<PcEnvelope<P>>,
         from: Option<ProcessId>,
-        batch: &mut Vec<Timed<PcEnvelope<P>>>,
+        mut batch: Option<&mut Vec<Timed<PcEnvelope<P>>>>,
         out: &mut TimedDelivery<PcEnvelope<P>>,
     ) {
         let id = timed.env.id;
@@ -242,9 +239,9 @@ impl<P: Clone> PcEngine<P> {
         out.receipts.push((id, fresh));
         self.duplicates += u64::from(!fresh);
         if let Offer::Next(arrival) = offer {
-            self.deliver(arrival, batch, out);
+            self.deliver(arrival, batch.as_deref_mut(), out);
             while let Some(parked) = self.gate.pop_next(id.origin()) {
-                self.deliver(parked, batch, out);
+                self.deliver(parked, batch.as_deref_mut(), out);
             }
         }
     }
@@ -299,7 +296,7 @@ impl<P: Clone> PcEngine<P> {
         from: ProcessId,
         token: u64,
         delivered: Vec<(ProcessId, u64)>,
-        history: &[Timed<PcEnvelope<P>>],
+        history: &[Vec<Timed<PcEnvelope<P>>>],
         batch: &[Timed<PcEnvelope<P>>],
         out: &mut TimedDelivery<PcEnvelope<P>>,
     ) {
@@ -318,7 +315,7 @@ impl<P: Clone> PcEngine<P> {
                 .map_or(0, |i| delivered[i].1)
         };
         let mut flushed = 0usize;
-        for timed in history.iter().chain(batch.iter()) {
+        for timed in history.iter().flatten().chain(batch) {
             let id = timed.msg_id();
             if id.seq() > peer_wm(id.origin()) {
                 let frame = link.push(LinkBody::Msg(timed.clone()));
@@ -396,11 +393,11 @@ impl<P: Clone + Send + Sync> DeliveryEngine for PcEngine<P> {
         timed: Timed<PcEnvelope<P>>,
         out: &mut TimedDelivery<PcEnvelope<P>>,
     ) {
-        let mut batch = Vec::new();
         // The replayed envelope itself is never forwarded (the
         // membership layer already multicast it to everyone), but link
-        // messages it drains out of the gate are.
-        self.ingest(timed, None, &mut batch, out);
+        // messages it drains out of the gate are. No pong reads what it
+        // delivers, so it keeps no batch.
+        self.ingest(timed, None, None, out);
         self.forward_staged(out);
         self.note_buffered();
     }
@@ -459,7 +456,7 @@ impl<P: Clone + Send + Sync> DeliveryEngine for PcEngine<P> {
         &mut self,
         from: ProcessId,
         frame: LinkFrame<Timed<PcEnvelope<P>>>,
-        history: &[Timed<PcEnvelope<P>>],
+        history: &[Vec<Timed<PcEnvelope<P>>>],
         clock: LinkClock,
         out: &mut TimedDelivery<PcEnvelope<P>>,
     ) {
@@ -479,15 +476,22 @@ impl<P: Clone + Send + Sync> DeliveryEngine for PcEngine<P> {
         link.on_frame(frame, clock, &mut released, &mut replies);
         out.sends.extend(replies.drain(..).map(|f| (from, f)));
         self.replies = replies;
+        // `batch` is read only by `on_pong`, which flushes solely on links
+        // whose handshake was outstanding when this input began
+        // (`pending_ping` is set in `on_members`, never mid-input). So
+        // whether to keep it is decided once per input: with every link
+        // safe its copies would be dead weight on the flood path.
+        let handshaking = self.links.values().any(|l| l.pending_ping.is_some());
         let mut batch = std::mem::take(&mut self.batch);
         for body in released.drain(..) {
             match body {
                 LinkBody::Msg(timed) => {
-                    self.ingest(timed, Some(from), &mut batch, out);
+                    self.ingest(timed, Some(from), handshaking.then_some(&mut batch), out);
                 }
                 LinkBody::Run(run) => {
                     for timed in run.iter() {
-                        self.ingest(timed.clone(), Some(from), &mut batch, out);
+                        let batch = handshaking.then_some(&mut batch);
+                        self.ingest(timed.clone(), Some(from), batch, out);
                     }
                 }
                 // A handshake frame goes straight onto the link to
@@ -786,14 +790,17 @@ mod tests {
         let mut a: PcEngine<&'static str> = PcEngine::for_member(p(0), 2);
         let (m1, _) = a.send("one", OccursAfter::none());
         let (m2, _) = a.send("two", OccursAfter::none());
-        let history = vec![timed(m1.clone()), timed(m2.clone())];
+        let (m3, _) = a.send("three", OccursAfter::none());
+        // The membership store's segments, in delivery order.
+        let history = [vec![timed(m1), timed(m2.clone())], vec![timed(m3.clone())]];
         let members = [p(0), p(5)];
         let pings = install(&mut a, &members);
         let token = match pings[0].1.body {
             LinkBody::Ping { token } => token,
             ref b => panic!("expected ping, got {b:?}"),
         };
-        // Peer reports it already delivered (0, 1): only m2 flushes.
+        // Peer reports it already delivered (0, 1): the rest of the first
+        // segment flushes, then the second.
         let mut out = TimedDelivery::default();
         a.on_pong(p(5), token, vec![(p(0), 1)], &history, &[], &mut out);
         let flushed: Vec<MsgId> = out
@@ -804,7 +811,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(flushed, vec![m2.id]);
+        assert_eq!(flushed, vec![m2.id, m3.id]);
     }
 
     fn env(origin: u32, seq: u64) -> Timed<PcEnvelope<&'static str>> {

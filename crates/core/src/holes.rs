@@ -25,8 +25,11 @@
 //!
 //! W comes from the stack's retransmission period P ([`LinkClock`]):
 //! W = P/8, 625 µs at the 5 ms default and 500 µs at the 4 ms membership
-//! default, which is wider than the latency spread of either benchmark
-//! network. W needs no option of its own. Too small a W only resends
+//! default. The first is wider than the 450 µs latency spread of
+//! `pc_fanout_sim` (50–500 µs, the default P). The second is narrower
+//! than the 600 µs spread of `graph_mix_sim` (200–800 µs, the membership
+//! default), so there a copy that was merely reordered can be named lost
+//! and resent. W needs no option of its own. Too small a W only resends
 //! messages that were merely reordered, and too large a W only delays a
 //! repair towards the retransmission tick; neither touches correctness.
 //! A caller without a clock passes [`LinkClock::STOPPED`], under which no

@@ -251,7 +251,7 @@ pub trait App {
 #[derive(Debug, Clone, Default)]
 pub struct NodeStats {
     /// End-to-end latency (send to application delivery, including causal
-    /// buffering) of every delivered operation.
+    /// buffering) of every delivered operation, in fixed memory.
     pub delivery_latency: Histogram,
 }
 
@@ -267,6 +267,12 @@ pub const ACK_TICKS_PER_RETRANSMIT: u64 = 4;
 /// Membership checks per retransmission period: suspicion, takeover, the
 /// retries of a pending change and a joiner's retries run every P/2.
 pub const CHECKS_PER_RETRANSMIT: u64 = 2;
+
+/// Envelopes per segment of a membership stack's store. A segment is
+/// allocated at this capacity when the last one fills and never grows, so
+/// the store grows without copying what it holds (256 KiB per segment at
+/// 64 bytes per envelope).
+const STORE_SEGMENT: usize = 4_096;
 
 const TIMER_RETRANSMIT: u64 = 1;
 const TIMER_ACK: u64 = 2;
@@ -302,11 +308,27 @@ impl Default for VsyncConfig {
 /// to carry those decisions out.
 struct MembershipState<D: DeliveryEngine> {
     manager: ViewManager,
-    /// Envelopes delivered, retained for flush re-broadcast and joiner
-    /// replay.
-    store: Vec<Timed<D::Envelope>>,
+    /// Envelopes delivered, in delivery order across its segments of
+    /// [`STORE_SEGMENT`] each, retained for flush re-broadcast, joiner
+    /// replay and a routed engine's pong flush.
+    store: Vec<Vec<Timed<D::Envelope>>>,
     /// Sends requested while a view change was flushing.
     outbox: VecDeque<(D::Op, OccursAfter)>,
+}
+
+impl<D: DeliveryEngine> MembershipState<D> {
+    /// Appends a delivered envelope to the store, in a fresh segment when
+    /// the last one is full.
+    fn store_delivered(&mut self, timed: Timed<D::Envelope>) {
+        match self.store.last_mut() {
+            Some(segment) if segment.len() < STORE_SEGMENT => segment.push(timed),
+            _ => {
+                let mut segment = Vec::with_capacity(STORE_SEGMENT);
+                segment.push(timed);
+                self.store.push(segment);
+            }
+        }
+    }
 }
 
 /// A group member running the full Figure-4 stack around a pluggable
@@ -466,11 +488,12 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
     /// members ([`StabilityTracker::new`]).
     ///
     /// This is stability GC only: it changes nothing the stack records.
-    /// The delivery log ([`log`](Self::log)), the stable points
-    /// ([`stable_points`](Self::stable_points)) and the latency samples
-    /// ([`stats`](Self::stats)) still grow with every delivery, as does
-    /// the opt-in [`MemberTrace`] ([`with_tracing`](Self::with_tracing))
-    /// where it is on.
+    /// The delivery log ([`log`](Self::log)) and the stable points
+    /// ([`stable_points`](Self::stable_points)) still grow with every
+    /// delivery, as do the membership store of a view-synchronous stack
+    /// and the opt-in [`MemberTrace`] ([`with_tracing`](Self::with_tracing))
+    /// where it is on. The latency histogram ([`stats`](Self::stats))
+    /// keeps fixed memory.
     ///
     /// # Panics
     ///
@@ -497,7 +520,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
     /// run. Purely local (no extra messages), so it works unchanged under
     /// any runtime. Dependency sets, stable-point snapshots and the
     /// rebuilt `R(M)` ([`MemberTrace::graph`]) are read from the trace;
-    /// the delivery log, the stable points and the latency samples are
+    /// the delivery log, the stable points and the latency histogram are
     /// kept without it.
     pub fn with_tracing(mut self) -> Self {
         self.tracer = Some(MemberTrace::new(self.me));
@@ -810,7 +833,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         }
         if let Some(mem) = self.membership.as_mut() {
             // Retained for flush re-broadcast and joiner replay.
-            mem.store.push(timed);
+            mem.store_delivered(timed);
         }
         for (op, after) in out.sends.drain(..) {
             self.send_or_park(ctx, op, after);
@@ -892,7 +915,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
                     // a message only some survivors saw. The reliability
                     // layer resends a lost copy until it is acknowledged.
                     let mem = self.membership.as_ref().expect("membership enabled");
-                    for timed in &mem.store {
+                    for timed in mem.store.iter().flatten() {
                         if removed.contains(&timed.msg_id().origin()) {
                             if let Some((targets, msg)) = self.rb.relay(&to, timed.clone()) {
                                 ctx.multicast(targets, StackWire::Rb(msg));
@@ -944,7 +967,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
             for (to, msg) in rb.extend_unacked(new) {
                 ctx.send(to, StackWire::Rb(msg));
             }
-            for timed in store.iter().cloned() {
+            for timed in store.iter().flatten().cloned() {
                 if let Some((_, msg)) = rb.relay(&[new], timed) {
                     ctx.send(new, StackWire::Rb(msg));
                 }
@@ -1062,8 +1085,8 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         frame: LinkFrame<Timed<D::Envelope>>,
     ) {
         let clock = self.link_clock(ctx);
-        let history: &[Timed<D::Envelope>] = match &self.membership {
-            Some(mem) => mem.store.as_slice(),
+        let history: &[Vec<Timed<D::Envelope>>] = match &self.membership {
+            Some(mem) => &mem.store,
             None => &[],
         };
         self.engine
@@ -1808,5 +1831,135 @@ mod tests {
             assert_eq!(sim.node(p(i)).app().value, 1, "member {i}");
             assert_eq!(sim.node(p(i)).app().starts, 1, "member {i}");
         }
+    }
+
+    /// The store of `node`, after checking that every segment still has
+    /// the capacity it was allocated at (a reallocation would have
+    /// changed it) and that every segment but the last is full.
+    fn store_segments<D: DeliveryEngine<Op = i64>>(
+        node: &ProtocolStack<D, Sum>,
+    ) -> &[Vec<Timed<D::Envelope>>] {
+        let store = &node.membership.as_ref().expect("membership").store;
+        for (k, segment) in store.iter().enumerate() {
+            assert_eq!(segment.capacity(), STORE_SEGMENT, "segment {k} reallocated");
+            let last = k + 1 == store.len();
+            assert!(
+                last || segment.len() == STORE_SEGMENT,
+                "segment {k} not full"
+            );
+        }
+        store
+    }
+
+    #[test]
+    fn store_segments_are_allocated_once_and_never_grow() {
+        let mut mem = MembershipState::<PcEngine<i64>> {
+            manager: ViewManager::new(p(0), GroupView::initial(1), 1),
+            store: Vec::new(),
+            outbox: VecDeque::new(),
+        };
+        let total = 2 * STORE_SEGMENT as u64 + 100;
+        let mut first = None;
+        for seq in 1..=total {
+            let env = crate::delivery::PcEnvelope {
+                id: MsgId::new(p(0), seq),
+                payload: 0,
+            };
+            mem.store_delivered(Timed {
+                env,
+                sent_at: SimTime::ZERO,
+            });
+            let head = mem.store[0].as_ptr();
+            assert_eq!(*first.get_or_insert(head), head, "the first segment moved");
+        }
+        assert_eq!(mem.store.len(), 3);
+        for segment in &mem.store {
+            assert_eq!(segment.capacity(), STORE_SEGMENT);
+        }
+        let seqs: Vec<u64> = mem.store.iter().flatten().map(|t| t.env.id.seq()).collect();
+        assert_eq!(seqs, (1..=total).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn crash_flush_relays_a_removed_members_messages_across_a_segment_boundary() {
+        // The group delivers all but six slots of a store segment. Then
+        // p3, cut off from p2, broadcasts a burst of twelve that only p0
+        // and p1 receive, and crashes: the burst straddles the end of
+        // their stores' first segment, and the flush must relay all of it
+        // to p2.
+        let filled = STORE_SEGMENT as u64 - 6;
+        let cut = SimTime::from_millis(120);
+        let cfg = NetConfig::with_latency(LatencyModel::constant_micros(300)).partition(
+            Partition::new([p(3)], [p(2)], cut, SimTime::from_millis(1_000)),
+        );
+        let mut sim = Simulation::new(group(4, true), cfg, 3);
+        for k in 0..filled {
+            sim.poke(p((k % 4) as u32), |node, ctx| {
+                node.osend(ctx, 1, OccursAfter::none());
+            });
+            sim.run_until(sim.now() + SimDuration::from_micros(20));
+        }
+        sim.run_until(cut);
+        for i in 0..4 {
+            assert_eq!(sim.node(p(i)).log().len() as u64, filled, "member {i}");
+        }
+        let burst: Vec<MsgId> = (0..12)
+            .map(|_| sim.poke(p(3), |node, ctx| node.osend(ctx, 1, OccursAfter::none())))
+            .map(|id| id.expect("sent"))
+            .collect();
+        sim.run_until(cut + SimDuration::from_millis(1));
+        sim.node_mut(p(3)).crash();
+        sim.run_until(cut + SimDuration::from_millis(60));
+
+        for i in 0..2 {
+            let store = store_segments(sim.node(p(i)));
+            let in_burst = |k: usize| {
+                let segment = store[k].iter();
+                segment.filter(|t| burst.contains(&t.msg_id())).count()
+            };
+            assert_eq!(store.len(), 2, "member {i}");
+            assert_eq!((in_burst(0), in_burst(1)), (6, 6), "member {i}");
+        }
+        let expected_view = GroupView::initial(4).without(p(3));
+        for i in 0..3 {
+            assert_eq!(sim.node(p(i)).view(), &expected_view, "member {i}");
+            assert_eq!(sim.node(p(i)).app().value, filled as i64 + 12, "member {i}");
+        }
+    }
+
+    #[test]
+    fn joiner_admitted_after_more_than_a_segment_of_history_reaches_the_incumbents_value() {
+        // A partition keeps the joiner from its contact while the group
+        // delivers more than a store segment; once it heals, the joiner
+        // is admitted and replayed the whole store.
+        let history = STORE_SEGMENT as u64 + 500;
+        let heals = SimTime::from_millis(150);
+        let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(100, 900))
+            .partition(Partition::new([p(3)], [p(1)], SimTime::ZERO, heals));
+        let mut nodes = group(3, true);
+        nodes.push(CausalNode::joining(
+            p(3),
+            p(1),
+            Sum::default(),
+            VsyncConfig::default(),
+        ));
+        let mut sim = Simulation::new(nodes, cfg, 11);
+        for k in 0..history {
+            sim.poke(p((k % 3) as u32), |node, ctx| {
+                node.osend(ctx, 1, OccursAfter::none());
+            });
+            sim.run_until(sim.now() + SimDuration::from_micros(20));
+        }
+        sim.run_until(heals);
+        assert!(sim.node(p(3)).is_joining(), "admitted before the heal");
+        assert_eq!(store_segments(sim.node(p(0))).len(), 2);
+
+        sim.run_until(heals + SimDuration::from_millis(40));
+        assert!(!sim.node(p(3)).is_joining(), "not admitted after the heal");
+        for i in 0..4 {
+            assert_eq!(sim.node(p(i)).app().value, history as i64, "member {i}");
+            assert_eq!(sim.node(p(i)).pending_len(), 0, "member {i}");
+        }
+        assert_eq!(store_segments(sim.node(p(3))).len(), 2);
     }
 }

@@ -5,8 +5,9 @@
 //! bookkeeping — so the gate declares the structs that constitute
 //! long-lived protocol state ([`STATE_STRUCTS`]: the delivery engines,
 //! the stack's membership state and the view-change machine, stability
-//! bookkeeping, and the
-//! net layer's per-link/per-shard tables) and requires every growable
+//! bookkeeping, the net layer's per-link/per-shard tables, and the
+//! buckets of the latency histogram every stack records into) and
+//! requires every growable
 //! collection field in them to have a **shrink site** (`remove`,
 //! `clear`, `drain`, `truncate`, `split_off`, `pop*`, `retain`,
 //! `take`, an `IdWindow`'s `advance` / `compact` / `pop_next`, …) that is
@@ -50,8 +51,8 @@ pub struct StateStruct {
 }
 
 /// The long-lived protocol state: engines, stack membership and the
-/// view-change machine, stability bookkeeping, and the net layer's
-/// link/slot tables.
+/// view-change machine, stability bookkeeping, the net layer's
+/// link/slot tables, and the latency histogram's buckets.
 pub const STATE_STRUCTS: &[StateStruct] = &[
     StateStruct {
         path: "crates/core/src/delivery/pcbcast/engine.rs",
@@ -96,6 +97,12 @@ pub const STATE_STRUCTS: &[StateStruct] = &[
     StateStruct {
         path: "crates/net/src/reactor.rs",
         name: "Shard",
+    },
+    // Simnet's `Histogram` (every stack's latency record) keeps its
+    // samples here; the histogram itself holds only the boxed buckets.
+    StateStruct {
+        path: "crates/simnet/src/metrics.rs",
+        name: "Buckets",
     },
 ];
 

@@ -28,8 +28,13 @@
 //! - the resends of copies named lost, and retransmissions: a vector of
 //!   resends or a target list, about once per lost copy;
 //! - regrowth: a waiter list that must hold more waiters than the reused
-//!   list it got, and amortised growth of what is never compacted (the
-//!   delivery log, the membership store of delivered envelopes).
+//!   list it got, and what is never compacted. Over the measured 3,000
+//!   ops each member's delivery log doubles once and its membership
+//!   store takes one fresh 4,096-envelope segment (8 allocations each,
+//!   0.003 per op apiece), and the latency histograms grow their
+//!   counters twice in all (once per power of two a largest sample
+//!   reaches). While the histogram kept every sample, its vector
+//!   doubled as the log does, and the group read 3.203.
 //!
 //! Data copies, acks and heartbeats allocate nothing. Before the data
 //! path reused its buffers and shared dependency sets, this group read
@@ -42,7 +47,7 @@
 //! commutative, uniform 50–500 µs latency, 1% loss, one broadcast every
 //! 20 µs from a random member.
 //!
-//! The group reads 5.25 allocations per op. What still allocates:
+//! The group reads 5.23 allocations per op. What still allocates:
 //!
 //! - stability reports, about 3.3 per op in all: each member's up report
 //!   once per 64 deliveries and the stable vector the root passes down
@@ -51,8 +56,11 @@
 //! - runs, about 1.8 per op: a member forwards what one input released
 //!   as one frame per link, and a burst of two or more messages is one
 //!   block that every link's frame and retransmission copy shares;
-//! - regrowth: amortised growth of what is never compacted (the
-//!   delivery log).
+//! - regrowth: what is never compacted. Over the measured 3,000 ops
+//!   each member's delivery log doubles once (64 allocations, 0.02 per
+//!   op), and the latency histograms grow their counters once in all.
+//!   While the histogram kept every sample, its vector doubled with the
+//!   log, and the group read 5.25.
 //!
 //! Single-message frames, the new message's frames, acks, reassembly,
 //! the per-origin gate and the retransmission tick allocate nothing
