@@ -147,8 +147,8 @@ pub struct PcEngine<P> {
     /// frames and kept like `released`.
     replies: Vec<LinkFrame<Timed<PcEnvelope<P>>>>,
     /// What one inbound frame delivered before a pong, for that pong's
-    /// flush, empty between frames. Filled only by a frame that arrives
-    /// while a handshake is outstanding (see `on_link_frame_into`).
+    /// flush, empty between frames. Filled only by a frame whose link
+    /// released a pong (see `on_link_frame_into`).
     batch: Vec<Timed<PcEnvelope<P>>>,
     /// What one input delivered off a link, with the link it arrived on,
     /// in delivery order: forwarded as one frame per safe link when the
@@ -254,6 +254,9 @@ impl<P: Clone> PcEngine<P> {
     /// built only if some link takes it. Each link thus carries this
     /// member's delivery order, one frame per input.
     fn forward_staged(&mut self, out: &mut TimedDelivery<PcEnvelope<P>>) {
+        if self.staged.is_empty() {
+            return;
+        }
         let staged = &self.staged;
         let mut whole: Option<Arc<[Timed<PcEnvelope<P>>]>> = None;
         for (&peer, link) in self.links.iter_mut() {
@@ -471,26 +474,30 @@ impl<P: Clone + Send + Sync> DeliveryEngine for PcEngine<P> {
             Entry::Vacant(slot) if self.members.contains(from) => slot.insert(Link::default()),
             Entry::Vacant(_) => return,
         };
+        // An ack trims the outbound retention and may resend, but parks
+        // nothing, so it cannot raise the buffered peak.
+        let ack = matches!(frame.body, LinkBody::Ack { .. });
         let mut released = std::mem::take(&mut self.released);
         let mut replies = std::mem::take(&mut self.replies);
         link.on_frame(frame, clock, &mut released, &mut replies);
         out.sends.extend(replies.drain(..).map(|f| (from, f)));
         self.replies = replies;
-        // `batch` is read only by `on_pong`, which flushes solely on links
-        // whose handshake was outstanding when this input began
-        // (`pending_ping` is set in `on_members`, never mid-input). So
-        // whether to keep it is decided once per input: with every link
-        // safe its copies would be dead weight on the flood path.
-        let handshaking = self.links.values().any(|l| l.pending_ping.is_some());
+        // `batch` is read only by `on_pong`, for what this input delivered
+        // before the pong, so it is kept only when this input released a
+        // pong: otherwise its copies would be dead weight on the flood
+        // path.
+        let keep_batch = released
+            .iter()
+            .any(|body| matches!(body, LinkBody::Pong { .. }));
         let mut batch = std::mem::take(&mut self.batch);
         for body in released.drain(..) {
             match body {
                 LinkBody::Msg(timed) => {
-                    self.ingest(timed, Some(from), handshaking.then_some(&mut batch), out);
+                    self.ingest(timed, Some(from), keep_batch.then_some(&mut batch), out);
                 }
                 LinkBody::Run(run) => {
                     for timed in run.iter() {
-                        let batch = handshaking.then_some(&mut batch);
+                        let batch = keep_batch.then_some(&mut batch);
                         self.ingest(timed.clone(), Some(from), batch, out);
                     }
                 }
@@ -513,7 +520,9 @@ impl<P: Clone + Send + Sync> DeliveryEngine for PcEngine<P> {
         batch.clear();
         self.batch = batch;
         self.released = released;
-        self.note_buffered();
+        if !ack {
+            self.note_buffered();
+        }
     }
 
     fn link_retransmissions(&mut self, clock: LinkClock, sends: &mut Vec<LinkSend<PcEnvelope<P>>>) {

@@ -500,7 +500,7 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
     /// Panics if `report_every` is zero.
     pub fn with_gc(mut self, n: usize, report_every: u64) -> Self {
         assert!(report_every > 0, "report period must be positive");
-        let tree = if D::ROUTED && self.membership.is_none() {
+        let tree = if self.is_static_routed() {
             self.engine.overlay_tree()
         } else {
             None
@@ -873,8 +873,11 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
     /// Compacts engine and reliability layer against the stable prefix,
     /// only when it rose since the last compaction: every layer absorbs
     /// ids inside an already compacted prefix as duplicates, so an
-    /// unchanged prefix leaves nothing new to prune.
+    /// unchanged prefix leaves nothing new to prune. The reliability
+    /// layer of a static routed stack is built with no peers and never
+    /// carries a copy, so it is left alone.
     fn compact_now(&mut self) {
+        let static_routed = self.is_static_routed();
         let Some(stable) = self
             .stability
             .as_mut()
@@ -883,7 +886,17 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
             return;
         };
         self.engine.compact(stable);
-        self.rb.compact(stable);
+        if !static_routed {
+            self.rb.compact(stable);
+        }
+    }
+
+    /// A routed engine without membership: its overlay carries every
+    /// message, and its reliability layer, built with no peers (see
+    /// [`new`](Self::new)), carries none. A membership stack is never
+    /// static, even once a crash has left it without peers.
+    fn is_static_routed(&self) -> bool {
+        D::ROUTED && self.membership.is_none()
     }
 
     /// Feeds one input to the membership machine, if membership is

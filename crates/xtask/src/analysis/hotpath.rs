@@ -8,7 +8,8 @@
 //! engine's link frame entry, reliable broadcast's data and ack
 //! entries, the simulator's `run_until` event loop, the stability
 //! tracker's per-delivery and per-report updates, the protocol stack's
-//! data-path callbacks, and stable-point detection — is
+//! data-path callbacks and its two per-delivery records (membership
+//! store and latency histogram), and stable-point detection — is
 //! closed over the call graph, and every statement reachable (CFG-wise)
 //! inside that cone is scanned for heap-allocating expressions.
 //!
@@ -52,7 +53,9 @@ pub struct HotRoot {
 /// data and ack entries, the simulator's `run_until` event loop, the
 /// stability tracker's `on_deliver`/`on_report` (mesh and tree), the
 /// protocol stack's data, ack, report and link arms with its send and
-/// delivery paths, and the stable-point detector's `on_deliver`.
+/// delivery paths, its two per-delivery records (the membership store's
+/// `store_delivered` and the latency histogram's `record`), and the
+/// stable-point detector's `on_deliver`.
 pub const HOT_ROOTS: &[HotRoot] = &[
     HotRoot {
         path: "crates/net/src/reactor.rs",
@@ -173,6 +176,20 @@ pub const HOT_ROOTS: &[HotRoot] = &[
         path: "crates/core/src/stability.rs",
         owner: Some("Convergecast"),
         name: "on_report",
+    },
+    // The stack's two per-delivery records: the membership store and the
+    // latency histogram. `ProtocolStack::deliver` reaches both through
+    // non-`self` receivers, which the call graph leaves unresolved, so
+    // each is declared on its own.
+    HotRoot {
+        path: "crates/core/src/stack.rs",
+        owner: Some("MembershipState"),
+        name: "store_delivered",
+    },
+    HotRoot {
+        path: "crates/simnet/src/metrics.rs",
+        owner: Some("Histogram"),
+        name: "record",
     },
 ];
 
