@@ -705,9 +705,10 @@ impl<E: HasMsgId + Clone> ReliableBroadcast<E> {
     /// routed engine's overlay). Unacknowledged outgoing copies are never
     /// pruned — they are precisely the unstable messages. Costs one step
     /// per origin plus one per pruned entry, and one more per origin
-    /// while copies stay parked (a layer that carries no traffic, as in a
-    /// static routed stack, pays only the first); origins outside
-    /// `stable`'s width (members admitted later) keep their prefixes.
+    /// while copies stay parked (a layer that carries no traffic pays
+    /// only the first; `ProtocolStack::compact_now` does not call this
+    /// for a static routed stack); origins outside `stable`'s width
+    /// (members admitted later) keep their prefixes.
     pub fn compact(&mut self, stable: &VectorClock) {
         self.seen.compact(stable);
         // Only a parked copy can sit just above a raised prefix.
