@@ -18,8 +18,8 @@
 //! disseminates over its own overlay links instead of full-mesh
 //! reliable broadcast, through the `LinkFrame` hooks below.
 //!
-//! Two weaker engines serve as baselines: [`FifoDelivery`] (per-sender
-//! order only) and no engine at all (process on receipt).
+//! The weaker baseline needs no engine at all: `causal_replica`'s
+//! `WeakOrderNode` applies each operation on receipt.
 //!
 //! The [`mod@reference`] module keeps the seed (pre-indexing) algorithms
 //! of both causal engines as differential oracles; protocol code should
@@ -28,13 +28,11 @@
 //! An engine only orders. The record of what a member delivered is the
 //! stack's: [`ProtocolStack::log`](crate::stack::ProtocolStack::log).
 
-mod fifo;
 mod graph_engine;
 pub mod pcbcast;
 pub mod reference;
 mod vector_engine;
 
-pub use fifo::{FifoDelivery, FifoEnvelope};
 pub use graph_engine::GraphDelivery;
 pub use pcbcast::{PcEngine, PcEnvelope};
 pub use vector_engine::{CbcastEngine, VtEnvelope};

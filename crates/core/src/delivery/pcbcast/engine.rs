@@ -18,12 +18,15 @@
 //! link: the delivered messages that did not arrive on that link, in
 //! delivery order, a lone message as a [`LinkBody::Msg`] and two or more
 //! as one [`LinkBody::Run`]. The links that take the whole burst share
-//! one run. A frame pushed straight onto a link mid-input (a pong, or a
-//! pong's history flush) first forwards what the input has delivered so
-//! far, so every link still carries this member's delivery order, and
-//! the invariant above holds as it did for one frame per message. A run
-//! takes one link sequence number, so on each link a burst costs one
-//! datagram and one reassembly slot, not one per message.
+//! one run. A local send goes out the same way, as a burst of one. A
+//! frame pushed straight onto a link mid-input (a pong, or a pong's
+//! history flush) first forwards what the input has delivered so far,
+//! so every link still carries this member's delivery order, and the
+//! invariant above holds as it did for one frame per message. The
+//! input's releases are its one record of what it delivered: the
+//! forward and the flush both read them. A run takes one link sequence
+//! number, so on each link a burst costs one datagram and one reassembly
+//! slot, not one per message.
 //!
 //! # Safe links and the churn quarantine
 //!
@@ -139,23 +142,20 @@ pub struct PcEngine<P> {
     gate: IdWindow<Parked<P>>,
     duplicates: u64,
     /// The bodies one inbound frame's link released, empty between
-    /// frames. Kept, like `batch`, so that steady-state frames allocate
+    /// frames. Kept, like `staged`, so that steady-state frames allocate
     /// nothing.
     released: Vec<LinkBody<Timed<PcEnvelope<P>>>>,
     /// The frames one inbound frame's link sends back to its peer (the
     /// ack, and resends of frames the peer named lost), empty between
     /// frames and kept like `released`.
     replies: Vec<LinkFrame<Timed<PcEnvelope<P>>>>,
-    /// What one inbound frame delivered before a pong, for that pong's
-    /// flush, empty between frames. Filled only by a frame whose link
-    /// released a pong (see `on_link_frame_into`).
-    batch: Vec<Timed<PcEnvelope<P>>>,
-    /// What one input delivered off a link, with the link it arrived on,
-    /// in delivery order: forwarded as one frame per safe link when the
-    /// input ends, or before anything else is pushed on a link
-    /// (`forward_staged`). Empty between inputs, and kept like
-    /// `released`.
-    staged: Vec<(ProcessId, Timed<PcEnvelope<P>>)>,
+    /// The messages one input delivered off a link, in delivery order,
+    /// each as the link it arrived on and its position in the input's
+    /// `out.released`, which holds the message itself: forwarded as one
+    /// frame per safe link when the input ends, or before anything else
+    /// is pushed on a link (`forward_staged`). Empty between inputs, and
+    /// kept like `released`.
+    staged: Vec<(ProcessId, usize)>,
     /// Ping tokens issued so far.
     next_token: u64,
     /// High-water mark of messages buffered around churn: gate entries,
@@ -203,20 +203,15 @@ impl<P: Clone> PcEngine<P> {
     }
 
     /// Delivers a message the gate released: stages it for forwarding
-    /// on every safe link except the one it arrived on, keeps a copy in
-    /// `batch` if the input keeps one, and releases it with its origin's
-    /// send time.
+    /// on every safe link except the one it arrived on, and releases it
+    /// with its origin's send time.
     fn deliver(
         &mut self,
         Parked { timed, from }: Parked<P>,
-        batch: Option<&mut Vec<Timed<PcEnvelope<P>>>>,
         out: &mut TimedDelivery<PcEnvelope<P>>,
     ) {
         if let Some(from) = from {
-            self.staged.push((from, timed.clone()));
-        }
-        if let Some(batch) = batch {
-            batch.push(timed.clone());
+            self.staged.push((from, out.released.len()));
         }
         out.released.push(timed);
     }
@@ -224,13 +219,11 @@ impl<P: Clone> PcEngine<P> {
     /// First-reception processing of one data message that arrived on
     /// the link `from`, if any: the gate absorbs a duplicate, delivers the
     /// message if it is next from its origin (and then the parked ones
-    /// that follow it), and parks it otherwise. What it delivers is also
-    /// kept in `batch`, if given.
+    /// that follow it), and parks it otherwise.
     fn ingest(
         &mut self,
         timed: Timed<PcEnvelope<P>>,
         from: Option<ProcessId>,
-        mut batch: Option<&mut Vec<Timed<PcEnvelope<P>>>>,
         out: &mut TimedDelivery<PcEnvelope<P>>,
     ) {
         let id = timed.env.id;
@@ -239,45 +232,57 @@ impl<P: Clone> PcEngine<P> {
         out.receipts.push((id, fresh));
         self.duplicates += u64::from(!fresh);
         if let Offer::Next(arrival) = offer {
-            self.deliver(arrival, batch.as_deref_mut(), out);
+            self.deliver(arrival, out);
             while let Some(parked) = self.gate.pop_next(id.origin()) {
-                self.deliver(parked, batch.as_deref_mut(), out);
+                self.deliver(parked, out);
             }
         }
     }
 
-    /// Forwards what this input staged: on each safe link, one frame
-    /// with the staged messages that did not arrive on that link, in
+    /// Puts a burst of delivered messages on every safe link: on each,
+    /// one frame with the messages that did not arrive on that link, in
     /// delivery order, a lone message as [`LinkBody::Msg`] and two or
-    /// more as a [`LinkBody::Run`]. Every link that takes the whole
-    /// burst (all but the link it arrived on, as a rule) shares one run,
-    /// built only if some link takes it. Each link thus carries this
-    /// member's delivery order, one frame per input.
-    fn forward_staged(&mut self, out: &mut TimedDelivery<PcEnvelope<P>>) {
-        if self.staged.is_empty() {
-            return;
-        }
-        let staged = &self.staged;
+    /// more as a [`LinkBody::Run`]. `burst` names each message by the
+    /// link it arrived on (this member, for a local send) and its
+    /// position in `delivered`. Every link that takes the whole burst
+    /// (all but the link it arrived on, as a rule) shares one run, built
+    /// only if some link takes it. Each link thus carries this member's
+    /// delivery order, one frame per burst.
+    fn forward(
+        links: &mut BTreeMap<ProcessId, Link<Timed<PcEnvelope<P>>>>,
+        burst: &[(ProcessId, usize)],
+        delivered: &[Timed<PcEnvelope<P>>],
+        sends: &mut Vec<LinkSend<PcEnvelope<P>>>,
+    ) {
         let mut whole: Option<Arc<[Timed<PcEnvelope<P>>]>> = None;
-        for (&peer, link) in self.links.iter_mut() {
-            let mut others = staged.iter().filter(|&&(from, _)| from != peer);
-            let (true, Some((_, first))) = (link.safe, others.next()) else {
+        for (&peer, link) in links.iter_mut() {
+            let mut others = burst.iter().filter(|&&(from, _)| from != peer);
+            let (true, Some(&(_, first))) = (link.safe, others.next()) else {
                 continue;
             };
             let rest = others.count();
             let body = if rest == 0 {
-                LinkBody::Msg(first.clone())
-            } else if rest + 1 == staged.len() {
-                let run = whole
-                    .get_or_insert_with(|| staged.iter().map(|(_, timed)| timed.clone()).collect());
+                LinkBody::Msg(delivered[first].clone())
+            } else if rest + 1 == burst.len() {
+                let run = whole.get_or_insert_with(|| {
+                    burst.iter().map(|&(_, at)| delivered[at].clone()).collect()
+                });
                 LinkBody::Run(Arc::clone(run))
             } else {
-                let part = staged.iter().filter(|&&(from, _)| from != peer);
-                LinkBody::Run(part.map(|(_, timed)| timed.clone()).collect())
+                let part = burst.iter().filter(|&&(from, _)| from != peer);
+                LinkBody::Run(part.map(|&(_, at)| delivered[at].clone()).collect())
             };
-            out.sends.push((peer, link.push(body)));
+            sends.push((peer, link.push(body)));
         }
-        self.staged.clear();
+    }
+
+    /// Forwards what this input staged, as one burst, and empties the
+    /// stage.
+    fn forward_staged(&mut self, out: &mut TimedDelivery<PcEnvelope<P>>) {
+        if !self.staged.is_empty() {
+            Self::forward(&mut self.links, &self.staged, &out.released, &mut out.sends);
+            self.staged.clear();
+        }
     }
 
     /// Answers a ping on the link to `from` with this member's
@@ -291,16 +296,17 @@ impl<P: Clone> PcEngine<P> {
     }
 
     /// Handles a pong closing the fresh-link handshake on the link to
-    /// `from`: flushes retained delivered history the responder's
-    /// watermarks do not cover (in delivery order), then marks the link
-    /// safe.
+    /// `from`: flushes the delivered messages the responder's watermarks
+    /// do not cover, in delivery order (the retained history, then what
+    /// this input delivered so far: `out.released` from `input` on), and
+    /// marks the link safe.
     fn on_pong(
         &mut self,
         from: ProcessId,
         token: u64,
         delivered: Vec<(ProcessId, u64)>,
         history: &[Vec<Timed<PcEnvelope<P>>>],
-        batch: &[Timed<PcEnvelope<P>>],
+        input: usize,
         out: &mut TimedDelivery<PcEnvelope<P>>,
     ) {
         let Some(link) = self.links.get_mut(&from) else {
@@ -318,7 +324,7 @@ impl<P: Clone> PcEngine<P> {
                 .map_or(0, |i| delivered[i].1)
         };
         let mut flushed = 0usize;
-        for timed in history.iter().flatten().chain(batch) {
+        for timed in history.iter().flatten().chain(&out.released[input..]) {
             let id = timed.msg_id();
             if id.seq() > peer_wm(id.origin()) {
                 let frame = link.push(LinkBody::Msg(timed.clone()));
@@ -354,7 +360,6 @@ impl<P: Clone + Send + Sync> DeliveryEngine for PcEngine<P> {
             duplicates: 0,
             released: Vec::new(),
             replies: Vec::new(),
-            batch: Vec::new(),
             staged: Vec::new(),
             next_token: 0,
             peak_buffered: 0,
@@ -398,9 +403,8 @@ impl<P: Clone + Send + Sync> DeliveryEngine for PcEngine<P> {
     ) {
         // The replayed envelope itself is never forwarded (the
         // membership layer already multicast it to everyone), but link
-        // messages it drains out of the gate are. No pong reads what it
-        // delivers, so it keeps no batch.
-        self.ingest(timed, None, None, out);
+        // messages it drains out of the gate are.
+        self.ingest(timed, None, out);
         self.forward_staged(out);
         self.note_buffered();
     }
@@ -447,12 +451,9 @@ impl<P: Clone + Send + Sync> DeliveryEngine for PcEngine<P> {
         timed: Timed<PcEnvelope<P>>,
         sends: &mut Vec<LinkSend<PcEnvelope<P>>>,
     ) {
-        for (&peer, link) in self.links.iter_mut() {
-            if link.safe {
-                let frame = link.push(LinkBody::Msg(timed.clone()));
-                sends.push((peer, frame));
-            }
-        }
+        // A local send is a one-message burst that arrived on no link.
+        let burst = [(self.me, 0)];
+        Self::forward(&mut self.links, &burst, std::slice::from_ref(&timed), sends);
     }
 
     fn on_link_frame_into(
@@ -482,23 +483,13 @@ impl<P: Clone + Send + Sync> DeliveryEngine for PcEngine<P> {
         link.on_frame(frame, clock, &mut released, &mut replies);
         out.sends.extend(replies.drain(..).map(|f| (from, f)));
         self.replies = replies;
-        // `batch` is read only by `on_pong`, for what this input delivered
-        // before the pong, so it is kept only when this input released a
-        // pong: otherwise its copies would be dead weight on the flood
-        // path.
-        let keep_batch = released
-            .iter()
-            .any(|body| matches!(body, LinkBody::Pong { .. }));
-        let mut batch = std::mem::take(&mut self.batch);
+        let input = out.released.len();
         for body in released.drain(..) {
             match body {
-                LinkBody::Msg(timed) => {
-                    self.ingest(timed, Some(from), keep_batch.then_some(&mut batch), out);
-                }
+                LinkBody::Msg(timed) => self.ingest(timed, Some(from), out),
                 LinkBody::Run(run) => {
                     for timed in run.iter() {
-                        let batch = keep_batch.then_some(&mut batch);
-                        self.ingest(timed.clone(), Some(from), batch, out);
+                        self.ingest(timed.clone(), Some(from), out);
                     }
                 }
                 // A handshake frame goes straight onto the link to
@@ -510,15 +501,13 @@ impl<P: Clone + Send + Sync> DeliveryEngine for PcEngine<P> {
                 }
                 LinkBody::Pong { token, delivered } => {
                     self.forward_staged(out);
-                    self.on_pong(from, token, delivered, history, &batch, out);
+                    self.on_pong(from, token, delivered, history, input, out);
                 }
                 // Acks are consumed inside `Link::on_frame`.
                 LinkBody::Ack { .. } => {}
             }
         }
         self.forward_staged(out);
-        batch.clear();
-        self.batch = batch;
         self.released = released;
         if !ack {
             self.note_buffered();
@@ -811,7 +800,7 @@ mod tests {
         // Peer reports it already delivered (0, 1): the rest of the first
         // segment flushes, then the second.
         let mut out = TimedDelivery::default();
-        a.on_pong(p(5), token, vec![(p(0), 1)], &history, &[], &mut out);
+        a.on_pong(p(5), token, vec![(p(0), 1)], &history, 0, &mut out);
         let flushed: Vec<MsgId> = out
             .sends
             .iter()
@@ -955,6 +944,46 @@ mod tests {
             data_sends(&out),
             vec![(1, vec![a]), (2, vec![a, b]), (9, vec![a]), (9, vec![b])]
         );
+        assert_eq!(e.quarantined_links(), 0);
+    }
+
+    #[test]
+    fn a_pong_flushes_its_own_input_and_not_an_earlier_one_still_in_out() {
+        // p0 of {0, 1, 2} opens a link to the joiner p9.
+        let mut e: PcEngine<&'static str> = PcEngine::for_member(p(0), 3);
+        let pings = install(&mut e, &[p(0), p(1), p(2), p(9)]);
+        let [(_, ping)] = pings.as_slice() else {
+            panic!("one ping: {pings:?}");
+        };
+        let LinkBody::Ping { token } = ping.body else {
+            panic!("not a ping: {ping:?}");
+        };
+        // An earlier input delivers (4, 1) and (5, 1); `out` still holds
+        // them, and so does the retained history.
+        let mut out = TimedDelivery::default();
+        let stopped = LinkClock::STOPPED;
+        let run = LinkBody::Run(Arc::from([env(4, 1), env(5, 1)]));
+        let history = [vec![env(4, 1), env(5, 1)]];
+        e.on_link_frame_into(p(1), frame(1, run), &[], stopped, &mut out);
+        // p9's stream: (6, 1), then its pong, which covers (4, 1). The
+        // pong parks until (6, 1) releases both in one input.
+        let pong = LinkBody::Pong {
+            token,
+            delivered: vec![(p(4), 1)],
+        };
+        e.on_link_frame_into(p(9), frame(2, pong), &history, stopped, &mut out);
+        out.sends.clear();
+        let msg = LinkBody::Msg(env(6, 1));
+        e.on_link_frame_into(p(9), frame(1, msg), &history, stopped, &mut out);
+        let [b, c] = [5, 6].map(|o| MsgId::new(p(o), 1));
+        // (6, 1) is forwarded on the links safe before the pong; the flush
+        // sends p9 what it lacks from the history, then from this input,
+        // each once.
+        assert_eq!(
+            data_sends(&out),
+            vec![(1, vec![c]), (2, vec![c]), (9, vec![b]), (9, vec![c])]
+        );
+        assert_eq!(out.released.len(), 3);
         assert_eq!(e.quarantined_links(), 0);
     }
 

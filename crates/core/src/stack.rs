@@ -258,6 +258,14 @@ pub struct NodeStats {
 /// Default retransmission period P for the reliability layer.
 pub const DEFAULT_RETRANSMIT: SimDuration = SimDuration::from_millis(5);
 
+/// Default retransmission period P of a stack with membership
+/// ([`with_membership`](ProtocolStack::with_membership),
+/// [`joining`](ProtocolStack::joining)): its ack and heartbeat tick (P/4)
+/// and its membership check (P/2) run every 1 ms and 2 ms.
+/// [`with_retransmit_every`](ProtocolStack::with_retransmit_every)
+/// overrides it.
+pub const MEMBERSHIP_RETRANSMIT: SimDuration = SimDuration::from_millis(4);
+
 /// Ack ticks per retransmission period: the ack tick runs every P/4, so
 /// an ack reaches its sender well within the P a copy waits before the
 /// backstop resends it. Where membership runs, the same tick carries the
@@ -278,27 +286,27 @@ const TIMER_RETRANSMIT: u64 = 1;
 const TIMER_ACK: u64 = 2;
 const TIMER_FD_CHECK: u64 = 11;
 
-/// Timing configuration of the membership machinery. The ack and
-/// heartbeat tick (P/4) and the membership check (P/2) derive from
-/// `retransmit_every` (P).
+/// Timing configuration of the membership machinery: the suspicion
+/// threshold. The retransmission period P, from which the ack and
+/// heartbeat tick (P/4) and the membership check (P/2) derive, is set on
+/// the stack: [`MEMBERSHIP_RETRANSMIT`] unless
+/// [`with_retransmit_every`](ProtocolStack::with_retransmit_every)
+/// overrides it.
 ///
 /// The defaults suit the discrete-event simulator's microsecond latencies.
-/// Real transports (TCP) should scale both up — see
+/// Real transports (TCP) should scale the threshold and P up — see
 /// `tests/tcp_vsync.rs` for a wall-clock-friendly configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct VsyncConfig {
     /// Silence threshold after which a member is suspected. At least
     /// 1 µs: building a view-synchronous stack with less panics.
     pub suspect_after: SimDuration,
-    /// Reliability-layer retransmission period P.
-    pub retransmit_every: SimDuration,
 }
 
 impl Default for VsyncConfig {
     fn default() -> Self {
         VsyncConfig {
             suspect_after: SimDuration::from_millis(6),
-            retransmit_every: SimDuration::from_millis(4),
         }
     }
 }
@@ -453,14 +461,12 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         // need the full peer set after all.
         let rb = ReliableBroadcast::new(me, n);
         let suspect_after = config.suspect_after.as_micros();
-        Self::assemble(me, app, D::for_member(me, n), rb).with_manager(
-            ViewManager::new(me, GroupView::initial(n), suspect_after),
-            config,
-        )
+        let manager = ViewManager::new(me, GroupView::initial(n), suspect_after);
+        Self::assemble(me, app, D::for_member(me, n), rb).with_manager(manager)
     }
 
-    fn with_manager(mut self, manager: ViewManager, config: VsyncConfig) -> Self {
-        self.retransmit_every = config.retransmit_every;
+    fn with_manager(mut self, manager: ViewManager) -> Self {
+        self.retransmit_every = MEMBERSHIP_RETRANSMIT;
         self.membership = Some(MembershipState {
             manager,
             store: Vec::new(),
@@ -469,8 +475,9 @@ impl<D: DeliveryEngine, A: App<Op = D::Op>> ProtocolStack<D, A> {
         self
     }
 
-    /// Overrides the retransmission period (default
-    /// [`DEFAULT_RETRANSMIT`]).
+    /// Overrides the retransmission period P (default
+    /// [`DEFAULT_RETRANSMIT`], or [`MEMBERSHIP_RETRANSMIT`] with
+    /// membership).
     pub fn with_retransmit_every(mut self, period: SimDuration) -> Self {
         self.retransmit_every = period;
         self
@@ -1129,7 +1136,7 @@ impl<A: App> ProtocolStack<GraphDelivery<A::Op>, A> {
         let engine = GraphDelivery::for_member(me, 1);
         let suspect_after = config.suspect_after.as_micros();
         Self::assemble(me, app, engine, ReliableBroadcast::with_peers(me, []))
-            .with_manager(ViewManager::joining(me, contact, suspect_after), config)
+            .with_manager(ViewManager::joining(me, contact, suspect_after))
     }
 }
 
@@ -1818,7 +1825,7 @@ mod tests {
         // A partition cuts the joiner off from its contact for its first
         // three check periods: the request at start and the two check
         // ticks' retries are lost, the one at the heal gets through.
-        let check = VsyncConfig::default().retransmit_every / CHECKS_PER_RETRANSMIT;
+        let check = MEMBERSHIP_RETRANSMIT / CHECKS_PER_RETRANSMIT;
         let heals = SimTime::ZERO + check * 3;
         let cfg = NetConfig::with_latency(LatencyModel::constant_micros(300))
             .partition(Partition::new([p(3)], [p(1)], SimTime::ZERO, heals));

@@ -9,20 +9,20 @@
 //!   sequencer** and applied in a single global total order (ABCAST-style
 //!   baseline; the paper's §5.2 total-ordering function realized with a
 //!   sequencer instead of deterministic merge).
-//! - [`WeakOrderNode`]: operations applied in per-sender FIFO order or in
-//!   raw arrival order — orderings *weaker* than causal, showing the
-//!   anomalies causal order prevents.
+//! - [`WeakOrderNode`]: operations applied in raw arrival order — an
+//!   ordering *weaker* than causal, showing the anomalies causal order
+//!   prevents.
 //!
 //! Baselines assume a reliable (fault-free) transport; the ordering
 //! comparison experiments run all strategies over identical fault-free
 //! networks so that only ordering costs differ.
 
 use causal_clocks::{MsgId, ProcessId};
-use causal_core::delivery::{FifoDelivery, FifoEnvelope};
 use causal_core::stack::NodeStats;
 use causal_core::statemachine::Operation;
 use causal_core::total::{DeterministicMerge, RoundMsg, SeqEnvelope, Sequencer, TotalOrderBuffer};
 use causal_simnet::{Actor, Context, SimTime};
+use std::marker::PhantomData;
 
 /// Wire messages of the sequencer baseline.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,16 +153,7 @@ impl<S, O: Operation<S>> Actor for SequencedNode<S, O> {
     }
 }
 
-/// The ordering guarantee a [`WeakOrderNode`] applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WeakOrdering {
-    /// Per-sender FIFO order (gaps buffered), no cross-sender order.
-    Fifo,
-    /// Raw network arrival order.
-    Unordered,
-}
-
-/// Wire message of the weak-ordering baselines.
+/// Wire message of the unordered baseline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeakWire<O> {
     /// Message identity (`origin`, per-origin sequence starting at 1).
@@ -174,30 +165,28 @@ pub struct WeakWire<O> {
 }
 
 /// A replica applying operations under an ordering *weaker* than causal:
-/// per-sender FIFO or none at all. Exists to demonstrate (and count) the
-/// causal anomalies the paper's model rules out.
+/// none at all, each operation on arrival. Exists to demonstrate (and
+/// count) the causal anomalies the paper's model rules out.
 #[derive(Debug)]
 pub struct WeakOrderNode<S, O> {
     me: ProcessId,
-    mode: WeakOrdering,
     state: S,
     next_seq: u64,
-    fifo: FifoDelivery<(O, SimTime)>,
     applied: Vec<MsgId>,
     stats: NodeStats,
+    _op: PhantomData<O>,
 }
 
 impl<S, O: Operation<S>> WeakOrderNode<S, O> {
-    /// Creates member `me` with the given ordering mode and initial state.
-    pub fn new(me: ProcessId, mode: WeakOrdering, initial: S) -> Self {
+    /// Creates member `me` with the given initial state.
+    pub fn new(me: ProcessId, initial: S) -> Self {
         WeakOrderNode {
             me,
-            mode,
             state: initial,
             next_seq: 1,
-            fifo: FifoDelivery::new(),
             applied: Vec::new(),
             stats: NodeStats::default(),
+            _op: PhantomData,
         }
     }
 
@@ -230,33 +219,17 @@ impl<S, O: Operation<S>> WeakOrderNode<S, O> {
             op,
         });
     }
-
-    fn apply(&mut self, ctx: &Context<'_, WeakWire<O>>, id: MsgId, op: &O, sent_at: SimTime) {
-        op.apply(&mut self.state);
-        self.applied.push(id);
-        self.stats
-            .delivery_latency
-            .record(ctx.now().saturating_since(sent_at));
-    }
 }
 
 impl<S, O: Operation<S>> Actor for WeakOrderNode<S, O> {
     type Msg = WeakWire<O>;
 
     fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, _from: ProcessId, msg: Self::Msg) {
-        match self.mode {
-            WeakOrdering::Unordered => self.apply(ctx, msg.id, &msg.op, msg.sent_at),
-            WeakOrdering::Fifo => {
-                let released = self.fifo.on_receive(FifoEnvelope {
-                    id: msg.id,
-                    payload: (msg.op, msg.sent_at),
-                });
-                for env in released {
-                    let (op, sent_at) = env.payload;
-                    self.apply(ctx, env.id, &op, sent_at);
-                }
-            }
-        }
+        msg.op.apply(&mut self.state);
+        self.applied.push(msg.id);
+        self.stats
+            .delivery_latency
+            .record(ctx.now().saturating_since(msg.sent_at));
     }
 }
 
@@ -413,29 +386,10 @@ mod tests {
     }
 
     #[test]
-    fn fifo_keeps_per_sender_order_only() {
-        let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(10, 10_000));
-        let nodes: Vec<WeakOrderNode<i64, CounterOp>> = (0..3)
-            .map(|i| WeakOrderNode::new(p(i), WeakOrdering::Fifo, 0))
-            .collect();
-        let mut sim = Simulation::new(nodes, cfg, 7);
-        for k in 0..5 {
-            sim.poke(p(0), |node, ctx| node.submit(ctx, CounterOp::Inc(k)));
-        }
-        sim.run_to_quiescence();
-        for i in 0..3 {
-            let applied = sim.node(p(i)).applied();
-            let seqs: Vec<u64> = applied.iter().map(|m| m.seq()).collect();
-            assert_eq!(seqs, vec![1, 2, 3, 4, 5], "member {i}");
-        }
-    }
-
-    #[test]
     fn unordered_converges_for_commutative_ops_only() {
         let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(10, 10_000));
-        let nodes: Vec<WeakOrderNode<i64, CounterOp>> = (0..3)
-            .map(|i| WeakOrderNode::new(p(i), WeakOrdering::Unordered, 0))
-            .collect();
+        let nodes: Vec<WeakOrderNode<i64, CounterOp>> =
+            (0..3).map(|i| WeakOrderNode::new(p(i), 0)).collect();
         let mut sim = Simulation::new(nodes, cfg, 9);
         for k in 0..6u32 {
             sim.poke(p(k % 3), |node, ctx| node.submit(ctx, CounterOp::Inc(1)));
@@ -514,9 +468,8 @@ mod tests {
         let mut diverged = false;
         for seed in 0..50 {
             let cfg = NetConfig::with_latency(LatencyModel::uniform_micros(10, 10_000));
-            let nodes: Vec<WeakOrderNode<i64, CounterOp>> = (0..3)
-                .map(|i| WeakOrderNode::new(p(i), WeakOrdering::Unordered, 0))
-                .collect();
+            let nodes: Vec<WeakOrderNode<i64, CounterOp>> =
+                (0..3).map(|i| WeakOrderNode::new(p(i), 0)).collect();
             let mut sim = Simulation::new(nodes, cfg, seed);
             sim.poke(p(1), |node, ctx| node.submit(ctx, CounterOp::Set(10)));
             sim.poke(p(2), |node, ctx| node.submit(ctx, CounterOp::Set(20)));

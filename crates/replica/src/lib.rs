@@ -14,7 +14,7 @@
 //! | §1, §5.1 | [`fileservice`] | Distributed file service with item-scoped commutativity |
 //! | §5.1 | [`cardgame`] | Multiplayer card game with relaxed turn ordering |
 //! | §6.2, Fig. 5 | [`lock`] | Decentralized lock arbitration: totally ordered `LOCK`/`TFR` cycles |
-//! | baselines | [`baseline`] | Sequencer total order, FIFO-only, and unordered replicas for comparison |
+//! | baselines | [`baseline`] | Sequencer and deterministic-merge total order, and unordered replicas, for comparison |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -47,7 +47,7 @@ pub use causal_simnet as simnet;
 pub mod prelude {
     pub use causal_clocks::{CausalOrdering, MatrixClock, MsgId, ProcessId, VectorClock};
     pub use causal_core::delivery::{
-        CbcastEngine, Delivered, DeliveryEngine, FifoDelivery, GraphDelivery, VtEnvelope,
+        CbcastEngine, Delivered, DeliveryEngine, GraphDelivery, VtEnvelope,
     };
     pub use causal_core::graph::MsgGraph;
     pub use causal_core::osend::{GraphEnvelope, OSender, OccursAfter};

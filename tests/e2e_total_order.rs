@@ -3,9 +3,7 @@
 //! member, and agree with each other on the per-round message sets.
 
 use causal_broadcast::clocks::ProcessId;
-use causal_broadcast::replica::baseline::{
-    MergeOrderNode, SequencedNode, WeakOrderNode, WeakOrdering,
-};
+use causal_broadcast::replica::baseline::{MergeOrderNode, SequencedNode, WeakOrderNode};
 use causal_broadcast::replica::counter::CounterOp;
 use causal_broadcast::simnet::{LatencyModel, NetConfig, SimDuration, Simulation};
 
@@ -118,9 +116,8 @@ fn weak_orderings_allow_divergence_total_order_does_not() {
     // Unordered: some seed diverges.
     let mut diverged = false;
     for seed in 0..20 {
-        let nodes: Vec<WeakOrderNode<i64, CounterOp>> = (0..3)
-            .map(|i| WeakOrderNode::new(p(i), WeakOrdering::Unordered, 0))
-            .collect();
+        let nodes: Vec<WeakOrderNode<i64, CounterOp>> =
+            (0..3).map(|i| WeakOrderNode::new(p(i), 0)).collect();
         let mut sim = Simulation::new(nodes, cfg(), seed);
         sim.poke(p(1), |node, ctx| node.submit(ctx, CounterOp::Set(1)));
         sim.poke(p(2), |node, ctx| node.submit(ctx, CounterOp::Set(2)));

@@ -5,7 +5,9 @@
 //! install the smaller view virtually synchronously.
 
 use causal_broadcast::clocks::ProcessId;
-use causal_broadcast::core::stack::{VsyncConfig, ACK_TICKS_PER_RETRANSMIT, CHECKS_PER_RETRANSMIT};
+use causal_broadcast::core::stack::{
+    VsyncConfig, ACK_TICKS_PER_RETRANSMIT, CHECKS_PER_RETRANSMIT, MEMBERSHIP_RETRANSMIT,
+};
 use causal_broadcast::membership::{GroupView, ManagerAction, MembershipMsg, ViewManager};
 use causal_broadcast::simnet::{
     Actor, Context, LatencyModel, NetConfig, SimDuration, SimTime, Simulation,
@@ -40,8 +42,8 @@ impl Member {
         let suspect_after = config.suspect_after.as_micros();
         Member {
             manager: ViewManager::new(me, GroupView::initial(n), suspect_after),
-            heartbeat_period: config.retransmit_every / ACK_TICKS_PER_RETRANSMIT,
-            check_period: config.retransmit_every / CHECKS_PER_RETRANSMIT,
+            heartbeat_period: MEMBERSHIP_RETRANSMIT / ACK_TICKS_PER_RETRANSMIT,
+            check_period: MEMBERSHIP_RETRANSMIT / CHECKS_PER_RETRANSMIT,
             crash_at,
             installed: Vec::new(),
         }

@@ -31,15 +31,18 @@ fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
 }
 
-/// Timings scaled for wall-clock TCP (the defaults suit the simulator's
-/// microsecond latencies; over real sockets they would suspect members
-/// during ordinary scheduling hiccups). The heartbeat (P/4 = 12.5 ms) and
-/// the membership check (P/2 = 25 ms) follow the retransmission period.
-fn tcp_vsync_config() -> VsyncConfig {
-    VsyncConfig {
+/// Member `i` of `n` with membership timed for wall-clock TCP (the
+/// defaults suit the simulator's microsecond latencies; over real sockets
+/// they would suspect members during ordinary scheduling hiccups):
+/// suspicion after 400 ms, and a retransmission period P of 50 ms, which
+/// the heartbeat (P/4 = 12.5 ms) and the membership check (P/2 = 25 ms)
+/// follow.
+fn tcp_member(i: usize, n: usize, app: Watcher) -> CausalNode<Watcher> {
+    let config = VsyncConfig {
         suspect_after: SimDuration::from_millis(400),
-        retransmit_every: SimDuration::from_millis(50),
-    }
+    };
+    CausalNode::with_membership(p(i as u32), n, app, config)
+        .with_retransmit_every(SimDuration::from_millis(50))
 }
 
 /// Shared observation channel between a node's app (on a driver thread)
@@ -134,7 +137,7 @@ fn tcp_cluster_survives_member_crash_and_view_change() {
             let mut app = Watcher::new(probes[i].clone());
             // The survivors' coordinator proves liveness in the new view.
             app.post_view_op_at_len = Some(n - 1);
-            CausalNode::with_membership(p(i as u32), n, app, tcp_vsync_config())
+            tcp_member(i, n, app)
         })
         .collect();
     let cluster = LoopbackCluster::spawn(nodes, 11, TcpConfig::default()).unwrap();
@@ -200,7 +203,7 @@ fn tcp_crash_racing_in_flight_message_is_flushed_not_lost() {
                 // Once p2 has seen the whole initial round, it emits 5.
                 app.emit_at_applied = Some(n as u64);
             }
-            CausalNode::with_membership(p(i as u32), n, app, tcp_vsync_config())
+            tcp_member(i, n, app)
         })
         .collect();
     let cluster = LoopbackCluster::spawn(nodes, 23, TcpConfig::default()).unwrap();
